@@ -21,7 +21,6 @@ import (
 	"rmtest/internal/core"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/rtos"
 	"rmtest/internal/sim"
@@ -224,7 +223,7 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 }
 
 // BenchmarkKernelCancel measures the schedule-then-cancel path (timeout
-// watchdogs that almost never fire — the online monitor's steady state).
+// watchdogs that almost never fire — the verdict machines' steady state).
 func BenchmarkKernelCancel(b *testing.B) {
 	k := sim.New()
 	fn := func() {}
@@ -525,73 +524,40 @@ func BenchmarkTraceFirstAt(b *testing.B) {
 	}
 }
 
-// --- Online monitor (streaming verdicts, PR: monitor subsystem) -------
+// --- Verdict engine ---------------------------------------------------
 
-// BenchmarkMonitorOnlineVsPostHoc measures the early-termination payoff:
-// the same Table I scheme-1 R run executed post-hoc (full horizon, trace
-// scan afterwards), online without early stop, and online with early
-// stop. The kernel-events/op metric shows the simulated work saved —
-// early-stopped runs fire a fraction of the full-horizon events while
-// producing identical verdicts (asserted in TestOnlineTableIMatchesGolden).
-func BenchmarkMonitorOnlineVsPostHoc(b *testing.B) {
+// BenchmarkVerdictReplay measures the verdict layer alone: each op replays
+// one recorded Table I scheme-1 R trace (ten samples, full horizon)
+// through the verdict machines with Runner.Evaluate. No simulation runs
+// inside the timed loop, so ns/op and allocs/op are the per-run cost of
+// judging a trace.
+func BenchmarkVerdictReplay(b *testing.B) {
 	req := gpca.REQ1()
-	gen := core.Generator{
+	tc, err := core.Generator{
 		N: 10, Start: 50 * time.Millisecond, Spacing: 4500 * time.Millisecond,
 		Strategy: core.JitteredSpacing, Jitter: 200 * time.Millisecond, Seed: 42,
-	}
-	tc, err := gen.Generate(req)
+	}.Generate(req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := gpca.Factory(func() platform.Scheme { return platform.DefaultScheme1() })
-
-	b.Run("posthoc", func(b *testing.B) {
-		runner, err := core.NewRunner(factory, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			sys, err := runner.Setup(platform.RLevel, tc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Run(tc.Horizon(req))
-			if res := runner.Evaluate(sys, tc); len(res) != 10 {
-				b.Fatal("bad result")
-			}
-			events += sys.Kernel.EventsFired()
-			sys.Shutdown()
-		}
-		b.ReportMetric(float64(events)/float64(b.N), "kernel-events/op")
-	})
-	for _, early := range []bool{false, true} {
-		name := "online-full"
-		if early {
-			name = "online-earlystop"
-		}
-		b.Run(name, func(b *testing.B) {
-			runner, err := monitor.NewRunner(factory, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runner.EarlyStop = early
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res, stats, err := runner.RunR(tc)
-				if err != nil || len(res.Samples) != 10 {
-					b.Fatalf("bad result: %v", err)
-				}
-				if early && !stats.StoppedEarly {
-					b.Fatal("early stop did not engage")
-				}
-				events += stats.KernelEvents
-			}
-			b.ReportMetric(float64(events)/float64(b.N), "kernel-events/op")
-		})
+	runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return platform.DefaultScheme1() }), req)
+	if err != nil {
+		b.Fatal(err)
 	}
+	sys, err := runner.Setup(platform.RLevel, tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Shutdown()
+	sys.Run(tc.Horizon(req))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := runner.Evaluate(sys, tc); len(res) != 10 {
+			b.Fatal("bad result")
+		}
+	}
+	b.ReportMetric(float64(sys.Trace.Len()), "events/trace")
 }
 
 // BenchmarkCampaignFaulted measures the fault-attribution sweep: the

@@ -2,9 +2,8 @@ package rmtest_test
 
 // End-to-end determinism checks of the evaluation cache: memoisation is
 // a pure host-time optimisation, so every rendered artifact must be
-// byte-identical with the cache on or off, at every worker count, with
-// the post-hoc evaluator and with the online monitor, whether the cache
-// is cold, warm from a previous experiment, or so small that it thrashes
+// byte-identical with the cache on or off, at every worker count,
+// whether the cache is cold, warm from a previous experiment, or so small that it thrashes
 // (deterministic FIFO eviction keeps even that seed-pure).
 
 import (
@@ -16,7 +15,7 @@ import (
 
 // TestGenSuiteCacheDeterminism pins the cached generation pipeline to
 // the same golden as the uncached one. The cache is reused across the
-// worker/online sweep on purpose: later runs hit entries written by
+// worker sweep on purpose: later runs hit entries written by
 // earlier ones, which is exactly the cross-experiment sharing the CLI
 // performs, and the suites must not care.
 func TestGenSuiteCacheDeterminism(t *testing.T) {
@@ -25,29 +24,26 @@ func TestGenSuiteCacheDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := rmtest.NewEvalCache(0)
-	for _, online := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			runs, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{
-				Seed: 42, Workers: workers, Online: online, Cache: cache,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d online=%v: %v", workers, online, err)
-			}
-			if got := rmtest.RenderGenCSV(runs); got != string(golden) {
-				t.Errorf("workers=%d online=%v: cached generation CSV deviates from golden:\n%s",
-					workers, online, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		runs, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{
+			Seed: 42, Workers: workers, Cache: cache,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := rmtest.RenderGenCSV(runs); got != string(golden) {
+			t.Errorf("workers=%d: cached generation CSV deviates from golden:\n%s", workers, got)
 		}
 	}
 	s := cache.Stats()
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Errorf("cache never exercised both paths: %v", s)
 	}
-	// The six sweep iterations repeat the same work; everything after the
+	// The three sweep iterations repeat the same work; everything after the
 	// first pass should reuse. If the hit rate collapses, fingerprinting
 	// has started keying on something unstable (worker count, host state).
 	if s.HitRate() < 0.5 {
-		t.Errorf("hit rate %.2f suspiciously low for six identical pipelines: %v", s.HitRate(), s)
+		t.Errorf("hit rate %.2f suspiciously low for three identical pipelines: %v", s.HitRate(), s)
 	}
 }
 
@@ -59,18 +55,15 @@ func TestFaultSweepCacheDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := rmtest.NewEvalCache(0)
-	for _, online := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-				Samples: 10, Seed: 42, Workers: workers, Online: online, Cache: cache,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d online=%v: %v", workers, online, err)
-			}
-			if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
-				t.Errorf("workers=%d online=%v: cached fault CSV deviates from golden:\n%s",
-					workers, online, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
+			Samples: 10, Seed: 42, Workers: workers, Cache: cache,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
+			t.Errorf("workers=%d: cached fault CSV deviates from golden:\n%s", workers, got)
 		}
 	}
 	if s := cache.Stats(); s.Hits == 0 {

@@ -4,15 +4,15 @@
 //
 // Usage:
 //
-//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-online] [-faults] [-cache] [-prefix-share] [-pprof prefix]
+//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-cache] [-prefix-share] [-pprof prefix]
 //	rmtest lint [-chart gpca|gpca-extended|railcrossing] [-json] [-rta] [-platform scheme2|scheme3]
-//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-online] [-csv] [-cache] [-prefix-share] [-pprof prefix]
+//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-cache] [-prefix-share] [-pprof prefix]
 //
 // With -faults the command runs the fault-attribution experiment
 // instead of the single R-M flow: the REQ1 bolus scenario on scheme2,
 // once per catalogue fault plan, printing the attribution table that
 // checks M-testing blames each injected fault's expected delay segment
-// (-n, -seed and -online compose with it).
+// (-n and -seed compose with it).
 //
 // The lint subcommand runs the static-analysis layer on a shipped chart:
 // model-level findings (reachability, guard determinism, variable usage,
@@ -31,7 +31,7 @@
 // search hill-climbs stimulus instants toward the deadline on scheme3,
 // and any violating schedule is delta-debugged down to a minimal
 // counterexample. Suites are reproducible from -seed and byte-identical
-// for any -workers value, with or without -online.
+// for any -workers value.
 //
 // -cache (on by default for gen and -faults) memoises candidate
 // evaluations by content fingerprint; outputs are byte-identical either
@@ -73,7 +73,6 @@ func main() {
 	forceM := flag.Bool("force-m", false, "run M-testing even when R-testing passes")
 	cover := flag.Bool("coverage", false, "measure test adequacy and suggest extra stimuli")
 	rtaFlag := flag.Bool("rta", false, "print the analytic response-time prediction for the scheme")
-	online := flag.Bool("online", false, "evaluate verdicts with the streaming monitor (early termination); verdicts are identical, monitor stats are printed")
 	faultsFlag := flag.Bool("faults", false, "run the fault-attribution experiment (REQ1 on scheme2, one run per catalogue fault plan)")
 	cacheFlag := flag.Bool("cache", true, "memoise -faults evaluations by content fingerprint; output is byte-identical either way")
 	cacheCap := flag.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
@@ -94,7 +93,7 @@ func main() {
 			sink = &rmtest.PrefixStatsSink{}
 		}
 		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Online: *online, Cache: cache,
+			Samples: *n, Seed: *seed, Cache: cache,
 			PrefixShare: *prefixFlag, PrefixStats: sink,
 		})
 		if err != nil {
@@ -102,10 +101,6 @@ func main() {
 		}
 		fmt.Println("== fault attribution (REQ1, scheme2) ==")
 		fmt.Print(rmtest.RenderFaultTable(res.Attributions))
-		if *online {
-			fmt.Println("\n== online monitor ==")
-			fmt.Print(rmtest.RenderMonitorStats(res.Stats))
-		}
 		if cache != nil {
 			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
 		}
@@ -187,30 +182,13 @@ func main() {
 	if err != nil {
 		fail("generate: %v", err)
 	}
-	var rep rmtest.Report
-	if *online {
-		runner, err := rmtest.NewOnlineRunner(gpca.Factory(mk), req)
-		if err != nil {
-			fail("runner: %v", err)
-		}
-		runner.EarlyStop = true
-		var stats []rmtest.MonitorStats
-		rep, stats, err = runner.RunRM(tc, *forceM)
-		if err != nil {
-			fail("run: %v", err)
-		}
-		fmt.Println("== online monitor ==")
-		fmt.Print(rmtest.RenderMonitorStats(stats))
-		fmt.Println()
-	} else {
-		runner, err := rmtest.NewRunner(gpca.Factory(mk), req)
-		if err != nil {
-			fail("runner: %v", err)
-		}
-		rep, err = runner.RunRM(tc, *forceM)
-		if err != nil {
-			fail("run: %v", err)
-		}
+	runner, err := rmtest.NewRunner(gpca.Factory(mk), req)
+	if err != nil {
+		fail("runner: %v", err)
+	}
+	rep, err := runner.RunRM(tc, *forceM)
+	if err != nil {
+		fail("run: %v", err)
 	}
 	fmt.Printf("== R-testing (%s) ==\n", rep.R.Scheme)
 	for _, s := range rep.R.Samples {
@@ -285,7 +263,6 @@ func runGen(args []string) {
 	target := fs.Float64("target", 0, "phase-bin adequacy target for the coverage-directed generator (0 = default 0.9)")
 	seed := fs.Uint64("seed", 42, "generation seed; the same seed reproduces the same suites")
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); suites are identical for any value")
-	online := fs.Bool("online", false, "evaluate candidates with the streaming monitor (early termination); suites are identical")
 	asCSV := fs.Bool("csv", false, "emit byte-stable CSV instead of the formatted summary")
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
 	cacheFlag := fs.Bool("cache", true, "memoise candidate evaluations by content fingerprint; suites are byte-identical either way")
@@ -299,7 +276,7 @@ func runGen(args []string) {
 
 	opt := rmtest.GenSuiteOptions{
 		Budget: *budget, Seed: *seed, Workers: *workers,
-		Online: *online, TargetPhase: *target,
+		TargetPhase: *target,
 		PrefixShare: *prefixFlag,
 	}
 	if *prefixFlag {

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-online] [-faults] [-cache] [-prefix-share] [-pprof prefix]
-//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-online] [-csv] [-progress] [-cache] [-prefix-share] [-pprof prefix]
+//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-cache] [-prefix-share] [-pprof prefix]
+//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-cache] [-prefix-share] [-pprof prefix]
 //
 // -cache (on by default) memoises -gen and -faults candidate
 // evaluations by content fingerprint; outputs are byte-identical either
@@ -18,9 +18,9 @@
 //
 // With -faults the command runs the fault-injection sweep instead: the
 // Table I scenario once per catalogue fault plan on scheme2, printing
-// the fault-attribution table (or CSV with -csv). -workers, -online,
-// -seed, -n and -progress compose with it; results are byte-identical
-// for any worker count, online or post-hoc.
+// the fault-attribution table (or CSV with -csv). -workers, -seed, -n
+// and -progress compose with it; results are byte-identical for any
+// worker count.
 //
 // With -gen the command runs the test-case generation pipeline instead
 // of replaying the hand-written Table I suite: the coverage-directed
@@ -28,7 +28,7 @@
 // delta-debug shrinking of any violating schedule, on both the GPCA and
 // rail-crossing charts. -gen-budget bounds each strategy's evaluations
 // and -gen-target sets the phase-bin adequacy threshold; suites are
-// byte-identical for any -workers value, with or without -online.
+// byte-identical for any -workers value.
 package main
 
 import (
@@ -51,7 +51,6 @@ func main() {
 	matrix := flag.Bool("matrix", false, "also print the requirement x scheme conformance matrix")
 	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); results are identical for any value")
 	progress := flag.Bool("progress", false, "report campaign progress and throughput on stderr")
-	online := flag.Bool("online", false, "evaluate verdicts with the streaming monitor (early termination); output is identical, monitor stats go to stderr")
 	faultsFlag := flag.Bool("faults", false, "run the fault-injection sweep and print the fault-attribution table")
 	genFlag := flag.Bool("gen", false, "run the test-case generation pipeline (coverage, falsification, shrinking) instead of the hand-written suite")
 	genBudget := flag.Int("gen-budget", 0, "evaluation budget per generation strategy (0 = strategy defaults)")
@@ -77,7 +76,7 @@ func main() {
 	if *genFlag {
 		gopt := rmtest.GenSuiteOptions{
 			Budget: *genBudget, Seed: *seed, Workers: *workers,
-			Online: *online, TargetPhase: *genTarget, Cache: cache,
+			TargetPhase: *genTarget, Cache: cache,
 			PrefixShare: *prefixFlag, PrefixStats: sink,
 		}
 		if *progress {
@@ -106,7 +105,7 @@ func main() {
 
 	if *faultsFlag {
 		fopt := rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Workers: *workers, Online: *online,
+			Samples: *n, Seed: *seed, Workers: *workers,
 			Cache: cache, PrefixShare: *prefixFlag, PrefixStats: sink,
 		}
 		if *progress {
@@ -118,9 +117,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tablei:", err)
 			os.Exit(1)
-		}
-		if *online {
-			fmt.Fprint(os.Stderr, rmtest.RenderMonitorStats(res.Stats))
 		}
 		if cache != nil {
 			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
@@ -144,17 +140,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tablei:", p)
 		}
 	}
-	var reports []rmtest.Report
-	var err error
-	if *online {
-		var stats []rmtest.MonitorStats
-		reports, stats, err = rmtest.TableIExperimentOnline(opt)
-		if err == nil {
-			fmt.Fprint(os.Stderr, rmtest.RenderMonitorStats(stats))
-		}
-	} else {
-		reports, err = rmtest.TableIExperiment(opt)
-	}
+	reports, err := rmtest.TableIExperiment(opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tablei:", err)
 		os.Exit(1)
@@ -174,16 +160,7 @@ func main() {
 	}
 	fmt.Print(rmtest.RenderTableI(reports))
 	if *matrix {
-		var cells []rmtest.MatrixCell
-		if *online {
-			var stats []rmtest.MonitorStats
-			cells, stats, err = rmtest.RequirementsMatrixOnline(*n, *seed, *workers)
-			if err == nil {
-				fmt.Fprint(os.Stderr, rmtest.RenderMonitorStats(stats))
-			}
-		} else {
-			cells, err = rmtest.RequirementsMatrix(*n, *seed, *workers)
-		}
+		cells, err := rmtest.RequirementsMatrix(*n, *seed, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tablei:", err)
 			os.Exit(1)

@@ -11,7 +11,6 @@ import (
 	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
 	"rmtest/internal/lint"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/rta"
 	"rmtest/internal/schedlint"
@@ -34,13 +33,6 @@ type TableIOptions struct {
 	Workers int
 	// Progress, when set, receives a snapshot after every completed run.
 	Progress func(campaign.Progress)
-	// Online switches verdict extraction to the streaming monitor
-	// subsystem with early termination: each run halts the moment every
-	// sample is decided instead of simulating to the horizon. Verdicts
-	// are identical either way (asserted against the goldens); only the
-	// amount of simulated work and the availability of monitor stats
-	// differ. Use TableIExperimentOnline to also receive the stats.
-	Online bool
 }
 
 // TableIExperiment reproduces the paper's Table I: the bolus-request
@@ -51,27 +43,6 @@ type TableIOptions struct {
 // schemes in parallel, then M-testing for the violating (or forced)
 // schemes in parallel, reproducing Runner.RunRM's layered flow.
 func TableIExperiment(opt TableIOptions) ([]Report, error) {
-	reports, _, err := tableI(opt)
-	return reports, err
-}
-
-// TableIExperimentOnline is TableIExperiment on the streaming monitor
-// subsystem, returning the per-run monitor stats alongside the reports:
-// one Stats per R run (schemes 1-3 in order) followed by one per M run.
-// The reports are byte-identical to the post-hoc TableIExperiment.
-func TableIExperimentOnline(opt TableIOptions) ([]Report, []monitor.Stats, error) {
-	opt.Online = true
-	return tableI(opt)
-}
-
-// tableIRun is one campaign unit's outcome: the result plus, on the
-// online path, the monitor's counters.
-type tableIRun[T any] struct {
-	res   T
-	stats monitor.Stats
-}
-
-func tableI(opt TableIOptions) ([]Report, []monitor.Stats, error) {
 	if opt.Samples <= 0 {
 		opt.Samples = 10
 	}
@@ -86,7 +57,7 @@ func tableI(opt TableIOptions) ([]Report, []monitor.Stats, error) {
 	}
 	tc, err := gen.Generate(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	schemes := []func() platform.Scheme{
 		func() platform.Scheme { return platform.DefaultScheme1() },
@@ -97,71 +68,44 @@ func tableI(opt TableIOptions) ([]Report, []monitor.Stats, error) {
 	// recycle their own kernel/trace scratch between runs.
 	pb, err := gpca.Precompile()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	newScratch := func() *platform.Scratch { return &platform.Scratch{} }
 	cfg := campaign.Config{Workers: opt.Workers, Seed: opt.Seed, OnProgress: opt.Progress}
-	rres, err := campaign.Values(campaign.MapScratch(cfg, len(schemes), newScratch, func(run campaign.Run, sc *platform.Scratch) (tableIRun[core.RResult], error) {
-		if opt.Online {
-			runner, err := monitor.NewRunner(gpca.FactoryPrebuilt(pb, schemes[run.Index], sc), req)
-			if err != nil {
-				return tableIRun[core.RResult]{}, err
-			}
-			runner.EarlyStop = true
-			rr, st, err := runner.RunR(tc)
-			return tableIRun[core.RResult]{res: rr, stats: st}, err
-		}
+	rres, err := campaign.Values(campaign.MapScratch(cfg, len(schemes), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.RResult, error) {
 		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, schemes[run.Index], sc), req)
 		if err != nil {
-			return tableIRun[core.RResult]{}, err
+			return core.RResult{}, err
 		}
-		rr, err := runner.RunR(tc)
-		return tableIRun[core.RResult]{res: rr}, err
+		return runner.RunR(tc)
 	}))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	reports := make([]Report, len(schemes))
-	var stats []monitor.Stats
 	var needM []int
 	for i, rr := range rres {
-		reports[i] = Report{R: rr.res}
-		if opt.Online {
-			stats = append(stats, rr.stats)
-		}
-		if opt.ForceM || !rr.res.Passed() {
+		reports[i] = Report{R: rr}
+		if opt.ForceM || !rr.Passed() {
 			needM = append(needM, i)
 		}
 	}
-	mres, err := campaign.Values(campaign.MapScratch(cfg, len(needM), newScratch, func(run campaign.Run, sc *platform.Scratch) (tableIRun[core.MResult], error) {
-		if opt.Online {
-			runner, err := monitor.NewRunner(gpca.FactoryPrebuilt(pb, schemes[needM[run.Index]], sc), req)
-			if err != nil {
-				return tableIRun[core.MResult]{}, err
-			}
-			runner.EarlyStop = true
-			mr, st, err := runner.RunM(tc)
-			return tableIRun[core.MResult]{res: mr, stats: st}, err
-		}
+	mres, err := campaign.Values(campaign.MapScratch(cfg, len(needM), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
 		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, schemes[needM[run.Index]], sc), req)
 		if err != nil {
-			return tableIRun[core.MResult]{}, err
+			return core.MResult{}, err
 		}
-		mr, err := runner.RunM(tc)
-		return tableIRun[core.MResult]{res: mr}, err
+		return runner.RunM(tc)
 	}))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for k, i := range needM {
-		m := mres[k].res
+		m := mres[k]
 		reports[i].M = &m
 		reports[i].Diagnosis = core.Diagnose(m)
-		if opt.Online {
-			stats = append(stats, mres[k].stats)
-		}
 	}
-	return reports, stats, nil
+	return reports, nil
 }
 
 // Fig3Experiment reproduces the layered view of Fig. 3 for one bolus
@@ -425,16 +369,29 @@ func (c MatrixCell) Conforms() bool { return c.Fail == 0 && c.Max == 0 }
 // (workers 0 means GOMAXPROCS), in the same row-major order the
 // sequential loops produced.
 func RequirementsMatrix(samples int, seed uint64, workers int) ([]MatrixCell, error) {
-	cells, _, err := requirementsMatrix(samples, seed, workers, false)
-	return cells, err
-}
-
-// RequirementsMatrixOnline is RequirementsMatrix on the streaming monitor
-// subsystem with early termination, returning one monitor.Stats per cell
-// in the same row-major order. Cells are byte-identical to the post-hoc
-// RequirementsMatrix.
-func RequirementsMatrixOnline(samples int, seed uint64, workers int) ([]MatrixCell, []monitor.Stats, error) {
-	return requirementsMatrix(samples, seed, workers, true)
+	if samples <= 0 {
+		samples = 5
+	}
+	units := matrixUnits()
+	pb, err := gpca.Precompile()
+	if err != nil {
+		return nil, err
+	}
+	cfg := campaign.Config{Workers: workers, Seed: seed}
+	return campaign.Values(campaign.MapScratch(cfg, len(units),
+		func() *platform.Scratch { return &platform.Scratch{} },
+		func(run campaign.Run, sc *platform.Scratch) (MatrixCell, error) {
+			u := units[run.Index]
+			runner, tc, err := matrixRunner(u, gpca.FactoryPrebuilt(pb, u.mk, sc), samples, seed)
+			if err != nil {
+				return MatrixCell{}, err
+			}
+			res, err := runner.RunR(tc)
+			if err != nil {
+				return MatrixCell{}, err
+			}
+			return tallyCell(u.req.ID, res.Scheme, res.Samples), nil
+		}))
 }
 
 // matrixUnit is one (requirement, scheme) cell of the matrix.
@@ -458,11 +415,10 @@ func matrixUnits() []matrixUnit {
 	return units
 }
 
-// matrixRunner builds the post-hoc runner and test case for one matrix
-// unit — shared verbatim by the post-hoc and online paths, so both
-// execute the same simulation. factory decides how systems are built:
-// the campaign passes a prebuilt-program factory with worker scratch,
-// standalone callers pass gpca.Factory(u.mk).
+// matrixRunner builds the runner and test case for one matrix unit.
+// factory decides how systems are built: the campaign passes a
+// prebuilt-program factory with worker scratch, standalone callers pass
+// gpca.Factory(u.mk).
 func matrixRunner(u matrixUnit, factory core.SystemFactory, samples int, seed uint64) (*core.Runner, core.TestCase, error) {
 	runner, err := core.NewRunner(factory, u.req)
 	if err != nil {
@@ -525,55 +481,6 @@ func tallyCell(reqID, scheme string, samples []core.SampleResult) MatrixCell {
 	return cell
 }
 
-func requirementsMatrix(samples int, seed uint64, workers int, online bool) ([]MatrixCell, []monitor.Stats, error) {
-	if samples <= 0 {
-		samples = 5
-	}
-	units := matrixUnits()
-	pb, err := gpca.Precompile()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := campaign.Config{Workers: workers, Seed: seed}
-	outs, err := campaign.Values(campaign.MapScratch(cfg, len(units),
-		func() *platform.Scratch { return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (tableIRun[MatrixCell], error) {
-			u := units[run.Index]
-			runner, tc, err := matrixRunner(u, gpca.FactoryPrebuilt(pb, u.mk, sc), samples, seed)
-			if err != nil {
-				return tableIRun[MatrixCell]{}, err
-			}
-			if online {
-				on := &monitor.Runner{Post: runner, EarlyStop: true}
-				res, st, err := on.RunR(tc)
-				if err != nil {
-					return tableIRun[MatrixCell]{}, err
-				}
-				return tableIRun[MatrixCell]{
-					res:   tallyCell(u.req.ID, res.Scheme, res.Samples),
-					stats: st,
-				}, nil
-			}
-			res, err := runner.RunR(tc)
-			if err != nil {
-				return tableIRun[MatrixCell]{}, err
-			}
-			return tableIRun[MatrixCell]{res: tallyCell(u.req.ID, res.Scheme, res.Samples)}, nil
-		}))
-	if err != nil {
-		return nil, nil, err
-	}
-	cells := make([]MatrixCell, len(outs))
-	var stats []monitor.Stats
-	for i, o := range outs {
-		cells[i] = o.res
-		if online {
-			stats = append(stats, o.stats)
-		}
-	}
-	return cells, stats, nil
-}
-
 // FaultSweepOptions parameterises the fault-attribution sweep.
 type FaultSweepOptions struct {
 	// Samples is the number of test samples per fault plan.
@@ -584,16 +491,13 @@ type FaultSweepOptions struct {
 	// Workers bounds the campaign worker pool; 0 means GOMAXPROCS. Any
 	// value produces byte-identical results.
 	Workers int
-	// Online switches verdict extraction to the streaming monitor with
-	// early termination; results are identical, stats become available.
-	Online bool
 	// Progress, when set, receives a snapshot after every completed run.
 	Progress func(campaign.Progress)
 	// Cache, when set, memoises per-plan evaluations by content
-	// fingerprint (system, scheme, stimuli, fault plan, per-run seed,
-	// monitor mode), so repeated sweeps over overlapping catalogues reuse
-	// results. Byte-identical output with or without a cache; may be
-	// shared with the generation pipeline's cache.
+	// fingerprint (system, scheme, stimuli, fault plan, per-run seed),
+	// so repeated sweeps over overlapping catalogues reuse results.
+	// Byte-identical output with or without a cache; may be shared with
+	// the generation pipeline's cache.
 	Cache *campaign.Cache
 	// PrefixShare evaluates the catalogue through the prefix-sharing
 	// snapshot/resume engine: the stimuli — identical for every plan —
@@ -602,8 +506,7 @@ type FaultSweepOptions struct {
 	// opens. Plans whose windows open at time zero share only system
 	// construction, so the sweep's reuse ratio is structurally modest
 	// (the catalogue diverges early by design); results stay
-	// byte-identical to plain evaluation at every worker count. Online
-	// sweeps always take the plain path.
+	// byte-identical to plain evaluation at every worker count.
 	PrefixShare bool
 	// PrefixStats, when set, accumulates prefix-sharing statistics
 	// across the sweep's batches.
@@ -612,12 +515,10 @@ type FaultSweepOptions struct {
 
 // FaultSweepResult bundles the fault sweep's outputs: one attribution
 // row and one full M-testing result per catalogue plan, in catalogue
-// order (index 0 is the unfaulted baseline). Stats is populated on the
-// online path only, one entry per plan.
+// order (index 0 is the unfaulted baseline).
 type FaultSweepResult struct {
 	Attributions []faults.Attribution
 	Results      []core.MResult
-	Stats        []monitor.Stats
 }
 
 // FaultCatalog returns the sweep's fault plans for the scheme-2 pump
@@ -665,7 +566,7 @@ func FaultCatalog(horizon sim.Time) []faults.Plan {
 // segments. Every run is an independent deterministic simulation, so
 // the sweep executes on the campaign engine; each plan's seeded fault
 // streams derive from the campaign's per-run seed chain, making results
-// byte-identical at any worker count, online or post-hoc.
+// byte-identical at any worker count.
 func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 	if opt.Samples <= 0 {
 		opt.Samples = 10
@@ -699,7 +600,6 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 		h.String(req.ID)
 		h.Int64(int64(req.Bound))
 		h.Int64(int64(req.EffectiveTimeout()))
-		h.Bool(opt.Online)
 		h.Uint64(seeds[i])
 		h.String(fmt.Sprintf("%+v", plan))
 		h.Int(len(tc.Stimuli))
@@ -708,56 +608,24 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 		}
 		keys[i] = h.Sum()
 	}
-	var outs []tableIRun[core.MResult]
-	if opt.PrefixShare && !opt.Online {
+	var outs []core.MResult
+	if opt.PrefixShare {
 		outs, err = faultSweepPrefix(opt, cfg, keys, pb, req, tc, plans)
-		if err != nil {
-			return FaultSweepResult{}, err
-		}
-		return tallySweep(opt, plans, outs), nil
+	} else {
+		outs, err = campaign.Values(campaign.MapScratchCached(cfg, opt.Cache, keys,
+			func() *platform.Scratch { return &platform.Scratch{} },
+			func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+				return sweepPlain(pb, req, tc, plans[run.Index], run.Seed, sc)
+			}))
 	}
-	outs, err = campaign.Values(campaign.MapScratchCached(cfg, opt.Cache, keys,
-		func() *platform.Scratch { return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (tableIRun[core.MResult], error) {
-			plan := plans[run.Index]
-			factory := gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc)
-			if opt.Online {
-				runner, err := monitor.NewRunner(factory, req)
-				if err != nil {
-					return tableIRun[core.MResult]{}, err
-				}
-				runner.Post.Prepare = faults.Prepare(plan, run.Seed)
-				runner.EarlyStop = true
-				mr, st, err := runner.RunM(tc)
-				return tableIRun[core.MResult]{res: mr, stats: st}, err
-			}
-			runner, err := core.NewRunner(factory, req)
-			if err != nil {
-				return tableIRun[core.MResult]{}, err
-			}
-			runner.Prepare = faults.Prepare(plan, run.Seed)
-			mr, err := runner.RunM(tc)
-			return tableIRun[core.MResult]{res: mr}, err
-		}))
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
-	return tallySweep(opt, plans, outs), nil
-}
-
-// tallySweep folds the per-plan M results into the sweep result:
-// attributions are judged against the unfaulted baseline (plan 0).
-func tallySweep(opt FaultSweepOptions, plans []faults.Plan, outs []tableIRun[core.MResult]) FaultSweepResult {
-	res := FaultSweepResult{}
-	base := outs[0].res
+	res := FaultSweepResult{Results: outs}
 	for i, o := range outs {
-		res.Results = append(res.Results, o.res)
-		res.Attributions = append(res.Attributions, faults.Attribute(plans[i], base, o.res))
-		if opt.Online {
-			res.Stats = append(res.Stats, o.stats)
-		}
+		res.Attributions = append(res.Attributions, faults.Attribute(plans[i], outs[0], o))
 	}
-	return res
+	return res, nil
 }
 
 // SweepPoint is one configuration of the A2 sensitivity ablation.

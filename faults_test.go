@@ -2,10 +2,8 @@ package rmtest_test
 
 // End-to-end checks of the fault-injection subsystem: the
 // fault-attribution sweep against its golden CSV at several worker
-// counts (online and post-hoc), the five-class attribution acceptance,
-// panic containment and accounting in faulted campaigns, the
-// deadline-boundary equivalence of the online monitor under an injected
-// latency, scratch hygiene after an aborted faulted run, and the static
+// counts, the five-class attribution acceptance, panic containment and
+// accounting in faulted campaigns, scratch hygiene after an aborted faulted run, and the static
 // blocking dominance under an ISR storm.
 
 import (
@@ -22,30 +20,27 @@ import (
 	"rmtest/internal/core"
 	"rmtest/internal/faults"
 	"rmtest/internal/gpca"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
 
 // TestFaultSweepMatchesGolden pins the fault-attribution sweep byte for
 // byte: the rendered CSV must equal testdata/faults_seed42.csv at every
-// worker count, with the post-hoc evaluator and with the online monitor.
+// worker count.
 func TestFaultSweepMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/faults_seed42.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, online := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-				Samples: 10, Seed: 42, Workers: workers, Online: online,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d online=%v: %v", workers, online, err)
-			}
-			if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
-				t.Errorf("workers=%d online=%v: fault CSV deviates from golden:\n%s", workers, online, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
+			Samples: 10, Seed: 42, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
+			t.Errorf("workers=%d: fault CSV deviates from golden:\n%s", workers, got)
 		}
 	}
 }
@@ -173,95 +168,6 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, now)
-	}
-}
-
-// boundaryResult runs the single-stimulus boundary scenario with the
-// given injected actuator latency, on the post-hoc evaluator or the
-// online monitor, and returns the sole sample.
-func boundaryResult(t *testing.T, tc core.TestCase, req core.Requirement, extra sim.Time, online bool) core.MSample {
-	t.Helper()
-	factory := gpca.Factory(func() platform.Scheme { return platform.DefaultScheme2() })
-	plan := faults.Plan{Name: "boundary", Faults: []faults.Fault{
-		{Class: faults.ActuatorLatency, Target: "pump_motor", Duration: sim.Time(time.Hour), Max: extra},
-	}}
-	var mr core.MResult
-	if online {
-		runner, err := monitor.NewRunner(factory, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if extra > 0 {
-			runner.Post.Prepare = faults.Prepare(plan, 1)
-		}
-		mr, _, err = runner.RunM(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		runner, err := core.NewRunner(factory, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if extra > 0 {
-			runner.Prepare = faults.Prepare(plan, 1)
-		}
-		var err2 error
-		mr, err2 = runner.RunM(tc)
-		if err2 != nil {
-			t.Fatal(err2)
-		}
-	}
-	if len(mr.Samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(mr.Samples))
-	}
-	return mr.Samples[0]
-}
-
-// TestFaultedDeadlineBoundaryOnlineEquivalence pins the watchdog-epsilon
-// fix (satellite S3): an injected latency placing the response exactly
-// at deadline + timeout must yield the same verdict online and post-hoc
-// (Fail, not MAX), and one nanosecond past the timeout must flip both
-// paths to MAX together.
-func TestFaultedDeadlineBoundaryOnlineEquivalence(t *testing.T) {
-	req := gpca.REQ1()
-	gen := core.Generator{N: 1, Start: 50 * time.Millisecond, Spacing: time.Second, Seed: 1}
-	tc, err := gen.Generate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Measure the unfaulted response delay, then craft the latency that
-	// lands the c-event exactly at m + timeout.
-	base := boundaryResult(t, tc, req, 0, false)
-	if base.Verdict != core.Pass {
-		t.Fatalf("baseline verdict %v, want Pass", base.Verdict)
-	}
-	exact := req.EffectiveTimeout() - base.Delay
-	if exact <= 0 {
-		t.Fatalf("baseline delay %v already beyond the timeout", base.Delay)
-	}
-
-	for _, c := range []struct {
-		name  string
-		extra sim.Time
-		want  core.Verdict
-	}{
-		{"exactly at timeout", exact, core.Fail},
-		{"one ns past timeout", exact + 1, core.Max},
-	} {
-		post := boundaryResult(t, tc, req, c.extra, false)
-		online := boundaryResult(t, tc, req, c.extra, true)
-		if post.Verdict != c.want {
-			t.Errorf("%s: post-hoc verdict %v, want %v (delay %v)", c.name, post.Verdict, c.want, post.Delay)
-		}
-		if online.Verdict != post.Verdict || online.Delay != post.Delay {
-			t.Errorf("%s: online (%v, %v) deviates from post-hoc (%v, %v)",
-				c.name, online.Verdict, online.Delay, post.Verdict, post.Delay)
-		}
-		if c.want == core.Fail && post.Delay != req.EffectiveTimeout() {
-			t.Errorf("%s: delay %v, want exactly %v", c.name, post.Delay, req.EffectiveTimeout())
-		}
 	}
 }
 

@@ -23,9 +23,6 @@ type GenSuiteOptions struct {
 	// Workers bounds the campaign worker pool; 0 means GOMAXPROCS. Any
 	// value produces byte-identical suites.
 	Workers int
-	// Online evaluates candidates with the streaming monitor and early
-	// termination; generated suites are identical either way.
-	Online bool
 	// Samples is the primary-sample count of seeded schedules (default 4).
 	Samples int
 	// TargetTransitions and TargetPhase are the coverage-directed stop
@@ -43,8 +40,8 @@ type GenSuiteOptions struct {
 	// mutants, ddmin complements) through the prefix-sharing
 	// snapshot/resume engine: candidates sharing a stimulus prefix
 	// simulate it once and resume per branch from a snapshot. Suites are
-	// byte-identical with or without it, at every worker count, online
-	// or post-hoc, cached or not.
+	// byte-identical with or without it, at every worker count, cached
+	// or not.
 	PrefixShare bool
 	// PrefixStats, when set, accumulates prefix-sharing statistics
 	// across every shared batch of the pipeline.
@@ -56,7 +53,6 @@ func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
 		Budget:            o.Budget,
 		Seed:              seed,
 		Workers:           o.Workers,
-		Online:            o.Online,
 		Samples:           o.Samples,
 		TargetTransitions: o.TargetTransitions,
 		TargetPhase:       o.TargetPhase,
@@ -111,7 +107,7 @@ func genCases() []genCase {
 // against the interference-loaded scheme 3, and — when falsification
 // violates — delta-debug shrinking of the violating schedule to a
 // minimal counterexample. One report.GenRun per chart, in chart order;
-// the output is byte-identical at any worker count, online or post-hoc.
+// the output is byte-identical at any worker count.
 func GenerateSuite(opt GenSuiteOptions) ([]report.GenRun, error) {
 	seeds := sim.NewRand(opt.Seed)
 	var runs []report.GenRun

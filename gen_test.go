@@ -1,8 +1,8 @@
 package rmtest_test
 
 // End-to-end checks of the test-case generation subsystem: the
-// generation pipeline against its golden CSV at several worker counts
-// (online and post-hoc), and the acceptance criteria — the
+// generation pipeline against its golden CSV at several worker counts,
+// and the acceptance criteria — the
 // coverage-directed generator reaches full transition and near-full
 // phase adequacy on the GPCA chart within the default budget, the
 // falsification search finds a schedule at least as bad as the worst
@@ -17,13 +17,11 @@ import (
 )
 
 // genRuns runs the generation pipeline once with the golden seed.
-func genRuns(t *testing.T, workers int, online bool) []rmtest.GenRun {
+func genRuns(t *testing.T, workers int) []rmtest.GenRun {
 	t.Helper()
-	runs, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{
-		Seed: 42, Workers: workers, Online: online,
-	})
+	runs, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{Seed: 42, Workers: workers})
 	if err != nil {
-		t.Fatalf("workers=%d online=%v: %v", workers, online, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return runs
 }
@@ -47,21 +45,16 @@ func genResult(t *testing.T, runs []rmtest.GenRun, chart, strategy string) rmtes
 
 // TestGenerateSuiteMatchesGolden pins the generated suites byte for
 // byte: the rendered CSV must equal testdata/gen_seed42.csv at every
-// worker count, with the post-hoc evaluator and with the online
-// monitor's early termination. This covers the shrunk counterexample
+// worker count. This covers the shrunk counterexample
 // too — it is a schedule row of the golden.
 func TestGenerateSuiteMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/gen_seed42.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, online := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			got := rmtest.RenderGenCSV(genRuns(t, workers, online))
-			if got != string(golden) {
-				t.Errorf("workers=%d online=%v: generation CSV deviates from golden:\n%s",
-					workers, online, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		if got := rmtest.RenderGenCSV(genRuns(t, workers)); got != string(golden) {
+			t.Errorf("workers=%d: generation CSV deviates from golden:\n%s", workers, got)
 		}
 	}
 }
@@ -70,7 +63,7 @@ func TestGenerateSuiteMatchesGolden(t *testing.T) {
 // generator must reach 100%% transition coverage and at least 90%%
 // phase-bin coverage within the default budget.
 func TestGenCoverageAcceptance(t *testing.T) {
-	cov := genResult(t, genRuns(t, 0, false), "gpca", "coverage")
+	cov := genResult(t, genRuns(t, 0), "gpca", "coverage")
 	if cov.Coverage == nil {
 		t.Fatal("coverage strategy returned no adequacy report")
 	}
@@ -93,7 +86,7 @@ func TestGenCoverageAcceptance(t *testing.T) {
 // must find a violating GPCA schedule whose worst response is at least
 // as bad as the worst hand-written Table I sample on the same scheme.
 func TestGenFalsificationAcceptance(t *testing.T) {
-	fal := genResult(t, genRuns(t, 0, false), "gpca", "falsify")
+	fal := genResult(t, genRuns(t, 0), "gpca", "falsify")
 	if !fal.Violated {
 		t.Fatal("falsification found no violating schedule on scheme3")
 	}
@@ -129,7 +122,7 @@ func TestGenFalsificationAcceptance(t *testing.T) {
 // TestGenShrinkAcceptance: the shrunk counterexample must be no larger
 // than the falsifier's schedule and must still violate when re-run.
 func TestGenShrinkAcceptance(t *testing.T) {
-	runs := genRuns(t, 0, false)
+	runs := genRuns(t, 0)
 	fal := genResult(t, runs, "gpca", "falsify")
 	shr := genResult(t, runs, "gpca", "shrink")
 	if shr.Shrunk == nil {

@@ -14,7 +14,7 @@
 // change any result.
 //
 // The walk is conservative: whenever a snapshot is refused (system not
-// quiescent at the divergence instant, online monitor attached) or any
+// quiescent at the divergence instant, verdict machines attached) or any
 // shared-prefix simulation panics, the affected candidates fall back to
 // ops.Plain, which is also the reference the byte-identity contract is
 // stated against.

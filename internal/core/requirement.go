@@ -155,6 +155,17 @@ func (tc TestCase) Horizon(req Requirement) sim.Time {
 	return h + 10*time.Millisecond
 }
 
+// checkOrder rejects stimuli that decrease.
+func (tc TestCase) checkOrder() error {
+	for i := 1; i < len(tc.Stimuli); i++ {
+		if tc.Stimuli[i] < tc.Stimuli[i-1] {
+			return fmt.Errorf("core: test case %q: stimuli must be non-decreasing (stimulus %d at %v after %v)",
+				tc.Name, i, tc.Stimuli[i], tc.Stimuli[i-1])
+		}
+	}
+	return nil
+}
+
 // GenStrategy selects how stimulus instants are generated.
 type GenStrategy int
 
@@ -182,7 +193,9 @@ type Generator struct {
 	Spacing sim.Time
 	// Strategy selects instant placement.
 	Strategy GenStrategy
-	// Jitter bounds the random phase for JitteredSpacing.
+	// Jitter bounds the random phase for JitteredSpacing. It must not
+	// exceed Spacing, or a later stimulus could land before an earlier
+	// one.
 	Jitter sim.Time
 	// SweepPeriod is the period whose phases PhaseSweep covers.
 	SweepPeriod sim.Time
@@ -203,6 +216,9 @@ func (g Generator) Generate(req Requirement) (TestCase, error) {
 	}
 	if g.Spacing < req.EffectiveTimeout() {
 		return TestCase{}, fmt.Errorf("core: spacing %v must cover the %v timeout so samples cannot overlap", g.Spacing, req.EffectiveTimeout())
+	}
+	if g.Strategy == JitteredSpacing && g.Jitter > g.Spacing {
+		return TestCase{}, fmt.Errorf("core: jitter %v exceeds spacing %v, so stimuli could decrease", g.Jitter, g.Spacing)
 	}
 	tc := TestCase{Name: fmt.Sprintf("%s/n=%d", req.ID, g.N)}
 	r := sim.NewRand(g.Seed | 1)

@@ -137,11 +137,14 @@ func (r *Runner) applyStimuli(sys *platform.System, tc TestCase) {
 
 // Setup assembles a fresh system at the requested instrumentation level
 // with the test case's stimuli scheduled and the Prepare hook applied —
-// everything RunR/RunM do before advancing the clock. It is exported so
-// alternative evaluation paths (the online monitor subsystem) execute a
-// run identical to the post-hoc one; callers own the returned system and
-// must Shutdown it.
+// everything RunR/RunM do before advancing the clock. It rejects a test
+// case whose stimuli decrease: responses are credited to samples in FIFO
+// order, which is only sound for ordered stimuli. Callers own the
+// returned system and must Shutdown it.
 func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System, error) {
+	if err := tc.checkOrder(); err != nil {
+		return nil, err
+	}
 	sys, err := r.Factory(level)
 	if err != nil {
 		return nil, err
@@ -163,56 +166,28 @@ func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System
 	return sys, nil
 }
 
-// Evaluate extracts the per-sample verdicts from a finished run's trace —
-// the post-hoc reference the online monitor is asserted byte-identical
-// against.
+// Evaluate extracts the per-sample verdicts from a finished run by
+// replaying its trace through the verdict machines with no kernel
+// attached, so the end of the trace decides every open timeout. It is how
+// runs that cannot carry live machines (branches resumed from a snapshot)
+// are judged; the trace must cover the test case's horizon. tc must be a
+// test case Setup accepts.
 func (r *Runner) Evaluate(sys *platform.System, tc TestCase) []SampleResult {
-	return r.evaluate(sys, tc)
+	v := newVerdicts(r.Req, tc)
+	for _, e := range sys.Trace.Events() {
+		v.onEvent(e)
+	}
+	return v.flush()
 }
 
-// evaluate extracts per-sample verdicts from the trace.
-func (r *Runner) evaluate(sys *platform.System, tc TestCase) []SampleResult {
-	out := make([]SampleResult, 0, len(tc.Stimuli))
-	req := r.Req
-	// nextC is the first unconsumed ordinal of the response stream: each
-	// matched c-event is consumed, so one response can never be credited to
-	// two consecutive stimuli (which would inflate Pass counts when
-	// stimulus i+1 arrives before response i).
-	nextC := 0
-	for i, at := range tc.Stimuli {
-		s := SampleResult{Index: i, StimulusAt: at}
-		m, ok := sys.Trace.FirstAt(fourvar.Monitored, req.Stimulus.Signal, at, req.Stimulus.Match.Fn)
-		if !ok {
-			// The stimulus itself did not register as an m-event; treat
-			// as MAX with the scripted instant as the reference.
-			s.MEvent = fourvar.Event{Kind: fourvar.Monitored, Name: req.Stimulus.Signal, At: at}
-			s.Verdict = Max
-			out = append(out, s)
-			continue
-		}
-		s.MEvent = m
-		s.MObserved = true
-		c, ord, ok := sys.Trace.FirstAtOrd(fourvar.Controlled, req.Response.Signal, m.At, nextC, req.Response.Match.Fn)
-		if ok && c.At-m.At > req.EffectiveTimeout() {
-			ok = false // response attributable to a later cause
-		}
-		if !ok {
-			s.Verdict = Max
-			out = append(out, s)
-			continue
-		}
-		nextC = ord + 1
-		s.CEvent = c
-		s.CObserved = true
-		s.Delay = c.At - m.At
-		if s.Delay <= req.Bound {
-			s.Verdict = Pass
-		} else {
-			s.Verdict = Fail
-		}
-		out = append(out, s)
-	}
-	return out
+// judge runs a set-up system with the verdict machines attached live and
+// returns their verdicts. The run stops at the instant the last sample is
+// decided, so the trace ends there rather than at the horizon.
+func (r *Runner) judge(sys *platform.System, tc TestCase) []SampleResult {
+	v := newVerdicts(r.Req, tc)
+	v.attach(sys)
+	sys.Run(tc.Horizon(r.Req))
+	return v.flush()
 }
 
 // RunR executes R-testing: the implemented system is exercised with the
@@ -224,34 +199,33 @@ func (r *Runner) RunR(tc TestCase) (RResult, error) {
 		return RResult{}, err
 	}
 	defer sys.Shutdown()
-	sys.Run(tc.Horizon(r.Req))
 	return RResult{
 		Requirement: r.Req,
 		Scheme:      sys.SchemeName(),
 		Case:        tc,
-		Samples:     r.evaluate(sys, tc),
+		Samples:     r.judge(sys, tc),
 	}, nil
 }
 
 // RunM executes M-testing: the same test case runs on a fresh system with
 // M-level instrumentation, and each sample's delay segments are matched
 // from the i/o-boundary trace. Determinism guarantees the schedule is
-// identical to the R run.
+// identical to the R run. The run stops at the last verdict, which is
+// safe for the annotation: its deadline-bounded chain matching needs no
+// event past the last decision instant.
 func (r *Runner) RunM(tc TestCase) (MResult, error) {
 	sys, err := r.Setup(platform.MLevel, tc)
 	if err != nil {
 		return MResult{}, err
 	}
 	defer sys.Shutdown()
-	sys.Run(tc.Horizon(r.Req))
-	return r.AnnotateM(sys, tc, r.evaluate(sys, tc)), nil
+	return r.AnnotateM(sys, tc, r.judge(sys, tc)), nil
 }
 
 // AnnotateM lifts R-level base verdicts into the M-testing result by
 // matching each sample's m->i->o->c chain and delay segments from the
-// M-instrumented trace. It is the second half of RunM, split out so the
-// online monitor path can annotate its streaming verdicts with the
-// identical segment extraction.
+// M-instrumented trace. It is the second half of RunM, split out so
+// resumed runs judged by Evaluate get the identical segment extraction.
 func (r *Runner) AnnotateM(sys *platform.System, tc TestCase, base []SampleResult) MResult {
 	mp := sys.Mapping()
 	iName := mp.MtoI[r.Req.Stimulus.Signal]

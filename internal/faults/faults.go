@@ -15,7 +15,7 @@
 // Determinism: a Plan carries no randomness of its own. Apply derives
 // one sub-seed per fault from the caller's seed with the same splitmix64
 // stream the campaign engine uses, so a (plan, seed) pair perturbs
-// identically on every run, at any worker count, online or post-hoc.
+// identically on every run, at any worker count.
 package faults
 
 import (

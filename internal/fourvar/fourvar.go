@@ -98,9 +98,9 @@ type Trace struct {
 func NewTrace() *Trace { return &Trace{streams: make(map[traceKey]*stream)} }
 
 // Tap registers fn to be called synchronously for every subsequently
-// recorded event, in record order. Taps are how online consumers (the
-// monitor subsystem) observe the event stream as it happens, without
-// copying or re-scanning the trace; they survive Reset.
+// recorded event, in record order. Taps are how live consumers (the
+// verdict machines in internal/core) observe the event stream as it
+// happens, without copying or re-scanning the trace; they survive Reset.
 func (tr *Trace) Tap(fn func(Event)) {
 	if fn == nil {
 		panic("fourvar: Tap with nil function")
@@ -270,7 +270,7 @@ type TraceMark struct {
 }
 
 // TapCount returns the number of registered taps. Snapshot eligibility
-// uses it: a tapped trace has run-scoped observers (the online monitor)
+// uses it: a tapped trace has run-scoped observers (verdict machines)
 // whose state a rewind cannot restore.
 func (tr *Trace) TapCount() int { return len(tr.taps) }
 
@@ -304,7 +304,7 @@ func (tr *Trace) TruncateTo(m TraceMark) {
 }
 
 // ClearTaps removes every registered tap. Run-scoped consumers (the
-// online monitor) tap the trace for exactly one run; scratch reuse must
+// verdict machines) tap the trace for exactly one run; scratch reuse must
 // drop that wiring before the next run or stale observers would keep
 // consuming — and keep scheduling watchdog events on the reused kernel.
 func (tr *Trace) ClearTaps() { tr.taps = tr.taps[:0] }

@@ -660,8 +660,8 @@ func TestTraceTapNilPanics(t *testing.T) {
 	NewTrace().Tap(nil)
 }
 
-// BenchmarkTraceInterleavedAppendQuery exercises the pattern the online
-// monitor produces — every append followed by a query — which stays fast
+// BenchmarkTraceInterleavedAppendQuery exercises the pattern a live
+// observer produces — every append followed by a query — which stays fast
 // only while the index updates incrementally.
 func BenchmarkTraceInterleavedAppendQuery(b *testing.B) {
 	tr := NewTrace()

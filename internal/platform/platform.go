@@ -276,7 +276,8 @@ type Scratch struct {
 
 // take returns the pooled kernel and trace, reset for a fresh run, and
 // lazily allocates them on first use. Taps are cleared: run-scoped
-// observers (the online monitor) must not survive into the next run.
+// observers (the live verdict machines) must not survive into the next
+// run.
 func (sc *Scratch) take() (*sim.Kernel, *fourvar.Trace) {
 	if sc.kernel == nil {
 		sc.kernel = sim.New()

@@ -424,8 +424,8 @@ func TestScratchReuseDeterministic(t *testing.T) {
 	}
 }
 
-// TestScratchClearsTaps: a tap registered by one run (the online
-// monitor's wiring) must not observe the next run built from the same
+// TestScratchClearsTaps: a tap registered by one run (the live verdict
+// machines' wiring) must not observe the next run built from the same
 // scratch.
 func TestScratchClearsTaps(t *testing.T) {
 	pb, err := Precompile(pumpConfig())

@@ -89,8 +89,8 @@ func (s *SysSnap) At() sim.Time { return s.now }
 
 // Snapshot captures the System's complete state at the current instant.
 // It returns false when the system is not snapshot-eligible: the
-// scheduler is not quiescent, a stop condition is installed (the online
-// monitor's early-stop watchdog), or the trace has taps (run-scoped
+// scheduler is not quiescent, a stop condition is installed (the verdict
+// machines' stop at the last verdict), or the trace has taps (run-scoped
 // observers whose state a rewind cannot restore). Callers fall back to
 // plain evaluation on false.
 func (sys *System) Snapshot() (*SysSnap, bool) {

@@ -39,8 +39,7 @@ func genShrunkCell(r tcgen.Result) string {
 // pinning): a schedule section with one row per stimulus — primary
 // stimuli carry their sample's delay and verdict — followed by a
 // summary section with one row per strategy. Every value is identical
-// across worker counts and online/post-hoc verdict extraction, so the
-// output is byte-stable for a fixed seed.
+// across worker counts, so the output is byte-stable for a fixed seed.
 func GenCSV(runs []GenRun) string {
 	var b strings.Builder
 	b.WriteString("# schedule\n")

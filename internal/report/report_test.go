@@ -9,9 +9,7 @@ import (
 	"rmtest/internal/core"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
-	"rmtest/internal/sim"
 )
 
 const ms = time.Millisecond
@@ -196,24 +194,5 @@ func TestTableIShowsDashForMissingSegments(t *testing.T) {
 	}
 	if !foundDash {
 		t.Fatalf("MAX row lacks segment placeholders:\n%s", out)
-	}
-}
-
-func TestMonitorStatsTable(t *testing.T) {
-	if got := MonitorStats(nil); !strings.Contains(got, "no monitor stats") {
-		t.Fatalf("empty stats: %q", got)
-	}
-	stats := []monitor.Stats{{
-		Label: "scheme1/R", Requirement: "REQ1", Samples: 2,
-		Events: 40, PeakInFlight: 2, Watchdogs: 2,
-		DecidedAt: []sim.Time{30 * time.Millisecond, 80 * time.Millisecond},
-		StoppedAt: 80 * time.Millisecond, Horizon: 160 * time.Millisecond,
-		StoppedEarly: true, KernelEvents: 500,
-	}}
-	got := MonitorStats(stats)
-	for _, want := range []string{"scheme1/R", "REQ1", "50.0%", "1 runs, 2 decided samples"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q in:\n%s", want, got)
-		}
 	}
 }

@@ -249,7 +249,7 @@ func (k *Kernel) Rewind(now Time) {
 
 // StopConds returns the number of registered stop conditions. Snapshot
 // eligibility checks use it: a system with run-scoped observers (the
-// online monitor) attached cannot be rewound safely.
+// verdict machines) attached cannot be rewound safely.
 func (k *Kernel) StopConds() int { return len(k.stopConds) }
 
 // alloc takes a node from the free list, or grows the pool.
@@ -338,8 +338,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // reports true the run is cut short, leaving the clock at the instant of
 // the deciding event. Conditions persist across Run calls (Reset clears
 // them) and there is no way to deregister one — they belong to
-// run-scoped observers (the online monitor subsystem) that own the
-// kernel for one simulation. Multiple conditions stop the run when any
+// run-scoped observers (the verdict machines in internal/core) that own
+// the kernel for one simulation. Multiple conditions stop the run when any
 // one of them holds, so a group of observers that must all agree
 // registers a single aggregate condition.
 func (k *Kernel) StopWhen(cond func() bool) {

@@ -98,11 +98,11 @@ func newPrefixSession(t Target) *prefixSession {
 }
 
 // newGenSession creates a prefix session for one generator invocation
-// when the options call for it: sharing on, offline evaluation, a
-// single-chunk worker configuration, and no session already attached by
+// when the options call for it: sharing on, a single-chunk worker
+// configuration, and no session already attached by
 // an enclosing generator.
 func newGenSession(t Target, opt Options) (*prefixSession, bool) {
-	if !opt.PrefixShare || opt.Online || opt.Workers != 1 || opt.session != nil {
+	if !opt.PrefixShare || opt.Workers != 1 || opt.session != nil {
 		return nil, false
 	}
 	return newPrefixSession(t), true

@@ -173,8 +173,8 @@ func (p *probePlanner) pulse(sig string, at sim.Time) Stimulus {
 // the schedule and returns how many chains were added. Transitions a
 // chain already planned this round is expected to fire are skipped, as
 // are transitions that exhausted their planning attempts. A trailing
-// primary sample is appended after the chains so the online monitor's
-// early termination cannot cut the probes short: the run is only decided
+// primary sample is appended after the chains so the live run's stop at
+// its last verdict cannot cut the probes short: the run is only decided
 // once the trailing sample — scheduled after every probe — is.
 func (p *probePlanner) plan(s *Schedule, uncovered []string) int {
 	var ids []int

@@ -25,8 +25,7 @@
 // Every candidate evaluation is one deterministic simulation run
 // executed through the campaign engine (internal/campaign): per-round
 // seeds derive from a splitmix64 chain, results collect in run order,
-// and the generated suites are byte-identical at any worker count, with
-// or without the online monitor's early termination.
+// and the generated suites are byte-identical at any worker count.
 package tcgen
 
 import (
@@ -37,7 +36,6 @@ import (
 	"rmtest/internal/campaign"
 	"rmtest/internal/core"
 	"rmtest/internal/coverage"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
@@ -195,11 +193,6 @@ type Options struct {
 	// Workers bounds the campaign worker pool; 0 means GOMAXPROCS. Any
 	// value produces byte-identical suites.
 	Workers int
-	// Online evaluates candidates with the streaming monitor and early
-	// termination instead of the post-hoc trace scan. Verdicts — and
-	// therefore the generated suites — are identical either way; only
-	// the amount of simulated work differs.
-	Online bool
 	// Samples is the primary-sample count of seeded schedules (default 4).
 	Samples int
 	// TargetTransitions is the transition-coverage ratio the
@@ -223,8 +216,7 @@ type Options struct {
 	// share a stimulus prefix simulate it once, snapshot at the
 	// divergence instant and resume per branch. Results are
 	// byte-identical to plain evaluation at every worker count, with or
-	// without a cache; M-level and online evaluations always take the
-	// plain path.
+	// without a cache; M-level evaluations always take the plain path.
 	PrefixShare bool
 	// PrefixStats, when set, accumulates prefix-sharing statistics
 	// (snapshots, restores, reuse ratio) across every PrefixShare batch
@@ -333,13 +325,13 @@ func violated(samples []core.SampleResult) bool {
 // order. level selects R-level (verdicts only) or M-level (verdicts plus
 // adequacy measurement) instrumentation. The per-round campaign seed
 // keeps run seeds independent across rounds; results are byte-identical
-// at any worker count and with or without the online monitor.
+// at any worker count.
 func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
 	// Prefix sharing pays off for any batch of two or more candidates;
 	// singletons only go through the shared path when a generator session
 	// exists, whose warm-up snapshot lets even a lone candidate skip the
 	// simulated time before its first stimulus.
-	if opt.PrefixShare && !opt.Online && level == platform.RLevel &&
+	if opt.PrefixShare && level == platform.RLevel &&
 		(len(scheds) > 1 || (opt.session != nil && len(scheds) > 0)) {
 		return evaluatePrefix(t, opt, seed, scheds)
 	}
@@ -375,10 +367,10 @@ func evalOne(t Target, opt Options, sched Schedule, sc *platform.Scratch, level 
 	}
 	tc := sched.TestCase()
 	if level == platform.RLevel {
-		samples, err := runR(runner, tc, opt.Online)
-		return evalOut{Samples: samples}, err
+		res, err := runner.RunR(tc)
+		return evalOut{Samples: res.Samples}, err
 	}
-	mres, err := runM(runner, tc, opt.Online)
+	mres, err := runner.RunM(tc)
 	if err != nil {
 		return evalOut{}, err
 	}
@@ -394,8 +386,7 @@ func evalOne(t Target, opt Options, sched Schedule, sc *platform.Scratch, level 
 // simulation result depends on goes into the hash — the prebuilt system
 // (program, cost model, board, RTOS, bindings), the scheme shape and
 // parameters, the requirement's timing identity, the instrumentation
-// level, the monitor mode, the adequacy-binning parameters and the full
-// stimulus content. The run seed is deliberately absent: the evaluation
+// level, the adequacy-binning parameters and the full stimulus content. The run seed is deliberately absent: the evaluation
 // worker never reads it (a candidate's verdict is a pure function of the
 // schedule), which is exactly what makes cross-round reuse sound. The
 // schedule NAME is also absent — shrinking renames candidates ("…min")
@@ -415,7 +406,6 @@ func fingerprint(t Target, opt Options, level platform.Instrument, s Schedule) u
 	h.Int64(int64(t.Req.Bound))
 	h.Int64(int64(t.Req.EffectiveTimeout()))
 	h.Int(int(level))
-	h.Bool(opt.Online)
 	h.Int64(int64(t.PhasePeriod))
 	h.Int(t.Bins)
 	h.Int(len(s.Stimuli))
@@ -428,27 +418,6 @@ func fingerprint(t Target, opt Options, level platform.Instrument, s Schedule) u
 		h.Bool(st.Aux)
 	}
 	return h.Sum()
-}
-
-// runR executes one R-level evaluation, post-hoc or online.
-func runR(runner *core.Runner, tc core.TestCase, online bool) ([]core.SampleResult, error) {
-	if online {
-		on := &monitor.Runner{Post: runner, EarlyStop: true}
-		res, _, err := on.RunR(tc)
-		return res.Samples, err
-	}
-	res, err := runner.RunR(tc)
-	return res.Samples, err
-}
-
-// runM executes one M-level evaluation, post-hoc or online.
-func runM(runner *core.Runner, tc core.TestCase, online bool) (core.MResult, error) {
-	if online {
-		on := &monitor.Runner{Post: runner, EarlyStop: true}
-		res, _, err := on.RunM(tc)
-		return res, err
-	}
-	return runner.RunM(tc)
 }
 
 // seedSchedule builds the deterministic starting schedule: n primary

@@ -5,7 +5,7 @@ package tcgen
 // generator must reach full transition adequacy within its default
 // budget, the falsification search must find a deadline violation on
 // the interference-loaded scheme, and generated suites must be
-// identical at any worker count, online or post-hoc.
+// identical at any worker count.
 
 import (
 	"testing"
@@ -147,17 +147,12 @@ func TestFalsificationMonotone(t *testing.T) {
 }
 
 // TestGenerateDeterminism: the full coverage-directed result — schedule,
-// verdicts and adequacy — is identical at every worker count, with the
-// post-hoc evaluator and with the online monitor's early termination.
+// verdicts and adequacy — is identical at every worker count.
 func TestGenerateDeterminism(t *testing.T) {
-	type key struct {
-		workers int
-		online  bool
-	}
 	var ref *Result
-	for _, k := range []key{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
+	for _, k := range []int{1, 2, 4} {
 		res, err := CoverageDirected().Generate(gpcaTarget(t, scheme2),
-			Options{Seed: 42, Workers: k.workers, Online: k.online})
+			Options{Seed: 42, Workers: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,24 +161,24 @@ func TestGenerateDeterminism(t *testing.T) {
 			continue
 		}
 		if len(res.Schedule.Stimuli) != len(ref.Schedule.Stimuli) {
-			t.Fatalf("%+v: stimuli count %d != %d", k, len(res.Schedule.Stimuli), len(ref.Schedule.Stimuli))
+			t.Fatalf("workers=%d: stimuli count %d != %d", k, len(res.Schedule.Stimuli), len(ref.Schedule.Stimuli))
 		}
 		for i := range res.Schedule.Stimuli {
 			if res.Schedule.Stimuli[i] != ref.Schedule.Stimuli[i] {
-				t.Fatalf("%+v: stimulus %d %+v != %+v", k, i, res.Schedule.Stimuli[i], ref.Schedule.Stimuli[i])
+				t.Fatalf("workers=%d: stimulus %d %+v != %+v", k, i, res.Schedule.Stimuli[i], ref.Schedule.Stimuli[i])
 			}
 		}
 		if len(res.Samples) != len(ref.Samples) {
-			t.Fatalf("%+v: sample count %d != %d", k, len(res.Samples), len(ref.Samples))
+			t.Fatalf("workers=%d: sample count %d != %d", k, len(res.Samples), len(ref.Samples))
 		}
 		for i := range res.Samples {
 			if res.Samples[i] != ref.Samples[i] {
-				t.Fatalf("%+v: sample %d %+v != %+v", k, i, res.Samples[i], ref.Samples[i])
+				t.Fatalf("workers=%d: sample %d %+v != %+v", k, i, res.Samples[i], ref.Samples[i])
 			}
 		}
 		if res.Coverage.Transitions.Covered != ref.Coverage.Transitions.Covered ||
 			res.Coverage.Phase.Ratio() != ref.Coverage.Phase.Ratio() {
-			t.Fatalf("%+v: coverage mismatch", k)
+			t.Fatalf("workers=%d: coverage mismatch", k)
 		}
 	}
 }

@@ -3,9 +3,7 @@ package rmtest_test
 // Byte-identity checks of the prefix-sharing snapshot/resume engine at
 // the facade level: with PrefixShare set, the generation pipeline and
 // the fault-attribution sweep must reproduce their golden CSVs exactly,
-// at every worker count, with and without the evaluation cache, and in
-// the online combination where the engine silently falls back to plain
-// evaluation.
+// at every worker count, with and without the evaluation cache.
 
 import (
 	"os"
@@ -16,8 +14,7 @@ import (
 
 // TestGenerateSuiteGoldenPrefixShare pins the prefix-shared generation
 // pipeline byte for byte against testdata/gen_seed42.csv: workers 1/2/4
-// cached and uncached, plus one online combination (online evaluation
-// bypasses the engine — same bytes either way). The pipeline's R-level
+// cached and uncached. The pipeline's R-level
 // batches (falsification mutants, ddmin complements) run on the
 // interference-saturated scheme 3, which is never quiescent, so the
 // engine degrades to plain evaluation inside the walk — this test pins
@@ -29,10 +26,10 @@ func TestGenerateSuiteGoldenPrefixShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &rmtest.PrefixStatsSink{}
-	run := func(workers int, online, cached bool) {
+	run := func(workers int, cached bool) {
 		t.Helper()
 		opt := rmtest.GenSuiteOptions{
-			Seed: 42, Workers: workers, Online: online,
+			Seed: 42, Workers: workers,
 			PrefixShare: true, PrefixStats: sink,
 		}
 		if cached {
@@ -40,19 +37,18 @@ func TestGenerateSuiteGoldenPrefixShare(t *testing.T) {
 		}
 		runs, err := rmtest.GenerateSuite(opt)
 		if err != nil {
-			t.Fatalf("workers=%d online=%v cached=%v: %v", workers, online, cached, err)
+			t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
 		}
 		if got := rmtest.RenderGenCSV(runs); got != string(golden) {
-			t.Errorf("workers=%d online=%v cached=%v: prefix-shared generation CSV deviates from golden:\n%s",
-				workers, online, cached, got)
+			t.Errorf("workers=%d cached=%v: prefix-shared generation CSV deviates from golden:\n%s",
+				workers, cached, got)
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, cached := range []bool{false, true} {
-			run(workers, false, cached)
+			run(workers, cached)
 		}
 	}
-	run(2, true, false)
 
 	st := sink.Stats()
 	if st.Runs == 0 {
@@ -76,10 +72,10 @@ func TestFaultSweepGoldenPrefixShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &rmtest.PrefixStatsSink{}
-	run := func(workers int, online, cached bool) {
+	run := func(workers int, cached bool) {
 		t.Helper()
 		opt := rmtest.FaultSweepOptions{
-			Samples: 10, Seed: 42, Workers: workers, Online: online,
+			Samples: 10, Seed: 42, Workers: workers,
 			PrefixShare: true, PrefixStats: sink,
 		}
 		if cached {
@@ -87,19 +83,18 @@ func TestFaultSweepGoldenPrefixShare(t *testing.T) {
 		}
 		res, err := rmtest.FaultSweep(opt)
 		if err != nil {
-			t.Fatalf("workers=%d online=%v cached=%v: %v", workers, online, cached, err)
+			t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
 		}
 		if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
-			t.Errorf("workers=%d online=%v cached=%v: prefix-shared fault CSV deviates from golden:\n%s",
-				workers, online, cached, got)
+			t.Errorf("workers=%d cached=%v: prefix-shared fault CSV deviates from golden:\n%s",
+				workers, cached, got)
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, cached := range []bool{false, true} {
-			run(workers, false, cached)
+			run(workers, cached)
 		}
 	}
-	run(2, true, false)
 
 	if st := sink.Stats(); st.Runs == 0 {
 		t.Errorf("prefix engine saw no runs: %+v", st)

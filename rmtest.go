@@ -38,7 +38,6 @@ import (
 	"rmtest/internal/gpca"
 	"rmtest/internal/hw"
 	"rmtest/internal/lint"
-	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/railcrossing"
 	"rmtest/internal/report"
@@ -302,37 +301,6 @@ func NewSystem(cfg PlatformConfig, scheme Scheme, level platform.Instrument) (*S
 func NewRunner(factory SystemFactory, req Requirement) (*Runner, error) {
 	return core.NewRunner(factory, req)
 }
-
-// Online monitor subsystem (internal/monitor): streaming verdict
-// extraction with bounded memory and early termination.
-type (
-	// OnlineRunner executes R-M testing with streaming verdicts; it
-	// wraps a post-hoc Runner so both paths run identical simulations.
-	OnlineRunner = monitor.Runner
-	// OnlineMonitor evaluates one requirement's verdicts as the trace
-	// streams, one pruned state machine per in-flight stimulus.
-	OnlineMonitor = monitor.Monitor
-	// OnlineGroup aggregates monitors so early termination waits for
-	// every monitored requirement.
-	OnlineGroup = monitor.Group
-	// MonitorStats are the monitor's observability counters.
-	MonitorStats = monitor.Stats
-)
-
-// NewOnlineRunner builds a streaming R-M testing runner. Set EarlyStop on
-// the returned runner to cut each run short once every sample is decided.
-func NewOnlineRunner(factory SystemFactory, req Requirement) (*OnlineRunner, error) {
-	return monitor.NewRunner(factory, req)
-}
-
-// NewOnlineMonitor builds a streaming monitor for one requirement over
-// one test case; wire it to a System with Attach.
-func NewOnlineMonitor(req Requirement, tc TestCase) (*OnlineMonitor, error) {
-	return monitor.New(req, tc)
-}
-
-// RenderMonitorStats renders online-monitor counters as a table.
-func RenderMonitorStats(stats []MonitorStats) string { return report.MonitorStats(stats) }
 
 // NewBaselineMonitor builds the black-box comparison monitor.
 func NewBaselineMonitor(rules []BaselineRule) (*BaselineMonitor, error) {

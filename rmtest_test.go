@@ -396,64 +396,3 @@ func TestCampaignProgressThroughTableI(t *testing.T) {
 		t.Fatalf("progress incomplete: calls=%d last=%+v", calls, last)
 	}
 }
-
-// TestOnlineTableIMatchesGolden is the tentpole acceptance pin: the
-// streaming-monitor path, early termination included, renders exactly the
-// CSV the post-hoc path renders — byte for byte against the same golden.
-func TestOnlineTableIMatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/tablei_seed42_prepr.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		reports, stats, err := rmtest.TableIExperimentOnline(rmtest.TableIOptions{
-			Samples: 10, Seed: 42, ForceM: true, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := rmtest.RenderCSV(reports); got != string(golden) {
-			t.Errorf("workers=%d online CSV diverges from the golden:\n%s", workers, got)
-		}
-		// 3 R runs + 3 forced M runs, each decided early (REQ1 verdicts
-		// all land within the per-sample timeout, far from the horizon).
-		if len(stats) != 6 {
-			t.Fatalf("workers=%d: want 6 stats, got %d", workers, len(stats))
-		}
-		for _, s := range stats {
-			if !s.StoppedEarly || s.StoppedAt >= s.Horizon {
-				t.Errorf("workers=%d %s: early termination did not engage: %+v", workers, s.Label, s)
-			}
-			if s.PeakInFlight == 0 || s.PeakInFlight > 10 {
-				t.Errorf("workers=%d %s: implausible peak in-flight %d", workers, s.Label, s.PeakInFlight)
-			}
-		}
-		out := rmtest.RenderMonitorStats(stats)
-		if !strings.Contains(out, "REQ1") || !strings.Contains(out, "6 runs") {
-			t.Errorf("stats table wrong:\n%s", out)
-		}
-	}
-}
-
-// TestOnlineMatrixMatchesGolden pins the online requirements matrix to
-// the same golden as the post-hoc one.
-func TestOnlineMatrixMatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/matrix_s4_seed42_prepr.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, stats, err := rmtest.RequirementsMatrixOnline(4, 42, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d\n", c.Requirement, c.Scheme, c.Pass, c.Fail, c.Max)
-	}
-	if b.String() != string(golden) {
-		t.Errorf("online matrix diverges from the golden:\n%s", b.String())
-	}
-	if len(stats) != len(cells) {
-		t.Fatalf("want one stats per cell, got %d for %d cells", len(stats), len(cells))
-	}
-}

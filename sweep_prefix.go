@@ -90,9 +90,9 @@ func (w *sweepWorker) armStimulus(at sim.Time) {
 }
 
 // ops builds the campaign.PrefixOps vtable over this worker.
-func (w *sweepWorker) ops() campaign.PrefixOps[tableIRun[core.MResult]] {
+func (w *sweepWorker) ops() campaign.PrefixOps[core.MResult] {
 	horizon := int64(w.tc.Horizon(w.req))
-	return campaign.PrefixOps[tableIRun[core.MResult]]{
+	return campaign.PrefixOps[core.MResult]{
 		Steps:   w.steps,
 		Horizon: func(campaign.Run) int64 { return horizon },
 		Start: func(steps []campaign.PrefixStep) (int64, error) {
@@ -120,16 +120,16 @@ func (w *sweepWorker) ops() campaign.PrefixOps[tableIRun[core.MResult]] {
 				}
 			})
 		},
-		Finish: func(run campaign.Run) (tableIRun[core.MResult], error) {
+		Finish: func(run campaign.Run) (core.MResult, error) {
 			w.sys.Run(w.tc.Horizon(w.req))
 			mr := w.runner.AnnotateM(w.sys, w.tc, w.runner.Evaluate(w.sys, w.tc))
 			// The result retains the live transition trace; detach it so
 			// later restores on this system truncate a clone instead of
 			// mutating data the result holds.
 			w.sys.DetachTransTrace()
-			return tableIRun[core.MResult]{res: mr}, nil
+			return mr, nil
 		},
-		Plain: func(run campaign.Run) (tableIRun[core.MResult], error) {
+		Plain: func(run campaign.Run) (core.MResult, error) {
 			return sweepPlain(w.pb, w.req, w.tc, w.plans[run.Index], run.Seed, w.sc)
 		},
 		Stop: func() {
@@ -143,21 +143,20 @@ func (w *sweepWorker) ops() campaign.PrefixOps[tableIRun[core.MResult]] {
 
 // sweepPlain evaluates one plan from scratch — the plain sweep's unit
 // and the reference the shared path must be byte-identical to.
-func sweepPlain(pb *platform.Prebuilt, req core.Requirement, tc core.TestCase, plan faults.Plan, seed uint64, sc *platform.Scratch) (tableIRun[core.MResult], error) {
+func sweepPlain(pb *platform.Prebuilt, req core.Requirement, tc core.TestCase, plan faults.Plan, seed uint64, sc *platform.Scratch) (core.MResult, error) {
 	runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc), req)
 	if err != nil {
-		return tableIRun[core.MResult]{}, err
+		return core.MResult{}, err
 	}
 	runner.Prepare = faults.Prepare(plan, seed)
-	mr, err := runner.RunM(tc)
-	return tableIRun[core.MResult]{res: mr}, err
+	return runner.RunM(tc)
 }
 
 // faultSweepPrefix is the PrefixShare variant of the sweep's campaign:
 // same keys, cache semantics and run identities, but cache misses are
 // walked as prefix tries on contiguous run-order chunks.
 func faultSweepPrefix(opt FaultSweepOptions, cfg campaign.Config, keys []uint64,
-	pb *platform.Prebuilt, req core.Requirement, tc core.TestCase, plans []faults.Plan) ([]tableIRun[core.MResult], error) {
+	pb *platform.Prebuilt, req core.Requirement, tc core.TestCase, plans []faults.Plan) ([]core.MResult, error) {
 	type workerOrErr struct {
 		w   *sweepWorker
 		err error
@@ -167,7 +166,7 @@ func faultSweepPrefix(opt FaultSweepOptions, cfg campaign.Config, keys []uint64,
 			w, err := newSweepWorker(pb, req, tc, plans)
 			return workerOrErr{w: w, err: err}
 		},
-		func(runs []campaign.Run, we workerOrErr) ([]campaign.Outcome[tableIRun[core.MResult]], error) {
+		func(runs []campaign.Run, we workerOrErr) ([]campaign.Outcome[core.MResult], error) {
 			if we.err != nil {
 				return nil, we.err
 			}
