@@ -273,8 +273,10 @@ func BenchmarkSimKernelEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkRTOSPingPong measures a context-switch-heavy workload: two
-// tasks exchanging messages through queues.
+// BenchmarkRTOSPingPong is the RTOS rung of the benchmark ladder: two
+// tasks exchanging messages through queues, so nearly all the work is
+// the scheduler resuming task bodies and switching between them. It
+// reports the context switches per op.
 func BenchmarkRTOSPingPong(b *testing.B) {
 	k := sim.New()
 	s := rtos.New(k, rtos.Config{})
@@ -297,9 +299,11 @@ func BenchmarkRTOSPingPong(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
+	switches := s.ContextSwitches()
 	for i := 0; i < b.N; i++ {
 		k.Run(k.Now() + time.Millisecond)
 	}
+	b.ReportMetric(float64(s.ContextSwitches()-switches)/float64(b.N), "switches/op")
 }
 
 // BenchmarkPumpSimulationSecond measures simulating one virtual second of

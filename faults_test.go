@@ -21,6 +21,7 @@ import (
 	"rmtest/internal/faults"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
+	"rmtest/internal/rtos"
 	"rmtest/internal/sim"
 )
 
@@ -162,6 +163,80 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	}
 	// All task goroutines must wind down, including the half-built
 	// system the panic unwound through.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, now)
+	}
+}
+
+// faultyScheme is scheme 2 plus, when armed, an extra periodic task
+// whose body panics at its second release.
+type faultyScheme struct {
+	*platform.Scheme2
+	armed bool
+}
+
+func (s faultyScheme) Start(sys *platform.System) {
+	s.Scheme2.Start(sys)
+	if !s.armed {
+		return
+	}
+	sys.Sched.SpawnPeriodic("faulty", 1, 0, 50*time.Millisecond, func(tk *rtos.Task) {
+		if tk.Releases() == 2 {
+			panic("faulty task: second release")
+		}
+		tk.Compute(time.Millisecond)
+	})
+}
+
+// TestCampaignTaskPanicFailsOnlyItsRun extends the containment contract
+// from Prepare hooks to task bodies: a task that panics mid-simulation
+// fails exactly its own run with the panic value in the error, the other
+// runs complete, and no task goroutine leaks.
+func TestCampaignTaskPanicFailsOnlyItsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	req := gpca.REQ1()
+	tc, err := core.Generator{
+		N: 2, Start: 50 * time.Millisecond,
+		Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
+		Jitter: 200 * time.Millisecond, Seed: 42,
+	}.Generate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := gpca.Precompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2
+	outs := campaign.MapScratch(
+		campaign.Config{Workers: 2, Seed: 42}, 5,
+		func() *platform.Scratch { return &platform.Scratch{} },
+		func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+			scheme := func() platform.Scheme {
+				return faultyScheme{Scheme2: platform.DefaultScheme2(), armed: run.Index == bad}
+			}
+			runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, scheme, sc), req)
+			if err != nil {
+				return core.MResult{}, err
+			}
+			return runner.RunM(tc)
+		})
+	for i, o := range outs {
+		switch {
+		case i == bad && !o.Failed():
+			t.Errorf("run %d with the faulty task succeeded", i)
+		case i == bad && !strings.Contains(o.Err.Error(), "faulty task: second release"):
+			t.Errorf("failure does not carry the panic value: %v", o.Err)
+		case i != bad && o.Failed():
+			t.Errorf("run %d failed, only run %d should: %v", i, bad, o.Err)
+		case i != bad && len(o.Value.Samples) != 2:
+			t.Errorf("run %d: %d samples, want 2", i, len(o.Value.Samples))
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -151,7 +151,8 @@ func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System
 	}
 	// A Prepare hook (fault plans arrive through it) may panic; the
 	// campaign engine isolates the panic, but the half-built system's
-	// task goroutines would leak without a shutdown on the way out.
+	// suspended task coroutines would leak without a shutdown on the way
+	// out.
 	done := false
 	defer func() {
 		if !done {

@@ -308,8 +308,8 @@ func NewSystem(cfg Config, scheme Scheme, level Instrument) (*System, error) {
 // program. scratch may be nil (everything is freshly allocated) or a
 // per-worker Scratch whose kernel and trace are recycled into the new
 // system. The scheduler, environment, board and executor are always
-// rebuilt — they are cheap, and the RTOS owns goroutine lifecycle state
-// that must not leak between runs.
+// rebuilt — they are cheap, and the RTOS owns task coroutines that must
+// not leak between runs.
 func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch) (*System, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("platform: scheme is required")
@@ -384,8 +384,8 @@ func (sys *System) OutputsDropped() uint64 { return sys.outputsDropped }
 // Run advances the simulation to the given horizon.
 func (sys *System) Run(until sim.Time) { sys.Kernel.Run(until) }
 
-// Shutdown terminates all RTOS task goroutines; the system must not be
-// used afterwards.
+// Shutdown stops every RTOS task coroutine; the system must not be used
+// afterwards.
 func (sys *System) Shutdown() { sys.Sched.Shutdown() }
 
 // recordInput records an i-event: the instant CODE(M) read the input.

@@ -19,36 +19,33 @@ import (
 // from time zero.
 //
 // A snapshot is only taken at a quiescent instant — kernel idle between
-// events, no task mid-release, no compute/switch in flight — so no
-// goroutine stack state needs capturing. Restore then proceeds in a
+// events, no task mid-release, no compute/switch in flight — so no task
+// coroutine stack state needs capturing. Restore then proceeds in a
 // fixed order:
 //
-//  1. RewindTasks — unwind any goroutine a later run left parked
-//     mid-body back to its release boundary.
-//  2. Kernel.Rewind — discard every pending event, rewind the clock to
+//  1. Kernel.Rewind — discard every pending event, rewind the clock to
 //     the snapshot instant and the sequence counter to zero.
-//  3. Component data restores — scheduler/tasks/queues, devices,
+//  2. Component data restores — scheduler/tasks/queues (a task a later
+//     run left mid-release restarts at its release boundary), devices,
 //     signals, executor, traces, scheme hooks, platform counters. Data
 //     first: a branch's arm() may write device fault windows directly
 //     (InjectJitter and friends set struct fields at arm time), and
 //     those writes must land on top of the restored state, not under it.
-//  4. Re-arm captured construction events in original sequence order.
-//  5. The caller's arm() — the branch's own suffix stimuli or fault
+//  3. Re-arm captured construction events in original sequence order.
+//  4. The caller's arm() — the branch's own suffix stimuli or fault
 //     plan, scheduled as construction events.
-//  6. MarkConstruction — everything re-armed after this point is a
+//  5. MarkConstruction — everything re-armed after this point is a
 //     runtime event again.
-//  7. Re-arm captured runtime events in original sequence order.
+//  6. Re-arm captured runtime events in original sequence order.
 //
-// Steps 4-7 reproduce the plain-run sequence-number law — at tied
+// Steps 3-6 reproduce the plain-run sequence-number law — at tied
 // instants every construction event (stimuli, fault window edges, task
 // starts, board ticks) fires before any runtime event — so a resumed
 // branch interleaves exactly as the same schedule simulated from
 // scratch. Each captured closure encodes one fixed pending effect
 // acting on component state the restore has already rewritten, so
-// replaying it verbatim is sound. The whole procedure is single-
-// threaded plain code: no goroutine is running between RewindTasks'
-// final acknowledgement and the next Kernel.Run, so the commit order is
-// a function of the snapshot alone, never of goroutine scheduling.
+// replaying it verbatim is sound. The whole procedure is sequential
+// plain code, so the commit order is a function of the snapshot alone.
 
 type rewindHook struct {
 	save    func() any
@@ -131,7 +128,6 @@ func (sys *System) saveHooks() []any {
 // system's state is indistinguishable from a plain run of the restored
 // prefix plus the armed suffix, paused at the snapshot instant.
 func (sys *System) Restore(snap *SysSnap, arm func()) {
-	sys.Sched.RewindTasks()
 	sys.Kernel.Rewind(snap.now)
 
 	sys.Sched.Restore(snap.sched)

@@ -9,18 +9,15 @@ import (
 // This file implements the RTOS half of the snapshot/restore machinery
 // behind the prefix-sharing candidate evaluator: capturing the complete
 // task/scheduler/queue state of a quiescent instant and rewinding a
-// live scheduler — goroutines included — back to it.
+// live scheduler back to it.
 //
-// The design is in-place rewind: task goroutines are never respawned.
-// A goroutine parked at a release boundary (every task between releases
-// is) needs no stack surgery at all — its continuation is "begin the
-// next release", and which release that is lives entirely in struct
-// fields (nextRelease, releases) that a restore rewrites. A goroutine
-// that a later run left parked mid-body (a restore can land while a
-// compute burst is in flight) is unwound by an abort delivery: its
-// park-point select panics with a rewound sentinel, the periodic
-// wrapper recovers it at the loop head, and the goroutine re-parks at
-// the release boundary before the restore rewrites its state.
+// At a quiescent instant every live task is suspended at a release
+// boundary, so its coroutine's continuation is "begin the next release",
+// and which release that is lives entirely in struct fields
+// (nextRelease, releases) that a restore rewrites. A task that a later
+// run left mid-release (a restore can land while a compute burst is in
+// flight) has its coroutine stopped and a fresh one started at the
+// periodic loop head, which is the same continuation.
 //
 // Pending kernel events (task wakes, start events, compute completions)
 // are deliberately NOT captured here: the sim.Kernel captures and
@@ -89,7 +86,7 @@ type SchedSnap struct {
 // Quiescent reports whether the scheduler is at a snapshot-eligible
 // instant: the CPU idle with no switch, compute burst or slice in
 // flight, no scheduling pass pending, the ready list empty, and every
-// task either done or parked at a release boundary (so its goroutine
+// task either done or parked at a release boundary (so its coroutine
 // holds no live stack state). Mutex and semaphore state is not
 // captured, so any held mutex also disqualifies.
 func (s *Scheduler) Quiescent() bool {
@@ -106,9 +103,9 @@ func (s *Scheduler) Quiescent() bool {
 		if t.state == TaskDone {
 			continue
 		}
-		// Only periodic wrappers recover a rewind abort, and only their
-		// release state is stack-free; a live plain task disqualifies
-		// the whole scheduler.
+		// Only a periodic task can restart at its loop head, and only
+		// its release state is stack-free; a live plain task
+		// disqualifies the whole scheduler.
 		if t.period == 0 {
 			return false
 		}
@@ -181,26 +178,10 @@ func (s *Scheduler) Snapshot() (*SchedSnap, bool) {
 	return snap, true
 }
 
-// RewindTasks unwinds every live task goroutine that is not parked at a
-// release boundary back to one: an abort is delivered to its park-point
-// select, the periodic wrapper recovers the unwind at its loop head and
-// the goroutine re-parks. It must be called before the kernel is
-// rewound (so no event fires mid-unwind) and before Restore rewrites
-// task state. Unwinding a non-periodic task panics — only periodic
-// wrappers recover the abort.
-func (s *Scheduler) RewindTasks() {
-	for _, t := range s.tasks {
-		if t.state == TaskDone || t.parkedAtRelease {
-			continue
-		}
-		t.abort <- struct{}{}
-		<-t.rewoundAck
-	}
-}
-
 // Restore rewrites the scheduler's complete state from a snapshot taken
-// on the same scheduler. Every task goroutine must already be parked at
-// a release boundary (RewindTasks) and the kernel rewound; pending
+// on the same scheduler. A live task left mid-release restarts at its
+// periodic loop head; stopping its coroutine only unwinds the body's
+// stack, so it needs no ordering against the kernel rewind. Pending
 // events (task wakes, start events) are replayed by the kernel capture,
 // not here. Task count must match the snapshot — tasks are never
 // removed, and a restore never crosses a Spawn.
@@ -209,6 +190,10 @@ func (s *Scheduler) Restore(snap *SchedSnap) {
 		panic(fmt.Sprintf("rtos: Restore with %d task snapshots over %d tasks", len(snap.tasks), len(s.tasks)))
 	}
 	for i, t := range s.tasks {
+		if t.state != TaskDone && !t.parkedAtRelease {
+			t.stop()
+			t.start()
+		}
 		ts := snap.tasks[i]
 		t.state = ts.state
 		t.prio = ts.prio

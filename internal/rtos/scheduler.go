@@ -6,14 +6,14 @@
 // inheritance, interrupt service routines that steal CPU time, and a
 // context-switch cost.
 //
-// Tasks are written as ordinary Go functions. Under the hood each task is
-// a goroutine, but exactly one goroutine is ever runnable: the scheduler
-// hands control to a task and blocks until the task issues its next kernel
-// request. Code between requests executes in zero virtual time; all
-// passage of time is explicit via (*Task).Compute, Sleep and blocking
-// operations. This makes every schedule — including preemptions, queueing
-// delays and starvation — exactly reproducible, which is what lets the
-// testing layers above measure delay segments without perturbation.
+// Tasks are written as ordinary Go functions. Each task body runs as an
+// iter.Pull coroutine driven by the scheduler: the scheduler resumes a
+// task, and the task runs until its next kernel request hands control
+// back. Code between requests executes in zero virtual time; all passage
+// of time is explicit via (*Task).Compute, Sleep and blocking operations.
+// This makes every schedule — including preemptions, queueing delays and
+// starvation — exactly reproducible, which is what lets the testing
+// layers above measure delay segments without perturbation.
 package rtos
 
 import (
@@ -153,24 +153,9 @@ func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task
 	if body == nil {
 		panic("rtos: Spawn with nil body")
 	}
-	t := &Task{
-		sched:      s,
-		name:       name,
-		prio:       prio,
-		base:       prio,
-		state:      TaskNew,
-		resume:     make(chan struct{}),
-		req:        make(chan request),
-		kill:       make(chan struct{}),
-		abort:      make(chan struct{}),
-		rewoundAck: make(chan struct{}),
-		// The initial park in run() doubles as a release boundary: the
-		// first dispatch begins the first release.
-		parkedAtRelease: true,
-		startAt:         start,
-	}
+	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew, body: body}
+	t.start()
 	s.tasks = append(s.tasks, t)
-	go t.run(body)
 	s.k.At(start, func() {
 		if t.state != TaskNew {
 			return
@@ -193,13 +178,7 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 	tk := s.Spawn(name, prio, offset, func(t *Task) {
 		for {
 			t.releases++
-			if t.runPeriodicBody(body) {
-				// A restore rewound this release: task state, release
-				// counters and the wake event have been rewritten by the
-				// coordinator; re-park and resume at the restored release.
-				t.rewindPark()
-				continue
-			}
+			body(t)
 			t.nextRelease += period
 			for t.nextRelease <= t.Now() {
 				t.nextRelease += period
@@ -211,19 +190,20 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 		}
 	})
 	tk.period = period
-	// The release instant lives on the struct (not the goroutine stack)
+	// The release instant lives on the struct (not the coroutine stack)
 	// so snapshots can capture it and restores rewrite it.
 	tk.nextRelease = offset
 	return tk
 }
 
-// Shutdown force-terminates every live task goroutine. Call it when a
-// simulation run is finished so repeated runs (tests, benchmarks) do not
-// leak goroutines. The scheduler must not be used afterwards.
+// Shutdown stops the coroutine of every live task. A suspended
+// coroutine holds a parked goroutine, so call it when a simulation run
+// is finished to keep repeated runs (tests, benchmarks) from leaking
+// them. The scheduler must not be used afterwards.
 func (s *Scheduler) Shutdown() {
 	for _, t := range s.tasks {
 		if t.state != TaskDone {
-			close(t.kill)
+			t.stop()
 			t.state = TaskDone
 		}
 	}
@@ -314,7 +294,7 @@ func (s *Scheduler) kick() {
 }
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
-// change task state ends by calling it. It runs task goroutines
+// change task state ends by calling it. It runs task bodies
 // synchronously (in zero virtual time) until the CPU is committed — to a
 // compute burst, a context switch — or idle.
 func (s *Scheduler) schedLoop() {
@@ -374,8 +354,12 @@ func (s *Scheduler) schedLoop() {
 			s.beginCompute(t)
 			return
 		}
-		// Resume the task goroutine until its next request.
-		req := s.resumeAndWait(t)
+		// Resume the task's body until its next request; a body that
+		// returns exits.
+		req, ok := t.next()
+		if !ok {
+			req.kind = reqExit
+		}
 		s.handle(t, req)
 	}
 }
@@ -501,12 +485,6 @@ func (s *Scheduler) preemptAtBoundary() {
 	s.current = nil
 	s.preempts++
 	s.trace.add(s.k.Now(), TracePreempt, t)
-}
-
-// resumeAndWait lets t's goroutine run until it issues its next request.
-func (s *Scheduler) resumeAndWait(t *Task) request {
-	t.resume <- struct{}{}
-	return <-t.reqFromTask()
 }
 
 // blockCurrentOn removes the current task from the CPU in the blocked

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -326,7 +327,34 @@ func TestShutdownTerminatesBlockedTasks(t *testing.T) {
 		tk.Sleep(time.Hour)
 	})
 	k.Run(10 * ms)
-	s.Shutdown() // must not hang; goroutines exit via kill channel
+	s.Shutdown() // must not hang; stopping unwinds each suspended body
+}
+
+// TestBodyPanicReachesRunCaller pins where a task-body panic goes: it
+// comes back out of Kernel.Run on the caller's goroutine with its value
+// intact, and Shutdown afterwards leaves no goroutine behind — neither
+// the panicked task's nor that of a peer suspended mid-release.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := sim.New()
+	s := New(k, Config{})
+	s.Spawn("faulty", 2, 0, func(tk *Task) {
+		tk.Compute(ms)
+		panic("faulty body")
+	})
+	s.SpawnPeriodic("peer", 3, 0, 5*ms, func(tk *Task) { tk.Compute(ms) })
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		k.Run(time.Second)
+		return nil
+	}()
+	if got != "faulty body" {
+		t.Fatalf("Run panicked with %v, want the body's panic value", got)
+	}
+	s.Shutdown()
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines after Shutdown = %d, want at most %d", now, before)
+	}
 }
 
 func TestManyTasksDeterministic(t *testing.T) {

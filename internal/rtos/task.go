@@ -2,6 +2,7 @@ package rtos
 
 import (
 	"fmt"
+	"iter"
 
 	"rmtest/internal/sim"
 )
@@ -67,14 +68,11 @@ type request struct {
 	hasTimeout bool
 }
 
-type killed struct{}
-
-// rewound is the panic sentinel of the snapshot/restore machinery: it
-// unwinds a task goroutine that is parked mid-release-body back to its
-// periodic loop head, where runPeriodicBody recovers it and the
-// goroutine re-parks awaiting the restored release. Only periodic tasks
-// can be rewound; the sentinel escaping a plain task is a bug.
-type rewound struct{}
+// stopped is the panic that unwinds a task body whose coroutine is being
+// stopped (Shutdown, or a restore restarting a release). The coroutine
+// entry recovers it. No task body defers work that touches the kernel or
+// the trace, so the unwind leaves the simulation untouched.
+type stopped struct{}
 
 // Task is a simulated RTOS task. Its methods may only be called from
 // inside the task's own body function; calling them from outside the
@@ -86,22 +84,21 @@ type Task struct {
 	base  int // assigned priority
 	state TaskState
 
-	resume chan struct{}
-	req    chan request
-	kill   chan struct{}
+	// The body runs as a coroutine: next resumes it until its next kernel
+	// request (ok == false once the body has returned), yield is the
+	// body's side of that handoff, and stop unwinds a suspended body.
+	body  func(*Task)
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
 
-	// Rewind machinery (snapshot/restore). abort delivers a rewound
-	// panic to a goroutine parked mid-body; rewoundAck signals that the
-	// unwound goroutine has reached its re-park point. parkedAtRelease
-	// reports that the goroutine is parked such that its next dispatch
-	// begins a periodic release (the snapshot-eligibility condition);
-	// nextRelease is the periodic wrapper's release instant, hoisted off
-	// the goroutine stack so a restore can rewrite it.
-	abort           chan struct{}
-	rewoundAck      chan struct{}
+	// parkedAtRelease reports that the task is parked such that its next
+	// dispatch begins a periodic release (the snapshot-eligibility
+	// condition); nextRelease is the periodic wrapper's release instant,
+	// kept on the struct rather than the coroutine stack so a restore can
+	// rewrite it.
 	parkedAtRelease bool
 	nextRelease     sim.Time
-	startAt         sim.Time
 
 	pendingCompute sim.Time
 	readyAt        sim.Time
@@ -193,75 +190,32 @@ func (t *Task) overrun(now, d sim.Time) sim.Time {
 	return sim.Time(int64(d) * t.ovNum / t.ovDen)
 }
 
-func (t *Task) reqFromTask() chan request { return t.req }
-
-// run is the task goroutine entry point.
-func (t *Task) run(body func(*Task)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				return // simulation shut down; exit quietly
+// start gives t a fresh coroutine, suspended before the first statement
+// of its body; for a periodic task that is the loop head, so the next
+// dispatch begins a release. A panic in the body other than stopped
+// comes back out of next, on the goroutine driving the kernel.
+func (t *Task) start() {
+	t.next, t.stop = iter.Pull(func(yield func(request) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopped); !ok {
+					panic(r)
+				}
 			}
-			panic(r)
-		}
-	}()
-	t.wait()
-	t.parkedAtRelease = false
-	body(t)
-	t.req <- request{kind: reqExit}
-	// Do not wait again: the scheduler never resumes an exited task.
-}
-
-// wait blocks the task goroutine until the scheduler resumes it. An
-// abort delivery (snapshot restore rewinding a goroutine parked
-// mid-body) unwinds to the periodic loop head instead.
-func (t *Task) wait() {
-	select {
-	case <-t.resume:
-	case <-t.abort:
-		panic(rewound{})
-	case <-t.kill:
-		panic(killed{})
-	}
-}
-
-// runPeriodicBody executes one release of a periodic task's body,
-// converting a rewind abort into a normal return. It reports whether
-// the release was aborted by a restore.
-func (t *Task) runPeriodicBody(body func(*Task)) (aborted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(rewound); ok {
-				aborted = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	body(t)
-	return false
-}
-
-// rewindPark parks an unwound goroutine at the release boundary: it
-// acknowledges the rewind (the restoring coordinator blocks on the ack
-// before rewriting task state) and waits for the scheduler to dispatch
-// the restored release. No kernel request is issued — the restore
-// itself re-arms the task's wake or start event.
-func (t *Task) rewindPark() {
+		}()
+		t.yield = yield
+		t.parkedAtRelease = false
+		t.body(t)
+	})
 	t.parkedAtRelease = true
-	t.rewoundAck <- struct{}{}
-	t.wait()
-	t.parkedAtRelease = false
 }
 
-// syscall issues one kernel request and blocks until it completes.
+// syscall issues one kernel request and suspends the body until it
+// completes.
 func (t *Task) syscall(r request) {
-	select {
-	case t.req <- r:
-	case <-t.kill:
-		panic(killed{})
+	if !t.yield(r) {
+		panic(stopped{})
 	}
-	t.wait()
 }
 
 // Now returns the current virtual time.

@@ -9,7 +9,10 @@ package rmtest_test
 // cadence (send counter), and clock drift (live ticker skew).
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +20,7 @@ import (
 	"rmtest/internal/faults"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
+	"rmtest/internal/rtos"
 )
 
 func TestSnapshotRoundTripUnderActiveFaultWindows(t *testing.T) {
@@ -65,13 +69,9 @@ func TestSnapshotRoundTripUnderActiveFaultWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Same arming by hand, so the snapshot can be interposed.
-			sys, err := pb.NewSystem(platform.DefaultScheme2(), platform.MLevel, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Shutdown()
-			arm := func() {
+			// Same arming by hand, so the snapshot can be interposed. A
+			// plain hand-armed run gives the reference task accounting.
+			arm := func(sys *platform.System) {
 				st := req.Stimulus
 				for _, at := range tc.Stimuli {
 					if st.Width > 0 {
@@ -82,7 +82,22 @@ func TestSnapshotRoundTripUnderActiveFaultWindows(t *testing.T) {
 				}
 				faults.Prepare(plan, seed)(sys, tc)
 			}
-			arm()
+			plain, err := pb.NewSystem(platform.DefaultScheme2(), platform.MLevel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arm(plain)
+			plain.Run(horizon)
+			refTasks := taskAccounting(plain)
+			plain.Shutdown()
+
+			before := runtime.NumGoroutine()
+			sys, err := pb.NewSystem(platform.DefaultScheme2(), platform.MLevel, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			arm(sys)
 
 			// Snapshot just before the second stimulus — deep inside every
 			// plan's whole-horizon window, with the first sample's effects
@@ -102,8 +117,18 @@ func TestSnapshotRoundTripUnderActiveFaultWindows(t *testing.T) {
 			// restore may not consume or corrupt the snapshot. Everything
 			// was armed before the capture, so the snapshot's own pending
 			// events carry the rest of the schedule and the arm hook adds
-			// nothing.
+			// nothing. Each restore lands while a task is mid-burst, the
+			// one state from which a restore must stop a task's coroutine
+			// and restart it at its release boundary.
 			for trip := 0; trip < 2; trip++ {
+				for !taskOnCPU(sys) {
+					if !sys.Kernel.Step() {
+						t.Fatal("schedule ran dry before any task took the CPU")
+					}
+				}
+				if sys.Sched.Quiescent() {
+					t.Fatalf("trip %d: scheduler quiescent with a task on the CPU", trip)
+				}
 				sys.Restore(snap, func() {})
 				sys.Run(horizon)
 				mr := runner.AnnotateM(sys, tc, runner.Evaluate(sys, tc))
@@ -112,7 +137,38 @@ func TestSnapshotRoundTripUnderActiveFaultWindows(t *testing.T) {
 					t.Fatalf("round-trip %d under %s diverged:\ngot  %+v\nwant %+v",
 						trip, plan.Name, mr.Samples, ref.Samples)
 				}
+				if got := taskAccounting(sys); got != refTasks {
+					t.Fatalf("round-trip %d under %s: task accounting diverged:\ngot\n%swant\n%s",
+						trip, plan.Name, got, refTasks)
+				}
+			}
+			// The coroutines the restores replaced must not outlive them.
+			sys.Shutdown()
+			if now := runtime.NumGoroutine(); now > before {
+				t.Fatalf("goroutines after Shutdown = %d, want at most %d", now, before)
 			}
 		})
 	}
+}
+
+// taskOnCPU reports whether some task holds the CPU. Between kernel
+// events that task is mid-burst inside its release body.
+func taskOnCPU(sys *platform.System) bool {
+	for _, tk := range sys.Sched.Tasks() {
+		if tk.State() == rtos.TaskRunning {
+			return true
+		}
+	}
+	return false
+}
+
+// taskAccounting renders every task's release and CPU accounting, which
+// a release resumed mid-body instead of restarted would skew.
+func taskAccounting(sys *platform.System) string {
+	var b strings.Builder
+	for _, tk := range sys.Sched.Tasks() {
+		fmt.Fprintf(&b, "%s releases=%d missed=%d cpu=%v\n",
+			tk.Name(), tk.Releases(), tk.MissedReleases(), tk.CPUTime())
+	}
+	return b.String()
 }
