@@ -718,60 +718,38 @@ func BenchmarkExecSpecialized(b *testing.B) {
 	}
 }
 
-// --- Prefix-sharing snapshot/resume engine ---------------------------
+// --- Search-based generation ------------------------------------------
 
-// benchFalsify runs one falsification search to budget exhaustion on
-// the scheme-2 GPCA target. Scheme 2 is schedulable, so REQ1 never
-// violates and every search spends the full budget in
-// mutantsPerRound-sized candidate batches — the workload the
-// prefix-sharing engine exists for: each batch shares the seed
-// schedule's unmutated stimulus prefix. The Prefix variant must beat
-// the plain one on ns/op by the reuse the engine reports; the sim-ns/run
-// metric (virtual nanoseconds simulated per candidate) is deterministic
-// and gated — it rises only if prefix reuse degrades.
-func benchFalsify(b *testing.B, prefix bool) {
+// BenchmarkTCGenFalsify runs one falsification search to budget
+// exhaustion on the scheme-2 GPCA target. Scheme 2 is schedulable, so
+// REQ1 never violates and every search spends the full budget in
+// mutantsPerRound-sized candidate batches, each evaluated as one
+// uncached campaign: the rung measures candidate evaluation from reset.
+func BenchmarkTCGenFalsify(b *testing.B) {
 	target := tcgenTarget(b)
-	sink := &rmtest.PrefixStatsSink{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt := rmtest.GenOptions{Seed: 42, Workers: 1, Budget: 24,
-			PrefixShare: prefix, PrefixStats: sink}
+		opt := rmtest.GenOptions{Seed: 42, Workers: 1, Budget: 24}
 		if _, err := rmtest.FalsificationGenerator().Generate(target, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if st := sink.Stats(); prefix {
-		if st.SharedRuns == 0 {
-			b.Fatal("prefix engine shared nothing on the scheme-2 falsify workload")
-		}
-		b.ReportMetric(float64(st.SimTime)/float64(st.Runs), "sim-ns/run")
-	}
 }
 
-func BenchmarkTCGenFalsify(b *testing.B)       { benchFalsify(b, false) }
-func BenchmarkTCGenFalsifyPrefix(b *testing.B) { benchFalsify(b, true) }
-
-// benchShrink delta-debugs a violating schedule on scheme 2. REQ1's
+// BenchmarkShrink delta-debugs a violating schedule on scheme 2. REQ1's
 // bound is tightened to 1ms so the seeded schedule violates on the
 // schedulable scheme and ddmin has something to preserve, and the
-// tester's timeout to 600ms — an order of magnitude above the real
-// response, but short enough that a run is stimulus schedule rather
-// than trailing wait, since the window after the last stimulus can
-// never be shared. Each round's complements run as one batch sharing
-// the surviving stimulus prefix.
-func benchShrink(b *testing.B, prefix bool) {
+// tester's timeout to 600ms, an order of magnitude above the real
+// response. The 12-stimulus input at 1.5s spacing after a 10s warm-up
+// gives ddmin several rounds of complement batches, each evaluated from
+// reset.
+func BenchmarkShrink(b *testing.B) {
 	target := tcgenTarget(b)
 	req := gpca.REQ1()
 	req.Bound = time.Millisecond
 	req.Timeout = 600 * time.Millisecond
 	target.Req = req
-	// A 12-stimulus input at 1.5s spacing after a 10s warm-up: enough
-	// stimuli that ddmin runs several rounds with complement batches
-	// worth sharing, quiescent gaps between bursts for the snapshot
-	// engine to use, and a warm-up region the generator session
-	// simulates once instead of once per round.
 	target.Start = 10 * time.Second
 	target.Settle = 1500 * time.Millisecond
 	input, err := rmtest.FalsificationGenerator().Generate(target,
@@ -782,24 +760,12 @@ func benchShrink(b *testing.B, prefix bool) {
 	if !input.Violated {
 		b.Fatal("seed schedule does not violate the tightened bound")
 	}
-	sink := &rmtest.PrefixStatsSink{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt := rmtest.GenOptions{Seed: 42, Workers: 1, Budget: 48,
-			PrefixShare: prefix, PrefixStats: sink}
+		opt := rmtest.GenOptions{Seed: 42, Workers: 1, Budget: 48}
 		if _, err := rmtest.ShrinkingGenerator(input.Schedule).Generate(target, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if st := sink.Stats(); prefix {
-		if st.SharedRuns == 0 {
-			b.Fatal("prefix engine shared nothing on the scheme-2 shrink workload")
-		}
-		b.ReportMetric(float64(st.SimTime)/float64(st.Runs), "sim-ns/run")
-	}
 }
-
-func BenchmarkShrink(b *testing.B)       { benchShrink(b, false) }
-func BenchmarkShrinkPrefix(b *testing.B) { benchShrink(b, true) }

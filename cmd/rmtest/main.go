@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-cache] [-prefix-share] [-pprof prefix]
+//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-cache] [-pprof prefix]
 //	rmtest lint [-chart gpca|gpca-extended|railcrossing] [-json] [-rta] [-platform scheme2|scheme3]
-//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-cache] [-prefix-share] [-pprof prefix]
+//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-cache] [-pprof prefix]
 //
 // With -faults the command runs the fault-attribution experiment
 // instead of the single R-M flow: the REQ1 bolus scenario on scheme2,
@@ -35,12 +35,8 @@
 //
 // -cache (on by default for gen and -faults) memoises candidate
 // evaluations by content fingerprint; outputs are byte-identical either
-// way, and cache statistics go to stderr. -prefix-share evaluates
-// candidate batches through the prefix-sharing snapshot/resume engine —
-// runs sharing a stimulus prefix simulate it once and resume per branch
-// from a snapshot; outputs are byte-identical either way and sharing
-// statistics go to stderr. -pprof PREFIX writes PREFIX.cpu.pprof and
-// PREFIX.heap.pprof profiles of the run.
+// way, and cache statistics go to stderr. -pprof PREFIX writes
+// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run.
 package main
 
 import (
@@ -76,7 +72,6 @@ func main() {
 	faultsFlag := flag.Bool("faults", false, "run the fault-attribution experiment (REQ1 on scheme2, one run per catalogue fault plan)")
 	cacheFlag := flag.Bool("cache", true, "memoise -faults evaluations by content fingerprint; output is byte-identical either way")
 	cacheCap := flag.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
-	prefixFlag := flag.Bool("prefix-share", false, "evaluate -faults runs through the prefix-sharing snapshot/resume engine; output is byte-identical either way, stats go to stderr")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
@@ -88,13 +83,8 @@ func main() {
 		if *cacheFlag {
 			cache = rmtest.NewEvalCache(*cacheCap)
 		}
-		var sink *rmtest.PrefixStatsSink
-		if *prefixFlag {
-			sink = &rmtest.PrefixStatsSink{}
-		}
 		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
 			Samples: *n, Seed: *seed, Cache: cache,
-			PrefixShare: *prefixFlag, PrefixStats: sink,
 		})
 		if err != nil {
 			fail("faults: %v", err)
@@ -103,9 +93,6 @@ func main() {
 		fmt.Print(rmtest.RenderFaultTable(res.Attributions))
 		if cache != nil {
 			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		}
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
 		}
 		return
 	}
@@ -267,7 +254,6 @@ func runGen(args []string) {
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
 	cacheFlag := fs.Bool("cache", true, "memoise candidate evaluations by content fingerprint; suites are byte-identical either way")
 	cacheCap := fs.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
-	prefixFlag := fs.Bool("prefix-share", false, "evaluate candidate batches through the prefix-sharing snapshot/resume engine; suites are byte-identical either way, stats go to stderr")
 	pprofPrefix := fs.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	fs.Parse(args)
 
@@ -277,10 +263,6 @@ func runGen(args []string) {
 	opt := rmtest.GenSuiteOptions{
 		Budget: *budget, Seed: *seed, Workers: *workers,
 		TargetPhase: *target,
-		PrefixShare: *prefixFlag,
-	}
-	if *prefixFlag {
-		opt.PrefixStats = &rmtest.PrefixStatsSink{}
 	}
 	if *cacheFlag {
 		opt.Cache = rmtest.NewEvalCache(*cacheCap)
@@ -296,9 +278,6 @@ func runGen(args []string) {
 	}
 	if opt.Cache != nil {
 		fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(opt.Cache.Stats()))
-	}
-	if opt.PrefixStats != nil {
-		fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", opt.PrefixStats.Stats())
 	}
 	if *asCSV {
 		fmt.Print(rmtest.RenderGenCSV(runs))

@@ -4,17 +4,14 @@
 //
 // Usage:
 //
-//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-cache] [-prefix-share] [-pprof prefix]
-//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-cache] [-prefix-share] [-pprof prefix]
+//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-cache] [-pprof prefix]
+//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-cache] [-pprof prefix]
 //
 // -cache (on by default) memoises -gen and -faults candidate
 // evaluations by content fingerprint; outputs are byte-identical either
-// way, and cache statistics go to stderr. -prefix-share evaluates -gen
-// and -faults batches through the prefix-sharing snapshot/resume
-// engine; outputs are byte-identical either way, and sharing statistics
-// go to stderr. -pprof PREFIX writes PREFIX.cpu.pprof and
-// PREFIX.heap.pprof profiles of the run, matching the rmtest command's
-// flag.
+// way, and cache statistics go to stderr. -pprof PREFIX writes
+// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run, matching
+// the rmtest command's flag.
 //
 // With -faults the command runs the fault-injection sweep instead: the
 // Table I scenario once per catalogue fault plan on scheme2, printing
@@ -57,7 +54,6 @@ func main() {
 	genTarget := flag.Float64("gen-target", 0, "phase-bin adequacy target for the coverage-directed generator (0 = default 0.9)")
 	cacheFlag := flag.Bool("cache", true, "memoise -gen/-faults candidate evaluations by content fingerprint; output is byte-identical either way, stats go to stderr")
 	cacheCap := flag.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
-	prefixFlag := flag.Bool("prefix-share", false, "evaluate -gen/-faults batches through the prefix-sharing snapshot/resume engine; output is byte-identical either way, stats go to stderr")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
@@ -68,16 +64,11 @@ func main() {
 	if *cacheFlag {
 		cache = rmtest.NewEvalCache(*cacheCap)
 	}
-	var sink *rmtest.PrefixStatsSink
-	if *prefixFlag {
-		sink = &rmtest.PrefixStatsSink{}
-	}
 
 	if *genFlag {
 		gopt := rmtest.GenSuiteOptions{
 			Budget: *genBudget, Seed: *seed, Workers: *workers,
 			TargetPhase: *genTarget, Cache: cache,
-			PrefixShare: *prefixFlag, PrefixStats: sink,
 		}
 		if *progress {
 			gopt.Progress = func(p rmtest.CampaignProgress) {
@@ -92,9 +83,6 @@ func main() {
 		if cache != nil {
 			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
 		}
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
-		}
 		if *csv {
 			fmt.Print(rmtest.RenderGenCSV(runs))
 			return
@@ -106,7 +94,7 @@ func main() {
 	if *faultsFlag {
 		fopt := rmtest.FaultSweepOptions{
 			Samples: *n, Seed: *seed, Workers: *workers,
-			Cache: cache, PrefixShare: *prefixFlag, PrefixStats: sink,
+			Cache: cache,
 		}
 		if *progress {
 			fopt.Progress = func(p rmtest.CampaignProgress) {
@@ -120,9 +108,6 @@ func main() {
 		}
 		if cache != nil {
 			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		}
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
 		}
 		if *csv {
 			fmt.Print(rmtest.RenderFaultCSV(res.Attributions))

@@ -499,18 +499,6 @@ type FaultSweepOptions struct {
 	// Byte-identical output with or without a cache; may be shared with
 	// the generation pipeline's cache.
 	Cache *campaign.Cache
-	// PrefixShare evaluates the catalogue through the prefix-sharing
-	// snapshot/resume engine: the stimuli — identical for every plan —
-	// form a shared trunk, and each plan's fault windows are armed on a
-	// branch resumed from a snapshot taken before the earliest window
-	// opens. Plans whose windows open at time zero share only system
-	// construction, so the sweep's reuse ratio is structurally modest
-	// (the catalogue diverges early by design); results stay
-	// byte-identical to plain evaluation at every worker count.
-	PrefixShare bool
-	// PrefixStats, when set, accumulates prefix-sharing statistics
-	// across the sweep's batches.
-	PrefixStats *campaign.PrefixStatsSink
 }
 
 // FaultSweepResult bundles the fault sweep's outputs: one attribution
@@ -608,16 +596,16 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 		}
 		keys[i] = h.Sum()
 	}
-	var outs []core.MResult
-	if opt.PrefixShare {
-		outs, err = faultSweepPrefix(opt, cfg, keys, pb, req, tc, plans)
-	} else {
-		outs, err = campaign.Values(campaign.MapScratchCached(cfg, opt.Cache, keys,
-			func() *platform.Scratch { return &platform.Scratch{} },
-			func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
-				return sweepPlain(pb, req, tc, plans[run.Index], run.Seed, sc)
-			}))
-	}
+	outs, err := campaign.Values(campaign.MapScratchCached(cfg, opt.Cache, keys,
+		func() *platform.Scratch { return &platform.Scratch{} },
+		func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+			runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc), req)
+			if err != nil {
+				return core.MResult{}, err
+			}
+			runner.Prepare = faults.Prepare(plans[run.Index], run.Seed)
+			return runner.RunM(tc)
+		}))
 	if err != nil {
 		return FaultSweepResult{}, err
 	}

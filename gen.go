@@ -36,16 +36,6 @@ type GenSuiteOptions struct {
 	// reuses the falsifier's evaluations and repeated pipelines reuse
 	// everything. Suites are byte-identical with or without it.
 	Cache *campaign.Cache
-	// PrefixShare evaluates R-level candidate batches (falsification
-	// mutants, ddmin complements) through the prefix-sharing
-	// snapshot/resume engine: candidates sharing a stimulus prefix
-	// simulate it once and resume per branch from a snapshot. Suites are
-	// byte-identical with or without it, at every worker count, cached
-	// or not.
-	PrefixShare bool
-	// PrefixStats, when set, accumulates prefix-sharing statistics
-	// across every shared batch of the pipeline.
-	PrefixStats *campaign.PrefixStatsSink
 }
 
 func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
@@ -58,8 +48,6 @@ func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
 		TargetPhase:       o.TargetPhase,
 		Progress:          o.Progress,
 		Cache:             o.Cache,
-		PrefixShare:       o.PrefixShare,
-		PrefixStats:       o.PrefixStats,
 	}
 }
 

@@ -136,46 +136,6 @@ func (e *Exec) Reset() {
 	e.enterFrom(e.prog.InitState)
 }
 
-// ExecSnap is a complete capture of an executor's mutable state,
-// created by Snapshot and consumed by Restore. It is opaque to callers.
-type ExecSnap struct {
-	vars        []int64
-	active      int
-	entryTick   []int64
-	lastChild   []int
-	tick        int64
-	steps       uint64
-	transitions uint64
-}
-
-// Snapshot captures the executor's complete mutable state. The stack
-// and output-diff scratch buffers are transient within a single Step,
-// so a snapshot taken between steps need not capture them.
-func (e *Exec) Snapshot() *ExecSnap {
-	return &ExecSnap{
-		vars:        append([]int64(nil), e.vars...),
-		active:      e.active,
-		entryTick:   append([]int64(nil), e.entryTick...),
-		lastChild:   append([]int(nil), e.lastChild...),
-		tick:        e.tick,
-		steps:       e.steps,
-		transitions: e.transitions,
-	}
-}
-
-// Restore rewrites the executor's state from a snapshot taken on an
-// executor of the same program.
-func (e *Exec) Restore(s *ExecSnap) {
-	copy(e.vars, s.vars)
-	e.active = s.active
-	copy(e.entryTick, s.entryTick)
-	copy(e.lastChild, s.lastChild)
-	e.tick = s.tick
-	e.steps = s.steps
-	e.transitions = s.transitions
-	e.stack = e.stack[:0]
-}
-
 // descendChild picks the child to descend into, honouring shallow
 // history junctions.
 func (e *Exec) descendChild(sid int) int {

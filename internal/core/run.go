@@ -169,10 +169,10 @@ func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System
 
 // Evaluate extracts the per-sample verdicts from a finished run by
 // replaying its trace through the verdict machines with no kernel
-// attached, so the end of the trace decides every open timeout. It is how
-// runs that cannot carry live machines (branches resumed from a snapshot)
-// are judged; the trace must cover the test case's horizon. tc must be a
-// test case Setup accepts.
+// attached, so the end of the trace decides every open timeout. It judges
+// a run that was driven without live machines, such as one a caller set
+// up with Setup and ran itself; the trace must cover the test case's
+// horizon. tc must be a test case Setup accepts.
 func (r *Runner) Evaluate(sys *platform.System, tc TestCase) []SampleResult {
 	v := newVerdicts(r.Req, tc)
 	for _, e := range sys.Trace.Events() {
@@ -226,7 +226,7 @@ func (r *Runner) RunM(tc TestCase) (MResult, error) {
 // AnnotateM lifts R-level base verdicts into the M-testing result by
 // matching each sample's m->i->o->c chain and delay segments from the
 // M-instrumented trace. It is the second half of RunM, split out so
-// resumed runs judged by Evaluate get the identical segment extraction.
+// runs judged by Evaluate get the identical segment extraction.
 func (r *Runner) AnnotateM(sys *platform.System, tc TestCase, base []SampleResult) MResult {
 	mp := sys.Mapping()
 	iName := mp.MtoI[r.Req.Stimulus.Signal]

@@ -262,47 +262,6 @@ func (tr *Trace) Reset() {
 	}
 }
 
-// TraceMark is a position in a trace, captured by Mark and rewound to
-// by TruncateTo: the event count plus each stream index's length.
-type TraceMark struct {
-	events  int
-	streams map[traceKey]int
-}
-
-// TapCount returns the number of registered taps. Snapshot eligibility
-// uses it: a tapped trace has run-scoped observers (verdict machines)
-// whose state a rewind cannot restore.
-func (tr *Trace) TapCount() int { return len(tr.taps) }
-
-// Mark captures the trace's current position so a later TruncateTo can
-// rewind to it. Marks are cheap (one small map) and remain valid until
-// the trace is Reset.
-func (tr *Trace) Mark() TraceMark {
-	m := TraceMark{events: len(tr.events), streams: make(map[traceKey]int, len(tr.streams))}
-	for k, s := range tr.streams {
-		m.streams[k] = len(s.pos)
-	}
-	return m
-}
-
-// TruncateTo rewinds the trace to a previously captured mark,
-// discarding every event recorded since. Streams created after the mark
-// truncate to empty — equivalent to a run in which they never appeared.
-// Capacity is retained, so re-recording after a truncate allocates
-// nothing on the steady state.
-func (tr *Trace) TruncateTo(m TraceMark) {
-	if m.events > len(tr.events) {
-		panic("fourvar: TruncateTo past the end of the trace")
-	}
-	tr.events = tr.events[:m.events]
-	for k, s := range tr.streams {
-		n := m.streams[k] // zero for streams born after the mark
-		if n < len(s.pos) {
-			s.pos = s.pos[:n]
-		}
-	}
-}
-
 // ClearTaps removes every registered tap. Run-scoped consumers (the
 // verdict machines) tap the trace for exactly one run; scratch reuse must
 // drop that wiring before the next run or stale observers would keep
@@ -385,50 +344,6 @@ func (tt *TransitionTrace) Between(from, to sim.Time) []TransitionDelay {
 func (tt *TransitionTrace) Reset() {
 	tt.recs = tt.recs[:0]
 	clear(tt.open)
-}
-
-// TransMark is a position in a transition trace, captured by Mark and
-// rewound to by TruncateTo.
-type TransMark struct {
-	recs int
-	open map[int]sim.Time
-}
-
-// Mark captures the transition trace's current position, including any
-// in-flight transitions, so a later TruncateTo can rewind to it.
-func (tt *TransitionTrace) Mark() TransMark {
-	m := TransMark{recs: len(tt.recs), open: make(map[int]sim.Time, len(tt.open))}
-	for k, v := range tt.open {
-		m.open[k] = v
-	}
-	return m
-}
-
-// TruncateTo rewinds the transition trace to a previously captured
-// mark, discarding records and in-flight entries added since.
-func (tt *TransitionTrace) TruncateTo(m TransMark) {
-	if m.recs > len(tt.recs) {
-		panic("fourvar: TruncateTo past the end of the transition trace")
-	}
-	tt.recs = tt.recs[:m.recs]
-	clear(tt.open)
-	for k, v := range m.open {
-		tt.open[k] = v
-	}
-}
-
-// Clone returns an independent deep copy of the transition trace.
-// Result extraction uses it to detach a trace from a live system that
-// later restores will mutate.
-func (tt *TransitionTrace) Clone() *TransitionTrace {
-	c := &TransitionTrace{
-		open: make(map[int]sim.Time, len(tt.open)),
-		recs: append([]TransitionDelay(nil), tt.recs...),
-	}
-	for k, v := range tt.open {
-		c.open[k] = v
-	}
-	return c
 }
 
 // Mapping relates the two abstraction boundaries: which i-event the

@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"time"
-
 	"rmtest/internal/schedlint"
 	"rmtest/internal/sim"
 )
@@ -35,41 +33,26 @@ type PipelineWCET struct {
 // the analysis should find zero blocking, and the simulator cross-check
 // verifies it does.
 func (s *Scheme2) StaticModel(w PipelineWCET) schedlint.Config {
-	capacity := s.QueueCap
-	if capacity <= 0 {
-		capacity = 8
-	}
-	sense := s.SensePeriod
-	if sense <= 0 {
-		sense = 20 * time.Millisecond
-	}
-	code := s.CodePeriod
-	if code <= 0 {
-		code = 40 * time.Millisecond
-	}
-	act := s.ActPeriod
-	if act <= 0 {
-		act = 20 * time.Millisecond
-	}
+	c := s.withDefaults()
 	return schedlint.Config{
 		Tasks: []schedlint.TaskSpec{
 			{
-				Name: "sense", Prio: s.SensePrio, Period: sense, WCET: w.Sense,
+				Name: "sense", Prio: c.SensePrio, Period: c.SensePeriod, WCET: w.Sense,
 				Sends: []schedlint.QueueUse{{Queue: "inQ", Items: w.SenseItems}},
 			},
 			{
-				Name: "codeM", Prio: s.CodePrio, Period: code, WCET: w.Code,
+				Name: "codeM", Prio: c.CodePrio, Period: c.CodePeriod, WCET: w.Code,
 				Recvs: []schedlint.QueueUse{{Queue: "inQ", DrainAll: true}},
 				Sends: []schedlint.QueueUse{{Queue: "outQ", Items: w.CodeItems}},
 			},
 			{
-				Name: "actuate", Prio: s.ActPrio, Period: act, WCET: w.Act,
+				Name: "actuate", Prio: c.ActPrio, Period: c.ActPeriod, WCET: w.Act,
 				Recvs: []schedlint.QueueUse{{Queue: "outQ", DrainAll: true}},
 			},
 		},
 		Queues: []schedlint.QueueSpec{
-			{Name: "inQ", Capacity: capacity},
-			{Name: "outQ", Capacity: capacity},
+			{Name: "inQ", Capacity: c.QueueCap},
+			{Name: "outQ", Capacity: c.QueueCap},
 		},
 	}
 }

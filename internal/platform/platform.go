@@ -92,10 +92,6 @@ type System struct {
 	inputsDropped  uint64
 	outputsDropped uint64
 	chartTicks     int64 // E_CLK ticks executed so far (elapsed-time catch-up)
-
-	// rewindHooks capture and restore scheme-private mutable state (the
-	// input edge-detection maps) across System.Snapshot/Restore.
-	rewindHooks []rewindHook
 }
 
 // Scheme integrates CODE(M) with the platform by spawning RTOS tasks.

@@ -200,6 +200,38 @@ func TestScheme2UsesQueuesAcrossTasks(t *testing.T) {
 	}
 }
 
+// TestScheme2ZeroValueMatchesStaticModel: a zero-valued Scheme2 runs
+// with the default periods and queue capacity, and they are the ones its
+// static platform model declares.
+func TestScheme2ZeroValueMatchesStaticModel(t *testing.T) {
+	s := &Scheme2{}
+	sys := newSys(t, s, RLevel)
+	pressBolus(sys, 33*ms, 60*ms)
+	sys.Run(time.Second)
+	model := s.StaticModel(PipelineWCET{})
+	for _, spec := range model.Tasks {
+		tk := sys.Sched.TaskByName(spec.Name)
+		if tk == nil {
+			t.Fatalf("static model declares %q, the system has no such task", spec.Name)
+		}
+		if tk.Period() != spec.Period {
+			t.Errorf("%s: simulated period %v, static model %v", spec.Name, tk.Period(), spec.Period)
+		}
+		if tk.Releases() == 0 {
+			t.Errorf("%s never released in 1 s", spec.Name)
+		}
+	}
+	for _, spec := range model.Queues {
+		q := sys.Sched.Queue(spec.Name)
+		if q == nil {
+			t.Fatalf("static model declares queue %q, the system has none", spec.Name)
+		}
+		if q.Cap() != spec.Capacity {
+			t.Errorf("queue %s: simulated capacity %d, static model %d", spec.Name, q.Cap(), spec.Capacity)
+		}
+	}
+}
+
 func TestScheme2SlowerThanScheme1(t *testing.T) {
 	run := func(s Scheme) time.Duration {
 		sys := newSys(t, s, RLevel)

@@ -35,7 +35,6 @@ func (s *Scheme1) Start(sys *System) {
 	}
 	lastVals := make(map[string]int64)
 	sys.primeInputBaseline(lastVals)
-	registerEdgeState(sys, lastVals)
 	sys.Sched.SpawnPeriodic("codeM", s.Prio, s.Offset, period, func(tk *rtos.Task) {
 		sys.taskEnv.tk = tk
 		mask, updates := sys.inputScan(tk, lastVals)
@@ -43,27 +42,6 @@ func (s *Scheme1) Start(sys *System) {
 		changed := sys.stepChart(tk, mask)
 		sys.writeOutputs(tk, changed)
 	})
-}
-
-// registerEdgeState exposes a scheme's input edge-detection map to the
-// snapshot machinery: it lives in a task-body closure, so without this
-// hook a restore could not rewind which sensor values the scan last saw.
-func registerEdgeState(sys *System, lastVals map[string]int64) {
-	sys.RegisterRewindState(
-		func() any {
-			c := make(map[string]int64, len(lastVals))
-			for k, v := range lastVals {
-				c[k] = v
-			}
-			return c
-		},
-		func(saved any) {
-			clear(lastVals)
-			for k, v := range saved.(map[string]int64) {
-				lastVals[k] = v
-			}
-		},
-	)
 }
 
 // inMsg carries one input update from the sensing task to the CODE(M)
@@ -86,14 +64,17 @@ type outMsg struct {
 // CODE(M) execution. The case study chooses the periods so their sum
 // along the sensing -> CODE(M) -> actuation path stays below the 100 ms
 // requirement.
+//
+// A zero period or queue capacity selects its default; priorities are
+// used as given (DefaultScheme2 sets 3/2/3).
 type Scheme2 struct {
-	SensePeriod sim.Time // default 20 ms
-	CodePeriod  sim.Time // default 40 ms
-	ActPeriod   sim.Time // default 20 ms
-	SensePrio   int      // default 3
-	CodePrio    int      // default 2
-	ActPrio     int      // default 3
-	QueueCap    int      // default 8
+	SensePeriod sim.Time // zero means 20 ms
+	CodePeriod  sim.Time // zero means 40 ms
+	ActPeriod   sim.Time // zero means 20 ms
+	SensePrio   int
+	CodePrio    int
+	ActPrio     int
+	QueueCap    int // zero means 8
 }
 
 // DefaultScheme2 returns the case-study configuration
@@ -118,19 +99,36 @@ func (s *Scheme2) Start(sys *System) {
 	s.start(sys)
 }
 
+// withDefaults returns a copy of s with every non-positive period and
+// queue capacity replaced by its default. Start and StaticModel both
+// read the configuration through it, so the simulated and the analysed
+// pipeline agree.
+func (s *Scheme2) withDefaults() Scheme2 {
+	c := *s
+	if c.SensePeriod <= 0 {
+		c.SensePeriod = 20 * time.Millisecond
+	}
+	if c.CodePeriod <= 0 {
+		c.CodePeriod = 40 * time.Millisecond
+	}
+	if c.ActPeriod <= 0 {
+		c.ActPeriod = 20 * time.Millisecond
+	}
+	if c.QueueCap <= 0 {
+		c.QueueCap = 8
+	}
+	return c
+}
+
 // start spawns the three pipeline tasks; shared with Scheme3.
 func (s *Scheme2) start(sys *System) {
-	cap := s.QueueCap
-	if cap <= 0 {
-		cap = 8
-	}
-	inQ := sys.Sched.NewQueue("inQ", cap)
-	outQ := sys.Sched.NewQueue("outQ", cap)
+	c := s.withDefaults()
+	inQ := sys.Sched.NewQueue("inQ", c.QueueCap)
+	outQ := sys.Sched.NewQueue("outQ", c.QueueCap)
 
 	lastVals := make(map[string]int64)
 	sys.primeInputBaseline(lastVals)
-	registerEdgeState(sys, lastVals)
-	sys.Sched.SpawnPeriodic("sense", s.SensePrio, 0, s.SensePeriod, func(tk *rtos.Task) {
+	sys.Sched.SpawnPeriodic("sense", c.SensePrio, 0, c.SensePeriod, func(tk *rtos.Task) {
 		_, updates := sys.inputScan(tk, lastVals)
 		for _, u := range updates {
 			m := uint64(0)
@@ -144,7 +142,7 @@ func (s *Scheme2) start(sys *System) {
 		}
 	})
 
-	sys.Sched.SpawnPeriodic("codeM", s.CodePrio, 0, s.CodePeriod, func(tk *rtos.Task) {
+	sys.Sched.SpawnPeriodic("codeM", c.CodePrio, 0, c.CodePeriod, func(tk *rtos.Task) {
 		sys.taskEnv.tk = tk
 		var mask uint64
 		var updates []varUpdate
@@ -165,7 +163,7 @@ func (s *Scheme2) start(sys *System) {
 		}
 	})
 
-	sys.Sched.SpawnPeriodic("actuate", s.ActPrio, 0, s.ActPeriod, func(tk *rtos.Task) {
+	sys.Sched.SpawnPeriodic("actuate", c.ActPrio, 0, c.ActPeriod, func(tk *rtos.Task) {
 		for {
 			v, ok := tk.TryRecv(outQ)
 			if !ok {

@@ -153,8 +153,8 @@ func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task
 	if body == nil {
 		panic("rtos: Spawn with nil body")
 	}
-	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew, body: body}
-	t.start()
+	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew}
+	t.start(body)
 	s.tasks = append(s.tasks, t)
 	s.k.At(start, func() {
 		if t.state != TaskNew {
@@ -176,23 +176,19 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 		panic("rtos: non-positive period")
 	}
 	tk := s.Spawn(name, prio, offset, func(t *Task) {
+		next := offset
 		for {
 			t.releases++
 			body(t)
-			t.nextRelease += period
-			for t.nextRelease <= t.Now() {
-				t.nextRelease += period
+			next += period
+			for next <= t.Now() {
+				next += period
 				t.missedReleases++
 			}
-			t.parkedAtRelease = true
-			t.SleepUntil(t.nextRelease)
-			t.parkedAtRelease = false
+			t.SleepUntil(next)
 		}
 	})
 	tk.period = period
-	// The release instant lives on the struct (not the coroutine stack)
-	// so snapshots can capture it and restores rewrite it.
-	tk.nextRelease = offset
 	return tk
 }
 
@@ -378,32 +374,38 @@ func (s *Scheduler) beginSwitch(target *Task) {
 	s.switching = true
 	s.switchTarget = target
 	s.trace.add(s.k.Now(), TraceSwitch, target)
-	s.switchDone = s.k.After(s.cfg.ContextSwitch, func() {
-		s.switching = false
-		t := s.switchTarget
-		s.switchTarget = nil
-		// A higher-priority task may have become ready during the switch.
-		if top := s.topReady(); top != nil && top.prio > t.prio {
-			t.state = TaskPreempted
-			s.makeReady(t, true)
-		} else {
-			s.startRunning(t)
-		}
-		s.schedLoop()
-	})
+	s.switchDone = s.k.After(s.cfg.ContextSwitch, s.finishSwitch)
+}
+
+// finishSwitch completes a context switch: the target takes the CPU
+// unless a higher-priority task became ready during the switch.
+func (s *Scheduler) finishSwitch() {
+	s.switching = false
+	t := s.switchTarget
+	s.switchTarget = nil
+	if top := s.topReady(); top != nil && top.prio > t.prio {
+		t.state = TaskPreempted
+		s.makeReady(t, true)
+	} else {
+		s.startRunning(t)
+	}
+	s.schedLoop()
 }
 
 func (s *Scheduler) beginCompute(t *Task) {
 	s.computeStart = s.k.Now()
-	s.computeDone = s.k.After(t.pendingCompute, func() {
-		t.pendingCompute = 0
-		s.computeDone = sim.Event{}
-		s.cancelSlice()
-		s.schedLoop()
-	})
+	s.computeDone = s.k.After(t.pendingCompute, func() { s.finishCompute(t) })
 	if s.cfg.TimeSlice > 0 && s.equalPrioReady(t) {
 		s.armSlice()
 	}
+}
+
+// finishCompute completes t's compute burst.
+func (s *Scheduler) finishCompute(t *Task) {
+	t.pendingCompute = 0
+	s.computeDone = sim.Event{}
+	s.cancelSlice()
+	s.schedLoop()
 }
 
 // armSlice schedules the end of the current round-robin slice, provided
@@ -413,10 +415,13 @@ func (s *Scheduler) armSlice() {
 	if remaining <= s.cfg.TimeSlice {
 		return
 	}
-	s.sliceEnd = s.k.After(s.cfg.TimeSlice, func() {
-		s.sliceEnd = sim.Event{}
-		s.rotateSlice()
-	})
+	s.sliceEnd = s.k.After(s.cfg.TimeSlice, s.endSlice)
+}
+
+// endSlice expires the current round-robin slice.
+func (s *Scheduler) endSlice() {
+	s.sliceEnd = sim.Event{}
+	s.rotateSlice()
 }
 
 func (s *Scheduler) cancelSlice() {
@@ -592,37 +597,18 @@ func (s *Scheduler) stealCPU(d sim.Time) {
 		s.computeDone.Cancel()
 		s.computeStart += d
 		t := s.current
-		s.computeDone = s.k.After(d+remaining, func() {
-			t.pendingCompute = 0
-			s.computeDone = sim.Event{}
-			s.cancelSlice()
-			s.schedLoop()
-		})
+		s.computeDone = s.k.After(d+remaining, func() { s.finishCompute(t) })
 		if s.sliceEnd.Pending() {
 			sliceRemaining := s.sliceEnd.At() - s.k.Now()
 			s.sliceEnd.Cancel()
-			s.sliceEnd = s.k.After(d+sliceRemaining, func() {
-				s.sliceEnd = sim.Event{}
-				s.rotateSlice()
-			})
+			s.sliceEnd = s.k.After(d+sliceRemaining, s.endSlice)
 		}
 		return
 	}
 	if s.switching && s.switchDone.Pending() {
 		remaining := s.switchDone.At() - s.k.Now()
 		s.switchDone.Cancel()
-		target := s.switchTarget
-		s.switchDone = s.k.After(d+remaining, func() {
-			s.switching = false
-			s.switchTarget = nil
-			if top := s.topReady(); top != nil && top.prio > target.prio {
-				target.state = TaskPreempted
-				s.makeReady(target, true)
-			} else {
-				s.startRunning(target)
-			}
-			s.schedLoop()
-		})
+		s.switchDone = s.k.After(d+remaining, s.finishSwitch)
 	}
 }
 

@@ -69,9 +69,9 @@ type request struct {
 }
 
 // stopped is the panic that unwinds a task body whose coroutine is being
-// stopped (Shutdown, or a restore restarting a release). The coroutine
-// entry recovers it. No task body defers work that touches the kernel or
-// the trace, so the unwind leaves the simulation untouched.
+// stopped by Shutdown. The coroutine entry recovers it. No task body
+// defers work that touches the kernel or the trace, so the unwind leaves
+// the simulation untouched.
 type stopped struct{}
 
 // Task is a simulated RTOS task. Its methods may only be called from
@@ -87,18 +87,9 @@ type Task struct {
 	// The body runs as a coroutine: next resumes it until its next kernel
 	// request (ok == false once the body has returned), yield is the
 	// body's side of that handoff, and stop unwinds a suspended body.
-	body  func(*Task)
 	next  func() (request, bool)
 	stop  func()
 	yield func(request) bool
-
-	// parkedAtRelease reports that the task is parked such that its next
-	// dispatch begins a periodic release (the snapshot-eligibility
-	// condition); nextRelease is the periodic wrapper's release instant,
-	// kept on the struct rather than the coroutine stack so a restore can
-	// rewrite it.
-	parkedAtRelease bool
-	nextRelease     sim.Time
 
 	pendingCompute sim.Time
 	readyAt        sim.Time
@@ -190,11 +181,10 @@ func (t *Task) overrun(now, d sim.Time) sim.Time {
 	return sim.Time(int64(d) * t.ovNum / t.ovDen)
 }
 
-// start gives t a fresh coroutine, suspended before the first statement
-// of its body; for a periodic task that is the loop head, so the next
-// dispatch begins a release. A panic in the body other than stopped
-// comes back out of next, on the goroutine driving the kernel.
-func (t *Task) start() {
+// start gives t a coroutine running body, suspended before its first
+// statement. A panic in the body other than stopped comes back out of
+// next, on the goroutine driving the kernel.
+func (t *Task) start(body func(*Task)) {
 	t.next, t.stop = iter.Pull(func(yield func(request) bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -204,10 +194,8 @@ func (t *Task) start() {
 			}
 		}()
 		t.yield = yield
-		t.parkedAtRelease = false
-		t.body(t)
+		body(t)
 	})
-	t.parkedAtRelease = true
 }
 
 // syscall issues one kernel request and suspends the body until it

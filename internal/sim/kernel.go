@@ -102,17 +102,6 @@ type Kernel struct {
 	atInstant int
 	stopConds []func() bool
 
-	// Construction watermark: every event scheduled before the first Run
-	// (or before MarkConstruction) is construction-phase — system
-	// assembly, stimulus schedules, fault plans — and holds a sequence
-	// number below constructionSeq. The snapshot/restore machinery uses
-	// the classification to replay pending events in an order that
-	// reproduces a from-scratch run: construction events first (they were
-	// armed before the run started, so at any tied instant they fire
-	// before run-time events), then run-time events.
-	constructionSeq    uint64
-	constructionMarked bool
-
 	// Heap-operation counters; regression tests pin the fused run loop to
 	// exactly one pop per fired event (see TestRunHeapOpsPerFiredEvent).
 	pushes  uint64
@@ -160,96 +149,9 @@ func (k *Kernel) Reset() {
 	k.atInstant = 0
 	k.stopConds = k.stopConds[:0]
 	k.pushes, k.pops, k.removes = 0, 0, 0
-	k.constructionSeq = 0
-	k.constructionMarked = false
 }
 
-// MarkConstruction declares system construction finished: events
-// scheduled so far are construction-phase, later ones run-time. Run
-// calls it implicitly on its first invocation, so ordinary simulations
-// need never call it; the snapshot/restore path calls it explicitly
-// between replaying construction events and replaying run-time events.
-func (k *Kernel) MarkConstruction() {
-	k.constructionSeq = k.seq
-	k.constructionMarked = true
-}
-
-// PendingEvent is one captured pending event: the instant it is due,
-// its schedule sequence in the run it was captured from, its callback,
-// and whether it was scheduled during system construction. Callbacks
-// are reusable: each one encodes a specific pending effect (a stimulus
-// edge, a task wake, a ticker re-arm) whose identity does not change
-// across a rewind.
-type PendingEvent struct {
-	At           Time
-	Seq          uint64
-	Fn           func()
-	Construction bool
-}
-
-// CaptureEvents returns every pending event, ordered by schedule
-// sequence (i.e. by arming order; at tied instants that is also firing
-// order). The returned callbacks alias live kernel state — capture is
-// only meaningful when the caller also captures the component state the
-// callbacks act on.
-func (k *Kernel) CaptureEvents() []PendingEvent {
-	evs := make([]PendingEvent, len(k.queue))
-	for i, n := range k.queue {
-		evs[i] = PendingEvent{
-			At:           n.at,
-			Seq:          n.seq,
-			Fn:           n.fn,
-			Construction: !k.constructionMarked || n.seq < k.constructionSeq,
-		}
-	}
-	sortPending(evs)
-	return evs
-}
-
-// sortPending orders captured events by sequence (insertion sort: the
-// heap is nearly ordered and capture lists are short).
-func sortPending(evs []PendingEvent) {
-	for i := 1; i < len(evs); i++ {
-		e := evs[i]
-		j := i - 1
-		for j >= 0 && evs[j].Seq > e.Seq {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = e
-	}
-}
-
-// Rewind cancels every pending event, moves the clock to the given
-// instant and restarts the schedule-sequence counter, leaving the
-// kernel ready for a canonical event replay: the caller re-arms
-// captured construction events (in captured order), arms any new
-// construction work, calls MarkConstruction, then re-arms captured
-// run-time events (in captured order). Fresh sequence numbers assigned
-// in that order reproduce the relative firing order a from-scratch run
-// would exhibit. The node pool, heap capacity and cumulative counters
-// are retained.
-func (k *Kernel) Rewind(now Time) {
-	if now < 0 {
-		panic(fmt.Sprintf("sim: Rewind to negative instant %v", now))
-	}
-	for _, n := range k.queue {
-		n.index = -1
-		k.release(n)
-	}
-	k.queue = k.queue[:0]
-	k.now = now
-	k.seq = 0
-	k.stopped = false
-	k.atInstant = 0
-	k.stopConds = k.stopConds[:0]
-	k.constructionSeq = 0
-	k.constructionMarked = false
-}
-
-// StopConds returns the number of registered stop conditions. Snapshot
-// eligibility checks use it: a system with run-scoped observers (the
-// verdict machines) attached cannot be rewound safely.
+// StopConds returns the number of registered stop conditions.
 func (k *Kernel) StopConds() int { return len(k.stopConds) }
 
 // alloc takes a node from the free list, or grows the pool.
@@ -371,9 +273,6 @@ func (k *Kernel) Run(horizon Time) {
 	if horizon < k.now {
 		panic(fmt.Sprintf("sim: Run horizon %v before now %v", horizon, k.now))
 	}
-	if !k.constructionMarked {
-		k.MarkConstruction()
-	}
 	k.stopped = false
 	for !k.stopped {
 		if len(k.queue) == 0 || k.queue[0].at > horizon {
@@ -389,59 +288,10 @@ func (k *Kernel) Run(horizon Time) {
 	}
 }
 
-// RunBefore fires every event scheduled strictly before bound, then
-// advances the clock to exactly bound, leaving events at bound (and
-// later) pending. It is the prefix-advance primitive of the
-// snapshot/resume evaluator: after RunBefore(t) the kernel state is
-// exactly the state a plain run has at the moment its first event at t
-// is about to fire. Stop conditions are honoured like in Run.
-func (k *Kernel) RunBefore(bound Time) { k.RunBeforeHook(bound, nil) }
-
-// RunBeforeHook is RunBefore with an instant-boundary callback: whenever
-// every event at the current instant has fired and the next event lies at
-// a later instant (still strictly before bound), boundary is invoked with
-// the clock parked on the completed instant — the kernel is idle between
-// events, which is exactly when a snapshot of the surrounding system can
-// be eligible. It is invoked a final time after the clock lands on bound
-// (the state RunBefore leaves behind). boundary must not schedule,
-// cancel or fire events; read-only inspection and state capture only.
-func (k *Kernel) RunBeforeHook(bound Time, boundary func()) {
-	if bound < k.now {
-		panic(fmt.Sprintf("sim: RunBeforeHook bound %v before now %v", bound, k.now))
-	}
-	if !k.constructionMarked {
-		k.MarkConstruction()
-	}
-	k.stopped = false
-	for !k.stopped {
-		if len(k.queue) == 0 || k.queue[0].at >= bound {
-			break
-		}
-		if boundary != nil && k.queue[0].at > k.now {
-			boundary()
-		}
-		k.fire(k.heapPop())
-		if len(k.stopConds) > 0 && k.shouldStop() {
-			k.stopped = true
-		}
-	}
-	if !k.stopped {
-		if k.now < bound {
-			k.now = bound
-		}
-		if boundary != nil {
-			boundary()
-		}
-	}
-}
-
 // RunUntilIdle fires events until none remain or Stop is called. Callers
 // must guarantee the event graph terminates (e.g. no self-rearming periodic
 // timer), otherwise this loops forever; prefer Run with a horizon.
 func (k *Kernel) RunUntilIdle() {
-	if !k.constructionMarked {
-		k.MarkConstruction()
-	}
 	k.stopped = false
 	for !k.stopped && k.Step() {
 		if len(k.stopConds) > 0 && k.shouldStop() {
@@ -628,15 +478,3 @@ func (t *Ticker) Stop() {
 
 // Ticks returns how many times the ticker has fired.
 func (t *Ticker) Ticks() uint64 { return t.n }
-
-// Drift returns the current parts-per-million period skew.
-func (t *Ticker) Drift() int64 { return t.drift }
-
-// SetTicks overwrites the tick counter. It exists for the
-// snapshot/restore machinery, which rewinds a ticker by restoring its
-// counter while the kernel replays its pending re-arm event; ordinary
-// simulations have no business calling it. The ticker's internal event
-// handle is not relinked by a rewind, so Stop called between a rewind
-// and the next tick does not cancel the replayed re-arm — the platform
-// snapshot layer never stops tickers inside a rewound region.
-func (t *Ticker) SetTicks(n uint64) { t.n = n }

@@ -53,11 +53,3 @@ func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 // Fork derives an independent generator from this one. The child stream is
 // decorrelated from the parent's subsequent output.
 func (r *Rand) Fork() *Rand { return &Rand{state: r.Uint64() ^ 0xa0761d6478bd642f} }
-
-// State returns the generator's internal state so a snapshot can
-// capture the stream position exactly.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState rewinds the generator to a state previously returned by
-// State; the subsequent output stream repeats identically.
-func (r *Rand) SetState(s uint64) { r.state = s }

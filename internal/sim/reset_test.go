@@ -56,7 +56,7 @@ func TestResetDropsStaleEventsMidWindow(t *testing.T) {
 	_ = ev
 }
 
-// TestResumeAfterStopWhenThenReset is the snapshot-engine hygiene
+// TestResumeAfterStopWhenThenReset is the scratch-reuse hygiene
 // check: a run halted by StopWhen is resumed to the horizon (the stop
 // condition persists and re-fires), then the kernel is Reset. Nothing
 // from the stopped run — pending one-shots, the ticker's re-arm chain,
@@ -143,7 +143,7 @@ func TestTickerDriftStretchesPeriod(t *testing.T) {
 	k.Run(58 * time.Millisecond)
 	want := []Time{
 		5 * time.Millisecond, 10 * time.Millisecond, // nominal
-		15 * time.Millisecond,                       // armed before the window opened
+		15 * time.Millisecond,                        // armed before the window opened
 		25 * time.Millisecond, 35 * time.Millisecond, // doubled inside the window
 		45 * time.Millisecond,                        // last in-window re-arm
 		50 * time.Millisecond, 55 * time.Millisecond, // nominal again

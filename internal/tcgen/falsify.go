@@ -37,10 +37,6 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 	if budget <= 0 {
 		budget = 48
 	}
-	if sess, ok := newGenSession(t, opt); ok {
-		opt.session = sess
-		defer sess.Close()
-	}
 	rs := sim.NewRand(opt.Seed ^ 0x0fa15ef)
 	best := seedSchedule(t, "gen-falsify", opt.Samples, rs.Uint64())
 	res := Result{Strategy: g.Name(), WorstIndex: -1}

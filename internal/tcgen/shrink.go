@@ -39,10 +39,6 @@ func Shrink(t Target, opt Options, s Schedule) (ShrinkResult, error) {
 	if err := t.validate(); err != nil {
 		return ShrinkResult{}, err
 	}
-	if sess, ok := newGenSession(t, opt); ok {
-		opt.session = sess
-		defer sess.Close()
-	}
 	budget := opt.Budget
 	if budget <= 0 {
 		budget = 64
@@ -184,13 +180,6 @@ func (shrinkGen) Name() string { return "shrink" }
 func (g shrinkGen) Generate(t Target, opt Options) (Result, error) {
 	t = t.normalised()
 	opt = opt.normalised()
-	// One session spans the whole reduction and the final re-evaluation:
-	// the deepest warm-up snapshot ddmin reaches also serves the minimal
-	// schedule's verification run.
-	if sess, ok := newGenSession(t, opt); ok {
-		opt.session = sess
-		defer sess.Close()
-	}
 	sr, err := Shrink(t, opt, g.input)
 	if err != nil {
 		return Result{}, err

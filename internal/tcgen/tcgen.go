@@ -211,24 +211,6 @@ type Options struct {
 	// with and without a cache at any worker count and capacity; the cache
 	// may be shared across strategies, charts and fault sweeps.
 	Cache *campaign.Cache
-	// PrefixShare evaluates R-level candidate batches (falsification
-	// mutants, ddmin complements) with prefix sharing: candidates that
-	// share a stimulus prefix simulate it once, snapshot at the
-	// divergence instant and resume per branch. Results are
-	// byte-identical to plain evaluation at every worker count, with or
-	// without a cache; M-level evaluations always take the plain path.
-	PrefixShare bool
-	// PrefixStats, when set, accumulates prefix-sharing statistics
-	// (snapshots, restores, reuse ratio) across every PrefixShare batch
-	// of the run.
-	PrefixStats *campaign.PrefixStatsSink
-
-	// session, when set, carries a pristine warm-up snapshot across the
-	// batches of one generator invocation (see prefixSession). It is
-	// attached internally by the falsification and shrinking generators
-	// and never exposed: sessions are single-owner and tied to one
-	// generator's evaluation sequence.
-	session *prefixSession
 }
 
 // normalised fills the Options defaults.
@@ -327,14 +309,6 @@ func violated(samples []core.SampleResult) bool {
 // keeps run seeds independent across rounds; results are byte-identical
 // at any worker count.
 func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
-	// Prefix sharing pays off for any batch of two or more candidates;
-	// singletons only go through the shared path when a generator session
-	// exists, whose warm-up snapshot lets even a lone candidate skip the
-	// simulated time before its first stimulus.
-	if opt.PrefixShare && level == platform.RLevel &&
-		(len(scheds) > 1 || (opt.session != nil && len(scheds) > 0)) {
-		return evaluatePrefix(t, opt, seed, scheds)
-	}
 	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
 	keys := make([]uint64, len(scheds))
 	for i, sc := range scheds {
@@ -343,43 +317,38 @@ func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, sch
 	outs := campaign.MapScratchCached(cfg, opt.Cache, keys,
 		func() *platform.Scratch { return &platform.Scratch{} },
 		func(run campaign.Run, sc *platform.Scratch) (evalOut, error) {
-			return evalOne(t, opt, scheds[run.Index], sc, level)
+			sched := scheds[run.Index]
+			factory := func(lv platform.Instrument) (*platform.System, error) {
+				return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)
+			}
+			runner, err := core.NewRunner(factory, t.Req)
+			if err != nil {
+				return evalOut{}, err
+			}
+			runner.Prepare = func(sys *platform.System, _ core.TestCase) {
+				for _, st := range sched.Stimuli {
+					if st.Aux {
+						sys.Env.PulseAt(st.At, st.Signal, st.Value, st.Rest, st.Width)
+					}
+				}
+			}
+			tc := sched.TestCase()
+			if level == platform.RLevel {
+				res, err := runner.RunR(tc)
+				return evalOut{Samples: res.Samples}, err
+			}
+			mres, err := runner.RunM(tc)
+			if err != nil {
+				return evalOut{}, err
+			}
+			base := make([]core.SampleResult, len(mres.Samples))
+			for i, s := range mres.Samples {
+				base[i] = s.SampleResult
+			}
+			cov := coverage.Measure(mres.Program, mres.TransTrace, mres, t.PhasePeriod, t.Bins)
+			return evalOut{Samples: base, Coverage: &cov}, nil
 		})
 	return campaign.Values(outs)
-}
-
-// evalOne runs one candidate schedule from scratch — the plain path and
-// the reference every shared evaluation must be byte-identical to.
-func evalOne(t Target, opt Options, sched Schedule, sc *platform.Scratch, level platform.Instrument) (evalOut, error) {
-	factory := func(lv platform.Instrument) (*platform.System, error) {
-		return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)
-	}
-	runner, err := core.NewRunner(factory, t.Req)
-	if err != nil {
-		return evalOut{}, err
-	}
-	runner.Prepare = func(sys *platform.System, _ core.TestCase) {
-		for _, st := range sched.Stimuli {
-			if st.Aux {
-				sys.Env.PulseAt(st.At, st.Signal, st.Value, st.Rest, st.Width)
-			}
-		}
-	}
-	tc := sched.TestCase()
-	if level == platform.RLevel {
-		res, err := runner.RunR(tc)
-		return evalOut{Samples: res.Samples}, err
-	}
-	mres, err := runner.RunM(tc)
-	if err != nil {
-		return evalOut{}, err
-	}
-	base := make([]core.SampleResult, len(mres.Samples))
-	for i, s := range mres.Samples {
-		base[i] = s.SampleResult
-	}
-	cov := coverage.Measure(mres.Program, mres.TransTrace, mres, t.PhasePeriod, t.Bins)
-	return evalOut{Samples: base, Coverage: &cov}, nil
 }
 
 // fingerprint content-addresses one candidate evaluation: everything the

@@ -8,12 +8,15 @@ package tcgen
 // identical at any worker count.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"rmtest/internal/campaign"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
 	"rmtest/internal/railcrossing"
+	"rmtest/internal/sim"
 )
 
 func gpcaTarget(t *testing.T, scheme func() platform.Scheme) Target {
@@ -180,6 +183,59 @@ func TestGenerateDeterminism(t *testing.T) {
 			res.Coverage.Phase.Ratio() != ref.Coverage.Phase.Ratio() {
 			t.Fatalf("workers=%d: coverage mismatch", k)
 		}
+	}
+}
+
+// falsifyBatch derives a hill-climb-shaped candidate batch: a seed
+// schedule plus mutants that each perturb one stimulus.
+func falsifyBatch(t *testing.T, tg Target, n int) []Schedule {
+	t.Helper()
+	tg = tg.normalised()
+	rs := sim.NewRand(0x5eed)
+	base := seedSchedule(tg, "batch", 4, rs.Uint64())
+	scheds := []Schedule{base}
+	for len(scheds) < n {
+		scheds = append(scheds, mutate(tg, base, rs.Fork()))
+	}
+	return scheds
+}
+
+// TestEvaluateBatchByteIdentity: an R-level candidate batch evaluates to
+// the same per-sample verdicts and delays at every worker count, with and
+// without an evaluation cache. The targets cover both charts and the two
+// pipeline schemes the generation pipeline searches.
+func TestEvaluateBatchByteIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target Target
+	}{
+		{"gpca-scheme3", gpcaTarget(t, scheme3)},
+		{"crossing-scheme2", crossingTarget(t, scheme2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tg := tc.target.normalised()
+			scheds := falsifyBatch(t, tg, 8)
+			ref, err := evaluate(tg, Options{Workers: 1}.normalised(), 7, platform.RLevel, scheds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, cached := range []bool{false, true} {
+					opt := Options{Workers: workers}.normalised()
+					if cached {
+						opt.Cache = campaign.NewCache(0)
+					}
+					got, err := evaluate(tg, opt, 7, platform.RLevel, scheds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Fatalf("workers=%d cached=%v: evaluation diverged\nwant: %+v\ngot:  %+v",
+							workers, cached, ref, got)
+					}
+				}
+			}
+		})
 	}
 }
 

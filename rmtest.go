@@ -237,20 +237,6 @@ type (
 	EvalCacheStats = campaign.CacheStats
 )
 
-// Prefix-sharing evaluation engine (internal/campaign): candidate runs
-// sharing a stimulus prefix simulate it once on a snapshot/resume
-// walker. Enable with GenSuiteOptions.PrefixShare or
-// FaultSweepOptions.PrefixShare; outputs stay byte-identical to plain
-// evaluation.
-type (
-	// PrefixStats summarises how much simulation prefix sharing avoided.
-	PrefixStats = campaign.PrefixStats
-	// PrefixStatsSink accumulates prefix-sharing statistics across
-	// batches; pass one to GenSuiteOptions.PrefixStats or
-	// FaultSweepOptions.PrefixStats.
-	PrefixStatsSink = campaign.PrefixStatsSink
-)
-
 // NewEvalCache returns an evaluation cache bounded to capacity entries
 // (capacity <= 0 selects the default, 4096). Passing one cache to
 // GenSuiteOptions.Cache and FaultSweepOptions.Cache shares results
