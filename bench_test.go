@@ -615,45 +615,10 @@ func tcgenTarget(b testing.TB) rmtest.GenTarget {
 // BenchmarkTCGenCampaign measures the coverage-directed test-case
 // generation loop on the GPCA chart: each iteration is a full
 // generate-evaluate-extend search to adequacy on the campaign engine
-// (M-level runs, adequacy measurement, probe planning). A shared
-// evaluation cache is warmed before the timed loop, so the benchmark
-// tracks the steady-state cost of re-running the generator the way the
-// falsify/shrink pipeline and repeated CI invocations do; the search is
-// deterministic, so iterations resolve almost entirely from the cache.
-// The allocs/run metric gates the generation layer's GC churn per
-// candidate evaluation, like the other campaign benchmarks.
+// (M-level runs, adequacy measurement, probe planning). Every round
+// extends the schedule, so the search's memo never answers a candidate
+// and every evaluation runs from reset.
 func BenchmarkTCGenCampaign(b *testing.B) {
-	target := tcgenTarget(b)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cache := rmtest.NewEvalCache(0)
-			opt := rmtest.GenOptions{Seed: 42, Workers: workers, Cache: cache}
-			if _, err := rmtest.CoverageDirectedGenerator().Generate(target, opt); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			evalsPerIter := 0
-			for i := 0; i < b.N; i++ {
-				res, err := rmtest.CoverageDirectedGenerator().Generate(target, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				evalsPerIter = res.Evals
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*evalsPerIter), "allocs/run")
-		})
-	}
-}
-
-// BenchmarkTCGenCampaignUncached is the cache-off control for
-// BenchmarkTCGenCampaign: the same search with every candidate executed.
-// The gap between the two is the memoisation payoff.
-func BenchmarkTCGenCampaignUncached(b *testing.B) {
 	target := tcgenTarget(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -662,31 +627,6 @@ func BenchmarkTCGenCampaignUncached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCampaignCached measures the cross-experiment reuse path: the
-// full fault-injection sweep re-run against a warm shared evaluation
-// cache, the steady state of a parameter-sweep driver or a watch-mode
-// CI loop. Every plan's evaluation is content-addressed, so the re-run
-// resolves from the cache without simulating; the hit-rate metric
-// asserts that (and would drop if fingerprinting broke). allocs/op is
-// the gate: a cache hit must not churn the heap.
-func BenchmarkCampaignCached(b *testing.B) {
-	cache := rmtest.NewEvalCache(0)
-	opt := rmtest.FaultSweepOptions{Samples: 10, Seed: 42, Workers: 1, Cache: cache}
-	if _, err := rmtest.FaultSweep(opt); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rmtest.FaultSweep(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	s := cache.Stats()
-	b.ReportMetric(100*s.HitRate(), "hit-%")
 }
 
 // BenchmarkExecSpecialized measures the generated-code executor's
@@ -724,7 +664,8 @@ func BenchmarkExecSpecialized(b *testing.B) {
 // exhaustion on the scheme-2 GPCA target. Scheme 2 is schedulable, so
 // REQ1 never violates and every search spends the full budget in
 // mutantsPerRound-sized candidate batches, each evaluated as one
-// uncached campaign: the rung measures candidate evaluation from reset.
+// campaign. Mutants the search has already scored are answered from its
+// memo; the rest run from reset.
 func BenchmarkTCGenFalsify(b *testing.B) {
 	target := tcgenTarget(b)
 	b.ReportAllocs()

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-cache] [-pprof prefix]
+//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-pprof prefix]
 //	rmtest lint [-chart gpca|gpca-extended|railcrossing] [-json] [-rta] [-platform scheme2|scheme3]
-//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-cache] [-pprof prefix]
+//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-pprof prefix]
 //
 // With -faults the command runs the fault-attribution experiment
 // instead of the single R-M flow: the REQ1 bolus scenario on scheme2,
@@ -31,12 +31,12 @@
 // search hill-climbs stimulus instants toward the deadline on scheme3,
 // and any violating schedule is delta-debugged down to a minimal
 // counterexample. Suites are reproducible from -seed and byte-identical
-// for any -workers value.
+// for any -workers value. Each search memoises its own candidate
+// evaluations; the evaluations answered from a memo are reported on
+// stderr, and -progress reports every executed simulation run.
 //
-// -cache (on by default for gen and -faults) memoises candidate
-// evaluations by content fingerprint; outputs are byte-identical either
-// way, and cache statistics go to stderr. -pprof PREFIX writes
-// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run.
+// -pprof PREFIX writes PREFIX.cpu.pprof and PREFIX.heap.pprof profiles
+// of the run.
 package main
 
 import (
@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"rmtest"
-	"rmtest/internal/core"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
 )
@@ -70,8 +69,6 @@ func main() {
 	cover := flag.Bool("coverage", false, "measure test adequacy and suggest extra stimuli")
 	rtaFlag := flag.Bool("rta", false, "print the analytic response-time prediction for the scheme")
 	faultsFlag := flag.Bool("faults", false, "run the fault-attribution experiment (REQ1 on scheme2, one run per catalogue fault plan)")
-	cacheFlag := flag.Bool("cache", true, "memoise -faults evaluations by content fingerprint; output is byte-identical either way")
-	cacheCap := flag.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
@@ -79,21 +76,12 @@ func main() {
 	defer stopProfiles()
 
 	if *faultsFlag {
-		var cache *rmtest.EvalCache
-		if *cacheFlag {
-			cache = rmtest.NewEvalCache(*cacheCap)
-		}
-		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Cache: cache,
-		})
+		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{Samples: *n, Seed: *seed})
 		if err != nil {
 			fail("faults: %v", err)
 		}
 		fmt.Println("== fault attribution (REQ1, scheme2) ==")
 		fmt.Print(rmtest.RenderFaultTable(res.Attributions))
-		if cache != nil {
-			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		}
 		return
 	}
 
@@ -159,13 +147,7 @@ func main() {
 	}
 
 	// Phase 1+2: layered R-M testing on the implemented system.
-	gen := core.Generator{
-		N: *n, Start: 50 * time.Millisecond,
-		Spacing:  4500 * time.Millisecond,
-		Strategy: core.JitteredSpacing, Jitter: 200 * time.Millisecond,
-		Seed: *seed,
-	}
-	tc, err := gen.Generate(req)
+	tc, err := gpca.TableIGenerator(*n, *seed).Generate(req)
 	if err != nil {
 		fail("generate: %v", err)
 	}
@@ -252,8 +234,6 @@ func runGen(args []string) {
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); suites are identical for any value")
 	asCSV := fs.Bool("csv", false, "emit byte-stable CSV instead of the formatted summary")
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
-	cacheFlag := fs.Bool("cache", true, "memoise candidate evaluations by content fingerprint; suites are byte-identical either way")
-	cacheCap := fs.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
 	pprofPrefix := fs.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	fs.Parse(args)
 
@@ -264,9 +244,6 @@ func runGen(args []string) {
 		Budget: *budget, Seed: *seed, Workers: *workers,
 		TargetPhase: *target,
 	}
-	if *cacheFlag {
-		opt.Cache = rmtest.NewEvalCache(*cacheCap)
-	}
 	if *progress {
 		opt.Progress = func(p rmtest.CampaignProgress) {
 			fmt.Fprintln(os.Stderr, "rmtest:", p)
@@ -276,9 +253,7 @@ func runGen(args []string) {
 	if err != nil {
 		fail("gen: %v", err)
 	}
-	if opt.Cache != nil {
-		fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(opt.Cache.Stats()))
-	}
+	fmt.Fprint(os.Stderr, rmtest.RenderGenReuse(runs))
 	if *asCSV {
 		fmt.Print(rmtest.RenderGenCSV(runs))
 		return

@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-cache] [-pprof prefix]
-//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-cache] [-pprof prefix]
+//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-pprof prefix]
+//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-pprof prefix]
 //
-// -cache (on by default) memoises -gen and -faults candidate
-// evaluations by content fingerprint; outputs are byte-identical either
-// way, and cache statistics go to stderr. -pprof PREFIX writes
-// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run, matching
-// the rmtest command's flag.
+// -pprof PREFIX writes PREFIX.cpu.pprof and PREFIX.heap.pprof profiles
+// of the run, matching the rmtest command's flag. -progress reports
+// every executed simulation run on stderr.
 //
 // With -faults the command runs the fault-injection sweep instead: the
 // Table I scenario once per catalogue fault plan on scheme2, printing
@@ -25,7 +23,9 @@
 // delta-debug shrinking of any violating schedule, on both the GPCA and
 // rail-crossing charts. -gen-budget bounds each strategy's evaluations
 // and -gen-target sets the phase-bin adequacy threshold; suites are
-// byte-identical for any -workers value.
+// byte-identical for any -workers value. Each search memoises its own
+// candidate evaluations, and the evaluations it answered from the memo
+// are reported on stderr.
 package main
 
 import (
@@ -52,23 +52,16 @@ func main() {
 	genFlag := flag.Bool("gen", false, "run the test-case generation pipeline (coverage, falsification, shrinking) instead of the hand-written suite")
 	genBudget := flag.Int("gen-budget", 0, "evaluation budget per generation strategy (0 = strategy defaults)")
 	genTarget := flag.Float64("gen-target", 0, "phase-bin adequacy target for the coverage-directed generator (0 = default 0.9)")
-	cacheFlag := flag.Bool("cache", true, "memoise -gen/-faults candidate evaluations by content fingerprint; output is byte-identical either way, stats go to stderr")
-	cacheCap := flag.Int("cache-cap", 0, "evaluation-cache capacity in entries (0 = default 4096)")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
 
-	var cache *rmtest.EvalCache
-	if *cacheFlag {
-		cache = rmtest.NewEvalCache(*cacheCap)
-	}
-
 	if *genFlag {
 		gopt := rmtest.GenSuiteOptions{
 			Budget: *genBudget, Seed: *seed, Workers: *workers,
-			TargetPhase: *genTarget, Cache: cache,
+			TargetPhase: *genTarget,
 		}
 		if *progress {
 			gopt.Progress = func(p rmtest.CampaignProgress) {
@@ -80,9 +73,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tablei:", err)
 			os.Exit(1)
 		}
-		if cache != nil {
-			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		}
+		fmt.Fprint(os.Stderr, rmtest.RenderGenReuse(runs))
 		if *csv {
 			fmt.Print(rmtest.RenderGenCSV(runs))
 			return
@@ -92,10 +83,7 @@ func main() {
 	}
 
 	if *faultsFlag {
-		fopt := rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Workers: *workers,
-			Cache: cache,
-		}
+		fopt := rmtest.FaultSweepOptions{Samples: *n, Seed: *seed, Workers: *workers}
 		if *progress {
 			fopt.Progress = func(p rmtest.CampaignProgress) {
 				fmt.Fprintln(os.Stderr, "tablei:", p)
@@ -105,9 +93,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tablei:", err)
 			os.Exit(1)
-		}
-		if cache != nil {
-			fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
 		}
 		if *csv {
 			fmt.Print(rmtest.RenderFaultCSV(res.Attributions))

@@ -47,22 +47,9 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 		opt.Samples = 10
 	}
 	req := gpca.REQ1()
-	gen := core.Generator{
-		N:        opt.Samples,
-		Start:    50 * time.Millisecond,
-		Spacing:  4500 * time.Millisecond, // clears the 4 s bolus + 1 s timeout
-		Strategy: core.JitteredSpacing,
-		Jitter:   200 * time.Millisecond,
-		Seed:     opt.Seed,
-	}
-	tc, err := gen.Generate(req)
+	tc, err := gpca.TableIGenerator(opt.Samples, opt.Seed).Generate(req)
 	if err != nil {
 		return nil, err
-	}
-	schemes := []func() platform.Scheme{
-		func() platform.Scheme { return platform.DefaultScheme1() },
-		func() platform.Scheme { return platform.DefaultScheme2() },
-		func() platform.Scheme { return platform.DefaultScheme3() },
 	}
 	// Compile the chart once; workers share the immutable program and
 	// recycle their own kernel/trace scratch between runs.
@@ -72,8 +59,8 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 	}
 	newScratch := func() *platform.Scratch { return &platform.Scratch{} }
 	cfg := campaign.Config{Workers: opt.Workers, Seed: opt.Seed, OnProgress: opt.Progress}
-	rres, err := campaign.Values(campaign.MapScratch(cfg, len(schemes), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.RResult, error) {
-		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, schemes[run.Index], sc), req)
+	rres, err := campaign.Values(campaign.MapScratch(cfg, len(tableISchemes), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.RResult, error) {
+		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, tableISchemes[run.Index], sc), req)
 		if err != nil {
 			return core.RResult{}, err
 		}
@@ -82,7 +69,7 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	reports := make([]Report, len(schemes))
+	reports := make([]Report, len(tableISchemes))
 	var needM []int
 	for i, rr := range rres {
 		reports[i] = Report{R: rr}
@@ -91,7 +78,7 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 		}
 	}
 	mres, err := campaign.Values(campaign.MapScratch(cfg, len(needM), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
-		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, schemes[needM[run.Index]], sc), req)
+		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, tableISchemes[needM[run.Index]], sc), req)
 		if err != nil {
 			return core.MResult{}, err
 		}
@@ -148,12 +135,7 @@ type AblationInfo struct {
 // plus diagnosis), and the information yield is compared.
 func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	req := gpca.REQ1()
-	gen := core.Generator{
-		N: samples, Start: 50 * time.Millisecond,
-		Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
-		Jitter: 200 * time.Millisecond, Seed: seed,
-	}
-	tc, err := gen.Generate(req)
+	tc, err := gpca.TableIGenerator(samples, seed).Generate(req)
 	if err != nil {
 		return AblationInfo{}, err
 	}
@@ -400,15 +382,18 @@ type matrixUnit struct {
 	mk  func() platform.Scheme
 }
 
+// tableISchemes constructs the paper's three implementation schemes, in
+// Table I order.
+var tableISchemes = []func() platform.Scheme{
+	func() platform.Scheme { return platform.DefaultScheme1() },
+	func() platform.Scheme { return platform.DefaultScheme2() },
+	func() platform.Scheme { return platform.DefaultScheme3() },
+}
+
 func matrixUnits() []matrixUnit {
-	schemes := []func() platform.Scheme{
-		func() platform.Scheme { return platform.DefaultScheme1() },
-		func() platform.Scheme { return platform.DefaultScheme2() },
-		func() platform.Scheme { return platform.DefaultScheme3() },
-	}
 	var units []matrixUnit
 	for _, req := range []core.Requirement{gpca.REQ1(), gpca.REQ2(), gpca.REQ3()} {
-		for _, mk := range schemes {
+		for _, mk := range tableISchemes {
 			units = append(units, matrixUnit{req: req, mk: mk})
 		}
 	}
@@ -451,13 +436,7 @@ func matrixRunner(u matrixUnit, factory core.SystemFactory, samples int, seed ui
 			}
 		}
 	default:
-		gen := core.Generator{
-			N: samples, Start: 50 * time.Millisecond,
-			Spacing:  4500 * time.Millisecond,
-			Strategy: core.JitteredSpacing, Jitter: 200 * time.Millisecond,
-			Seed: seed,
-		}
-		tc, err = gen.Generate(u.req)
+		tc, err = gpca.TableIGenerator(samples, seed).Generate(u.req)
 		if err != nil {
 			return nil, core.TestCase{}, err
 		}
@@ -493,12 +472,6 @@ type FaultSweepOptions struct {
 	Workers int
 	// Progress, when set, receives a snapshot after every completed run.
 	Progress func(campaign.Progress)
-	// Cache, when set, memoises per-plan evaluations by content
-	// fingerprint (system, scheme, stimuli, fault plan, per-run seed),
-	// so repeated sweeps over overlapping catalogues reuse results.
-	// Byte-identical output with or without a cache; may be shared with
-	// the generation pipeline's cache.
-	Cache *campaign.Cache
 }
 
 // FaultSweepResult bundles the fault sweep's outputs: one attribution
@@ -560,12 +533,7 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 		opt.Samples = 10
 	}
 	req := gpca.REQ1()
-	gen := core.Generator{
-		N: opt.Samples, Start: 50 * time.Millisecond,
-		Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
-		Jitter: 200 * time.Millisecond, Seed: opt.Seed,
-	}
-	tc, err := gen.Generate(req)
+	tc, err := gpca.TableIGenerator(opt.Samples, opt.Seed).Generate(req)
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
@@ -575,28 +543,7 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 		return FaultSweepResult{}, err
 	}
 	cfg := campaign.Config{Workers: opt.Workers, Seed: opt.Seed, OnProgress: opt.Progress}
-	// Fingerprint each plan's run. Unlike the generation pipeline's
-	// evaluations, a faulted run DOES read its per-run seed (the seeded
-	// fault streams derive from it), so the seed is part of the key: two
-	// sweeps reuse a result only when the derived seed matches too.
-	seeds := campaign.Seeds(opt.Seed, len(plans))
-	keys := make([]uint64, len(plans))
-	for i, plan := range plans {
-		h := campaign.NewHasher()
-		h.Uint64(pb.Fingerprint())
-		h.String(fmt.Sprintf("%+v", platform.DefaultScheme2()))
-		h.String(req.ID)
-		h.Int64(int64(req.Bound))
-		h.Int64(int64(req.EffectiveTimeout()))
-		h.Uint64(seeds[i])
-		h.String(fmt.Sprintf("%+v", plan))
-		h.Int(len(tc.Stimuli))
-		for _, at := range tc.Stimuli {
-			h.Int64(int64(at))
-		}
-		keys[i] = h.Sum()
-	}
-	outs, err := campaign.Values(campaign.MapScratchCached(cfg, opt.Cache, keys,
+	outs, err := campaign.Values(campaign.MapScratch(cfg, len(plans),
 		func() *platform.Scratch { return &platform.Scratch{} },
 		func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
 			runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc), req)
@@ -636,12 +583,7 @@ type SweepPoint struct {
 // execute in parallel on the campaign engine (workers 0 means GOMAXPROCS).
 func AblationPeriodSweep(periods []sim.Time, samples int, seed uint64, workers int) ([]SweepPoint, error) {
 	req := gpca.REQ1()
-	gen := core.Generator{
-		N: samples, Start: 50 * time.Millisecond,
-		Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
-		Jitter: 200 * time.Millisecond, Seed: seed,
-	}
-	tc, err := gen.Generate(req)
+	tc, err := gpca.TableIGenerator(samples, seed).Generate(req)
 	if err != nil {
 		return nil, err
 	}

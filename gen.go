@@ -29,13 +29,10 @@ type GenSuiteOptions struct {
 	// thresholds (defaults 1.0 and 0.9).
 	TargetTransitions float64
 	TargetPhase       float64
-	// Progress, when set, receives a campaign snapshot per evaluation.
+	// Progress, when set, receives a campaign snapshot per executed
+	// evaluation; evaluations a search answers from its memo are not
+	// counted.
 	Progress func(campaign.Progress)
-	// Cache, when set, memoises candidate evaluations across the whole
-	// pipeline — all strategies and both charts share it, so shrinking
-	// reuses the falsifier's evaluations and repeated pipelines reuse
-	// everything. Suites are byte-identical with or without it.
-	Cache *campaign.Cache
 }
 
 func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
@@ -47,7 +44,6 @@ func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
 		TargetTransitions: o.TargetTransitions,
 		TargetPhase:       o.TargetPhase,
 		Progress:          o.Progress,
-		Cache:             o.Cache,
 	}
 }
 

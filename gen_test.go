@@ -11,6 +11,7 @@ package rmtest_test
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"rmtest"
@@ -55,6 +56,25 @@ func TestGenerateSuiteMatchesGolden(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		if got := rmtest.RenderGenCSV(genRuns(t, workers)); got != string(golden) {
 			t.Errorf("workers=%d: generation CSV deviates from golden:\n%s", workers, got)
+		}
+	}
+}
+
+// TestGenSuiteCacheDeterminism pins the reuse report of the seed-42
+// pipeline, whose only cache is each search's private memo: of its 60
+// candidate evaluations, 15 were answered from an earlier batch of the
+// same search and 1 repeated a candidate of its own batch, at any worker
+// count.
+func TestGenSuiteCacheDeterminism(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		lines := map[string]bool{}
+		for _, line := range strings.Split(rmtest.RenderGenReuse(genRuns(t, workers)), "\n") {
+			lines[strings.Join(strings.Fields(line), " ")] = true
+		}
+		for _, want := range []string{"lookups 60", "hits 15", "deduped 1", "misses 44"} {
+			if !lines[want] {
+				t.Errorf("workers=%d: reuse report has no line %q", workers, want)
+			}
 		}
 	}
 }

@@ -205,3 +205,15 @@ func REQ3() core.Requirement {
 func Requirements() []core.Requirement {
 	return []core.Requirement{REQ1(), REQ2(), REQ3()}
 }
+
+// TableIGenerator returns the stimulus generator of the paper's Table I
+// scenario: n bolus requests from 50 ms on, 4.5 s apart so each clears
+// the 4 s bolus and the 1 s timeout, each jittered by up to 200 ms.
+func TableIGenerator(n int, seed uint64) core.Generator {
+	return core.Generator{
+		N: n, Start: 50 * time.Millisecond,
+		Spacing:  4500 * time.Millisecond,
+		Strategy: core.JitteredSpacing, Jitter: 200 * time.Millisecond,
+		Seed: seed,
+	}
+}

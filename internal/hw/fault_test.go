@@ -227,7 +227,7 @@ func TestInjectJitterWindowEdgeSemantics(t *testing.T) {
 		from = 10 * ms
 	)
 	// First draw of the jitter stream: the delay the 10ms commit gets.
-	d1 := sim.NewRand(seed | 1).Duration(0, max)
+	d1 := sim.NewRand(seed|1).Duration(0, max)
 	if d1 <= 0 {
 		t.Fatalf("test needs a positive first draw, got %v; pick another seed", d1)
 	}

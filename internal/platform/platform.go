@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"rmtest/internal/campaign"
 	"rmtest/internal/codegen"
 	"rmtest/internal/env"
 	"rmtest/internal/fourvar"
@@ -150,7 +149,6 @@ type Prebuilt struct {
 	cfg     Config
 	prog    *codegen.Program
 	mapping fourvar.Mapping
-	fp      uint64
 }
 
 // Precompile compiles the chart, generates CODE(M), and validates the
@@ -216,31 +214,8 @@ func Precompile(cfg Config) (*Prebuilt, error) {
 	if err := mapping.Validate(); err != nil {
 		return nil, err
 	}
-	pb := &Prebuilt{cfg: cfg, prog: prog, mapping: mapping}
-	pb.fp = pb.fingerprint()
-	return pb, nil
+	return &Prebuilt{cfg: cfg, prog: prog, mapping: mapping}, nil
 }
-
-// fingerprint hashes everything run-independent that shapes a simulation
-// result: the full generated program (the disassembly is a deterministic,
-// lossless rendering of tables and bytecode), the cost model, the RTOS
-// and board configurations and the I/O bindings. Two Prebuilts with equal
-// fingerprints drive byte-identical systems for equal stimuli.
-func (pb *Prebuilt) fingerprint() uint64 {
-	h := campaign.NewHasher()
-	h.String(pb.prog.Disassemble())
-	h.Int64(int64(pb.prog.TickPeriod))
-	h.String(fmt.Sprintf("%+v", pb.cfg.Cost))
-	h.String(fmt.Sprintf("%+v", pb.cfg.RTOS))
-	h.String(fmt.Sprintf("%+v", pb.cfg.Board))
-	h.String(fmt.Sprintf("%+v", pb.cfg.Inputs))
-	h.String(fmt.Sprintf("%+v", pb.cfg.Outputs))
-	return h.Sum()
-}
-
-// Fingerprint returns the Prebuilt's content hash — the system-side input
-// to the campaign evaluation cache's candidate fingerprints.
-func (pb *Prebuilt) Fingerprint() uint64 { return pb.fp }
 
 // Config returns the configuration the Prebuilt was compiled from.
 func (pb *Prebuilt) Config() Config { return pb.cfg }

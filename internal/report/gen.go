@@ -133,3 +133,34 @@ func GenSummary(runs []GenRun) string {
 	}
 	return b.String()
 }
+
+// GenReuse renders how much candidate evaluation the generation searches
+// saved through their memos: every candidate evaluation is a lookup, a
+// hit repeats a candidate of an earlier batch of the same search, a
+// dedup repeats one of its own batch, and only the misses were
+// simulated.
+func GenReuse(runs []GenRun) string {
+	var lookups, hits, deduped int
+	for _, run := range runs {
+		for _, r := range run.Results {
+			lookups += r.Evals
+			hits += r.Hits
+			deduped += r.Deduped
+		}
+	}
+	reuse := 0.0
+	if lookups > 0 {
+		reuse = float64(hits+deduped) / float64(lookups)
+	}
+	var b strings.Builder
+	b.WriteString("EVALUATION CACHE. Content-addressed memoisation of candidate evaluations\n\n")
+	fmt.Fprintf(&b, "%-12s %10s\n", "counter", "value")
+	b.WriteString(strings.Repeat("-", 23))
+	b.WriteByte('\n')
+	fmt.Fprintf(&b, "%-12s %10d\n", "lookups", lookups)
+	fmt.Fprintf(&b, "%-12s %10d\n", "hits", hits)
+	fmt.Fprintf(&b, "%-12s %10d\n", "deduped", deduped)
+	fmt.Fprintf(&b, "%-12s %10d\n", "misses", lookups-hits-deduped)
+	fmt.Fprintf(&b, "\n%.1f%% of lookups reused a prior evaluation\n", 100*reuse)
+	return b.String()
+}

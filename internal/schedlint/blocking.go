@@ -35,8 +35,8 @@ func (a *analysis) computeBlocking() map[string]sim.Time {
 
 func (a *analysis) blockingFor(t *TaskSpec) sim.Time {
 	// Mutexes: relevant sections per the ceiling rule.
-	perTask := map[string]sim.Time{}  // lower-prio task -> longest relevant section
-	perRes := map[string]sim.Time{}   // resource -> longest relevant section
+	perTask := map[string]sim.Time{} // lower-prio task -> longest relevant section
+	perRes := map[string]sim.Time{}  // resource -> longest relevant section
 	consider := func(res string, users []*TaskSpec, hold map[string]sim.Time, pushThrough bool) {
 		relevant := pushThrough && ceiling(users) >= t.Prio
 		if !pushThrough {

@@ -39,9 +39,10 @@ func (g coverageGen) Generate(t Target, opt Options) (Result, error) {
 	sched := seedSchedule(t, "gen-coverage", opt.Samples, rs.Uint64())
 	planner := newProbePlanner(t)
 	res := Result{Strategy: g.Name(), WorstIndex: -1}
+	m := newMemo(t, opt)
 	boundaryDone := false
 	for {
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.MLevel, []Schedule{sched})
+		outs, err := m.evaluate(rs.Uint64(), platform.MLevel, []Schedule{sched})
 		if err != nil {
 			return Result{}, err
 		}
@@ -65,6 +66,7 @@ func (g coverageGen) Generate(t Target, opt Options) (Result, error) {
 	res.WorstDelay, res.WorstIndex = worstOf(res.Samples, t.Req)
 	res.Violated = violated(res.Samples)
 	res.Unreachable = planner.unreachable()
+	res.Hits, res.Deduped = m.hits, m.deduped
 	return res, nil
 }
 

@@ -40,7 +40,8 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 	rs := sim.NewRand(opt.Seed ^ 0x0fa15ef)
 	best := seedSchedule(t, "gen-falsify", opt.Samples, rs.Uint64())
 	res := Result{Strategy: g.Name(), WorstIndex: -1}
-	outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, []Schedule{best})
+	m := newMemo(t, opt)
+	outs, err := m.evaluate(rs.Uint64(), platform.RLevel, []Schedule{best})
 	if err != nil {
 		return Result{}, err
 	}
@@ -60,7 +61,7 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 		if room := budget - res.Evals; len(cands) > room {
 			cands = cands[:room]
 		}
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, cands)
+		outs, err := m.evaluate(rs.Uint64(), platform.RLevel, cands)
 		if err != nil {
 			return Result{}, err
 		}
@@ -75,6 +76,7 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 	res.Samples = bestOut.Samples
 	res.WorstDelay, res.WorstIndex = worstOf(bestOut.Samples, t.Req)
 	res.Violated = violated(bestOut.Samples)
+	res.Hits, res.Deduped = m.hits, m.deduped
 	return res, nil
 }
 

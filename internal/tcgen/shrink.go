@@ -32,20 +32,26 @@ type ShrinkResult struct {
 // subset that still violates, evaluating candidates through the
 // campaign engine (each ddmin round's candidates run as one batch, so
 // shrinking parallelises without losing determinism: the accepted
-// candidate is always the lowest-indexed violating one).
+// candidate is always the lowest-indexed violating one). Subsets that an
+// earlier round already evaluated are answered from the search's memo.
 func Shrink(t Target, opt Options, s Schedule) (ShrinkResult, error) {
 	t = t.normalised()
 	opt = opt.normalised()
 	if err := t.validate(); err != nil {
 		return ShrinkResult{}, err
 	}
-	budget := opt.Budget
+	return shrink(newMemo(t, opt), s)
+}
+
+// shrink is Shrink on a caller's memo.
+func shrink(m *memo, s Schedule) (ShrinkResult, error) {
+	budget := m.opt.Budget
 	if budget <= 0 {
 		budget = 64
 	}
-	rs := sim.NewRand(opt.Seed ^ 0x05a1e)
+	rs := sim.NewRand(m.opt.Seed ^ 0x05a1e)
 	eval := func(cands []Schedule) ([]bool, error) {
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, cands)
+		outs, err := m.evaluate(rs.Uint64(), platform.RLevel, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -180,11 +186,17 @@ func (shrinkGen) Name() string { return "shrink" }
 func (g shrinkGen) Generate(t Target, opt Options) (Result, error) {
 	t = t.normalised()
 	opt = opt.normalised()
-	sr, err := Shrink(t, opt, g.input)
+	if err := t.validate(); err != nil {
+		return Result{}, err
+	}
+	// One memo covers the reduction and the final re-evaluation of the
+	// minimal schedule, which the reduction has already evaluated.
+	m := newMemo(t, opt)
+	sr, err := shrink(m, g.input)
 	if err != nil {
 		return Result{}, err
 	}
-	outs, err := evaluate(t, opt, opt.Seed^0x07e57, platform.RLevel, []Schedule{sr.Minimal})
+	outs, err := m.evaluate(opt.Seed^0x07e57, platform.RLevel, []Schedule{sr.Minimal})
 	if err != nil {
 		return Result{}, err
 	}
@@ -194,6 +206,8 @@ func (g shrinkGen) Generate(t Target, opt Options) (Result, error) {
 		Samples:  outs[0].Samples,
 		Rounds:   sr.Rounds,
 		Evals:    sr.Evals + 1,
+		Hits:     m.hits,
+		Deduped:  m.deduped,
 		Shrunk:   &sr.Minimal,
 	}
 	res.WorstDelay, res.WorstIndex = worstOf(res.Samples, t.Req)

@@ -180,7 +180,7 @@ func TestShrinkPreservesViolationRealSystem(t *testing.T) {
 	}
 	check := append([]Schedule{fal.Schedule}, sr.Trail...)
 	check = append(check, sr.Minimal)
-	outs, err := evaluate(tgt.normalised(), opt.normalised(), 7, platform.RLevel, check)
+	outs, err := newMemo(tgt.normalised(), opt.normalised()).evaluate(7, platform.RLevel, check)
 	if err != nil {
 		t.Fatal(err)
 	}

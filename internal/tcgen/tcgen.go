@@ -25,7 +25,9 @@
 // Every candidate evaluation is one deterministic simulation run
 // executed through the campaign engine (internal/campaign): per-round
 // seeds derive from a splitmix64 chain, results collect in run order,
-// and the generated suites are byte-identical at any worker count.
+// and the generated suites are byte-identical at any worker count. Each
+// search memoises its own evaluations, so a candidate it proposes again
+// is simulated once.
 package tcgen
 
 import (
@@ -183,8 +185,8 @@ func (t Target) validate() error {
 
 // Options bounds and seeds a generation run.
 type Options struct {
-	// Budget is the maximum number of candidate evaluations (simulation
-	// runs) the strategy may spend; 0 means the strategy default.
+	// Budget is the maximum number of candidate evaluations the strategy
+	// may spend, memo hits included; 0 means the strategy default.
 	Budget int
 	// Seed drives every random choice (seeded schedules, mutations)
 	// through a splitmix64 chain; the same seed reproduces the same
@@ -201,16 +203,9 @@ type Options struct {
 	// TargetPhase is the phase-bin coverage ratio the coverage-directed
 	// strategy stops at (default 0.9).
 	TargetPhase float64
-	// Progress, when set, receives a campaign snapshot per completed
-	// evaluation.
+	// Progress, when set, receives a campaign snapshot per executed
+	// evaluation; candidates the search's memo answers are not counted.
 	Progress func(campaign.Progress)
-	// Cache, when set, memoises candidate evaluations by content
-	// fingerprint, so the revisited subsets of ddmin shrinking, the
-	// hill-climb's re-derived mutants, and identical candidates within one
-	// batch are answered without re-simulating. Results are byte-identical
-	// with and without a cache at any worker count and capacity; the cache
-	// may be shared across strategies, charts and fault sweeps.
-	Cache *campaign.Cache
 }
 
 // normalised fills the Options defaults.
@@ -249,9 +244,14 @@ type Result struct {
 	WorstIndex int
 	// Violated reports whether any sample failed the requirement.
 	Violated bool
-	// Rounds and Evals count search iterations and simulation runs.
+	// Rounds and Evals count search iterations and candidate evaluations.
 	Rounds int
 	Evals  int
+	// Hits counts evaluations the search's memo answered from an earlier
+	// batch, and Deduped those that repeated a candidate of their own
+	// batch; Evals-Hits-Deduped evaluations were simulated.
+	Hits    int
+	Deduped int
 	// Shrunk is the delta-debugged minimal violating schedule (falsification
 	// pipelines fill it in when Violated).
 	Shrunk *Schedule
@@ -302,22 +302,54 @@ func violated(samples []core.SampleResult) bool {
 	return false
 }
 
-// evaluate runs every candidate schedule once on the target — one
-// campaign, one run per schedule — and returns the outcomes in schedule
-// order. level selects R-level (verdicts only) or M-level (verdicts plus
-// adequacy measurement) instrumentation. The per-round campaign seed
-// keeps run seeds independent across rounds; results are byte-identical
-// at any worker count.
-func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
-	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
-	keys := make([]uint64, len(scheds))
-	for i, sc := range scheds {
-		keys[i] = fingerprint(t, opt, level, sc)
+// memo is one search's private record of its candidate evaluations.
+// The search's Target and Options are fixed, so an evaluation depends only
+// on the instrumentation level and the candidate's stimuli, and those
+// form the key. Schedule names are left out: shrinking renames candidates
+// without changing what they compute. The campaign seed is left out too,
+// since no evaluation reads its run seed.
+type memo struct {
+	t             Target
+	opt           Options
+	seen          map[string]evalOut
+	hits, deduped int
+}
+
+func newMemo(t Target, opt Options) *memo {
+	return &memo{t: t, opt: opt, seen: map[string]evalOut{}}
+}
+
+// evaluate returns every candidate's outcome in schedule order. level
+// selects R-level (verdicts only) or M-level (verdicts plus adequacy
+// measurement) instrumentation. Candidates evaluated by an earlier batch
+// are answered from the memo, a candidate repeated within the batch runs
+// once, and the remaining ones run as one campaign seeded with seed.
+// Failed evaluations are never memoised. Outcomes are byte-identical at
+// any worker count.
+func (m *memo) evaluate(seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
+	keys := make([]string, len(scheds))
+	queued := map[string]bool{}
+	var run []int // batch indices that execute
+	for i, s := range scheds {
+		// %#v quotes the signal names, so the encoding is exact.
+		key := fmt.Sprintf("%v%#v", level, s.Stimuli)
+		keys[i] = key
+		switch _, ok := m.seen[key]; {
+		case ok:
+			m.hits++
+		case queued[key]:
+			m.deduped++
+		default:
+			queued[key] = true
+			run = append(run, i)
+		}
 	}
-	outs := campaign.MapScratchCached(cfg, opt.Cache, keys,
+	t := m.t
+	cfg := campaign.Config{Workers: m.opt.Workers, Seed: seed, OnProgress: m.opt.Progress}
+	ran, err := campaign.Values(campaign.MapScratch(cfg, len(run),
 		func() *platform.Scratch { return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (evalOut, error) {
-			sched := scheds[run.Index]
+		func(r campaign.Run, sc *platform.Scratch) (evalOut, error) {
+			sched := scheds[run[r.Index]]
 			factory := func(lv platform.Instrument) (*platform.System, error) {
 				return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)
 			}
@@ -347,46 +379,18 @@ func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, sch
 			}
 			cov := coverage.Measure(mres.Program, mres.TransTrace, mres, t.PhasePeriod, t.Bins)
 			return evalOut{Samples: base, Coverage: &cov}, nil
-		})
-	return campaign.Values(outs)
-}
-
-// fingerprint content-addresses one candidate evaluation: everything the
-// simulation result depends on goes into the hash — the prebuilt system
-// (program, cost model, board, RTOS, bindings), the scheme shape and
-// parameters, the requirement's timing identity, the instrumentation
-// level, the adequacy-binning parameters and the full stimulus content. The run seed is deliberately absent: the evaluation
-// worker never reads it (a candidate's verdict is a pure function of the
-// schedule), which is exactly what makes cross-round reuse sound. The
-// schedule NAME is also absent — shrinking renames candidates ("…min")
-// without changing what they compute.
-//
-// Requirement predicates (Match functions) are identified by the
-// requirement ID + bounds rather than hashed; two requirements sharing an
-// ID within one cache's lifetime must be the same requirement.
-func fingerprint(t Target, opt Options, level platform.Instrument, s Schedule) uint64 {
-	h := campaign.NewHasher()
-	h.Uint64(t.Prebuilt.Fingerprint())
-	scheme := t.Scheme()
-	h.String(fmt.Sprintf("%T%+v", scheme, scheme))
-	h.String(t.Req.ID)
-	h.String(t.Req.Stimulus.Signal)
-	h.String(t.Req.Response.Signal)
-	h.Int64(int64(t.Req.Bound))
-	h.Int64(int64(t.Req.EffectiveTimeout()))
-	h.Int(int(level))
-	h.Int64(int64(t.PhasePeriod))
-	h.Int(t.Bins)
-	h.Int(len(s.Stimuli))
-	for _, st := range s.Stimuli {
-		h.String(st.Signal)
-		h.Int64(st.Value)
-		h.Int64(st.Rest)
-		h.Int64(int64(st.Width))
-		h.Int64(int64(st.At))
-		h.Bool(st.Aux)
+		}))
+	if err != nil {
+		return nil, err
 	}
-	return h.Sum()
+	for k, i := range run {
+		m.seen[keys[i]] = ran[k]
+	}
+	outs := make([]evalOut, len(scheds))
+	for i, key := range keys {
+		outs[i] = m.seen[key]
+	}
+	return outs, nil
 }
 
 // seedSchedule builds the deterministic starting schedule: n primary

@@ -201,9 +201,9 @@ func falsifyBatch(t *testing.T, tg Target, n int) []Schedule {
 }
 
 // TestEvaluateBatchByteIdentity: an R-level candidate batch evaluates to
-// the same per-sample verdicts and delays at every worker count, with and
-// without an evaluation cache. The targets cover both charts and the two
-// pipeline schemes the generation pipeline searches.
+// the same per-sample verdicts and delays at every worker count. The
+// targets cover both charts and the two pipeline schemes the generation
+// pipeline searches.
 func TestEvaluateBatchByteIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -215,27 +215,138 @@ func TestEvaluateBatchByteIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tg := tc.target.normalised()
 			scheds := falsifyBatch(t, tg, 8)
-			ref, err := evaluate(tg, Options{Workers: 1}.normalised(), 7, platform.RLevel, scheds)
+			ref, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, platform.RLevel, scheds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				for _, cached := range []bool{false, true} {
-					opt := Options{Workers: workers}.normalised()
-					if cached {
-						opt.Cache = campaign.NewCache(0)
-					}
-					got, err := evaluate(tg, opt, 7, platform.RLevel, scheds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						t.Fatalf("workers=%d cached=%v: evaluation diverged\nwant: %+v\ngot:  %+v",
-							workers, cached, ref, got)
-					}
+				got, err := newMemo(tg, Options{Workers: workers}.normalised()).evaluate(7, platform.RLevel, scheds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("workers=%d: evaluation diverged\nwant: %+v\ngot:  %+v", workers, ref, got)
 				}
 			}
 		})
+	}
+}
+
+// countingMemo returns a fresh memo on tg whose executed evaluations are
+// counted through Options.Progress.
+func countingMemo(tg Target, executed *int) *memo {
+	return newMemo(tg, Options{Workers: 2, Progress: func(campaign.Progress) { *executed++ }}.normalised())
+}
+
+// memoFixture returns three GPCA scheme-3 candidates with distinct
+// stimuli, and a function that evaluates one candidate alone on a fresh
+// memo.
+func memoFixture(t *testing.T) (tg Target, a, b, c Schedule, alone func(Schedule) evalOut) {
+	t.Helper()
+	tg = gpcaTarget(t, scheme3).normalised()
+	a = seedSchedule(tg, "a", 2, 1)
+	b = seedSchedule(tg, "b", 2, 3)
+	c = seedSchedule(tg, "c", 2, 5)
+	if reflect.DeepEqual(a.Stimuli, b.Stimuli) || reflect.DeepEqual(a.Stimuli, c.Stimuli) || reflect.DeepEqual(b.Stimuli, c.Stimuli) {
+		t.Fatal("seeded schedules coincide; pick other seeds")
+	}
+	alone = func(s Schedule) evalOut {
+		t.Helper()
+		outs, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, platform.RLevel, []Schedule{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs[0]
+	}
+	return tg, a, b, c, alone
+}
+
+// renamed returns a copy of s under another name, as shrinking renames
+// candidates; names are not part of the memo key.
+func renamed(s Schedule) Schedule {
+	r := s.Clone()
+	r.Name = s.Name + ".min"
+	return r
+}
+
+// TestMemoInBatchDedup: a candidate repeated within one batch runs once,
+// and the repeat is counted as deduped, not as a hit.
+func TestMemoInBatchDedup(t *testing.T) {
+	tg, a, b, _, _ := memoFixture(t)
+	executed := 0
+	m := countingMemo(tg, &executed)
+	if _, err := m.evaluate(7, platform.RLevel, []Schedule{a, b, renamed(a)}); err != nil {
+		t.Fatal(err)
+	}
+	if executed != 2 || m.deduped != 1 || m.hits != 0 {
+		t.Errorf("[A B A]: executed %d, deduped %d, hits %d; want 2, 1, 0", executed, m.deduped, m.hits)
+	}
+}
+
+// TestMemoSecondBatchHits: a later batch of the same search reuses what
+// an earlier batch ran and executes only its new candidate.
+func TestMemoSecondBatchHits(t *testing.T) {
+	tg, a, b, c, _ := memoFixture(t)
+	executed := 0
+	m := countingMemo(tg, &executed)
+	if _, err := m.evaluate(7, platform.RLevel, []Schedule{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	executed = 0
+	if _, err := m.evaluate(8, platform.RLevel, []Schedule{renamed(a), c}); err != nil {
+		t.Fatal(err)
+	}
+	if executed != 1 || m.hits != 1 || m.deduped != 0 {
+		t.Errorf("[A C]: executed %d, hits %d, deduped %d; want 1, 1, 0", executed, m.hits, m.deduped)
+	}
+}
+
+// TestMemoMatchesFreshEvaluation: at every worker count, outcomes served
+// by the memo, whether run in the batch, deduped within it or hit from an
+// earlier one, equal each candidate's evaluation on a fresh memo.
+func TestMemoMatchesFreshEvaluation(t *testing.T) {
+	tg, a, b, c, alone := memoFixture(t)
+	wantABA := []evalOut{alone(a), alone(b), alone(a)}
+	wantAC := []evalOut{alone(a), alone(c)}
+	for _, workers := range []int{1, 2, 4} {
+		m := newMemo(tg, Options{Workers: workers}.normalised())
+		got, err := m.evaluate(7, platform.RLevel, []Schedule{a, b, renamed(a)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantABA) {
+			t.Errorf("workers=%d: [A B A] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantABA, got)
+		}
+		got, err = m.evaluate(8, platform.RLevel, []Schedule{a, c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantAC) {
+			t.Errorf("workers=%d: [A C] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantAC, got)
+		}
+	}
+}
+
+// TestMemoSkipsErrors: a failed evaluation is not memoised, so the same
+// candidate runs, and fails, again on the next batch.
+func TestMemoSkipsErrors(t *testing.T) {
+	tg := gpcaTarget(t, scheme2).normalised()
+	// Primary stimuli out of order: Runner.Setup rejects the test case.
+	bad := Schedule{Name: "bad", Stimuli: []Stimulus{
+		primaryStimulus(tg, 5*time.Second), primaryStimulus(tg, time.Second),
+	}}
+	executed := 0
+	m := countingMemo(tg, &executed)
+	for batch := 1; batch <= 2; batch++ {
+		if _, err := m.evaluate(7, platform.RLevel, []Schedule{bad}); err == nil {
+			t.Fatalf("batch %d: out-of-order schedule evaluated without error", batch)
+		}
+		if executed != batch {
+			t.Errorf("batch %d: %d evaluations executed, want %d", batch, executed, batch)
+		}
+	}
+	if m.hits != 0 {
+		t.Errorf("a failed evaluation was answered from the memo (%d hits)", m.hits)
 	}
 }
 

@@ -227,26 +227,6 @@ func CampaignValues[T any](outs []campaign.Outcome[T]) ([]T, error) {
 	return campaign.Values(outs)
 }
 
-// Evaluation cache (internal/campaign): content-addressed memoisation of
-// candidate evaluations, shared across the generation pipeline's
-// strategies and the fault sweep.
-type (
-	// EvalCache is a bounded, deterministic-eviction result cache.
-	EvalCache = campaign.Cache
-	// EvalCacheStats snapshots hit/miss/dedup/eviction counters.
-	EvalCacheStats = campaign.CacheStats
-)
-
-// NewEvalCache returns an evaluation cache bounded to capacity entries
-// (capacity <= 0 selects the default, 4096). Passing one cache to
-// GenSuiteOptions.Cache and FaultSweepOptions.Cache shares results
-// wherever fingerprints coincide; outputs are byte-identical with or
-// without it.
-func NewEvalCache(capacity int) *EvalCache { return campaign.NewCache(capacity) }
-
-// RenderCacheStats renders an evaluation-cache snapshot for reports.
-func RenderCacheStats(s EvalCacheStats) string { return report.CacheStats(s) }
-
 // VerifyResponse checks a model-level timing property on a chart.
 func VerifyResponse(c *Chart, prop ResponseProperty, opt VerifyOptions) (VerifyResult, error) {
 	cc, err := c.Compile()
@@ -626,6 +606,10 @@ func ShrinkSchedule(t GenTarget, opt GenOptions, s GenSchedule) (ShrinkReport, e
 
 // RenderGenSummary renders generation results as a human-readable table.
 func RenderGenSummary(runs []GenRun) string { return report.GenSummary(runs) }
+
+// RenderGenReuse renders the evaluation reuse of generation results: the
+// candidate evaluations their searches answered from a memo.
+func RenderGenReuse(runs []GenRun) string { return report.GenReuse(runs) }
 
 // RenderGenCSV renders generation results as byte-stable CSV, suitable
 // for golden pinning.
