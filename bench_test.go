@@ -480,9 +480,10 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
-			// Each iteration executes 6 campaign runs (3 R + 3 forced M);
-			// allocs/run is the GC-churn metric the scratch reuse targets.
-			const runsPerIter = 6
+			// Each iteration executes 3 campaign runs, one RunRM simulation
+			// per scheme; allocs/run is the GC-churn metric the scratch
+			// reuse targets.
+			const runsPerIter = 3
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 		})
 	}

@@ -43,13 +43,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"rmtest"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
+	"rmtest/internal/profiles"
 )
 
 func main() {
@@ -262,32 +261,17 @@ func runGen(args []string) {
 	fmt.Print(rmtest.RenderGenSummary(runs))
 }
 
-// startProfiles begins CPU profiling when prefix is non-empty and
-// returns a stop function that finishes the CPU profile and dumps a
-// heap profile (after a GC, so it reflects live memory).
+// startProfiles starts the -pprof profiles and returns the function that
+// stops them; a failure either way ends the command.
 func startProfiles(prefix string) func() {
-	if prefix == "" {
-		return func() {}
-	}
-	cpu, err := os.Create(prefix + ".cpu.pprof")
+	stop, err := profiles.Start(prefix)
 	if err != nil {
 		fail("pprof: %v", err)
 	}
-	if err := pprof.StartCPUProfile(cpu); err != nil {
-		fail("pprof: %v", err)
-	}
 	return func() {
-		pprof.StopCPUProfile()
-		cpu.Close()
-		heap, err := os.Create(prefix + ".heap.pprof")
-		if err != nil {
+		if err := stop(); err != nil {
 			fail("pprof: %v", err)
 		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(heap); err != nil {
-			fail("pprof: %v", err)
-		}
-		heap.Close()
 	}
 }
 

@@ -32,10 +32,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"rmtest"
+	"rmtest/internal/profiles"
 )
 
 func main() {
@@ -55,8 +54,17 @@ func main() {
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
-	stopProfiles := startProfiles(*pprofPrefix)
-	defer stopProfiles()
+	stopProfiles, err := profiles.Start(*pprofPrefix)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tablei:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "tablei:", err)
+			os.Exit(1)
+		}
+	}()
 
 	if *genFlag {
 		gopt := rmtest.GenSuiteOptions{
@@ -165,39 +173,5 @@ func main() {
 		if len(rep.Diagnosis) > 0 {
 			fmt.Printf("\nDiagnosis (%s):\n%s", rep.R.Scheme, rmtest.RenderFindings(rep.Diagnosis))
 		}
-	}
-}
-
-// startProfiles begins CPU profiling when prefix is non-empty and
-// returns a stop function that finishes the CPU profile and dumps a
-// heap profile (after a GC, so it reflects live memory). It matches the
-// rmtest command's -pprof semantics.
-func startProfiles(prefix string) func() {
-	if prefix == "" {
-		return func() {}
-	}
-	cpu, err := os.Create(prefix + ".cpu.pprof")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablei:", err)
-		os.Exit(1)
-	}
-	if err := pprof.StartCPUProfile(cpu); err != nil {
-		fmt.Fprintln(os.Stderr, "tablei:", err)
-		os.Exit(1)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		cpu.Close()
-		heap, err := os.Create(prefix + ".heap.pprof")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablei:", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(heap); err != nil {
-			fmt.Fprintln(os.Stderr, "tablei:", err)
-			os.Exit(1)
-		}
-		heap.Close()
 	}
 }

@@ -64,12 +64,12 @@ func main() {
 			if err != nil {
 				return burstPoint{}, err
 			}
-			res, err := runner.RunR(tc)
+			rep, err := runner.RunRM(tc, false)
 			if err != nil {
 				return burstPoint{}, err
 			}
 			row := burstPoint{burst: burstDur}
-			for _, s := range res.Samples {
+			for _, s := range rep.R.Samples {
 				switch s.Verdict {
 				case core.Pass:
 					row.pass++

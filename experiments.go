@@ -38,10 +38,9 @@ type TableIOptions struct {
 // TableIExperiment reproduces the paper's Table I: the bolus-request
 // scenario of REQ1 executed on the three implementation schemes, with
 // R-testing delays for every sample and M-testing delay segments for the
-// violating ones. The per-scheme runs are independent deterministic
-// simulations, so they execute on the campaign engine: R-testing for all
-// schemes in parallel, then M-testing for the violating (or forced)
-// schemes in parallel, reproducing Runner.RunRM's layered flow.
+// violating ones (or for every scheme under ForceM). Each scheme is one
+// Runner.RunRM simulation, and the three are independent deterministic
+// runs, so they execute in parallel on the campaign engine.
 func TableIExperiment(opt TableIOptions) ([]Report, error) {
 	if opt.Samples <= 0 {
 		opt.Samples = 10
@@ -57,42 +56,16 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	newScratch := func() *platform.Scratch { return &platform.Scratch{} }
 	cfg := campaign.Config{Workers: opt.Workers, Seed: opt.Seed, OnProgress: opt.Progress}
-	rres, err := campaign.Values(campaign.MapScratch(cfg, len(tableISchemes), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.RResult, error) {
-		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, tableISchemes[run.Index], sc), req)
-		if err != nil {
-			return core.RResult{}, err
-		}
-		return runner.RunR(tc)
-	}))
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]Report, len(tableISchemes))
-	var needM []int
-	for i, rr := range rres {
-		reports[i] = Report{R: rr}
-		if opt.ForceM || !rr.Passed() {
-			needM = append(needM, i)
-		}
-	}
-	mres, err := campaign.Values(campaign.MapScratch(cfg, len(needM), newScratch, func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
-		runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, tableISchemes[needM[run.Index]], sc), req)
-		if err != nil {
-			return core.MResult{}, err
-		}
-		return runner.RunM(tc)
-	}))
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range needM {
-		m := mres[k]
-		reports[i].M = &m
-		reports[i].Diagnosis = core.Diagnose(m)
-	}
-	return reports, nil
+	return campaign.Values(campaign.MapScratch(cfg, len(tableISchemes),
+		func() *platform.Scratch { return &platform.Scratch{} },
+		func(run campaign.Run, sc *platform.Scratch) (Report, error) {
+			runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, tableISchemes[run.Index], sc), req)
+			if err != nil {
+				return Report{}, err
+			}
+			return runner.RunRM(tc, opt.ForceM)
+		}))
 }
 
 // Fig3Experiment reproduces the layered view of Fig. 3 for one bolus
@@ -368,11 +341,11 @@ func RequirementsMatrix(samples int, seed uint64, workers int) ([]MatrixCell, er
 			if err != nil {
 				return MatrixCell{}, err
 			}
-			res, err := runner.RunR(tc)
+			rep, err := runner.RunRM(tc, false)
 			if err != nil {
 				return MatrixCell{}, err
 			}
-			return tallyCell(u.req.ID, res.Scheme, res.Samples), nil
+			return tallyCell(u.req.ID, rep.R.Scheme, rep.R.Samples), nil
 		}))
 }
 
@@ -551,7 +524,11 @@ func FaultSweep(opt FaultSweepOptions) (FaultSweepResult, error) {
 				return core.MResult{}, err
 			}
 			runner.Prepare = faults.Prepare(plans[run.Index], run.Seed)
-			return runner.RunM(tc)
+			rep, err := runner.RunRM(tc, true)
+			if err != nil {
+				return core.MResult{}, err
+			}
+			return *rep.M, nil
 		}))
 	if err != nil {
 		return FaultSweepResult{}, err
@@ -605,10 +582,11 @@ func AblationPeriodSweep(periods []sim.Time, samples int, seed uint64, workers i
 			if err != nil {
 				return SweepPoint{}, err
 			}
-			mres, err := runner.RunM(tc)
+			rep, err := runner.RunRM(tc, true)
 			if err != nil {
 				return SweepPoint{}, err
 			}
+			mres := *rep.M
 			agg := core.NewSegmentStats(mres)
 			pass := 0
 			for _, s := range mres.Samples {

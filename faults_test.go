@@ -126,14 +126,14 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 		}},
 		len(plans),
 		func() *platform.Scratch { mu.Lock(); scratches++; mu.Unlock(); return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+		func(run campaign.Run, sc *platform.Scratch) (core.Report, error) {
 			factory := gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc)
 			runner, err := core.NewRunner(factory, req)
 			if err != nil {
-				return core.MResult{}, err
+				return core.Report{}, err
 			}
 			runner.Prepare = faults.Prepare(plans[run.Index], run.Seed)
-			return runner.RunM(tc)
+			return runner.RunRM(tc, true)
 		})
 
 	failed := 0
@@ -146,8 +146,8 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 			if !strings.Contains(o.Err.Error(), `unknown sensor "no-such-sensor"`) {
 				t.Errorf("failure does not carry the Apply error: %v", o.Err)
 			}
-		} else if len(o.Value.Samples) != 2 {
-			t.Errorf("run %d: %d samples, want 2", i, len(o.Value.Samples))
+		} else if len(o.Value.M.Samples) != 2 {
+			t.Errorf("run %d: %d samples, want 2", i, len(o.Value.M.Samples))
 		}
 	}
 	if failed != 1 {
@@ -215,15 +215,15 @@ func TestCampaignTaskPanicFailsOnlyItsRun(t *testing.T) {
 	outs := campaign.MapScratch(
 		campaign.Config{Workers: 2, Seed: 42}, 5,
 		func() *platform.Scratch { return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+		func(run campaign.Run, sc *platform.Scratch) (core.Report, error) {
 			scheme := func() platform.Scheme {
 				return faultyScheme{Scheme2: platform.DefaultScheme2(), armed: run.Index == bad}
 			}
 			runner, err := core.NewRunner(gpca.FactoryPrebuilt(pb, scheme, sc), req)
 			if err != nil {
-				return core.MResult{}, err
+				return core.Report{}, err
 			}
-			return runner.RunM(tc)
+			return runner.RunRM(tc, true)
 		})
 	for i, o := range outs {
 		switch {
@@ -233,8 +233,8 @@ func TestCampaignTaskPanicFailsOnlyItsRun(t *testing.T) {
 			t.Errorf("failure does not carry the panic value: %v", o.Err)
 		case i != bad && o.Failed():
 			t.Errorf("run %d failed, only run %d should: %v", i, bad, o.Err)
-		case i != bad && len(o.Value.Samples) != 2:
-			t.Errorf("run %d: %d samples, want 2", i, len(o.Value.Samples))
+		case i != bad && len(o.Value.M.Samples) != 2:
+			t.Errorf("run %d: %d samples, want 2", i, len(o.Value.M.Samples))
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -293,7 +293,7 @@ func TestScratchCleanAfterAbortedFaultedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := recycled.RunM(tc)
+	got, err := recycled.RunRM(tc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestScratchCleanAfterAbortedFaultedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.RunM(tc)
+	want, err := fresh.RunRM(tc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Samples, want.Samples) {
-		t.Fatalf("recycled scratch measured differently after an aborted faulted run:\ngot  %+v\nwant %+v", got.Samples, want.Samples)
+	if !reflect.DeepEqual(got.M.Samples, want.M.Samples) {
+		t.Fatalf("recycled scratch measured differently after an aborted faulted run:\ngot  %+v\nwant %+v", got.M.Samples, want.M.Samples)
 	}
 }
 

@@ -138,23 +138,23 @@ func TestScheme1RTestingPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := genCase(t, 10, 1)
-	res, err := runner.RunR(tc)
+	res, err := runner.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Passed() {
-		t.Fatalf("scheme1 should satisfy REQ1; samples:\n%v", res.Samples)
+	if !res.R.Passed() {
+		t.Fatalf("scheme1 should satisfy REQ1; samples:\n%v", res.R.Samples)
 	}
-	if len(res.Samples) != 10 {
-		t.Fatalf("samples=%d", len(res.Samples))
+	if len(res.R.Samples) != 10 {
+		t.Fatalf("samples=%d", len(res.R.Samples))
 	}
-	for _, s := range res.Samples {
+	for _, s := range res.R.Samples {
 		if !s.CObserved || s.Delay <= 0 || s.Delay > 100*ms {
 			t.Fatalf("sample %v", s)
 		}
 	}
-	if res.Scheme != "scheme1" {
-		t.Fatalf("scheme=%q", res.Scheme)
+	if res.R.Scheme != "scheme1" {
+		t.Fatalf("scheme=%q", res.R.Scheme)
 	}
 }
 
@@ -163,12 +163,12 @@ func TestScheme2RTestingPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.RunR(genCase(t, 10, 2))
+	res, err := runner.RunRM(genCase(t, 10, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Passed() {
-		t.Fatalf("scheme2 should satisfy REQ1 by construction; samples:\n%v", res.Samples)
+	if !res.R.Passed() {
+		t.Fatalf("scheme2 should satisfy REQ1 by construction; samples:\n%v", res.R.Samples)
 	}
 }
 
@@ -177,14 +177,14 @@ func TestScheme3RTestingViolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.RunR(genCase(t, 10, 3))
+	res, err := runner.RunRM(genCase(t, 10, 3), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Passed() {
-		t.Fatalf("scheme3 should violate REQ1 under interference; samples:\n%v", res.Samples)
+	if res.R.Passed() {
+		t.Fatalf("scheme3 should violate REQ1 under interference; samples:\n%v", res.R.Samples)
 	}
-	if len(res.Violations()) == 0 {
+	if len(res.R.Violations()) == 0 {
 		t.Fatal("no violations reported")
 	}
 }
@@ -195,20 +195,16 @@ func TestMTestingSegmentsConsistentWithR(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := genCase(t, 6, 4)
-	rres, err := runner.RunR(tc)
+	rep, err := runner.RunRM(tc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := runner.RunM(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mres.Samples) != len(rres.Samples) {
+	if len(rep.M.Samples) != len(rep.R.Samples) {
 		t.Fatal("sample count mismatch")
 	}
-	for i, m := range mres.Samples {
-		r := rres.Samples[i]
-		// Determinism: the M run must reproduce the R run's delays.
+	for i, m := range rep.M.Samples {
+		r := rep.R.Samples[i]
+		// The M samples annotate the R verdicts of the same run.
 		if m.Delay != r.Delay || m.Verdict != r.Verdict {
 			t.Fatalf("sample %d: M (%v,%v) vs R (%v,%v)", i, m.Delay, m.Verdict, r.Delay, r.Verdict)
 		}
@@ -306,12 +302,12 @@ func TestVerdictAndSampleStrings(t *testing.T) {
 		t.Fatal("verdict strings")
 	}
 	runner, _ := core.NewRunner(scheme1Factory(), gpca.REQ1())
-	res, err := runner.RunR(genCase(t, 1, 8))
+	res, err := runner.RunRM(genCase(t, 1, 8), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Samples[0].String(), "delay=") {
-		t.Fatalf("sample string: %s", res.Samples[0])
+	if !strings.Contains(res.R.Samples[0].String(), "delay=") {
+		t.Fatalf("sample string: %s", res.R.Samples[0])
 	}
 	if !strings.Contains(gpca.REQ1().String(), "tc - tm <= 100ms") {
 		t.Fatalf("requirement string: %s", gpca.REQ1())
@@ -336,11 +332,11 @@ func TestSegmentStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := runner.RunM(genCase(t, 8, 9))
+	rep, err := runner.RunRM(genCase(t, 8, 9), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.NewSegmentStats(mres)
+	agg := core.NewSegmentStats(*rep.M)
 	if agg.Total.N != 8 {
 		t.Fatalf("aggregated %d samples", agg.Total.N)
 	}
@@ -369,12 +365,12 @@ func TestREQ2AlarmRequirement(t *testing.T) {
 	// signal stays 1, so later samples see no fresh m-event. Use one
 	// sample.
 	tc.Stimuli = tc.Stimuli[:1]
-	res, err := runner.RunR(tc)
+	res, err := runner.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Passed() {
-		t.Fatalf("REQ2 should pass on scheme1: %v", res.Samples)
+	if !res.R.Passed() {
+		t.Fatalf("REQ2 should pass on scheme1: %v", res.R.Samples)
 	}
 	_ = tc
 }
@@ -397,11 +393,11 @@ func TestResponseExactlyAtBoundPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.RunR(core.TestCase{Stimuli: []sim.Time{77 * ms}})
+	res, err := runner.RunRM(core.TestCase{Stimuli: []sim.Time{77 * ms}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Samples[0]
+	s := res.R.Samples[0]
 	if s.Verdict != core.Pass {
 		t.Fatalf("sanity: %v", s)
 	}
@@ -414,12 +410,12 @@ func TestResponseExactlyAtBoundPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := runner2.RunR(core.TestCase{Stimuli: []sim.Time{77 * ms}})
+		res2, err := runner2.RunRM(core.TestCase{Stimuli: []sim.Time{77 * ms}}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res2.Samples[0].Verdict != core.Pass {
-			t.Fatalf("delay == bound must pass: %v", res2.Samples[0])
+		if res2.R.Samples[0].Verdict != core.Pass {
+			t.Fatalf("delay == bound must pass: %v", res2.R.Samples[0])
 		}
 		// And one nanosecond less must fail.
 		req3 := req
@@ -429,12 +425,12 @@ func TestResponseExactlyAtBoundPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res3, err := runner3.RunR(core.TestCase{Stimuli: []sim.Time{77 * ms}})
+		res3, err := runner3.RunRM(core.TestCase{Stimuli: []sim.Time{77 * ms}}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res3.Samples[0].Verdict != core.Fail {
-			t.Fatalf("delay > bound must fail: %v", res3.Samples[0])
+		if res3.R.Samples[0].Verdict != core.Fail {
+			t.Fatalf("delay > bound must fail: %v", res3.R.Samples[0])
 		}
 	}
 }
@@ -472,12 +468,12 @@ func TestPhaseSweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.RunR(tc)
+	res, err := runner.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delays := map[sim.Time]bool{}
-	for _, s := range res.Samples {
+	for _, s := range res.R.Samples {
 		if !s.CObserved {
 			t.Fatalf("sweep sample lost: %v", s)
 		}
@@ -512,14 +508,14 @@ func TestCloselySpacedStimuliNotDoubleCredited(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Probe run: find when this pipeline actually answers a lone 50 ms press.
-	probe, err := runner.RunR(core.TestCase{Name: "probe", Stimuli: []sim.Time{50 * ms}})
+	probe, err := runner.RunRM(core.TestCase{Name: "probe", Stimuli: []sim.Time{50 * ms}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(probe.Samples) != 1 || !probe.Samples[0].CObserved {
-		t.Fatalf("probe sample lost: %v", probe.Samples)
+	if len(probe.R.Samples) != 1 || !probe.R.Samples[0].CObserved {
+		t.Fatalf("probe sample lost: %v", probe.R.Samples)
 	}
-	cA := probe.Samples[0].CEvent.At
+	cA := probe.R.Samples[0].CEvent.At
 	if cA <= 50*ms+gpca.ButtonPress {
 		// The scenario needs the response to arrive after press A is
 		// released, so press B creates a fresh rising edge.
@@ -532,14 +528,14 @@ func TestCloselySpacedStimuliNotDoubleCredited(t *testing.T) {
 		Name:    "closely-spaced",
 		Stimuli: []sim.Time{50 * ms, cA - 100*time.Microsecond, 4600 * ms},
 	}
-	res, err := runner.RunR(tc)
+	rep, err := runner.RunRM(tc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 3 {
-		t.Fatalf("samples=%d", len(res.Samples))
+	if len(rep.R.Samples) != 3 {
+		t.Fatalf("samples=%d", len(rep.R.Samples))
 	}
-	a, b, c := res.Samples[0], res.Samples[1], res.Samples[2]
+	a, b, c := rep.R.Samples[0], rep.R.Samples[1], rep.R.Samples[2]
 	if !a.CObserved || a.Verdict == core.Max {
 		t.Fatalf("sample A should be answered: %v", a)
 	}
@@ -563,11 +559,7 @@ func TestCloselySpacedStimuliNotDoubleCredited(t *testing.T) {
 
 	// M-level invariant: every matched chain explains exactly the c-event
 	// the R-verdict judged, and stays inside the requirement timeout.
-	mres, err := runner.RunM(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range mres.Samples {
+	for _, s := range rep.M.Samples {
 		if !s.SegmentsOK {
 			continue
 		}
@@ -579,11 +571,11 @@ func TestCloselySpacedStimuliNotDoubleCredited(t *testing.T) {
 			t.Fatalf("sample %d: chain total %v exceeds timeout", s.Index, s.Segments.Total())
 		}
 	}
-	if mres.Samples[1].SegmentsOK {
-		t.Fatalf("sample B must have no conformant chain: %+v", mres.Samples[1].Segments)
+	if rep.M.Samples[1].SegmentsOK {
+		t.Fatalf("sample B must have no conformant chain: %+v", rep.M.Samples[1].Segments)
 	}
-	if !mres.Samples[0].SegmentsOK || !mres.Samples[2].SegmentsOK {
+	if !rep.M.Samples[0].SegmentsOK || !rep.M.Samples[2].SegmentsOK {
 		t.Fatalf("samples A and C should decompose: %v %v",
-			mres.Samples[0].SegmentsOK, mres.Samples[2].SegmentsOK)
+			rep.M.Samples[0].SegmentsOK, rep.M.Samples[2].SegmentsOK)
 	}
 }

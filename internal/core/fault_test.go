@@ -101,17 +101,18 @@ func TestTransientFaultOnlyAffectsItsWindow(t *testing.T) {
 	runner.Prepare = func(sys *platform.System, _ core.TestCase) {
 		sys.Board.Sensor("bolus_button").InjectStuck(4900*time.Millisecond, 400*time.Millisecond, 0)
 	}
-	res, err := runner.RunR(tc)
+	rep, err := runner.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Samples[0].Verdict != core.Pass {
-		t.Fatalf("pre-fault sample: %v", res.Samples[0])
+	res := rep.R.Samples
+	if res[0].Verdict != core.Pass {
+		t.Fatalf("pre-fault sample: %v", res[0])
 	}
-	if res.Samples[1].Verdict != core.Max {
-		t.Fatalf("in-fault sample: %v", res.Samples[1])
+	if res[1].Verdict != core.Max {
+		t.Fatalf("in-fault sample: %v", res[1])
 	}
-	if res.Samples[2].Verdict != core.Pass {
-		t.Fatalf("post-fault sample: %v", res.Samples[2])
+	if res[2].Verdict != core.Pass {
+		t.Fatalf("post-fault sample: %v", res[2])
 	}
 }

@@ -11,9 +11,11 @@ import (
 
 // SystemFactory builds a fresh implemented system at the requested
 // instrumentation level. The testing framework owns the system's life
-// cycle: it creates one per run and shuts it down afterwards. Because the
-// whole stack is deterministic, the R-level and M-level runs of the same
-// test case execute identical schedules.
+// cycle: it creates one per run and shuts it down afterwards. RunRM always
+// asks for M level; callers that drive a run themselves through Setup may
+// ask for R level. Because the whole stack is deterministic and M-level
+// probes cost no virtual time, both levels execute identical schedules
+// for the same test case.
 type SystemFactory func(level platform.Instrument) (*platform.System, error)
 
 // SampleResult is the R-testing outcome for one stimulus.
@@ -106,7 +108,7 @@ type Runner struct {
 	// Prepare, when set, scripts auxiliary environment behaviour for the
 	// test case before the run starts — e.g. an operator resetting the
 	// system between samples so every stimulus meets the precondition
-	// state. It runs identically for the R and M runs, preserving
+	// state. It runs once per Setup, before the clock advances, preserving
 	// determinism.
 	Prepare func(sys *platform.System, tc TestCase)
 }
@@ -137,7 +139,7 @@ func (r *Runner) applyStimuli(sys *platform.System, tc TestCase) {
 
 // Setup assembles a fresh system at the requested instrumentation level
 // with the test case's stimuli scheduled and the Prepare hook applied —
-// everything RunR/RunM do before advancing the clock. It rejects a test
+// everything RunRM does before advancing the clock. It rejects a test
 // case whose stimuli decrease: responses are credited to samples in FIFO
 // order, which is only sound for ordered stimuli. Callers own the
 // returned system and must Shutdown it.
@@ -181,52 +183,10 @@ func (r *Runner) Evaluate(sys *platform.System, tc TestCase) []SampleResult {
 	return v.flush()
 }
 
-// judge runs a set-up system with the verdict machines attached live and
-// returns their verdicts. The run stops at the instant the last sample is
-// decided, so the trace ends there rather than at the horizon.
-func (r *Runner) judge(sys *platform.System, tc TestCase) []SampleResult {
-	v := newVerdicts(r.Req, tc)
-	v.attach(sys)
-	sys.Run(tc.Horizon(r.Req))
-	return v.flush()
-}
-
-// RunR executes R-testing: the implemented system is exercised with the
-// test case's stimuli and each sample is judged against the bound using
-// only m- and c-events.
-func (r *Runner) RunR(tc TestCase) (RResult, error) {
-	sys, err := r.Setup(platform.RLevel, tc)
-	if err != nil {
-		return RResult{}, err
-	}
-	defer sys.Shutdown()
-	return RResult{
-		Requirement: r.Req,
-		Scheme:      sys.SchemeName(),
-		Case:        tc,
-		Samples:     r.judge(sys, tc),
-	}, nil
-}
-
-// RunM executes M-testing: the same test case runs on a fresh system with
-// M-level instrumentation, and each sample's delay segments are matched
-// from the i/o-boundary trace. Determinism guarantees the schedule is
-// identical to the R run. The run stops at the last verdict, which is
-// safe for the annotation: its deadline-bounded chain matching needs no
-// event past the last decision instant.
-func (r *Runner) RunM(tc TestCase) (MResult, error) {
-	sys, err := r.Setup(platform.MLevel, tc)
-	if err != nil {
-		return MResult{}, err
-	}
-	defer sys.Shutdown()
-	return r.AnnotateM(sys, tc, r.judge(sys, tc)), nil
-}
-
 // AnnotateM lifts R-level base verdicts into the M-testing result by
 // matching each sample's m->i->o->c chain and delay segments from the
-// M-instrumented trace. It is the second half of RunM, split out so
-// runs judged by Evaluate get the identical segment extraction.
+// M-instrumented trace. RunRM calls it on its live run; a run judged by
+// Evaluate gets the identical segment extraction through it.
 func (r *Runner) AnnotateM(sys *platform.System, tc TestCase, base []SampleResult) MResult {
 	mp := sys.Mapping()
 	iName := mp.MtoI[r.Req.Stimulus.Signal]
@@ -286,23 +246,31 @@ type Report struct {
 	Diagnosis []Finding
 }
 
-// RunRM performs the paper's layered flow: R-testing first; if any sample
-// violates the requirement, M-testing follows and the delay segments are
-// diagnosed. Set force to run M-testing even when R-testing passes.
+// RunRM performs the paper's layered flow on one M-instrumented run.
+// R-testing's verdicts come from the verdict machines attached live, which
+// read only m- and c-events; if any sample violates the requirement, or
+// force is set, M-testing matches the delay segments from the i/o
+// boundary events of the same trace and diagnoses them. The paper runs
+// M-testing separately because probes cost time on hardware; in virtual
+// time they cost none, so a second run would repeat the first. The run
+// stops at the instant the last sample is decided, which is safe for the
+// annotation: its deadline-bounded chain matching needs no event past the
+// last decision instant.
 func (r *Runner) RunRM(tc TestCase, force bool) (Report, error) {
-	rres, err := r.RunR(tc)
+	sys, err := r.Setup(platform.MLevel, tc)
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{R: rres}
-	if rres.Passed() && !force {
+	defer sys.Shutdown()
+	v := newVerdicts(r.Req, tc)
+	v.attach(sys)
+	sys.Run(tc.Horizon(r.Req))
+	rep := Report{R: RResult{Requirement: r.Req, Scheme: sys.SchemeName(), Case: tc, Samples: v.flush()}}
+	if rep.R.Passed() && !force {
 		return rep, nil
 	}
-	mres, err := r.RunM(tc)
-	if err != nil {
-		return rep, err
-	}
-	rep.M = &mres
-	rep.Diagnosis = Diagnose(mres)
+	m := r.AnnotateM(sys, tc, rep.R.Samples)
+	rep.M = &m
+	rep.Diagnosis = Diagnose(m)
 	return rep, nil
 }

@@ -39,26 +39,26 @@ func requireSame3[T any](t *testing.T, label string, live, replay, oracle T) {
 	}
 }
 
-// checkEquivalence runs tc at R and M level three ways — live, replayed
-// and through the oracle — and requires identical results.
+// checkEquivalence runs tc once through RunRM with M-testing forced and
+// requires its R verdicts to equal the replay and the oracle over an
+// R-level full-horizon run, and its M samples to equal the annotation of
+// both over an M-level full-horizon run. The R comparison is the premise
+// of judging R-testing from the M-level run: M-level probes do not move
+// virtual time, so they cannot change a verdict.
 func checkEquivalence(t *testing.T, r *core.Runner, tc core.TestCase) {
 	t.Helper()
-	live, err := r.RunR(tc)
+	rep, err := r.RunRM(tc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := fullRun(t, r, platform.RLevel, tc)
-	requireSame3(t, "R", live.Samples, r.Evaluate(sys, tc), r.Oracle(sys, tc))
+	requireSame3(t, "R", rep.R.Samples, r.Evaluate(sys, tc), r.Oracle(sys, tc))
 	sys.Shutdown()
 
-	liveM, err := r.RunM(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sys = fullRun(t, r, platform.MLevel, tc)
 	defer sys.Shutdown()
 	// Only the samples compare: Program and TransTrace are per-run pointers.
-	requireSame3(t, "M", liveM.Samples,
+	requireSame3(t, "M", rep.M.Samples,
 		r.AnnotateM(sys, tc, r.Evaluate(sys, tc)).Samples,
 		r.AnnotateM(sys, tc, r.Oracle(sys, tc)).Samples)
 }
@@ -69,9 +69,9 @@ func schemeFactories() map[string]core.SystemFactory {
 	}
 }
 
-// TestVerdictEquivalenceAcrossSchemes: on every unfaulted scheme, at R and
-// M level, the live machines, their replay over a full-horizon run and the
-// oracle agree.
+// TestVerdictEquivalenceAcrossSchemes: on every unfaulted scheme, the
+// live machines of one M-level run, their replay over full-horizon runs
+// at R and M level and the oracle agree.
 func TestVerdictEquivalenceAcrossSchemes(t *testing.T) {
 	tc := genCase(t, 4, 42)
 	for name, factory := range schemeFactories() {
@@ -87,8 +87,8 @@ func TestVerdictEquivalenceAcrossSchemes(t *testing.T) {
 }
 
 // TestVerdictEquivalenceUnderFaults: on every scheme, under each faulted
-// fault catalogue plan, at R and M level, the live machines, their replay
-// over a full-horizon run and the oracle agree.
+// fault catalogue plan, the live machines of one M-level run, their
+// replay over full-horizon runs at R and M level and the oracle agree.
 func TestVerdictEquivalenceUnderFaults(t *testing.T) {
 	tc := genCase(t, 3, 42)
 	plans := rmtest.FaultCatalog(tc.Horizon(gpca.REQ1()))
@@ -167,16 +167,16 @@ func TestVerdictEquivalenceAtDeadline(t *testing.T) {
 
 	// Measure the unfaulted response delay, then craft the latency that
 	// lands the c-event exactly at m + timeout.
-	base, err := runner(0).RunM(tc)
+	base, err := runner(0).RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Samples[0].Verdict != core.Pass {
-		t.Fatalf("baseline verdict %v, want Pass", base.Samples[0].Verdict)
+	if base.R.Samples[0].Verdict != core.Pass {
+		t.Fatalf("baseline verdict %v, want Pass", base.R.Samples[0].Verdict)
 	}
-	exact := req.EffectiveTimeout() - base.Samples[0].Delay
+	exact := req.EffectiveTimeout() - base.R.Samples[0].Delay
 	if exact <= 0 {
-		t.Fatalf("baseline delay %v already beyond the timeout", base.Samples[0].Delay)
+		t.Fatalf("baseline delay %v already beyond the timeout", base.R.Samples[0].Delay)
 	}
 	for _, c := range []struct {
 		name  string
@@ -189,11 +189,11 @@ func TestVerdictEquivalenceAtDeadline(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := runner(c.extra)
 			checkEquivalence(t, r, tc)
-			res, err := r.RunM(tc)
+			rep, err := r.RunRM(tc, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := res.Samples[0]
+			s := rep.R.Samples[0]
 			if s.Verdict != c.want {
 				t.Fatalf("verdict %v, want %v (delay %v)", s.Verdict, c.want, s.Delay)
 			}
@@ -215,18 +215,19 @@ func TestLiveRunStopsAtLastVerdict(t *testing.T) {
 	}
 	var live *platform.System
 	r.Prepare = func(sys *platform.System, _ core.TestCase) { live = sys }
-	res, err := r.RunR(tc)
+	rep, err := r.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Prepare = nil
-	full := fullRun(t, r, platform.RLevel, tc)
+	full := fullRun(t, r, platform.MLevel, tc)
 	defer full.Shutdown()
-	if !reflect.DeepEqual(res.Samples, r.Evaluate(full, tc)) {
+	samples := rep.R.Samples
+	if !reflect.DeepEqual(samples, r.Evaluate(full, tc)) {
 		t.Fatal("live verdicts diverge from the full-horizon replay")
 	}
 	// The last sample is decided by its deadline watchdog at the latest.
-	lastDeadline := res.Samples[len(res.Samples)-1].MEvent.At + r.Req.EffectiveTimeout() + 1
+	lastDeadline := samples[len(samples)-1].MEvent.At + r.Req.EffectiveTimeout() + 1
 	if live.Kernel.Now() > lastDeadline {
 		t.Fatalf("live run stopped at %v, after the last deadline %v", live.Kernel.Now(), lastDeadline)
 	}
@@ -250,17 +251,13 @@ func TestSetupRejectsDecreasingStimuli(t *testing.T) {
 	if _, err := r.Setup(platform.RLevel, tc); err == nil || !strings.Contains(err.Error(), "non-decreasing") {
 		t.Fatalf("Setup: err = %v, want an ordering error", err)
 	}
-	if _, err := r.RunR(tc); err == nil {
-		t.Fatal("RunR accepted decreasing stimuli")
-	}
-	if _, err := r.RunM(tc); err == nil {
-		t.Fatal("RunM accepted decreasing stimuli")
-	}
-	if _, err := r.RunRM(tc, true); err == nil {
-		t.Fatal("RunRM accepted decreasing stimuli")
+	for _, force := range []bool{false, true} {
+		if _, err := r.RunRM(tc, force); err == nil {
+			t.Fatalf("RunRM(force=%v) accepted decreasing stimuli", force)
+		}
 	}
 	// Ties are ordered: equal instants are two samples of one press.
-	if _, err := r.RunR(core.TestCase{Stimuli: []sim.Time{50 * ms, 50 * ms}}); err != nil {
+	if _, err := r.RunRM(core.TestCase{Stimuli: []sim.Time{50 * ms, 50 * ms}}, false); err != nil {
 		t.Fatalf("equal stimuli rejected: %v", err)
 	}
 }

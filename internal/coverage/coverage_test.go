@@ -144,11 +144,11 @@ func TestMeasureEndToEnd(t *testing.T) {
 		sys.Env.PulseAt(at, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 	}
 	sys.Run(tcase.Horizon(gpca.REQ1()))
-	mres, err := runner.RunM(tcase)
+	rm, err := runner.RunRM(tcase, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Measure(sys.Program(), sys.TransTrace, mres, 40*ms, 8)
+	rep := Measure(sys.Program(), sys.TransTrace, *rm.M, 40*ms, 8)
 	// The bolus scenario exercises 3 of 6 transitions (request, start,
 	// 4000-tick stop) and 3 of 4 states (EmptyAlarm unreachable without
 	// the alarm stimulus).

@@ -284,7 +284,7 @@ func (p Plan) arm(sys *platform.System, f Fault, seed uint64) {
 
 // Prepare adapts a plan to the core.Runner Prepare hook: the plan is
 // applied with the given seed after stimuli are scheduled, identically
-// for the R and M runs. An Apply error panics — Prepare has no error
+// on every run. An Apply error panics — Prepare has no error
 // channel; under the campaign engine the panic is isolated, counted as
 // a failed run and the worker scratch discarded, which is the intended
 // containment for a mis-targeted plan.

@@ -179,12 +179,12 @@ func TestREQ2AndREQ3EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := core.TestCase{Name: "req2", Stimuli: []time.Duration{100 * ms}}
-	res, err := r2.RunR(tc)
+	rep, err := r2.RunRM(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Passed() {
-		t.Fatalf("REQ2: %v", res.Samples)
+	if !rep.R.Passed() {
+		t.Fatalf("REQ2: %v", rep.R.Samples)
 	}
 	// REQ3 needs an active alarm first; drive the scenario manually.
 	sys, err := factory(platform.RLevel)

@@ -89,11 +89,6 @@ func platformDoc(rep *schedlint.Report) jsonPlatformReport {
 	return out
 }
 
-// PlatformJSON exports a platform lint report as indented JSON.
-func PlatformJSON(rep *schedlint.Report) ([]byte, error) {
-	return json.MarshalIndent(platformDoc(rep), "", "  ")
-}
-
 // CombinedLintJSON exports a chart lint report and a platform lint
 // report as one JSON document, for `rmtest lint -json -platform`.
 func CombinedLintJSON(chart *lint.Report, plat *schedlint.Report) ([]byte, error) {

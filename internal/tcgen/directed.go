@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"rmtest/internal/coverage"
-	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
 
@@ -42,17 +41,17 @@ func (g coverageGen) Generate(t Target, opt Options) (Result, error) {
 	m := newMemo(t, opt)
 	boundaryDone := false
 	for {
-		outs, err := m.evaluate(rs.Uint64(), platform.MLevel, []Schedule{sched})
+		outs, err := m.evaluate(rs.Uint64(), []Schedule{sched})
 		if err != nil {
 			return Result{}, err
 		}
 		res.Evals++
 		res.Rounds++
 		out := outs[0]
+		cov := coverage.Measure(out.M.Program, out.M.TransTrace, *out.M, t.PhasePeriod, t.Bins)
 		res.Schedule = sched.Clone()
-		res.Samples = out.Samples
-		res.Coverage = out.Coverage
-		cov := *out.Coverage
+		res.Samples = out.R.Samples
+		res.Coverage = &cov
 		if cov.Transitions.Ratio() >= opt.TargetTransitions && cov.Phase.Ratio() >= opt.TargetPhase {
 			break
 		}

@@ -3,7 +3,6 @@ package tcgen
 import (
 	"time"
 
-	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
 
@@ -41,13 +40,13 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 	best := seedSchedule(t, "gen-falsify", opt.Samples, rs.Uint64())
 	res := Result{Strategy: g.Name(), WorstIndex: -1}
 	m := newMemo(t, opt)
-	outs, err := m.evaluate(rs.Uint64(), platform.RLevel, []Schedule{best})
+	outs, err := m.evaluate(rs.Uint64(), []Schedule{best})
 	if err != nil {
 		return Result{}, err
 	}
 	res.Evals++
-	bestOut := outs[0]
-	bestScore, _ := worstOf(bestOut.Samples, t.Req)
+	bestSamples := outs[0].R.Samples
+	bestScore, _ := worstOf(bestSamples, t.Req)
 	scoreCap := t.Req.EffectiveTimeout()
 	for res.Evals < budget && bestScore < scoreCap {
 		res.Rounds++
@@ -61,21 +60,21 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 		if room := budget - res.Evals; len(cands) > room {
 			cands = cands[:room]
 		}
-		outs, err := m.evaluate(rs.Uint64(), platform.RLevel, cands)
+		outs, err := m.evaluate(rs.Uint64(), cands)
 		if err != nil {
 			return Result{}, err
 		}
 		res.Evals += len(cands)
 		for i, out := range outs {
-			if score, _ := worstOf(out.Samples, t.Req); score > bestScore {
-				bestScore, best, bestOut = score, cands[i], out
+			if score, _ := worstOf(out.R.Samples, t.Req); score > bestScore {
+				bestScore, best, bestSamples = score, cands[i], out.R.Samples
 			}
 		}
 	}
 	res.Schedule = best
-	res.Samples = bestOut.Samples
-	res.WorstDelay, res.WorstIndex = worstOf(bestOut.Samples, t.Req)
-	res.Violated = violated(bestOut.Samples)
+	res.Samples = bestSamples
+	res.WorstDelay, res.WorstIndex = worstOf(bestSamples, t.Req)
+	res.Violated = violated(bestSamples)
 	res.Hits, res.Deduped = m.hits, m.deduped
 	return res, nil
 }

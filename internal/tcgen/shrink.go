@@ -3,7 +3,6 @@ package tcgen
 import (
 	"fmt"
 
-	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
 
@@ -51,13 +50,13 @@ func shrink(m *memo, s Schedule) (ShrinkResult, error) {
 	}
 	rs := sim.NewRand(m.opt.Seed ^ 0x05a1e)
 	eval := func(cands []Schedule) ([]bool, error) {
-		outs, err := m.evaluate(rs.Uint64(), platform.RLevel, cands)
+		outs, err := m.evaluate(rs.Uint64(), cands)
 		if err != nil {
 			return nil, err
 		}
 		v := make([]bool, len(outs))
 		for i, o := range outs {
-			v[i] = violated(o.Samples)
+			v[i] = violated(o.R.Samples)
 		}
 		return v, nil
 	}
@@ -196,14 +195,14 @@ func (g shrinkGen) Generate(t Target, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	outs, err := m.evaluate(opt.Seed^0x07e57, platform.RLevel, []Schedule{sr.Minimal})
+	outs, err := m.evaluate(opt.Seed^0x07e57, []Schedule{sr.Minimal})
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
 		Strategy: "shrink",
 		Schedule: sr.Minimal,
-		Samples:  outs[0].Samples,
+		Samples:  outs[0].R.Samples,
 		Rounds:   sr.Rounds,
 		Evals:    sr.Evals + 1,
 		Hits:     m.hits,

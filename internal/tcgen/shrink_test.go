@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"rmtest/internal/platform"
 	"rmtest/internal/sim"
 )
 
@@ -180,12 +179,12 @@ func TestShrinkPreservesViolationRealSystem(t *testing.T) {
 	}
 	check := append([]Schedule{fal.Schedule}, sr.Trail...)
 	check = append(check, sr.Minimal)
-	outs, err := newMemo(tgt.normalised(), opt.normalised()).evaluate(7, platform.RLevel, check)
+	outs, err := newMemo(tgt.normalised(), opt.normalised()).evaluate(7, check)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, out := range outs {
-		if !violated(out.Samples) {
+		if !violated(out.R.Samples) {
 			t.Errorf("schedule %d/%d (of input+trail+minimal) no longer violates", i, len(check)-1)
 		}
 	}

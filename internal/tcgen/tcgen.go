@@ -265,13 +265,6 @@ type Generator interface {
 	Generate(t Target, opt Options) (Result, error)
 }
 
-// evalOut is one candidate evaluation: the R-level verdicts plus, on
-// M-level evaluations, the adequacy report.
-type evalOut struct {
-	Samples  []core.SampleResult
-	Coverage *coverage.Report
-}
-
 // worstOf folds per-sample delays into the search score: the largest
 // observed delay, with unobserved responses counting as the requirement
 // timeout (the worst measurable outcome).
@@ -304,35 +297,36 @@ func violated(samples []core.SampleResult) bool {
 
 // memo is one search's private record of its candidate evaluations.
 // The search's Target and Options are fixed, so an evaluation depends only
-// on the instrumentation level and the candidate's stimuli, and those
-// form the key. Schedule names are left out: shrinking renames candidates
-// without changing what they compute. The campaign seed is left out too,
-// since no evaluation reads its run seed.
+// on the candidate's stimuli, and they form the key. Schedule names are
+// left out: shrinking renames candidates without changing what they
+// compute. The campaign seed is left out too, since no evaluation reads
+// its run seed.
 type memo struct {
 	t             Target
 	opt           Options
-	seen          map[string]evalOut
+	seen          map[string]core.Report
 	hits, deduped int
 }
 
 func newMemo(t Target, opt Options) *memo {
-	return &memo{t: t, opt: opt, seen: map[string]evalOut{}}
+	return &memo{t: t, opt: opt, seen: map[string]core.Report{}}
 }
 
-// evaluate returns every candidate's outcome in schedule order. level
-// selects R-level (verdicts only) or M-level (verdicts plus adequacy
-// measurement) instrumentation. Candidates evaluated by an earlier batch
-// are answered from the memo, a candidate repeated within the batch runs
-// once, and the remaining ones run as one campaign seeded with seed.
-// Failed evaluations are never memoised. Outcomes are byte-identical at
-// any worker count.
-func (m *memo) evaluate(seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
+// evaluate returns every candidate's layered report in schedule order.
+// Each candidate is one Runner.RunRM simulation with M-testing forced, so
+// its report carries both the R verdicts the searches score and the M
+// result the coverage-directed search measures adequacy on. Candidates
+// evaluated by an earlier batch are answered from the memo, a candidate
+// repeated within the batch runs once, and the remaining ones run as one
+// campaign seeded with seed. Failed evaluations are never memoised.
+// Reports are byte-identical at any worker count.
+func (m *memo) evaluate(seed uint64, scheds []Schedule) ([]core.Report, error) {
 	keys := make([]string, len(scheds))
 	queued := map[string]bool{}
 	var run []int // batch indices that execute
 	for i, s := range scheds {
 		// %#v quotes the signal names, so the encoding is exact.
-		key := fmt.Sprintf("%v%#v", level, s.Stimuli)
+		key := fmt.Sprintf("%#v", s.Stimuli)
 		keys[i] = key
 		switch _, ok := m.seen[key]; {
 		case ok:
@@ -348,14 +342,14 @@ func (m *memo) evaluate(seed uint64, level platform.Instrument, scheds []Schedul
 	cfg := campaign.Config{Workers: m.opt.Workers, Seed: seed, OnProgress: m.opt.Progress}
 	ran, err := campaign.Values(campaign.MapScratch(cfg, len(run),
 		func() *platform.Scratch { return &platform.Scratch{} },
-		func(r campaign.Run, sc *platform.Scratch) (evalOut, error) {
+		func(r campaign.Run, sc *platform.Scratch) (core.Report, error) {
 			sched := scheds[run[r.Index]]
 			factory := func(lv platform.Instrument) (*platform.System, error) {
 				return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)
 			}
 			runner, err := core.NewRunner(factory, t.Req)
 			if err != nil {
-				return evalOut{}, err
+				return core.Report{}, err
 			}
 			runner.Prepare = func(sys *platform.System, _ core.TestCase) {
 				for _, st := range sched.Stimuli {
@@ -364,21 +358,7 @@ func (m *memo) evaluate(seed uint64, level platform.Instrument, scheds []Schedul
 					}
 				}
 			}
-			tc := sched.TestCase()
-			if level == platform.RLevel {
-				res, err := runner.RunR(tc)
-				return evalOut{Samples: res.Samples}, err
-			}
-			mres, err := runner.RunM(tc)
-			if err != nil {
-				return evalOut{}, err
-			}
-			base := make([]core.SampleResult, len(mres.Samples))
-			for i, s := range mres.Samples {
-				base[i] = s.SampleResult
-			}
-			cov := coverage.Measure(mres.Program, mres.TransTrace, mres, t.PhasePeriod, t.Bins)
-			return evalOut{Samples: base, Coverage: &cov}, nil
+			return runner.RunRM(sched.TestCase(), true)
 		}))
 	if err != nil {
 		return nil, err
@@ -386,7 +366,7 @@ func (m *memo) evaluate(seed uint64, level platform.Instrument, scheds []Schedul
 	for k, i := range run {
 		m.seen[keys[i]] = ran[k]
 	}
-	outs := make([]evalOut, len(scheds))
+	outs := make([]core.Report, len(scheds))
 	for i, key := range keys {
 		outs[i] = m.seen[key]
 	}

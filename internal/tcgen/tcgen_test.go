@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rmtest/internal/campaign"
+	"rmtest/internal/core"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
 	"rmtest/internal/railcrossing"
@@ -200,8 +201,8 @@ func falsifyBatch(t *testing.T, tg Target, n int) []Schedule {
 	return scheds
 }
 
-// TestEvaluateBatchByteIdentity: an R-level candidate batch evaluates to
-// the same per-sample verdicts and delays at every worker count. The
+// TestEvaluateBatchByteIdentity: a candidate batch evaluates to the same
+// R verdicts and M samples at every worker count. The
 // targets cover both charts and the two pipeline schemes the generation
 // pipeline searches.
 func TestEvaluateBatchByteIdentity(t *testing.T) {
@@ -215,17 +216,17 @@ func TestEvaluateBatchByteIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tg := tc.target.normalised()
 			scheds := falsifyBatch(t, tg, 8)
-			ref, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, platform.RLevel, scheds)
+			ref, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, scheds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got, err := newMemo(tg, Options{Workers: workers}.normalised()).evaluate(7, platform.RLevel, scheds)
+				got, err := newMemo(tg, Options{Workers: workers}.normalised()).evaluate(7, scheds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("workers=%d: evaluation diverged\nwant: %+v\ngot:  %+v", workers, ref, got)
+				if want, got := samplesOf(ref), samplesOf(got); !reflect.DeepEqual(want, got) {
+					t.Fatalf("workers=%d: evaluation diverged\nwant: %+v\ngot:  %+v", workers, want, got)
 				}
 			}
 		})
@@ -241,7 +242,7 @@ func countingMemo(tg Target, executed *int) *memo {
 // memoFixture returns three GPCA scheme-3 candidates with distinct
 // stimuli, and a function that evaluates one candidate alone on a fresh
 // memo.
-func memoFixture(t *testing.T) (tg Target, a, b, c Schedule, alone func(Schedule) evalOut) {
+func memoFixture(t *testing.T) (tg Target, a, b, c Schedule, alone func(Schedule) core.Report) {
 	t.Helper()
 	tg = gpcaTarget(t, scheme3).normalised()
 	a = seedSchedule(tg, "a", 2, 1)
@@ -250,15 +251,32 @@ func memoFixture(t *testing.T) (tg Target, a, b, c Schedule, alone func(Schedule
 	if reflect.DeepEqual(a.Stimuli, b.Stimuli) || reflect.DeepEqual(a.Stimuli, c.Stimuli) || reflect.DeepEqual(b.Stimuli, c.Stimuli) {
 		t.Fatal("seeded schedules coincide; pick other seeds")
 	}
-	alone = func(s Schedule) evalOut {
+	alone = func(s Schedule) core.Report {
 		t.Helper()
-		outs, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, platform.RLevel, []Schedule{s})
+		outs, err := newMemo(tg, Options{Workers: 1}.normalised()).evaluate(7, []Schedule{s})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return outs[0]
 	}
 	return tg, a, b, c, alone
+}
+
+// evalSamples is what a memoised evaluation must reproduce of a report:
+// the R verdicts and the M samples. Whole reports never compare equal
+// under reflect.DeepEqual, which does not equate the requirement's
+// predicate funcs.
+type evalSamples struct {
+	R []core.SampleResult
+	M []core.MSample
+}
+
+func samplesOf(reps []core.Report) []evalSamples {
+	out := make([]evalSamples, len(reps))
+	for i, rep := range reps {
+		out[i] = evalSamples{R: rep.R.Samples, M: rep.M.Samples}
+	}
+	return out
 }
 
 // renamed returns a copy of s under another name, as shrinking renames
@@ -275,7 +293,7 @@ func TestMemoInBatchDedup(t *testing.T) {
 	tg, a, b, _, _ := memoFixture(t)
 	executed := 0
 	m := countingMemo(tg, &executed)
-	if _, err := m.evaluate(7, platform.RLevel, []Schedule{a, b, renamed(a)}); err != nil {
+	if _, err := m.evaluate(7, []Schedule{a, b, renamed(a)}); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 2 || m.deduped != 1 || m.hits != 0 {
@@ -289,11 +307,11 @@ func TestMemoSecondBatchHits(t *testing.T) {
 	tg, a, b, c, _ := memoFixture(t)
 	executed := 0
 	m := countingMemo(tg, &executed)
-	if _, err := m.evaluate(7, platform.RLevel, []Schedule{a, b}); err != nil {
+	if _, err := m.evaluate(7, []Schedule{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	executed = 0
-	if _, err := m.evaluate(8, platform.RLevel, []Schedule{renamed(a), c}); err != nil {
+	if _, err := m.evaluate(8, []Schedule{renamed(a), c}); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 1 || m.hits != 1 || m.deduped != 0 {
@@ -306,23 +324,23 @@ func TestMemoSecondBatchHits(t *testing.T) {
 // earlier one, equal each candidate's evaluation on a fresh memo.
 func TestMemoMatchesFreshEvaluation(t *testing.T) {
 	tg, a, b, c, alone := memoFixture(t)
-	wantABA := []evalOut{alone(a), alone(b), alone(a)}
-	wantAC := []evalOut{alone(a), alone(c)}
+	wantABA := samplesOf([]core.Report{alone(a), alone(b), alone(a)})
+	wantAC := samplesOf([]core.Report{alone(a), alone(c)})
 	for _, workers := range []int{1, 2, 4} {
 		m := newMemo(tg, Options{Workers: workers}.normalised())
-		got, err := m.evaluate(7, platform.RLevel, []Schedule{a, b, renamed(a)})
+		got, err := m.evaluate(7, []Schedule{a, b, renamed(a)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, wantABA) {
-			t.Errorf("workers=%d: [A B A] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantABA, got)
+		if !reflect.DeepEqual(samplesOf(got), wantABA) {
+			t.Errorf("workers=%d: [A B A] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantABA, samplesOf(got))
 		}
-		got, err = m.evaluate(8, platform.RLevel, []Schedule{a, c})
+		got, err = m.evaluate(8, []Schedule{a, c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, wantAC) {
-			t.Errorf("workers=%d: [A C] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantAC, got)
+		if !reflect.DeepEqual(samplesOf(got), wantAC) {
+			t.Errorf("workers=%d: [A C] outcomes differ from lone evaluations\nwant: %+v\ngot:  %+v", workers, wantAC, samplesOf(got))
 		}
 	}
 }
@@ -338,7 +356,7 @@ func TestMemoSkipsErrors(t *testing.T) {
 	executed := 0
 	m := countingMemo(tg, &executed)
 	for batch := 1; batch <= 2; batch++ {
-		if _, err := m.evaluate(7, platform.RLevel, []Schedule{bad}); err == nil {
+		if _, err := m.evaluate(7, []Schedule{bad}); err == nil {
 			t.Fatalf("batch %d: out-of-order schedule evaluated without error", batch)
 		}
 		if executed != batch {

@@ -200,32 +200,10 @@ const (
 // Time is a virtual-time instant or span.
 type Time = sim.Time
 
-// Campaign engine (internal/campaign): deterministic parallel execution
-// of independent experiment runs.
-type (
-	// CampaignConfig bounds the worker pool and seeds the campaign.
-	CampaignConfig = campaign.Config
-	// CampaignRun identifies one unit of work (index + derived seed).
-	CampaignRun = campaign.Run
-	// CampaignProgress is a progress/throughput snapshot.
-	CampaignProgress = campaign.Progress
-)
-
-// CampaignSeeds derives n per-run seeds from a campaign seed by a
-// splitmix64 split; run k's seed never depends on scheduling or on n.
-func CampaignSeeds(seed uint64, n int) []uint64 { return campaign.Seeds(seed, n) }
-
-// RunCampaign executes fn for run indices [0, n) on a bounded worker pool
-// with deterministic, run-ordered outcomes (see internal/campaign).
-func RunCampaign[T any](cfg CampaignConfig, n int, fn func(CampaignRun) (T, error)) []campaign.Outcome[T] {
-	return campaign.Map(cfg, n, fn)
-}
-
-// CampaignValues unwraps campaign outcomes in run order, or returns the
-// first failure.
-func CampaignValues[T any](outs []campaign.Outcome[T]) ([]T, error) {
-	return campaign.Values(outs)
-}
+// CampaignProgress is a progress/throughput snapshot of the campaign
+// engine (internal/campaign), which executes independent experiment runs
+// in parallel with deterministic results.
+type CampaignProgress = campaign.Progress
 
 // VerifyResponse checks a model-level timing property on a chart.
 func VerifyResponse(c *Chart, prop ResponseProperty, opt VerifyOptions) (VerifyResult, error) {
@@ -353,18 +331,6 @@ const (
 	// FaultNone is the pseudo-class of the empty (baseline) plan.
 	FaultNone = faults.ClassNone
 )
-
-// PrepareFaults adapts a fault plan to the Runner Prepare hook; the
-// plan's seeded fault streams derive from seed.
-func PrepareFaults(p FaultPlan, seed uint64) func(*System, TestCase) {
-	return faults.Prepare(p, seed)
-}
-
-// AttributeFault judges a faulted M-testing result against an unfaulted
-// baseline of the same scenario.
-func AttributeFault(plan FaultPlan, base, faulted MReport) FaultAttribution {
-	return faults.Attribute(plan, base, faulted)
-}
 
 // RenderFaultTable renders fault attributions for humans.
 func RenderFaultTable(attrs []FaultAttribution) string { return report.FaultTable(attrs) }
@@ -524,9 +490,6 @@ func PlatformLint(cfg PlatformLintConfig) (*PlatformReport, error) {
 // RenderPlatformLint renders a platform lint report as human text.
 func RenderPlatformLint(rep *PlatformReport) string { return report.PlatformText(rep) }
 
-// RenderPlatformLintJSON exports a platform lint report as indented JSON.
-func RenderPlatformLintJSON(rep *PlatformReport) ([]byte, error) { return report.PlatformJSON(rep) }
-
 // RenderCombinedLintJSON exports a chart lint report and a platform lint
 // report as one JSON document.
 func RenderCombinedLintJSON(chart *LintReport, plat *PlatformReport) ([]byte, error) {
@@ -576,9 +539,6 @@ type (
 	// TestGenerator is a test-case generation strategy. (Generator names
 	// the core stimulus-spacing generator; this is the search layer.)
 	TestGenerator = tcgen.Generator
-	// ShrinkReport is the delta-debugging outcome: the minimal violating
-	// schedule and the trail of intermediate violating schedules.
-	ShrinkReport = tcgen.ShrinkResult
 	// GenRun is one chart's generation pipeline outcome for rendering.
 	GenRun = report.GenRun
 )
@@ -597,12 +557,6 @@ func FalsificationGenerator() TestGenerator { return tcgen.Falsification() }
 // ShrinkingGenerator returns the generator that delta-debugs the given
 // violating schedule down to a minimal subset that still violates.
 func ShrinkingGenerator(input GenSchedule) TestGenerator { return tcgen.Shrinker(input) }
-
-// ShrinkSchedule delta-debugs a violating schedule directly, returning
-// the minimal violating schedule and the trail of intermediates.
-func ShrinkSchedule(t GenTarget, opt GenOptions, s GenSchedule) (ShrinkReport, error) {
-	return tcgen.Shrink(t, opt, s)
-}
 
 // RenderGenSummary renders generation results as a human-readable table.
 func RenderGenSummary(runs []GenRun) string { return report.GenSummary(runs) }
