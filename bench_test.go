@@ -455,14 +455,47 @@ func BenchmarkSchedLint(b *testing.B) {
 
 // --- Campaign engine -------------------------------------------------
 
+// tableIEventsPerRun returns the kernel events one full-horizon M-level
+// Table I run fires, averaged over the three schemes.
+func tableIEventsPerRun(b *testing.B) float64 {
+	req := gpca.REQ1()
+	tc, err := gpca.TableIGenerator(10, 42).Generate(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	schemes := []func() platform.Scheme{
+		func() platform.Scheme { return platform.DefaultScheme1() },
+		func() platform.Scheme { return platform.DefaultScheme2() },
+		func() platform.Scheme { return platform.DefaultScheme3() },
+	}
+	var events uint64
+	for _, scheme := range schemes {
+		runner, err := core.NewRunner(gpca.Factory(scheme), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := runner.Setup(platform.MLevel, tc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(tc.Horizon(req))
+		events += sys.Kernel.EventsFired()
+		sys.Shutdown()
+	}
+	return float64(events) / float64(len(schemes))
+}
+
 // BenchmarkCampaignTableI measures the full Table I regeneration through
 // the campaign engine at two worker-pool sizes. The workers=1 case is the
 // sequential baseline; the workers=GOMAXPROCS case shards the three
 // scheme columns across the pool. On a multi-core host the parallel case
 // approaches a 3x speedup (one worker per scheme); results are
 // byte-identical at every pool size (see
-// TestCampaignTableIMatchesSequentialGolden).
+// TestCampaignTableIMatchesSequentialGolden). The events/run metric comes
+// from full-horizon runs outside the timed loop, so the live verdicts'
+// early stop does not move it.
 func BenchmarkCampaignTableI(b *testing.B) {
+	eventsPerRun := tableIEventsPerRun(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -485,6 +518,7 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			// reuse targets.
 			const runsPerIter = 3
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
+			b.ReportMetric(eventsPerRun, "events/run")
 		})
 	}
 }
@@ -622,6 +656,7 @@ func tcgenTarget(b testing.TB) rmtest.GenTarget {
 func BenchmarkTCGenCampaign(b *testing.B) {
 	target := tcgenTarget(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rmtest.CoverageDirectedGenerator().Generate(target,
 			rmtest.GenOptions{Seed: 42, Workers: 1}); err != nil {

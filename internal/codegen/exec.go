@@ -12,11 +12,16 @@ import (
 // simulated platform it is implemented by an adapter over rtos.Task, so
 // the cost of running CODE(M) is charged to the task that invokes it; a
 // nil ExecEnv executes in zero time (used for differential testing
-// against the model interpreter).
+// against the model interpreter). The executor's state never depends on
+// when a charge runs, and it reads the clock only where a listener
+// observes a transition start or finish, so an ExecEnv may owe the
+// charges made between two reads and run them as one burst.
 type ExecEnv interface {
-	// Compute consumes d of CPU time on the executing task.
+	// Compute charges d of CPU time to the executing task, now or owed
+	// until the next Now.
 	Compute(d time.Duration)
-	// Now returns the current virtual time.
+	// Now returns the current virtual time, once every charge made
+	// before the call has run.
 	Now() time.Duration
 }
 
@@ -32,8 +37,13 @@ type Listener interface {
 }
 
 // CostModel maps generated-code structure to execution time on the target
-// platform. All charges flow through ExecEnv.Compute, so they are subject
-// to preemption by the RTOS exactly like real instruction streams.
+// platform. Every charge goes to ExecEnv.Compute and is preemptible by the
+// RTOS like a real instruction stream. The simulated platform merges the
+// charges made between two observation points (a transition start or
+// finish at the M level, the end of an invocation) into one burst, and
+// issues them one by one only while the task cannot merge bursts
+// (rtos.Task.Coalescible). Entering the initial configuration charges
+// nothing.
 type CostModel struct {
 	// StepBase is charged once per step invocation (input latching, state
 	// lookup, scan overhead).
@@ -133,7 +143,13 @@ func (e *Exec) Reset() {
 	e.tick = 0
 	e.steps = 0
 	e.transitions = 0
+	// Generated code's initialise function runs before the platform
+	// schedules any task, so entering the initial configuration charges
+	// no cost.
+	env := e.env
+	e.env = nil
 	e.enterFrom(e.prog.InitState)
+	e.env = env
 }
 
 // descendChild picks the child to descend into, honouring shallow

@@ -1,0 +1,186 @@
+package platform_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"rmtest"
+	"rmtest/internal/campaign"
+	"rmtest/internal/core"
+	"rmtest/internal/faults"
+	"rmtest/internal/fourvar"
+	"rmtest/internal/gpca"
+	"rmtest/internal/platform"
+	"rmtest/internal/rtos"
+	"rmtest/internal/sim"
+)
+
+// observation is everything a finished run shows of its execution.
+type observation struct {
+	Events      []fourvar.Event
+	Transitions []fourvar.TransitionDelay
+	Tasks       []taskObservation
+	Sched       []rtos.TraceRecord
+	Switches    uint64
+	Preemptions uint64
+	Now         sim.Time
+}
+
+// taskObservation compares the CPU a task has run, not CPUTime: a run
+// that ends inside a CODE(M) invocation counts a merged burst whole,
+// where charge by charge counts only the charges issued so far.
+type taskObservation struct {
+	Name             string
+	CPUUsed          sim.Time
+	Releases, Missed uint64
+}
+
+func observe(sys *platform.System) observation {
+	o := observation{
+		Events:      sys.Trace.Events(),
+		Transitions: sys.TransTrace.Records(),
+		Sched:       sys.Sched.Trace().Records(),
+		Switches:    sys.Sched.ContextSwitches(),
+		Preemptions: sys.Sched.Preemptions(),
+		Now:         sys.Kernel.Now(),
+	}
+	for _, tk := range sys.Sched.Tasks() {
+		o.Tasks = append(o.Tasks, taskObservation{tk.Name(), tk.CPUUsed(), tk.Releases(), tk.MissedReleases()})
+	}
+	return o
+}
+
+func (o observation) String() string {
+	return fmt.Sprintf("%d trace events, %d transitions, %d scheduler records, tasks %v, %d switches, %d preemptions, ended at %v",
+		len(o.Events), len(o.Transitions), len(o.Sched), o.Tasks, o.Switches, o.Preemptions, o.Now)
+}
+
+// checkMerged runs one system charge by charge and merged, and requires
+// the two runs to observe the same execution. When merges is set, the
+// merged run must also fire at most 60% of the other's kernel events, so
+// a merge that silently stops merging fails.
+func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) {
+	t.Helper()
+	ref := run(true)
+	defer ref.Shutdown()
+	sys := run(false)
+	defer sys.Shutdown()
+	if want, got := observe(ref), observe(sys); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged bursts changed the execution\nmerged:           %v\ncharge by charge: %v", got, want)
+	}
+	merged, byCharge := sys.Kernel.EventsFired(), ref.Kernel.EventsFired()
+	t.Logf("kernel events: %d merged, %d charge by charge", merged, byCharge)
+	if merges && 10*merged > 6*byCharge {
+		t.Fatalf("merged run fired %d kernel events, charge by charge %d: want at most 60%%", merged, byCharge)
+	}
+}
+
+var schemes = []func() platform.Scheme{
+	func() platform.Scheme { return platform.DefaultScheme1() },
+	func() platform.Scheme { return platform.DefaultScheme2() },
+	func() platform.Scheme { return platform.DefaultScheme3() },
+}
+
+var levels = []platform.Instrument{platform.RLevel, platform.MLevel}
+
+// TestMergedBurstsMatchChargeByCharge: issuing CODE(M)'s cost as one
+// burst per observation point observes the same execution as issuing
+// every charge on its own, on the Table I case at both instrumentation
+// levels on every scheme, unfaulted and under each catalogue fault plan
+// that applies.
+func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
+	req := gpca.REQ1()
+	tc, err := gpca.TableIGenerator(3, 42).Generate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := rmtest.FaultCatalog(tc.Horizon(req))
+	seeds := campaign.Seeds(42, len(plans))
+	for _, scheme := range schemes {
+		for i, plan := range plans {
+			for _, level := range levels {
+				t.Run(fmt.Sprintf("%s/%s/%v", scheme().Name(), plan.Name, level), func(t *testing.T) {
+					t.Parallel()
+					probe, err := platform.NewSystem(gpca.PlatformConfig(), scheme(), level)
+					if err != nil {
+						t.Fatal(err)
+					}
+					applies := plan.Apply(probe, seeds[i])
+					probe.Shutdown()
+					if applies != nil {
+						t.Skipf("plan does not apply: %v", applies)
+					}
+					checkMerged(t, len(plan.Faults) == 0, func(chargeByCharge bool) *platform.System {
+						r, err := core.NewRunner(func(level platform.Instrument) (*platform.System, error) {
+							sys, err := platform.NewSystem(gpca.PlatformConfig(), scheme(), level)
+							if err == nil && chargeByCharge {
+								platform.ChargeByCharge(sys)
+							}
+							return sys, err
+						}, req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r.Prepare = faults.Prepare(plan, seeds[i])
+						sys, err := r.Setup(level, tc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sys.Run(tc.Horizon(req))
+						return sys
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestMergedBurstsUnderTimeSlicing: round-robin slicing arms a slice by
+// burst length, so with scheme 3's logger sharing the CODE(M) task's
+// priority, charges must keep their own bursts.
+func TestMergedBurstsUnderTimeSlicing(t *testing.T) {
+	cfg := gpca.PlatformConfig()
+	cfg.RTOS.TimeSlice = 500 * time.Microsecond
+	for _, level := range levels {
+		t.Run(level.String(), func(t *testing.T) {
+			checkMerged(t, false, func(chargeByCharge bool) *platform.System {
+				sys, err := platform.NewSystem(cfg, platform.DefaultScheme3(), level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if chargeByCharge {
+					platform.ChargeByCharge(sys)
+				}
+				sys.Env.PulseAt(5*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
+				sys.Env.PulseAt(4600*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
+				sys.Run(10 * time.Second)
+				return sys
+			})
+		})
+	}
+}
+
+// TestMergedBurstsWithCostedInitialEntry: a chart whose initial state has
+// a costed entry action merges like any other.
+func TestMergedBurstsWithCostedInitialEntry(t *testing.T) {
+	for _, scheme := range schemes {
+		for _, level := range levels {
+			t.Run(fmt.Sprintf("%s/%v", scheme().Name(), level), func(t *testing.T) {
+				checkMerged(t, true, func(chargeByCharge bool) *platform.System {
+					sys, err := platform.NewSystem(platform.CostedEntryConfig(), scheme(), level)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if chargeByCharge {
+						platform.ChargeByCharge(sys)
+					}
+					sys.Env.SetAt(40*time.Millisecond, "sig_lvl", 7)
+					sys.Run(300 * time.Millisecond)
+					return sys
+				})
+			})
+		}
+	}
+}

@@ -103,20 +103,42 @@ type Scheme interface {
 
 // taskEnv adapts the CODE(M)-executing rtos.Task to codegen.ExecEnv, so
 // generated-code cost charges CPU time on whichever task runs the step
-// function.
+// function. CODE(M)'s state never depends on when a charge runs, only
+// the instants it reads do; so charges are owed and issued as one
+// preemptible burst when the step function reads the clock (the M-level
+// listener at transition start and finish) and at the end of stepChart.
+// While the task cannot coalesce bursts (rtos.Task.Coalescible), each
+// charge is issued as it comes.
 type taskEnv struct {
-	tk *rtos.Task
-	k  *sim.Kernel
+	tk   *rtos.Task
+	k    *sim.Kernel
+	owed time.Duration
+	// unmerged issues every charge as it comes; only tests set it.
+	unmerged bool
 }
 
 func (te *taskEnv) Compute(d time.Duration) {
 	if te.tk == nil {
 		panic("platform: CODE(M) executed outside its task")
 	}
-	te.tk.Compute(d)
+	te.owed += d
+	if te.unmerged || !te.tk.Coalescible() {
+		te.flush()
+	}
 }
 
-func (te *taskEnv) Now() time.Duration { return te.k.Now() }
+func (te *taskEnv) Now() time.Duration {
+	te.flush()
+	return te.k.Now()
+}
+
+// flush issues the owed charges as one burst.
+func (te *taskEnv) flush() {
+	if d := te.owed; d > 0 {
+		te.owed = 0
+		te.tk.Compute(d)
+	}
+}
 
 // listener records transition delays and o-events at the M level.
 type listener struct {
@@ -459,6 +481,7 @@ func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange 
 		res = sys.Exec.Step(0)
 		absorb(res.Changed)
 	}
+	sys.taskEnv.flush()
 	var out []statechart.VarChange
 	for _, name := range order {
 		if first[name] != last[name] {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -340,8 +341,9 @@ func TestMappingExposed(t *testing.T) {
 	}
 }
 
-func TestLevelInputBindingVariableRouting(t *testing.T) {
-	// A chart that reads a level input through a bound variable.
+// levelConfig is a chart that reads a level input through a bound
+// variable and raises its output once the level reaches 5.
+func levelConfig() Config {
 	chart := &statechart.Chart{
 		Name:       "level",
 		TickPeriod: time.Millisecond,
@@ -357,7 +359,7 @@ func TestLevelInputBindingVariableRouting(t *testing.T) {
 			{Name: "High"},
 		},
 	}
-	cfg := Config{
+	return Config{
 		Chart: chart,
 		Cost:  codegen.DefaultCostModel(),
 		Board: hw.BoardConfig{
@@ -367,7 +369,18 @@ func TestLevelInputBindingVariableRouting(t *testing.T) {
 		Inputs:  []InputBinding{{Sensor: "lvl", Var: "in_level"}},
 		Outputs: []OutputBinding{{Var: "o_high", Actuator: "led"}},
 	}
-	sys, err := NewSystem(cfg, DefaultScheme1(), MLevel)
+}
+
+// costedEntryConfig is levelConfig with a costed entry action on the
+// initial state, which only the initial configuration ever enters.
+func costedEntryConfig() Config {
+	cfg := levelConfig()
+	cfg.Chart.States[0].Entry = "o_high := 0"
+	return cfg
+}
+
+func TestLevelInputBindingVariableRouting(t *testing.T) {
+	sys, err := NewSystem(levelConfig(), DefaultScheme1(), MLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,5 +501,41 @@ func TestScratchClearsTaps(t *testing.T) {
 	}
 	if sys2.Trace.Len() == 0 {
 		t.Fatal("run 2 recorded nothing")
+	}
+}
+
+// TestCostedInitialEntryTakesNoTime: the initial configuration is entered
+// before any task runs, in zero virtual time, so a costed entry action on
+// the initial state neither fails NewSystem nor moves anything the run
+// observes.
+func TestCostedInitialEntryTakesNoTime(t *testing.T) {
+	for _, scheme := range []func() Scheme{
+		func() Scheme { return DefaultScheme1() },
+		func() Scheme { return DefaultScheme2() },
+		func() Scheme { return DefaultScheme3() },
+	} {
+		run := func(cfg Config) (string, []time.Duration) {
+			sys, err := NewSystem(cfg, scheme(), MLevel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			sys.Env.SetAt(40*ms, "sig_lvl", 7)
+			sys.Run(300 * ms)
+			if sys.Env.Get("sig_led") != 1 {
+				t.Fatalf("%s: led=%d; trace:\n%s", sys.SchemeName(), sys.Env.Get("sig_led"), sys.Trace.String())
+			}
+			var cpu []time.Duration
+			for _, tk := range sys.Sched.Tasks() {
+				cpu = append(cpu, tk.CPUTime())
+			}
+			return traceFingerprint(sys), cpu
+		}
+		wantTrace, wantCPU := run(levelConfig())
+		gotTrace, gotCPU := run(costedEntryConfig())
+		if gotTrace != wantTrace || !reflect.DeepEqual(gotCPU, wantCPU) {
+			t.Fatalf("%s: the initial entry action moved the run:\ncpu %v, want %v\ntrace:\n%s\nwant:\n%s",
+				scheme().Name(), gotCPU, wantCPU, gotTrace, wantTrace)
+		}
 	}
 }

@@ -65,6 +65,10 @@ type Scheduler struct {
 	preempts    uint64
 	queues      map[string]*Queue
 	stormISRs   uint64
+
+	// Kernel callbacks bound once in New, so scheduling one allocates
+	// nothing.
+	kickFn, finishComputeFn func()
 }
 
 // New returns a scheduler bound to kernel k.
@@ -73,7 +77,9 @@ func New(k *sim.Kernel, cfg Config) *Scheduler {
 	if cap <= 0 {
 		cap = 4096
 	}
-	return &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s := &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s.kickFn, s.finishComputeFn = s.kicked, s.finishCompute
+	return s
 }
 
 // Kernel returns the underlying simulation kernel.
@@ -154,6 +160,7 @@ func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task
 		panic("rtos: Spawn with nil body")
 	}
 	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew}
+	t.wakeFn = t.wakeUp
 	t.start(body)
 	s.tasks = append(s.tasks, t)
 	s.k.At(start, func() {
@@ -283,10 +290,13 @@ func (s *Scheduler) kick() {
 		return
 	}
 	s.kickPending = true
-	s.k.After(0, func() {
-		s.kickPending = false
-		s.schedLoop()
-	})
+	s.k.After(0, s.kickFn)
+}
+
+// kicked runs the scheduling pass kick requested.
+func (s *Scheduler) kicked() {
+	s.kickPending = false
+	s.schedLoop()
 }
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
@@ -394,15 +404,17 @@ func (s *Scheduler) finishSwitch() {
 
 func (s *Scheduler) beginCompute(t *Task) {
 	s.computeStart = s.k.Now()
-	s.computeDone = s.k.After(t.pendingCompute, func() { s.finishCompute(t) })
+	s.computeDone = s.k.After(t.pendingCompute, s.finishComputeFn)
 	if s.cfg.TimeSlice > 0 && s.equalPrioReady(t) {
 		s.armSlice()
 	}
 }
 
-// finishCompute completes t's compute burst.
-func (s *Scheduler) finishCompute(t *Task) {
-	t.pendingCompute = 0
+// finishCompute completes the current task's compute burst. Every path
+// that takes a computing task off the CPU cancels its burst first, so
+// the burst that completes is the current task's.
+func (s *Scheduler) finishCompute() {
+	s.current.pendingCompute = 0
 	s.computeDone = sim.Event{}
 	s.cancelSlice()
 	s.schedLoop()
@@ -540,12 +552,7 @@ func (s *Scheduler) handle(t *Task, r request) {
 		t.state = TaskSleeping
 		s.current = nil
 		s.trace.add(s.k.Now(), TraceSleep, t)
-		t.wakeEv = s.k.At(r.until, func() {
-			t.wakeEv = sim.Event{}
-			t.blockOK = true
-			s.makeReady(t, false)
-			s.kick()
-		})
+		t.wakeEv = s.k.At(r.until, t.wakeFn)
 	case reqYield:
 		t.state = TaskPreempted
 		s.makeReady(t, false)
@@ -572,6 +579,14 @@ func (s *Scheduler) handle(t *Task, r request) {
 	}
 }
 
+// wakeUp ends t's sleep.
+func (t *Task) wakeUp() {
+	t.wakeEv = sim.Event{}
+	t.blockOK = true
+	t.sched.makeReady(t, false)
+	t.sched.kick()
+}
+
 // Interrupt models an interrupt service routine: handler runs now (in
 // zero virtual time, outside any task) and the CPU is stolen for isrCost,
 // pushing out whatever compute burst or context switch was in progress.
@@ -596,8 +611,7 @@ func (s *Scheduler) stealCPU(d sim.Time) {
 		remaining := s.computeDone.At() - s.k.Now()
 		s.computeDone.Cancel()
 		s.computeStart += d
-		t := s.current
-		s.computeDone = s.k.After(d+remaining, func() { s.finishCompute(t) })
+		s.computeDone = s.k.After(d+remaining, s.finishComputeFn)
 		if s.sliceEnd.Pending() {
 			sliceRemaining := s.sliceEnd.At() - s.k.Now()
 			s.sliceEnd.Cancel()

@@ -95,6 +95,10 @@ type Task struct {
 	readyAt        sim.Time
 	wakeEv         sim.Event
 
+	// wakeFn ends a sleep; it is bound once at Spawn, so sleeping
+	// allocates nothing.
+	wakeFn func()
+
 	// Reply slots for blocking operations, set by the scheduler before the
 	// task is resumed.
 	blockVal any
@@ -133,9 +137,20 @@ func (t *Task) BasePriority() int { return t.base }
 // State returns the task's lifecycle state.
 func (t *Task) State() TaskState { return t.state }
 
-// CPUTime returns the total virtual CPU time this task has consumed via
-// Compute (including time consumed by bursts still in progress).
+// CPUTime returns the total virtual CPU time this task has asked for via
+// Compute. A burst counts whole from the instant it is issued, so a run
+// that ends inside a burst counts all of it.
 func (t *Task) CPUTime() sim.Time { return t.cpuTime }
+
+// CPUUsed returns the virtual CPU time this task has run: CPUTime less
+// the part of its current burst still to execute.
+func (t *Task) CPUUsed() sim.Time {
+	left := t.pendingCompute
+	if s := t.sched; s.current == t && s.cpuComputing() {
+		left -= s.k.Now() - s.computeStart
+	}
+	return t.cpuTime - left
+}
 
 // BlockedOn returns the name of the resource the task is currently
 // blocked on, or "" when the task is not blocked on a named resource.
@@ -171,6 +186,18 @@ func (t *Task) InjectOverrun(from, duration sim.Time, num, den int64) {
 	t.ovTo = from + duration
 	t.ovNum = num
 	t.ovDen = den
+}
+
+// Coalescible reports whether Compute charges that the task issues back
+// to back, with no reading of the clock between them, may be issued as
+// one burst of their sum without changing the schedule. A preemption
+// lands at the same instant whether it splits one burst or falls between
+// two, so only two things can see where a burst ends: an InjectOverrun
+// window that is armed and not yet over scales each burst by its issue
+// instant, and round-robin time slicing (Config.TimeSlice) arms a slice
+// by burst length. While either holds, charges must be issued one by one.
+func (t *Task) Coalescible() bool {
+	return t.sched.cfg.TimeSlice <= 0 && (t.ovTo <= t.ovFrom || t.Now() >= t.ovTo)
 }
 
 // overrun returns the effective duration of a compute burst issued now.
