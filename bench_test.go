@@ -238,10 +238,11 @@ func BenchmarkKernelCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceRecordQuery measures the fourvar.Trace hot mix the
-// verdict loops produce: streaming appends across four streams with an
-// indexed FirstAt query every fourth event, and a periodic Reset as the
-// campaign scratch reuse performs between runs.
+// BenchmarkTraceRecordQuery measures the fourvar.Trace hot mix of a
+// campaign run: streaming appends across four signals with a FirstAt
+// query every fourth event (a binary search by time, then a scan for the
+// signal), and a periodic Reset as the campaign scratch reuse performs
+// between runs.
 func BenchmarkTraceRecordQuery(b *testing.B) {
 	tr := fourvar.NewTrace()
 	names := [4]string{"btn", "i_Btn", "o_Motor", "motor"}
@@ -514,10 +515,11 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			// Each iteration executes 3 campaign runs, one RunRM simulation
-			// per scheme; allocs/run is the GC-churn metric the scratch
-			// reuse targets.
+			// per scheme; allocs/run and B/run are the GC-churn metrics the
+			// scratch reuse targets.
 			const runsPerIter = 3
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 			b.ReportMetric(eventsPerRun, "events/run")
 		})
 	}
@@ -538,9 +540,10 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceFirstAt measures the indexed event-trace query that the
-// per-sample verdict loop leans on. The trace mimics a long soak run:
-// 100k events across four kinds, queried at random instants.
+// BenchmarkTraceFirstAt measures the event-trace query that M-level
+// annotation leans on, on a trace far longer than a campaign run's: 100k
+// events across four kinds, queried at random instants. Each query is a
+// binary search by time, then a scan to the first matching event.
 func BenchmarkTraceFirstAt(b *testing.B) {
 	tr := fourvar.NewTrace()
 	r := sim.NewRand(1)
@@ -601,10 +604,10 @@ func BenchmarkVerdictReplay(b *testing.B) {
 
 // BenchmarkCampaignFaulted measures the fault-attribution sweep: the
 // Table I scenario once per catalogue fault plan (10 plans, 10 samples
-// each) on the campaign engine. The allocs/run metric is the GC-churn
-// gate for the fault layer: arming a plan is a handful of window events
-// on the pooled kernel, and the unfaulted baseline plan must ride the
-// same zero-alloc scratch-reuse path as the plain campaign.
+// each) on the campaign engine. The allocs/run and B/run metrics are the
+// GC-churn gate for the fault layer: arming a plan is a handful of window
+// events on the pooled kernel, and the unfaulted baseline plan must ride
+// the same zero-alloc scratch-reuse path as the plain campaign.
 func BenchmarkCampaignFaulted(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -626,6 +629,7 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 		})
 	}
 }
@@ -665,14 +669,12 @@ func BenchmarkTCGenCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkExecSpecialized measures the generated-code executor's
-// steady-state Step on the GPCA program with guard/action
-// specialization active: event-trigger transitions are pre-masked and
-// the dominant guard/action shapes run as fused evaluators instead of
-// generic stack-VM dispatch. allocs/op must stay exactly zero — the
-// specialization exists so the hot loop never touches the heap — and
-// that is gated through BENCH_kernel.json.
-func BenchmarkExecSpecialized(b *testing.B) {
+// BenchmarkExecStep measures the generated-code executor's steady-state
+// Step on the GPCA program: a bolus request every 4,500 steps and plain
+// clock ticks between, every guard and action on the bytecode VM.
+// allocs/op must stay exactly zero, and that is gated through
+// BENCH_kernel.json.
+func BenchmarkExecStep(b *testing.B) {
 	cc, err := gpca.Chart().Compile()
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@ func main() {
 	width := flag.Int("width", 60, "press width (ms)")
 	runFor := flag.Int("run", 6000, "simulation horizon (ms)")
 	dumpTrace := flag.Bool("trace", false, "dump the full four-variable trace")
-	dumpSched := flag.Bool("sched", false, "dump the scheduler trace (tail)")
+	dumpSched := flag.Bool("sched", false, "dump the scheduler trace")
 	gantt := flag.Bool("gantt", false, "render a CPU Gantt chart around the press")
 	vcd := flag.String("vcd", "", "write the four-variable trace as a VCD waveform to this file")
 	flag.Parse()
@@ -47,6 +47,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer sys.Shutdown()
+	sched := sys.Sched.Record()
 
 	at := time.Duration(*press) * time.Millisecond
 	sys.Env.PulseAt(at, gpca.SigBolusButton, 1, 0, time.Duration(*width)*time.Millisecond)
@@ -74,7 +75,7 @@ func main() {
 			from = 0
 		}
 		fmt.Println()
-		fmt.Print(rmtest.RenderGantt(sys.Sched.Trace(), from, at+150*time.Millisecond, 90))
+		fmt.Print(rmtest.RenderGantt(sched, from, at+150*time.Millisecond, 90))
 	}
 	fmt.Println()
 	fmt.Print(rmtest.RenderTaskLoads(sys.Sched))
@@ -96,7 +97,7 @@ func main() {
 		fmt.Print(sys.Trace.String())
 	}
 	if *dumpSched {
-		fmt.Println("\nscheduler trace (retained tail):")
-		fmt.Print(sys.Sched.Trace().String())
+		fmt.Println("\nscheduler trace:")
+		fmt.Print(sched.String())
 	}
 }

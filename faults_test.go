@@ -327,12 +327,11 @@ func TestStaticBlockingDominatesUnderISRStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gpca.PlatformConfig()
-	cfg.RTOS.TraceCapacity = 1 << 17
-	sys, err := platform.NewSystem(cfg, platform.DefaultScheme2(), platform.RLevel)
+	sys, err := platform.NewSystem(gpca.PlatformConfig(), platform.DefaultScheme2(), platform.RLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := sys.Sched.Record()
 	horizon := tc.Horizon(req)
 	err = faults.Plan{Name: "storm", Faults: []faults.Fault{
 		{Class: faults.ISRStorm, Duration: horizon, Period: 2 * time.Millisecond, Cost: 1800 * time.Microsecond},
@@ -347,7 +346,7 @@ func TestStaticBlockingDominatesUnderISRStorm(t *testing.T) {
 	if sys.Sched.StormISRs() == 0 {
 		t.Fatal("storm never fired")
 	}
-	blocking := rmtest.MeasuredBlocking(sys.Sched.Trace().Records())
+	blocking := rmtest.MeasuredBlocking(tr.Records())
 	sys.Shutdown()
 
 	an, err := rmtest.AnalyzePipelineStatic(rmtest.Scheme2().(*rmtest.Scheme2Config), nil)

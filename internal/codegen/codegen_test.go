@@ -473,3 +473,23 @@ func TestVMShortCircuitAvoidsDivByZero(t *testing.T) {
 		t.Fatalf("err=%v state=%s", res.Err, e.ActiveState())
 	}
 }
+
+// TestExecStepSteadyStateAllocs is the regression gate for the output
+// snapshot/diff scratch: a Step that takes no transition must not touch
+// the heap at all.
+func TestExecStepSteadyStateAllocs(t *testing.T) {
+	r := sim.NewRand(3)
+	cc, err := randChart(r).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Generate(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExec(prog, DefaultCostModel(), nil, nil)
+	e.Step(0) // settle entry actions
+	if avg := testing.AllocsPerRun(1000, func() { e.Step(0) }); avg != 0 {
+		t.Errorf("steady-state Step allocates %.2f allocs/op, want 0", avg)
+	}
+}

@@ -83,7 +83,6 @@ func Generate(cc *statechart.Compiled) (*Program, error) {
 	}
 	p.InitState = p.stateID[cc.TopInitial()]
 	p.Code = c.code
-	specializeProgram(p)
 	return p, nil
 }
 

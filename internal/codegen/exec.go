@@ -291,52 +291,28 @@ func (e *Exec) pickTransition(events uint64, res *StepResult) *TransRow {
 }
 
 func (e *Exec) enabled(t *TransRow, events uint64, res *StepResult) bool {
-	// Event triggers (the dominant kind) check against the precomputed
-	// mask; the kind switch only runs for the temporal triggers.
-	if t.evMask != 0 {
-		if events&t.evMask == 0 {
+	switch t.Trig.Kind {
+	case statechart.TrigEvent:
+		if events&(1<<uint(t.Trig.Event)) == 0 {
 			return false
 		}
-	} else {
-		switch t.Trig.Kind {
-		case statechart.TrigEvent:
-			// Only reachable for rows that bypassed specialization
-			// (hand-built Programs).
-			if events&(1<<uint(t.Trig.Event)) == 0 {
-				return false
-			}
-		case statechart.TrigAfter:
-			if e.ticksIn(t.From) < t.Trig.N {
-				return false
-			}
-		case statechart.TrigBefore:
-			if e.ticksIn(t.From) >= t.Trig.N {
-				return false
-			}
-		case statechart.TrigAt:
-			if e.ticksIn(t.From) != t.Trig.N {
-				return false
-			}
+	case statechart.TrigAfter:
+		if e.ticksIn(t.From) < t.Trig.N {
+			return false
+		}
+	case statechart.TrigBefore:
+		if e.ticksIn(t.From) >= t.Trig.N {
+			return false
+		}
+	case statechart.TrigAt:
+		if e.ticksIn(t.From) != t.Trig.N {
+			return false
 		}
 	}
 	if t.Guard.Len == 0 {
 		return true
 	}
-	// The cost charge precedes evaluation on every path — specialization
-	// must not move it, or virtual time (and every golden) would shift.
 	e.compute(time.Duration(t.Guard.Nodes) * e.cost.PerGuardNode)
-	switch g := &t.Guard.spec; g.kind {
-	case specConstVal:
-		return g.c != 0
-	case specLoadVal:
-		return e.vars[g.a] != 0
-	case specNotVal:
-		return e.vars[g.a] == 0
-	case specCmpVC:
-		return evalCmp(g.op, e.vars[g.a], g.c)
-	case specCmpVV:
-		return evalCmp(g.op, e.vars[g.a], e.vars[g.b])
-	}
 	v, err := e.run(t.Guard)
 	if err != nil {
 		if res.Err == nil {
@@ -419,14 +395,6 @@ func (e *Exec) runAction(ref CodeRef, res *StepResult) {
 		return
 	}
 	e.compute(time.Duration(ref.Nodes) * e.cost.PerActionNode)
-	switch s := &ref.spec; s.kind {
-	case specStoreConst: // single assignment of a constant — no VM, no error
-		e.vars[s.a] = s.c
-		return
-	case specStoreVar:
-		e.vars[s.a] = e.vars[s.b]
-		return
-	}
 	if _, err := e.run(ref); err != nil && res != nil && res.Err == nil {
 		res.Err = err
 	}

@@ -4,138 +4,6 @@ import (
 	"rmtest/internal/statechart"
 )
 
-// specializeProgram is the back-end peephole pass: it pattern-matches the
-// compiled bytecode of every guard and action against the dominant shapes
-// (constant / single-variable / `var cmp const` guards, single-assignment
-// actions) and attaches fused evaluators to the CodeRefs, plus an event
-// bitmask to event-triggered transition rows. Fragments that match no
-// shape keep the zero spec and run on the generic VM. The pass only reads
-// bytecode the front end emitted, so a specialized fragment is
-// evaluation-equivalent to its generic form by construction: the shapes
-// contain no division or modulo and therefore cannot error.
-func specializeProgram(p *Program) {
-	for i := range p.States {
-		s := &p.States[i]
-		s.Entry.spec = specializeAction(p, s.Entry)
-		s.Exit.spec = specializeAction(p, s.Exit)
-		s.During.spec = specializeAction(p, s.During)
-	}
-	for i := range p.Trans {
-		t := &p.Trans[i]
-		t.Guard.spec = specializeExpr(p, t.Guard)
-		t.Action.spec = specializeAction(p, t.Action)
-		if t.Trig.Kind == statechart.TrigEvent {
-			t.evMask = 1 << uint(t.Trig.Event)
-		}
-	}
-}
-
-// specializeExpr matches value-producing fragments (guards).
-func specializeExpr(p *Program, ref CodeRef) spec {
-	code := fragment(p, ref)
-	switch len(code) {
-	case 2: // op; halt
-		switch code[0].Op {
-		case OpPush:
-			return spec{kind: specConstVal, c: code[0].A}
-		case OpLoad:
-			return spec{kind: specLoadVal, a: int32(code[0].A)}
-		}
-	case 3: // load; not; halt
-		if code[0].Op == OpLoad && code[1].Op == OpNot {
-			return spec{kind: specNotVal, a: int32(code[0].A)}
-		}
-	case 4: // operand; operand; cmp; halt
-		op := code[2].Op
-		if !isCmp(op) {
-			break
-		}
-		l, r := code[0], code[1]
-		switch {
-		case l.Op == OpLoad && r.Op == OpPush:
-			return spec{kind: specCmpVC, op: op, a: int32(l.A), c: r.A}
-		case l.Op == OpPush && r.Op == OpLoad:
-			// const cmp var == var cmp' const with the mirrored operator.
-			return spec{kind: specCmpVC, op: mirrorCmp(op), a: int32(r.A), c: l.A}
-		case l.Op == OpLoad && r.Op == OpLoad:
-			return spec{kind: specCmpVV, op: op, a: int32(l.A), b: int32(r.A)}
-		}
-	}
-	return spec{}
-}
-
-// specializeAction matches statement fragments (entry/exit/during and
-// transition actions): single assignments of a constant or of another
-// variable.
-func specializeAction(p *Program, ref CodeRef) spec {
-	code := fragment(p, ref)
-	if len(code) != 3 || code[1].Op != OpStore {
-		return spec{}
-	}
-	switch code[0].Op {
-	case OpPush:
-		return spec{kind: specStoreConst, a: int32(code[1].A), c: code[0].A}
-	case OpLoad:
-		return spec{kind: specStoreVar, a: int32(code[1].A), b: int32(code[0].A)}
-	}
-	return spec{}
-}
-
-// fragment slices a CodeRef out of the code pool, nil for empty refs.
-// Matching relies on the compiler's invariant that every non-empty
-// fragment ends in OpHalt, so the shapes are length-disambiguated.
-func fragment(p *Program, ref CodeRef) []Instr {
-	if ref.Len == 0 {
-		return nil
-	}
-	code := p.Code[ref.PC : ref.PC+ref.Len]
-	if code[len(code)-1].Op != OpHalt {
-		return nil
-	}
-	return code
-}
-
-func isCmp(op Op) bool {
-	switch op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return true
-	}
-	return false
-}
-
-// mirrorCmp maps cmp to cmp' such that (l cmp r) == (r cmp' l).
-func mirrorCmp(op Op) Op {
-	switch op {
-	case OpLt:
-		return OpGt
-	case OpLe:
-		return OpGe
-	case OpGt:
-		return OpLt
-	case OpGe:
-		return OpLe
-	}
-	return op // Eq and Ne are symmetric
-}
-
-// evalCmp applies a comparison opcode to two values.
-func evalCmp(op Op, l, r int64) bool {
-	switch op {
-	case OpEq:
-		return l == r
-	case OpNe:
-		return l != r
-	case OpLt:
-		return l < r
-	case OpLe:
-		return l <= r
-	case OpGt:
-		return l > r
-	default: // OpGe — isCmp admits no other opcode into a spec
-		return l >= r
-	}
-}
-
 // Optimize performs constant folding and algebraic simplification on an
 // action-language expression, mirroring the optimisation passes of
 // production code generators. The result is evaluation-equivalent to the

@@ -86,41 +86,6 @@ type CodeRef struct {
 	PC    int
 	Len   int
 	Nodes int // AST node count, input to the cost model
-	// spec is the fragment's specialized evaluator, filled in by the
-	// specialization pass for the dominant guard/action shapes. The zero
-	// value (specNone) selects the generic VM, so hand-built Programs that
-	// never pass through Generate remain correct.
-	spec spec
-}
-
-// specKind selects a fused evaluator for a compiled fragment. The kinds
-// cover the shapes that dominate generated charts — constant and
-// single-variable guards, `var cmp const` comparisons and
-// single-assignment actions — so the generic stack-VM dispatch is off the
-// hot path for the common case. Specialized evaluation is observationally
-// identical to the VM: same value, same (absent) error behaviour, and the
-// cost model still charges by AST node count, so virtual time is
-// unchanged — specialization saves host time only.
-type specKind uint8
-
-const (
-	specNone       specKind = iota // generic VM dispatch
-	specConstVal                   // push c; halt            -> c
-	specLoadVal                    // load a; halt            -> vars[a]
-	specNotVal                     // load a; not; halt       -> !vars[a]
-	specCmpVC                      // load a; push c; cmp     -> vars[a] cmp c
-	specCmpVV                      // load a; load b; cmp     -> vars[a] cmp vars[b]
-	specStoreConst                 // push c; store a; halt   -> vars[a] = c
-	specStoreVar                   // load b; store a; halt   -> vars[a] = vars[b]
-)
-
-// spec is one fused evaluator: a kind plus its pre-decoded operands.
-type spec struct {
-	kind specKind
-	op   Op    // comparison opcode for specCmpVC / specCmpVV
-	a    int32 // first var slot (destination for stores)
-	b    int32 // second var slot
-	c    int64 // immediate
 }
 
 // TrigCode is the compiled form of a transition trigger.
@@ -154,10 +119,6 @@ type TransRow struct {
 	Guard  CodeRef
 	Action CodeRef
 	Label  string
-	// evMask is 1<<Trig.Event for event triggers (the dominant kind), so
-	// the enabled check is a single AND instead of a trigger-kind switch.
-	// Zero for every other trigger kind; filled by the specialization pass.
-	evMask uint64
 }
 
 // VarSlot describes one slot of the generated variable block.

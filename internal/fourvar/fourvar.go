@@ -62,40 +62,16 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %s-%s=%d", e.At, e.Kind, e.Name, e.Value)
 }
 
-// traceKey identifies one (kind, name) event stream within a trace.
-type traceKey struct {
-	kind Kind
-	name string
-}
-
-// stream is the per-(kind, name) index: the positions of one event
-// stream's events within the trace, in recording (hence time) order. It
-// is held behind a pointer so the append path extends it in place with a
-// single map lookup — the index grows incrementally with every Record
-// and is never rebuilt on a later query.
-type stream struct {
-	pos []int
-}
-
 // Trace is an append-only timed event trace. Events must be recorded in
-// non-decreasing time order (the simulator guarantees this); queries rely
-// on it. A per-(kind, name) index is maintained on the fly so the hot
-// queries (FirstAt, Of) are binary searches over one stream instead of
-// linear scans of the whole trace, and interleaving appends with queries
-// never degrades them (see TestTraceInterleavedAppendQuery).
+// non-decreasing time order (the simulator guarantees this); FirstAt
+// relies on it to binary-search the events by time.
 type Trace struct {
-	events  []Event
-	streams map[traceKey]*stream
-	// last caches the stream of the most recently recorded (kind, name):
-	// boundary probes typically record bursts on one signal, and the
-	// cache removes the map lookup from those appends.
-	lastKey traceKey
-	last    *stream
-	taps    []func(Event)
+	events []Event
+	taps   []func(Event)
 }
 
 // NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{streams: make(map[traceKey]*stream)} }
+func NewTrace() *Trace { return &Trace{} }
 
 // Tap registers fn to be called synchronously for every subsequently
 // recorded event, in record order. Taps are how live consumers (the
@@ -108,35 +84,11 @@ func (tr *Trace) Tap(fn func(Event)) {
 	tr.taps = append(tr.taps, fn)
 }
 
-// streamOf returns the (kind, name) stream, creating it when create is
-// set.
-func (tr *Trace) streamOf(kind Kind, name string, create bool) *stream {
-	k := traceKey{kind: kind, name: name}
-	if tr.last != nil && tr.lastKey == k {
-		return tr.last
-	}
-	s := tr.streams[k]
-	if s == nil {
-		if !create {
-			return nil
-		}
-		if tr.streams == nil {
-			tr.streams = make(map[traceKey]*stream)
-		}
-		s = &stream{}
-		tr.streams[k] = s
-	}
-	tr.lastKey, tr.last = k, s
-	return s
-}
-
 // Record appends an event.
 func (tr *Trace) Record(kind Kind, name string, value int64, at sim.Time) {
 	if n := len(tr.events); n > 0 && tr.events[n-1].At > at {
 		panic(fmt.Sprintf("fourvar: out-of-order event %v after %v", at, tr.events[n-1].At))
 	}
-	s := tr.streamOf(kind, name, true)
-	s.pos = append(s.pos, len(tr.events))
 	e := Event{Kind: kind, Name: name, Value: value, At: at}
 	tr.events = append(tr.events, e)
 	for _, fn := range tr.taps {
@@ -149,9 +101,7 @@ func (tr *Trace) Len() int { return len(tr.events) }
 
 // Events returns all recorded events as a read-only view of the trace's
 // backing storage — zero-copy. The view is valid until the next Reset;
-// callers must not mutate it. (It used to return a defensive copy; the
-// query paths of the verdict loops made that copy a per-run O(trace)
-// tax for callers that only iterate.)
+// callers must not mutate it.
 func (tr *Trace) Events() []Event { return tr.events }
 
 // All returns a zero-copy iterator over every recorded event in record
@@ -168,99 +118,48 @@ func (tr *Trace) All() iter.Seq[Event] {
 	}
 }
 
-// Of returns all events of the given kind and name, in time order. The
-// returned slice is freshly allocated (the stream index stores positions,
-// not events); iteration-only callers should prefer the zero-copy OfSeq.
-func (tr *Trace) Of(kind Kind, name string) []Event {
-	s := tr.streamOf(kind, name, false)
-	if s == nil || len(s.pos) == 0 {
-		return nil
-	}
-	out := make([]Event, len(s.pos))
-	for i, pos := range s.pos {
-		out[i] = tr.events[pos]
-	}
-	return out
-}
-
-// OfSeq returns a zero-copy iterator over the (kind, name) stream, in
-// time order.
+// OfSeq returns a zero-copy iterator over the events of the given kind
+// and name, in time order. Like All, the iteration covers the events
+// present when it started.
 func (tr *Trace) OfSeq(kind Kind, name string) iter.Seq[Event] {
-	s := tr.streamOf(kind, name, false)
 	return func(yield func(Event) bool) {
-		if s == nil {
-			return
-		}
-		for _, pos := range s.pos {
-			if !yield(tr.events[pos]) {
+		for _, e := range tr.events {
+			if e.Kind == kind && e.Name == name && !yield(e) {
 				return
 			}
 		}
 	}
 }
 
-// CountOf returns the number of events in the (kind, name) stream
-// without materialising them.
+// CountOf returns the number of events of the given kind and name.
 func (tr *Trace) CountOf(kind Kind, name string) int {
-	s := tr.streamOf(kind, name, false)
-	if s == nil {
-		return 0
+	n := 0
+	for _, e := range tr.events {
+		if e.Kind == kind && e.Name == name {
+			n++
+		}
 	}
-	return len(s.pos)
-}
-
-// firstOrdAt returns the ordinal (within the stream) of the first event of
-// the stream at or after t: a binary search, valid because streams are in
-// non-decreasing time order.
-func (tr *Trace) firstOrdAt(stream []int, t sim.Time) int {
-	return sort.Search(len(stream), func(i int) bool {
-		return tr.events[stream[i]].At >= t
-	})
+	return n
 }
 
 // FirstAt returns the first event of kind/name at or after t that
-// satisfies pred (nil pred matches any value).
+// satisfies pred (nil pred matches any value): a binary search for t,
+// then a forward scan.
 func (tr *Trace) FirstAt(kind Kind, name string, t sim.Time, pred func(int64) bool) (Event, bool) {
-	e, _, ok := tr.FirstAtOrd(kind, name, t, 0, pred)
-	return e, ok
-}
-
-// FirstAtOrd is FirstAt with stream ordinals exposed: it returns the first
-// event of kind/name at or after t whose ordinal within the (kind, name)
-// stream is at least minOrd and that satisfies pred, together with that
-// ordinal. Callers that must not attribute one event to two queries (e.g.
-// crediting each response to exactly one stimulus) pass the previous
-// match's ordinal plus one as minOrd.
-func (tr *Trace) FirstAtOrd(kind Kind, name string, t sim.Time, minOrd int, pred func(int64) bool) (Event, int, bool) {
-	s := tr.streamOf(kind, name, false)
-	if s == nil {
-		return Event{}, -1, false
-	}
-	ord := tr.firstOrdAt(s.pos, t)
-	if ord < minOrd {
-		ord = minOrd
-	}
-	for ; ord < len(s.pos); ord++ {
-		e := tr.events[s.pos[ord]]
-		if pred == nil || pred(e.Value) {
-			return e, ord, true
+	i := sort.Search(len(tr.events), func(i int) bool { return tr.events[i].At >= t })
+	for _, e := range tr.events[i:] {
+		if e.Kind == kind && e.Name == name && (pred == nil || pred(e.Value)) {
+			return e, true
 		}
 	}
-	return Event{}, -1, false
+	return Event{}, false
 }
 
-// Reset discards all recorded events while retaining capacity: the event
-// slice, the stream index map and each stream's position slice are kept
-// and truncated, so a reused trace (the campaign engine's per-worker
-// scratch) records without reallocating. Registered taps are retained:
-// they are wiring, not data. Note that Reset invalidates the contents of
-// previously returned Events() views.
-func (tr *Trace) Reset() {
-	tr.events = tr.events[:0]
-	for _, s := range tr.streams {
-		s.pos = s.pos[:0]
-	}
-}
+// Reset discards all recorded events while retaining capacity, so a
+// reused trace (the campaign engine's per-worker scratch) records without
+// reallocating. Registered taps are retained: they are wiring, not data.
+// Reset invalidates the contents of previously returned Events() views.
+func (tr *Trace) Reset() { tr.events = tr.events[:0] }
 
 // ClearTaps removes every registered tap. Run-scoped consumers (the
 // verdict machines) tap the trace for exactly one run; scratch reuse must

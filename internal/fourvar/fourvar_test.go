@@ -2,6 +2,7 @@ package fourvar
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,8 +22,8 @@ func TestTraceRecordAndQuery(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("len=%d", tr.Len())
 	}
-	if got := tr.Of(Monitored, "btn"); len(got) != 1 || got[0].At != 10*ms {
-		t.Fatalf("Of=%v", got)
+	if got := slices.Collect(tr.OfSeq(Monitored, "btn")); len(got) != 1 || got[0].At != 10*ms {
+		t.Fatalf("OfSeq=%v", got)
 	}
 	e, ok := tr.FirstAt(Output, "o_Motor", 15*ms, nil)
 	if !ok || e.At != 16*ms {
@@ -333,30 +334,8 @@ func TestMatchDistinctOCEncodings(t *testing.T) {
 	}
 }
 
-// FirstAtOrd exposes stream ordinals so callers can consume matches:
-// passing the previous match's ordinal + 1 skips events already credited.
-func TestFirstAtOrdConsumesMatches(t *testing.T) {
-	tr := NewTrace()
-	tr.Record(Controlled, "motor", 1, 10*ms)
-	tr.Record(Controlled, "motor", 0, 20*ms)
-	tr.Record(Controlled, "motor", 1, 30*ms)
-	on := func(v int64) bool { return v == 1 }
-	e, ord, ok := tr.FirstAtOrd(Controlled, "motor", 0, 0, on)
-	if !ok || e.At != 10*ms || ord != 0 {
-		t.Fatalf("first match: %v %d %v", e, ord, ok)
-	}
-	// Consuming ordinal 0: even a query from t=0 may not re-credit it.
-	e, ord, ok = tr.FirstAtOrd(Controlled, "motor", 0, ord+1, on)
-	if !ok || e.At != 30*ms || ord != 2 {
-		t.Fatalf("consumed search: %v %d %v", e, ord, ok)
-	}
-	if _, _, ok := tr.FirstAtOrd(Controlled, "motor", 0, 3, on); ok {
-		t.Fatal("exhausted stream should not match")
-	}
-}
-
-// Property: the indexed FirstAt/Of agree with a straightforward linear
-// scan over randomized traces — the index is a pure speedup.
+// Property: FirstAt's binary search and OfSeq agree with a
+// straightforward linear scan over randomized traces.
 func TestIndexedQueriesMatchLinearScan(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := sim.NewRand(uint64(seed))
@@ -407,14 +386,8 @@ func TestIndexedQueriesMatchLinearScan(t *testing.T) {
 						want = append(want, e)
 					}
 				}
-				got := tr.Of(kind, name)
-				if len(got) != len(want) {
+				if got := slices.Collect(tr.OfSeq(kind, name)); !slices.Equal(got, want) {
 					return false
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						return false
-					}
 				}
 			}
 		}
@@ -488,18 +461,9 @@ func TestOfSeqAndCountOf(t *testing.T) {
 	tr.Record(Monitored, "a", 1, ms)
 	tr.Record(Input, "b", 2, 2*ms)
 	tr.Record(Monitored, "a", 3, 3*ms)
-	want := tr.Of(Monitored, "a")
-	var got []Event
-	for e := range tr.OfSeq(Monitored, "a") {
-		got = append(got, e)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("OfSeq yielded %d, Of returned %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OfSeq[%d] = %v, want %v", i, got[i], want[i])
-		}
+	want := []Event{tr.Events()[0], tr.Events()[2]}
+	if got := slices.Collect(tr.OfSeq(Monitored, "a")); !slices.Equal(got, want) {
+		t.Fatalf("OfSeq yielded %v, want %v", got, want)
 	}
 	if tr.CountOf(Monitored, "a") != 2 || tr.CountOf(Input, "b") != 1 {
 		t.Fatal("CountOf miscounted")
@@ -557,7 +521,7 @@ func TestClearTaps(t *testing.T) {
 }
 
 // naiveTrace is a reference implementation of the Trace queries by linear
-// scan, used to cross-check the incrementally maintained index.
+// scan, used to cross-check FirstAt's binary search.
 type naiveTrace struct {
 	events []Event
 }
@@ -566,18 +530,13 @@ func (n *naiveTrace) record(kind Kind, name string, value int64, at sim.Time) {
 	n.events = append(n.events, Event{Kind: kind, Name: name, Value: value, At: at})
 }
 
-func (n *naiveTrace) firstAtOrd(kind Kind, name string, t sim.Time, minOrd int, pred func(int64) bool) (Event, int, bool) {
-	ord := 0
+func (n *naiveTrace) firstAt(kind Kind, name string, t sim.Time, pred func(int64) bool) (Event, bool) {
 	for _, e := range n.events {
-		if e.Kind != kind || e.Name != name {
-			continue
+		if e.Kind == kind && e.Name == name && e.At >= t && (pred == nil || pred(e.Value)) {
+			return e, true
 		}
-		if e.At >= t && ord >= minOrd && (pred == nil || pred(e.Value)) {
-			return e, ord, true
-		}
-		ord++
 	}
-	return Event{}, -1, false
+	return Event{}, false
 }
 
 func (n *naiveTrace) of(kind Kind, name string) []Event {
@@ -590,10 +549,9 @@ func (n *naiveTrace) of(kind Kind, name string) []Event {
 	return out
 }
 
-// TestTraceInterleavedAppendQuery is the regression test for the append
-// path: interleaving Record with FirstAt/FirstAtOrd/Of must return
-// exactly what a linear scan returns — the per-(kind, name) index grows
-// incrementally and is never stale after new events.
+// TestTraceInterleavedAppendQuery: interleaving Record with FirstAt and
+// OfSeq must return exactly what a linear scan returns, so a query never
+// misses an event recorded just before it.
 func TestTraceInterleavedAppendQuery(t *testing.T) {
 	tr := NewTrace()
 	ref := &naiveTrace{}
@@ -609,24 +567,23 @@ func TestTraceInterleavedAppendQuery(t *testing.T) {
 		tr.Record(kind, name, v, now)
 		ref.record(kind, name, v, now)
 		// Query immediately after every append, mixing stream hits and
-		// misses, time cursors and ordinal floors.
+		// misses and time cursors.
 		qk := kinds[rng.Intn(len(kinds))]
 		qn := names[rng.Intn(len(names))]
 		qt := sim.Time(rng.Intn(int(now/time.Millisecond)+2)) * time.Millisecond
-		minOrd := rng.Intn(4)
 		var pred func(int64) bool
 		if rng.Bool(0.5) {
 			want := int64(rng.Intn(4))
 			pred = func(x int64) bool { return x == want }
 		}
-		ge, go_, gok := tr.FirstAtOrd(qk, qn, qt, minOrd, pred)
-		we, wo, wok := ref.firstAtOrd(qk, qn, qt, minOrd, pred)
-		if gok != wok || ge != we || (gok && go_ != wo) {
-			t.Fatalf("step %d: FirstAtOrd(%v,%q,%v,%d) = (%v,%d,%v), want (%v,%d,%v)",
-				step, qk, qn, qt, minOrd, ge, go_, gok, we, wo, wok)
+		ge, gok := tr.FirstAt(qk, qn, qt, pred)
+		we, wok := ref.firstAt(qk, qn, qt, pred)
+		if gok != wok || ge != we {
+			t.Fatalf("step %d: FirstAt(%v,%q,%v) = (%v,%v), want (%v,%v)",
+				step, qk, qn, qt, ge, gok, we, wok)
 		}
-		if !reflect.DeepEqual(tr.Of(qk, qn), ref.of(qk, qn)) {
-			t.Fatalf("step %d: Of(%v,%q) diverges", step, qk, qn)
+		if !slices.Equal(slices.Collect(tr.OfSeq(qk, qn)), ref.of(qk, qn)) {
+			t.Fatalf("step %d: OfSeq(%v,%q) diverges", step, qk, qn)
 		}
 	}
 }
@@ -661,8 +618,8 @@ func TestTraceTapNilPanics(t *testing.T) {
 }
 
 // BenchmarkTraceInterleavedAppendQuery exercises the pattern a live
-// observer produces — every append followed by a query — which stays fast
-// only while the index updates incrementally.
+// observer produces — every append followed by a query. FirstAt's binary
+// search lands at the query instant, and the first event there matches.
 func BenchmarkTraceInterleavedAppendQuery(b *testing.B) {
 	tr := NewTrace()
 	for i := 0; i < b.N; i++ {

@@ -17,7 +17,9 @@ import (
 	"rmtest/internal/sim"
 )
 
-// observation is everything a finished run shows of its execution.
+// observation is everything a finished run shows of its execution. Sched
+// is the whole scheduler trace, so every system a comparison builds calls
+// Sched.Record before its run.
 type observation struct {
 	Events      []fourvar.Event
 	Transitions []fourvar.TransitionDelay
@@ -41,7 +43,7 @@ func observe(sys *platform.System) observation {
 	o := observation{
 		Events:      sys.Trace.Events(),
 		Transitions: sys.TransTrace.Records(),
-		Sched:       sys.Sched.Trace().Records(),
+		Sched:       sys.Sched.Record().Records(),
 		Switches:    sys.Sched.ContextSwitches(),
 		Preemptions: sys.Sched.Preemptions(),
 		Now:         sys.Kernel.Now(),
@@ -67,7 +69,11 @@ func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platf
 	defer ref.Shutdown()
 	sys := run(false)
 	defer sys.Shutdown()
-	if want, got := observe(ref), observe(sys); !reflect.DeepEqual(got, want) {
+	want, got := observe(ref), observe(sys)
+	if len(want.Sched) == 0 || len(got.Sched) == 0 {
+		t.Fatalf("empty scheduler trace (%d and %d records): the system was built without Sched.Record", len(want.Sched), len(got.Sched))
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged bursts changed the execution\nmerged:           %v\ncharge by charge: %v", got, want)
 	}
 	merged, byCharge := sys.Kernel.EventsFired(), ref.Kernel.EventsFired()
@@ -115,10 +121,14 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 					checkMerged(t, len(plan.Faults) == 0, func(chargeByCharge bool) *platform.System {
 						r, err := core.NewRunner(func(level platform.Instrument) (*platform.System, error) {
 							sys, err := platform.NewSystem(gpca.PlatformConfig(), scheme(), level)
-							if err == nil && chargeByCharge {
+							if err != nil {
+								return nil, err
+							}
+							sys.Sched.Record()
+							if chargeByCharge {
 								platform.ChargeByCharge(sys)
 							}
-							return sys, err
+							return sys, nil
 						}, req)
 						if err != nil {
 							t.Fatal(err)
@@ -150,6 +160,7 @@ func TestMergedBurstsUnderTimeSlicing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				sys.Sched.Record()
 				if chargeByCharge {
 					platform.ChargeByCharge(sys)
 				}
@@ -173,6 +184,7 @@ func TestMergedBurstsWithCostedInitialEntry(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					sys.Sched.Record()
 					if chargeByCharge {
 						platform.ChargeByCharge(sys)
 					}

@@ -251,8 +251,8 @@ func (pb *Prebuilt) Mapping() fourvar.Mapping { return pb.mapping }
 
 // Scratch pools the run-local machinery one campaign worker can safely
 // reuse between sequential runs: the simulation kernel (event pool and
-// queue capacity survive Reset) and the four-variable trace (event and
-// stream-index capacity survive Reset). The zero value is ready to use;
+// queue capacity survive Reset) and the four-variable trace (event
+// capacity survives Reset). The zero value is ready to use;
 // pass the same Scratch to successive NewSystem calls on one worker.
 //
 // The caller must Shutdown the previous System before building the next

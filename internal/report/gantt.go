@@ -9,9 +9,10 @@ import (
 	"rmtest/internal/sim"
 )
 
-// TaskLoads renders per-task CPU consumption of a finished run: CPU time,
-// share of elapsed virtual time, and periodic release accounting. It is
-// the quick answer to "who ate the CPU" when a Gantt window is too narrow.
+// TaskLoads renders per-task CPU consumption of a finished run: the CPU
+// time each task has run (so the figures sum to the busy time), its share
+// of elapsed virtual time, and periodic release accounting. It is the
+// quick answer to "who ate the CPU" when a Gantt window is too narrow.
 func TaskLoads(s *rtos.Scheduler) string {
 	elapsed := s.Kernel().Now()
 	var b strings.Builder
@@ -19,11 +20,12 @@ func TaskLoads(s *rtos.Scheduler) string {
 		elapsed, 100*s.Utilization(), s.ContextSwitches(), s.Preemptions())
 	tasks := s.TasksByName()
 	for _, t := range tasks {
+		used := t.CPUUsed()
 		share := 0.0
 		if elapsed > 0 {
-			share = 100 * float64(t.CPUTime()) / float64(elapsed)
+			share = 100 * float64(used) / float64(elapsed)
 		}
-		fmt.Fprintf(&b, "  %-14s prio=%d cpu=%-12v (%5.1f%%)", t.Name(), t.BasePriority(), t.CPUTime(), share)
+		fmt.Fprintf(&b, "  %-14s prio=%d cpu=%-12v (%5.1f%%)", t.Name(), t.BasePriority(), used, share)
 		if t.Period() > 0 {
 			fmt.Fprintf(&b, " releases=%d missed=%d", t.Releases(), t.MissedReleases())
 		}

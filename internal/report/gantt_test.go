@@ -16,10 +16,11 @@ func TestGanttShowsRunningAndReady(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k, rtos.Config{})
 	defer s.Shutdown()
+	tr := s.Record()
 	s.Spawn("lo", 1, 0, func(tk *rtos.Task) { tk.Compute(40 * ms) })
 	s.Spawn("hi", 5, 10*ms, func(tk *rtos.Task) { tk.Compute(10 * ms) })
 	k.Run(60 * ms)
-	out := Gantt(s.Trace(), 0, 60*ms, 60)
+	out := Gantt(tr, 0, 60*ms, 60)
 	if !strings.Contains(out, "lo") || !strings.Contains(out, "hi") {
 		t.Fatalf("lanes missing:\n%s", out)
 	}
@@ -46,11 +47,40 @@ func TestGanttShowsRunningAndReady(t *testing.T) {
 	}
 }
 
+// TestGanttLongRunShowsPressWindow: the scheduler trace keeps every
+// record of a run, so the press window at the start of a 20 s pump run
+// (scheme 2, as `pumpsim -scheme 2 -run 20000 -gantt` draws it) shows
+// each task running, though more than 4,096 records follow it.
+func TestGanttLongRunShowsPressWindow(t *testing.T) {
+	sys, err := platform.NewSystem(gpca.PlatformConfig(), platform.DefaultScheme2(), platform.MLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	tr := sys.Sched.Record()
+	sys.Env.PulseAt(40*ms, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
+	sys.Run(20 * time.Second)
+	out := Gantt(tr, 30*ms, 190*ms, 90)
+	lanes := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[1:]
+	if len(lanes) != 3 {
+		t.Fatalf("want the actuate, codeM and sense lanes:\n%s", out)
+	}
+	var idle []string
+	for _, l := range lanes {
+		if name, lane, _ := strings.Cut(l, "|"); !strings.Contains(lane, "#") {
+			idle = append(idle, strings.TrimSpace(name))
+		}
+	}
+	if len(idle) > 0 {
+		t.Fatalf("lanes %v have no running cell:\n%s", idle, out)
+	}
+}
+
 func TestGanttEmptyWindow(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k, rtos.Config{})
 	defer s.Shutdown()
-	if !strings.Contains(Gantt(s.Trace(), time.Second, time.Second, 40), "empty window") {
+	if !strings.Contains(Gantt(s.Record(), time.Second, time.Second, 40), "empty window") {
 		t.Fatal("degenerate window not reported")
 	}
 }
@@ -68,8 +98,9 @@ func TestTaskLoads(t *testing.T) {
 			t.Fatalf("loads missing %q:\n%s", want, out)
 		}
 	}
-	// worker: releases at 0..100ms inclusive = 11 x 2ms = 22ms = 22%.
-	if !strings.Contains(out, "22.0%") {
+	// worker: releases at 0..90ms run 10 x 2ms = 20ms = 20%; the burst
+	// issued at the 100ms horizon has not run yet.
+	if !strings.Contains(out, "20.0%") {
 		t.Fatalf("worker share missing:\n%s", out)
 	}
 }

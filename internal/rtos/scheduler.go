@@ -14,6 +14,10 @@
 // This makes every schedule — including preemptions, queueing delays and
 // starvation — exactly reproducible, which is what lets the testing
 // layers above measure delay segments without perturbation.
+//
+// A scheduler records its event trace only after a caller asks for it
+// with Record; from then on the trace keeps every record, and a run that
+// nobody inspects records nothing.
 package rtos
 
 import (
@@ -32,9 +36,6 @@ type Config struct {
 	// ready tasks of equal priority: a task that computes for a full
 	// slice while an equal-priority peer is ready yields the CPU.
 	TimeSlice sim.Time
-	// TraceCapacity bounds the scheduler trace ring buffer. Zero means
-	// a reasonable default.
-	TraceCapacity int
 }
 
 // Scheduler is the simulated RTOS kernel. Create one with New, spawn
@@ -58,7 +59,7 @@ type Scheduler struct {
 
 	inLoop      bool
 	kickPending bool
-	trace       *Trace
+	trace       *Trace // nil until Record
 	idleFrom    sim.Time
 	idleTime    sim.Time
 	switches    uint64
@@ -73,11 +74,7 @@ type Scheduler struct {
 
 // New returns a scheduler bound to kernel k.
 func New(k *sim.Kernel, cfg Config) *Scheduler {
-	cap := cfg.TraceCapacity
-	if cap <= 0 {
-		cap = 4096
-	}
-	s := &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s := &Scheduler{k: k, cfg: cfg, queues: make(map[string]*Queue)}
 	s.kickFn, s.finishComputeFn = s.kicked, s.finishCompute
 	return s
 }
@@ -88,8 +85,15 @@ func (s *Scheduler) Kernel() *sim.Kernel { return s.k }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() sim.Time { return s.k.Now() }
 
-// Trace returns the scheduler's event trace.
-func (s *Scheduler) Trace() *Trace { return s.trace }
+// Record starts recording the scheduler trace, or returns the trace
+// already being recorded. Only events after the first call are
+// recorded, so callers that read the trace call Record before the run.
+func (s *Scheduler) Record() *Trace {
+	if s.trace == nil {
+		s.trace = &Trace{}
+	}
+	return s.trace
+}
 
 // ContextSwitches returns the number of task-to-task CPU switches so far.
 func (s *Scheduler) ContextSwitches() uint64 { return s.switches }

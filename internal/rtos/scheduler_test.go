@@ -287,32 +287,42 @@ func TestPreemptionDuringContextSwitch(t *testing.T) {
 
 func TestTraceRecordsDispatches(t *testing.T) {
 	k, s := rig(t, Config{})
+	tr := s.Record()
 	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(ms) })
 	k.Run(time.Second)
-	disp := s.Trace().Filter(TraceDispatch)
+	disp := tr.Filter(TraceDispatch)
 	if len(disp) != 1 || disp[0].Task != "a" {
 		t.Fatalf("dispatch trace: %+v", disp)
 	}
-	if s.Trace().Total() == 0 {
-		t.Fatal("trace empty")
+	if s.Record() != tr {
+		t.Fatal("a second Record must return the trace being recorded")
 	}
 }
 
-func TestTraceRingBufferWraps(t *testing.T) {
-	k, s := rig(t, Config{TraceCapacity: 8})
+// TestTraceRecordedOnDemand: a scheduler records nothing until Record,
+// and from then on keeps every record, however long the run.
+func TestTraceRecordedOnDemand(t *testing.T) {
+	k, s := rig(t, Config{})
 	s.SpawnPeriodic("p", 1, 0, ms, func(tk *Task) {})
-	k.Run(50 * ms)
-	recs := s.Trace().Records()
-	if len(recs) != 8 {
-		t.Fatalf("retained %d records, want 8", len(recs))
+	k.Run(10 * ms)
+	if s.trace != nil {
+		t.Fatal("scheduler recorded before Record")
+	}
+	tr := s.Record()
+	k.Run(5 * time.Second)
+	recs := tr.Records()
+	// Every release from 11ms to 5s inclusive records ready, dispatch
+	// and sleep.
+	if want := 3 * (5000 - 10); len(recs) != want {
+		t.Fatalf("recorded %d records, want %d", len(recs), want)
+	}
+	if recs[0].At != 11*ms {
+		t.Fatalf("first record at %v, want 11ms", recs[0].At)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
-			t.Fatal("wrapped trace out of order")
+			t.Fatal("trace out of order")
 		}
-	}
-	if s.Trace().Total() <= 8 {
-		t.Fatal("total should exceed capacity")
 	}
 }
 
@@ -488,8 +498,9 @@ func TestUtilizationUnderFullLoad(t *testing.T) {
 func TestPriorityInvariantProperty(t *testing.T) {
 	run := func(seed uint64) bool {
 		k := sim.New()
-		s := New(k, Config{TraceCapacity: 1 << 16})
+		s := New(k, Config{})
 		defer s.Shutdown()
+		tr := s.Record()
 		r := sim.NewRand(seed)
 		prios := map[string]int{}
 		n := 3 + r.Intn(4)
@@ -508,7 +519,7 @@ func TestPriorityInvariantProperty(t *testing.T) {
 		}
 		k.Run(500 * ms)
 		ready := map[string]bool{}
-		for _, rec := range s.Trace().Records() {
+		for _, rec := range tr.Records() {
 			switch rec.Kind {
 			case TraceReady:
 				ready[rec.Task] = true

@@ -80,17 +80,12 @@ func (r TraceRecord) String() string {
 	return fmt.Sprintf("%12v %-8s %s", r.At, r.Kind, r.Task)
 }
 
-// Trace is a bounded ring buffer of scheduler events. When full, the
-// oldest records are overwritten.
+// Trace is the scheduler's event record: every event since recording
+// started, in chronological order. A scheduler records only after a
+// caller asks for it (Scheduler.Record); until then its trace is nil and
+// every add is a no-op.
 type Trace struct {
-	buf     []TraceRecord
-	next    int
-	wrapped bool
-	total   uint64
-}
-
-func newTrace(capacity int) *Trace {
-	return &Trace{buf: make([]TraceRecord, 0, capacity)}
+	recs []TraceRecord
 }
 
 func (tr *Trace) add(at sim.Time, kind TraceKind, t *Task) {
@@ -99,40 +94,25 @@ func (tr *Trace) add(at sim.Time, kind TraceKind, t *Task) {
 
 // addRes records an event carrying blocking attribution.
 func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource, holder string) {
+	if tr == nil {
+		return
+	}
 	name := ""
 	if t != nil {
 		name = t.name
 	}
-	rec := TraceRecord{At: at, Kind: kind, Task: name, Resource: resource, Holder: holder}
-	tr.total++
-	if len(tr.buf) < cap(tr.buf) {
-		tr.buf = append(tr.buf, rec)
-		return
-	}
-	tr.buf[tr.next] = rec
-	tr.next = (tr.next + 1) % cap(tr.buf)
-	tr.wrapped = true
+	tr.recs = append(tr.recs, TraceRecord{At: at, Kind: kind, Task: name, Resource: resource, Holder: holder})
 }
 
-// Total returns the number of records ever added (including overwritten
-// ones).
-func (tr *Trace) Total() uint64 { return tr.total }
-
-// Records returns the retained records in chronological order.
+// Records returns a copy of the records in chronological order.
 func (tr *Trace) Records() []TraceRecord {
-	if !tr.wrapped {
-		return append([]TraceRecord(nil), tr.buf...)
-	}
-	out := make([]TraceRecord, 0, len(tr.buf))
-	out = append(out, tr.buf[tr.next:]...)
-	out = append(out, tr.buf[:tr.next]...)
-	return out
+	return append([]TraceRecord(nil), tr.recs...)
 }
 
-// Filter returns retained records matching kind, chronologically.
+// Filter returns the records matching kind, chronologically.
 func (tr *Trace) Filter(kind TraceKind) []TraceRecord {
 	var out []TraceRecord
-	for _, r := range tr.Records() {
+	for _, r := range tr.recs {
 		if r.Kind == kind {
 			out = append(out, r)
 		}
@@ -154,14 +134,14 @@ type BlockSpan struct {
 // Duration returns the span's blocked time.
 func (b BlockSpan) Duration() sim.Time { return b.To - b.From }
 
-// BlockSpans pairs every retained TraceBlock record with its matching
+// BlockSpans pairs every TraceBlock record with its matching
 // TraceUnblock and returns the completed blocked intervals in
-// chronological (unblock) order. Blocks whose start was overwritten by
-// the ring buffer, or that never resolved within the trace, are omitted.
+// chronological (unblock) order. Blocks that never resolved within the
+// trace are omitted.
 func (tr *Trace) BlockSpans() []BlockSpan {
 	var out []BlockSpan
 	open := make(map[string]TraceRecord)
-	for _, r := range tr.Records() {
+	for _, r := range tr.recs {
 		switch r.Kind {
 		case TraceBlock:
 			open[r.Task] = r
@@ -178,10 +158,10 @@ func (tr *Trace) BlockSpans() []BlockSpan {
 	return out
 }
 
-// String renders the retained trace, one record per line.
+// String renders the trace, one record per line.
 func (tr *Trace) String() string {
 	var b strings.Builder
-	for _, r := range tr.Records() {
+	for _, r := range tr.recs {
 		b.WriteString(r.String())
 		b.WriteByte('\n')
 	}

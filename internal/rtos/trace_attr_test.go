@@ -13,6 +13,7 @@ import (
 func TestBlockAttributionMutex(t *testing.T) {
 	k := sim.New()
 	s := New(k, Config{})
+	tr := s.Record()
 	m := s.NewMutex("m")
 	s.Spawn("L", 1, 0, func(tk *Task) {
 		tk.Lock(m)
@@ -35,7 +36,7 @@ func TestBlockAttributionMutex(t *testing.T) {
 	}
 
 	var blocks, unblocks []TraceRecord
-	for _, r := range s.Trace().Records() {
+	for _, r := range tr.Records() {
 		switch r.Kind {
 		case TraceBlock:
 			blocks = append(blocks, r)
@@ -53,7 +54,7 @@ func TestBlockAttributionMutex(t *testing.T) {
 		t.Errorf("unblock record %+v, want resource m holder L", unblocks[0])
 	}
 
-	spans := s.Trace().BlockSpans()
+	spans := tr.BlockSpans()
 	if len(spans) != 1 {
 		t.Fatalf("want 1 block span, got %d", len(spans))
 	}
@@ -73,6 +74,7 @@ func TestBlockAttributionMutex(t *testing.T) {
 func TestBlockAttributionQueueSemaphore(t *testing.T) {
 	k := sim.New()
 	s := New(k, Config{})
+	tr := s.Record()
 	q := s.NewQueue("q", 1)
 	sem := s.NewSemaphore("sem", 0, 1)
 	s.Spawn("recv", 2, 0, func(tk *Task) {
@@ -85,7 +87,7 @@ func TestBlockAttributionQueueSemaphore(t *testing.T) {
 		tk.TakeTimeout(sem, 3*time.Millisecond) // times out: nobody gives
 	})
 	k.Run(10 * time.Millisecond)
-	spans := s.Trace().BlockSpans()
+	spans := tr.BlockSpans()
 	byTask := map[string]BlockSpan{}
 	for _, sp := range spans {
 		byTask[sp.Task] = sp

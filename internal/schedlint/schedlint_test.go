@@ -325,6 +325,7 @@ func TestCycleDetectorMatchesBruteForce(t *testing.T) {
 func TestMeasuredFromTrace(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k, rtos.Config{})
+	tr := s.Record()
 	m := s.NewMutex("m")
 	// L takes the lock at t=0 and computes 5 ms inside; H releases at
 	// t=1ms and contends: blocked 1ms -> 5ms (inheritance keeps L
@@ -340,7 +341,7 @@ func TestMeasuredFromTrace(t *testing.T) {
 		tk.Unlock(m)
 	})
 	k.Run(20 * time.Millisecond)
-	recs := s.Trace().Records()
+	recs := tr.Records()
 	blocking := MeasuredBlocking(recs)
 	resp := MeasuredResponses(recs)
 	s.Shutdown()

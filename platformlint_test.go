@@ -47,19 +47,16 @@ func measurePipelines(t *testing.T, workers int) []pipelineMeasurement {
 	}
 	outs := campaign.Map(campaign.Config{Workers: workers, Seed: 7}, len(units),
 		func(run campaign.Run) (pipelineMeasurement, error) {
-			cfg := gpca.PlatformConfig()
-			// The default 4096-record ring would wrap over a multi-second
-			// horizon; keep the whole trace.
-			cfg.RTOS.TraceCapacity = 1 << 17
-			sys, err := platform.NewSystem(cfg, units[run.Index](), platform.RLevel)
+			sys, err := platform.NewSystem(gpca.PlatformConfig(), units[run.Index](), platform.RLevel)
 			if err != nil {
 				return pipelineMeasurement{}, err
 			}
+			tr := sys.Sched.Record()
 			for _, at := range tc.Stimuli {
 				sys.Env.PulseAt(at, req.Stimulus.Signal, 1, 0, req.Stimulus.Width)
 			}
 			sys.Run(tc.Horizon(req))
-			recs := sys.Sched.Trace().Records()
+			recs := tr.Records()
 			m := pipelineMeasurement{
 				Resp:  rmtest.MeasuredResponses(recs),
 				Block: rmtest.MeasuredBlocking(recs),
