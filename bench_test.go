@@ -456,9 +456,11 @@ func BenchmarkSchedLint(b *testing.B) {
 
 // --- Campaign engine -------------------------------------------------
 
-// tableIEventsPerRun returns the kernel events one full-horizon M-level
-// Table I run fires, averaged over the three schemes.
-func tableIEventsPerRun(b *testing.B) float64 {
+// tableIRunCounts returns the kernel events one full-horizon M-level
+// Table I run fires and the times it runs CODE(M)'s step function
+// (E_CLK ticks less those skipped as idle), each averaged over the three
+// schemes.
+func tableIRunCounts(b *testing.B) (events, stepCalls float64) {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(10, 42).Generate(req)
 	if err != nil {
@@ -469,7 +471,7 @@ func tableIEventsPerRun(b *testing.B) float64 {
 		func() platform.Scheme { return platform.DefaultScheme2() },
 		func() platform.Scheme { return platform.DefaultScheme3() },
 	}
-	var events uint64
+	var fired, calls uint64
 	for _, scheme := range schemes {
 		runner, err := core.NewRunner(gpca.Factory(scheme), req)
 		if err != nil {
@@ -480,10 +482,12 @@ func tableIEventsPerRun(b *testing.B) float64 {
 			b.Fatal(err)
 		}
 		sys.Run(tc.Horizon(req))
-		events += sys.Kernel.EventsFired()
+		fired += sys.Kernel.EventsFired()
+		calls += sys.Exec.Steps() - sys.Exec.Elided()
 		sys.Shutdown()
 	}
-	return float64(events) / float64(len(schemes))
+	n := float64(len(schemes))
+	return float64(fired) / n, float64(calls) / n
 }
 
 // BenchmarkCampaignTableI measures the full Table I regeneration through
@@ -492,11 +496,11 @@ func tableIEventsPerRun(b *testing.B) float64 {
 // scheme columns across the pool. On a multi-core host the parallel case
 // approaches a 3x speedup (one worker per scheme); results are
 // byte-identical at every pool size (see
-// TestCampaignTableIMatchesSequentialGolden). The events/run metric comes
-// from full-horizon runs outside the timed loop, so the live verdicts'
-// early stop does not move it.
+// TestCampaignTableIMatchesSequentialGolden). The events/run and
+// stepcalls/run metrics come from full-horizon runs outside the timed
+// loop, so the live verdicts' early stop does not move them.
 func BenchmarkCampaignTableI(b *testing.B) {
-	eventsPerRun := tableIEventsPerRun(b)
+	eventsPerRun, stepCallsPerRun := tableIRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -521,6 +525,7 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 			b.ReportMetric(eventsPerRun, "events/run")
+			b.ReportMetric(stepCallsPerRun, "stepcalls/run")
 		})
 	}
 }

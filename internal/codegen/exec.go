@@ -102,6 +102,13 @@ type Exec struct {
 
 	steps       uint64
 	transitions uint64
+	elided      uint64
+
+	// charge sums the cost-model charges of the step in progress; idle
+	// marks a finished Step(0) that took no transition, raised no error
+	// and ran no during action, so SkipIdle may repeat it.
+	charge time.Duration
+	idle   bool
 }
 
 // NewExec creates an executor in the program's initial configuration.
@@ -142,7 +149,9 @@ func (e *Exec) Reset() {
 	}
 	e.tick = 0
 	e.steps = 0
+	e.elided = 0
 	e.transitions = 0
+	e.idle = false
 	// Generated code's initialise function runs before the platform
 	// schedules any task, so entering the initial configuration charges
 	// no cost.
@@ -171,11 +180,15 @@ func (e *Exec) Program() *Program { return e.prog }
 // ActiveState returns the name of the active leaf state.
 func (e *Exec) ActiveState() string { return e.prog.States[e.active].Name }
 
-// Tick returns the number of steps executed.
+// Tick returns the number of ticks executed, SkipIdle's included.
 func (e *Exec) Tick() int64 { return e.tick }
 
-// Steps returns the number of Step invocations.
+// Steps returns the number of ticks executed, SkipIdle's included.
 func (e *Exec) Steps() uint64 { return e.steps }
+
+// Elided returns the number of ticks SkipIdle advanced without running
+// the step function; Steps() - Elided() is the number of Step calls.
+func (e *Exec) Elided() uint64 { return e.elided }
 
 // TransitionsTaken returns the total transitions fired.
 func (e *Exec) TransitionsTaken() uint64 { return e.transitions }
@@ -209,6 +222,7 @@ func (e *Exec) Vars() map[string]int64 {
 }
 
 func (e *Exec) compute(d time.Duration) {
+	e.charge += d
 	if e.env != nil && d > 0 {
 		e.env.Compute(d)
 	}
@@ -248,6 +262,8 @@ func (e *Exec) EventMask(events ...string) uint64 {
 // start and finish instants.
 func (e *Exec) Step(events uint64) StepResult {
 	e.steps++
+	e.charge = 0
+	e.idle = false
 	e.compute(e.cost.StepBase)
 	e.snapshotOutputs(e.outStep)
 	var res StepResult
@@ -266,13 +282,58 @@ func (e *Exec) Step(events uint64) StepResult {
 		e.fire(t, &res)
 	}
 	if len(res.Taken) == 0 && res.Err == nil {
+		e.idle = events == 0 // no transition consumed an event
 		for sid := e.active; sid >= 0; sid = e.prog.States[sid].Parent {
-			e.runAction(e.prog.States[sid].During, &res)
+			if d := e.prog.States[sid].During; d.Len > 0 {
+				e.idle = false
+				e.runAction(d, &res)
+			}
 		}
 	}
 	res.Changed = e.diffOutputs(e.outStep)
 	e.tick++
 	return res
+}
+
+// SkipIdle advances the executor over up to n ticks without running the
+// step function, and returns how many it advanced. It advances only
+// right after a Step(0) that took no transition, raised no error and ran
+// no during action. Such a step changed nothing, so with no events and
+// the same variables every later step repeats it, charge for charge,
+// until a temporal trigger on the active chain changes truth value: the
+// skip stops at the first such tick. Tick and Steps advance by the
+// skipped ticks, the skipped steps' summed charge goes to the ExecEnv as
+// one Compute, and entry ticks, history and variables stay as they are.
+func (e *Exec) SkipIdle(n int64) int64 {
+	if !e.idle {
+		return 0
+	}
+	k := n
+	for sid := e.active; sid >= 0 && k > 0; sid = e.prog.States[sid].Parent {
+		// The next step sees c ticks in sid; the idle step saw c-1.
+		c := e.ticksIn(sid)
+		for _, tid := range e.prog.States[sid].Trans {
+			trig := e.prog.Trans[tid].Trig
+			switch trig.Kind {
+			case statechart.TrigAfter, statechart.TrigBefore, statechart.TrigAt:
+				if c-1 < trig.N {
+					k = min(k, trig.N-c)
+				} else if c-1 == trig.N && trig.Kind == statechart.TrigAt {
+					k = 0
+				}
+			}
+		}
+	}
+	if k <= 0 {
+		return 0
+	}
+	e.tick += k
+	e.steps += uint64(k)
+	e.elided += uint64(k)
+	if d := time.Duration(k) * e.charge; e.env != nil && d > 0 {
+		e.env.Compute(d)
+	}
+	return k
 }
 
 func (e *Exec) pickTransition(events uint64, res *StepResult) *TransRow {

@@ -49,6 +49,7 @@ type SensorConfig struct {
 type Sensor struct {
 	cfg     SensorConfig
 	env     *env.Environment
+	sig     *env.Signal // cfg.Signal, resolved once
 	latched int64
 	// debounce state
 	candidate int64
@@ -112,7 +113,7 @@ func (s *Sensor) InjectStuck(from, duration sim.Time, value int64) {
 		s.stuck = false
 		// Resample the physical signal immediately.
 		s.jitApplied = s.jitSeq
-		if v := s.env.Get(s.cfg.Signal); s.latched != v {
+		if v := s.sig.Value(); s.latched != v {
 			s.latched = v
 			s.latchedAt = k.Now()
 		}
@@ -137,7 +138,7 @@ func (s *Sensor) InjectDropout(from, duration sim.Time) {
 			return
 		}
 		s.jitApplied = s.jitSeq
-		if v := s.env.Get(s.cfg.Signal); s.latched != v {
+		if v := s.sig.Value(); s.latched != v {
 			s.latched = v
 			s.latchedAt = k.Now()
 		}
@@ -232,7 +233,7 @@ func (s *Sensor) sample() {
 		s.droppedReads++
 		return
 	}
-	v := s.env.Get(s.cfg.Signal)
+	v := s.sig.Value()
 	need := s.cfg.Debounce
 	if need <= 1 {
 		if s.newestVal() != v {
@@ -254,7 +255,7 @@ func (s *Sensor) sample() {
 }
 
 func (s *Sensor) start() {
-	raw := s.env.Get(s.cfg.Signal)
+	raw := s.sig.Value()
 	s.latched = raw
 	s.candidate = raw
 	if s.cfg.SamplePeriod <= 0 {
@@ -428,10 +429,11 @@ func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 		if _, dup := b.sensors[sc.Name]; dup {
 			return nil, fmt.Errorf("hw: duplicate sensor %q", sc.Name)
 		}
-		if e.Lookup(sc.Signal) == nil {
-			e.Define(sc.Signal, 0)
+		sig := e.Lookup(sc.Signal)
+		if sig == nil {
+			sig = e.Define(sc.Signal, 0)
 		}
-		s := &Sensor{cfg: sc, env: e}
+		s := &Sensor{cfg: sc, env: e, sig: sig}
 		s.start()
 		b.sensors[sc.Name] = s
 	}

@@ -54,7 +54,9 @@ type WCETReport struct {
 // Invocation bounds one periodic task invocation that steps the chart
 // with elapsed-tick catch-up: the first step may consume the latched
 // events, the remaining period/TickPeriod - 1 catch-up steps run without
-// events.
+// events. The platform skips catch-up ticks that would repeat an idle
+// step, but charges each exactly that idle step's cost, which
+// StepQuiescent bounds, so the bound holds for skipped ticks too.
 func (w WCETReport) Invocation(period time.Duration) time.Duration {
 	ticks := int64(1)
 	if w.TickPeriod > 0 && period > w.TickPeriod {

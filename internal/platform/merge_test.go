@@ -59,11 +59,13 @@ func (o observation) String() string {
 		len(o.Events), len(o.Transitions), len(o.Sched), o.Tasks, o.Switches, o.Preemptions, o.Now)
 }
 
-// checkMerged runs one system charge by charge and merged, and requires
-// the two runs to observe the same execution. When merges is set, the
-// merged run must also fire at most 60% of the other's kernel events, so
-// a merge that silently stops merging fails.
-func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) {
+// checkMerged runs one system charge by charge, which also steps every
+// E_CLK tick, and merged, which also skips idle catch-up ticks, and
+// requires the two runs to observe the same execution. When merges is
+// set, the merged run must also fire at most 60% of the other's kernel
+// events and skip ticks, so a merge or a skip that silently stops
+// working fails. It returns the ticks the merged run skipped.
+func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) uint64 {
 	t.Helper()
 	ref := run(true)
 	defer ref.Shutdown()
@@ -76,11 +78,19 @@ func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platf
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged bursts changed the execution\nmerged:           %v\ncharge by charge: %v", got, want)
 	}
+	if n := ref.Exec.Elided(); n != 0 {
+		t.Fatalf("the charge-by-charge run skipped %d ticks, want none", n)
+	}
 	merged, byCharge := sys.Kernel.EventsFired(), ref.Kernel.EventsFired()
-	t.Logf("kernel events: %d merged, %d charge by charge", merged, byCharge)
+	elided := sys.Exec.Elided()
+	t.Logf("kernel events: %d merged, %d charge by charge; %d of %d ticks skipped", merged, byCharge, elided, sys.Exec.Steps())
 	if merges && 10*merged > 6*byCharge {
 		t.Fatalf("merged run fired %d kernel events, charge by charge %d: want at most 60%%", merged, byCharge)
 	}
+	if merges && elided == 0 {
+		t.Fatal("the merged run skipped no tick")
+	}
+	return elided
 }
 
 var schemes = []func() platform.Scheme{
@@ -92,10 +102,11 @@ var schemes = []func() platform.Scheme{
 var levels = []platform.Instrument{platform.RLevel, platform.MLevel}
 
 // TestMergedBurstsMatchChargeByCharge: issuing CODE(M)'s cost as one
-// burst per observation point observes the same execution as issuing
-// every charge on its own, on the Table I case at both instrumentation
-// levels on every scheme, unfaulted and under each catalogue fault plan
-// that applies.
+// burst per observation point, and skipping idle catch-up ticks, observes
+// the same execution as stepping every tick and issuing every charge on
+// its own, on the Table I case at both instrumentation levels on every
+// scheme, unfaulted and under each catalogue fault plan that applies.
+// The unfaulted runs must merge and skip.
 func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(3, 42).Generate(req)
@@ -149,13 +160,15 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 
 // TestMergedBurstsUnderTimeSlicing: round-robin slicing arms a slice by
 // burst length, so with scheme 3's logger sharing the CODE(M) task's
-// priority, charges must keep their own bursts.
+// priority, charges must keep their own bursts and every tick must be
+// stepped; the run must equal the charge-by-charge, tick-by-tick one and
+// skip no tick.
 func TestMergedBurstsUnderTimeSlicing(t *testing.T) {
 	cfg := gpca.PlatformConfig()
 	cfg.RTOS.TimeSlice = 500 * time.Microsecond
 	for _, level := range levels {
 		t.Run(level.String(), func(t *testing.T) {
-			checkMerged(t, false, func(chargeByCharge bool) *platform.System {
+			elided := checkMerged(t, false, func(chargeByCharge bool) *platform.System {
 				sys, err := platform.NewSystem(cfg, platform.DefaultScheme3(), level)
 				if err != nil {
 					t.Fatal(err)
@@ -169,12 +182,16 @@ func TestMergedBurstsUnderTimeSlicing(t *testing.T) {
 				sys.Run(10 * time.Second)
 				return sys
 			})
+			if elided != 0 {
+				t.Fatalf("a time-sliced run skipped %d ticks, want none", elided)
+			}
 		})
 	}
 }
 
 // TestMergedBurstsWithCostedInitialEntry: a chart whose initial state has
-// a costed entry action merges like any other.
+// a costed entry action merges and skips idle ticks like any other, and
+// observes the same execution as the charge-by-charge, tick-by-tick run.
 func TestMergedBurstsWithCostedInitialEntry(t *testing.T) {
 	for _, scheme := range schemes {
 		for _, level := range levels {

@@ -47,7 +47,8 @@ func (i Instrument) String() string {
 
 // InputBinding routes one sensor to the chart: a rising edge on the
 // sensor's latched value fires Event (if set); the latched level is
-// copied into Var (if set). At least one of Event/Var must be set.
+// copied into Var (if set). At least one of Event/Var must be set, and
+// a sensor has at most one binding.
 type InputBinding struct {
 	Sensor string
 	Event  string
@@ -113,7 +114,8 @@ type taskEnv struct {
 	tk   *rtos.Task
 	k    *sim.Kernel
 	owed time.Duration
-	// unmerged issues every charge as it comes; only tests set it.
+	// unmerged issues every charge as it comes and steps every E_CLK
+	// tick; only tests set it.
 	unmerged bool
 }
 
@@ -122,10 +124,13 @@ func (te *taskEnv) Compute(d time.Duration) {
 		panic("platform: CODE(M) executed outside its task")
 	}
 	te.owed += d
-	if te.unmerged || !te.tk.Coalescible() {
+	if !te.merges() {
 		te.flush()
 	}
 }
+
+// merges reports whether charges are owed and merged into one burst.
+func (te *taskEnv) merges() bool { return !te.unmerged && te.tk.Coalescible() }
 
 func (te *taskEnv) Now() time.Duration {
 	te.flush()
@@ -200,11 +205,16 @@ func Precompile(cfg Config) (*Prebuilt, error) {
 		actuatorSignal[ac.Name] = ac.Signal
 	}
 	mapping := fourvar.Mapping{MtoI: map[string]string{}, OtoC: map[string]string{}}
+	bound := make(map[string]bool, len(cfg.Inputs))
 	for _, ib := range cfg.Inputs {
 		sig, ok := sensorSignal[ib.Sensor]
 		if !ok {
 			return nil, fmt.Errorf("platform: input binding references unknown sensor %q", ib.Sensor)
 		}
+		if bound[ib.Sensor] {
+			return nil, fmt.Errorf("platform: sensor %q has two input bindings; put Event and Var on one binding", ib.Sensor)
+		}
+		bound[ib.Sensor] = true
 		if ib.Event == "" && ib.Var == "" {
 			return nil, fmt.Errorf("platform: input binding for %q routes to neither event nor variable", ib.Sensor)
 		}
@@ -388,58 +398,73 @@ func (sys *System) recordInput(name string, v int64, at sim.Time) {
 	}
 }
 
-// primeInputBaseline initialises the edge-detection snapshot from the
-// sensors' power-on latch values, as device-driver init code does. Without
-// this, a stimulus arriving before the first sensing-task run would be
-// treated as the baseline and silently swallowed.
-func (sys *System) primeInputBaseline(lastVals map[string]int64) {
-	for _, ib := range sys.cfg.Inputs {
-		lastVals[ib.Sensor] = sys.Board.Sensor(ib.Sensor).Read()
+// boundInput is one input binding resolved for scanning: its sensor,
+// the sensor's read cost, the event's bit in the step mask (0 when the
+// binding routes no event) and the value the previous scan read.
+type boundInput struct {
+	InputBinding
+	sensor   *hw.Sensor
+	readCost sim.Time
+	event    uint64
+	last     int64
+}
+
+// bindInputs resolves the input bindings for one scanning task. It primes
+// each binding's edge state from its sensor's power-on latch value, as
+// device-driver init code does; otherwise a stimulus arriving before the
+// task's first scan would be taken as the baseline and silently
+// swallowed. Precompile allows one binding per sensor, so edge state per
+// binding is edge state per sensor.
+func (sys *System) bindInputs() []boundInput {
+	ins := make([]boundInput, len(sys.cfg.Inputs))
+	for i, ib := range sys.cfg.Inputs {
+		s := sys.Board.Sensor(ib.Sensor)
+		ins[i] = boundInput{InputBinding: ib, sensor: s, readCost: s.Config().ReadCost, last: s.Read()}
+		if id, ok := sys.prog.EventID(ib.Event); ok {
+			ins[i].event = 1 << uint(id)
+		}
 	}
+	return ins
 }
 
 // inputScan reads every bound sensor and reports chart updates: the event
-// mask to fire and variable updates to apply. lastVals carries edge state
+// mask to fire and variable updates to apply. ins carries edge state
 // across invocations; CPU read costs are charged to tk.
-func (sys *System) inputScan(tk *rtos.Task, lastVals map[string]int64) (mask uint64, updates []varUpdate) {
-	for _, ib := range sys.cfg.Inputs {
-		s := sys.Board.Sensor(ib.Sensor)
-		if c := s.Config().ReadCost; c > 0 {
-			tk.Compute(c)
+func (sys *System) inputScan(tk *rtos.Task, ins []boundInput) (mask uint64, updates []varUpdate) {
+	for i := range ins {
+		in := &ins[i]
+		if in.readCost > 0 {
+			tk.Compute(in.readCost)
 		}
-		v := s.Read()
-		last, seen := lastVals[ib.Sensor]
-		if seen && v == last {
+		v, last := in.sensor.Read(), in.last
+		if v == last {
 			continue
 		}
-		lastVals[ib.Sensor] = v
-		if !seen {
-			// First scan establishes the baseline without firing edges.
-			continue
+		in.last = v
+		if in.event != 0 && last == 0 && v != 0 {
+			mask |= in.event
+			updates = append(updates, varUpdate{name: in.Event, value: 1, event: in.event})
 		}
-		if ib.Event != "" && last == 0 && v != 0 {
-			id, _ := sys.prog.EventID(ib.Event)
-			mask |= 1 << uint(id)
-			updates = append(updates, varUpdate{name: ib.Event, value: 1, isEvent: true})
-		}
-		if ib.Var != "" {
-			updates = append(updates, varUpdate{name: ib.Var, value: v})
+		if in.Var != "" {
+			updates = append(updates, varUpdate{name: in.Var, value: v})
 		}
 	}
 	return mask, updates
 }
 
+// varUpdate is one input change for CODE(M): an event, whose bit in the
+// step mask is event, or a new value for an input variable (event 0).
 type varUpdate struct {
-	name    string
-	value   int64
-	isEvent bool
+	name  string
+	value int64
+	event uint64
 }
 
 // applyInputs commits updates into the executor and records i-events at
 // the commit instant (the moment CODE(M) reads them).
 func (sys *System) applyInputs(tk *rtos.Task, updates []varUpdate) {
 	for _, u := range updates {
-		if !u.isEvent {
+		if u.event == 0 {
 			sys.Exec.SetInput(u.name, u.value)
 		}
 		sys.recordInput(u.name, u.value, tk.Now())
@@ -454,6 +479,14 @@ func (sys *System) applyInputs(tk *rtos.Task, updates []varUpdate) {
 // output changes across the batch are merged so the invocation commits
 // each output's final value, the way generated C writes its output
 // structure at the end of the step computation.
+//
+// A catch-up tick after an event-free step that changed nothing would
+// repeat that step exactly, so Exec.SkipIdle advances over such ticks up
+// to the next one at which a temporal trigger on the active chain changes
+// truth value, and owes their cost, exactly the idle step's charge per
+// tick, as one charge. It runs only while the task merges charges: one
+// owed charge neither advances time nor changes where a burst ends, so
+// the execution is the one that steps every tick.
 func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange {
 	ticks := int64(1)
 	if tp := sys.prog.TickPeriod; tp > 0 {
@@ -475,11 +508,14 @@ func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange 
 			last[ch.Name] = ch.To
 		}
 	}
-	res := sys.Exec.Step(mask)
-	absorb(res.Changed)
+	absorb(sys.Exec.Step(mask).Changed)
 	for k := int64(1); k < ticks; k++ {
-		res = sys.Exec.Step(0)
-		absorb(res.Changed)
+		if sys.taskEnv.merges() {
+			if k += sys.Exec.SkipIdle(ticks - k); k == ticks {
+				break
+			}
+		}
+		absorb(sys.Exec.Step(0).Changed)
 	}
 	sys.taskEnv.flush()
 	var out []statechart.VarChange

@@ -396,6 +396,55 @@ func TestLevelInputBindingVariableRouting(t *testing.T) {
 	}
 }
 
+// TestOneBindingPerSensor: edge state is kept per sensor, so a second
+// binding on a sensor would never see a change the first one consumed.
+// Precompile rejects it, and one binding carrying both an event and a
+// variable routes both: the event fires with the variable already set.
+func TestOneBindingPerSensor(t *testing.T) {
+	cfg := Config{
+		Chart: &statechart.Chart{
+			Name:       "evvar",
+			TickPeriod: ms,
+			Events:     []string{"e"},
+			Vars: []statechart.VarDecl{
+				{Name: "in_v", Type: statechart.Int, Kind: statechart.Input},
+				{Name: "out", Type: statechart.Int, Kind: statechart.Output},
+			},
+			Initial: "Wait",
+			States: []*statechart.State{
+				{Name: "Wait", Transitions: []statechart.Transition{
+					{To: "Done", Trigger: "e", Action: "out := in_v"},
+				}},
+				{Name: "Done"},
+			},
+		},
+		Cost: codegen.ZeroCostModel(),
+		Board: hw.BoardConfig{
+			Sensors:   []hw.SensorConfig{{Name: "s", Signal: "sig", SamplePeriod: 5 * ms}},
+			Actuators: []hw.ActuatorConfig{{Name: "a", Signal: "sig_out"}},
+		},
+		Inputs:  []InputBinding{{Sensor: "s", Event: "e"}, {Sensor: "s", Var: "in_v"}},
+		Outputs: []OutputBinding{{Var: "out", Actuator: "a"}},
+	}
+	_, err := Precompile(cfg)
+	if err == nil || !strings.Contains(err.Error(), `sensor "s"`) || !strings.Contains(err.Error(), "one binding") {
+		t.Fatalf("two bindings on one sensor: err = %v, want one naming the sensor and the fix", err)
+	}
+	cfg.Inputs = []InputBinding{{Sensor: "s", Event: "e", Var: "in_v"}}
+	for _, scheme := range []Scheme{DefaultScheme1(), DefaultScheme2()} {
+		sys, err := NewSystem(cfg, scheme, MLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Env.SetAt(30*ms, "sig", 7)
+		sys.Run(300 * ms)
+		sys.Shutdown()
+		if got := sys.Env.Get("sig_out"); got != 7 {
+			t.Errorf("%s: output %d after the sensor read 7, want 7", scheme.Name(), got)
+		}
+	}
+}
+
 // traceFingerprint renders every recorded event; byte equality of two
 // fingerprints means the runs observed identical executions.
 func traceFingerprint(sys *System) string {

@@ -33,22 +33,14 @@ func (s *Scheme1) Start(sys *System) {
 	if period <= 0 {
 		period = 25 * time.Millisecond
 	}
-	lastVals := make(map[string]int64)
-	sys.primeInputBaseline(lastVals)
+	ins := sys.bindInputs()
 	sys.Sched.SpawnPeriodic("codeM", s.Prio, s.Offset, period, func(tk *rtos.Task) {
 		sys.taskEnv.tk = tk
-		mask, updates := sys.inputScan(tk, lastVals)
+		mask, updates := sys.inputScan(tk, ins)
 		sys.applyInputs(tk, updates)
 		changed := sys.stepChart(tk, mask)
 		sys.writeOutputs(tk, changed)
 	})
-}
-
-// inMsg carries one input update from the sensing task to the CODE(M)
-// task over a FIFO queue.
-type inMsg struct {
-	update varUpdate
-	mask   uint64
 }
 
 // outMsg carries one output change from the CODE(M) task to the actuation
@@ -126,17 +118,11 @@ func (s *Scheme2) start(sys *System) {
 	inQ := sys.Sched.NewQueue("inQ", c.QueueCap)
 	outQ := sys.Sched.NewQueue("outQ", c.QueueCap)
 
-	lastVals := make(map[string]int64)
-	sys.primeInputBaseline(lastVals)
+	ins := sys.bindInputs()
 	sys.Sched.SpawnPeriodic("sense", c.SensePrio, 0, c.SensePeriod, func(tk *rtos.Task) {
-		_, updates := sys.inputScan(tk, lastVals)
+		_, updates := sys.inputScan(tk, ins)
 		for _, u := range updates {
-			m := uint64(0)
-			if u.isEvent {
-				id, _ := sys.prog.EventID(u.name)
-				m = 1 << uint(id)
-			}
-			if !tk.TrySend(inQ, inMsg{update: u, mask: m}) {
+			if !tk.TrySend(inQ, u) {
 				sys.inputsDropped++
 			}
 		}
@@ -151,9 +137,9 @@ func (s *Scheme2) start(sys *System) {
 			if !ok {
 				break
 			}
-			msg := v.(inMsg)
-			mask |= msg.mask
-			updates = append(updates, msg.update)
+			u := v.(varUpdate)
+			mask |= u.event
+			updates = append(updates, u)
 		}
 		sys.applyInputs(tk, updates)
 		for _, ch := range sys.stepChart(tk, mask) {
