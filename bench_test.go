@@ -280,7 +280,7 @@ func BenchmarkSimKernelEvent(b *testing.B) {
 // reports the context switches per op.
 func BenchmarkRTOSPingPong(b *testing.B) {
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	defer s.Shutdown()
 	ping := s.NewQueue("ping", 1)
 	pong := s.NewQueue("pong", 1)

@@ -23,12 +23,10 @@ type GenSuiteOptions struct {
 	// Workers bounds the campaign worker pool; 0 means GOMAXPROCS. Any
 	// value produces byte-identical suites.
 	Workers int
-	// Samples is the primary-sample count of seeded schedules (default 4).
-	Samples int
-	// TargetTransitions and TargetPhase are the coverage-directed stop
-	// thresholds (defaults 1.0 and 0.9).
-	TargetTransitions float64
-	TargetPhase       float64
+	// TargetPhase is the phase-bin coverage ratio the coverage-directed
+	// generator stops at (default 0.9); it always requires every
+	// transition covered.
+	TargetPhase float64
 	// Progress, when set, receives a campaign snapshot per executed
 	// evaluation; evaluations a search answers from its memo are not
 	// counted.
@@ -37,13 +35,11 @@ type GenSuiteOptions struct {
 
 func (o GenSuiteOptions) tcgen(seed uint64) tcgen.Options {
 	return tcgen.Options{
-		Budget:            o.Budget,
-		Seed:              seed,
-		Workers:           o.Workers,
-		Samples:           o.Samples,
-		TargetTransitions: o.TargetTransitions,
-		TargetPhase:       o.TargetPhase,
-		Progress:          o.Progress,
+		Budget:      o.Budget,
+		Seed:        seed,
+		Workers:     o.Workers,
+		TargetPhase: o.TargetPhase,
+		Progress:    o.Progress,
 	}
 }
 

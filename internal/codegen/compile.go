@@ -86,31 +86,6 @@ func Generate(cc *statechart.Compiled) (*Program, error) {
 	return p, nil
 }
 
-// GenerateOptions customises code generation.
-type GenerateOptions struct {
-	// Validate, when non-nil, runs after compilation with the compiled
-	// chart and the finished program; a non-nil error rejects the program.
-	// The lint package supplies a validator that rejects programs with
-	// fatal static-analysis findings.
-	Validate func(cc *statechart.Compiled, p *Program) error
-}
-
-// GenerateWith compiles like Generate and then applies the options. It
-// lets callers gate code generation on external checks (static analysis)
-// without codegen depending on the analyzer.
-func GenerateWith(cc *statechart.Compiled, opts GenerateOptions) (*Program, error) {
-	p, err := Generate(cc)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Validate != nil {
-		if verr := opts.Validate(cc, p); verr != nil {
-			return nil, fmt.Errorf("codegen: program %s rejected: %w", p.ChartName, verr)
-		}
-	}
-	return p, nil
-}
-
 // compiler emits bytecode into a shared pool.
 type compiler struct {
 	prog *Program

@@ -228,17 +228,9 @@ func (p Plan) check(sys *platform.System, f Fault) error {
 		return err
 	}
 	switch f.Class {
-	case SensorStuck, SensorDropout, SensorLatency:
+	case SensorStuck, SensorDropout, SensorLatency, ClockDrift:
 		if sys.Board.LookupSensor(f.Target) == nil {
 			return fmt.Errorf("unknown sensor %q", f.Target)
-		}
-	case ClockDrift:
-		s := sys.Board.LookupSensor(f.Target)
-		if s == nil {
-			return fmt.Errorf("unknown sensor %q", f.Target)
-		}
-		if s.SampleTicker() == nil {
-			return fmt.Errorf("sensor %q has no periodic sampling clock to drift", f.Target)
 		}
 	case ActuatorLatency, ActuatorDead:
 		if sys.Board.LookupActuator(f.Target) == nil {

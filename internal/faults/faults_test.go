@@ -107,12 +107,15 @@ func TestApplyIsAtomic(t *testing.T) {
 
 func TestClockDriftRequiresPeriodicSampling(t *testing.T) {
 	sys := pump(t)
-	// All pump sensors are polled; fabricate the error path via a board
-	// with an interrupt-driven sensor is out of scope here, so assert the
-	// happy path validates and the unknown-sensor path does not.
+	// Every sensor samples on a periodic clock, so drift validates on any
+	// sensor the board has, and only on those.
 	ok := Plan{Faults: []Fault{{Class: ClockDrift, Target: "bolus_button", Duration: sim.Time(time.Hour), PPM: 1000}}}
 	if err := ok.Apply(sys, 1); err != nil {
 		t.Fatalf("drift on a polled sensor must validate: %v", err)
+	}
+	bad := Plan{Faults: []Fault{{Class: ClockDrift, Target: "no-such-sensor", Duration: sim.Time(time.Hour), PPM: 1000}}}
+	if err := bad.Apply(sys, 1); err == nil || !strings.Contains(err.Error(), "unknown sensor") {
+		t.Fatalf("drift on an unknown sensor must fail as unknown, got %v", err)
 	}
 }
 

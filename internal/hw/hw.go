@@ -4,10 +4,11 @@
 // converts m-events into i-events and o-events into c-events — and the
 // source of the input and output delays M-testing measures.
 //
-// A Sensor samples an environment signal on its own period (a sampling
-// routine in the paper's terms), optionally debouncing, and latches the
-// result for tasks to read. An Actuator accepts commands from tasks and
-// drives an environment signal after its actuation latency.
+// A Sensor samples an environment signal on its own fixed period from
+// time zero (a sampling routine in the paper's terms), optionally
+// debouncing, and latches the result for tasks to read. An Actuator
+// accepts commands from tasks and drives an environment signal after its
+// actuation latency.
 package hw
 
 import (
@@ -24,25 +25,16 @@ type SensorConfig struct {
 	Name string
 	// Signal is the monitored environment signal the sensor observes.
 	Signal string
-	// SamplePeriod is the driver's sampling period. Zero means the sensor
-	// latches changes immediately (interrupt-driven input).
+	// SamplePeriod is the driver's sampling period; it must be positive.
+	// The first sample runs at time zero.
 	SamplePeriod sim.Time
-	// SampleOffset phases the sampling clock.
-	SampleOffset sim.Time
 	// Debounce requires the raw value to be stable for this many
 	// consecutive samples before it is latched (0 or 1 = no debouncing).
-	// Ignored for interrupt-driven sensors.
 	Debounce int
 	// ReadCost is the CPU cost a task pays per Read of the latch,
 	// modelling register access through the driver. The platform layer
 	// charges it; the sensor only exposes the value.
 	ReadCost sim.Time
-	// Jitter, when positive, perturbs each sampling instant by a
-	// deterministic pseudo-random offset in [-Jitter, +Jitter], modelling
-	// oscillator drift and ISR jitter of real sampling routines.
-	Jitter sim.Time
-	// JitterSeed seeds the jitter stream (so experiments reproduce).
-	JitterSeed uint64
 }
 
 // Sensor is a simulated input device.
@@ -57,7 +49,6 @@ type Sensor struct {
 	ticker    *sim.Ticker
 	samples   uint64
 	latchedAt sim.Time
-	rng       *sim.Rand
 	// fault injection: while the window is active the sensor reports
 	// stuckValue regardless of the physical signal.
 	stuckUntil sim.Time
@@ -149,9 +140,8 @@ func (s *Sensor) InjectDropout(from, duration sim.Time) {
 // dropout fault.
 func (s *Sensor) DroppedReads() uint64 { return s.droppedReads }
 
-// SampleTicker returns the periodic sampling ticker, or nil for
-// interrupt-driven and jittered-period sensors. Fault injection uses it
-// to skew the sampling clock (sim.Ticker.SetDrift).
+// SampleTicker returns the periodic sampling ticker. Fault injection uses
+// it to skew the sampling clock (sim.Ticker.SetDrift).
 func (s *Sensor) SampleTicker() *sim.Ticker { return s.ticker }
 
 // InjectJitter perturbs the sensor's sample latency from instant `from`
@@ -252,48 +242,6 @@ func (s *Sensor) sample() {
 	if s.stable >= need && s.newestVal() != v {
 		s.commit(v)
 	}
-}
-
-func (s *Sensor) start() {
-	raw := s.sig.Value()
-	s.latched = raw
-	s.candidate = raw
-	if s.cfg.SamplePeriod <= 0 {
-		// Interrupt-driven: latch on every signal change.
-		s.env.Watch(s.cfg.Signal, func(_ string, _, now int64, at sim.Time) {
-			if s.stuck || s.newestVal() == now {
-				return
-			}
-			if s.dropping {
-				s.droppedReads++
-				return
-			}
-			s.commit(now)
-		})
-		return
-	}
-	k := s.env.Kernel()
-	if s.cfg.Jitter <= 0 {
-		s.ticker = k.Periodic(s.cfg.SampleOffset, s.cfg.SamplePeriod, func(uint64) { s.sample() })
-		return
-	}
-	// Jittered sampling: self-rescheduling with a deterministic stream.
-	s.rng = sim.NewRand(s.cfg.JitterSeed | 1)
-	var schedule func(base sim.Time)
-	schedule = func(base sim.Time) {
-		next := base + s.cfg.SamplePeriod + s.rng.Duration(-s.cfg.Jitter, s.cfg.Jitter)
-		if next <= k.Now() {
-			next = k.Now() + s.cfg.SamplePeriod/2
-		}
-		k.At(next, func() {
-			s.sample()
-			schedule(base + s.cfg.SamplePeriod)
-		})
-	}
-	k.At(s.cfg.SampleOffset, func() {
-		s.sample()
-		schedule(s.cfg.SampleOffset)
-	})
 }
 
 // ActuatorConfig describes one output device.
@@ -414,7 +362,9 @@ type Board struct {
 
 // NewBoard builds the board on an environment, defining any referenced
 // signals that are not yet defined (with initial value 0) and starting
-// every sensor's sampling routine.
+// every sensor's sampling routine. A device without a name or a signal, a
+// duplicate name, or a sensor without a positive sample period is an
+// error.
 func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 	b := &Board{
 		cfg:       cfg,
@@ -426,6 +376,9 @@ func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 		if sc.Name == "" || sc.Signal == "" {
 			return nil, fmt.Errorf("hw: sensor needs name and signal: %+v", sc)
 		}
+		if sc.SamplePeriod <= 0 {
+			return nil, fmt.Errorf("hw: sensor %q needs a positive sample period, got %v", sc.Name, sc.SamplePeriod)
+		}
 		if _, dup := b.sensors[sc.Name]; dup {
 			return nil, fmt.Errorf("hw: duplicate sensor %q", sc.Name)
 		}
@@ -433,8 +386,9 @@ func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 		if sig == nil {
 			sig = e.Define(sc.Signal, 0)
 		}
-		s := &Sensor{cfg: sc, env: e, sig: sig}
-		s.start()
+		raw := sig.Value()
+		s := &Sensor{cfg: sc, env: e, sig: sig, latched: raw, candidate: raw}
+		s.ticker = e.Kernel().Periodic(0, sc.SamplePeriod, func(uint64) { s.sample() })
 		b.sensors[sc.Name] = s
 	}
 	for _, ac := range cfg.Actuators {

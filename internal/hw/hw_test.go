@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -63,18 +64,6 @@ func TestSensorDebounce(t *testing.T) {
 	}
 }
 
-func TestInterruptSensorLatchesImmediately(t *testing.T) {
-	k, e, b := board(t, BoardConfig{
-		Sensors: []SensorConfig{{Name: "btn", Signal: "sig", SamplePeriod: 0}},
-	})
-	s := b.Sensor("btn")
-	e.SetAt(3*ms, "sig", 1)
-	k.Run(3 * ms)
-	if s.Read() != 1 || s.LatchedAt() != 3*ms {
-		t.Fatalf("v=%d at=%v", s.Read(), s.LatchedAt())
-	}
-}
-
 func TestActuatorLatency(t *testing.T) {
 	k, e, b := board(t, BoardConfig{
 		Actuators: []ActuatorConfig{{Name: "motor", Signal: "sig_motor", Latency: 4 * ms}},
@@ -118,13 +107,18 @@ func TestActuatorZeroLatencyImmediate(t *testing.T) {
 func TestBoardValidation(t *testing.T) {
 	k := sim.New()
 	e := env.New(k)
-	if _, err := NewBoard(e, BoardConfig{Sensors: []SensorConfig{{Name: "", Signal: "x"}}}); err == nil {
+	if _, err := NewBoard(e, BoardConfig{Sensors: []SensorConfig{{Name: "", Signal: "x", SamplePeriod: ms}}}); err == nil {
 		t.Fatal("empty sensor name should fail")
 	}
 	if _, err := NewBoard(e, BoardConfig{Sensors: []SensorConfig{
-		{Name: "a", Signal: "x1"}, {Name: "a", Signal: "x2"},
-	}}); err == nil {
-		t.Fatal("duplicate sensor should fail")
+		{Name: "a", Signal: "x1", SamplePeriod: ms}, {Name: "a", Signal: "x2", SamplePeriod: ms},
+	}}); err == nil || !strings.Contains(err.Error(), "duplicate sensor") {
+		t.Fatalf("duplicate sensor should fail as a duplicate, got %v", err)
+	}
+	for _, p := range []sim.Time{0, -ms} {
+		if _, err := NewBoard(e, BoardConfig{Sensors: []SensorConfig{{Name: "s", Signal: "x", SamplePeriod: p}}}); err == nil || !strings.Contains(err.Error(), "sample period") {
+			t.Fatalf("sample period %v should fail for want of a positive period, got %v", p, err)
+		}
 	}
 	if _, err := NewBoard(e, BoardConfig{Actuators: []ActuatorConfig{
 		{Name: "b", Signal: "y"}, {Name: "b", Signal: "y2"},
@@ -155,13 +149,20 @@ func TestBoardNamesAndLookups(t *testing.T) {
 	b.Sensor("ghost")
 }
 
+// TestSensorSampleCountAndOffset: a sensor samples on its period from
+// time zero, so its sampling clock has no phase offset.
 func TestSensorSampleCountAndOffset(t *testing.T) {
-	k, _, b := board(t, BoardConfig{
-		Sensors: []SensorConfig{{Name: "s", Signal: "x", SamplePeriod: 10 * ms, SampleOffset: 5 * ms}},
+	k, e, b := board(t, BoardConfig{
+		Sensors: []SensorConfig{{Name: "s", Signal: "x", SamplePeriod: 10 * ms}},
 	})
-	k.Run(36 * ms) // samples at 5, 15, 25, 35
-	if got := b.Sensor("s").Samples(); got != 4 {
+	s := b.Sensor("s")
+	e.SetAt(25*ms, "x", 1)
+	k.Run(36 * ms) // samples at 0, 10, 20, 30
+	if got := s.Samples(); got != 4 {
 		t.Fatalf("samples=%d", got)
+	}
+	if s.Read() != 1 || s.LatchedAt() != 30*ms {
+		t.Fatalf("v=%d at=%v, want the 25ms edge latched by the sample at 30ms", s.Read(), s.LatchedAt())
 	}
 }
 

@@ -24,21 +24,16 @@ func (e *RejectError) Error() string {
 		len(fatal), strings.Join(labels, ", "))
 }
 
-// Validator returns a codegen.GenerateOptions.Validate hook that analyses
-// the compiled program and rejects it when any fatal finding is present.
-func Validator(cost codegen.CostModel) func(*statechart.Compiled, *codegen.Program) error {
-	return func(cc *statechart.Compiled, p *codegen.Program) error {
-		rep := AnalyzeCompiled(cc.Chart(), cc, p, cost)
-		if fatal := rep.Fatal(); len(fatal) > 0 {
-			return &RejectError{Report: rep}
-		}
-		return nil
-	}
-}
-
 // GenerateChecked compiles the chart and rejects the program when static
-// analysis reports a fatal finding, returning a *RejectError (wrapped by
-// codegen) that carries the report.
+// analysis reports a fatal finding, returning an error that wraps a
+// *RejectError carrying the report.
 func GenerateChecked(cc *statechart.Compiled, cost codegen.CostModel) (*codegen.Program, error) {
-	return codegen.GenerateWith(cc, codegen.GenerateOptions{Validate: Validator(cost)})
+	p, err := codegen.Generate(cc)
+	if err != nil {
+		return nil, err
+	}
+	if rep := AnalyzeCompiled(cc.Chart(), cc, p, cost); len(rep.Fatal()) > 0 {
+		return nil, fmt.Errorf("codegen: program %s rejected: %w", p.ChartName, &RejectError{Report: rep})
+	}
+	return p, nil
 }

@@ -64,8 +64,8 @@ func (o observation) String() string {
 // requires the two runs to observe the same execution. When merges is
 // set, the merged run must also fire at most 60% of the other's kernel
 // events and skip ticks, so a merge or a skip that silently stops
-// working fails. It returns the ticks the merged run skipped.
-func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) uint64 {
+// working fails.
+func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) {
 	t.Helper()
 	ref := run(true)
 	defer ref.Shutdown()
@@ -90,7 +90,6 @@ func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platf
 	if merges && elided == 0 {
 		t.Fatal("the merged run skipped no tick")
 	}
-	return elided
 }
 
 var schemes = []func() platform.Scheme{
@@ -155,37 +154,6 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestMergedBurstsUnderTimeSlicing: round-robin slicing arms a slice by
-// burst length, so with scheme 3's logger sharing the CODE(M) task's
-// priority, charges must keep their own bursts and every tick must be
-// stepped; the run must equal the charge-by-charge, tick-by-tick one and
-// skip no tick.
-func TestMergedBurstsUnderTimeSlicing(t *testing.T) {
-	cfg := gpca.PlatformConfig()
-	cfg.RTOS.TimeSlice = 500 * time.Microsecond
-	for _, level := range levels {
-		t.Run(level.String(), func(t *testing.T) {
-			elided := checkMerged(t, false, func(chargeByCharge bool) *platform.System {
-				sys, err := platform.NewSystem(cfg, platform.DefaultScheme3(), level)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Sched.Record()
-				if chargeByCharge {
-					platform.ChargeByCharge(sys)
-				}
-				sys.Env.PulseAt(5*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
-				sys.Env.PulseAt(4600*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
-				sys.Run(10 * time.Second)
-				return sys
-			})
-			if elided != 0 {
-				t.Fatalf("a time-sliced run skipped %d ticks, want none", elided)
-			}
-		})
 	}
 }
 

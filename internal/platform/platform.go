@@ -65,7 +65,6 @@ type OutputBinding struct {
 type Config struct {
 	Chart   *statechart.Chart
 	Cost    codegen.CostModel
-	RTOS    rtos.Config
 	Board   hw.BoardConfig
 	Inputs  []InputBinding
 	Outputs []OutputBinding
@@ -327,7 +326,7 @@ func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch)
 	cfg := pb.cfg
 	sys := &System{
 		Kernel:     k,
-		Sched:      rtos.New(k, cfg.RTOS),
+		Sched:      rtos.New(k),
 		Env:        env.New(k),
 		Trace:      tr,
 		TransTrace: fourvar.NewTransitionTrace(),

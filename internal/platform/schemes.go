@@ -15,8 +15,6 @@ type Scheme1 struct {
 	Period sim.Time
 	// Prio is the task priority (default 2).
 	Prio int
-	// Offset phases the first release.
-	Offset sim.Time
 }
 
 // DefaultScheme1 returns the case-study configuration.
@@ -34,7 +32,7 @@ func (s *Scheme1) Start(sys *System) {
 		period = 25 * time.Millisecond
 	}
 	ins := sys.bindInputs()
-	sys.Sched.SpawnPeriodic("codeM", s.Prio, s.Offset, period, func(tk *rtos.Task) {
+	sys.Sched.SpawnPeriodic("codeM", s.Prio, 0, period, func(tk *rtos.Task) {
 		sys.taskEnv.tk = tk
 		mask, updates := sys.inputScan(tk, ins)
 		sys.applyInputs(tk, updates)
@@ -174,7 +172,6 @@ func (s *Scheme2) start(sys *System) {
 type InterferenceTask struct {
 	Name   string
 	Prio   int
-	Offset sim.Time
 	Period sim.Time
 	Burst  sim.Time // CPU consumed per release
 }
@@ -212,7 +209,7 @@ func (s *Scheme3) Start(sys *System) {
 	s.start(sys)
 	for _, it := range s.Interference {
 		burst := it.Burst
-		sys.Sched.SpawnPeriodic(it.Name, it.Prio, it.Offset, it.Period, func(tk *rtos.Task) {
+		sys.Sched.SpawnPeriodic(it.Name, it.Prio, 0, it.Period, func(tk *rtos.Task) {
 			tk.Compute(burst)
 		})
 	}

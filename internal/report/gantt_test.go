@@ -14,7 +14,7 @@ import (
 
 func TestGanttShowsRunningAndReady(t *testing.T) {
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	defer s.Shutdown()
 	tr := s.Record()
 	s.Spawn("lo", 1, 0, func(tk *rtos.Task) { tk.Compute(40 * ms) })
@@ -78,7 +78,7 @@ func TestGanttLongRunShowsPressWindow(t *testing.T) {
 
 func TestGanttEmptyWindow(t *testing.T) {
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	defer s.Shutdown()
 	if !strings.Contains(Gantt(s.Record(), time.Second, time.Second, 40), "empty window") {
 		t.Fatal("degenerate window not reported")
@@ -87,7 +87,7 @@ func TestGanttEmptyWindow(t *testing.T) {
 
 func TestTaskLoads(t *testing.T) {
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	defer s.Shutdown()
 	s.SpawnPeriodic("worker", 2, 0, 10*ms, func(tk *rtos.Task) { tk.Compute(2 * ms) })
 	s.Spawn("oneshot", 1, 0, func(tk *rtos.Task) { tk.Compute(5 * ms) })

@@ -190,7 +190,7 @@ func TestBoundDominatesSimulation(t *testing.T) {
 	var worst sim.Time
 	for offset := sim.Time(0); offset < 10*ms; offset += ms {
 		k := sim.New()
-		s := rtos.New(k, rtos.Config{})
+		s := rtos.New(k)
 		spawn := func(tk Task, off sim.Time, record bool) {
 			s.SpawnPeriodic(tk.Name, tk.Prio, off, tk.Period, func(task *rtos.Task) {
 				start := task.Now()

@@ -6,22 +6,20 @@ import (
 )
 
 // TestCoalescible pins when a task's back-to-back bursts may be issued as
-// one: never under time slicing, not while an overrun window is armed
-// and not yet over, and always otherwise.
+// one: not while an overrun window is armed and not yet over, and always
+// otherwise.
 func TestCoalescible(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
 		arm  func(*Task)
 		want []bool // at 0, 10, 20 and 30 ms
 	}{
-		{"plain", Config{}, func(*Task) {}, []bool{true, true, true, true}},
-		{"time slicing", Config{TimeSlice: ms}, func(*Task) {}, []bool{false, false, false, false}},
-		{"overrun window [10ms, 25ms)", Config{}, func(tk *Task) { tk.InjectOverrun(10*ms, 15*ms, 2, 1) }, []bool{false, false, false, true}},
-		{"empty overrun window", Config{}, func(tk *Task) { tk.InjectOverrun(10*ms, 0, 2, 1) }, []bool{true, true, true, true}},
+		{"plain", func(*Task) {}, []bool{true, true, true, true}},
+		{"overrun window [10ms, 25ms)", func(tk *Task) { tk.InjectOverrun(10*ms, 15*ms, 2, 1) }, []bool{false, false, false, true}},
+		{"empty overrun window", func(tk *Task) { tk.InjectOverrun(10*ms, 0, 2, 1) }, []bool{true, true, true, true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k, s := rig(t, tc.cfg)
+			k, s := rig(t)
 			var got []bool
 			tk := s.Spawn("a", 1, 0, func(tk *Task) {
 				for range tc.want {
@@ -47,7 +45,7 @@ func TestCoalescible(t *testing.T) {
 // instant it is issued, CPUUsed only the part that has run, across a
 // preemption too.
 func TestCPUUsedCountsOnlyWhatRan(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	lo := s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
 	hi := s.Spawn("hi", 2, 4*ms, func(tk *Task) { tk.Compute(3 * ms) })
 	for _, step := range []struct {

@@ -11,7 +11,7 @@ import (
 // length past the window close), and CPU accounting reflects the
 // stretched time.
 func TestInjectOverrunScalesInWindowBursts(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var stamps []struct{ at, cpu int64 }
 	tk := s.Spawn("a", 1, 0, func(tk *Task) {
 		for i := 0; i < 4; i++ {
@@ -41,7 +41,7 @@ func TestInjectOverrunScalesInWindowBursts(t *testing.T) {
 }
 
 func TestInjectOverrunRejectsNonPositiveScale(t *testing.T) {
-	_, s := rig(t, Config{})
+	_, s := rig(t)
 	tk := s.Spawn("a", 1, 0, func(tk *Task) { tk.Sleep(ms) })
 	defer func() {
 		if recover() == nil {
@@ -55,7 +55,7 @@ func TestInjectOverrunRejectsNonPositiveScale(t *testing.T) {
 // period inside the window, each steals its cost from the running burst,
 // and StormISRs counts exactly the in-window firings.
 func TestInjectISRStormStealsCPU(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var done int64
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.Compute(50 * ms)
@@ -74,7 +74,7 @@ func TestInjectISRStormStealsCPU(t *testing.T) {
 }
 
 func TestInjectISRStormRejectsNonPositivePeriod(t *testing.T) {
-	_, s := rig(t, Config{})
+	_, s := rig(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("InjectISRStorm with non-positive period must panic")
@@ -88,7 +88,7 @@ func TestInjectISRStormRejectsNonPositivePeriod(t *testing.T) {
 // success, FaultDropped counts the loss, capacity-based Dropped does
 // not — and sends outside the window are untouched.
 func TestInjectDropLosesEveryNthSend(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 16)
 	q.InjectDrop(0, 100*ms, 2) // every 2nd send lost in [0, 100ms)
 	var got []int64
@@ -132,7 +132,7 @@ func TestInjectDropLosesEveryNthSend(t *testing.T) {
 }
 
 func TestFaultTargetLookups(t *testing.T) {
-	_, s := rig(t, Config{})
+	_, s := rig(t)
 	tk := s.Spawn("codeM", 2, 0, func(tk *Task) { tk.Sleep(ms) })
 	q := s.NewQueue("inQ", 4)
 	if s.TaskByName("codeM") != tk {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestQueueFIFOOrder(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 10)
 	var got []int
 	s.Spawn("producer", 2, 0, func(tk *Task) {
@@ -31,7 +31,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 }
 
 func TestQueueBlocksWhenEmpty(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	var recvAt sim.Time
 	s.Spawn("consumer", 1, 0, func(tk *Task) {
@@ -49,7 +49,7 @@ func TestQueueBlocksWhenEmpty(t *testing.T) {
 }
 
 func TestQueueBlocksWhenFull(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 2)
 	var sentThird sim.Time
 	s.Spawn("producer", 2, 0, func(tk *Task) {
@@ -73,7 +73,7 @@ func TestQueueBlocksWhenFull(t *testing.T) {
 }
 
 func TestQueueRecvTimeoutExpires(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	var ok bool
 	var at sim.Time
@@ -91,7 +91,7 @@ func TestQueueRecvTimeoutExpires(t *testing.T) {
 }
 
 func TestQueueRecvTimeoutSatisfiedEarly(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	var v any
 	var ok bool
@@ -106,7 +106,7 @@ func TestQueueRecvTimeoutSatisfiedEarly(t *testing.T) {
 }
 
 func TestQueueSendTimeoutExpires(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	var ok bool
 	s.Spawn("producer", 1, 0, func(tk *Task) {
@@ -123,7 +123,7 @@ func TestQueueSendTimeoutExpires(t *testing.T) {
 }
 
 func TestQueueTryOps(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		if _, ok := tk.TryRecv(q); ok {
@@ -143,7 +143,7 @@ func TestQueueTryOps(t *testing.T) {
 }
 
 func TestQueueWakesHighestPriorityWaiter(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 4)
 	var order []string
 	mk := func(name string, prio int, start sim.Time) {
@@ -175,7 +175,7 @@ func TestQueueWakesHighestPriorityWaiter(t *testing.T) {
 func TestQueueSenderWakeupPreemptsLowerPriorityReceiver(t *testing.T) {
 	// A low-priority task sending to a queue on which a high-priority task
 	// waits must lose the CPU at the request boundary.
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	var order []string
 	s.Spawn("hi", 5, 0, func(tk *Task) {
@@ -193,7 +193,7 @@ func TestQueueSenderWakeupPreemptsLowerPriorityReceiver(t *testing.T) {
 }
 
 func TestQueueStats(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 8)
 	s.Spawn("producer", 2, 0, func(tk *Task) {
 		for i := 0; i < 4; i++ {
@@ -218,7 +218,7 @@ func TestQueueStats(t *testing.T) {
 }
 
 func TestSendFromISRDropsWhenFull(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 1)
 	k.At(0, func() {
 		if !q.SendFromISR(1) {
@@ -242,7 +242,7 @@ func TestQueuePropertyFIFOConservation(t *testing.T) {
 		capacity := int(capRaw%5) + 1
 		n := int(nRaw%40) + 1
 		k := sim.New()
-		s := New(k, Config{})
+		s := New(k)
 		defer s.Shutdown()
 		q := s.NewQueue("q", capacity)
 		r := sim.NewRand(seed)
@@ -275,7 +275,7 @@ func TestQueuePropertyFIFOConservation(t *testing.T) {
 }
 
 func TestQueueDirectDeliveryCountsInStats(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("q", 4)
 	s.Spawn("consumer", 1, 0, func(tk *Task) { tk.Recv(q) })
 	s.Spawn("producer", 1, 5*ms, func(tk *Task) { tk.Send(q, 1) })
@@ -289,7 +289,7 @@ func TestQueueDirectDeliveryCountsInStats(t *testing.T) {
 }
 
 func TestQueueNameAndCap(t *testing.T) {
-	_, s := rig(t, Config{})
+	_, s := rig(t)
 	q := s.NewQueue("telemetry", 3)
 	if q.Name() != "telemetry" || q.Cap() != 3 {
 		t.Fatalf("meta: %s %d", q.Name(), q.Cap())
@@ -297,7 +297,7 @@ func TestQueueNameAndCap(t *testing.T) {
 }
 
 func TestUnboundedQueueNeverBlocks(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("unbounded", 0)
 	done := false
 	s.Spawn("producer", 1, 0, func(tk *Task) {

@@ -1,10 +1,10 @@
 // Package rtos simulates a small real-time operating system in virtual
 // time. It stands in for the FreeRTOS kernel the paper's case study runs
-// on (ARM7 + FreeRTOS): fixed-priority preemptive scheduling, optional
-// round-robin time slicing within a priority band, FIFO message queues
-// with priority-ordered wakeup, counting semaphores, mutexes with priority
-// inheritance, interrupt service routines that steal CPU time, and a
-// context-switch cost.
+// on (ARM7 + FreeRTOS): fixed-priority preemptive scheduling, FIFO
+// message queues with priority-ordered wakeup, counting semaphores,
+// mutexes with priority inheritance, and interrupt service routines that
+// steal CPU time. The CPU is either idle or running one task's compute
+// burst; switching tasks costs no time.
 //
 // Tasks are written as ordinary Go functions. Each task body runs as an
 // iter.Pull coroutine driven by the scheduler: the scheduler resumes a
@@ -27,34 +27,18 @@ import (
 	"rmtest/internal/sim"
 )
 
-// Config controls platform overheads of the simulated RTOS.
-type Config struct {
-	// ContextSwitch is the CPU cost charged whenever the CPU switches
-	// from one task to a different task. Zero disables the charge.
-	ContextSwitch sim.Time
-	// TimeSlice, when positive, enables round-robin scheduling among
-	// ready tasks of equal priority: a task that computes for a full
-	// slice while an equal-priority peer is ready yields the CPU.
-	TimeSlice sim.Time
-}
-
 // Scheduler is the simulated RTOS kernel. Create one with New, spawn
 // tasks, then drive the underlying sim.Kernel.
 type Scheduler struct {
-	k   *sim.Kernel
-	cfg Config
+	k *sim.Kernel
 
 	tasks   []*Task
 	ready   []*Task // ordered: highest priority first, FIFO within a band
 	current *Task
 
-	// CPU occupancy. Exactly one of these is meaningful at a time.
+	// CPU occupancy: the current task's in-flight compute burst.
 	computeDone  sim.Event
 	computeStart sim.Time
-	sliceEnd     sim.Event
-	switching    bool
-	switchDone   sim.Event
-	switchTarget *Task
 	lastOnCPU    *Task
 
 	inLoop      bool
@@ -73,8 +57,8 @@ type Scheduler struct {
 }
 
 // New returns a scheduler bound to kernel k.
-func New(k *sim.Kernel, cfg Config) *Scheduler {
-	s := &Scheduler{k: k, cfg: cfg, queues: make(map[string]*Queue)}
+func New(k *sim.Kernel) *Scheduler {
+	s := &Scheduler{k: k, queues: make(map[string]*Queue)}
 	s.kickFn, s.finishComputeFn = s.kicked, s.finishCompute
 	return s
 }
@@ -104,7 +88,7 @@ func (s *Scheduler) Preemptions() uint64 { return s.preempts }
 // IdleTime returns the accumulated virtual time during which no task
 // occupied the CPU.
 func (s *Scheduler) IdleTime() sim.Time {
-	if s.cpuIdle() {
+	if s.current == nil {
 		return s.idleTime + (s.k.Now() - s.idleFrom)
 	}
 	return s.idleTime
@@ -133,9 +117,9 @@ func (s *Scheduler) Queue(name string) *Queue { return s.queues[name] }
 // InjectISRStorm fires a spurious interrupt of the given CPU cost every
 // `period` from instant `from` for `duration` — a chattering device or a
 // mis-configured peripheral raising interrupts with no work behind them.
-// Each interrupt steals CPU from whatever burst or context switch is in
-// flight, exactly like a real ISR, so the damage lands wherever the
-// pipeline happens to be executing.
+// Each interrupt steals CPU from whatever burst is in flight, exactly
+// like a real ISR, so the damage lands wherever the pipeline happens to
+// be executing.
 func (s *Scheduler) InjectISRStorm(from, duration, period, cost sim.Time) {
 	if period <= 0 {
 		panic(fmt.Sprintf("rtos: InjectISRStorm with non-positive period %v", period))
@@ -215,11 +199,6 @@ func (s *Scheduler) Shutdown() {
 		}
 	}
 	s.current = nil
-}
-
-// cpuIdle reports whether nothing occupies the CPU.
-func (s *Scheduler) cpuIdle() bool {
-	return s.current == nil && !s.switching
 }
 
 func (s *Scheduler) cpuComputing() bool {
@@ -305,8 +284,8 @@ func (s *Scheduler) kicked() {
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
 // change task state ends by calling it. It runs task bodies
-// synchronously (in zero virtual time) until the CPU is committed — to a
-// compute burst, a context switch — or idle.
+// synchronously (in zero virtual time) until the CPU is committed to a
+// compute burst or idle.
 func (s *Scheduler) schedLoop() {
 	if s.inLoop {
 		// Re-entered from a wakeup performed inside a task request that
@@ -318,23 +297,8 @@ func (s *Scheduler) schedLoop() {
 	defer func() { s.inLoop = false }()
 
 	for {
-		if s.switching || s.cpuComputing() {
-			if s.cpuComputing() {
-				// Preemption of an in-progress compute burst.
-				top := s.topReady()
-				if top != nil && top.prio > s.current.prio {
-					s.preemptCurrent()
-					continue
-				}
-				// Equal-priority contention appeared mid-burst: start a
-				// round-robin slice if slicing is enabled.
-				if s.cfg.TimeSlice > 0 && !s.sliceEnd.Pending() && s.equalPrioReady(s.current) {
-					s.armSlice()
-				}
-			}
-			return
-		}
-		if s.current == nil {
+		t := s.current
+		if t == nil {
 			top := s.topReady()
 			if top == nil {
 				if s.idleFrom < 0 {
@@ -347,18 +311,17 @@ func (s *Scheduler) schedLoop() {
 				s.idleTime += s.k.Now() - s.idleFrom
 				s.idleFrom = -1
 			}
-			if s.cfg.ContextSwitch > 0 && s.lastOnCPU != top && s.lastOnCPU != nil {
-				s.beginSwitch(top)
-				return
-			}
 			s.startRunning(top)
 			continue
 		}
-		t := s.current
-		// Preemption check at a request boundary.
+		// A higher-priority ready task preempts, mid-burst or at a
+		// request boundary.
 		if top := s.topReady(); top != nil && top.prio > t.prio {
-			s.preemptAtBoundary()
+			s.preempt()
 			continue
+		}
+		if s.cpuComputing() {
+			return
 		}
 		if t.pendingCompute > 0 {
 			s.beginCompute(t)
@@ -384,34 +347,9 @@ func (s *Scheduler) startRunning(t *Task) {
 	s.trace.add(s.k.Now(), TraceDispatch, t)
 }
 
-func (s *Scheduler) beginSwitch(target *Task) {
-	s.switching = true
-	s.switchTarget = target
-	s.trace.add(s.k.Now(), TraceSwitch, target)
-	s.switchDone = s.k.After(s.cfg.ContextSwitch, s.finishSwitch)
-}
-
-// finishSwitch completes a context switch: the target takes the CPU
-// unless a higher-priority task became ready during the switch.
-func (s *Scheduler) finishSwitch() {
-	s.switching = false
-	t := s.switchTarget
-	s.switchTarget = nil
-	if top := s.topReady(); top != nil && top.prio > t.prio {
-		t.state = TaskPreempted
-		s.makeReady(t, true)
-	} else {
-		s.startRunning(t)
-	}
-	s.schedLoop()
-}
-
 func (s *Scheduler) beginCompute(t *Task) {
 	s.computeStart = s.k.Now()
 	s.computeDone = s.k.After(t.pendingCompute, s.finishComputeFn)
-	if s.cfg.TimeSlice > 0 && s.equalPrioReady(t) {
-		s.armSlice()
-	}
 }
 
 // finishCompute completes the current task's compute burst. Every path
@@ -420,87 +358,22 @@ func (s *Scheduler) beginCompute(t *Task) {
 func (s *Scheduler) finishCompute() {
 	s.current.pendingCompute = 0
 	s.computeDone = sim.Event{}
-	s.cancelSlice()
 	s.schedLoop()
 }
 
-// armSlice schedules the end of the current round-robin slice, provided
-// the in-flight burst outlasts the slice.
-func (s *Scheduler) armSlice() {
-	remaining := s.computeDone.At() - s.k.Now()
-	if remaining <= s.cfg.TimeSlice {
-		return
-	}
-	s.sliceEnd = s.k.After(s.cfg.TimeSlice, s.endSlice)
-}
-
-// endSlice expires the current round-robin slice.
-func (s *Scheduler) endSlice() {
-	s.sliceEnd = sim.Event{}
-	s.rotateSlice()
-}
-
-func (s *Scheduler) cancelSlice() {
-	if s.sliceEnd.Pending() {
-		s.sliceEnd.Cancel()
-		s.sliceEnd = sim.Event{}
-	}
-}
-
-func (s *Scheduler) equalPrioReady(t *Task) bool {
-	for _, r := range s.ready {
-		if r.prio == t.prio {
-			return true
+// preempt takes the current task off the CPU, to the front of its
+// priority band. A burst in flight is cancelled, and the CPU time it has
+// consumed so far is charged.
+func (s *Scheduler) preempt() {
+	t := s.current
+	if s.cpuComputing() {
+		t.pendingCompute -= s.k.Now() - s.computeStart
+		if t.pendingCompute < 0 {
+			t.pendingCompute = 0
 		}
-		if r.prio < t.prio {
-			break
-		}
+		s.computeDone.Cancel()
+		s.computeDone = sim.Event{}
 	}
-	return false
-}
-
-// rotateSlice implements round-robin: the current task goes to the back of
-// its priority band and the next equal-priority task runs.
-func (s *Scheduler) rotateSlice() {
-	t := s.current
-	if t == nil || !s.cpuComputing() || !s.equalPrioReady(t) {
-		s.schedLoop()
-		return
-	}
-	s.stopCompute(t)
-	t.state = TaskPreempted
-	s.makeReady(t, false) // back of the band
-	s.current = nil
-	s.preempts++
-	s.trace.add(s.k.Now(), TracePreempt, t)
-	s.schedLoop()
-}
-
-// stopCompute cancels the in-flight compute burst of t, charging the CPU
-// time consumed so far.
-func (s *Scheduler) stopCompute(t *Task) {
-	elapsed := s.k.Now() - s.computeStart
-	s.computeDone.Cancel()
-	s.computeDone = sim.Event{}
-	s.cancelSlice()
-	t.pendingCompute -= elapsed
-	if t.pendingCompute < 0 {
-		t.pendingCompute = 0
-	}
-}
-
-func (s *Scheduler) preemptCurrent() {
-	t := s.current
-	s.stopCompute(t)
-	t.state = TaskPreempted
-	s.makeReady(t, true)
-	s.current = nil
-	s.preempts++
-	s.trace.add(s.k.Now(), TracePreempt, t)
-}
-
-func (s *Scheduler) preemptAtBoundary() {
-	t := s.current
 	t.state = TaskPreempted
 	s.makeReady(t, true)
 	s.current = nil
@@ -593,7 +466,7 @@ func (t *Task) wakeUp() {
 
 // Interrupt models an interrupt service routine: handler runs now (in
 // zero virtual time, outside any task) and the CPU is stolen for isrCost,
-// pushing out whatever compute burst or context switch was in progress.
+// pushing out whatever compute burst was in progress.
 // The handler typically posts to a queue via SendFromISR or gives a
 // semaphore via GiveFromISR.
 func (s *Scheduler) Interrupt(isrCost sim.Time, handler func()) {
@@ -607,27 +480,17 @@ func (s *Scheduler) Interrupt(isrCost sim.Time, handler func()) {
 	s.kick()
 }
 
-// stealCPU pushes out the completion of the in-flight compute burst or
-// context switch by d, modelling ISR time stolen from the running task.
-// When the CPU is idle the ISR absorbs into idle time.
+// stealCPU pushes out the completion of the in-flight compute burst by
+// d, modelling ISR time stolen from the running task. When the CPU is
+// idle the ISR absorbs into idle time.
 func (s *Scheduler) stealCPU(d sim.Time) {
-	if s.cpuComputing() {
-		remaining := s.computeDone.At() - s.k.Now()
-		s.computeDone.Cancel()
-		s.computeStart += d
-		s.computeDone = s.k.After(d+remaining, s.finishComputeFn)
-		if s.sliceEnd.Pending() {
-			sliceRemaining := s.sliceEnd.At() - s.k.Now()
-			s.sliceEnd.Cancel()
-			s.sliceEnd = s.k.After(d+sliceRemaining, s.endSlice)
-		}
+	if !s.cpuComputing() {
 		return
 	}
-	if s.switching && s.switchDone.Pending() {
-		remaining := s.switchDone.At() - s.k.Now()
-		s.switchDone.Cancel()
-		s.switchDone = s.k.After(d+remaining, s.finishSwitch)
-	}
+	remaining := s.computeDone.At() - s.k.Now()
+	s.computeDone.Cancel()
+	s.computeStart += d
+	s.computeDone = s.k.After(d+remaining, s.finishComputeFn)
 }
 
 // Utilization returns the fraction of elapsed virtual time the CPU was

@@ -12,16 +12,16 @@ const ms = time.Millisecond
 
 // rig creates a kernel+scheduler pair and returns a cleanup-registered
 // scheduler so tests never leak task goroutines.
-func rig(t *testing.T, cfg Config) (*sim.Kernel, *Scheduler) {
+func rig(t *testing.T) (*sim.Kernel, *Scheduler) {
 	t.Helper()
 	k := sim.New()
-	s := New(k, cfg)
+	s := New(k)
 	t.Cleanup(s.Shutdown)
 	return k, s
 }
 
 func TestSingleTaskComputes(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var done sim.Time
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.Compute(10 * ms)
@@ -34,7 +34,7 @@ func TestSingleTaskComputes(t *testing.T) {
 }
 
 func TestComputeSequenceAccumulates(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var stamps []sim.Time
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		for i := 0; i < 3; i++ {
@@ -52,7 +52,7 @@ func TestComputeSequenceAccumulates(t *testing.T) {
 }
 
 func TestHigherPriorityPreempts(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var loFinish, hiFinish sim.Time
 	s.Spawn("lo", 1, 0, func(tk *Task) {
 		tk.Compute(100 * ms)
@@ -75,7 +75,7 @@ func TestHigherPriorityPreempts(t *testing.T) {
 }
 
 func TestEqualPriorityNoPreemptionWithoutSlicing(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var order []string
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.Compute(50 * ms)
@@ -87,28 +87,12 @@ func TestEqualPriorityNoPreemptionWithoutSlicing(t *testing.T) {
 	})
 	k.Run(time.Second)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("order=%v, want a then b (FIFO, no slicing)", order)
-	}
-}
-
-func TestTimeSlicingRoundRobin(t *testing.T) {
-	k, s := rig(t, Config{TimeSlice: 10 * ms})
-	var aDone, bDone sim.Time
-	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(30 * ms); aDone = tk.Now() })
-	s.Spawn("b", 1, 0, func(tk *Task) { tk.Compute(30 * ms); bDone = tk.Now() })
-	k.Run(time.Second)
-	// With a 10ms slice the two 30ms bursts interleave: a finishes at 50ms
-	// (a:0-10, b:10-20, a:20-30, b:30-40, a:40-50, b:50-60).
-	if aDone != 50*ms {
-		t.Fatalf("a done at %v, want 50ms", aDone)
-	}
-	if bDone != 60*ms {
-		t.Fatalf("b done at %v, want 60ms", bDone)
+		t.Fatalf("order=%v, want a then b (FIFO)", order)
 	}
 }
 
 func TestSleepWakesAtExactInstant(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var woke sim.Time
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.Sleep(42 * ms)
@@ -121,7 +105,7 @@ func TestSleepWakesAtExactInstant(t *testing.T) {
 }
 
 func TestSleepUntilPastYields(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var order []string
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.SleepUntil(0) // already past: must yield, not block forever
@@ -135,7 +119,7 @@ func TestSleepUntilPastYields(t *testing.T) {
 }
 
 func TestYieldRotatesEqualPriority(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var order []string
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		order = append(order, "a1")
@@ -155,7 +139,7 @@ func TestYieldRotatesEqualPriority(t *testing.T) {
 }
 
 func TestSpawnPeriodicReleases(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var releases []sim.Time
 	s.SpawnPeriodic("p", 1, 5*ms, 25*ms, func(tk *Task) {
 		releases = append(releases, tk.Now())
@@ -174,7 +158,7 @@ func TestSpawnPeriodicReleases(t *testing.T) {
 }
 
 func TestPeriodicOverrunSkipsMissedReleases(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var releases []sim.Time
 	first := true
 	s.SpawnPeriodic("p", 1, 0, 10*ms, func(tk *Task) {
@@ -191,23 +175,8 @@ func TestPeriodicOverrunSkipsMissedReleases(t *testing.T) {
 	}
 }
 
-func TestContextSwitchCostDelaysDispatch(t *testing.T) {
-	k, s := rig(t, Config{ContextSwitch: 2 * ms})
-	var aDone, bDone sim.Time
-	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms); aDone = tk.Now() })
-	s.Spawn("b", 1, 0, func(tk *Task) { tk.Compute(10 * ms); bDone = tk.Now() })
-	k.Run(time.Second)
-	// First dispatch has no predecessor: free. Switch a->b costs 2ms.
-	if aDone != 10*ms {
-		t.Fatalf("a done at %v", aDone)
-	}
-	if bDone != 22*ms {
-		t.Fatalf("b done at %v, want 22ms (10 + 2 switch + 10)", bDone)
-	}
-}
-
 func TestInterruptStealsCPU(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	var done sim.Time
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		tk.Compute(20 * ms)
@@ -221,7 +190,7 @@ func TestInterruptStealsCPU(t *testing.T) {
 }
 
 func TestInterruptWakesTaskViaQueue(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	q := s.NewQueue("irq", 4)
 	var got any
 	var at sim.Time
@@ -239,7 +208,7 @@ func TestInterruptWakesTaskViaQueue(t *testing.T) {
 }
 
 func TestTaskStatesProgress(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	tk := s.Spawn("a", 1, 10*ms, func(tk *Task) {
 		tk.Compute(5 * ms)
 	})
@@ -256,7 +225,7 @@ func TestTaskStatesProgress(t *testing.T) {
 }
 
 func TestIdleTimeAccounting(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	s.Spawn("a", 1, 10*ms, func(tk *Task) { tk.Compute(20 * ms) })
 	k.Run(100 * ms)
 	// Idle 0-10 and 30-100: 80ms.
@@ -269,24 +238,8 @@ func TestIdleTimeAccounting(t *testing.T) {
 	}
 }
 
-func TestPreemptionDuringContextSwitch(t *testing.T) {
-	k, s := rig(t, Config{ContextSwitch: 4 * ms})
-	var order []string
-	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms); order = append(order, "a") })
-	s.Spawn("b", 2, 10*ms, func(tk *Task) { tk.Compute(ms); order = append(order, "b") })
-	// c becomes ready while the switch toward b is in progress; c has an
-	// even higher priority and must win the CPU at the switch boundary.
-	// a's burst ends exactly when b arrives, so completion order follows
-	// priority: c, then b, then a's zero-remaining resume.
-	s.Spawn("c", 3, 12*ms, func(tk *Task) { tk.Compute(ms); order = append(order, "c") })
-	k.Run(time.Second)
-	if len(order) != 3 || order[0] != "c" || order[1] != "b" || order[2] != "a" {
-		t.Fatalf("order=%v, want [c b a]", order)
-	}
-}
-
 func TestTraceRecordsDispatches(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	tr := s.Record()
 	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(ms) })
 	k.Run(time.Second)
@@ -302,7 +255,7 @@ func TestTraceRecordsDispatches(t *testing.T) {
 // TestTraceRecordedOnDemand: a scheduler records nothing until Record,
 // and from then on keeps every record, however long the run.
 func TestTraceRecordedOnDemand(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	s.SpawnPeriodic("p", 1, 0, ms, func(tk *Task) {})
 	k.Run(10 * ms)
 	if s.trace != nil {
@@ -328,7 +281,7 @@ func TestTraceRecordedOnDemand(t *testing.T) {
 
 func TestShutdownTerminatesBlockedTasks(t *testing.T) {
 	k := sim.New()
-	s := New(k, Config{})
+	s := New(k)
 	q := s.NewQueue("q", 1)
 	s.Spawn("blocked", 1, 0, func(tk *Task) {
 		tk.Recv(q) // never satisfied
@@ -347,7 +300,7 @@ func TestShutdownTerminatesBlockedTasks(t *testing.T) {
 func TestBodyPanicReachesRunCaller(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := sim.New()
-	s := New(k, Config{})
+	s := New(k)
 	s.Spawn("faulty", 2, 0, func(tk *Task) {
 		tk.Compute(ms)
 		panic("faulty body")
@@ -370,7 +323,7 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 func TestManyTasksDeterministic(t *testing.T) {
 	run := func() []string {
 		k := sim.New()
-		s := New(k, Config{ContextSwitch: 100 * time.Microsecond, TimeSlice: ms})
+		s := New(k)
 		defer s.Shutdown()
 		var order []string
 		for i := 0; i < 8; i++ {
@@ -399,7 +352,7 @@ func TestManyTasksDeterministic(t *testing.T) {
 }
 
 func TestReadySnapshotOrdering(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	// Occupy the CPU with a high-priority task, then release three tasks.
 	s.Spawn("hog", 10, 0, func(tk *Task) { tk.Compute(50 * ms) })
 	s.Spawn("lo", 1, ms, func(tk *Task) {})
@@ -419,7 +372,7 @@ func TestReadySnapshotOrdering(t *testing.T) {
 }
 
 func TestPeriodicReleaseAccounting(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	tk := s.SpawnPeriodic("p", 1, 0, 10*ms, func(task *Task) {
 		task.Compute(ms)
 	})
@@ -436,7 +389,7 @@ func TestPeriodicReleaseAccounting(t *testing.T) {
 }
 
 func TestPeriodicMissedReleasesUnderStarvation(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	tk := s.SpawnPeriodic("victim", 1, 0, 10*ms, func(task *Task) {
 		task.Compute(ms)
 	})
@@ -448,23 +401,9 @@ func TestPeriodicMissedReleasesUnderStarvation(t *testing.T) {
 	}
 }
 
-func TestInterruptDuringContextSwitchExtendsIt(t *testing.T) {
-	k, s := rig(t, Config{ContextSwitch: 4 * ms})
-	var bDone sim.Time
-	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
-	s.Spawn("b", 1, 0, func(tk *Task) { tk.Compute(5 * ms); bDone = tk.Now() })
-	// ISR fires during the a->b context switch (10..14ms window).
-	k.At(12*ms, func() { s.Interrupt(2*ms, nil) })
-	k.Run(time.Second)
-	// Without the ISR b would finish at 10+4+5=19ms; the ISR adds 2ms.
-	if bDone != 21*ms {
-		t.Fatalf("b done at %v, want 21ms", bDone)
-	}
-}
-
 func TestTraceKindStrings(t *testing.T) {
-	kinds := []TraceKind{TraceReady, TraceDispatch, TraceSwitch, TracePreempt,
-		TraceSleep, TraceYield, TraceBlock, TraceExit, TraceISR}
+	kinds := []TraceKind{TraceReady, TraceDispatch, TracePreempt,
+		TraceSleep, TraceYield, TraceBlock, TraceExit, TraceISR, TraceUnblock}
 	seen := map[string]bool{}
 	for _, kind := range kinds {
 		str := kind.String()
@@ -479,7 +418,7 @@ func TestTraceKindStrings(t *testing.T) {
 }
 
 func TestUtilizationUnderFullLoad(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	s.Spawn("busy", 1, 0, func(tk *Task) {
 		for {
 			tk.Compute(10 * ms)
@@ -498,7 +437,7 @@ func TestUtilizationUnderFullLoad(t *testing.T) {
 func TestPriorityInvariantProperty(t *testing.T) {
 	run := func(seed uint64) bool {
 		k := sim.New()
-		s := New(k, Config{})
+		s := New(k)
 		defer s.Shutdown()
 		tr := s.Record()
 		r := sim.NewRand(seed)

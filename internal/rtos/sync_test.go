@@ -8,7 +8,7 @@ import (
 )
 
 func TestSemaphoreBinary(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	sem := s.NewSemaphore("sem", 0, 1)
 	var at sim.Time
 	s.Spawn("waiter", 1, 0, func(tk *Task) {
@@ -26,7 +26,7 @@ func TestSemaphoreBinary(t *testing.T) {
 }
 
 func TestSemaphoreCountingAndMaxClamp(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	sem := s.NewSemaphore("sem", 0, 2)
 	s.Spawn("giver", 1, 0, func(tk *Task) {
 		for i := 0; i < 5; i++ {
@@ -40,7 +40,7 @@ func TestSemaphoreCountingAndMaxClamp(t *testing.T) {
 }
 
 func TestSemaphoreTakeTimeout(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	sem := s.NewSemaphore("sem", 0, 1)
 	var ok bool
 	var at sim.Time
@@ -55,7 +55,7 @@ func TestSemaphoreTakeTimeout(t *testing.T) {
 }
 
 func TestSemaphoreWakesHighestPriority(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	sem := s.NewSemaphore("sem", 0, 0)
 	var first string
 	s.Spawn("lo", 1, 0, func(tk *Task) {
@@ -78,7 +78,7 @@ func TestSemaphoreWakesHighestPriority(t *testing.T) {
 }
 
 func TestGiveFromISR(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	sem := s.NewSemaphore("sem", 0, 1)
 	var at sim.Time
 	s.Spawn("waiter", 1, 0, func(tk *Task) {
@@ -93,7 +93,7 @@ func TestGiveFromISR(t *testing.T) {
 }
 
 func TestMutexExclusion(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	mu := s.NewMutex("mu")
 	var critical int
 	var maxInside int
@@ -120,7 +120,7 @@ func TestMutexPriorityInheritance(t *testing.T) {
 	// Classic inversion scenario: lo holds the mutex, hi blocks on it,
 	// mid (CPU hog) must NOT run before lo releases, because lo inherits
 	// hi's priority.
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	mu := s.NewMutex("mu")
 	var order []string
 	s.Spawn("lo", 1, 0, func(tk *Task) {
@@ -152,7 +152,7 @@ func TestMutexPriorityInheritance(t *testing.T) {
 }
 
 func TestMutexHandoffToHighestWaiter(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	mu := s.NewMutex("mu")
 	var order []string
 	s.Spawn("holder", 4, 0, func(tk *Task) {
@@ -180,7 +180,7 @@ func TestMutexHandoffToHighestWaiter(t *testing.T) {
 }
 
 func TestRecursiveLockPanics(t *testing.T) {
-	k, s := rig(t, Config{})
+	k, s := rig(t)
 	mu := s.NewMutex("mu")
 	defer func() {
 		if recover() == nil {

@@ -192,12 +192,11 @@ func (t *Task) InjectOverrun(from, duration sim.Time, num, den int64) {
 // to back, with no reading of the clock between them, may be issued as
 // one burst of their sum without changing the schedule. A preemption
 // lands at the same instant whether it splits one burst or falls between
-// two, so only two things can see where a burst ends: an InjectOverrun
-// window that is armed and not yet over scales each burst by its issue
-// instant, and round-robin time slicing (Config.TimeSlice) arms a slice
-// by burst length. While either holds, charges must be issued one by one.
+// two, so only an InjectOverrun window that is armed and not yet over can
+// see where a burst ends: it scales each burst by its issue instant.
+// While it holds, charges must be issued one by one.
 func (t *Task) Coalescible() bool {
-	return t.sched.cfg.TimeSlice <= 0 && (t.ovTo <= t.ovFrom || t.Now() >= t.ovTo)
+	return t.ovTo <= t.ovFrom || t.Now() >= t.ovTo
 }
 
 // overrun returns the effective duration of a compute burst issued now.

@@ -14,7 +14,6 @@ type TraceKind int
 const (
 	TraceReady    TraceKind = iota // task entered the ready list
 	TraceDispatch                  // task took the CPU
-	TraceSwitch                    // context switch toward task began
 	TracePreempt                   // task lost the CPU to a higher-priority task
 	TraceSleep                     // task started sleeping
 	TraceYield                     // task yielded
@@ -30,8 +29,6 @@ func (k TraceKind) String() string {
 		return "ready"
 	case TraceDispatch:
 		return "dispatch"
-	case TraceSwitch:
-		return "switch"
 	case TracePreempt:
 		return "preempt"
 	case TraceSleep:

@@ -12,7 +12,7 @@ import (
 // attributed intervals.
 func TestBlockAttributionMutex(t *testing.T) {
 	k := sim.New()
-	s := New(k, Config{})
+	s := New(k)
 	tr := s.Record()
 	m := s.NewMutex("m")
 	s.Spawn("L", 1, 0, func(tk *Task) {
@@ -73,7 +73,7 @@ func TestBlockAttributionMutex(t *testing.T) {
 // wakeups.
 func TestBlockAttributionQueueSemaphore(t *testing.T) {
 	k := sim.New()
-	s := New(k, Config{})
+	s := New(k)
 	tr := s.Record()
 	q := s.NewQueue("q", 1)
 	sem := s.NewSemaphore("sem", 0, 1)

@@ -235,7 +235,7 @@ func TestLockOrderCycleConfirmedBySimulator(t *testing.T) {
 	// Simulate the flagged configuration: B (low) takes m2 first and m1
 	// inside; A (high) releases mid-section and takes m1 then m2.
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	m1 := s.NewMutex("m1")
 	m2 := s.NewMutex("m2")
 	tb := s.Spawn("B", 1, 0, func(tk *rtos.Task) {
@@ -324,7 +324,7 @@ func TestCycleDetectorMatchesBruteForce(t *testing.T) {
 // blocking, response times, and the static bound dominating both.
 func TestMeasuredFromTrace(t *testing.T) {
 	k := sim.New()
-	s := rtos.New(k, rtos.Config{})
+	s := rtos.New(k)
 	tr := s.Record()
 	m := s.NewMutex("m")
 	// L takes the lock at t=0 and computes 5 ms inside; H releases at

@@ -442,11 +442,15 @@ type Ticker struct {
 // one nanosecond so a ticker can never re-arm at its own instant.
 func (t *Ticker) SetDrift(ppm int64) { t.drift = ppm }
 
-// effectivePeriod is the re-arm period under the current drift.
+// effectivePeriod is the re-arm period under the current drift: the
+// period stretched by period*drift/1e6, truncated toward zero. The
+// product is split at whole millions of nanoseconds, so a long period
+// does not overflow int64.
 func (t *Ticker) effectivePeriod() Time {
 	p := t.period
 	if t.drift != 0 {
-		p += Time(int64(p) / 1e6 * t.drift)
+		n := int64(p)
+		p += Time(n/1e6*t.drift + n%1e6*t.drift/1e6)
 		if p < 1 {
 			p = 1
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -154,6 +155,32 @@ func TestTickerDriftStretchesPeriod(t *testing.T) {
 	for i := range want {
 		if fires[i] != want[i] {
 			t.Fatalf("fires = %v, want %v", fires, want)
+		}
+	}
+}
+
+// TestTickerDriftExactForAnyPeriod: the stretch is period*ppm/1e6 also
+// for periods that are not a whole number of milliseconds, and a long
+// period does not overflow the product.
+func TestTickerDriftExactForAnyPeriod(t *testing.T) {
+	for _, tc := range []struct {
+		period Time
+		ppm    int64
+		want   Time // the drifted re-arm period
+	}{
+		{500 * time.Microsecond, 1_000_000, time.Millisecond},
+		{1500 * time.Microsecond, 1_000_000, 3 * time.Millisecond},
+		{1500 * time.Microsecond, -250_000, 1125 * time.Microsecond},
+		{10 * time.Hour, 500_000, 15 * time.Hour},
+	} {
+		k := New()
+		var fires []Time
+		tick := k.Periodic(tc.period, tc.period, func(uint64) { fires = append(fires, k.Now()) })
+		tick.SetDrift(tc.ppm) // the first tick is already armed at the nominal period
+		k.Run(tc.period + 3*tc.want)
+		want := []Time{tc.period, tc.period + tc.want, tc.period + 2*tc.want, tc.period + 3*tc.want}
+		if fmt.Sprint(fires) != fmt.Sprint(want) {
+			t.Errorf("period %v at %+d ppm: fires = %v, want %v", tc.period, tc.ppm, fires, want)
 		}
 	}
 }

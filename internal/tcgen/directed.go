@@ -52,7 +52,7 @@ func (g coverageGen) Generate(t Target, opt Options) (Result, error) {
 		res.Schedule = sched.Clone()
 		res.Samples = out.R.Samples
 		res.Coverage = &cov
-		if cov.Transitions.Ratio() >= opt.TargetTransitions && cov.Phase.Ratio() >= opt.TargetPhase {
+		if cov.Transitions.Ratio() >= targetTransitions && cov.Phase.Ratio() >= opt.TargetPhase {
 			break
 		}
 		if res.Evals >= budget {

@@ -132,13 +132,13 @@ func (p *probePlanner) probe(target codegen.TransRow, at sim.Time) ([]Stimulus, 
 		switch tr.Trig.Kind {
 		case statechart.TrigEvent:
 			out = append(out, p.pulse(p.eventSig[tr.Trig.Event], cursor))
-			cursor += p.t.EventGap
+			cursor += eventGap
 		case statechart.TrigAfter, statechart.TrigAt, statechart.TrigBefore:
 			// Dwell long enough for the temporal trigger to elapse, plus
 			// the propagation gap.
-			cursor += sim.Time(tr.Trig.N)*p.prog.TickPeriod + p.t.EventGap
+			cursor += sim.Time(tr.Trig.N)*p.prog.TickPeriod + eventGap
 		default:
-			cursor += p.t.EventGap
+			cursor += eventGap
 		}
 		fires[tr.ID] = true
 	}
@@ -166,7 +166,7 @@ func (p *probePlanner) pulse(sig string, at sim.Time) Stimulus {
 	if sig == p.t.Req.Stimulus.Signal {
 		return primaryStimulus(p.t, at)
 	}
-	return Stimulus{Signal: sig, Value: 1, Rest: 0, Width: p.t.ProbeWidth, At: at, Aux: true}
+	return Stimulus{Signal: sig, Value: 1, Rest: 0, Width: probeWidth, At: at, Aux: true}
 }
 
 // plan appends probe chains for the uncovered transitions (by label) to
@@ -213,7 +213,7 @@ func (p *probePlanner) plan(s *Schedule, uncovered []string) int {
 	}
 	if planned > 0 {
 		s.Add(added...)
-		s.Add(sampleGroup(p.t, cursor+p.t.EventGap)...)
+		s.Add(sampleGroup(p.t, cursor+eventGap)...)
 	}
 	return planned
 }

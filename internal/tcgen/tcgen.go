@@ -116,6 +116,26 @@ func (s Schedule) TestCase() core.TestCase {
 	return core.TestCase{Name: s.Name, Stimuli: s.Primary()}
 }
 
+// Schedule shaping shared by every target and strategy.
+const (
+	// defaultSamples is the primary-sample count of seeded schedules
+	// when Options.Samples is zero.
+	defaultSamples = 4
+	// defaultStart is the first stimulus instant of seeded schedules
+	// when Target.Start is zero.
+	defaultStart = 50 * time.Millisecond
+	// eventGap is the dwell between consecutive probe-chain events, long
+	// enough for the previous event to propagate through the sensing
+	// pipeline and fire its transition.
+	eventGap = 300 * time.Millisecond
+	// probeWidth is the pulse width of auxiliary probe stimuli, wide
+	// enough for every sensor sampling period to latch.
+	probeWidth = 150 * time.Millisecond
+	// targetTransitions is the transition-coverage ratio the
+	// coverage-directed strategy stops at: every transition.
+	targetTransitions = 1.0
+)
+
 // Target describes the implemented system a generator searches against.
 type Target struct {
 	// Prebuilt is the compiled chart and validated bindings; it is
@@ -130,19 +150,13 @@ type Target struct {
 	PhasePeriod sim.Time
 	// Bins is the phase-bin count (default 8).
 	Bins int
-	// Start is the first stimulus instant of seeded schedules.
+	// Start is the first stimulus instant of seeded schedules (default
+	// 50 ms).
 	Start sim.Time
 	// Settle separates consecutive primary samples so each one finds the
 	// system back in its precondition state (for the pump: the 4 s bolus
 	// plus the 1 s timeout).
 	Settle sim.Time
-	// EventGap is the dwell between consecutive probe-chain events —
-	// long enough for the previous event to propagate through the
-	// sensing pipeline and fire its transition (default 300 ms).
-	EventGap sim.Time
-	// ProbeWidth is the pulse width of auxiliary probe stimuli (default
-	// 150 ms — wide enough for every sensor sampling period to latch).
-	ProbeWidth sim.Time
 	// SampleAux lists auxiliary companion stimuli scheduled relative to
 	// every generated primary sample (each entry's At is the offset from
 	// the sample instant). Scenarios whose per-sample precondition needs
@@ -163,11 +177,8 @@ func (t Target) normalised() Target {
 	if t.Settle <= 0 {
 		t.Settle = t.Req.EffectiveTimeout() + 10*time.Millisecond
 	}
-	if t.EventGap <= 0 {
-		t.EventGap = 300 * time.Millisecond
-	}
-	if t.ProbeWidth <= 0 {
-		t.ProbeWidth = 150 * time.Millisecond
+	if t.Start <= 0 {
+		t.Start = defaultStart
 	}
 	return t
 }
@@ -197,9 +208,6 @@ type Options struct {
 	Workers int
 	// Samples is the primary-sample count of seeded schedules (default 4).
 	Samples int
-	// TargetTransitions is the transition-coverage ratio the
-	// coverage-directed strategy stops at (default 1.0).
-	TargetTransitions float64
 	// TargetPhase is the phase-bin coverage ratio the coverage-directed
 	// strategy stops at (default 0.9).
 	TargetPhase float64
@@ -211,10 +219,7 @@ type Options struct {
 // normalised fills the Options defaults.
 func (o Options) normalised() Options {
 	if o.Samples <= 0 {
-		o.Samples = 4
-	}
-	if o.TargetTransitions <= 0 {
-		o.TargetTransitions = 1.0
+		o.Samples = defaultSamples
 	}
 	if o.TargetPhase <= 0 {
 		o.TargetPhase = 0.9
@@ -378,13 +383,9 @@ func (m *memo) evaluate(seed uint64, scheds []Schedule) ([]core.Report, error) {
 // shape the hand-written Table I suite uses.
 func seedSchedule(t Target, name string, n int, seed uint64) Schedule {
 	r := sim.NewRand(seed | 1)
-	start := t.Start
-	if start <= 0 {
-		start = 50 * time.Millisecond
-	}
 	s := Schedule{Name: name}
 	for k := 0; k < n; k++ {
-		at := start + sim.Time(k)*t.Settle + r.Duration(0, t.PhasePeriod)
+		at := t.Start + sim.Time(k)*t.Settle + r.Duration(0, t.PhasePeriod)
 		s.Add(sampleGroup(t, at)...)
 	}
 	return s

@@ -126,8 +126,6 @@ type (
 	Environment = env.Environment
 	// Scenario scripts environmental stimuli.
 	Scenario = env.Scenario
-	// RTOSConfig controls scheduler overheads.
-	RTOSConfig = rtos.Config
 )
 
 // Instrument selects the probe layer (R or M).

@@ -6,10 +6,13 @@ package rmtest_test
 // accept the lint-derived task budgets.
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"rmtest"
+	"rmtest/internal/lint"
 	"rmtest/internal/platform"
 )
 
@@ -112,9 +115,9 @@ func TestRTAFromStaticWCET(t *testing.T) {
 	}
 }
 
-// TestGenerateCheckedGate checks the codegen validation hook end to end:
-// clean charts pass, a chart with a fatal finding is rejected with the
-// report attached.
+// TestGenerateCheckedGate checks the lint gate on code generation end to
+// end: clean charts pass, a chart with a fatal finding is rejected with
+// the report attached.
 func TestGenerateCheckedGate(t *testing.T) {
 	if _, err := rmtest.GenerateChecked(rmtest.PumpChart(), rmtest.DefaultCostModel()); err != nil {
 		t.Fatalf("clean chart rejected: %v", err)
@@ -123,7 +126,18 @@ func TestGenerateCheckedGate(t *testing.T) {
 	// before(0) can never fire: a fatal temporal-constant finding.
 	bad.States[0].Transitions = append(bad.States[0].Transitions,
 		rmtest.Transition{To: "Closed", Trigger: "before(0, E_CLK)", Label: "bogus"})
-	if _, err := rmtest.GenerateChecked(bad, rmtest.DefaultCostModel()); err == nil {
+	_, err := rmtest.GenerateChecked(bad, rmtest.DefaultCostModel())
+	if err == nil {
 		t.Fatal("chart with a fatal finding should be rejected")
+	}
+	if !strings.HasPrefix(err.Error(), "codegen: program "+bad.Name+" rejected: ") {
+		t.Errorf("rejection reads %q", err)
+	}
+	var rej *lint.RejectError
+	if !errors.As(err, &rej) {
+		t.Fatalf("rejection %v carries no *lint.RejectError", err)
+	}
+	if len(rej.Report.Fatal()) == 0 {
+		t.Fatal("the attached report has no fatal finding")
 	}
 }
