@@ -408,33 +408,25 @@ func BenchmarkLintGPCA(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedLint measures the platform static analyzer on a
-// contended configuration: six tasks sharing four mutexes (nested), one
-// semaphore and two queues, so every pass — lock-order graph, inversion
-// scan, PIP blocking terms, blocking-inclusive RTA and queue bounds —
-// does real work per iteration.
-func BenchmarkSchedLint(b *testing.B) {
+// BenchmarkPlatformLint measures the platform static analyzer on six
+// tasks over four priority levels, two of them equal-priority peers, and
+// two queues: one emptied by a drain-all consumer and one by a
+// fixed-count consumer, so response-time analysis and both queue-bound
+// cases do real work per iteration.
+func BenchmarkPlatformLint(b *testing.B) {
 	ms := time.Millisecond
 	cfg := rmtest.PlatformLintConfig{
 		Tasks: []rmtest.PlatformTaskSpec{
 			{Name: "ctrl", Prio: 5, Period: 10 * ms, WCET: ms,
-				Sections: []rmtest.CriticalSection{{Resource: "state", Hold: ms / 4}},
-				Sends:    []rmtest.PlatformQueueUse{{Queue: "cmd", Items: 2}}},
+				Sends: []rmtest.PlatformQueueUse{{Queue: "cmd", Items: 2}}},
 			{Name: "io", Prio: 4, Period: 20 * ms, WCET: 2 * ms,
-				Sections: []rmtest.CriticalSection{{Resource: "bus", Hold: ms / 2,
-					Inner: []rmtest.CriticalSection{{Resource: "state", Hold: ms / 4}}}},
 				Recvs: []rmtest.PlatformQueueUse{{Queue: "cmd", DrainAll: true}},
 				Sends: []rmtest.PlatformQueueUse{{Queue: "log", Items: 1}}},
-			{Name: "net", Prio: 3, Period: 40 * ms, WCET: 4 * ms,
-				Sections:    []rmtest.CriticalSection{{Resource: "bus", Hold: ms}},
-				SemSections: []rmtest.CriticalSection{{Resource: "pool", Hold: ms / 2}}},
-			{Name: "ui", Prio: 2, Period: 80 * ms, WCET: 4 * ms,
-				Sections: []rmtest.CriticalSection{{Resource: "state", Hold: ms / 2}}},
+			{Name: "net", Prio: 3, Period: 40 * ms, WCET: 4 * ms},
+			{Name: "ui", Prio: 2, Period: 80 * ms, WCET: 4 * ms},
 			{Name: "logger", Prio: 1, Period: 80 * ms, WCET: 8 * ms,
-				SemSections: []rmtest.CriticalSection{{Resource: "pool", Hold: ms}},
-				Recvs:       []rmtest.PlatformQueueUse{{Queue: "log", DrainAll: true}}},
-			{Name: "bg", Prio: 1, Period: 160 * ms, WCET: 8 * ms,
-				Sections: []rmtest.CriticalSection{{Resource: "scratch", Hold: 2 * ms}}},
+				Recvs: []rmtest.PlatformQueueUse{{Queue: "log", Items: 4}}},
+			{Name: "bg", Prio: 1, Period: 160 * ms, WCET: 8 * ms},
 		},
 		Queues: []rmtest.PlatformQueueSpec{
 			{Name: "cmd", Capacity: 8},

@@ -19,11 +19,10 @@
 // temporal sanity), bytecode-level checks (stack discipline, division by
 // zero) and static WCET bounds. With -platform it additionally runs the
 // platform static analyzer on the named scheme's task/queue
-// configuration: lock-order cycles, unbounded priority inversion,
-// blocking terms under priority inheritance folded into response-time
-// bounds, and queue-capacity sufficiency. It exits nonzero when any
-// fatal finding — chart or platform — is present, so it can gate CI;
-// -json emits one machine-readable document covering both layers.
+// configuration: response-time bounds of every task and queue-capacity
+// sufficiency. It exits nonzero when any fatal finding — chart or
+// platform — is present, so it can gate CI; -json emits one
+// machine-readable document covering both layers.
 //
 // The gen subcommand runs the test-case generation pipeline on the GPCA
 // and rail-crossing charts: the coverage-directed generator extends a

@@ -177,9 +177,9 @@ type SchemeAnalysis struct {
 	Bound sim.Time
 	// PredictConforms reports Bound <= REQ1's 100 ms (and schedulability).
 	PredictConforms bool
-	// Platform is the platform static-analysis report (lock-order,
-	// priority-inversion, blocking terms, queue bounds); only the static
-	// pipeline (AnalyzePipelineStatic) populates it.
+	// Platform is the platform static-analysis report (response-time
+	// bounds of the whole task set and queue backlog bounds); only the
+	// static pipeline (AnalyzePipelineStatic) populates it.
 	Platform *schedlint.Report
 }
 
@@ -212,12 +212,11 @@ func AnalyzePipeline(s *platform.Scheme2, interference []platform.InterferenceTa
 //
 // On top of the WCET inputs it runs the platform static analyzer
 // (internal/schedlint) over the scheme's declared task/queue
-// configuration: lock-order and priority-inversion checks, per-task
-// blocking terms under priority inheritance (folded into the response
-// times as the B_i term), and queue-capacity sufficiency bounds. The
-// full static pipeline is thus chart -> bytecode WCET -> platform
-// blocking -> response-time bound, and the report lands in
-// SchemeAnalysis.Platform.
+// configuration: response-time bounds and queue-capacity sufficiency
+// bounds. The pipeline's tasks exchange data only through TrySend and
+// TryRecv, so no task blocks and every B_i term is zero. The full static
+// pipeline is thus chart -> bytecode WCET -> response-time bound, and
+// the platform report lands in SchemeAnalysis.Platform.
 func AnalyzePipelineStatic(s *platform.Scheme2, interference []platform.InterferenceTask) (SchemeAnalysis, error) {
 	rep, err := lint.Analyze(gpca.Chart(), codegen.DefaultCostModel())
 	if err != nil {
@@ -259,9 +258,6 @@ func AnalyzePipelineStatic(s *platform.Scheme2, interference []platform.Interfer
 		{Name: "sense", Prio: s.SensePrio, Period: s.SensePeriod, WCET: senseWCET},
 		rep.WCET.Task("codeM", s.CodePrio, s.CodePeriod),
 		{Name: "actuate", Prio: s.ActPrio, Period: s.ActPeriod, WCET: actWCET},
-	}
-	for i := range tasks {
-		tasks[i].Blocking = plat.Blocking[tasks[i].Name]
 	}
 	an, err := analyzePipelineTasks(s, tasks, interference)
 	if err != nil {

@@ -29,9 +29,8 @@ type PipelineWCET struct {
 // configuration: the three periodic tasks with their priorities and
 // periods, the two FIFO queues with the configured capacity, and the
 // queue traffic between them. The pipeline uses non-blocking
-// TrySend/TryRecv exclusively, so no task declares critical sections —
-// the analysis should find zero blocking, and the simulator cross-check
-// verifies it does.
+// TrySend/TryRecv exclusively, so no task ever blocks, and the
+// simulator cross-check verifies that it measures zero blocking.
 func (s *Scheme2) StaticModel(w PipelineWCET) schedlint.Config {
 	c := s.withDefaults()
 	return schedlint.Config{
@@ -58,7 +57,7 @@ func (s *Scheme2) StaticModel(w PipelineWCET) schedlint.Config {
 }
 
 // StaticModel extends the Scheme2 pipeline model with the interference
-// threads: pure CPU burners with no resource usage, which the analysis
+// threads: pure CPU burners with no queue traffic, which the analysis
 // sees only as preemption (and, at equal priority, FIFO blocking).
 func (s *Scheme3) StaticModel(w PipelineWCET) schedlint.Config {
 	cfg := s.Scheme2.StaticModel(w)

@@ -25,7 +25,7 @@ func TaskLoads(s *rtos.Scheduler) string {
 		if elapsed > 0 {
 			share = 100 * float64(used) / float64(elapsed)
 		}
-		fmt.Fprintf(&b, "  %-14s prio=%d cpu=%-12v (%5.1f%%)", t.Name(), t.BasePriority(), used, share)
+		fmt.Fprintf(&b, "  %-14s prio=%d cpu=%-12v (%5.1f%%)", t.Name(), t.Priority(), used, share)
 		if t.Period() > 0 {
 			fmt.Fprintf(&b, " releases=%d missed=%d", t.Releases(), t.MissedReleases())
 		}

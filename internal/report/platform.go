@@ -38,7 +38,6 @@ type jsonPlatformReport struct {
 	Blocking map[string]float64  `json:"blocking_ms"`
 	Tasks    []jsonPlatformTask  `json:"tasks"`
 	Queues   []jsonPlatformQueue `json:"queues"`
-	Cycles   [][]string          `json:"lock_order_cycles,omitempty"`
 }
 
 func platformDoc(rep *schedlint.Report) jsonPlatformReport {
@@ -50,7 +49,6 @@ func platformDoc(rep *schedlint.Report) jsonPlatformReport {
 		Blocking: map[string]float64{},
 		Tasks:    []jsonPlatformTask{},
 		Queues:   []jsonPlatformQueue{},
-		Cycles:   rep.Cycles,
 	}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, jsonLintFinding{
@@ -60,11 +58,9 @@ func platformDoc(rep *schedlint.Report) jsonPlatformReport {
 			Detail:   f.Detail,
 		})
 	}
-	for task, b := range rep.Blocking {
-		out.Blocking[task] = ms64(b)
-	}
 	var tasks []jsonPlatformTask
 	for _, r := range rep.Tasks {
+		out.Blocking[r.Task.Name] = ms64(r.Task.Blocking)
 		tasks = append(tasks, jsonPlatformTask{
 			Name:        r.Task.Name,
 			Prio:        r.Task.Prio,

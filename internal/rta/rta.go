@@ -2,7 +2,12 @@
 // priority preemptive scheduling (Joseph & Pandya / Audsley's
 // recurrence):
 //
-//	R_i = C_i + B_i + sum_{j in hp(i)} ceil((R_i + J_j) / T_j) * C_j
+//	R_i = C_i + B_i + sum_{j in hp(i)} (floor((R_i + J_j) / T_j) + 1) * C_j
+//
+// The textbook form counts ceil((R_i + J_j) / T_j) higher-priority
+// releases, which leaves out one released at exactly R_i. The simulated
+// scheduler lets such a release preempt the task before the code that
+// follows its last burst, so the window here is closed at both ends.
 //
 // It complements the testing framework with the analytic side of the
 // timing story: given the platform's task set, RTA predicts worst-case
@@ -33,11 +38,12 @@ type Task struct {
 	// Jitter is release jitter (time from the nominal release until the
 	// task is actually ready), added to interference windows.
 	Jitter sim.Time
-	// Blocking is the worst-case time per release the task spends blocked
-	// on resources held by lower-priority tasks (the B_i term of the
-	// recurrence). The platform static analyzer (internal/schedlint)
-	// derives it from the declared task-resource usage under the
-	// priority-inheritance protocol internal/rtos implements.
+	// Blocking is the worst-case time per release the task spends
+	// blocked (the B_i term of the recurrence), for example waiting on a
+	// queue for a lower-priority sender. It is a caller's input: the
+	// platform static analyzer (internal/schedlint) models wait-free
+	// queue traffic only and leaves it zero. FIFO blocking by
+	// equal-priority peers is charged separately.
 	Blocking sim.Time
 }
 
@@ -72,6 +78,9 @@ func Analyze(tasks []Task) ([]Result, error) {
 		if t.Blocking < 0 {
 			return nil, fmt.Errorf("rta: task %q has negative blocking %v", t.Name, t.Blocking)
 		}
+		if t.Jitter < 0 {
+			return nil, fmt.Errorf("rta: task %q has negative jitter %v", t.Name, t.Jitter)
+		}
 	}
 	out := make([]Result, 0, len(tasks))
 	for i, t := range tasks {
@@ -96,8 +105,7 @@ func Analyze(tasks []Task) ([]Result, error) {
 		for ; limit > 0; limit-- {
 			next := t.WCET + blocking
 			for _, h := range hp {
-				n := ceilDiv(int64(r+h.Jitter), int64(h.Period))
-				next += sim.Time(n) * h.WCET
+				next += sim.Time(releases(r+h.Jitter, h.Period)) * h.WCET
 			}
 			if next == r {
 				break
@@ -114,11 +122,11 @@ func Analyze(tasks []Task) ([]Result, error) {
 	return out, nil
 }
 
-func ceilDiv(a, b int64) int64 {
-	if a <= 0 {
-		return 1 // at least one release interferes within any window
-	}
-	return (a + b - 1) / b
+// releases counts the releases of a task with the given period that
+// fall in the closed window [0, w]; the package comment says why the
+// window's last instant counts.
+func releases(w, period sim.Time) int64 {
+	return int64(w/period) + 1
 }
 
 // Utilisation returns the task set's total CPU utilisation.

@@ -13,8 +13,8 @@ const ms = time.Millisecond
 
 func TestClassicTwoTaskExample(t *testing.T) {
 	// Textbook case: hi (T=10, C=3), lo (T=20, C=6).
-	// R_hi = 3. R_lo = 6 + ceil(R/10)*3 -> 6+3=9 -> 6+3=9 stable? 9/10 -> 1
-	// release -> R_lo = 9... wait window 9 < 10 so one hi release: R = 9.
+	// R_hi = 3. R_lo = 6 + (floor(R/10)+1)*3 -> 6+3 = 9 -> 9 < 10, so one
+	// hi release falls in the window: R_lo = 9.
 	results, err := Analyze([]Task{
 		{Name: "hi", Prio: 2, Period: 10 * ms, WCET: 3 * ms},
 		{Name: "lo", Prio: 1, Period: 20 * ms, WCET: 6 * ms},
@@ -40,9 +40,9 @@ func TestClassicTwoTaskExample(t *testing.T) {
 }
 
 func TestMultipleInterferenceWindows(t *testing.T) {
-	// lo (T=100, C=20) under hi (T=10, C=4): R = 20 + ceil(R/10)*4.
-	// Fixpoint: R=20+2*4=28 -> ceil(28/10)=3 -> 32 -> ceil(32/10)=4 -> 36
-	// -> ceil(36/10)=4 -> 36. R_lo = 36.
+	// lo (T=100, C=20) under hi (T=10, C=4): R = 20 + (floor(R/10)+1)*4.
+	// Fixpoint: R=20+3*4=32 -> floor(32/10)+1=4 -> 36 -> 4 -> 36.
+	// R_lo = 36.
 	results, err := Analyze([]Task{
 		{Name: "hi", Prio: 2, Period: 10 * ms, WCET: 4 * ms},
 		{Name: "lo", Prio: 1, Period: 100 * ms, WCET: 20 * ms},
@@ -135,6 +135,13 @@ func TestAnalyzeValidation(t *testing.T) {
 	if _, err := Analyze([]Task{{Name: "x", Period: ms, WCET: 2 * ms}}); err == nil {
 		t.Fatal("WCET > period should fail")
 	}
+	// A negative jitter would shrink the response below the WCET: T 10 ms,
+	// C 2 ms, J -3 ms gave R = -1 ms.
+	for _, j := range []sim.Time{-3 * ms, -20 * ms} {
+		if _, err := Analyze([]Task{{Name: "x", Period: 10 * ms, WCET: 2 * ms, Jitter: j}}); err == nil {
+			t.Fatalf("jitter %v should fail", j)
+		}
+	}
 }
 
 func TestPipelineBound(t *testing.T) {
@@ -161,6 +168,36 @@ func TestStringRendering(t *testing.T) {
 	// Highest priority first.
 	if strings.Index(s, "hi") > strings.Index(s, "lo") {
 		t.Fatalf("sort order: %s", s)
+	}
+}
+
+// TestReleaseAtCompletionInterferes pins the closed interference
+// window: lo's burst ends at 10 ms, the instant hi is released again,
+// and the simulated scheduler runs hi before lo returns from its burst,
+// so lo completes at 15 ms. The textbook ceil form would give 10 ms.
+func TestReleaseAtCompletionInterferes(t *testing.T) {
+	results, err := Analyze([]Task{
+		{Name: "hi", Prio: 2, Period: 10 * ms, WCET: 5 * ms},
+		{Name: "lo", Prio: 1, Period: 20 * ms, WCET: 5 * ms},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[1].Response; got != 15*ms {
+		t.Errorf("lo R=%v, want 15ms", got)
+	}
+	k := sim.New()
+	s := rtos.New(k)
+	var done sim.Time
+	s.SpawnPeriodic("hi", 2, 0, 10*ms, func(tk *rtos.Task) { tk.Compute(5 * ms) })
+	s.Spawn("lo", 1, 0, func(tk *rtos.Task) {
+		tk.Compute(5 * ms)
+		done = tk.Now()
+	})
+	k.Run(20 * ms)
+	s.Shutdown()
+	if done != 15*ms {
+		t.Errorf("simulated lo completed at %v, want 15ms", done)
 	}
 }
 

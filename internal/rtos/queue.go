@@ -190,7 +190,7 @@ func (q *Queue) send(t *Task, v any, timeout sim.Time, hasTimeout bool) {
 	q.sendWait = append(q.sendWait, nil)
 	copy(q.sendWait[pos+1:], q.sendWait[pos:])
 	q.sendWait[pos] = w
-	q.sched.blockCurrentOn(TraceBlock, q.name, nil)
+	q.sched.blockCurrentOn(q.name)
 	if hasTimeout {
 		s := q.sched
 		t.wakeEv = s.k.After(timeout, func() {
@@ -249,7 +249,7 @@ func (q *Queue) recv(t *Task, timeout sim.Time, hasTimeout bool) {
 		return
 	}
 	q.recvWait = insertByPrio(q.recvWait, t)
-	q.sched.blockCurrentOn(TraceBlock, q.name, nil)
+	q.sched.blockCurrentOn(q.name)
 	if hasTimeout {
 		s := q.sched
 		t.wakeEv = s.k.After(timeout, func() {

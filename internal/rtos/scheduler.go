@@ -1,10 +1,10 @@
 // Package rtos simulates a small real-time operating system in virtual
 // time. It stands in for the FreeRTOS kernel the paper's case study runs
 // on (ARM7 + FreeRTOS): fixed-priority preemptive scheduling, FIFO
-// message queues with priority-ordered wakeup, counting semaphores,
-// mutexes with priority inheritance, and interrupt service routines that
-// steal CPU time. The CPU is either idle or running one task's compute
-// burst; switching tasks costs no time.
+// message queues with priority-ordered wakeup, and interrupt service
+// routines that steal CPU time. Tasks synchronise only through queues.
+// The CPU is either idle or running one task's compute burst; switching
+// tasks costs no time.
 //
 // Tasks are written as ordinary Go functions. Each task body runs as an
 // iter.Pull coroutine driven by the scheduler: the scheduler resumes a
@@ -147,7 +147,7 @@ func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task
 	if body == nil {
 		panic("rtos: Spawn with nil body")
 	}
-	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew}
+	t := &Task{sched: s, name: name, prio: prio, state: TaskNew}
 	t.wakeFn = t.wakeUp
 	t.start(body)
 	s.tasks = append(s.tasks, t)
@@ -215,17 +215,11 @@ func (s *Scheduler) makeReady(t *Task, front bool) {
 	if t.state == TaskBlocked {
 		// Close the blocking interval opened by blockCurrentOn, keeping
 		// the resource attribution from the block instant.
-		s.trace.addRes(s.k.Now(), TraceUnblock, t, t.blockedOn, t.blockedBy)
-		t.blockedOn, t.blockedBy = "", ""
+		s.trace.addRes(s.k.Now(), TraceUnblock, t, t.blockedOn)
+		t.blockedOn = ""
 	}
 	t.state = TaskReady
 	t.readyAt = s.k.Now()
-	s.insertReady(t, front)
-	s.trace.add(s.k.Now(), TraceReady, t)
-}
-
-// insertReady places t into the ready list without touching its state.
-func (s *Scheduler) insertReady(t *Task, front bool) {
 	pos := len(s.ready)
 	for i, r := range s.ready {
 		if front {
@@ -243,16 +237,7 @@ func (s *Scheduler) insertReady(t *Task, front bool) {
 	s.ready = append(s.ready, nil)
 	copy(s.ready[pos+1:], s.ready[pos:])
 	s.ready[pos] = t
-}
-
-func (s *Scheduler) removeReady(t *Task) {
-	for i, r := range s.ready {
-		if r == t {
-			s.ready = append(s.ready[:i], s.ready[i+1:]...)
-			return
-		}
-	}
-	panic("rtos: task not in ready list")
+	s.trace.add(s.k.Now(), TraceReady, t)
 }
 
 func (s *Scheduler) topReady() *Task {
@@ -306,7 +291,7 @@ func (s *Scheduler) schedLoop() {
 				}
 				return
 			}
-			s.removeReady(top)
+			s.ready = append(s.ready[:0], s.ready[1:]...) // pop top
 			if s.idleFrom >= 0 {
 				s.idleTime += s.k.Now() - s.idleFrom
 				s.idleFrom = -1
@@ -381,18 +366,14 @@ func (s *Scheduler) preempt() {
 	s.trace.add(s.k.Now(), TracePreempt, t)
 }
 
-// blockCurrentOn removes the current task from the CPU in the blocked
-// state. The trace record carries the contended resource and, when a
-// single task holds it (mutexes), the holder's identity.
-func (s *Scheduler) blockCurrentOn(why TraceKind, resource string, holder *Task) {
+// blockCurrentOn removes the current task from the CPU, blocked on the
+// named queue. The trace record carries the queue's name.
+func (s *Scheduler) blockCurrentOn(resource string) {
 	t := s.current
 	t.state = TaskBlocked
 	t.blockedOn = resource
-	if holder != nil {
-		t.blockedBy = holder.name
-	}
 	s.current = nil
-	s.trace.addRes(s.k.Now(), why, t, t.blockedOn, t.blockedBy)
+	s.trace.addRes(s.k.Now(), TraceBlock, t, resource)
 }
 
 // wake moves a blocked or sleeping task to ready.
@@ -443,14 +424,6 @@ func (s *Scheduler) handle(t *Task, r request) {
 		r.q.send(t, r.val, r.timeout, r.hasTimeout)
 	case reqQueueRecv:
 		r.q.recv(t, r.timeout, r.hasTimeout)
-	case reqSemTake:
-		r.sem.take(t, r.timeout, r.hasTimeout)
-	case reqSemGive:
-		r.sem.give(t)
-	case reqMutexLock:
-		r.mu.lock(t)
-	case reqMutexUnlock:
-		r.mu.unlock(t)
 	default:
 		panic("rtos: unknown request")
 	}
@@ -467,8 +440,7 @@ func (t *Task) wakeUp() {
 // Interrupt models an interrupt service routine: handler runs now (in
 // zero virtual time, outside any task) and the CPU is stolen for isrCost,
 // pushing out whatever compute burst was in progress.
-// The handler typically posts to a queue via SendFromISR or gives a
-// semaphore via GiveFromISR.
+// The handler typically posts to a queue via SendFromISR.
 func (s *Scheduler) Interrupt(isrCost sim.Time, handler func()) {
 	if isrCost > 0 {
 		s.stealCPU(isrCost)

@@ -17,7 +17,7 @@ const (
 	TaskRunning                    // on the CPU
 	TaskPreempted                  // taken off the CPU at a boundary; ready
 	TaskSleeping                   // waiting for a time instant
-	TaskBlocked                    // waiting on a queue/semaphore/mutex
+	TaskBlocked                    // waiting on a queue
 	TaskDone                       // body returned
 )
 
@@ -50,10 +50,6 @@ const (
 	reqExit
 	reqQueueSend
 	reqQueueRecv
-	reqSemTake
-	reqSemGive
-	reqMutexLock
-	reqMutexUnlock
 )
 
 type request struct {
@@ -62,8 +58,6 @@ type request struct {
 	until      sim.Time // reqSleep
 	val        any      // reqQueueSend
 	q          *Queue
-	sem        *Semaphore
-	mu         *Mutex
 	timeout    sim.Time
 	hasTimeout bool
 }
@@ -80,8 +74,7 @@ type stopped struct{}
 type Task struct {
 	sched *Scheduler
 	name  string
-	prio  int // effective priority (may be boosted by priority inheritance)
-	base  int // assigned priority
+	prio  int
 	state TaskState
 
 	// The body runs as a coroutine: next resumes it until its next kernel
@@ -104,15 +97,12 @@ type Task struct {
 	blockVal any
 	blockOK  bool
 
-	// Blocking attribution: the resource the task is currently blocked
-	// on and, for mutexes, the holder at the block instant. Cleared when
-	// the task unblocks.
+	// Blocking attribution: the queue the task is currently blocked on.
+	// Cleared when the task unblocks.
 	blockedOn string
-	blockedBy string
 
 	// Accounting.
 	cpuTime        sim.Time
-	holding        []*Mutex
 	period         sim.Time // for periodic tasks; 0 otherwise
 	releases       uint64
 	missedReleases uint64
@@ -128,11 +118,8 @@ type Task struct {
 // Name returns the task's name.
 func (t *Task) Name() string { return t.name }
 
-// Priority returns the task's current effective priority.
+// Priority returns the task's priority.
 func (t *Task) Priority() int { return t.prio }
-
-// BasePriority returns the task's assigned priority.
-func (t *Task) BasePriority() int { return t.base }
 
 // State returns the task's lifecycle state.
 func (t *Task) State() TaskState { return t.state }
@@ -152,14 +139,9 @@ func (t *Task) CPUUsed() sim.Time {
 	return t.cpuTime - left
 }
 
-// BlockedOn returns the name of the resource the task is currently
-// blocked on, or "" when the task is not blocked on a named resource.
+// BlockedOn returns the name of the queue the task is currently blocked
+// on, or "" when the task is not blocked.
 func (t *Task) BlockedOn() string { return t.blockedOn }
-
-// BlockedBy returns the name of the task holding the resource this task
-// is blocked on, or "" when the holder is unknown (queues, semaphores)
-// or the task is not blocked.
-func (t *Task) BlockedBy() string { return t.blockedBy }
 
 // Period returns the period of a periodic task (zero for plain tasks).
 func (t *Task) Period() sim.Time { return t.period }
@@ -305,32 +287,4 @@ func (t *Task) TrySend(q *Queue, v any) bool {
 // TryRecv dequeues without blocking.
 func (t *Task) TryRecv(q *Queue) (any, bool) {
 	return t.RecvTimeout(q, 0)
-}
-
-// Take acquires one unit from the semaphore, blocking while none are
-// available.
-func (t *Task) Take(s *Semaphore) {
-	t.syscall(request{kind: reqSemTake, sem: s})
-}
-
-// TakeTimeout acquires one unit from the semaphore, giving up after d.
-func (t *Task) TakeTimeout(s *Semaphore, d sim.Time) bool {
-	t.syscall(request{kind: reqSemTake, sem: s, timeout: d, hasTimeout: true})
-	return t.blockOK
-}
-
-// Give releases one unit to the semaphore.
-func (t *Task) Give(s *Semaphore) {
-	t.syscall(request{kind: reqSemGive, sem: s})
-}
-
-// Lock acquires mu, blocking while it is held. The holder's priority is
-// boosted to the highest priority among waiters (priority inheritance).
-func (t *Task) Lock(mu *Mutex) {
-	t.syscall(request{kind: reqMutexLock, mu: mu})
-}
-
-// Unlock releases mu, restoring the holder's inherited priority.
-func (t *Task) Unlock(mu *Mutex) {
-	t.syscall(request{kind: reqMutexUnlock, mu: mu})
 }

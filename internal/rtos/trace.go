@@ -17,7 +17,7 @@ const (
 	TracePreempt                   // task lost the CPU to a higher-priority task
 	TraceSleep                     // task started sleeping
 	TraceYield                     // task yielded
-	TraceBlock                     // task blocked on a queue/semaphore/mutex
+	TraceBlock                     // task blocked on a queue
 	TraceExit                      // task body returned
 	TraceISR                       // interrupt service routine ran
 	TraceUnblock                   // task left the blocked state (resource granted or timeout)
@@ -48,20 +48,16 @@ func (k TraceKind) String() string {
 }
 
 // TraceRecord is one scheduler event. Block and unblock records carry
-// the contended resource and — when a single task holds it (mutexes) —
-// the holder's identity, so per-resource blocking can be attributed from
-// the trace alone (the measured counterpart of the static blocking terms
-// internal/schedlint computes).
+// the queue waited on, so blocking can be attributed from the trace
+// alone (the measured counterpart of the blocking term of
+// internal/schedlint's response-time bounds).
 type TraceRecord struct {
 	At   sim.Time
 	Kind TraceKind
 	Task string // empty for ISR records
-	// Resource names the queue/semaphore/mutex for TraceBlock and
-	// TraceUnblock records; empty otherwise.
+	// Resource names the queue for TraceBlock and TraceUnblock records;
+	// empty otherwise.
 	Resource string
-	// Holder names the task holding Resource at the block instant; empty
-	// for resources without a single holder (queues, semaphores).
-	Holder string
 }
 
 func (r TraceRecord) String() string {
@@ -69,9 +65,6 @@ func (r TraceRecord) String() string {
 		return fmt.Sprintf("%12v %s", r.At, r.Kind)
 	}
 	if r.Resource != "" {
-		if r.Holder != "" {
-			return fmt.Sprintf("%12v %-8s %s on %s held by %s", r.At, r.Kind, r.Task, r.Resource, r.Holder)
-		}
 		return fmt.Sprintf("%12v %-8s %s on %s", r.At, r.Kind, r.Task, r.Resource)
 	}
 	return fmt.Sprintf("%12v %-8s %s", r.At, r.Kind, r.Task)
@@ -86,11 +79,11 @@ type Trace struct {
 }
 
 func (tr *Trace) add(at sim.Time, kind TraceKind, t *Task) {
-	tr.addRes(at, kind, t, "", "")
+	tr.addRes(at, kind, t, "")
 }
 
 // addRes records an event carrying blocking attribution.
-func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource, holder string) {
+func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource string) {
 	if tr == nil {
 		return
 	}
@@ -98,7 +91,7 @@ func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource, holder s
 	if t != nil {
 		name = t.name
 	}
-	tr.recs = append(tr.recs, TraceRecord{At: at, Kind: kind, Task: name, Resource: resource, Holder: holder})
+	tr.recs = append(tr.recs, TraceRecord{At: at, Kind: kind, Task: name, Resource: resource})
 }
 
 // Records returns a copy of the records in chronological order.
@@ -112,44 +105,6 @@ func (tr *Trace) Filter(kind TraceKind) []TraceRecord {
 	for _, r := range tr.recs {
 		if r.Kind == kind {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// BlockSpan is one completed blocked interval of a task, attributed to
-// the resource it waited on and (for mutexes) the task that held it at
-// the block instant.
-type BlockSpan struct {
-	Task     string
-	Resource string
-	Holder   string
-	From     sim.Time
-	To       sim.Time
-}
-
-// Duration returns the span's blocked time.
-func (b BlockSpan) Duration() sim.Time { return b.To - b.From }
-
-// BlockSpans pairs every TraceBlock record with its matching
-// TraceUnblock and returns the completed blocked intervals in
-// chronological (unblock) order. Blocks that never resolved within the
-// trace are omitted.
-func (tr *Trace) BlockSpans() []BlockSpan {
-	var out []BlockSpan
-	open := make(map[string]TraceRecord)
-	for _, r := range tr.recs {
-		switch r.Kind {
-		case TraceBlock:
-			open[r.Task] = r
-		case TraceUnblock:
-			if b, ok := open[r.Task]; ok {
-				out = append(out, BlockSpan{
-					Task: r.Task, Resource: b.Resource, Holder: b.Holder,
-					From: b.At, To: r.At,
-				})
-				delete(open, r.Task)
-			}
 		}
 	}
 	return out

@@ -7,96 +7,67 @@ import (
 	"rmtest/internal/sim"
 )
 
-// TestBlockAttributionMutex: block/unblock records carry the contended
-// resource and the mutex holder, and BlockSpans pairs them into
-// attributed intervals.
-func TestBlockAttributionMutex(t *testing.T) {
-	k := sim.New()
-	s := New(k)
-	tr := s.Record()
-	m := s.NewMutex("m")
-	s.Spawn("L", 1, 0, func(tk *Task) {
-		tk.Lock(m)
-		tk.Compute(5 * time.Millisecond)
-		tk.Unlock(m)
-	})
-	h := s.Spawn("H", 2, time.Millisecond, func(tk *Task) {
-		tk.Lock(m)
-		tk.Unlock(m)
-	})
-	k.Run(2 * time.Millisecond)
-	// Mid-simulation, H is blocked with live attribution on the task.
-	if h.State() != TaskBlocked || h.BlockedOn() != "m" || h.BlockedBy() != "L" {
-		t.Fatalf("at 2ms: H state=%v on=%q by=%q, want blocked on m by L",
-			h.State(), h.BlockedOn(), h.BlockedBy())
-	}
-	k.Run(20 * time.Millisecond)
-	if h.BlockedOn() != "" || h.BlockedBy() != "" {
-		t.Errorf("after unblock: attribution not cleared (on=%q by=%q)", h.BlockedOn(), h.BlockedBy())
-	}
-
-	var blocks, unblocks []TraceRecord
-	for _, r := range tr.Records() {
-		switch r.Kind {
-		case TraceBlock:
-			blocks = append(blocks, r)
-		case TraceUnblock:
-			unblocks = append(unblocks, r)
-		}
-	}
-	if len(blocks) != 1 || len(unblocks) != 1 {
-		t.Fatalf("want 1 block + 1 unblock record, got %d + %d", len(blocks), len(unblocks))
-	}
-	if blocks[0].Resource != "m" || blocks[0].Holder != "L" || blocks[0].Task != "H" {
-		t.Errorf("block record %+v, want H on m held by L", blocks[0])
-	}
-	if unblocks[0].Resource != "m" || unblocks[0].Holder != "L" {
-		t.Errorf("unblock record %+v, want resource m holder L", unblocks[0])
-	}
-
-	spans := tr.BlockSpans()
-	if len(spans) != 1 {
-		t.Fatalf("want 1 block span, got %d", len(spans))
-	}
-	sp := spans[0]
-	if sp.Task != "H" || sp.Resource != "m" || sp.Holder != "L" {
-		t.Errorf("span %+v, want H on m held by L", sp)
-	}
-	if got, want := sp.Duration(), 4*time.Millisecond; got != want {
-		t.Errorf("span duration %v, want %v (1ms contention until L's 5ms section ends)", got, want)
-	}
-	s.Shutdown()
-}
-
-// TestBlockAttributionQueueSemaphore: queue and semaphore waits name the
-// resource but no holder (none is well-defined), including on timeout
-// wakeups.
-func TestBlockAttributionQueueSemaphore(t *testing.T) {
+// TestBlockAttributionQueue: a task blocked on a queue names the queue
+// while it waits, and its block and unblock records carry the queue's
+// name, both when a sender delivers and when a timed receive expires.
+func TestBlockAttributionQueue(t *testing.T) {
 	k := sim.New()
 	s := New(k)
 	tr := s.Record()
 	q := s.NewQueue("q", 1)
-	sem := s.NewSemaphore("sem", 0, 1)
-	s.Spawn("recv", 2, 0, func(tk *Task) {
-		tk.Recv(q) // blocks until the sender delivers
+	r := s.NewQueue("r", 1)
+	recv := s.Spawn("recv", 2, 0, func(tk *Task) {
+		tk.Recv(q) // blocks until the sender delivers at 1ms
 	})
 	s.Spawn("send", 1, time.Millisecond, func(tk *Task) {
 		tk.Send(q, 1)
 	})
-	s.Spawn("taker", 1, 0, func(tk *Task) {
-		tk.TakeTimeout(sem, 3*time.Millisecond) // times out: nobody gives
+	var timedOut bool
+	waiter := s.Spawn("waiter", 1, 0, func(tk *Task) {
+		_, ok := tk.RecvTimeout(r, 3*time.Millisecond) // nobody sends
+		timedOut = !ok
 	})
+	k.Run(500 * time.Microsecond)
+	// Mid-simulation, both receivers are blocked with live attribution.
+	if recv.State() != TaskBlocked || recv.BlockedOn() != "q" {
+		t.Fatalf("at 0.5ms: recv state=%v on=%q, want blocked on q", recv.State(), recv.BlockedOn())
+	}
+	if waiter.State() != TaskBlocked || waiter.BlockedOn() != "r" {
+		t.Fatalf("at 0.5ms: waiter state=%v on=%q, want blocked on r", waiter.State(), waiter.BlockedOn())
+	}
 	k.Run(10 * time.Millisecond)
-	spans := tr.BlockSpans()
-	byTask := map[string]BlockSpan{}
-	for _, sp := range spans {
-		byTask[sp.Task] = sp
+	if recv.BlockedOn() != "" || waiter.BlockedOn() != "" {
+		t.Errorf("after unblock: attribution not cleared (recv on %q, waiter on %q)",
+			recv.BlockedOn(), waiter.BlockedOn())
 	}
-	if sp := byTask["recv"]; sp.Resource != "q" || sp.Holder != "" {
-		t.Errorf("recv span %+v, want resource q with no holder", sp)
+	if !timedOut {
+		t.Error("RecvTimeout on a queue nobody sends to reported a value")
 	}
-	if sp := byTask["taker"]; sp.Resource != "sem" || sp.Duration() != 3*time.Millisecond {
-		t.Errorf("taker span %+v, want 3ms on sem (timeout path)", sp)
+
+	type span struct {
+		from, to           sim.Time
+		onBlock, onUnblock string
+	}
+	spans := map[string]*span{}
+	for _, rec := range tr.Records() {
+		switch rec.Kind {
+		case TraceBlock:
+			spans[rec.Task] = &span{from: rec.At, to: -1, onBlock: rec.Resource}
+		case TraceUnblock:
+			spans[rec.Task].to, spans[rec.Task].onUnblock = rec.At, rec.Resource
+		}
+	}
+	want := map[string]span{
+		"recv":   {from: 0, to: time.Millisecond, onBlock: "q", onUnblock: "q"},
+		"waiter": {from: 0, to: 3 * time.Millisecond, onBlock: "r", onUnblock: "r"},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("blocked tasks %v, want recv and waiter", spans)
+	}
+	for name, w := range want {
+		if got := spans[name]; got == nil || *got != w {
+			t.Errorf("%s blocked %+v, want %+v", name, got, w)
+		}
 	}
 	s.Shutdown()
 }

@@ -13,8 +13,8 @@ import (
 // first TraceReady while the task is not mid-release and closes at the
 // next TraceSleep or TraceExit (SpawnPeriodic bodies end every release
 // with SleepUntil). Within a release, TraceBlock/TraceUnblock pairs
-// accumulate the release's blocking time. Truncated releases (ring
-// buffer wrap, simulation end) are dropped rather than reported short.
+// accumulate the release's blocking time. A release that the end of the
+// trace cuts short is dropped rather than reported short.
 
 type releaseState struct {
 	open      bool

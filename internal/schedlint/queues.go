@@ -21,15 +21,22 @@ type producer struct {
 // queue is emptied once per consumer release, so the backlog is bounded
 // by what the producers can enqueue between two consecutive drains. The
 // longest such window is one consumer period plus the consumer's
-// response time (the drain can land that late in the release) plus the
-// producer's release jitter; producer p with items_p sends per release
-// contributes
+// response time (the drain can land that late in the release). A
+// producer sends anywhere up to its response time R_p after its
+// release, which itself lands up to its release jitter J_p late, so a
+// release that starts before the window can still send inside it: the
+// send offset is output jitter. Producer p with items_p sends per
+// release contributes
 //
-//	items_p * ceil((T_c + R_c + J_p) / T_p)
+//	items_p * ceil((T_c + R_c + J_p + min(R_p, T_p)) / T_p)
 //
-// releases in the window. Fixed-count consumers (Items without
-// DrainAll) only bound the backlog if their drain rate meets the
-// producers' aggregate rate; otherwise the backlog grows without bound.
+// items in the window. R_p is capped at T_p because a periodic task
+// whose release overruns skips to its next future release, so at most
+// one release can straddle the window's start; the cap keeps the bound
+// sound for a producer that is not schedulable. Fixed-count consumers
+// (Items without DrainAll) only bound the backlog if their drain rate
+// meets the producers' aggregate rate; otherwise the backlog grows
+// without bound.
 //
 // If a consumer is unschedulable its response time is meaningless, so
 // no finite bound exists: Required is -1 and a warning is reported. A
@@ -112,7 +119,8 @@ func (a *analysis) queueBound(q QueueSpec, prods []producer, cons []*TaskSpec, c
 		window := c.Period + resp[c.Name]
 		bound := 0
 		for _, p := range prods {
-			n := ceilDiv(int64(window+p.t.Jitter), int64(p.t.Period))
+			late := min(resp[p.t.Name], p.t.Period)
+			n := ceilDiv(int64(window+p.t.Jitter+late), int64(p.t.Period))
 			bound += p.items * int(n)
 		}
 		if best < 0 || bound < best {

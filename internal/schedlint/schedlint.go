@@ -1,30 +1,22 @@
 // Package schedlint is the platform layer of the static-analysis stack:
 // where internal/lint checks the model and its generated bytecode, this
 // package checks the declared platform configuration — fixed-priority
-// tasks sharing mutexes, semaphores and FIFO queues — before any
-// simulation runs.
+// periodic tasks connected by FIFO queues — before any simulation runs.
 //
-// From a Config describing each task's priority, period, WCET and
-// resource usage it
+// From a Config describing each task's priority, period, WCET and queue
+// traffic it
 //
-//  1. constructs the task–resource graph and detects lock-order cycles
-//     (potential deadlock) and self-deadlocks (nested re-acquisition),
-//  2. detects unbounded priority inversion: critical sections guarded by
-//     counting semaphores, which — unlike the mutexes in
-//     internal/rtos/sync.go — perform no priority inheritance, so a
-//     middle-priority task can starve the holder indefinitely,
-//  3. computes per-task worst-case blocking terms B_i under the
-//     priority-inheritance protocol and feeds them into response-time
-//     analysis (rta.Task.Blocking), and
-//  4. derives queue-capacity sufficiency bounds from the producer and
-//     consumer rates.
+//  1. runs response-time analysis (internal/rta) over the task set,
+//     charging each task one WCET of every equal-priority peer (FIFO
+//     blocking), and flags tasks whose bound exceeds their period, and
+//  2. derives queue-capacity sufficiency bounds from the producer and
+//     consumer rates and response times.
 //
 // Everything is reported as lint.Finding values so the existing gate,
 // renderers and CLI exit-status logic apply unchanged. The simulator
-// cross-checks the analysis: measured per-task blocking and response
-// times extracted from the scheduler trace (Measured* in measure.go)
-// must never exceed the static bounds — the same dominance contract the
-// WCET layer already maintains.
+// cross-checks the analysis: measured per-task blocking, response times
+// and queue depths must never exceed the static bounds — the same
+// dominance contract the WCET layer already maintains.
 package schedlint
 
 import (
@@ -40,18 +32,6 @@ import (
 // Finding codes of the platform analysis. Like the lint codes, every one
 // is triggered at least once by the test suite.
 const (
-	// CodeLockOrderCycle: the lock-order graph has a cycle — two tasks
-	// can acquire the same mutexes in opposite orders and deadlock.
-	CodeLockOrderCycle = "lock-order-cycle"
-	// CodeSelfDeadlock: a task re-acquires a mutex it already holds;
-	// the RTOS mutex is non-recursive, so this deadlocks (panics)
-	// immediately.
-	CodeSelfDeadlock = "self-deadlock"
-	// CodeUnboundedInversion: a critical section is guarded by a
-	// counting semaphore (no priority inheritance) shared across
-	// priorities with a middle priority in between; the classic Mars
-	// Pathfinder scenario.
-	CodeUnboundedInversion = "unbounded-priority-inversion"
 	// CodeQueueCapacity: the worst-case backlog bound of a queue exceeds
 	// its capacity (messages can be dropped), or the producer rate
 	// exceeds the consumer rate outright.
@@ -63,19 +43,6 @@ const (
 	// declared in Config.Queues.
 	CodeUnknownResource = "unknown-resource"
 )
-
-// Section is one critical section: the time a task holds a lock
-// (mutex or semaphore), including everything done in nested sections.
-type Section struct {
-	// Resource names the mutex or semaphore.
-	Resource string
-	// Hold is the worst-case time the lock is held per entry, including
-	// the nested sections below.
-	Hold sim.Time
-	// Inner lists sections entered while Resource is held; each inner
-	// acquisition is a lock-order edge Resource -> Inner.Resource.
-	Inner []Section
-}
 
 // QueueUse describes one task's per-release traffic on a queue.
 type QueueUse struct {
@@ -90,21 +57,13 @@ type QueueUse struct {
 }
 
 // TaskSpec declares one task of the platform configuration: its
-// scheduling parameters plus the resources it touches.
+// scheduling parameters plus its queue traffic.
 type TaskSpec struct {
 	Name   string
 	Prio   int // larger runs first (RTOS convention)
 	Period sim.Time
 	WCET   sim.Time
 	Jitter sim.Time
-	// Sections are the mutex critical sections entered per release, in
-	// program order. The RTOS mutex implements priority inheritance, so
-	// these produce bounded blocking.
-	Sections []Section
-	// SemSections are critical sections guarded by counting semaphores,
-	// which do not inherit priority: shared across priorities they risk
-	// unbounded inversion.
-	SemSections []Section
 	// Sends and Recvs declare FIFO-queue traffic per release.
 	Sends []QueueUse
 	Recvs []QueueUse
@@ -117,18 +76,9 @@ type QueueSpec struct {
 }
 
 // Config is the declared platform: the full task set and its queues.
-// Mutexes and semaphores need no declaration — they are inferred from
-// the sections that use them.
 type Config struct {
 	Tasks  []TaskSpec
 	Queues []QueueSpec
-}
-
-// LockEdge is one edge of the lock-order graph: Task acquires To while
-// holding From.
-type LockEdge struct {
-	From, To string
-	Task     string
 }
 
 // QueueReport is the capacity analysis of one queue.
@@ -148,18 +98,11 @@ type Report struct {
 	// Findings uses the lint severity/code conventions, so the existing
 	// gate and renderers apply.
 	Findings []lint.Finding
-	// Blocking is the static per-release blocking bound B_i per task.
-	Blocking map[string]sim.Time
 	// Tasks are the blocking-inclusive response-time results, in the
 	// declared task order.
 	Tasks []rta.Result
 	// Queues are the capacity bounds, in the declared queue order.
 	Queues []QueueReport
-	// Edges is the lock-order graph (for rendering and tests).
-	Edges []LockEdge
-	// Cycles lists each detected lock-order cycle as a resource sequence
-	// (first element repeated at the end).
-	Cycles [][]string
 }
 
 // Fatal returns the fatal findings.
@@ -225,16 +168,6 @@ func (r *Report) String() string {
 type analysis struct {
 	cfg      Config
 	findings []lint.Finding
-	byName   map[string]*TaskSpec
-	// mutexUsers[resource] -> tasks with a section on it (mutexes).
-	mutexUsers map[string][]*TaskSpec
-	// semUsers[resource] -> tasks with a semaphore section on it.
-	semUsers map[string][]*TaskSpec
-	// hold[resource][task] -> worst-case outermost hold time.
-	hold map[string]map[string]sim.Time
-	// semHold is the semaphore counterpart of hold.
-	semHold map[string]map[string]sim.Time
-	edges   []LockEdge
 }
 
 func (a *analysis) add(code string, sev lint.Severity, where, format string, args ...any) {
@@ -247,53 +180,35 @@ func (a *analysis) add(code string, sev lint.Severity, where, format string, arg
 // Structural errors (duplicate names, non-positive periods) are returned
 // as errors, not findings, mirroring lint.Analyze.
 func Analyze(cfg Config) (*Report, error) {
-	a := &analysis{
-		cfg:        cfg,
-		byName:     map[string]*TaskSpec{},
-		mutexUsers: map[string][]*TaskSpec{},
-		semUsers:   map[string][]*TaskSpec{},
-		hold:       map[string]map[string]sim.Time{},
-		semHold:    map[string]map[string]sim.Time{},
-	}
+	a := &analysis{cfg: cfg}
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
-	a.scanSections()
-	cycles := a.checkLockOrder()
-	a.checkInversion()
-	blocking := a.computeBlocking()
-	results, err := a.runRTA(blocking)
+	results, err := a.runRTA()
 	if err != nil {
 		return nil, err
 	}
 	queues := a.checkQueues(results)
 	sortFindings(a.findings)
-	return &Report{
-		Findings: a.findings,
-		Blocking: blocking,
-		Tasks:    results,
-		Queues:   queues,
-		Edges:    a.edges,
-		Cycles:   cycles,
-	}, nil
+	return &Report{Findings: a.findings, Tasks: results, Queues: queues}, nil
 }
 
 func (a *analysis) validate() error {
 	if len(a.cfg.Tasks) == 0 {
 		return fmt.Errorf("schedlint: empty task set")
 	}
-	for i := range a.cfg.Tasks {
-		t := &a.cfg.Tasks[i]
+	names := map[string]bool{}
+	for i, t := range a.cfg.Tasks {
 		if t.Name == "" {
 			return fmt.Errorf("schedlint: task %d has no name", i)
 		}
-		if _, dup := a.byName[t.Name]; dup {
+		if names[t.Name] {
 			return fmt.Errorf("schedlint: duplicate task %q", t.Name)
 		}
 		if t.Period <= 0 || t.WCET <= 0 {
 			return fmt.Errorf("schedlint: task %q needs positive period and WCET", t.Name)
 		}
-		a.byName[t.Name] = t
+		names[t.Name] = true
 	}
 	seen := map[string]bool{}
 	for _, q := range a.cfg.Queues {
@@ -305,9 +220,11 @@ func (a *analysis) validate() error {
 		}
 		seen[q.Name] = true
 	}
-	for i := range a.cfg.Tasks {
-		t := &a.cfg.Tasks[i]
+	for _, t := range a.cfg.Tasks {
 		for _, u := range append(append([]QueueUse(nil), t.Sends...), t.Recvs...) {
+			if u.Items < 0 {
+				return fmt.Errorf("schedlint: task %q has negative item count %d on queue %q", t.Name, u.Items, u.Queue)
+			}
 			if !seen[u.Queue] {
 				a.add(CodeUnknownResource, lint.Fatal, t.Name,
 					"references undeclared queue %q", u.Queue)
@@ -317,71 +234,12 @@ func (a *analysis) validate() error {
 	return nil
 }
 
-// scanSections walks every task's critical sections, recording resource
-// users, outermost hold times, lock-order edges and self-deadlocks.
-func (a *analysis) scanSections() {
-	for i := range a.cfg.Tasks {
-		t := &a.cfg.Tasks[i]
-		a.walk(t, t.Sections, nil, a.mutexUsers, a.hold)
-		a.walk(t, t.SemSections, nil, a.semUsers, a.semHold)
-	}
-}
-
-// walk records one nesting level of sections. outer is the stack of
-// resources currently held (outermost first).
-func (a *analysis) walk(t *TaskSpec, secs []Section, outer []string, users map[string][]*TaskSpec, hold map[string]map[string]sim.Time) {
-	for _, s := range secs {
-		for _, o := range outer {
-			if o == s.Resource {
-				a.add(CodeSelfDeadlock, lint.Fatal, t.Name,
-					"re-acquires %q while already holding it (non-recursive lock)", s.Resource)
-			}
-		}
-		if !holdsUser(users[s.Resource], t) {
-			users[s.Resource] = append(users[s.Resource], t)
-		}
-		if hold[s.Resource] == nil {
-			hold[s.Resource] = map[string]sim.Time{}
-		}
-		if s.Hold > hold[s.Resource][t.Name] {
-			hold[s.Resource][t.Name] = s.Hold
-		}
-		if len(outer) > 0 {
-			a.edges = append(a.edges, LockEdge{From: outer[len(outer)-1], To: s.Resource, Task: t.Name})
-		}
-		a.walk(t, s.Inner, append(outer, s.Resource), users, hold)
-	}
-}
-
-func holdsUser(users []*TaskSpec, t *TaskSpec) bool {
-	for _, u := range users {
-		if u == t {
-			return true
-		}
-	}
-	return false
-}
-
-// ceiling returns the highest priority among the users of resource.
-func ceiling(users []*TaskSpec) int {
-	c := 0
-	for i, u := range users {
-		if i == 0 || u.Prio > c {
-			c = u.Prio
-		}
-	}
-	return c
-}
-
-// runRTA feeds the blocking terms into response-time analysis and flags
+// runRTA runs response-time analysis over the task set and flags
 // unschedulable tasks.
-func (a *analysis) runRTA(blocking map[string]sim.Time) ([]rta.Result, error) {
+func (a *analysis) runRTA() ([]rta.Result, error) {
 	tasks := make([]rta.Task, len(a.cfg.Tasks))
 	for i, t := range a.cfg.Tasks {
-		tasks[i] = rta.Task{
-			Name: t.Name, Prio: t.Prio, Period: t.Period,
-			WCET: t.WCET, Jitter: t.Jitter, Blocking: blocking[t.Name],
-		}
+		tasks[i] = rta.Task{Name: t.Name, Prio: t.Prio, Period: t.Period, WCET: t.WCET, Jitter: t.Jitter}
 	}
 	results, err := rta.Analyze(tasks)
 	if err != nil {

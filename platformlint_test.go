@@ -3,10 +3,13 @@ package rmtest_test
 // Cross-checks of the platform static-analysis layer (internal/schedlint)
 // against the simulator: the blocking-inclusive response-time bounds must
 // dominate what the scheduler trace measures on the Table I platforms, at
-// every campaign worker count, and the scheme-3 interference platform's
-// findings are pinned as a regression.
+// every campaign worker count; the scheme-2 and scheme-3 platforms'
+// findings are pinned as a regression, and their lint renderings byte
+// for byte.
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -212,5 +215,61 @@ func TestScheme3PlatformRegression(t *testing.T) {
 	// The end-to-end prediction agrees: scheme 3 cannot meet REQ1.
 	if an.Bound >= 0 || an.PredictConforms {
 		t.Errorf("scheme3 prediction = (bound %v, conforms %v), want unschedulable", an.Bound, an.PredictConforms)
+	}
+}
+
+// platformGoldens names the scheme platforms whose lint rendering is
+// pinned byte-for-byte: the text report and the combined chart+platform
+// JSON document of AnalyzePipelineStatic.
+var platformGoldens = []struct {
+	name string
+	an   func() (rmtest.SchemeAnalysis, error)
+}{
+	{"scheme2", func() (rmtest.SchemeAnalysis, error) {
+		return rmtest.AnalyzePipelineStatic(rmtest.Scheme2().(*rmtest.Scheme2Config), nil)
+	}},
+	{"scheme3", func() (rmtest.SchemeAnalysis, error) {
+		s3 := rmtest.Scheme3().(*rmtest.Scheme3Config)
+		return rmtest.AnalyzePipelineStatic(&s3.Scheme2, s3.Interference)
+	}},
+}
+
+// TestPlatformLintGolden pins what `rmtest lint -platform` prints on the
+// shipped schemes: findings, blocking terms, response bounds and queue
+// backlog bounds, in both the text and the JSON rendering. Run with
+// UPDATE_GOLDEN=1 to regenerate after reviewing a rendering change.
+func TestPlatformLintGolden(t *testing.T) {
+	chart, err := rmtest.Lint(rmtest.PumpChart(), rmtest.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range platformGoldens {
+		an, err := g.an()
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		js, err := rmtest.RenderCombinedLintJSON(chart, an.Platform)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		outputs := map[string][]byte{
+			"testdata/platform_" + g.name + ".txt":  []byte(rmtest.RenderPlatformLint(an.Platform)),
+			"testdata/platform_" + g.name + ".json": append(js, '\n'),
+		}
+		for path, got := range outputs {
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to regenerate): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s rendering differs from %s; run with UPDATE_GOLDEN=1 after reviewing:\n%s",
+					g.name, path, got)
+			}
+		}
 	}
 }

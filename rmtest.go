@@ -457,18 +457,15 @@ func RenderLint(rep *LintReport) string { return report.LintText(rep) }
 // RenderLintJSON exports a lint report as indented JSON.
 func RenderLintJSON(rep *LintReport) ([]byte, error) { return report.LintJSON(rep) }
 
-// Platform static-analysis layer (internal/schedlint): lock-order and
-// priority-inversion detection, blocking terms under priority
-// inheritance, and queue-capacity bounds over a declared platform
-// configuration.
+// Platform static-analysis layer (internal/schedlint): response-time
+// bounds and queue-capacity bounds over a declared platform
+// configuration of periodic tasks connected by FIFO queues.
 type (
 	// PlatformLintConfig declares the platform: tasks and queues.
 	PlatformLintConfig = schedlint.Config
 	// PlatformTaskSpec declares one task's scheduling parameters and
-	// resource usage.
+	// queue traffic.
 	PlatformTaskSpec = schedlint.TaskSpec
-	// CriticalSection is one lock-guarded section (possibly nested).
-	CriticalSection = schedlint.Section
 	// PlatformQueueSpec declares one FIFO queue.
 	PlatformQueueSpec = schedlint.QueueSpec
 	// PlatformQueueUse declares one task's per-release queue traffic.
