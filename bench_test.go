@@ -275,29 +275,22 @@ func BenchmarkSimKernelEvent(b *testing.B) {
 }
 
 // BenchmarkRTOSPingPong is the RTOS rung of the benchmark ladder: two
-// tasks exchanging messages through queues, so nearly all the work is
-// the scheduler resuming task bodies and switching between them. It
-// reports the context switches per op.
+// equal-priority tasks that each compute 5 µs and then yield with
+// Sleep(0), so nearly all the work is the scheduler resuming task
+// bodies and switching between them. It reports the context switches
+// per op.
 func BenchmarkRTOSPingPong(b *testing.B) {
 	k := sim.New()
 	s := rtos.New(k)
 	defer s.Shutdown()
-	ping := s.NewQueue("ping", 1)
-	pong := s.NewQueue("pong", 1)
-	s.Spawn("a", 1, 0, func(t *rtos.Task) {
-		for {
-			t.Compute(5 * time.Microsecond)
-			t.Send(ping, 1)
-			t.Recv(pong)
-		}
-	})
-	s.Spawn("b", 1, 0, func(t *rtos.Task) {
-		for {
-			t.Recv(ping)
-			t.Compute(5 * time.Microsecond)
-			t.Send(pong, 1)
-		}
-	})
+	for _, name := range []string{"a", "b"} {
+		s.Spawn(name, 1, 0, func(t *rtos.Task) {
+			for {
+				t.Compute(5 * time.Microsecond)
+				t.Sleep(0)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	switches := s.ContextSwitches()

@@ -213,10 +213,11 @@ func AnalyzePipeline(s *platform.Scheme2, interference []platform.InterferenceTa
 // On top of the WCET inputs it runs the platform static analyzer
 // (internal/schedlint) over the scheme's declared task/queue
 // configuration: response-time bounds and queue-capacity sufficiency
-// bounds. The pipeline's tasks exchange data only through TrySend and
-// TryRecv, so no task blocks and every B_i term is zero. The full static
-// pipeline is thus chart -> bytecode WCET -> response-time bound, and
-// the platform report lands in SchemeAnalysis.Platform.
+// bounds. The pipeline's tasks exchange data only through
+// Queue.TrySend and TryRecv, and no task in the simulated RTOS can wait,
+// so every B_i term is zero. The full static pipeline is thus chart ->
+// bytecode WCET -> response-time bound, and the platform report lands
+// in SchemeAnalysis.Platform.
 func AnalyzePipelineStatic(s *platform.Scheme2, interference []platform.InterferenceTask) (SchemeAnalysis, error) {
 	rep, err := lint.Analyze(gpca.Chart(), codegen.DefaultCostModel())
 	if err != nil {

@@ -3,8 +3,8 @@ package rmtest_test
 // End-to-end checks of the fault-injection subsystem: the
 // fault-attribution sweep against its golden CSV at several worker
 // counts, the five-class attribution acceptance, panic containment and
-// accounting in faulted campaigns, scratch hygiene after an aborted faulted run, and the static
-// blocking dominance under an ISR storm.
+// accounting in faulted campaigns, and scratch hygiene after an aborted
+// faulted run.
 
 import (
 	"os"
@@ -307,64 +307,5 @@ func TestScratchCleanAfterAbortedFaultedRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.M.Samples, want.M.Samples) {
 		t.Fatalf("recycled scratch measured differently after an aborted faulted run:\ngot  %+v\nwant %+v", got.M.Samples, want.M.Samples)
-	}
-}
-
-// TestStaticBlockingDominatesUnderISRStorm extends the platform
-// dominance cross-check into the fault layer (satellite S5): an ISR
-// storm steals CPU as interference, not priority-inversion blocking, so
-// the scheme-2 pipeline's measured per-release blocking must stay within
-// the static B_i terms (zero) even while the storm runs. Response-time
-// bounds are out of scope — the static model does not know about ISRs.
-func TestStaticBlockingDominatesUnderISRStorm(t *testing.T) {
-	req := gpca.REQ1()
-	gen := core.Generator{
-		N: 2, Start: 50 * time.Millisecond,
-		Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
-		Jitter: 200 * time.Millisecond, Seed: 7,
-	}
-	tc, err := gen.Generate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := platform.NewSystem(gpca.PlatformConfig(), platform.DefaultScheme2(), platform.RLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := sys.Sched.Record()
-	horizon := tc.Horizon(req)
-	err = faults.Plan{Name: "storm", Faults: []faults.Fault{
-		{Class: faults.ISRStorm, Duration: horizon, Period: 2 * time.Millisecond, Cost: 1800 * time.Microsecond},
-	}}.Apply(sys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range tc.Stimuli {
-		sys.Env.PulseAt(at, req.Stimulus.Signal, 1, 0, req.Stimulus.Width)
-	}
-	sys.Run(horizon)
-	if sys.Sched.StormISRs() == 0 {
-		t.Fatal("storm never fired")
-	}
-	blocking := rmtest.MeasuredBlocking(tr.Records())
-	sys.Shutdown()
-
-	an, err := rmtest.AnalyzePipelineStatic(rmtest.Scheme2().(*rmtest.Scheme2Config), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, r := range an.Platform.Tasks {
-		if !r.Schedulable {
-			continue
-		}
-		checked++
-		if mb := blocking[r.Task.Name]; mb > r.Task.Blocking {
-			t.Errorf("task %q measured blocking %v under storm > static B=%v",
-				r.Task.Name, mb, r.Task.Blocking)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("dominance check covered no task")
 	}
 }

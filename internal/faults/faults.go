@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"rmtest/internal/core"
 	"rmtest/internal/platform"
@@ -156,6 +157,9 @@ func (f Fault) validate() error {
 	if f.Start < 0 {
 		return fmt.Errorf("negative start %v", f.Start)
 	}
+	if f.Duration > math.MaxInt64-f.Start {
+		return fmt.Errorf("window end overflows: start %v + duration %v", f.Start, f.Duration)
+	}
 	switch f.Class {
 	case SensorStuck, SensorDropout, ActuatorDead:
 	case SensorLatency, ActuatorLatency:
@@ -180,6 +184,9 @@ func (f Fault) validate() error {
 	case ClockDrift:
 		if f.PPM == 0 {
 			return fmt.Errorf("zero PPM drift")
+		}
+		if f.PPM <= -1_000_000 {
+			return fmt.Errorf("drift %d PPM gives a non-positive period", f.PPM)
 		}
 	default:
 		return fmt.Errorf("unknown class %v", f.Class)

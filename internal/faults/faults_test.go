@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,9 @@ func TestApplyRejectsInvalidFaults(t *testing.T) {
 		{"storm without cost", Fault{Class: ISRStorm, Duration: hour, Period: ms}, "non-positive Cost"},
 		{"drop without cadence", Fault{Class: QueueDrop, Target: "inQ", Duration: hour}, "Every must be >= 1"},
 		{"drift without ppm", Fault{Class: ClockDrift, Target: "bolus_button", Duration: hour}, "zero PPM"},
+		{"drift window end overflows", Fault{Class: ClockDrift, Target: "bolus_button", Start: 1, Duration: math.MaxInt64, PPM: 1000}, "window end overflows"},
+		{"storm window end overflows", Fault{Class: ISRStorm, Start: ms, Duration: math.MaxInt64, Period: ms, Cost: ms / 2}, "window end overflows"},
+		{"drift stops the clock", Fault{Class: ClockDrift, Target: "bolus_button", Duration: hour, PPM: -1_000_000}, "non-positive period"},
 		{"unknown class", Fault{Class: Class(99), Target: "x", Duration: hour}, "unknown class"},
 		{"unknown sensor", Fault{Class: SensorStuck, Target: "nope", Duration: hour}, `unknown sensor "nope"`},
 		{"unknown actuator", Fault{Class: ActuatorDead, Target: "nope", Duration: hour}, `unknown actuator "nope"`},

@@ -28,9 +28,9 @@ type PipelineWCET struct {
 // StaticModel declares the Scheme2 pipeline as a schedlint platform
 // configuration: the three periodic tasks with their priorities and
 // periods, the two FIFO queues with the configured capacity, and the
-// queue traffic between them. The pipeline uses non-blocking
-// TrySend/TryRecv exclusively, so no task ever blocks, and the
-// simulator cross-check verifies that it measures zero blocking.
+// queue traffic between them. The pipeline polls its queues with
+// TrySend/TryRecv, and no task in the simulated RTOS can wait on a
+// queue, so every task's blocking term is zero.
 func (s *Scheme2) StaticModel(w PipelineWCET) schedlint.Config {
 	c := s.withDefaults()
 	return schedlint.Config{

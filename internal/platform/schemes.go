@@ -120,7 +120,7 @@ func (s *Scheme2) start(sys *System) {
 	sys.Sched.SpawnPeriodic("sense", c.SensePrio, 0, c.SensePeriod, func(tk *rtos.Task) {
 		_, updates := sys.inputScan(tk, ins)
 		for _, u := range updates {
-			if !tk.TrySend(inQ, u) {
+			if !inQ.TrySend(u) {
 				sys.inputsDropped++
 			}
 		}
@@ -131,7 +131,7 @@ func (s *Scheme2) start(sys *System) {
 		var mask uint64
 		var updates []varUpdate
 		for {
-			v, ok := tk.TryRecv(inQ)
+			v, ok := inQ.TryRecv()
 			if !ok {
 				break
 			}
@@ -141,7 +141,7 @@ func (s *Scheme2) start(sys *System) {
 		}
 		sys.applyInputs(tk, updates)
 		for _, ch := range sys.stepChart(tk, mask) {
-			if !tk.TrySend(outQ, outMsg{name: ch.Name, value: ch.To}) {
+			if !outQ.TrySend(outMsg{name: ch.Name, value: ch.To}) {
 				sys.outputsDropped++
 			}
 		}
@@ -149,7 +149,7 @@ func (s *Scheme2) start(sys *System) {
 
 	sys.Sched.SpawnPeriodic("actuate", c.ActPrio, 0, c.ActPeriod, func(tk *rtos.Task) {
 		for {
-			v, ok := tk.TryRecv(outQ)
+			v, ok := outQ.TryRecv()
 			if !ok {
 				return
 			}

@@ -106,7 +106,7 @@ func Gantt(tr *rtos.Trace, from, to sim.Time, width int) string {
 				fill(r.Task, s.from, r.At, s.state)
 			}
 			cur[r.Task] = span{state: '.', from: r.At}
-		case rtos.TraceSleep, rtos.TraceBlock, rtos.TraceExit:
+		case rtos.TraceSleep, rtos.TraceExit:
 			if s, ok := cur[r.Task]; ok {
 				fill(r.Task, s.from, r.At, s.state)
 				delete(cur, r.Task)

@@ -40,9 +40,9 @@ type Task struct {
 	Jitter sim.Time
 	// Blocking is the worst-case time per release the task spends
 	// blocked (the B_i term of the recurrence), for example waiting on a
-	// queue for a lower-priority sender. It is a caller's input: the
-	// platform static analyzer (internal/schedlint) models wait-free
-	// queue traffic only and leaves it zero. FIFO blocking by
+	// queue for a lower-priority sender. It is a caller's input: no task
+	// in the simulated RTOS can wait, so the platform static analyzer
+	// (internal/schedlint) leaves it zero. FIFO blocking by
 	// equal-priority peers is charged separately.
 	Blocking sim.Time
 }

@@ -91,30 +91,22 @@ func TestInjectDropLosesEveryNthSend(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("q", 16)
 	q.InjectDrop(0, 100*ms, 2) // every 2nd send lost in [0, 100ms)
-	var got []int64
-	s.Spawn("rx", 2, 0, func(tk *Task) {
-		for i := 0; i < 4; i++ {
-			v, ok := tk.RecvTimeout(q, time.Second)
-			if !ok {
-				break
-			}
-			got = append(got, v.(int64))
-		}
-	})
-	s.Spawn("tx", 1, 0, func(tk *Task) {
-		for i := int64(1); i <= 4; i++ {
-			if !tk.TrySend(q, i) {
+	var got []int
+	drainEvery(s, q, 5*ms, &got)
+	s.Spawn("tx", 2, 0, func(tk *Task) {
+		for i := 1; i <= 4; i++ {
+			if !q.TrySend(i) {
 				t.Errorf("send %d rejected: fault drops must look like success to the sender", i)
 			}
 			tk.Sleep(10 * ms)
 		}
 		tk.SleepUntil(150 * ms) // window over
-		for i := int64(5); i <= 6; i++ {
-			tk.TrySend(q, i)
+		for i := 5; i <= 6; i++ {
+			q.TrySend(i)
 		}
 	})
 	k.Run(time.Second)
-	want := []int64{1, 3, 5, 6} // 2 and 4 lost in transit
+	want := []int{1, 3, 5, 6} // 2 and 4 lost in transit
 	if len(got) != len(want) {
 		t.Fatalf("received %v, want %v", got, want)
 	}

@@ -8,21 +8,35 @@ import (
 	"rmtest/internal/sim"
 )
 
+// drainEvery spawns a periodic task that empties q every period from
+// time zero, appending what it receives to *got.
+func drainEvery(s *Scheduler, q *Queue, period sim.Time, got *[]int) {
+	s.SpawnPeriodic("consumer", 1, 0, period, func(tk *Task) {
+		for {
+			v, ok := q.TryRecv()
+			if !ok {
+				return
+			}
+			*got = append(*got, v.(int))
+		}
+	})
+}
+
 func TestQueueFIFOOrder(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("q", 10)
 	var got []int
 	s.Spawn("producer", 2, 0, func(tk *Task) {
 		for i := 0; i < 5; i++ {
-			tk.Send(q, i)
+			q.TrySend(i)
+			tk.Sleep(ms)
 		}
 	})
-	s.Spawn("consumer", 1, 0, func(tk *Task) {
-		for i := 0; i < 5; i++ {
-			got = append(got, tk.Recv(q).(int))
-		}
-	})
+	drainEvery(s, q, 2*ms, &got)
 	k.Run(time.Second)
+	if len(got) != 5 {
+		t.Fatalf("received %v, want 0..4", got)
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -30,240 +44,89 @@ func TestQueueFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestQueueBlocksWhenEmpty(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	var recvAt sim.Time
-	s.Spawn("consumer", 1, 0, func(tk *Task) {
-		v := tk.Recv(q)
-		recvAt = tk.Now()
-		if v != "x" {
-			t.Errorf("got %v", v)
-		}
-	})
-	s.Spawn("producer", 1, 30*ms, func(tk *Task) { tk.Send(q, "x") })
-	k.Run(time.Second)
-	if recvAt != 30*ms {
-		t.Fatalf("received at %v, want 30ms", recvAt)
-	}
-}
-
-func TestQueueBlocksWhenFull(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 2)
-	var sentThird sim.Time
-	s.Spawn("producer", 2, 0, func(tk *Task) {
-		tk.Send(q, 1)
-		tk.Send(q, 2)
-		tk.Send(q, 3) // blocks: capacity 2
-		sentThird = tk.Now()
-	})
-	s.Spawn("consumer", 1, 50*ms, func(tk *Task) {
-		if v := tk.Recv(q); v != 1 {
-			t.Errorf("first recv %v", v)
-		}
-	})
-	k.Run(time.Second)
-	if sentThird != 50*ms {
-		t.Fatalf("third send completed at %v, want 50ms", sentThird)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("queue len %d, want 2 (slot freed then refilled)", q.Len())
-	}
-}
-
-func TestQueueRecvTimeoutExpires(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	var ok bool
-	var at sim.Time
-	s.Spawn("consumer", 1, 0, func(tk *Task) {
-		_, ok = tk.RecvTimeout(q, 25*ms)
-		at = tk.Now()
-	})
-	k.Run(time.Second)
-	if ok {
-		t.Fatal("timeout recv should fail")
-	}
-	if at != 25*ms {
-		t.Fatalf("woke at %v", at)
-	}
-}
-
-func TestQueueRecvTimeoutSatisfiedEarly(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	var v any
-	var ok bool
-	s.Spawn("consumer", 1, 0, func(tk *Task) {
-		v, ok = tk.RecvTimeout(q, 100*ms)
-	})
-	s.Spawn("producer", 1, 10*ms, func(tk *Task) { tk.Send(q, 7) })
-	k.Run(time.Second)
-	if !ok || v != 7 {
-		t.Fatalf("v=%v ok=%v", v, ok)
-	}
-}
-
-func TestQueueSendTimeoutExpires(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	var ok bool
-	s.Spawn("producer", 1, 0, func(tk *Task) {
-		tk.Send(q, 1)
-		ok = tk.SendTimeout(q, 2, 15*ms)
-	})
-	k.Run(time.Second)
-	if ok {
-		t.Fatal("send into full queue should time out")
-	}
-	if q.Dropped() != 1 {
-		t.Fatalf("dropped=%d", q.Dropped())
-	}
-}
-
+// TestQueueTryOps: a full queue rejects a send and an empty queue
+// reports no value, both from a task body and from a kernel callback.
 func TestQueueTryOps(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("q", 1)
-	s.Spawn("a", 1, 0, func(tk *Task) {
-		if _, ok := tk.TryRecv(q); ok {
-			t.Error("TryRecv on empty queue succeeded")
+	check := func(who string) {
+		if _, ok := q.TryRecv(); ok {
+			t.Errorf("%s: TryRecv on empty queue succeeded", who)
 		}
-		if !tk.TrySend(q, 1) {
-			t.Error("TrySend into empty queue failed")
+		if !q.TrySend(1) {
+			t.Errorf("%s: TrySend into empty queue failed", who)
 		}
-		if tk.TrySend(q, 2) {
-			t.Error("TrySend into full queue succeeded")
+		if q.TrySend(2) {
+			t.Errorf("%s: TrySend into full queue succeeded", who)
 		}
-		if v, ok := tk.TryRecv(q); !ok || v != 1 {
-			t.Errorf("TryRecv got %v %v", v, ok)
-		}
-	})
-	k.Run(time.Second)
-}
-
-func TestQueueWakesHighestPriorityWaiter(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 4)
-	var order []string
-	mk := func(name string, prio int, start sim.Time) {
-		s.Spawn(name, prio, start, func(tk *Task) {
-			tk.Recv(q)
-			order = append(order, name)
-		})
-	}
-	mk("lo", 1, 0)
-	mk("hi", 5, ms)
-	mk("mid", 3, 2*ms)
-	s.Spawn("producer", 10, 10*ms, func(tk *Task) {
-		tk.Send(q, 1)
-		tk.Send(q, 2)
-		tk.Send(q, 3)
-	})
-	k.Run(time.Second)
-	want := []string{"hi", "mid", "lo"}
-	if len(order) != 3 {
-		t.Fatalf("order=%v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order=%v want %v", order, want)
+		if v, ok := q.TryRecv(); !ok || v != 1 {
+			t.Errorf("%s: TryRecv got %v %v", who, v, ok)
 		}
 	}
-}
-
-func TestQueueSenderWakeupPreemptsLowerPriorityReceiver(t *testing.T) {
-	// A low-priority task sending to a queue on which a high-priority task
-	// waits must lose the CPU at the request boundary.
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	var order []string
-	s.Spawn("hi", 5, 0, func(tk *Task) {
-		tk.Recv(q)
-		order = append(order, "hi")
-	})
-	s.Spawn("lo", 1, ms, func(tk *Task) {
-		tk.Send(q, 1)
-		order = append(order, "lo")
-	})
+	s.Spawn("a", 1, 0, func(tk *Task) { check("task") })
+	k.At(ms, func() { check("callback") })
 	k.Run(time.Second)
-	if len(order) != 2 || order[0] != "hi" || order[1] != "lo" {
-		t.Fatalf("order=%v, want [hi lo]", order)
+	if q.Dropped() != 2 || q.Enqueued() != 2 {
+		t.Fatalf("dropped=%d enqueued=%d, want 2 and 2", q.Dropped(), q.Enqueued())
 	}
 }
 
 func TestQueueStats(t *testing.T) {
 	k, s := rig(t)
-	q := s.NewQueue("q", 8)
+	q := s.NewQueue("q", 4)
+	var got []int
 	s.Spawn("producer", 2, 0, func(tk *Task) {
-		for i := 0; i < 4; i++ {
-			tk.Send(q, i)
+		for i := 0; i < 6; i++ {
+			q.TrySend(i)
 		}
+		tk.SleepUntil(30 * ms)
+		q.TrySend(6)
 	})
-	s.Spawn("consumer", 1, 20*ms, func(tk *Task) {
-		for i := 0; i < 4; i++ {
-			tk.Recv(q)
-		}
-	})
+	drainEvery(s, q, 20*ms, &got)
 	k.Run(time.Second)
-	if q.Enqueued() != 4 {
-		t.Fatalf("enqueued=%d", q.Enqueued())
+	if q.Enqueued() != 5 {
+		t.Fatalf("enqueued=%d, want 5", q.Enqueued())
+	}
+	if q.Dropped() != 2 {
+		t.Fatalf("dropped=%d, want 2 (values 4 and 5 met a full queue)", q.Dropped())
 	}
 	if q.MaxDepth() != 4 {
-		t.Fatalf("maxDepth=%d", q.MaxDepth())
+		t.Fatalf("maxDepth=%d, want 4", q.MaxDepth())
 	}
-	if q.MeanWait() != 20*ms {
-		t.Fatalf("meanWait=%v want 20ms", q.MeanWait())
-	}
-}
-
-func TestSendFromISRDropsWhenFull(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 1)
-	k.At(0, func() {
-		if !q.SendFromISR(1) {
-			t.Error("first ISR send failed")
-		}
-		if q.SendFromISR(2) {
-			t.Error("ISR send into full queue succeeded")
-		}
-	})
-	k.Run(time.Second)
-	if q.Dropped() != 1 {
-		t.Fatalf("dropped=%d", q.Dropped())
+	if q.Len() != 0 || len(got) != 5 || got[4] != 6 {
+		t.Fatalf("len=%d received %v, want empty and [0 1 2 3 6]", q.Len(), got)
 	}
 }
 
-// Property: for any pattern of producer/consumer counts and capacities,
-// every value sent is received exactly once and in FIFO order per
-// producer.
+// Property: for any capacity, send pattern and drain period, every value
+// sent arrives exactly once and in order, or TrySend rejected it and
+// Dropped counts it.
 func TestQueuePropertyFIFOConservation(t *testing.T) {
-	f := func(seed uint64, capRaw uint8, nRaw uint8) bool {
+	f := func(seed uint64, capRaw, nRaw, periodRaw uint8) bool {
 		capacity := int(capRaw%5) + 1
 		n := int(nRaw%40) + 1
+		period := sim.Time(periodRaw%4+1) * ms
 		k := sim.New()
 		s := New(k)
 		defer s.Shutdown()
 		q := s.NewQueue("q", capacity)
 		r := sim.NewRand(seed)
-		var got []int
+		var accepted, got []int
 		s.Spawn("producer", 2, 0, func(tk *Task) {
 			for i := 0; i < n; i++ {
 				tk.Sleep(r.Duration(0, 2*ms))
-				tk.Send(q, i)
+				if q.TrySend(i) {
+					accepted = append(accepted, i)
+				}
 			}
 		})
-		s.Spawn("consumer", 1, 0, func(tk *Task) {
-			for i := 0; i < n; i++ {
-				got = append(got, tk.Recv(q).(int))
-			}
-		})
+		drainEvery(s, q, period, &got)
 		k.Run(10 * time.Second)
-		if len(got) != n {
+		if len(got) != len(accepted) || q.Dropped() != uint64(n-len(accepted)) {
 			return false
 		}
-		for i, v := range got {
-			if v != i {
+		for i := range got {
+			if got[i] != accepted[i] {
 				return false
 			}
 		}
@@ -271,20 +134,6 @@ func TestQueuePropertyFIFOConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQueueDirectDeliveryCountsInStats(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("q", 4)
-	s.Spawn("consumer", 1, 0, func(tk *Task) { tk.Recv(q) })
-	s.Spawn("producer", 1, 5*ms, func(tk *Task) { tk.Send(q, 1) })
-	k.Run(time.Second)
-	if q.Enqueued() != 1 {
-		t.Fatalf("enqueued=%d; direct delivery must count", q.Enqueued())
-	}
-	if q.Len() != 0 {
-		t.Fatal("value should have bypassed the buffer")
 	}
 }
 
@@ -299,15 +148,16 @@ func TestQueueNameAndCap(t *testing.T) {
 func TestUnboundedQueueNeverBlocks(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("unbounded", 0)
-	done := false
 	s.Spawn("producer", 1, 0, func(tk *Task) {
 		for i := 0; i < 1000; i++ {
-			tk.Send(q, i)
+			if !q.TrySend(i) {
+				t.Errorf("unbounded queue rejected send %d", i)
+				return
+			}
 		}
-		done = true
 	})
 	k.Run(time.Second)
-	if !done || q.Len() != 1000 {
-		t.Fatalf("done=%v len=%d", done, q.Len())
+	if q.Len() != 1000 || q.Dropped() != 0 {
+		t.Fatalf("len=%d dropped=%d, want 1000 and 0", q.Len(), q.Dropped())
 	}
 }

@@ -1,16 +1,17 @@
 // Package rtos simulates a small real-time operating system in virtual
 // time. It stands in for the FreeRTOS kernel the paper's case study runs
 // on (ARM7 + FreeRTOS): fixed-priority preemptive scheduling, FIFO
-// message queues with priority-ordered wakeup, and interrupt service
-// routines that steal CPU time. Tasks synchronise only through queues.
-// The CPU is either idle or running one task's compute burst; switching
-// tasks costs no time.
+// message queues, and interrupt service routines that steal CPU time.
+// Tasks exchange data only through queues, and only with zero-timeout
+// calls, so no task ever waits on a queue: a task is ready, running,
+// sleeping until an instant, or done. The CPU is either idle or running
+// one task's compute burst; switching tasks costs no time.
 //
 // Tasks are written as ordinary Go functions. Each task body runs as an
 // iter.Pull coroutine driven by the scheduler: the scheduler resumes a
 // task, and the task runs until its next kernel request hands control
 // back. Code between requests executes in zero virtual time; all passage
-// of time is explicit via (*Task).Compute, Sleep and blocking operations.
+// of time is explicit via (*Task).Compute and Sleep.
 // This makes every schedule — including preemptions, queueing delays and
 // starvation — exactly reproducible, which is what lets the testing
 // layers above measure delay segments without perturbation.
@@ -131,7 +132,7 @@ func (s *Scheduler) InjectISRStorm(from, duration, period, cost sim.Time) {
 			return
 		}
 		s.stormISRs++
-		s.Interrupt(cost, nil)
+		s.Interrupt(cost)
 		s.k.After(period, tick)
 	}
 	s.k.At(from, tick)
@@ -212,14 +213,7 @@ func (s *Scheduler) makeReady(t *Task, front bool) {
 	if t.state == TaskReady || t.state == TaskRunning || t.state == TaskDone {
 		panic(fmt.Sprintf("rtos: makeReady(%s) in state %v", t.name, t.state))
 	}
-	if t.state == TaskBlocked {
-		// Close the blocking interval opened by blockCurrentOn, keeping
-		// the resource attribution from the block instant.
-		s.trace.addRes(s.k.Now(), TraceUnblock, t, t.blockedOn)
-		t.blockedOn = ""
-	}
 	t.state = TaskReady
-	t.readyAt = s.k.Now()
 	pos := len(s.ready)
 	for i, r := range s.ready {
 		if front {
@@ -248,7 +242,7 @@ func (s *Scheduler) topReady() *Task {
 }
 
 // kick requests a scheduling pass after all other kernel events at the
-// current instant have been processed. Wakeup paths use it instead of
+// current instant have been processed. Release paths use it instead of
 // calling schedLoop directly so that several tasks released at the same
 // instant all become ready before any of them is dispatched — matching an
 // RTOS tick handler that moves every expired task to the ready list before
@@ -273,9 +267,9 @@ func (s *Scheduler) kicked() {
 // compute burst or idle.
 func (s *Scheduler) schedLoop() {
 	if s.inLoop {
-		// Re-entered from a wakeup performed inside a task request that
-		// is already being processed by an outer loop; the outer loop
-		// re-checks preemption after the request completes.
+		// Re-entered from a kernel event fired while a task body runs
+		// inside the outer loop (a body that drives the kernel itself);
+		// the outer loop re-checks preemption when the body yields.
 		return
 	}
 	s.inLoop = true
@@ -366,27 +360,6 @@ func (s *Scheduler) preempt() {
 	s.trace.add(s.k.Now(), TracePreempt, t)
 }
 
-// blockCurrentOn removes the current task from the CPU, blocked on the
-// named queue. The trace record carries the queue's name.
-func (s *Scheduler) blockCurrentOn(resource string) {
-	t := s.current
-	t.state = TaskBlocked
-	t.blockedOn = resource
-	s.current = nil
-	s.trace.addRes(s.k.Now(), TraceBlock, t, resource)
-}
-
-// wake moves a blocked or sleeping task to ready.
-func (s *Scheduler) wake(t *Task) {
-	if t.state != TaskBlocked && t.state != TaskSleeping {
-		panic(fmt.Sprintf("rtos: wake(%s) in state %v", t.name, t.state))
-	}
-	if t.wakeEv.Cancel() {
-		t.wakeEv = sim.Event{}
-	}
-	s.makeReady(t, false)
-}
-
 // handle processes one kernel request from task t. On return the loop in
 // schedLoop re-evaluates preemption and CPU occupancy.
 func (s *Scheduler) handle(t *Task, r request) {
@@ -410,20 +383,11 @@ func (s *Scheduler) handle(t *Task, r request) {
 		t.state = TaskSleeping
 		s.current = nil
 		s.trace.add(s.k.Now(), TraceSleep, t)
-		t.wakeEv = s.k.At(r.until, t.wakeFn)
-	case reqYield:
-		t.state = TaskPreempted
-		s.makeReady(t, false)
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceYield, t)
+		s.k.At(r.until, t.wakeFn)
 	case reqExit:
 		t.state = TaskDone
 		s.current = nil
 		s.trace.add(s.k.Now(), TraceExit, t)
-	case reqQueueSend:
-		r.q.send(t, r.val, r.timeout, r.hasTimeout)
-	case reqQueueRecv:
-		r.q.recv(t, r.timeout, r.hasTimeout)
 	default:
 		panic("rtos: unknown request")
 	}
@@ -431,24 +395,18 @@ func (s *Scheduler) handle(t *Task, r request) {
 
 // wakeUp ends t's sleep.
 func (t *Task) wakeUp() {
-	t.wakeEv = sim.Event{}
-	t.blockOK = true
 	t.sched.makeReady(t, false)
 	t.sched.kick()
 }
 
-// Interrupt models an interrupt service routine: handler runs now (in
-// zero virtual time, outside any task) and the CPU is stolen for isrCost,
-// pushing out whatever compute burst was in progress.
-// The handler typically posts to a queue via SendFromISR.
-func (s *Scheduler) Interrupt(isrCost sim.Time, handler func()) {
+// Interrupt models an interrupt service routine that steals the CPU for
+// isrCost, pushing out whatever compute burst was in progress, and
+// otherwise changes nothing.
+func (s *Scheduler) Interrupt(isrCost sim.Time) {
 	if isrCost > 0 {
 		s.stealCPU(isrCost)
 	}
 	s.trace.add(s.k.Now(), TraceISR, nil)
-	if handler != nil {
-		handler()
-	}
 	s.kick()
 }
 

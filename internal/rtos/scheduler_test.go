@@ -123,7 +123,7 @@ func TestYieldRotatesEqualPriority(t *testing.T) {
 	var order []string
 	s.Spawn("a", 1, 0, func(tk *Task) {
 		order = append(order, "a1")
-		tk.Yield()
+		tk.Sleep(0)
 		order = append(order, "a2")
 	})
 	s.Spawn("b", 1, 0, func(tk *Task) {
@@ -182,28 +182,10 @@ func TestInterruptStealsCPU(t *testing.T) {
 		tk.Compute(20 * ms)
 		done = tk.Now()
 	})
-	k.At(5*ms, func() { s.Interrupt(3*ms, nil) })
+	k.At(5*ms, func() { s.Interrupt(3 * ms) })
 	k.Run(time.Second)
 	if done != 23*ms {
 		t.Fatalf("done at %v, want 23ms (20 compute + 3 ISR)", done)
-	}
-}
-
-func TestInterruptWakesTaskViaQueue(t *testing.T) {
-	k, s := rig(t)
-	q := s.NewQueue("irq", 4)
-	var got any
-	var at sim.Time
-	s.Spawn("a", 1, 0, func(tk *Task) {
-		got = tk.Recv(q)
-		at = tk.Now()
-	})
-	k.At(7*ms, func() {
-		s.Interrupt(0, func() { q.SendFromISR(99) })
-	})
-	k.Run(time.Second)
-	if got != 99 || at != 7*ms {
-		t.Fatalf("got=%v at %v", got, at)
 	}
 }
 
@@ -279,18 +261,27 @@ func TestTraceRecordedOnDemand(t *testing.T) {
 	}
 }
 
+// TestShutdownTerminatesBlockedTasks: Shutdown unwinds every suspended
+// body, whether it is mid-burst, ready behind it, or sleeping, and
+// leaves no goroutine behind.
 func TestShutdownTerminatesBlockedTasks(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := sim.New()
 	s := New(k)
-	q := s.NewQueue("q", 1)
-	s.Spawn("blocked", 1, 0, func(tk *Task) {
-		tk.Recv(q) // never satisfied
+	s.Spawn("computing", 2, 0, func(tk *Task) {
+		tk.Compute(time.Hour)
 	})
-	s.Spawn("sleeping", 1, 0, func(tk *Task) {
+	s.Spawn("ready", 1, 0, func(tk *Task) {
+		tk.Compute(ms)
+	})
+	s.Spawn("sleeping", 3, 0, func(tk *Task) {
 		tk.Sleep(time.Hour)
 	})
 	k.Run(10 * ms)
 	s.Shutdown() // must not hang; stopping unwinds each suspended body
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines after Shutdown = %d, want at most %d", now, before)
+	}
 }
 
 // TestBodyPanicReachesRunCaller pins where a task-body panic goes: it
@@ -403,7 +394,7 @@ func TestPeriodicMissedReleasesUnderStarvation(t *testing.T) {
 
 func TestTraceKindStrings(t *testing.T) {
 	kinds := []TraceKind{TraceReady, TraceDispatch, TracePreempt,
-		TraceSleep, TraceYield, TraceBlock, TraceExit, TraceISR, TraceUnblock}
+		TraceSleep, TraceYield, TraceExit, TraceISR}
 	seen := map[string]bool{}
 	for _, kind := range kinds {
 		str := kind.String()
@@ -473,7 +464,7 @@ func TestPriorityInvariantProperty(t *testing.T) {
 				delete(ready, rec.Task)
 			case TracePreempt, TraceYield:
 				ready[rec.Task] = true
-			case TraceSleep, TraceBlock, TraceExit:
+			case TraceSleep, TraceExit:
 				delete(ready, rec.Task)
 			}
 		}

@@ -17,7 +17,6 @@ const (
 	TaskRunning                    // on the CPU
 	TaskPreempted                  // taken off the CPU at a boundary; ready
 	TaskSleeping                   // waiting for a time instant
-	TaskBlocked                    // waiting on a queue
 	TaskDone                       // body returned
 )
 
@@ -33,8 +32,6 @@ func (st TaskState) String() string {
 		return "preempted"
 	case TaskSleeping:
 		return "sleeping"
-	case TaskBlocked:
-		return "blocked"
 	case TaskDone:
 		return "done"
 	}
@@ -46,20 +43,13 @@ type reqKind int
 const (
 	reqCompute reqKind = iota
 	reqSleep
-	reqYield
 	reqExit
-	reqQueueSend
-	reqQueueRecv
 )
 
 type request struct {
-	kind       reqKind
-	dur        sim.Time // reqCompute
-	until      sim.Time // reqSleep
-	val        any      // reqQueueSend
-	q          *Queue
-	timeout    sim.Time
-	hasTimeout bool
+	kind  reqKind
+	dur   sim.Time // reqCompute
+	until sim.Time // reqSleep
 }
 
 // stopped is the panic that unwinds a task body whose coroutine is being
@@ -85,21 +75,10 @@ type Task struct {
 	yield func(request) bool
 
 	pendingCompute sim.Time
-	readyAt        sim.Time
-	wakeEv         sim.Event
 
 	// wakeFn ends a sleep; it is bound once at Spawn, so sleeping
 	// allocates nothing.
 	wakeFn func()
-
-	// Reply slots for blocking operations, set by the scheduler before the
-	// task is resumed.
-	blockVal any
-	blockOK  bool
-
-	// Blocking attribution: the queue the task is currently blocked on.
-	// Cleared when the task unblocks.
-	blockedOn string
 
 	// Accounting.
 	cpuTime        sim.Time
@@ -138,10 +117,6 @@ func (t *Task) CPUUsed() sim.Time {
 	}
 	return t.cpuTime - left
 }
-
-// BlockedOn returns the name of the queue the task is currently blocked
-// on, or "" when the task is not blocked.
-func (t *Task) BlockedOn() string { return t.blockedOn }
 
 // Period returns the period of a periodic task (zero for plain tasks).
 func (t *Task) Period() sim.Time { return t.period }
@@ -231,7 +206,8 @@ func (t *Task) Compute(d sim.Time) {
 	t.syscall(request{kind: reqCompute, dur: d})
 }
 
-// Sleep blocks the task for d of virtual time. Sleep(0) yields the CPU.
+// Sleep suspends the task for d of virtual time. Sleep(0) yields the
+// CPU to equal-priority ready tasks.
 func (t *Task) Sleep(d sim.Time) {
 	if d < 0 {
 		panic("rtos: negative sleep duration")
@@ -239,52 +215,8 @@ func (t *Task) Sleep(d sim.Time) {
 	t.SleepUntil(t.Now() + d)
 }
 
-// SleepUntil blocks the task until the absolute instant at. If at is not
+// SleepUntil suspends the task until the absolute instant at. If at is not
 // in the future it degrades to a yield, mirroring vTaskDelayUntil.
 func (t *Task) SleepUntil(at sim.Time) {
 	t.syscall(request{kind: reqSleep, until: at})
-}
-
-// Yield releases the CPU to equal-or-higher-priority ready tasks; the task
-// stays ready and continues when scheduled again.
-func (t *Task) Yield() {
-	t.syscall(request{kind: reqYield})
-}
-
-// Send enqueues v on q, blocking while the queue is full.
-func (t *Task) Send(q *Queue, v any) {
-	t.syscall(request{kind: reqQueueSend, q: q, val: v})
-}
-
-// SendTimeout enqueues v on q, giving up after d. It reports whether the
-// value was enqueued.
-func (t *Task) SendTimeout(q *Queue, v any, d sim.Time) bool {
-	t.syscall(request{kind: reqQueueSend, q: q, val: v, timeout: d, hasTimeout: true})
-	return t.blockOK
-}
-
-// Recv dequeues a value from q, blocking while the queue is empty.
-func (t *Task) Recv(q *Queue) any {
-	t.syscall(request{kind: reqQueueRecv, q: q})
-	return t.blockVal
-}
-
-// RecvTimeout dequeues a value from q, giving up after d. The boolean
-// reports whether a value was received.
-func (t *Task) RecvTimeout(q *Queue, d sim.Time) (any, bool) {
-	t.syscall(request{kind: reqQueueRecv, q: q, timeout: d, hasTimeout: true})
-	if !t.blockOK {
-		return nil, false
-	}
-	return t.blockVal, true
-}
-
-// TrySend enqueues v without blocking; it reports whether there was room.
-func (t *Task) TrySend(q *Queue, v any) bool {
-	return t.SendTimeout(q, v, 0)
-}
-
-// TryRecv dequeues without blocking.
-func (t *Task) TryRecv(q *Queue) (any, bool) {
-	return t.RecvTimeout(q, 0)
 }

@@ -17,10 +17,8 @@ const (
 	TracePreempt                   // task lost the CPU to a higher-priority task
 	TraceSleep                     // task started sleeping
 	TraceYield                     // task yielded
-	TraceBlock                     // task blocked on a queue
 	TraceExit                      // task body returned
 	TraceISR                       // interrupt service routine ran
-	TraceUnblock                   // task left the blocked state (resource granted or timeout)
 )
 
 func (k TraceKind) String() string {
@@ -35,37 +33,24 @@ func (k TraceKind) String() string {
 		return "sleep"
 	case TraceYield:
 		return "yield"
-	case TraceBlock:
-		return "block"
 	case TraceExit:
 		return "exit"
 	case TraceISR:
 		return "isr"
-	case TraceUnblock:
-		return "unblock"
 	}
 	return fmt.Sprintf("TraceKind(%d)", int(k))
 }
 
-// TraceRecord is one scheduler event. Block and unblock records carry
-// the queue waited on, so blocking can be attributed from the trace
-// alone (the measured counterpart of the blocking term of
-// internal/schedlint's response-time bounds).
+// TraceRecord is one scheduler event.
 type TraceRecord struct {
 	At   sim.Time
 	Kind TraceKind
 	Task string // empty for ISR records
-	// Resource names the queue for TraceBlock and TraceUnblock records;
-	// empty otherwise.
-	Resource string
 }
 
 func (r TraceRecord) String() string {
 	if r.Task == "" {
 		return fmt.Sprintf("%12v %s", r.At, r.Kind)
-	}
-	if r.Resource != "" {
-		return fmt.Sprintf("%12v %-8s %s on %s", r.At, r.Kind, r.Task, r.Resource)
 	}
 	return fmt.Sprintf("%12v %-8s %s", r.At, r.Kind, r.Task)
 }
@@ -79,11 +64,6 @@ type Trace struct {
 }
 
 func (tr *Trace) add(at sim.Time, kind TraceKind, t *Task) {
-	tr.addRes(at, kind, t, "")
-}
-
-// addRes records an event carrying blocking attribution.
-func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource string) {
 	if tr == nil {
 		return
 	}
@@ -91,7 +71,7 @@ func (tr *Trace) addRes(at sim.Time, kind TraceKind, t *Task, resource string) {
 	if t != nil {
 		name = t.name
 	}
-	tr.recs = append(tr.recs, TraceRecord{At: at, Kind: kind, Task: name, Resource: resource})
+	tr.recs = append(tr.recs, TraceRecord{At: at, Kind: kind, Task: name})
 }
 
 // Records returns a copy of the records in chronological order.

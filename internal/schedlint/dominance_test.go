@@ -1,9 +1,9 @@
 package schedlint
 
 // Dominance of the static bounds over the simulator: on a declared task
-// and queue configuration, every response-time bound, blocking term and
-// queue backlog bound the analysis computes must cover what the RTOS
-// simulator measures when it runs the same configuration.
+// and queue configuration, every response-time bound and queue backlog
+// bound the analysis computes must cover what the RTOS simulator
+// measures when it runs the same configuration.
 
 import (
 	"fmt"
@@ -33,12 +33,12 @@ func simulate(cfg Config, horizon sim.Time) ([]rtos.TraceRecord, map[string]int)
 			tk.Compute(spec.WCET)
 			for _, u := range spec.Sends {
 				for i := 0; i < u.Items; i++ {
-					tk.TrySend(queues[u.Queue], i)
+					queues[u.Queue].TrySend(i)
 				}
 			}
 			for _, u := range spec.Recvs {
 				for i := 0; u.DrainAll || i < u.Items; i++ {
-					if _, ok := tk.TryRecv(queues[u.Queue]); !ok {
+					if _, ok := queues[u.Queue].TryRecv(); !ok {
 						break
 					}
 				}
@@ -57,15 +57,13 @@ func simulate(cfg Config, horizon sim.Time) ([]rtos.TraceRecord, map[string]int)
 
 // checkDominance analyzes cfg, simulates it for horizon, and fails t
 // wherever a measurement exceeds its static bound: the response of a
-// schedulable task, its blocking (zero, since TrySend and TryRecv never
-// block), and the peak depth of a queue with a finite backlog bound. It
-// returns each queue's simulated peak depth.
+// schedulable task, and the peak depth of a queue with a finite backlog
+// bound. It returns each queue's simulated peak depth.
 func checkDominance(t *testing.T, cfg Config, horizon sim.Time) map[string]int {
 	t.Helper()
 	rep := mustAnalyze(t, cfg)
 	recs, depth := simulate(cfg, horizon)
 	resp := MeasuredResponses(recs)
-	blocking := MeasuredBlocking(recs)
 	for _, r := range rep.Tasks {
 		if !r.Schedulable {
 			continue
@@ -77,9 +75,6 @@ func checkDominance(t *testing.T, cfg Config, horizon sim.Time) map[string]int {
 			t.Errorf("schedulable task %q completed no release", name)
 		case got > r.Response:
 			t.Errorf("task %q measured response %v > static bound %v", name, got, r.Response)
-		}
-		if b := blocking[name]; b != 0 {
-			t.Errorf("task %q measured blocking %v, want 0", name, b)
 		}
 	}
 	for _, q := range rep.Queues {
@@ -124,8 +119,8 @@ func randomConfig(seed int64) Config {
 }
 
 // FuzzStaticDominance checks on random task and queue configurations
-// that the response-time bounds, the blocking terms and the queue
-// backlog bounds dominate a 2 s simulation of the same configuration.
+// that the response-time bounds and the queue backlog bounds dominate a
+// 2 s simulation of the same configuration.
 func FuzzStaticDominance(f *testing.F) {
 	for seed := int64(0); seed < 300; seed++ {
 		f.Add(seed)

@@ -12,11 +12,13 @@
 //  2. derives queue-capacity sufficiency bounds from the producer and
 //     consumer rates and response times.
 //
+// No task in the simulated RTOS can wait on a queue, so the analysis
+// leaves every task's blocking term (rta.Task.Blocking) at zero.
 // Everything is reported as lint.Finding values so the existing gate,
 // renderers and CLI exit-status logic apply unchanged. The simulator
-// cross-checks the analysis: measured per-task blocking, response times
-// and queue depths must never exceed the static bounds — the same
-// dominance contract the WCET layer already maintains.
+// cross-checks the analysis: measured response times and queue depths
+// must never exceed the static bounds — the same dominance contract the
+// WCET layer already maintains.
 package schedlint
 
 import (

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rmtest/internal/lint"
-	"rmtest/internal/rta"
 	"rmtest/internal/rtos"
 	"rmtest/internal/sim"
 )
@@ -94,61 +93,37 @@ func TestQueueBounds(t *testing.T) {
 	}
 }
 
-// TestMeasuredFromTrace runs a queue hand-off on the simulator and
-// checks the measured extraction: per-release blocking, response times,
-// and the static bounds dominating both. H waits on Recv for L's send,
-// so L's response bound caps H's blocking; as H's B_i term it keeps H's
-// response bound above the measurement.
+// TestMeasuredFromTrace runs a preemption on the simulator and checks
+// the measured extraction against the static bounds. L computes 5 ms
+// from t=0; H releases at t=1ms and preempts it for 1 ms. H measures
+// 1 ms and L 6 ms, both exactly their response-time bounds.
 func TestMeasuredFromTrace(t *testing.T) {
+	ms := time.Millisecond
 	k := sim.New()
 	s := rtos.New(k)
 	tr := s.Record()
-	q := s.NewQueue("q", 1)
-	// L computes 5 ms from t=0 and then sends; H releases at t=1ms and
-	// waits for the value: blocked 1ms -> 5ms, then 1 ms of compute.
-	s.Spawn("L", 1, 0, func(tk *rtos.Task) {
-		tk.Compute(5 * time.Millisecond)
-		tk.Send(q, 1)
-	})
-	s.Spawn("H", 2, time.Millisecond, func(tk *rtos.Task) {
-		tk.Recv(q)
-		tk.Compute(time.Millisecond)
-	})
-	k.Run(20 * time.Millisecond)
-	recs := tr.Records()
-	blocking := MeasuredBlocking(recs)
-	resp := MeasuredResponses(recs)
+	s.Spawn("L", 1, 0, func(tk *rtos.Task) { tk.Compute(5 * ms) })
+	s.Spawn("H", 2, ms, func(tk *rtos.Task) { tk.Compute(ms) })
+	k.Run(20 * ms)
+	resp := MeasuredResponses(tr.Records())
 	s.Shutdown()
 
-	if got, want := blocking["H"], 4*time.Millisecond; got != want {
-		t.Errorf("measured H blocking = %v, want %v", got, want)
+	rep := mustAnalyze(t, Config{Tasks: []TaskSpec{
+		{Name: "H", Prio: 2, Period: 20 * ms, WCET: ms},
+		{Name: "L", Prio: 1, Period: 20 * ms, WCET: 5 * ms},
+	}})
+	for _, c := range []struct {
+		name string
+		want sim.Time
+	}{{"H", ms}, {"L", 6 * ms}} {
+		if got := resp[c.name]; got != c.want {
+			t.Errorf("measured %s response = %v, want %v", c.name, got, c.want)
+		}
 	}
-	if got, want := resp["H"], 5*time.Millisecond; got != want {
-		// Blocked 4ms plus its own 1ms compute.
-		t.Errorf("measured H response = %v, want %v", got, want)
-	}
-
-	tasks := []TaskSpec{
-		{Name: "H", Prio: 2, Period: 20 * time.Millisecond, WCET: time.Millisecond},
-		{Name: "L", Prio: 1, Period: 20 * time.Millisecond, WCET: 5 * time.Millisecond},
-	}
-	rep := mustAnalyze(t, Config{Tasks: tasks})
-	respL := rep.Tasks[1].Response
-	if respL < resp["L"] {
-		t.Errorf("static R_L %v < measured %v", respL, resp["L"])
-	}
-	bounds, err := rta.Analyze([]rta.Task{
-		{Name: "H", Prio: 2, Period: tasks[0].Period, WCET: tasks[0].WCET, Blocking: respL},
-		{Name: "L", Prio: 1, Period: tasks[1].Period, WCET: tasks[1].WCET},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respL < blocking["H"] {
-		t.Errorf("static B_H %v < measured %v", respL, blocking["H"])
-	}
-	if bounds[0].Response < resp["H"] {
-		t.Errorf("static R_H %v < measured %v", bounds[0].Response, resp["H"])
+	for _, r := range rep.Tasks {
+		if r.Response != resp[r.Task.Name] {
+			t.Errorf("static R_%s = %v, want the measured %v", r.Task.Name, r.Response, resp[r.Task.Name])
+		}
 	}
 }
 

@@ -498,13 +498,6 @@ func MeasuredResponses(recs []rtos.TraceRecord) map[string]Time {
 	return schedlint.MeasuredResponses(recs)
 }
 
-// MeasuredBlocking extracts each task's worst observed per-release
-// blocking from a scheduler trace — the measured counterpart of the
-// static blocking terms.
-func MeasuredBlocking(recs []rtos.TraceRecord) map[string]Time {
-	return schedlint.MeasuredBlocking(recs)
-}
-
 // Railroad-crossing case study re-exports (the second worked example).
 var (
 	// CrossingChart returns the crossing-gate controller model.
