@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
 	"rmtest/internal/statechart"
 )
@@ -479,7 +480,7 @@ func TestVMShortCircuitAvoidsDivByZero(t *testing.T) {
 // the heap at all.
 func TestExecStepSteadyStateAllocs(t *testing.T) {
 	r := sim.NewRand(3)
-	cc, err := randChart(r).Compile()
+	cc, err := randchart.Chart(r).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
 	"rmtest/internal/statechart"
 )
@@ -143,9 +144,9 @@ func TestIdleSkipMatchesTickByTick(t *testing.T) {
 	var elided, withDuring uint64
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := sim.NewRand(seed)
-		elided += check(fmt.Sprintf("seed %d", seed), randChart(r), r)
+		elided += check(fmt.Sprintf("seed %d", seed), randchart.Chart(r), r)
 
-		c := randChart(r)
+		c := randchart.Chart(r)
 		for _, st := range c.States {
 			st.During = "loc0 := loc0 + 1"
 		}
@@ -172,7 +173,7 @@ func FuzzIdleSkip(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 40, 0x81, 3, 24, 0, 5, 255})
 	f.Fuzz(func(t *testing.T, seed uint64, stim []byte) {
 		stim = stim[:min(len(stim), 3*64)]
-		cc, err := randChart(sim.NewRand(seed)).Compile()
+		cc, err := randchart.Chart(sim.NewRand(seed)).Compile()
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}

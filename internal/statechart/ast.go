@@ -14,6 +14,12 @@
 // transitions until the configuration is stable. internal/codegen compiles
 // the same charts to transition tables and bytecode, which is the
 // "auto-generated code" (CODE (M)) whose timing the framework tests.
+//
+// Compile gives every state, variable and event a dense id (document or
+// declaration order), and the Machine keeps its configuration in slices
+// indexed by them. The model checker (internal/verify) explores the
+// chart with Snapshot and Restore, which copy those slices, and keys its
+// visited set with AppendConfig's fixed-width encoding.
 package statechart
 
 import (

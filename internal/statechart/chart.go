@@ -2,7 +2,9 @@ package statechart
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -105,6 +107,7 @@ type Chart struct {
 type compiledTransition struct {
 	from, to *compiledState
 	trig     Trigger
+	event    int // the trigger's event id, for TrigEvent
 	guard    Expr
 	action   Action
 	label    string
@@ -113,6 +116,7 @@ type compiledTransition struct {
 
 // compiledState is a validated state.
 type compiledState struct {
+	id       int // document-order index in Compiled.order
 	name     string
 	parent   *compiledState
 	initial  *compiledState
@@ -126,15 +130,21 @@ type compiledState struct {
 }
 
 // Compiled is the validated, parsed form of a Chart shared by the
-// interpreter (Machine), the verifier and the code generator.
+// interpreter (Machine), the verifier and the code generator. States,
+// variables and events have dense ids: a state's id is its document-order
+// index, a variable's its declaration-order index in varList, an event's
+// its declaration-order index in Chart.Events. The interpreter keeps its
+// configuration in slices indexed by these ids.
 type Compiled struct {
 	chart   *Chart
 	states  map[string]*compiledState
-	order   []*compiledState // document order
+	order   []*compiledState // document order; index = state id
 	trans   []*compiledTransition
-	events  map[string]bool
-	vars    map[string]*VarDecl
-	varList []VarDecl
+	events  map[string]int // event name -> event id
+	vars    map[string]int // variable name -> variable id
+	varList []VarDecl      // declaration order; index = variable id
+	outputs []int          // output variable ids, sorted by name
+	history []*compiledState
 	initial *compiledState
 }
 
@@ -150,28 +160,35 @@ func (c *Chart) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("statechart %s: TickPeriod must be positive", c.Name)
 	}
 	cc := &Compiled{
-		chart:  c,
-		states: make(map[string]*compiledState),
-		events: make(map[string]bool),
-		vars:   make(map[string]*VarDecl),
+		chart:   c,
+		states:  make(map[string]*compiledState),
+		events:  make(map[string]int, len(c.Events)),
+		vars:    make(map[string]int, len(c.Vars)),
+		varList: make([]VarDecl, 0, len(c.Vars)),
+		outputs: make([]int, 0, len(c.Vars)),
 	}
-	for _, e := range c.Events {
-		if cc.events[e] {
+	for i, e := range c.Events {
+		if _, dup := cc.events[e]; dup {
 			return nil, fmt.Errorf("statechart %s: duplicate event %q", c.Name, e)
 		}
-		cc.events[e] = true
+		cc.events[e] = i
 	}
-	for i := range c.Vars {
-		v := &c.Vars[i]
+	for _, v := range c.Vars {
 		if _, dup := cc.vars[v.Name]; dup {
 			return nil, fmt.Errorf("statechart %s: duplicate variable %q", c.Name, v.Name)
 		}
-		if cc.events[v.Name] {
+		if _, clash := cc.events[v.Name]; clash {
 			return nil, fmt.Errorf("statechart %s: %q is both an event and a variable", c.Name, v.Name)
 		}
-		cc.vars[v.Name] = v
-		cc.varList = append(cc.varList, *v)
+		cc.vars[v.Name] = len(cc.varList)
+		cc.varList = append(cc.varList, v)
+		if v.Kind == Output {
+			cc.outputs = append(cc.outputs, cc.vars[v.Name])
+		}
 	}
+	slices.SortFunc(cc.outputs, func(a, b int) int {
+		return strings.Compare(cc.varList[a].Name, cc.varList[b].Name)
+	})
 	// First pass: register states.
 	var register func(s *State, parent *compiledState, depth int) error
 	register = func(s *State, parent *compiledState, depth int) error {
@@ -181,7 +198,7 @@ func (c *Chart) Compile() (*Compiled, error) {
 		if _, dup := cc.states[s.Name]; dup {
 			return fmt.Errorf("statechart %s: duplicate state %q", c.Name, s.Name)
 		}
-		cs := &compiledState{name: s.Name, parent: parent, depth: depth}
+		cs := &compiledState{id: len(cc.order), name: s.Name, parent: parent, depth: depth}
 		cc.states[s.Name] = cs
 		cc.order = append(cc.order, cs)
 		if parent != nil {
@@ -227,6 +244,9 @@ func (c *Chart) Compile() (*Compiled, error) {
 			}
 			cs.initial = child
 			cs.history = s.History
+			if s.History {
+				cc.history = append(cc.history, cs)
+			}
 		} else {
 			if s.Initial != "" {
 				return fmt.Errorf("statechart %s: leaf state %q declares initial child", c.Name, s.Name)
@@ -244,8 +264,13 @@ func (c *Chart) Compile() (*Compiled, error) {
 			if err != nil {
 				return fmt.Errorf("trigger of %s->%s: %w", s.Name, tr.To, err)
 			}
-			if trig.Kind == TrigEvent && !cc.events[trig.Event] {
-				return fmt.Errorf("statechart %s: transition %s->%s triggers on undeclared event %q", c.Name, s.Name, tr.To, trig.Event)
+			var event int
+			if trig.Kind == TrigEvent {
+				id, declared := cc.events[trig.Event]
+				if !declared {
+					return fmt.Errorf("statechart %s: transition %s->%s triggers on undeclared event %q", c.Name, s.Name, tr.To, trig.Event)
+				}
+				event = id
 			}
 			guard, err := ParseExpr(tr.Guard)
 			if err != nil {
@@ -263,7 +288,7 @@ func (c *Chart) Compile() (*Compiled, error) {
 				label = s.Name + "->" + tr.To
 			}
 			ct := &compiledTransition{
-				from: cs, to: target, trig: trig, guard: guard,
+				from: cs, to: target, trig: trig, event: event, guard: guard,
 				action: action, label: label, index: len(cc.trans),
 			}
 			cs.trans = append(cs.trans, ct)
@@ -301,11 +326,11 @@ func (cc *Compiled) parseAction(src, where string) (Action, error) {
 		return nil, fmt.Errorf("%s: %w", where, err)
 	}
 	for _, a := range acts {
-		v, ok := cc.vars[a.Name]
+		id, ok := cc.vars[a.Name]
 		if !ok {
 			return nil, fmt.Errorf("statechart %s: %s assigns undeclared variable %q", cc.chart.Name, where, a.Name)
 		}
-		if v.Kind == Input {
+		if cc.varList[id].Kind == Input {
 			return nil, fmt.Errorf("statechart %s: %s assigns input variable %q", cc.chart.Name, where, a.Name)
 		}
 		if err := cc.checkRefs(a.X, where); err != nil {

@@ -1,6 +1,9 @@
 package statechart
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 )
@@ -159,5 +162,35 @@ func TestHistoryOnLeafRejected(t *testing.T) {
 	}
 	if _, err := c.Compile(); err == nil {
 		t.Fatal("history on a leaf should be rejected")
+	}
+}
+
+// TestAppendConfigLayout pins AppendConfig's documented layout: leaf id,
+// one saturated tick count per active-path state, the requested
+// variables, and one slot per history composite.
+func TestAppendConfigLayout(t *testing.T) {
+	cc, err := historyChart(true).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(cc)
+	m.Step()
+	m.Step("fast")
+	m.Step() // Fast has been active for 2 ticks, its parent Run for 3
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	// State ids in document order: Run 0, Slow 1, Fast 2, Paused 3.
+	want := slices.Concat(u32(2), u64(2), u64(3), u64(2), u32(0))
+	if got := m.AppendConfig(nil, 5, []int{0}); !bytes.Equal(got, want) {
+		t.Fatalf("in Fast: got %x, want %x", got, want)
+	}
+	want = slices.Concat(u32(2), u64(2), u64(2), u64(2), u32(0))
+	if got := m.AppendConfig(nil, 2, []int{0}); !bytes.Equal(got, want) {
+		t.Fatalf("in Fast, saturated at 2: got %x, want %x", got, want)
+	}
+	m.Step("pause") // history remembers Fast
+	want = slices.Concat(u32(3), u64(1), u32(2+1))
+	if got := m.AppendConfig(nil, 5, nil); !bytes.Equal(got, want) {
+		t.Fatalf("in Paused: got %x, want %x", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 package statechart
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // TakenTransition describes one transition taken during a Step.
@@ -46,18 +46,30 @@ const MaxChain = 64
 // Machine is the interpreted chart runtime. It executes the model
 // semantics directly and serves as the executable reference that the
 // generated code (internal/codegen) is differentially tested against.
+//
+// Its configuration lives in slices indexed by the compiled ids of
+// variables and states, so Restore, and a Step in which no transition
+// fires, allocate nothing.
 type Machine struct {
 	cc     *Compiled
 	active *compiledState // active leaf
-	vars   map[string]int64
-	// entryTick records, per active ancestor chain state, the tick index
-	// at which it was entered; temporal triggers compare against it.
-	entryTick map[*compiledState]int64
-	// lastChild records, per composite with a history junction, the
-	// direct child that was active at the last exit.
-	lastChild map[*compiledState]*compiledState
+	vars   []int64        // by variable id
+	// entryTick records, by state id, the tick at which the state was
+	// last entered; temporal triggers compare against it. Only the
+	// entries of the active path are meaningful.
+	entryTick []int64
+	// lastChild records, by state id of a composite with a history
+	// junction, the direct child that was active at the last exit; nil
+	// means never exited. The slice is nil when no composite has a
+	// history junction.
+	lastChild []*compiledState
 	tick      int64
 	superStep bool
+	// events marks, by event id, this tick's events that no transition
+	// has consumed yet; before holds the outputs (in cc.outputs order) at
+	// the start of the tick. Both are per-Step scratch.
+	events []bool
+	before []int64
 }
 
 // NewMachine creates a machine in the chart's initial configuration with
@@ -67,15 +79,16 @@ type Machine struct {
 func NewMachine(cc *Compiled) *Machine {
 	m := &Machine{
 		cc:        cc,
-		vars:      make(map[string]int64, len(cc.varList)),
-		entryTick: make(map[*compiledState]int64),
-		lastChild: make(map[*compiledState]*compiledState),
+		vars:      make([]int64, len(cc.varList)),
+		entryTick: make([]int64, len(cc.order)),
 		superStep: true,
+		events:    make([]bool, len(cc.events)),
+		before:    make([]int64, len(cc.outputs)),
 	}
-	for _, v := range cc.varList {
-		m.vars[v.Name] = v.Init
+	if len(cc.history) > 0 {
+		m.lastChild = make([]*compiledState, len(cc.order))
 	}
-	m.enterFrom(cc.initial)
+	m.Reset()
 	return m
 }
 
@@ -88,19 +101,24 @@ func (m *Machine) SetSuperStep(on bool) { m.superStep = on }
 // the initial child.
 func (m *Machine) descendChild(s *compiledState) *compiledState {
 	if s.history {
-		if last, ok := m.lastChild[s]; ok {
+		if last := m.lastChild[s.id]; last != nil {
 			return last
 		}
 	}
 	return s.initial
 }
 
+// enter marks s entered at the current tick and runs its entry action.
+func (m *Machine) enter(s *compiledState, res *StepResult) {
+	m.entryTick[s.id] = m.tick
+	m.runAction(s.entry, res)
+}
+
 // enterFrom descends from s to its initial (or history) leaf, running
 // entry actions.
 func (m *Machine) enterFrom(s *compiledState) {
 	for s != nil {
-		m.entryTick[s] = m.tick
-		m.runAction(s.entry, nil)
+		m.enter(s, nil)
 		if s.initial == nil {
 			m.active = s
 			return
@@ -126,40 +144,54 @@ func (m *Machine) ActivePath() []string {
 	return out
 }
 
+// InActivePath reports whether the named state is the active leaf or one
+// of its ancestors. It allocates nothing.
+func (m *Machine) InActivePath(state string) bool {
+	for s := m.active; s != nil; s = s.parent {
+		if s.name == state {
+			return true
+		}
+	}
+	return false
+}
+
 // Tick returns the number of Steps executed so far.
 func (m *Machine) Tick() int64 { return m.tick }
 
 // Get returns the value of a declared variable.
 func (m *Machine) Get(name string) int64 {
-	v, ok := m.vars[name]
+	id, ok := m.cc.vars[name]
 	if !ok {
 		panic(fmt.Sprintf("statechart: Get of undeclared variable %q", name))
 	}
-	return v
+	return m.vars[id]
 }
 
 // SetInput writes an input variable; the platform's input-interfacing
 // code calls this before Step.
 func (m *Machine) SetInput(name string, v int64) {
-	d, ok := m.cc.vars[name]
-	if !ok || d.Kind != Input {
+	id, ok := m.cc.vars[name]
+	if !ok || m.cc.varList[id].Kind != Input {
 		panic(fmt.Sprintf("statechart: SetInput of non-input %q", name))
 	}
-	m.vars[name] = v
+	m.vars[id] = v
 }
 
 // Vars returns a copy of the full variable valuation.
 func (m *Machine) Vars() map[string]int64 {
 	out := make(map[string]int64, len(m.vars))
-	for k, v := range m.vars {
-		out[k] = v
+	for id, v := range m.vars {
+		out[m.cc.varList[id].Name] = v
 	}
 	return out
 }
 
 func (m *Machine) env(name string) (int64, bool) {
-	v, ok := m.vars[name]
-	return v, ok
+	id, ok := m.cc.vars[name]
+	if !ok {
+		return 0, false
+	}
+	return m.vars[id], true
 }
 
 func (m *Machine) runAction(a Action, res *StepResult) {
@@ -171,9 +203,10 @@ func (m *Machine) runAction(a Action, res *StepResult) {
 			}
 			return
 		}
-		old := m.vars[as.Name]
-		m.vars[as.Name] = v
-		if res != nil && old != v && m.cc.vars[as.Name].Kind == Output {
+		id := m.cc.vars[as.Name]
+		old := m.vars[id]
+		m.vars[id] = v
+		if res != nil && old != v && m.cc.varList[id].Kind == Output {
 			res.Writes = append(res.Writes, VarChange{Name: as.Name, From: old, To: v})
 		}
 	}
@@ -182,15 +215,15 @@ func (m *Machine) runAction(a Action, res *StepResult) {
 // ticksIn reports how many ticks state s (an ancestor or the leaf) has
 // been active, counting the current tick.
 func (m *Machine) ticksIn(s *compiledState) int64 {
-	return m.tick - m.entryTick[s]
+	return m.tick - m.entryTick[s.id]
 }
 
-// enabled reports whether transition t may fire given the events of this
-// tick.
-func (m *Machine) enabled(t *compiledTransition, events map[string]bool, res *StepResult) bool {
+// enabled reports whether transition t may fire given the unconsumed
+// events of this tick.
+func (m *Machine) enabled(t *compiledTransition, res *StepResult) bool {
 	switch t.trig.Kind {
 	case TrigEvent:
-		if !events[t.trig.Event] {
+		if !m.events[t.event] {
 			return false
 		}
 	case TrigAfter:
@@ -221,10 +254,10 @@ func (m *Machine) enabled(t *compiledTransition, events map[string]bool, res *St
 
 // pickTransition searches the active leaf and then its ancestors for the
 // first enabled transition, in document order per state.
-func (m *Machine) pickTransition(events map[string]bool, res *StepResult) *compiledTransition {
+func (m *Machine) pickTransition(res *StepResult) *compiledTransition {
 	for s := m.active; s != nil; s = s.parent {
 		for _, t := range s.trans {
-			if m.enabled(t, events, res) {
+			if m.enabled(t, res) {
 				return t
 			}
 		}
@@ -234,7 +267,8 @@ func (m *Machine) pickTransition(events map[string]bool, res *StepResult) *compi
 
 // fire executes transition t: exit actions up from the leaf to (but not
 // including) the common ancestor scope, the transition action, then entry
-// actions down to the target leaf.
+// actions down to the target leaf. Exited states keep their stale entry
+// ticks: only the active path's are ever read.
 func (m *Machine) fire(t *compiledTransition, res *StepResult) {
 	// Exit from the active leaf up through the transition's source scope,
 	// recording history along the way.
@@ -242,9 +276,8 @@ func (m *Machine) fire(t *compiledTransition, res *StepResult) {
 	var prev *compiledState
 	for s := m.active; s != nil && s != exitTo; s = s.parent {
 		m.runAction(s.exit, res)
-		delete(m.entryTick, s)
 		if prev != nil && s.history {
-			m.lastChild[s] = prev
+			m.lastChild[s.id] = prev
 		}
 		prev = s
 	}
@@ -260,23 +293,23 @@ func (m *Machine) fire(t *compiledTransition, res *StepResult) {
 // enterChain enters target (and any ancestors between scope and target
 // that are not yet active), then descends to the initial leaf.
 func (m *Machine) enterChain(target, scope *compiledState, res *StepResult) {
-	// Collect ancestors of target up to (not including) scope.
-	var chain []*compiledState
-	for s := target; s != nil && s != scope; s = s.parent {
-		chain = append(chain, s)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		s := chain[i]
-		m.entryTick[s] = m.tick
-		m.runAction(s.entry, res)
-	}
+	m.enterAncestors(target, scope, res)
 	s := target
 	for s.initial != nil {
 		s = m.descendChild(s)
-		m.entryTick[s] = m.tick
-		m.runAction(s.entry, res)
+		m.enter(s, res)
 	}
 	m.active = s
+}
+
+// enterAncestors enters s's ancestors below scope, outermost first, and
+// then s itself.
+func (m *Machine) enterAncestors(s, scope *compiledState, res *StepResult) {
+	if s == nil || s == scope {
+		return
+	}
+	m.enterAncestors(s.parent, scope, res)
+	m.enter(s, res)
 }
 
 // Step executes one E_CLK tick with the given input events fired. It
@@ -287,119 +320,93 @@ func (m *Machine) enterChain(target, scope *compiledState, res *StepResult) {
 // Idle->BolusRequested (on i_BolusReq) chains into
 // BolusRequested->Infusion (before(100, E_CLK)) within one tick.
 func (m *Machine) Step(events ...string) StepResult {
-	evset := make(map[string]bool, len(events))
 	for _, e := range events {
-		if !m.cc.events[e] {
+		id, ok := m.cc.events[e]
+		if !ok {
+			clear(m.events)
 			panic(fmt.Sprintf("statechart: Step with undeclared event %q", e))
 		}
-		evset[e] = true
+		m.events[id] = true
 	}
-	before := m.snapshotOutputs()
+	for i, id := range m.cc.outputs {
+		m.before[i] = m.vars[id]
+	}
 	var res StepResult
 	for n := 0; ; n++ {
 		if n >= MaxChain {
 			res.Err = fmt.Errorf("statechart %s: transition chain exceeded %d (livelock?)", m.cc.chart.Name, MaxChain)
 			break
 		}
-		t := m.pickTransition(evset, &res)
+		t := m.pickTransition(&res)
 		if t == nil || res.Err != nil {
 			break
 		}
 		if t.trig.Kind == TrigEvent {
-			delete(evset, t.trig.Event) // an event triggers at most one transition
+			m.events[t.event] = false // an event triggers at most one transition
 		}
 		m.fire(t, &res)
 		if !m.superStep {
 			break
 		}
 	}
+	clear(m.events)
 	if len(res.Taken) == 0 && res.Err == nil {
 		// Stable tick: run during actions along the active chain.
 		for s := m.active; s != nil; s = s.parent {
 			m.runAction(s.during, &res)
 		}
 	}
-	res.Changed = m.diffOutputs(before)
+	for i, id := range m.cc.outputs {
+		if old, now := m.before[i], m.vars[id]; now != old {
+			res.Changed = append(res.Changed, VarChange{Name: m.cc.varList[id].Name, From: old, To: now})
+		}
+	}
 	m.tick++
 	return res
 }
 
-func (m *Machine) snapshotOutputs() map[string]int64 {
-	out := make(map[string]int64)
-	for _, v := range m.cc.varList {
-		if v.Kind == Output {
-			out[v.Name] = m.vars[v.Name]
-		}
-	}
-	return out
-}
-
-func (m *Machine) diffOutputs(before map[string]int64) []VarChange {
-	var changes []VarChange
-	for name, old := range before {
-		if now := m.vars[name]; now != old {
-			changes = append(changes, VarChange{Name: name, From: old, To: now})
-		}
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].Name < changes[j].Name })
-	return changes
-}
-
 // MachineState is a saved machine configuration, used by the model
-// checker to explore the chart's state space.
+// checker to explore the chart's state space. It holds copies of the
+// machine's id-indexed slices.
 type MachineState struct {
 	active    *compiledState
-	vars      map[string]int64
-	entryTick map[*compiledState]int64
-	lastChild map[*compiledState]*compiledState
+	vars      []int64
+	entryTick []int64
+	lastChild []*compiledState
 	tick      int64
 }
 
 // Snapshot captures the current configuration, including history
-// junctions.
+// junctions. The variables and entry ticks share one allocation; a
+// chart without history junctions needs no other.
 func (m *Machine) Snapshot() MachineState {
-	vars := make(map[string]int64, len(m.vars))
-	for k, v := range m.vars {
-		vars[k] = v
+	nv := len(m.vars)
+	buf := make([]int64, nv+len(m.entryTick))
+	copy(buf, m.vars)
+	copy(buf[nv:], m.entryTick)
+	s := MachineState{active: m.active, vars: buf[:nv:nv], entryTick: buf[nv:], tick: m.tick}
+	if m.lastChild != nil {
+		s.lastChild = append([]*compiledState(nil), m.lastChild...)
 	}
-	entry := make(map[*compiledState]int64, len(m.entryTick))
-	for k, v := range m.entryTick {
-		entry[k] = v
-	}
-	last := make(map[*compiledState]*compiledState, len(m.lastChild))
-	for k, v := range m.lastChild {
-		last[k] = v
-	}
-	return MachineState{active: m.active, vars: vars, entryTick: entry, lastChild: last, tick: m.tick}
+	return s
 }
 
-// Restore returns the machine to a previously captured configuration.
+// Restore returns the machine to a previously captured configuration by
+// copying it into the machine's own storage; it allocates nothing.
 func (m *Machine) Restore(s MachineState) {
 	m.active = s.active
 	m.tick = s.tick
-	m.vars = make(map[string]int64, len(s.vars))
-	for k, v := range s.vars {
-		m.vars[k] = v
-	}
-	m.entryTick = make(map[*compiledState]int64, len(s.entryTick))
-	for k, v := range s.entryTick {
-		m.entryTick[k] = v
-	}
-	m.lastChild = make(map[*compiledState]*compiledState, len(s.lastChild))
-	for k, v := range s.lastChild {
-		m.lastChild[k] = v
-	}
+	copy(m.vars, s.vars)
+	copy(m.entryTick, s.entryTick)
+	copy(m.lastChild, s.lastChild)
 }
 
-// HistoryLeaves returns, for key canonicalisation in the model checker,
-// the names of the remembered history children in a stable order.
+// HistoryLeaves returns the remembered history children as
+// "composite:child" in document order of the composites.
 func (m *Machine) HistoryLeaves() []string {
-	if len(m.lastChild) == 0 {
-		return nil
-	}
 	var out []string
-	for _, s := range m.cc.order {
-		if child, ok := m.lastChild[s]; ok {
+	for _, s := range m.cc.history {
+		if child := m.lastChild[s.id]; child != nil {
 			out = append(out, s.name+":"+child.name)
 		}
 	}
@@ -418,6 +425,40 @@ func (m *Machine) ActiveTicks() []int64 {
 		out[len(rev)-1-i] = v
 	}
 	return out
+}
+
+// AppendConfig appends a fixed-width binary encoding of the abstract
+// configuration to b and returns the extended slice. The model checker
+// keys its visited set with it. In order:
+//   - the active leaf's state id (4 bytes);
+//   - the active path's tick counts, leaf first, each saturated at
+//     limit (8 bytes each);
+//   - the values of the variables with the given ids, in the given order
+//     (8 bytes each);
+//   - one slot per composite with a history junction, in document order,
+//     holding the remembered child's state id plus one, or 0 if the
+//     composite was never exited (4 bytes each).
+//
+// The leaf fixes the path length, so two configurations with the same
+// leaf encode to the same width, field by field; two with different
+// leaves differ in the first field. Equal encodings therefore mean equal
+// abstract configurations.
+func (m *Machine) AppendConfig(b []byte, limit int64, vars []int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.active.id))
+	for s := m.active; s != nil; s = s.parent {
+		b = binary.LittleEndian.AppendUint64(b, uint64(min(m.ticksIn(s), limit)))
+	}
+	for _, id := range vars {
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.vars[id]))
+	}
+	for _, s := range m.cc.history {
+		var slot uint32
+		if child := m.lastChild[s.id]; child != nil {
+			slot = uint32(child.id) + 1
+		}
+		b = binary.LittleEndian.AppendUint32(b, slot)
+	}
+	return b
 }
 
 // MaxTemporalConst returns the largest tick constant appearing in any
@@ -439,10 +480,10 @@ func (cc *Compiled) MaxTemporalConst() int64 {
 // clearing history junctions.
 func (m *Machine) Reset() {
 	m.tick = 0
-	m.entryTick = make(map[*compiledState]int64)
-	m.lastChild = make(map[*compiledState]*compiledState)
-	for _, v := range m.cc.varList {
-		m.vars[v.Name] = v.Init
+	clear(m.entryTick)
+	clear(m.lastChild)
+	for id, v := range m.cc.varList {
+		m.vars[id] = v.Init
 	}
 	m.enterFrom(m.cc.initial)
 }

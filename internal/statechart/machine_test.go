@@ -165,6 +165,15 @@ func TestEventIgnoredWhenNoTransitionListens(t *testing.T) {
 	}
 }
 
+func TestUnconsumedEventDoesNotCarryOver(t *testing.T) {
+	m := NewMachine(compilePump(t))
+	m.Step("i_ClearAlarm") // ignored in Idle
+	m.Step("i_EmptyAlarm")
+	if m.ActiveState() != "EmptyAlarm" {
+		t.Fatalf("active=%s: the ignored i_ClearAlarm was still pending a tick later", m.ActiveState())
+	}
+}
+
 func TestUndeclaredEventPanics(t *testing.T) {
 	m := NewMachine(compilePump(t))
 	defer func() {
@@ -541,4 +550,41 @@ func TestSetInputRejectsNonInput(t *testing.T) {
 		}
 	}()
 	m.SetInput("o_MotorState", 1)
+}
+
+func TestUndeclaredEventPanicLeavesNoEventPending(t *testing.T) {
+	m := NewMachine(compilePump(t))
+	func() {
+		defer func() { recover() }()
+		m.Step("i_BolusReq", "i_Nonsense")
+	}()
+	if res := m.Step(); len(res.Taken) != 0 || m.ActiveState() != "Idle" {
+		t.Fatalf("event from the rejected Step leaked: taken=%v active=%s", res.Taken, m.ActiveState())
+	}
+}
+
+// TestRestoreAndStableStepAllocateNothing pins the model checker's hot
+// path: Restore copies into the machine's own storage, and a Step on a
+// tick where no transition fires touches no heap.
+func TestRestoreAndStableStepAllocateNothing(t *testing.T) {
+	for _, c := range []*Chart{pumpChart(), historyChart(true)} {
+		cc, err := c.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(cc)
+		m.Step(c.Events[0])
+		snap := m.Snapshot()
+		m.Step(c.Events[1])
+		if avg := testing.AllocsPerRun(100, func() { m.Restore(snap) }); avg != 0 {
+			t.Errorf("%s: Restore allocates %.2f allocs/op, want 0", c.Name, avg)
+		}
+		m.Reset()
+		if avg := testing.AllocsPerRun(100, func() { m.Step() }); avg != 0 {
+			t.Errorf("%s: a stable Step allocates %.2f allocs/op, want 0", c.Name, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { m.Step(c.Events[2]) }); avg != 0 {
+			t.Errorf("%s: a Step whose event fires nothing allocates %.2f allocs/op, want 0", c.Name, avg)
+		}
+	}
 }

@@ -15,8 +15,9 @@
 package verify
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"rmtest/internal/statechart"
@@ -48,9 +49,15 @@ type Options struct {
 	// hitting the cap yields OutcomeBounded. Default 200000.
 	MaxVisited int
 	// InputDomains lists the values explored for each input variable.
-	// Variables without an entry default to {0, 1}.
+	// Variables without an entry default to {0, 1}. A key that is not an
+	// input variable is an error.
 	InputDomains map[string][]int64
 }
+
+// maxSuccessors bounds the successors of one state: 2^|events| times the
+// number of input combinations. A chart over it is rejected before
+// anything is explored. The largest shipped chart, gpca-extended, has 512.
+const maxSuccessors = 1 << 16
 
 // Outcome classifies a verification result.
 type Outcome int
@@ -135,19 +142,19 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 	if maxVisited <= 0 {
 		maxVisited = 200000
 	}
-	cap := cc.MaxTemporalConst() + 1
-	if prop.WithinTicks+1 > cap {
-		cap = prop.WithinTicks + 1
+	limit := max(cc.MaxTemporalConst()+1, prop.WithinTicks+1)
+	eventSubsets, inputCombos, err := stimuli(cc, opt.InputDomains)
+	if err != nil {
+		return Result{}, err
 	}
-	inputVars := cc.VarNames(statechart.Input)
-	inputCombos := enumerateInputs(inputVars, opt.InputDomains)
-	eventSubsets := enumerateSubsets(events)
-
-	rel := relevantVars(cc, prop.Output)
+	rel, err := cone(cc, prop.Output)
+	if err != nil {
+		return Result{}, err
+	}
 	m := statechart.NewMachine(cc)
 	root := &node{snap: m.Snapshot(), obligation: -1, leaf: m.ActiveState()}
-	visited := map[string]bool{}
-	visited[key(m, -1, cap, rel)] = true
+	buf := key(nil, m, -1, limit, rel)
+	visited := map[string]struct{}{string(buf): {}}
 	frontier := []*node{root}
 	res := Result{Property: prop, Visited: 1}
 
@@ -159,7 +166,7 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 				m.Restore(cur.snap)
 				// Trigger condition is evaluated in the pre-step
 				// configuration.
-				triggered := contains(evs, prop.Event) && (prop.InState == "" || pathContains(m, prop.InState))
+				triggered := contains(evs, prop.Event) && (prop.InState == "" || m.InActivePath(prop.InState))
 				for name, v := range ins {
 					m.SetInput(name, v)
 				}
@@ -190,11 +197,11 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 						ob--
 					}
 				}
-				k := key(m, ob, cap, rel)
-				if visited[k] {
+				buf = key(buf, m, ob, limit, rel)
+				if _, seen := visited[string(buf)]; seen {
 					continue
 				}
-				visited[k] = true
+				visited[string(buf)] = struct{}{}
 				res.Visited++
 				if res.Visited >= maxVisited {
 					res.Outcome = Bounded
@@ -222,6 +229,26 @@ func discharged(writes []statechart.VarChange, prop ResponseProperty) bool {
 		}
 	}
 	return false
+}
+
+// cone resolves the cone of influence of the seed variables to variable
+// ids, in declaration order. A seed the chart does not declare is an
+// error.
+func cone(cc *statechart.Compiled, seeds ...string) ([]int, error) {
+	decls := cc.Declarations()
+	for _, s := range seeds {
+		if !slices.ContainsFunc(decls, func(d statechart.VarDecl) bool { return d.Name == s }) {
+			return nil, fmt.Errorf("verify: undeclared variable %q", s)
+		}
+	}
+	relevant := relevantVars(cc, seeds...)
+	var ids []int
+	for id, d := range decls {
+		if relevant[d.Name] {
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
 }
 
 // relevantVars computes the cone of influence: variables whose values can
@@ -275,46 +302,16 @@ func relevantVars(cc *statechart.Compiled, seeds ...string) map[string]bool {
 	return relevant
 }
 
-// key canonicalises the abstract state: active leaf, saturated active-path
-// counters, the relevant-variable valuation, and the obligation remaining.
-func key(m *statechart.Machine, obligation int64, cap int64, relevant map[string]bool) string {
-	var b strings.Builder
-	b.WriteString(m.ActiveState())
-	b.WriteByte('|')
-	for _, t := range m.ActiveTicks() {
-		if t > cap {
-			t = cap
-		}
-		fmt.Fprintf(&b, "%d,", t)
-	}
-	b.WriteByte('|')
-	vars := m.Vars()
-	names := make([]string, 0, len(vars))
-	for n := range vars {
-		if relevant[n] {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d,", n, vars[n])
-	}
-	b.WriteByte('|')
-	for _, h := range m.HistoryLeaves() {
-		b.WriteString(h)
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, "|%d", obligation)
-	return b.String()
-}
-
-func pathContains(m *statechart.Machine, state string) bool {
-	for _, s := range m.ActivePath() {
-		if s == state {
-			return true
-		}
-	}
-	return false
+// key canonicalises the abstract state into buf's storage: the machine's
+// configuration encoding (statechart.Machine.AppendConfig), with active-path
+// counters saturated at limit and the cone-of-influence variables rel,
+// followed by the obligation remaining (8 bytes). The configuration's
+// width is fixed by its leaf, which comes first, so the obligation sits
+// at a fixed offset for each leaf and equal keys mean equal abstract
+// states.
+func key(buf []byte, m *statechart.Machine, obligation, limit int64, rel []int) []byte {
+	buf = m.AppendConfig(buf[:0], limit, rel)
+	return binary.LittleEndian.AppendUint64(buf, uint64(obligation))
 }
 
 func contains(xs []string, x string) bool {
@@ -326,9 +323,56 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
+// stimuli returns the event subsets and input combinations every state's
+// successors are generated from, in exploration order. It first checks
+// that each domain key is an input variable and that the successor count
+// stays within maxSuccessors.
+func stimuli(cc *statechart.Compiled, domains map[string][]int64) ([][]string, []map[string]int64, error) {
+	events := cc.EventNames()
+	inputs := cc.VarNames(statechart.Input)
+	var stray []string
+	for name := range domains {
+		if !contains(inputs, name) {
+			stray = append(stray, name)
+		}
+	}
+	if len(stray) > 0 {
+		return nil, nil, fmt.Errorf("verify: input domain for %q, which is not an input variable", slices.Min(stray))
+	}
+	if !withinSuccessorBound(len(events), inputs, domains) {
+		return nil, nil, fmt.Errorf("verify: more than %d successors per state (%d events, %d input variables)",
+			maxSuccessors, len(events), len(inputs))
+	}
+	return enumerateSubsets(events), enumerateInputs(inputs, domains), nil
+}
+
+// withinSuccessorBound reports whether 2^events times the number of input
+// combinations is at most maxSuccessors. The running product never
+// exceeds maxSuccessors, so it cannot overflow.
+func withinSuccessorBound(events int, inputs []string, domains map[string][]int64) bool {
+	n := 1
+	for range events {
+		if n > maxSuccessors/2 {
+			return false
+		}
+		n *= 2
+	}
+	for _, v := range inputs {
+		d := len(domains[v])
+		if d == 0 {
+			d = 2
+		}
+		if n > maxSuccessors/d {
+			return false
+		}
+		n *= d
+	}
+	return true
+}
+
 // enumerateSubsets returns all subsets of events (the empty subset
-// first). The chart compiler bounds events at 64, but model checking
-// needs far fewer; callers should keep charts small.
+// first). The statechart compiler does not bound the number of events;
+// callers check the count with withinSuccessorBound first.
 func enumerateSubsets(events []string) [][]string {
 	n := len(events)
 	out := make([][]string, 0, 1<<uint(n))
@@ -380,15 +424,16 @@ type InvariantProperty struct {
 	// state (cone of influence), which keeps charts with free-running
 	// counters finite. Listing too few variables makes the check unsound;
 	// listing all of them is always safe but may not terminate within the
-	// state budget.
+	// state budget. A name the chart does not declare is an error.
 	Reads []string
 }
 
 // CheckInvariant explores the chart's reachable configurations under
 // nondeterministic inputs and checks the invariant in each. The
 // exploration is exact up to the same counter saturation as
-// CheckResponse; all variables are kept in the abstract state because the
-// predicate may read any of them.
+// CheckResponse. The abstract state keeps the cone of influence of
+// prop.Reads and of every guard; the predicate still sees the full
+// valuation.
 func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options) (Result, error) {
 	if prop.Holds == nil {
 		return Result{}, fmt.Errorf("verify: invariant needs a predicate")
@@ -397,11 +442,15 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 	if maxVisited <= 0 {
 		maxVisited = 200000
 	}
-	cap := cc.MaxTemporalConst() + 1
-	events := cc.EventNames()
-	inputCombos := enumerateInputs(cc.VarNames(statechart.Input), opt.InputDomains)
-	eventSubsets := enumerateSubsets(events)
-	rel := relevantVars(cc, prop.Reads...)
+	limit := cc.MaxTemporalConst() + 1
+	rel, err := cone(cc, prop.Reads...)
+	if err != nil {
+		return Result{}, fmt.Errorf("%w in the invariant's Reads", err)
+	}
+	eventSubsets, inputCombos, err := stimuli(cc, opt.InputDomains)
+	if err != nil {
+		return Result{}, err
+	}
 
 	res := Result{Property: ResponseProperty{Name: prop.Name}, Visited: 1}
 	m := statechart.NewMachine(cc)
@@ -410,7 +459,8 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 		return res, nil
 	}
 	root := &node{snap: m.Snapshot(), obligation: -1, leaf: m.ActiveState()}
-	visited := map[string]bool{key(m, -1, cap, rel): true}
+	buf := key(nil, m, -1, limit, rel)
+	visited := map[string]struct{}{string(buf): {}}
 	frontier := []*node{root}
 	for len(frontier) > 0 {
 		cur := frontier[0]
@@ -431,11 +481,11 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 					res.Counterexample = rebuild(child)
 					return res, nil
 				}
-				k := key(m, -1, cap, rel)
-				if visited[k] {
+				buf = key(buf, m, -1, limit, rel)
+				if _, seen := visited[string(buf)]; seen {
 					continue
 				}
-				visited[k] = true
+				visited[string(buf)] = struct{}{}
 				res.Visited++
 				if res.Visited >= maxVisited {
 					res.Outcome = Bounded

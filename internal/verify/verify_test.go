@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -59,9 +60,9 @@ func TestZeroTickDeadlineHoldsBecauseSuperStep(t *testing.T) {
 	}
 }
 
-func TestViolationFoundWithCounterexample(t *testing.T) {
-	// A model that delays the response behind after(5, E_CLK) violates a
-	// 3-tick deadline.
+// slowChart delays its response behind after(5, E_CLK).
+func slowChart(t *testing.T) *statechart.Compiled {
+	t.Helper()
 	c := &statechart.Chart{
 		Name:       "slow",
 		TickPeriod: time.Millisecond,
@@ -80,11 +81,23 @@ func TestViolationFoundWithCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := ResponseProperty{
+	return cc
+}
+
+// slowProp asks slowChart for its response within the given ticks.
+func slowProp(within int64) ResponseProperty {
+	return ResponseProperty{
 		Name: "fast-response", Event: "go", InState: "Idle",
 		Output: "out", Target: func(v int64) bool { return v == 1 },
-		WithinTicks: 3,
+		WithinTicks: within,
 	}
+}
+
+func TestViolationFoundWithCounterexample(t *testing.T) {
+	// A model that delays the response behind after(5, E_CLK) violates a
+	// 3-tick deadline.
+	cc := slowChart(t)
+	prop := slowProp(3)
 	res, err := CheckResponse(cc, prop, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +137,9 @@ func TestViolationFoundWithCounterexample(t *testing.T) {
 	}
 }
 
-func TestGuardedResponseDependsOnInputDomain(t *testing.T) {
-	// Response only happens when enable==1; with the full {0,1} domain
-	// the property is violated, with domain {1} it holds.
+// guardedChart responds to go only when the input enable is 1.
+func guardedChart(t *testing.T) *statechart.Compiled {
+	t.Helper()
 	c := &statechart.Chart{
 		Name:       "guarded",
 		TickPeriod: time.Millisecond,
@@ -147,10 +160,22 @@ func TestGuardedResponseDependsOnInputDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := ResponseProperty{
+	return cc
+}
+
+// guardedProp asks guardedChart for its response within 2 ticks.
+func guardedProp() ResponseProperty {
+	return ResponseProperty{
 		Name: "resp", Event: "go", InState: "Idle", Output: "out",
 		Target: func(v int64) bool { return v == 1 }, WithinTicks: 2,
 	}
+}
+
+func TestGuardedResponseDependsOnInputDomain(t *testing.T) {
+	// Response only happens when enable==1; with the full {0,1} domain
+	// the property is violated, with domain {1} it holds.
+	cc := guardedChart(t)
+	prop := guardedProp()
 	res, err := CheckResponse(cc, prop, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -358,5 +383,141 @@ func TestExtendedGPCABoundedGracefully(t *testing.T) {
 	}
 	if res.Visited > 3000 {
 		t.Fatalf("budget exceeded: %d", res.Visited)
+	}
+}
+
+// manyEventsChart declares n events e00, e01, ...; e00 leads from Idle to
+// Stuck, which never writes the output, so a response to e00 is violated.
+func manyEventsChart(t *testing.T, n int) *statechart.Compiled {
+	t.Helper()
+	c := &statechart.Chart{
+		Name:       "many",
+		TickPeriod: time.Millisecond,
+		Vars:       []statechart.VarDecl{{Name: "out", Type: statechart.Int, Kind: statechart.Output}},
+		Initial:    "Idle",
+		States: []*statechart.State{
+			{Name: "Idle", Transitions: []statechart.Transition{{To: "Stuck", Trigger: "e00"}}},
+			{Name: "Stuck"},
+		},
+	}
+	for i := 0; i < n; i++ {
+		c.Events = append(c.Events, fmt.Sprintf("e%02d", i))
+	}
+	cc, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cc
+}
+
+// manyInputsChart declares the event go and n boolean inputs in00, ...
+func manyInputsChart(t *testing.T, n int) *statechart.Compiled {
+	t.Helper()
+	c := &statechart.Chart{
+		Name:       "inputs",
+		TickPeriod: time.Millisecond,
+		Events:     []string{"go"},
+		Vars:       []statechart.VarDecl{{Name: "out", Type: statechart.Int, Kind: statechart.Output}},
+		Initial:    "Idle",
+		States: []*statechart.State{
+			{Name: "Idle", Transitions: []statechart.Transition{{To: "Idle", Trigger: "go", Action: "out := 1 - out"}}},
+		},
+	}
+	for i := 0; i < n; i++ {
+		c.Vars = append(c.Vars, statechart.VarDecl{Name: fmt.Sprintf("in%02d", i), Type: statechart.Bool, Kind: statechart.Input})
+	}
+	cc, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cc
+}
+
+// TestCheckersRejectWhatTheyCannotExplore covers inputs that used to make
+// the checkers report "holds" without exploring, explore the wrong
+// state space, or panic. Each must be an error from the checker that
+// receives it.
+func TestCheckersRejectWhatTheyCannotExplore(t *testing.T) {
+	respond := func(cc *statechart.Compiled, event string, opt Options) error {
+		_, err := CheckResponse(cc, ResponseProperty{
+			Name: "resp", Event: event, Output: "out",
+			Target: func(v int64) bool { return v == 1 }, WithinTicks: 2,
+		}, opt)
+		return err
+	}
+	invariant := func(cc *statechart.Compiled, reads []string, opt Options) error {
+		_, err := CheckInvariant(cc, InvariantProperty{
+			Name: "inv", Reads: reads,
+			Holds: func(string, map[string]int64) bool { return true },
+		}, opt)
+		return err
+	}
+	bolusCount := func(reads ...string) error {
+		_, err := CheckInvariant(compileGPCA(t), InvariantProperty{
+			Name: "fewer-than-3-boluses", Reads: reads,
+			Holds: func(_ string, vars map[string]int64) bool { return vars["bolus_count"] < 3 },
+		}, Options{})
+		return err
+	}
+	misspeltDomain := Options{InputDomains: map[string][]int64{"enabel": {1}}}
+	outputDomain := Options{InputDomains: map[string][]int64{"out": {0}}}
+	for _, tc := range []struct {
+		name string
+		err  func() error
+	}{
+		{"63 events, response", func() error { return respond(manyEventsChart(t, 63), "e00", Options{}) }},
+		{"63 events, invariant", func() error { return invariant(manyEventsChart(t, 63), nil, Options{}) }},
+		{"64 events, response", func() error { return respond(manyEventsChart(t, 64), "e00", Options{}) }},
+		{"64 events, invariant", func() error { return invariant(manyEventsChart(t, 64), nil, Options{}) }},
+		{"17 boolean inputs, response", func() error { return respond(manyInputsChart(t, 17), "go", Options{}) }},
+		{"17 boolean inputs, invariant", func() error { return invariant(manyInputsChart(t, 17), nil, Options{}) }},
+		{"misspelt Reads name", func() error { return bolusCount("bolus_cnt") }},
+		{"misspelt InputDomains key, response", func() error { return respond(guardedChart(t), "go", misspeltDomain) }},
+		{"misspelt InputDomains key, invariant", func() error { return invariant(guardedChart(t), nil, misspeltDomain) }},
+		{"output as InputDomains key, response", func() error { return respond(guardedChart(t), "go", outputDomain) }},
+		{"output as InputDomains key, invariant", func() error { return invariant(guardedChart(t), nil, outputDomain) }},
+	} {
+		if err := tc.err(); err == nil {
+			t.Errorf("%s: want an error, got none", tc.name)
+		}
+	}
+}
+
+// TestSuccessorBoundAdmitsTheLimit checks the successor bound is
+// inclusive: 16 events alone, or 1 event and 15 boolean inputs, give
+// exactly 65,536 successors per state and are explored.
+func TestSuccessorBoundAdmitsTheLimit(t *testing.T) {
+	if !withinSuccessorBound(16, nil, nil) || withinSuccessorBound(17, nil, nil) {
+		t.Error("2^16 event subsets must be admitted and 2^17 rejected")
+	}
+	inputs := make([]string, 15)
+	if !withinSuccessorBound(1, inputs, nil) || withinSuccessorBound(2, inputs, nil) {
+		t.Error("2 × 2^15 successors must be admitted and 4 × 2^15 rejected")
+	}
+	if withinSuccessorBound(0, []string{"x", "y"}, map[string][]int64{"x": make([]int64, 1<<9), "y": make([]int64, 1<<8)}) {
+		t.Error("2^17 input combinations must be rejected")
+	}
+	res, err := CheckResponse(manyEventsChart(t, 16), ResponseProperty{
+		Name: "resp", Event: "e00", Output: "out",
+		Target: func(v int64) bool { return v == 1 }, WithinTicks: 2,
+	}, Options{})
+	if err != nil || res.Outcome != Violated {
+		t.Fatalf("16 events: %v, %v; want a violation", res, err)
+	}
+}
+
+// TestInvariantReadsLocalCounter is the misspelt-Reads row's control: with
+// the name spelt right, the bolus counter stays in the state key and the
+// invariant is violated on the third bolus.
+func TestInvariantReadsLocalCounter(t *testing.T) {
+	res, err := CheckInvariant(compileGPCA(t), InvariantProperty{
+		Name: "fewer-than-3-boluses", Reads: []string{"bolus_count"},
+		Holds: func(_ string, vars map[string]int64) bool { return vars["bolus_count"] < 3 },
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != Violated || res.Visited != 17 || len(res.Counterexample) != 3 {
+		t.Fatalf("want a violation after 3 boluses, 17 states in: %v", res)
 	}
 }
