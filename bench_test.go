@@ -17,8 +17,10 @@ import (
 	"time"
 
 	"rmtest"
+	"rmtest/internal/campaign"
 	"rmtest/internal/codegen"
 	"rmtest/internal/core"
+	"rmtest/internal/faults"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
 	"rmtest/internal/platform"
@@ -599,13 +601,45 @@ func BenchmarkVerdictReplay(b *testing.B) {
 	b.ReportMetric(float64(sys.Trace.Len()), "events/trace")
 }
 
+// faultSweepRunEvents returns the kernel events one full-horizon run of
+// the fault sweep fires, averaged over the catalogue's plans: the Table I
+// case at M level on scheme 2, each plan armed with its sweep seed.
+func faultSweepRunEvents(b *testing.B) float64 {
+	req := gpca.REQ1()
+	tc, err := gpca.TableIGenerator(10, 42).Generate(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := rmtest.FaultCatalog(tc.Horizon(req))
+	seeds := campaign.Seeds(42, len(plans))
+	var fired uint64
+	for i, plan := range plans {
+		runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return platform.DefaultScheme2() }), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runner.Prepare = faults.Prepare(plan, seeds[i])
+		sys, err := runner.Setup(platform.MLevel, tc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(tc.Horizon(req))
+		fired += sys.Kernel.EventsFired()
+		sys.Shutdown()
+	}
+	return float64(fired) / float64(len(plans))
+}
+
 // BenchmarkCampaignFaulted measures the fault-attribution sweep: the
 // Table I scenario once per catalogue fault plan (10 plans, 10 samples
 // each) on the campaign engine. The allocs/run and B/run metrics are the
 // GC-churn gate for the fault layer: arming a plan is a handful of window
 // events on the pooled kernel, and the unfaulted baseline plan must ride
-// the same zero-alloc scratch-reuse path as the plain campaign.
+// the same zero-alloc scratch-reuse path as the plain campaign. The
+// events/run metric comes from full-horizon runs outside the timed loop,
+// as CampaignTableI's does.
 func BenchmarkCampaignFaulted(b *testing.B) {
+	eventsPerRun := faultSweepRunEvents(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -627,6 +661,7 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
+			b.ReportMetric(eventsPerRun, "events/run")
 		})
 	}
 }

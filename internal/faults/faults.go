@@ -275,9 +275,9 @@ func (p Plan) arm(sys *platform.System, f Fault, seed uint64) {
 	case QueueDrop:
 		sys.Sched.Queue(f.Target).InjectDrop(f.Start, f.Duration, f.Every)
 	case ClockDrift:
-		tick := sys.Board.Sensor(f.Target).SampleTicker()
-		sys.Kernel.At(f.Start, func() { tick.SetDrift(f.PPM) })
-		sys.Kernel.At(f.Start+f.Duration, func() { tick.SetDrift(0) })
+		s := sys.Board.Sensor(f.Target)
+		sys.Kernel.At(f.Start, func() { s.SetDrift(f.PPM) })
+		sys.Kernel.At(f.Start+f.Duration, func() { s.SetDrift(0) })
 	}
 }
 

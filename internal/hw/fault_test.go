@@ -224,6 +224,44 @@ func TestInjectDropoutWindowAndResample(t *testing.T) {
 	}
 }
 
+// TestStuckAndDropoutWindows: where a stuck window and a dropout window
+// overlap, readings reach the latch only once both are over, and the end
+// of the later one resamples the signal.
+func TestStuckAndDropoutWindows(t *testing.T) {
+	cases := []struct {
+		name               string
+		stuckFrom, stuckTo sim.Time
+		dropFrom, dropTo   sim.Time
+		wantBefore         int64 // the latch just before wantAt
+		wantAt             sim.Time
+	}{
+		// Stuck on [0, 20ms) ends inside a dropout on [10, 50ms): the
+		// reading is lost until 50ms.
+		{"stuck ends inside dropout", 0, 20 * ms, 10 * ms, 50 * ms, 0, 50 * ms},
+		{"dropout ends inside stuck", 10 * ms, 50 * ms, 0, 20 * ms, 0, 50 * ms},
+		{"stuck before dropout", 0, 20 * ms, 30 * ms, 50 * ms, 0, 20 * ms},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, e, b := board(t, BoardConfig{
+				Sensors: []SensorConfig{{Name: "s", Signal: "sig", SamplePeriod: 5 * ms}},
+			})
+			s := b.Sensor("s")
+			s.InjectStuck(tc.stuckFrom, tc.stuckTo-tc.stuckFrom, 0)
+			s.InjectDropout(tc.dropFrom, tc.dropTo-tc.dropFrom)
+			e.SetAt(5*ms, "sig", 1)
+			k.Run(tc.wantAt - 1)
+			if s.Read() != tc.wantBefore {
+				t.Fatalf("latch %d just before %v, want %d", s.Read(), tc.wantAt, tc.wantBefore)
+			}
+			k.Run(60 * ms)
+			if s.Read() != 1 || s.LatchedAt() != tc.wantAt {
+				t.Fatalf("latch %d at %v, want 1 at %v", s.Read(), s.LatchedAt(), tc.wantAt)
+			}
+		})
+	}
+}
+
 func TestInjectLatencyWindowedAndKept(t *testing.T) {
 	k, e, b := board(t, BoardConfig{
 		Actuators: []ActuatorConfig{

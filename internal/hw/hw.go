@@ -4,11 +4,16 @@
 // converts m-events into i-events and o-events into c-events — and the
 // source of the input and output delays M-testing measures.
 //
-// A Sensor samples an environment signal on its own fixed period from
-// time zero (a sampling routine in the paper's terms), optionally
-// debouncing, and latches the result for tasks to read. An Actuator
-// accepts commands from tasks and drives an environment signal after its
-// actuation latency.
+// A Sensor samples an environment signal on a fixed period from time zero
+// (a sampling routine in the paper's terms), optionally debouncing, and
+// latches the result for tasks to read. The sensors of a board that share
+// a period form a bank on one sim.Ticker, and each tick samples the
+// members in board order. That is exact: a sample reads only its own
+// signal and writes only its own latch, and the only event it can
+// schedule is its own jitter commit, so samples of different sensors
+// commute and nothing else can fall between two members' samples at one
+// instant. An Actuator accepts commands from tasks and drives an
+// environment signal after its actuation latency.
 package hw
 
 import (
@@ -46,7 +51,11 @@ type Sensor struct {
 	// debounce state
 	candidate int64
 	stable    int
-	ticker    *sim.Ticker
+	// bank is the ticker group the sensor samples with. drift is a clock
+	// drift recorded while the bank is shared; the sensor leaves the bank
+	// at its next tick if the drift is still set (SetDrift).
+	bank      *bank
+	drift     int64
 	samples   uint64
 	latchedAt sim.Time
 	// fault injection: while the window is active the sensor reports
@@ -102,6 +111,9 @@ func (s *Sensor) InjectStuck(from, duration sim.Time, value int64) {
 	})
 	k.At(from+duration, func() {
 		s.stuck = false
+		if s.dropping {
+			return // readings are lost until the dropout's end resamples
+		}
 		// Resample the physical signal immediately.
 		s.jitApplied = s.jitSeq
 		if v := s.sig.Value(); s.latched != v {
@@ -140,9 +152,62 @@ func (s *Sensor) InjectDropout(from, duration sim.Time) {
 // dropout fault.
 func (s *Sensor) DroppedReads() uint64 { return s.droppedReads }
 
-// SampleTicker returns the periodic sampling ticker. Fault injection uses
-// it to skew the sampling clock (sim.Ticker.SetDrift).
-func (s *Sensor) SampleTicker() *sim.Ticker { return s.ticker }
+// SetDrift skews the sensor's sampling clock by ppm parts per million
+// (sim.DriftedPeriod) from the next re-arm of its ticker on, as
+// sim.Ticker.SetDrift does; SetDrift(0) clears it. A sensor alone in its
+// bank skews the bank's ticker. A sensor that shares its bank records the
+// drift instead and, if it is still set at the bank's next tick, leaves
+// the bank there for a ticker of its own: that tick is when its own
+// ticker would have re-armed, so a drift cleared before it has no effect.
+func (s *Sensor) SetDrift(ppm int64) {
+	if len(s.bank.members) == 1 {
+		s.bank.ticker.SetDrift(ppm)
+		return
+	}
+	s.drift = ppm
+}
+
+// bank is the sensors of one board that sample on one period, on one
+// ticker.
+type bank struct {
+	k       *sim.Kernel
+	period  sim.Time
+	ticker  *sim.Ticker
+	members []*Sensor // in board order
+}
+
+// newBank starts a bank whose first tick is at start.
+func newBank(k *sim.Kernel, start, period sim.Time) *bank {
+	b := &bank{k: k, period: period}
+	b.ticker = k.Periodic(start, period, b.tick)
+	return b
+}
+
+// tick samples every member in board order. A member with a recorded
+// drift leaves first: it arms its own ticker at now plus the drifted
+// period and only then samples, because its own ticker would have
+// re-armed before sampling, and a jitter commit the sample schedules for
+// exactly the drifted instant must fire after that tick. A bank whose
+// members have all left stops.
+func (b *bank) tick(uint64) {
+	kept := b.members[:0]
+	for _, s := range b.members {
+		if s.drift != 0 {
+			own := newBank(b.k, b.k.Now()+sim.DriftedPeriod(b.period, s.drift), b.period)
+			own.ticker.SetDrift(s.drift)
+			own.members = []*Sensor{s}
+			s.bank, s.drift = own, 0
+		} else {
+			kept = append(kept, s)
+		}
+		s.sample()
+	}
+	clear(b.members[len(kept):])
+	b.members = kept
+	if len(kept) == 0 {
+		b.ticker.Stop()
+	}
+}
 
 // InjectJitter perturbs the sensor's sample latency from instant `from`
 // for `duration`: every latch commit in the window lands after an extra
@@ -362,9 +427,10 @@ type Board struct {
 
 // NewBoard builds the board on an environment, defining any referenced
 // signals that are not yet defined (with initial value 0) and starting
-// every sensor's sampling routine. A device without a name or a signal, a
-// duplicate name, or a sensor without a positive sample period is an
-// error.
+// every sensor's sampling routine: one ticker per sampling period, which
+// the period's first sensor in board order starts. A device without a
+// name or a signal, a duplicate name, or a sensor without a positive
+// sample period is an error.
 func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 	b := &Board{
 		cfg:       cfg,
@@ -372,6 +438,7 @@ func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 		sensors:   make(map[string]*Sensor),
 		actuators: make(map[string]*Actuator),
 	}
+	var banks []*bank // shipped boards have a handful of sensors, so a scan finds a period's bank
 	for _, sc := range cfg.Sensors {
 		if sc.Name == "" || sc.Signal == "" {
 			return nil, fmt.Errorf("hw: sensor needs name and signal: %+v", sc)
@@ -388,7 +455,17 @@ func NewBoard(e *env.Environment, cfg BoardConfig) (*Board, error) {
 		}
 		raw := sig.Value()
 		s := &Sensor{cfg: sc, env: e, sig: sig, latched: raw, candidate: raw}
-		s.ticker = e.Kernel().Periodic(0, sc.SamplePeriod, func(uint64) { s.sample() })
+		for _, bk := range banks {
+			if bk.period == sc.SamplePeriod {
+				s.bank = bk
+				break
+			}
+		}
+		if s.bank == nil {
+			s.bank = newBank(e.Kernel(), 0, sc.SamplePeriod)
+			banks = append(banks, s.bank)
+		}
+		s.bank.members = append(s.bank.members, s)
 		b.sensors[sc.Name] = s
 	}
 	for _, ac := range cfg.Actuators {

@@ -1,0 +1,238 @@
+package rtos
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"rmtest/internal/sim"
+)
+
+// inlineObservation is what a finished run shows of its schedule.
+type inlineObservation struct {
+	Trace       []TraceRecord
+	Switches    uint64
+	Preemptions uint64
+	Tasks       []inlineTask
+}
+
+type inlineTask struct {
+	Name             string
+	CPUUsed, CPUTime sim.Time
+	State            TaskState
+}
+
+func observeSchedule(s *Scheduler) inlineObservation {
+	o := inlineObservation{Trace: s.Record().Records(), Switches: s.ContextSwitches(), Preemptions: s.Preemptions()}
+	for _, tk := range s.Tasks() {
+		o.Tasks = append(o.Tasks, inlineTask{tk.Name(), tk.CPUUsed(), tk.CPUTime(), tk.State()})
+	}
+	return o
+}
+
+// compareInline builds the same system twice with setup, drives one with
+// RunUntilIdle, which fires one event per burst, and the other with Run
+// to a horizon after the first's last event, which completes bursts
+// inline, and requires the same schedule. stopped reports whether setup's
+// stop condition ended the runs, and saved the kernel events inline
+// completion saved.
+func compareInline(t *testing.T, label string, setup func(k *sim.Kernel, s *Scheduler) (stop func() bool)) (stopped bool, saved uint64) {
+	t.Helper()
+	build := func() (*sim.Kernel, *Scheduler, func() bool) {
+		k := sim.New()
+		s := New(k)
+		t.Cleanup(s.Shutdown)
+		s.Record()
+		return k, s, setup(k, s)
+	}
+	kr, ref, refStop := build()
+	ki, inl, inlStop := build()
+	kr.RunUntilIdle()
+	ki.Run(kr.Now() + time.Millisecond)
+	want, got := observeSchedule(ref), observeSchedule(inl)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: inline bursts changed the schedule\nRun:          %+v\nRunUntilIdle: %+v", label, got, want)
+	}
+	if refStop != nil {
+		if a, b := refStop(), inlStop(); a != b || a && kr.Now() != ki.Now() {
+			t.Fatalf("%s: stop condition %v at %v with RunUntilIdle, %v at %v with Run", label, a, kr.Now(), b, ki.Now())
+		}
+		stopped = refStop()
+	}
+	if ki.EventsFired() > kr.EventsFired() {
+		t.Fatalf("%s: Run fired %d kernel events, RunUntilIdle %d", label, ki.EventsFired(), kr.EventsFired())
+	}
+	return stopped, kr.EventsFired() - ki.EventsFired()
+}
+
+// randomTaskSet spawns 1–5 tasks at four priorities, each with a finite
+// body of up to eight Compute and Sleep steps, and adds interrupts, an
+// overrun window or an ISR storm on some seeds. Instants and durations
+// lie on a 250µs grid, so releases, wake-ups and interrupts often fall
+// exactly on a burst's end. On a quarter of the seeds it returns a stop
+// condition that holds once the tasks have completed a drawn number of
+// bursts.
+func randomTaskSet(seed uint64, k *sim.Kernel, s *Scheduler) func() bool {
+	const us = time.Microsecond
+	r := sim.NewRand(seed)
+	grid := func(n int) sim.Time { return sim.Time(r.Intn(n)) * 250 * us }
+	bursts := 0
+	for i := range 1 + r.Intn(5) {
+		type step struct {
+			compute bool
+			d       sim.Time
+		}
+		steps := make([]step, 1+r.Intn(8))
+		for j := range steps {
+			steps[j] = step{r.Bool(0.65), grid(16)}
+		}
+		tk := s.Spawn(fmt.Sprintf("t%d", i), r.Intn(4), grid(40), func(tk *Task) {
+			for _, st := range steps {
+				if st.compute {
+					tk.Compute(st.d)
+					bursts++
+				} else {
+					tk.Sleep(st.d)
+				}
+			}
+		})
+		if r.Bool(0.2) {
+			tk.InjectOverrun(grid(40), grid(80), int64(1+r.Intn(4)), int64(1+r.Intn(3)))
+		}
+	}
+	for range r.Intn(5) {
+		cost := grid(8)
+		k.At(grid(80), func() { s.Interrupt(cost) })
+	}
+	if r.Bool(0.15) {
+		s.InjectISRStorm(grid(40), grid(40), 250*us+grid(8), grid(4))
+	}
+	if r.Bool(0.25) {
+		n := 1 + r.Intn(10)
+		stop := func() bool { return bursts >= n }
+		k.StopWhen(stop)
+		return stop
+	}
+	return nil
+}
+
+// TestInlineBurstsMatchEventPerBurst: completing uninterruptible bursts
+// inline (Run) schedules exactly as firing one event per burst
+// (RunUntilIdle) on 3,000 random task sets, and fires fewer events.
+func TestInlineBurstsMatchEventPerBurst(t *testing.T) {
+	seeds := 3000
+	if testing.Short() {
+		seeds = 300
+	}
+	var saved, savedStopped uint64
+	stops := 0
+	for seed := range uint64(seeds) {
+		stopped, n := compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) func() bool {
+			return randomTaskSet(seed, k, s)
+		})
+		saved += n
+		if stopped {
+			stops++
+			savedStopped += n
+		}
+	}
+	t.Logf("inline completion saved %d kernel events over %d task sets (%d on the %d stopped early)", saved, seeds, savedStopped, stops)
+	if saved == 0 || stops == 0 || savedStopped == 0 {
+		t.Fatalf("inline completion saved %d events overall and %d on %d runs a stop condition ended: the check is vacuous", saved, savedStopped, stops)
+	}
+}
+
+// TestInlineBurstTies: an event at exactly a burst's end fires before the
+// burst completes, as it does when the burst's end is an event, so the
+// burst is not completed inline; Run and RunUntilIdle schedule alike.
+func TestInlineBurstTies(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(k *sim.Kernel, s *Scheduler, done *sim.Time)
+		want  sim.Time // when lo's burst completes
+	}{
+		{
+			name: "release at the burst's end",
+			setup: func(k *sim.Kernel, s *Scheduler, done *sim.Time) {
+				s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms); *done = tk.Now() })
+				s.Spawn("hi", 2, 10*ms, func(tk *Task) { tk.Compute(3 * ms) })
+			},
+			want: 13 * ms, // hi is ready when lo's burst ends, and runs first
+		},
+		{
+			name: "wake-up at the burst's end",
+			setup: func(k *sim.Kernel, s *Scheduler, done *sim.Time) {
+				s.Spawn("hi", 2, 0, func(tk *Task) { tk.Sleep(10 * ms); tk.Compute(3 * ms) })
+				s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms); *done = tk.Now() })
+			},
+			want: 13 * ms,
+		},
+		{
+			name: "ISR at the burst's end",
+			setup: func(k *sim.Kernel, s *Scheduler, done *sim.Time) {
+				s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms); *done = tk.Now() })
+				k.At(10*ms, func() { s.Interrupt(2 * ms) })
+			},
+			want: 12 * ms, // the ISR steals 2ms before the burst can end
+		},
+		{
+			name: "ISR just after the burst's end",
+			setup: func(k *sim.Kernel, s *Scheduler, done *sim.Time) {
+				s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms); *done = tk.Now() })
+				k.At(10*ms+1, func() { s.Interrupt(2 * ms) })
+			},
+			want: 10 * ms,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var dones [2]sim.Time
+			side := 0
+			compareInline(t, tc.name, func(k *sim.Kernel, s *Scheduler) func() bool {
+				tc.setup(k, s, &dones[side])
+				side++
+				return nil
+			})
+			if dones[0] != tc.want || dones[1] != tc.want {
+				t.Fatalf("lo's burst completed at %v with RunUntilIdle and %v with Run, want %v", dones[0], dones[1], tc.want)
+			}
+		})
+	}
+}
+
+// TestRunCompletesUninterruptibleBurstsInline: a burst nothing can
+// interrupt completes with no kernel event, and the task resumes at its
+// end.
+func TestRunCompletesUninterruptibleBurstsInline(t *testing.T) {
+	k, s := rig(t)
+	var stamps []sim.Time
+	s.Spawn("a", 1, 0, func(tk *Task) {
+		for range 3 {
+			tk.Compute(5 * ms)
+			stamps = append(stamps, tk.Now())
+		}
+	})
+	k.Run(time.Second)
+	if !reflect.DeepEqual(stamps, []sim.Time{5 * ms, 10 * ms, 15 * ms}) {
+		t.Fatalf("bursts completed at %v, want 5, 10 and 15ms", stamps)
+	}
+	if k.EventsFired() != 2 || s.ComputeRequests() != 3 {
+		t.Fatalf("fired %d events for %d Compute requests, want 2 (the release and its scheduling pass) for 3", k.EventsFired(), s.ComputeRequests())
+	}
+}
+
+// TestInlineBurstStopsAtHorizon: a burst that ends past Run's horizon is
+// not completed inline; Run stops at its horizon partway through it.
+func TestInlineBurstStopsAtHorizon(t *testing.T) {
+	k, s := rig(t)
+	tk := s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
+	k.Run(4 * ms)
+	if k.Now() != 4*ms || tk.CPUUsed() != 4*ms || k.Pending() != 1 {
+		t.Fatalf("at %v: %v of CPU used, %d events pending; want 4ms, 4ms and the burst's end", k.Now(), tk.CPUUsed(), k.Pending())
+	}
+	k.Run(10 * ms)
+	if tk.State() != TaskDone || tk.CPUUsed() != 10*ms {
+		t.Fatalf("task %v with %v of CPU used at 10ms, want done with 10ms", tk.State(), tk.CPUUsed())
+	}
+}

@@ -16,6 +16,11 @@
 // starvation — exactly reproducible, which is what lets the testing
 // layers above measure delay segments without perturbation.
 //
+// A compute burst that ends before the next pending kernel event cannot be
+// preempted, stretched or observed, so under sim.Kernel.Run the scheduler
+// completes it inline: it moves the clock to the burst's end
+// (sim.Kernel.Advance) and resumes the task, with no burst-end event.
+//
 // A scheduler records its event trace only after a caller asks for it
 // with Record; from then on the trace keeps every record, and a run that
 // nobody inspects records nothing.
@@ -49,6 +54,7 @@ type Scheduler struct {
 	idleTime    sim.Time
 	switches    uint64
 	preempts    uint64
+	computes    uint64
 	queues      map[string]*Queue
 	stormISRs   uint64
 
@@ -85,6 +91,9 @@ func (s *Scheduler) ContextSwitches() uint64 { return s.switches }
 
 // Preemptions returns the number of times a running task was preempted.
 func (s *Scheduler) Preemptions() uint64 { return s.preempts }
+
+// ComputeRequests returns the number of Compute requests handled so far.
+func (s *Scheduler) ComputeRequests() uint64 { return s.computes }
 
 // IdleTime returns the accumulated virtual time during which no task
 // occupied the CPU.
@@ -255,7 +264,8 @@ func (s *Scheduler) kick() {
 	s.k.After(0, s.kickFn)
 }
 
-// kicked runs the scheduling pass kick requested.
+// kicked runs the scheduling pass kick requested. schedLoop may move the
+// clock, so it stays the last call.
 func (s *Scheduler) kicked() {
 	s.kickPending = false
 	s.schedLoop()
@@ -264,7 +274,10 @@ func (s *Scheduler) kicked() {
 // schedLoop is the heart of the scheduler. Every kernel event that can
 // change task state ends by calling it. It runs task bodies
 // synchronously (in zero virtual time) until the CPU is committed to a
-// compute burst or idle.
+// compute burst or idle. A burst that nothing can interrupt completes
+// inline, which moves the clock; so schedLoop must stay the last call in
+// both its callers, kicked and finishCompute, and no caller code runs
+// after the clock has moved.
 func (s *Scheduler) schedLoop() {
 	if s.inLoop {
 		// Re-entered from a kernel event fired while a task body runs
@@ -303,6 +316,14 @@ func (s *Scheduler) schedLoop() {
 			return
 		}
 		if t.pendingCompute > 0 {
+			// Advance succeeds only if no pending event fires at or
+			// before the burst's end and Run would reach it, so nothing
+			// can preempt, stretch or observe the burst: the task
+			// resumes at its end, as after finishCompute.
+			if s.k.Advance(s.k.Now() + t.pendingCompute) {
+				t.pendingCompute = 0
+				continue
+			}
 			s.beginCompute(t)
 			return
 		}
@@ -333,7 +354,8 @@ func (s *Scheduler) beginCompute(t *Task) {
 
 // finishCompute completes the current task's compute burst. Every path
 // that takes a computing task off the CPU cancels its burst first, so
-// the burst that completes is the current task's.
+// the burst that completes is the current task's. schedLoop may move the
+// clock, so it stays the last call.
 func (s *Scheduler) finishCompute() {
 	s.current.pendingCompute = 0
 	s.computeDone = sim.Event{}
@@ -365,6 +387,7 @@ func (s *Scheduler) preempt() {
 func (s *Scheduler) handle(t *Task, r request) {
 	switch r.kind {
 	case reqCompute:
+		s.computes++
 		// Apply any WCET-overrun fault at burst issue time. The task
 		// already charged r.dur to its CPU accounting, so only the
 		// fault-induced delta is added here.

@@ -21,6 +21,11 @@
 // DESIGN.md ("Kernel event queue and pool") for the determinism
 // invariants this structure must preserve.
 //
+// Run may also move the clock without firing anything: Advance jumps to
+// an instant before the next pending event when nothing can happen in
+// between, which is how internal/rtos completes a compute burst that
+// nothing can interrupt without scheduling its end as an event.
+//
 // The kernel is intentionally single-threaded. Higher layers (notably
 // internal/rtos) build coroutine-style concurrency on top of it, but at any
 // moment exactly one piece of simulation logic is executing.
@@ -102,6 +107,11 @@ type Kernel struct {
 	atInstant int
 	stopConds []func() bool
 
+	// running and horizon describe the Run call in progress; Advance
+	// moves the clock only while running, and never past horizon.
+	running bool
+	horizon Time
+
 	// Heap-operation counters; regression tests pin the fused run loop to
 	// exactly one pop per fired event (see TestRunHeapOpsPerFiredEvent).
 	pushes  uint64
@@ -148,6 +158,7 @@ func (k *Kernel) Reset() {
 	k.fired = 0
 	k.atInstant = 0
 	k.stopConds = k.stopConds[:0]
+	k.running, k.horizon = false, 0
 	k.pushes, k.pops, k.removes = 0, 0, 0
 }
 
@@ -274,6 +285,8 @@ func (k *Kernel) Run(horizon Time) {
 		panic(fmt.Sprintf("sim: Run horizon %v before now %v", horizon, k.now))
 	}
 	k.stopped = false
+	k.running, k.horizon = true, horizon
+	defer func() { k.running = false }()
 	for !k.stopped {
 		if len(k.queue) == 0 || k.queue[0].at > horizon {
 			break
@@ -286,6 +299,35 @@ func (k *Kernel) Run(horizon Time) {
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
 	}
+}
+
+// Advance moves the clock forward to t without firing anything, as Run
+// would on reaching t with no event in between. It does so only when all
+// of these hold: Run is in progress, t is at or before Run's horizon, no
+// pending event fires at or before t, Stop has not been called, and no
+// stop condition holds. Otherwise it changes nothing and reports false.
+//
+// It is exact: Run would fire nothing before t, and the conditions that
+// would end Run before reaching t are exactly the ones checked, so the
+// caller may go on at t as if an event scheduled now for t had just
+// fired. Advance takes no sequence number and fires no event, so the
+// events scheduled later keep their order. Step fires exactly one event
+// and RunUntilIdle has no horizon, so neither lets the clock advance.
+func (k *Kernel) Advance(t Time) bool {
+	if !k.running || k.stopped || t < k.now || t > k.horizon {
+		return false
+	}
+	if len(k.queue) > 0 && k.queue[0].at <= t {
+		return false
+	}
+	if len(k.stopConds) > 0 && k.shouldStop() {
+		return false
+	}
+	if t > k.now {
+		k.now = t
+		k.atInstant = 0
+	}
+	return true
 }
 
 // RunUntilIdle fires events until none remain or Stop is called. Callers
@@ -434,26 +476,26 @@ type Ticker struct {
 	drift   int64 // parts-per-million skew applied to each re-arm period
 }
 
-// SetDrift skews the ticker's effective period by ppm parts per million:
-// positive values slow the clock down (each period stretches), negative
-// values speed it up. The skew applies to re-arms performed after the
-// call, so a fault window can be realised by setting and later clearing
-// the drift at its edges. The effective period is clamped to at least
-// one nanosecond so a ticker can never re-arm at its own instant.
+// SetDrift skews the ticker's effective period by ppm parts per million
+// (DriftedPeriod): positive values slow the clock down (each period
+// stretches), negative values speed it up. The skew applies to re-arms
+// performed after the call, so a fault window can be realised by setting
+// and later clearing the drift at its edges.
 func (t *Ticker) SetDrift(ppm int64) { t.drift = ppm }
 
-// effectivePeriod is the re-arm period under the current drift: the
-// period stretched by period*drift/1e6, truncated toward zero. The
-// product is split at whole millions of nanoseconds, so a long period
-// does not overflow int64.
-func (t *Ticker) effectivePeriod() Time {
-	p := t.period
-	if t.drift != 0 {
-		n := int64(p)
-		p += Time(n/1e6*t.drift + n%1e6*t.drift/1e6)
-		if p < 1 {
-			p = 1
-		}
+// DriftedPeriod is period under a clock skew of ppm parts per million:
+// period stretched by period*ppm/1e6, truncated toward zero, and clamped
+// to at least one nanosecond so a ticker can never re-arm at its own
+// instant. The product is split at whole millions of nanoseconds, so a
+// long period does not overflow int64.
+func DriftedPeriod(period Time, ppm int64) Time {
+	if ppm == 0 {
+		return period
+	}
+	n := int64(period)
+	p := period + Time(n/1e6*ppm+n%1e6*ppm/1e6)
+	if p < 1 {
+		p = 1
 	}
 	return p
 }
@@ -467,7 +509,7 @@ func (t *Ticker) fire() {
 	// Re-arm before running the callback so the callback can Stop the
 	// ticker and observe Pending()==false afterwards. The fired node was
 	// just released, so this After recycles it in place.
-	t.ev = t.kernel.After(t.effectivePeriod(), t.fireFn)
+	t.ev = t.kernel.After(DriftedPeriod(t.period, t.drift), t.fireFn)
 	t.fn(n)
 }
 
