@@ -1,12 +1,12 @@
 // Command chartgen demonstrates the code-generation stage: it compiles
 // the GPCA pump chart (or the extended chart) and emits the generated
-// artifacts — the transition-table/bytecode disassembly and readable Go
-// source, mirroring what RealTimeWorkshop hands to the platform
-// integrator.
+// artifacts — the transition-table/bytecode disassembly, readable Go
+// source that compiles as a package on its own, or a Graphviz rendering
+// — mirroring what RealTimeWorkshop hands to the platform integrator.
 //
 // Usage:
 //
-//	chartgen [-chart pump|ext] [-go] [-helpers]
+//	chartgen [-chart pump|ext] [-go | -dot]
 package main
 
 import (
@@ -15,13 +15,11 @@ import (
 	"os"
 
 	"rmtest"
-	"rmtest/internal/codegen"
 )
 
 func main() {
 	which := flag.String("chart", "pump", "chart to generate: pump or ext")
 	emitGo := flag.Bool("go", false, "emit generated Go source instead of the disassembly")
-	helpers := flag.Bool("helpers", false, "also emit the runtime helper functions")
 	dot := flag.Bool("dot", false, "emit a Graphviz rendering of the chart")
 	flag.Parse()
 
@@ -48,10 +46,6 @@ func main() {
 		if err := rmtest.EmitGo(os.Stdout, chart, "pumpgen"); err != nil {
 			fmt.Fprintln(os.Stderr, "chartgen:", err)
 			os.Exit(1)
-		}
-		if *helpers {
-			fmt.Println()
-			fmt.Print(codegen.RuntimeHelpers())
 		}
 		return
 	}

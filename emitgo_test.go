@@ -1,8 +1,9 @@
 package rmtest_test
 
 // Golden test for the generated-code emitter: the emitted GPCA source is
-// pinned byte-for-byte in testdata and must compile as a standalone Go
-// package, mirroring how RealTimeWorkshop output is handed to a compiler.
+// pinned byte-for-byte in testdata, and it and the extended chart's must
+// each compile as a standalone Go package, mirroring how RealTimeWorkshop
+// output is handed to a compiler.
 
 import (
 	"bytes"
@@ -16,17 +17,17 @@ import (
 
 const emitGolden = "testdata/gpca_gen.go.golden"
 
-func emitPump(t *testing.T) []byte {
+func emit(t *testing.T, chart *rmtest.Chart, pkg string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := rmtest.EmitGo(&buf, rmtest.PumpChart(), "gpcagen"); err != nil {
-		t.Fatalf("EmitGo: %v", err)
+	if err := rmtest.EmitGo(&buf, chart, pkg); err != nil {
+		t.Fatalf("EmitGo %s: %v", chart.Name, err)
 	}
 	return buf.Bytes()
 }
 
 func TestEmitGoGolden(t *testing.T) {
-	got := emitPump(t)
+	got := emit(t, rmtest.PumpChart(), "gpcagen")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(emitGolden), 0o755); err != nil {
 			t.Fatal(err)
@@ -49,12 +50,22 @@ func TestEmitGoCompiles(t *testing.T) {
 		t.Skip("go toolchain not on PATH")
 	}
 	dir := t.TempDir()
-	mod := "module gpcagen\n\ngo 1.22\n"
+	mod := "module gen\n\ngo 1.22\n"
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(mod), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "gpca_gen.go"), emitPump(t), 0o644); err != nil {
-		t.Fatal(err)
+	// One package per chart: the pump's calls no helper, the extended
+	// chart's guards call b2i, whose definition must come with it.
+	for pkg, src := range map[string][]byte{
+		"gpcagen": emit(t, rmtest.PumpChart(), "gpcagen"),
+		"extgen":  emit(t, rmtest.PumpExtendedChart(), "extgen"),
+	} {
+		if err := os.Mkdir(filepath.Join(dir, pkg), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, pkg, pkg+".go"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cmd := exec.Command("go", "build", "./...")
 	cmd.Dir = dir

@@ -203,7 +203,6 @@ func hierChart() *statechart.Chart {
 				Name:        "On",
 				Initial:     "Slow",
 				Entry:       "out := 10",
-				During:      "count := count + 1",
 				Transitions: []statechart.Transition{{To: "Off", Trigger: "abort", Action: "out := 0"}},
 				Children: []*statechart.State{
 					{Name: "Slow", Transitions: []statechart.Transition{
@@ -211,7 +210,8 @@ func hierChart() *statechart.Chart {
 						{To: "Fast", Trigger: "after(5, E_CLK)", Action: "out := out + 100"},
 					}},
 					{Name: "Fast",
-						Exit: "out := out + 1",
+						Entry: "count := count + 1",
+						Exit:  "out := out + 1",
 						Transitions: []statechart.Transition{
 							{To: "Slow", Trigger: "tick2", Guard: "level % 2 == 0 || count > 10"},
 						}},
@@ -405,10 +405,9 @@ func TestEmitGoGuards(t *testing.T) {
 }
 
 func TestRuntimeHelpersCompileShapes(t *testing.T) {
-	h := RuntimeHelpers()
-	for _, want := range []string{"func b2i", "func absi", "func mini", "func maxi"} {
-		if !strings.Contains(h, want) {
-			t.Fatalf("helpers missing %q", want)
+	for _, h := range runtimeHelpers {
+		if !strings.HasPrefix(h.src, "func "+h.name+"(") {
+			t.Fatalf("helper %s is defined as:\n%s", h.name, h.src)
 		}
 	}
 }

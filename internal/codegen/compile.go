@@ -38,7 +38,7 @@ func Generate(cc *statechart.Compiled) (*Program, error) {
 	})
 	c := &compiler{prog: p}
 	for id, s := range states {
-		row := StateRow{ID: id, Name: s.Name, Parent: -1, Initial: -1, History: s.History}
+		row := StateRow{ID: id, Name: s.Name, Parent: -1, Initial: -1}
 		if s.Parent != "" {
 			row.Parent = p.stateID[s.Parent]
 		}
@@ -47,7 +47,6 @@ func Generate(cc *statechart.Compiled) (*Program, error) {
 		}
 		row.Entry = c.compileAction(s.Entry)
 		row.Exit = c.compileAction(s.Exit)
-		row.During = c.compileAction(s.During)
 		p.States = append(p.States, row)
 	}
 	var genErr error

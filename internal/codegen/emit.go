@@ -12,23 +12,23 @@ import (
 // EmitGo writes readable Go source implementing the chart's step function,
 // mirroring how RealTimeWorkshop hands generated C to the platform
 // integrator. The emitted file is self-contained (package pkg, no
-// imports) and deterministic; it exists to make the generated-code
-// artifact inspectable — the simulated platform executes the bytecode
-// Program, which is semantically identical.
+// imports, the definitions of the helpers its code calls) and
+// deterministic; it exists to make the generated-code artifact
+// inspectable — the simulated platform executes the bytecode Program,
+// which is semantically identical. It returns an error, and writes
+// nothing, when two of the chart's names map to one Go identifier.
 func EmitGo(w io.Writer, cc *statechart.Compiled, pkg string) error {
 	p, err := Generate(cc)
 	if err != nil {
 		return err
 	}
-	for _, s := range p.States {
-		if s.History {
-			return fmt.Errorf("codegen: the Go source emitter does not support history junctions (state %q); the bytecode Program does", s.Name)
-		}
+	ident := sanitize(p.ChartName) // sanitize upper-cases the first rune
+	if err := checkIdents(p, ident); err != nil {
+		return err
 	}
 	b := &emitter{w: w}
 	b.f("// Code generated from chart %q by rmtest/internal/codegen. DO NOT EDIT.\n", p.ChartName)
 	b.f("package %s\n\n", pkg)
-	ident := sanitize(p.ChartName) // sanitize upper-cases the first rune
 
 	b.f("// %sState enumerates the chart states.\n", ident)
 	b.f("type %sState int\n\nconst (\n", ident)
@@ -110,7 +110,49 @@ func EmitGo(w io.Writer, cc *statechart.Compiled, pkg string) error {
 	b.f("\tc.tick++\n")
 	b.f("\treturn taken\n")
 	b.f("}\n")
+	for h, def := range runtimeHelpers {
+		if b.calls&(1<<h) != 0 {
+			b.f("\n%s", def.src)
+		}
+	}
 	return b.err
+}
+
+// checkIdents returns an error naming two declarations of p that map to
+// one Go identifier of the emitted file: at package scope, the chart's
+// types, its constructor and its state and event constants; in the chart
+// struct, the State register, the Reset and Step methods and the
+// variables. The struct's other fields are lower-case, so no variable
+// maps onto them.
+func checkIdents(p *Program, ident string) error {
+	var err error
+	claim := func(scope map[string]string, id, decl string) {
+		if prev, dup := scope[id]; dup && err == nil {
+			err = fmt.Errorf("codegen: %s and %s both map to Go identifier %s", prev, decl, id)
+		}
+		scope[id] = decl
+	}
+	pkg := map[string]string{
+		ident:           "the chart type",
+		ident + "State": "the state type",
+		ident + "Event": "the event type",
+		"New" + ident:   "the constructor",
+	}
+	for _, s := range p.States {
+		claim(pkg, ident+sanitize(s.Name), fmt.Sprintf("state %q", s.Name))
+	}
+	for _, e := range p.Events {
+		claim(pkg, "Ev"+sanitize(e), fmt.Sprintf("event %q", e))
+	}
+	members := map[string]string{
+		"State": "the active-state register",
+		"Reset": "the Reset method",
+		"Step":  "the Step method",
+	}
+	for _, v := range p.Vars {
+		claim(members, sanitize(v.Name), fmt.Sprintf("variable %q", v.Name))
+	}
+	return err
 }
 
 // emitTransition writes the guard check and firing body for transition t
@@ -166,10 +208,12 @@ func (b *emitter) emitTransition(p *Program, ident string, s StateRow, t TransRo
 	b.f("\t\t\t}\n")
 }
 
-// emitter accumulates output and the first write error.
+// emitter accumulates output, the first write error and the set of
+// runtimeHelpers the emitted code calls (bit h for runtimeHelpers[h]).
 type emitter struct {
-	w   io.Writer
-	err error
+	w     io.Writer
+	err   error
+	calls uint
 }
 
 func (b *emitter) f(format string, args ...any) {
@@ -185,7 +229,7 @@ func (b *emitter) emitActionInline(p *Program, ref CodeRef, indent string) {
 		return
 	}
 	// Decompile the stack code: replay symbolically.
-	stmts, ok := decompile(p, ref)
+	stmts, ok := b.decompile(p, ref)
 	if !ok {
 		b.f("%s// <unrepresentable action>\n", indent)
 		return
@@ -197,17 +241,23 @@ func (b *emitter) emitActionInline(p *Program, ref CodeRef, indent string) {
 
 // exprGo decompiles a guard fragment to a Go boolean expression.
 func (b *emitter) exprGo(p *Program, ref CodeRef) string {
-	stmts, ok := decompile(p, ref)
+	stmts, ok := b.decompile(p, ref)
 	if !ok || len(stmts) != 1 {
 		return "true /* <unrepresentable guard> */"
 	}
 	return stmts[0] + " != 0"
 }
 
+// call returns a call of runtimeHelpers[h] and records it in b.calls.
+func (b *emitter) call(h int, args ...string) string {
+	b.calls |= 1 << h
+	return runtimeHelpers[h].name + "(" + strings.Join(args, ", ") + ")"
+}
+
 // decompile symbolically executes a fragment, producing Go statements.
 // Assignments become "c.Var = expr"; a trailing value becomes a bare
 // expression string.
-func decompile(p *Program, ref CodeRef) ([]string, bool) {
+func (b *emitter) decompile(p *Program, ref CodeRef) ([]string, bool) {
 	var st []string
 	var out []string
 	pop := func() string {
@@ -223,7 +273,7 @@ func decompile(p *Program, ref CodeRef) ([]string, bool) {
 	cmp := func(op string) {
 		r := pop()
 		l := pop()
-		st = append(st, "b2i("+l+" "+op+" "+r+")")
+		st = append(st, b.call(helperB2i, l+" "+op+" "+r))
 	}
 	pc := ref.PC
 	end := ref.PC + ref.Len
@@ -252,7 +302,7 @@ func decompile(p *Program, ref CodeRef) ([]string, bool) {
 		case OpNeg:
 			st = append(st, "(-"+pop()+")")
 		case OpNot:
-			st = append(st, "b2i("+pop()+" == 0)")
+			st = append(st, b.call(helperB2i, pop()+" == 0"))
 		case OpEq:
 			cmp("==")
 		case OpNe:
@@ -266,17 +316,17 @@ func decompile(p *Program, ref CodeRef) ([]string, bool) {
 		case OpGe:
 			cmp(">=")
 		case OpAbs:
-			st = append(st, "absi("+pop()+")")
+			st = append(st, b.call(helperAbsi, pop()))
 		case OpMin:
 			r := pop()
-			st = append(st, "mini("+pop()+", "+r+")")
+			st = append(st, b.call(helperMini, pop(), r))
 		case OpMax:
 			r := pop()
-			st = append(st, "maxi("+pop()+", "+r+")")
+			st = append(st, b.call(helperMaxi, pop(), r))
 		case OpDup, OpPop, OpJmp, OpJmpFalse, OpJmpTrue, OpBool:
 			// Short-circuit scaffolding: reconstruct && / || from the
 			// canonical shapes the compiler emits.
-			if ok := decompileShortCircuit(p, &pc, end, &st, in); !ok {
+			if ok := b.decompileShortCircuit(p, &pc, end, &st, in); !ok {
 				return nil, false
 			}
 		default:
@@ -293,13 +343,13 @@ func decompile(p *Program, ref CodeRef) ([]string, bool) {
 
 // decompileShortCircuit matches the fixed instruction shapes emitted for
 // && and || and rewrites them as b2i(l != 0 && r != 0) style expressions.
-func decompileShortCircuit(p *Program, pc *int, end int, st *[]string, first Instr) bool {
+func (b *emitter) decompileShortCircuit(p *Program, pc *int, end int, st *[]string, first Instr) bool {
 	// The compiler emits: dup; jmpf/jmpt T; pop; <R>; bool; [bool at T].
 	if first.Op != OpDup {
 		// A standalone bool normalisation (from ||'s join point).
 		if first.Op == OpBool {
 			s := *st
-			s[len(s)-1] = "b2i(" + s[len(s)-1] + " != 0)"
+			s[len(s)-1] = b.call(helperB2i, s[len(s)-1]+" != 0")
 			return true
 		}
 		return false
@@ -318,7 +368,7 @@ func decompileShortCircuit(p *Program, pc *int, end int, st *[]string, first Ins
 	*pc++
 	// Decompile the right-hand side up to the jump target.
 	rhsRef := CodeRef{PC: *pc, Len: int(j.A) - *pc}
-	rhs, ok := decompile(p, rhsRef)
+	rhs, ok := b.decompile(p, rhsRef)
 	if !ok || len(rhs) != 1 {
 		return false
 	}
@@ -329,7 +379,7 @@ func decompileShortCircuit(p *Program, pc *int, end int, st *[]string, first Ins
 	if j.Op == OpJmpTrue {
 		op = "||"
 	}
-	s[len(s)-1] = "b2i((" + l + " != 0) " + op + " (" + rhs[0] + " != 0))"
+	s[len(s)-1] = b.call(helperB2i, "("+l+" != 0) "+op+" ("+rhs[0]+" != 0)")
 	return true
 }
 
@@ -351,37 +401,45 @@ func sanitize(s string) string {
 	return b.String()
 }
 
-// RuntimeHelpers returns the helper functions (b2i, absi, mini, maxi) the
-// emitted code relies on, for inclusion in the generated package.
-func RuntimeHelpers() string {
-	return `func b2i(b bool) int64 {
+// Indices into runtimeHelpers.
+const (
+	helperB2i = iota
+	helperAbsi
+	helperMini
+	helperMaxi
+)
+
+// runtimeHelpers are the functions the emitted code may call, with their
+// definitions, in the order EmitGo appends the ones it calls.
+var runtimeHelpers = [...]struct{ name, src string }{
+	helperB2i: {"b2i", `func b2i(b bool) int64 {
 	if b {
 		return 1
 	}
 	return 0
 }
-
-func absi(v int64) int64 {
+`},
+	helperAbsi: {"absi", `func absi(v int64) int64 {
 	if v < 0 {
 		return -v
 	}
 	return v
 }
-
-func mini(a, b int64) int64 {
+`},
+	helperMini: {"mini", `func mini(a, b int64) int64 {
 	if a < b {
 		return a
 	}
 	return b
 }
-
-func maxi(a, b int64) int64 {
+`},
+	helperMaxi: {"maxi", `func maxi(a, b int64) int64 {
 	if a > b {
 		return a
 	}
 	return b
 }
-`
+`},
 }
 
 // SortedVarNames returns the program's variable names of the given kind,

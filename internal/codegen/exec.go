@@ -51,8 +51,8 @@ type CostModel struct {
 	// PerGuardNode is charged per expression AST node for every guard
 	// evaluation attempt.
 	PerGuardNode time.Duration
-	// PerActionNode is charged per action AST node executed (entry, exit,
-	// transition and during actions).
+	// PerActionNode is charged per action AST node executed (entry, exit
+	// and transition actions).
 	PerActionNode time.Duration
 	// PerTransition is charged per taken transition on top of its action
 	// costs (table row update, active-state bookkeeping).
@@ -88,7 +88,6 @@ type Exec struct {
 	vars      []int64
 	active    int // active leaf state id
 	entryTick []int64
-	lastChild []int // per composite: history child id, -1 if none
 	tick      int64
 	stack     []int64
 
@@ -105,8 +104,8 @@ type Exec struct {
 	elided      uint64
 
 	// charge sums the cost-model charges of the step in progress; idle
-	// marks a finished Step(0) that took no transition, raised no error
-	// and ran no during action, so SkipIdle may repeat it.
+	// marks a finished Step(0) that took no transition and raised no
+	// error, so SkipIdle may repeat it.
 	charge time.Duration
 	idle   bool
 }
@@ -121,7 +120,6 @@ func NewExec(p *Program, cost CostModel, env ExecEnv, listener Listener) *Exec {
 		listener:  listener,
 		vars:      make([]int64, len(p.Vars)),
 		entryTick: make([]int64, len(p.States)),
-		lastChild: make([]int, len(p.States)),
 		stack:     make([]int64, 0, 16),
 	}
 	for i, v := range p.Vars {
@@ -143,10 +141,7 @@ func (e *Exec) Reset() {
 	for i, v := range e.prog.Vars {
 		e.vars[i] = v.Init
 	}
-	for i := range e.entryTick {
-		e.entryTick[i] = 0
-		e.lastChild[i] = -1
-	}
+	clear(e.entryTick)
 	e.tick = 0
 	e.steps = 0
 	e.elided = 0
@@ -160,19 +155,6 @@ func (e *Exec) Reset() {
 	e.enterFrom(e.prog.InitState)
 	e.env = env
 }
-
-// descendChild picks the child to descend into, honouring shallow
-// history junctions.
-func (e *Exec) descendChild(sid int) int {
-	s := &e.prog.States[sid]
-	if s.History && e.lastChild[sid] >= 0 {
-		return e.lastChild[sid]
-	}
-	return s.Initial
-}
-
-// SetListener replaces the transition listener.
-func (e *Exec) SetListener(l Listener) { e.listener = l }
 
 // Program returns the executed program.
 func (e *Exec) Program() *Program { return e.prog }
@@ -263,7 +245,6 @@ func (e *Exec) EventMask(events ...string) uint64 {
 func (e *Exec) Step(events uint64) StepResult {
 	e.steps++
 	e.charge = 0
-	e.idle = false
 	e.compute(e.cost.StepBase)
 	e.snapshotOutputs(e.outStep)
 	var res StepResult
@@ -281,15 +262,7 @@ func (e *Exec) Step(events uint64) StepResult {
 		}
 		e.fire(t, &res)
 	}
-	if len(res.Taken) == 0 && res.Err == nil {
-		e.idle = events == 0 // no transition consumed an event
-		for sid := e.active; sid >= 0; sid = e.prog.States[sid].Parent {
-			if d := e.prog.States[sid].During; d.Len > 0 {
-				e.idle = false
-				e.runAction(d, &res)
-			}
-		}
-	}
+	e.idle = len(res.Taken) == 0 && res.Err == nil && events == 0
 	res.Changed = e.diffOutputs(e.outStep)
 	e.tick++
 	return res
@@ -297,13 +270,13 @@ func (e *Exec) Step(events uint64) StepResult {
 
 // SkipIdle advances the executor over up to n ticks without running the
 // step function, and returns how many it advanced. It advances only
-// right after a Step(0) that took no transition, raised no error and ran
-// no during action. Such a step changed nothing, so with no events and
-// the same variables every later step repeats it, charge for charge,
-// until a temporal trigger on the active chain changes truth value: the
-// skip stops at the first such tick. Tick and Steps advance by the
-// skipped ticks, the skipped steps' summed charge goes to the ExecEnv as
-// one Compute, and entry ticks, history and variables stay as they are.
+// right after a Step(0) that took no transition and raised no error.
+// Such a step changed nothing, so with no events and the same variables
+// every later step repeats it, charge for charge, until a temporal
+// trigger on the active chain changes truth value: the skip stops at the
+// first such tick. Tick and Steps advance by the skipped ticks, the
+// skipped steps' summed charge goes to the ExecEnv as one Compute, and
+// entry ticks and variables stay as they are.
 func (e *Exec) SkipIdle(n int64) int64 {
 	if !e.idle {
 		return 0
@@ -395,16 +368,10 @@ func (e *Exec) fire(t *TransRow, res *StepResult) {
 		e.snapshotOutputs(e.outFire)
 	}
 	e.compute(e.cost.PerTransition)
-	// Exit up from the active leaf to the transition source's scope,
-	// recording shallow history.
+	// Exit up from the active leaf to the transition source's scope.
 	exitTo := e.prog.States[t.From].Parent
-	prev := -1
 	for sid := e.active; sid >= 0 && sid != exitTo; sid = e.prog.States[sid].Parent {
 		e.runAction(e.prog.States[sid].Exit, res)
-		if prev >= 0 && e.prog.States[sid].History {
-			e.lastChild[sid] = prev
-		}
-		prev = sid
 	}
 	e.runAction(t.Action, res)
 	e.enterChain(t.To, exitTo, res)
@@ -432,7 +399,7 @@ func (e *Exec) enterChain(target, scope int, res *StepResult) {
 	}
 	sid := target
 	for e.prog.States[sid].Initial >= 0 {
-		sid = e.descendChild(sid)
+		sid = e.prog.States[sid].Initial
 		e.entryTick[sid] = e.tick
 		e.runAction(e.prog.States[sid].Entry, res)
 	}
@@ -447,7 +414,7 @@ func (e *Exec) enterFrom(sid int) {
 			e.active = sid
 			return
 		}
-		sid = e.descendChild(sid)
+		sid = e.prog.States[sid].Initial
 	}
 }
 

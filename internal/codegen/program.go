@@ -99,12 +99,10 @@ type TrigCode struct {
 type StateRow struct {
 	ID      int
 	Name    string
-	Parent  int  // -1 for top level
-	Initial int  // -1 for leaves; otherwise the default child's id
-	History bool // shallow history junction (composites only)
+	Parent  int // -1 for top level
+	Initial int // -1 for leaves; otherwise the default child's id
 	Entry   CodeRef
 	Exit    CodeRef
-	During  CodeRef
 	// Trans lists the ids of this state's outgoing transitions in
 	// priority (document) order.
 	Trans []int

@@ -34,31 +34,14 @@ func (a *analysis) scanStates(sid int) []int {
 	return out
 }
 
-// afterLeaves returns the leaves the configuration may settle on after
-// entering sid: the default descent, or any child where a shallow history
-// junction may restore a previously active one.
-func (a *analysis) afterLeaves(sid int) []int {
-	var out []int
-	var walk func(int, int)
-	walk = func(s, depth int) {
-		if depth > len(a.prog.States) {
-			return
-		}
-		row := &a.prog.States[s]
-		if row.Initial < 0 {
-			out = append(out, s)
-			return
-		}
-		if row.History {
-			for _, c := range a.childrenOf(s) {
-				walk(c, depth+1)
-			}
-		} else {
-			walk(row.Initial, depth+1)
-		}
+// afterLeaf returns the leaf the configuration settles on after entering
+// sid: the default descent down Initial children. On malformed tables
+// whose initial links cycle it stops after len(States) steps.
+func (a *analysis) afterLeaf(sid int) int {
+	for n := 0; n < len(a.prog.States) && a.prog.States[sid].Initial >= 0; n++ {
+		sid = a.prog.States[sid].Initial
 	}
-	walk(sid, 0)
-	return out
+	return sid
 }
 
 // neverEnabled reports a trigger that no tick count can satisfy.
@@ -114,17 +97,8 @@ func (a *analysis) checkReachability() {
 		for p := sid; p >= 0; p = a.prog.States[p].Parent {
 			mark(p)
 		}
-		s := &a.prog.States[sid]
-		if s.Initial >= 0 {
-			if s.History {
-				// A history junction may restore any child that was
-				// previously active; over-approximate with all children.
-				for _, c := range a.childrenOf(sid) {
-					enter(c, depth+1)
-				}
-			} else {
-				enter(s.Initial, depth+1)
-			}
+		if s := &a.prog.States[sid]; s.Initial >= 0 {
+			enter(s.Initial, depth+1)
 		}
 	}
 	if n > 0 {
@@ -450,10 +424,8 @@ func (a *analysis) instantGraph() (node []bool, adj [][]int) {
 			continue
 		}
 		scanned := make(map[int]bool)
-		for _, leaf := range a.afterLeaves(a.prog.Trans[i].To) {
-			for _, s := range a.scanStates(leaf) {
-				scanned[s] = true
-			}
+		for _, s := range a.scanStates(a.afterLeaf(a.prog.Trans[i].To)) {
+			scanned[s] = true
 		}
 		for j := range a.prog.Trans {
 			if node[j] && scanned[a.prog.Trans[j].From] {

@@ -287,7 +287,6 @@ func (a *analysis) fragments() []fragment {
 		live := a.reachable == nil || a.reachable[s.ID]
 		add(s.Entry, fragAction, "entry of "+s.Name, live)
 		add(s.Exit, fragAction, "exit of "+s.Name, live)
-		add(s.During, fragAction, "during of "+s.Name, live)
 	}
 	for i := range a.prog.Trans {
 		t := &a.prog.Trans[i]

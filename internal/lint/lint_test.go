@@ -142,7 +142,9 @@ func badChart() *statechart.Chart {
 					{Name: "X", Transitions: []statechart.Transition{
 						{To: "A", Trigger: "before(3, E_CLK)", Label: "t10"},
 					}},
-					{Name: "Y"}, // only reachable by history: unreachable-state
+					// Entering Comp descends to X and no transition
+					// targets Y: unreachable-state.
+					{Name: "Y"},
 				}},
 		},
 	}

@@ -19,7 +19,7 @@ type TransWCET struct {
 	// Fire bounds one firing — everything the runtime charges between
 	// TransitionStart and TransitionFinish: the per-transition charge, the
 	// worst exit chain from any leaf of the source subtree, the transition
-	// action, and the worst entry chain including default/history descent.
+	// action, and the entry chain including the default descent.
 	Fire time.Duration
 }
 
@@ -159,15 +159,8 @@ func computeWCET(a *analysis) WCETReport {
 	}
 	if blunt {
 		// Cap: at most MaxChain scan+fire rounds per step (the runtime
-		// aborts the chain there), or a transition-free scan plus the
-		// during chain.
-		worst := time.Duration(statechart.MaxChain) * (c.maxScan + c.maxFire)
-		for _, l := range leaves {
-			if q := c.scanOf(l) + c.duringOf(l); q > worst {
-				worst = q
-			}
-		}
-		w.StepTriggered = a.cost.StepBase + worst
+		// aborts the chain there).
+		w.StepTriggered = a.cost.StepBase + time.Duration(statechart.MaxChain)*(c.maxScan+c.maxFire)
 		w.StepQuiescent = w.StepTriggered
 		return w
 	}
@@ -180,13 +173,10 @@ func computeWCET(a *analysis) WCETReport {
 	}
 	allTmp := (uint64(1) << uint(len(c.tmpBit))) - 1
 	for _, l := range leaves {
-		noFire := c.scanOf(l) + c.duringOf(l)
-		trig := c.chain(l, allEv, allTmp, 0)
-		quie := c.chain(l, 0, allTmp, 0)
-		if d := a.cost.StepBase + maxDur(trig, noFire); d > w.StepTriggered {
+		if d := a.cost.StepBase + c.chain(l, allEv, allTmp, 0); d > w.StepTriggered {
 			w.StepTriggered = d
 		}
-		if d := a.cost.StepBase + maxDur(quie, noFire); d > w.StepQuiescent {
+		if d := a.cost.StepBase + c.chain(l, 0, allTmp, 0); d > w.StepQuiescent {
 			w.StepQuiescent = d
 		}
 	}
@@ -305,25 +295,14 @@ func (c *wcetCalc) maxExit(sid int) time.Duration {
 	return d + worst
 }
 
-// maxDescend bounds the entry-action cost of the default/history descent
-// below sid (sid's own entry is charged by the caller's entry chain).
+// maxDescend is the entry-action cost of the default descent below sid
+// (sid's own entry is charged by the caller's entry chain).
 func (c *wcetCalc) maxDescend(sid int) time.Duration {
-	row := &c.a.prog.States[sid]
-	if row.Initial < 0 {
-		return 0
+	var d time.Duration
+	for s := c.a.prog.States[sid].Initial; s >= 0; s = c.a.prog.States[s].Initial {
+		d += time.Duration(c.a.prog.States[s].Entry.Nodes) * c.a.cost.PerActionNode
 	}
-	kids := []int{row.Initial}
-	if row.History {
-		kids = c.a.childrenOf(sid)
-	}
-	var worst time.Duration
-	for _, ch := range kids {
-		d := time.Duration(c.a.prog.States[ch].Entry.Nodes)*c.a.cost.PerActionNode + c.maxDescend(ch)
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
+	return d
 }
 
 // scanOf bounds one full transition scan with leaf active: every guard of
@@ -339,16 +318,6 @@ func (c *wcetCalc) scanOf(leaf int) time.Duration {
 		}
 	}
 	c.scanMemo[leaf] = d
-	return d
-}
-
-// duringOf is the during-action cost of a transition-free step with leaf
-// active.
-func (c *wcetCalc) duringOf(leaf int) time.Duration {
-	var d time.Duration
-	for _, sid := range c.a.scanStates(leaf) {
-		d += time.Duration(c.a.prog.States[sid].During.Nodes) * c.a.cost.PerActionNode
-	}
 	return d
 }
 
@@ -374,10 +343,8 @@ func (c *wcetCalc) chain(leaf int, ev, tmp uint64, depth int) time.Duration {
 			if !ok {
 				continue
 			}
-			for _, nl := range c.a.afterLeaves(t.To) {
-				if v := c.fire[tid] + c.chain(nl, ev2, tmp2, depth+1); v > best {
-					best = v
-				}
+			if v := c.fire[tid] + c.chain(c.a.afterLeaf(t.To), ev2, tmp2, depth+1); v > best {
+				best = v
 			}
 		}
 	}
@@ -437,11 +404,4 @@ func cyclicGraph(node []bool, adj [][]int) bool {
 		}
 	}
 	return false
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,10 +13,10 @@ import (
 // Chart generates a random but structurally valid chart: 2-6 top-level
 // states, some of them composites of 2-3 children; random transitions
 // with event, temporal and guarded triggerless triggers; guards over an
-// input variable, one of which divides by it; and entry, exit and during
-// actions over two outputs and a local. Its events are e0, e1 and e2, its
-// input in0, its outputs out0 and out1 and its local loc0. A given
-// generator state always draws the same chart.
+// input variable, one of which divides by it; and entry, exit and
+// transition actions over two outputs and a local. Its events are e0, e1
+// and e2, its input in0, its outputs out0 and out1 and its local loc0. A
+// given generator state always draws the same chart.
 func Chart(r *sim.Rand) *statechart.Chart {
 	c := &statechart.Chart{
 		Name:       "rand",
@@ -36,7 +36,7 @@ func Chart(r *sim.Rand) *statechart.Chart {
 
 // states generates n sibling states named prefix0, prefix1, ... whose
 // transitions target one another. With nest set, a state may become a
-// composite of random children (with or without history).
+// composite of random children.
 func states(r *sim.Rand, prefix string, n int, nest bool) []*statechart.State {
 	events := []string{"e0", "e1", "e2"}
 	guards := []string{
@@ -85,13 +85,9 @@ func states(r *sim.Rand, prefix string, n int, nest bool) []*statechart.State {
 		if r.Bool(0.2) {
 			st.Exit = actions[1+r.Intn(len(actions)-1)]
 		}
-		if r.Bool(0.1) {
-			st.During = actions[1+r.Intn(len(actions)-1)]
-		}
 		if nest && r.Bool(0.3) {
 			st.Children = states(r, name+"_", 2+r.Intn(2), false)
 			st.Initial = st.Children[0].Name
-			st.History = r.Bool(0.3)
 		}
 		out[i] = st
 	}

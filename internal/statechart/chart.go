@@ -72,15 +72,10 @@ type Transition struct {
 // declared on the composite apply while any descendant is active and are
 // checked after the active leaf's own transitions.
 type State struct {
-	Name    string
-	Entry   string // action executed on entry
-	Exit    string // action executed on exit
-	During  string // action executed on each tick spent in the state
-	Initial string // default child for composites
-	// History marks a composite with a shallow history junction: when the
-	// composite is re-entered, the child that was active at the last exit
-	// is entered instead of Initial.
-	History     bool
+	Name        string
+	Entry       string // action executed on entry
+	Exit        string // action executed on exit
+	Initial     string // default child for composites
 	Children    []*State
 	Transitions []Transition
 }
@@ -120,11 +115,9 @@ type compiledState struct {
 	name     string
 	parent   *compiledState
 	initial  *compiledState
-	history  bool
 	children []*compiledState
 	entry    Action
 	exit     Action
-	during   Action
 	trans    []*compiledTransition
 	depth    int
 }
@@ -144,7 +137,6 @@ type Compiled struct {
 	vars    map[string]int // variable name -> variable id
 	varList []VarDecl      // declaration order; index = variable id
 	outputs []int          // output variable ids, sorted by name
-	history []*compiledState
 	initial *compiledState
 }
 
@@ -230,9 +222,6 @@ func (c *Chart) Compile() (*Compiled, error) {
 		if cs.exit, err = cc.parseAction(s.Exit, "exit of "+s.Name); err != nil {
 			return err
 		}
-		if cs.during, err = cc.parseAction(s.During, "during of "+s.Name); err != nil {
-			return err
-		}
 		if len(s.Children) > 0 {
 			init := s.Initial
 			if init == "" {
@@ -243,17 +232,8 @@ func (c *Chart) Compile() (*Compiled, error) {
 				return fmt.Errorf("statechart %s: state %q initial child %q not found among its children", c.Name, s.Name, init)
 			}
 			cs.initial = child
-			cs.history = s.History
-			if s.History {
-				cc.history = append(cc.history, cs)
-			}
-		} else {
-			if s.Initial != "" {
-				return fmt.Errorf("statechart %s: leaf state %q declares initial child", c.Name, s.Name)
-			}
-			if s.History {
-				return fmt.Errorf("statechart %s: leaf state %q declares a history junction", c.Name, s.Name)
-			}
+		} else if s.Initial != "" {
+			return fmt.Errorf("statechart %s: leaf state %q declares initial child", c.Name, s.Name)
 		}
 		for ti, tr := range s.Transitions {
 			target, ok := cc.states[tr.To]
@@ -425,10 +405,8 @@ type StateInfo struct {
 	Name    string
 	Parent  string // "" for top-level states
 	Initial string // "" for leaves
-	History bool   // shallow history junction on a composite
 	Entry   Action
 	Exit    Action
-	During  Action
 	IsTop   bool
 }
 
@@ -449,12 +427,10 @@ type TransitionInfo struct {
 func (cc *Compiled) WalkStates(fn func(StateInfo)) {
 	for _, s := range cc.order {
 		info := StateInfo{
-			Name:    s.name,
-			History: s.history,
-			Entry:   s.entry,
-			Exit:    s.exit,
-			During:  s.during,
-			IsTop:   s.parent == nil,
+			Name:  s.name,
+			Entry: s.entry,
+			Exit:  s.exit,
+			IsTop: s.parent == nil,
 		}
 		if s.parent != nil {
 			info.Parent = s.parent.name

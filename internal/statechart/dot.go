@@ -22,11 +22,7 @@ func (cc *Compiled) DOT() string {
 			return
 		}
 		fmt.Fprintf(&b, "%ssubgraph \"cluster_%s\" {\n", indent, s.name)
-		label := s.name
-		if s.history {
-			label += " (H)"
-		}
-		fmt.Fprintf(&b, "%s  label=%q;\n", indent, label)
+		fmt.Fprintf(&b, "%s  label=%q;\n", indent, s.name)
 		for _, c := range s.children {
 			emit(c, indent+"  ")
 		}

@@ -32,7 +32,7 @@ func TestDOTRendersHierarchyAsClusters(t *testing.T) {
 		Events:     []string{"e"},
 		Initial:    "P",
 		States: []*State{
-			{Name: "P", Initial: "A", History: true, Children: []*State{
+			{Name: "P", Initial: "A", Children: []*State{
 				{Name: "A", Transitions: []Transition{{To: "B", Trigger: "e"}}},
 				{Name: "B"},
 			}},
@@ -43,7 +43,7 @@ func TestDOTRendersHierarchyAsClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	dot := cc.DOT()
-	for _, want := range []string{`subgraph "cluster_P"`, `label="P (H)"`, `"A" -> "B"`} {
+	for _, want := range []string{`subgraph "cluster_P"`, `label="P"`, `"A" -> "B"`} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}

@@ -58,13 +58,7 @@ type Machine struct {
 	// last entered; temporal triggers compare against it. Only the
 	// entries of the active path are meaningful.
 	entryTick []int64
-	// lastChild records, by state id of a composite with a history
-	// junction, the direct child that was active at the last exit; nil
-	// means never exited. The slice is nil when no composite has a
-	// history junction.
-	lastChild []*compiledState
 	tick      int64
-	superStep bool
 	// events marks, by event id, this tick's events that no transition
 	// has consumed yet; before holds the outputs (in cc.outputs order) at
 	// the start of the tick. Both are per-Step scratch.
@@ -73,39 +67,19 @@ type Machine struct {
 }
 
 // NewMachine creates a machine in the chart's initial configuration with
-// all variables at their declared initial values. Super-step semantics
-// (chaining transitions within one tick until stable) is enabled, matching
-// the generated code the paper's flow produces.
+// all variables at their declared initial values. Each Step applies
+// super-step semantics (chaining transitions within one tick until
+// stable), matching the generated code the paper's flow produces.
 func NewMachine(cc *Compiled) *Machine {
 	m := &Machine{
 		cc:        cc,
 		vars:      make([]int64, len(cc.varList)),
 		entryTick: make([]int64, len(cc.order)),
-		superStep: true,
 		events:    make([]bool, len(cc.events)),
 		before:    make([]int64, len(cc.outputs)),
 	}
-	if len(cc.history) > 0 {
-		m.lastChild = make([]*compiledState, len(cc.order))
-	}
 	m.Reset()
 	return m
-}
-
-// SetSuperStep toggles transition chaining within one tick. With it off,
-// at most one transition fires per Step.
-func (m *Machine) SetSuperStep(on bool) { m.superStep = on }
-
-// descendChild picks the child to descend into: the history child when
-// the composite has a history junction and was exited before, otherwise
-// the initial child.
-func (m *Machine) descendChild(s *compiledState) *compiledState {
-	if s.history {
-		if last := m.lastChild[s.id]; last != nil {
-			return last
-		}
-	}
-	return s.initial
 }
 
 // enter marks s entered at the current tick and runs its entry action.
@@ -114,8 +88,7 @@ func (m *Machine) enter(s *compiledState, res *StepResult) {
 	m.runAction(s.entry, res)
 }
 
-// enterFrom descends from s to its initial (or history) leaf, running
-// entry actions.
+// enterFrom descends from s to its initial leaf, running entry actions.
 func (m *Machine) enterFrom(s *compiledState) {
 	for s != nil {
 		m.enter(s, nil)
@@ -123,7 +96,7 @@ func (m *Machine) enterFrom(s *compiledState) {
 			m.active = s
 			return
 		}
-		s = m.descendChild(s)
+		s = s.initial
 	}
 }
 
@@ -270,16 +243,10 @@ func (m *Machine) pickTransition(res *StepResult) *compiledTransition {
 // actions down to the target leaf. Exited states keep their stale entry
 // ticks: only the active path's are ever read.
 func (m *Machine) fire(t *compiledTransition, res *StepResult) {
-	// Exit from the active leaf up through the transition's source scope,
-	// recording history along the way.
+	// Exit from the active leaf up through the transition's source scope.
 	exitTo := t.from.parent
-	var prev *compiledState
 	for s := m.active; s != nil && s != exitTo; s = s.parent {
 		m.runAction(s.exit, res)
-		if prev != nil && s.history {
-			m.lastChild[s.id] = prev
-		}
-		prev = s
 	}
 	m.runAction(t.action, res)
 	// Enter target: ensure ancestors of the target that are not already
@@ -296,7 +263,7 @@ func (m *Machine) enterChain(target, scope *compiledState, res *StepResult) {
 	m.enterAncestors(target, scope, res)
 	s := target
 	for s.initial != nil {
-		s = m.descendChild(s)
+		s = s.initial
 		m.enter(s, res)
 	}
 	m.active = s
@@ -313,8 +280,8 @@ func (m *Machine) enterAncestors(s, scope *compiledState, res *StepResult) {
 }
 
 // Step executes one E_CLK tick with the given input events fired. It
-// applies super-step semantics unless disabled: transitions chain until
-// the configuration is stable or MaxChain is exceeded. An event is
+// applies super-step semantics: transitions chain until the
+// configuration is stable or MaxChain is exceeded. An event is
 // consumed by the first transition it triggers, so only temporal and
 // guard-only transitions extend a chain — e.g. the pump model's
 // Idle->BolusRequested (on i_BolusReq) chains into
@@ -345,17 +312,8 @@ func (m *Machine) Step(events ...string) StepResult {
 			m.events[t.event] = false // an event triggers at most one transition
 		}
 		m.fire(t, &res)
-		if !m.superStep {
-			break
-		}
 	}
 	clear(m.events)
-	if len(res.Taken) == 0 && res.Err == nil {
-		// Stable tick: run during actions along the active chain.
-		for s := m.active; s != nil; s = s.parent {
-			m.runAction(s.during, &res)
-		}
-	}
 	for i, id := range m.cc.outputs {
 		if old, now := m.before[i], m.vars[id]; now != old {
 			res.Changed = append(res.Changed, VarChange{Name: m.cc.varList[id].Name, From: old, To: now})
@@ -372,23 +330,17 @@ type MachineState struct {
 	active    *compiledState
 	vars      []int64
 	entryTick []int64
-	lastChild []*compiledState
 	tick      int64
 }
 
-// Snapshot captures the current configuration, including history
-// junctions. The variables and entry ticks share one allocation; a
-// chart without history junctions needs no other.
+// Snapshot captures the current configuration. The variables and entry
+// ticks share one allocation.
 func (m *Machine) Snapshot() MachineState {
 	nv := len(m.vars)
 	buf := make([]int64, nv+len(m.entryTick))
 	copy(buf, m.vars)
 	copy(buf[nv:], m.entryTick)
-	s := MachineState{active: m.active, vars: buf[:nv:nv], entryTick: buf[nv:], tick: m.tick}
-	if m.lastChild != nil {
-		s.lastChild = append([]*compiledState(nil), m.lastChild...)
-	}
-	return s
+	return MachineState{active: m.active, vars: buf[:nv:nv], entryTick: buf[nv:], tick: m.tick}
 }
 
 // Restore returns the machine to a previously captured configuration by
@@ -398,19 +350,6 @@ func (m *Machine) Restore(s MachineState) {
 	m.tick = s.tick
 	copy(m.vars, s.vars)
 	copy(m.entryTick, s.entryTick)
-	copy(m.lastChild, s.lastChild)
-}
-
-// HistoryLeaves returns the remembered history children as
-// "composite:child" in document order of the composites.
-func (m *Machine) HistoryLeaves() []string {
-	var out []string
-	for _, s := range m.cc.history {
-		if child := m.lastChild[s.id]; child != nil {
-			out = append(out, s.name+":"+child.name)
-		}
-	}
-	return out
 }
 
 // ActiveTicks returns, for each state on the active path (root to leaf),
@@ -434,10 +373,7 @@ func (m *Machine) ActiveTicks() []int64 {
 //   - the active path's tick counts, leaf first, each saturated at
 //     limit (8 bytes each);
 //   - the values of the variables with the given ids, in the given order
-//     (8 bytes each);
-//   - one slot per composite with a history junction, in document order,
-//     holding the remembered child's state id plus one, or 0 if the
-//     composite was never exited (4 bytes each).
+//     (8 bytes each).
 //
 // The leaf fixes the path length, so two configurations with the same
 // leaf encode to the same width, field by field; two with different
@@ -450,13 +386,6 @@ func (m *Machine) AppendConfig(b []byte, limit int64, vars []int) []byte {
 	}
 	for _, id := range vars {
 		b = binary.LittleEndian.AppendUint64(b, uint64(m.vars[id]))
-	}
-	for _, s := range m.cc.history {
-		var slot uint32
-		if child := m.lastChild[s.id]; child != nil {
-			slot = uint32(child.id) + 1
-		}
-		b = binary.LittleEndian.AppendUint32(b, slot)
 	}
 	return b
 }
@@ -476,12 +405,10 @@ func (cc *Compiled) MaxTemporalConst() int64 {
 	return max
 }
 
-// Reset returns the machine to the initial configuration and valuation,
-// clearing history junctions.
+// Reset returns the machine to the initial configuration and valuation.
 func (m *Machine) Reset() {
 	m.tick = 0
 	clear(m.entryTick)
-	clear(m.lastChild)
 	for id, v := range m.cc.varList {
 		m.vars[id] = v.Init
 	}

@@ -1,6 +1,9 @@
 package statechart
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 )
@@ -101,19 +104,6 @@ func TestBolusSuperStepChainsTwoTransitions(t *testing.T) {
 	}
 	if len(res.Changed) != 1 || res.Changed[0].Name != "o_MotorState" || res.Changed[0].To != 1 {
 		t.Fatalf("changed=%v", res.Changed)
-	}
-}
-
-func TestBolusWithoutSuperStepTakesTwoTicks(t *testing.T) {
-	m := NewMachine(compilePump(t))
-	m.SetSuperStep(false)
-	res := m.Step("i_BolusReq")
-	if len(res.Taken) != 1 || m.ActiveState() != "BolusRequested" {
-		t.Fatalf("taken=%v active=%s", res.Taken, m.ActiveState())
-	}
-	res = m.Step()
-	if len(res.Taken) != 1 || m.ActiveState() != "Infusion" {
-		t.Fatalf("taken=%v active=%s", res.Taken, m.ActiveState())
 	}
 }
 
@@ -264,12 +254,10 @@ func TestEntryExitDuringActions(t *testing.T) {
 		Vars: []VarDecl{
 			{Name: "entries", Type: Int, Kind: Output},
 			{Name: "exits", Type: Int, Kind: Output},
-			{Name: "durings", Type: Int, Kind: Output},
 		},
 		Initial: "A",
 		States: []*State{
 			{Name: "A",
-				During:      "durings := durings + 1",
 				Exit:        "exits := exits + 1",
 				Transitions: []Transition{{To: "B", Trigger: "go"}}},
 			{Name: "B",
@@ -282,12 +270,10 @@ func TestEntryExitDuringActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMachine(cc)
-	m.Step() // stable tick in A: during runs
-	m.Step() // again
+	m.Step() // stable tick in A: no action runs
 	m.Step("go")
-	if m.Get("durings") != 2 || m.Get("exits") != 1 || m.Get("entries") != 1 {
-		t.Fatalf("durings=%d exits=%d entries=%d",
-			m.Get("durings"), m.Get("exits"), m.Get("entries"))
+	if m.Get("exits") != 1 || m.Get("entries") != 1 {
+		t.Fatalf("exits=%d entries=%d", m.Get("exits"), m.Get("entries"))
 	}
 }
 
@@ -339,6 +325,84 @@ func TestHierarchyEntersInitialChildAndInheritsTransitions(t *testing.T) {
 	}
 	if m.Get("out") != 0 {
 		t.Fatalf("out=%d; exit then transition action order violated", m.Get("out"))
+	}
+}
+
+// modeChart: a mode composite that is left and re-entered. Pausing and
+// resuming re-enters the composite's initial sub-mode, whichever one was
+// active at the pause.
+func modeChart() *Chart {
+	return &Chart{
+		Name:       "mode",
+		TickPeriod: time.Millisecond,
+		Events:     []string{"pause", "resume", "fast"},
+		Vars:       []VarDecl{{Name: "out", Type: Int, Kind: Output}},
+		Initial:    "Run",
+		States: []*State{
+			{
+				Name:    "Run",
+				Initial: "Slow",
+				Transitions: []Transition{
+					{To: "Paused", Trigger: "pause"},
+				},
+				Children: []*State{
+					{Name: "Slow", Entry: "out := 1", Transitions: []Transition{
+						{To: "Fast", Trigger: "fast"},
+					}},
+					{Name: "Fast", Entry: "out := 2"},
+				},
+			},
+			{
+				Name: "Paused",
+				Transitions: []Transition{
+					{To: "Run", Trigger: "resume"},
+				},
+			},
+		},
+	}
+}
+
+func TestReentryEntersInitialChild(t *testing.T) {
+	cc, err := modeChart().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(cc)
+	m.Step("fast")
+	m.Step("pause")
+	m.Step("resume")
+	if m.ActiveState() != "Slow" || m.Get("out") != 1 {
+		t.Fatalf("resume should enter Slow, got %q with out=%d", m.ActiveState(), m.Get("out"))
+	}
+}
+
+// TestAppendConfigLayout pins AppendConfig's documented layout: leaf id,
+// one saturated tick count per active-path state, and the requested
+// variables.
+func TestAppendConfigLayout(t *testing.T) {
+	cc, err := modeChart().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(cc)
+	m.Step()
+	m.Step("fast")
+	m.Step() // Fast has been active for 2 ticks, its parent Run for 3
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	// State ids in document order: Run 0, Slow 1, Fast 2, Paused 3.
+	want := slices.Concat(u32(2), u64(2), u64(3), u64(2))
+	if got := m.AppendConfig(nil, 5, []int{0}); !bytes.Equal(got, want) {
+		t.Fatalf("in Fast: got %x, want %x", got, want)
+	}
+	want = slices.Concat(u32(2), u64(2), u64(2), u64(2))
+	if got := m.AppendConfig(nil, 2, []int{0}); !bytes.Equal(got, want) {
+		t.Fatalf("in Fast, saturated at 2: got %x, want %x", got, want)
+	}
+	m.Step("pause")
+	want = slices.Concat(u32(3), u64(1))
+	if got := m.AppendConfig(nil, 5, nil); !bytes.Equal(got, want) {
+		t.Fatalf("in Paused: got %x, want %x", got, want)
 	}
 }
 
@@ -567,7 +631,7 @@ func TestUndeclaredEventPanicLeavesNoEventPending(t *testing.T) {
 // path: Restore copies into the machine's own storage, and a Step on a
 // tick where no transition fires touches no heap.
 func TestRestoreAndStableStepAllocateNothing(t *testing.T) {
-	for _, c := range []*Chart{pumpChart(), historyChart(true)} {
+	for _, c := range []*Chart{pumpChart(), modeChart()} {
 		cc, err := c.Compile()
 		if err != nil {
 			t.Fatal(err)

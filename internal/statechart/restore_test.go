@@ -12,7 +12,7 @@ import (
 // TestRestoreUndoesDetours runs two machines on the same random chart and
 // stimuli. One of them now and then snapshots, takes a random detour and
 // restores; afterwards the two must agree on everything observable,
-// including history junctions and the entry ticks later steps read.
+// including the entry ticks later steps read.
 func TestRestoreUndoesDetours(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := sim.NewRand(seed)
@@ -61,7 +61,6 @@ func TestRestoreUndoesDetours(t *testing.T) {
 				{"active path", detoured.ActivePath(), straight.ActivePath()},
 				{"active ticks", detoured.ActiveTicks(), straight.ActiveTicks()},
 				{"variables", detoured.Vars(), straight.Vars()},
-				{"history", detoured.HistoryLeaves(), straight.HistoryLeaves()},
 			} {
 				if !reflect.DeepEqual(c.d, c.s) {
 					t.Fatalf("seed %d step %d: %s %v after a restore, %v without detours", seed, i, c.what, c.d, c.s)

@@ -14,8 +14,8 @@ import (
 
 // stringKey is the checker's former state key, kept as the oracle for
 // the compact one: the active leaf's name, the saturated active-path
-// counters, the relevant variables by name, the remembered history
-// children and the obligation, formatted as text.
+// counters, the relevant variables by name and the obligation, formatted
+// as text.
 func stringKey(m *statechart.Machine, obligation int64, cap int64, relevant map[string]bool) string {
 	var b strings.Builder
 	b.WriteString(m.ActiveState())
@@ -38,11 +38,6 @@ func stringKey(m *statechart.Machine, obligation int64, cap int64, relevant map[
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s=%d,", n, vars[n])
 	}
-	b.WriteByte('|')
-	for _, h := range m.HistoryLeaves() {
-		b.WriteString(h)
-		b.WriteByte(',')
-	}
 	fmt.Fprintf(&b, "|%d", obligation)
 	return b.String()
 }
@@ -53,7 +48,7 @@ func stringKey(m *statechart.Machine, obligation int64, cap int64, relevant map[
 // sets: one output's cone of influence, and every variable. It also
 // checks InActivePath against ActivePath in every configuration.
 func TestCompactKeyMatchesStringKey(t *testing.T) {
-	var configs, withHistory, keyed, distinct int
+	var configs, keyed, distinct int
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := sim.NewRand(seed)
 		chart := randchart.Chart(r)
@@ -103,9 +98,6 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 		}
 		for _, snap := range snaps {
 			m.Restore(snap)
-			if len(m.HistoryLeaves()) > 0 {
-				withHistory++
-			}
 			for _, s := range states {
 				if m.InActivePath(s) != slices.Contains(m.ActivePath(), s) {
 					t.Fatalf("seed %d: InActivePath(%s) disagrees with %v", seed, s, m.ActivePath())
@@ -129,12 +121,8 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 		distinct += len(compactOf[0]) + len(compactOf[1])
 		configs += len(snaps)
 	}
-	t.Logf("%d configurations (%d with a history child) keyed %d times; %d distinct keys",
-		configs, withHistory, keyed, distinct)
+	t.Logf("%d configurations keyed %d times; %d distinct keys", configs, keyed, distinct)
 	if distinct == keyed {
 		t.Error("no two configurations shared a key: the projection and saturation were never exercised")
-	}
-	if withHistory == 0 {
-		t.Error("no configuration remembered a history child")
 	}
 }

@@ -276,7 +276,6 @@ func relevantVars(cc *statechart.Compiled, seeds ...string) map[string]bool {
 	cc.WalkStates(func(s statechart.StateInfo) {
 		addAction(s.Entry)
 		addAction(s.Exit)
-		addAction(s.During)
 	})
 	cc.WalkTransitions(func(t statechart.TransitionInfo) {
 		for _, r := range statechart.Refs(t.Guard, nil) {
