@@ -23,10 +23,10 @@ import (
 	"rmtest/internal/faults"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
+	"rmtest/internal/interp"
 	"rmtest/internal/platform"
 	"rmtest/internal/rtos"
 	"rmtest/internal/sim"
-	"rmtest/internal/statechart"
 	"rmtest/internal/verify"
 )
 
@@ -89,14 +89,15 @@ func BenchmarkTableIFull(b *testing.B) {
 
 // --- Fig. 2 (the model) ----------------------------------------------
 
-// BenchmarkFig2ModelStep measures interpreting the Fig. 2 pump chart (the
-// executable model reference), one E_CLK tick per iteration.
+// BenchmarkFig2ModelStep measures interpreting the Fig. 2 pump chart on
+// the chart interpreter (the tests' executable model reference), one
+// E_CLK tick per iteration.
 func BenchmarkFig2ModelStep(b *testing.B) {
 	cc, err := gpca.Chart().Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := statechart.NewMachine(cc)
+	m := interp.NewMachine(cc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

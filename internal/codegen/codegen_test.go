@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rmtest/internal/interp"
 	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
 	"rmtest/internal/statechart"
@@ -105,7 +106,7 @@ func TestExecBolusScenario(t *testing.T) {
 func differential(t *testing.T, c *statechart.Chart, seq [][]string) {
 	t.Helper()
 	cc, p := compileProgram(t, c)
-	m := statechart.NewMachine(cc)
+	m := interp.NewMachine(cc)
 	e := NewExec(p, ZeroCostModel(), nil, nil)
 	for i, events := range seq {
 		mres := m.Step(events...)
@@ -164,7 +165,7 @@ func TestDifferentialPumpRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := statechart.NewMachine(cc)
+		m := interp.NewMachine(cc)
 		e := NewExec(p, ZeroCostModel(), nil, nil)
 		for _, evs := range seq {
 			mres := m.Step(evs...)
@@ -234,7 +235,7 @@ func TestDifferentialHierarchicalRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := statechart.NewMachine(cc)
+		m := interp.NewMachine(cc)
 		e := NewExec(p, ZeroCostModel(), nil, nil)
 		for i := 0; i < n; i++ {
 			var evs []string

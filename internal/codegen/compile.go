@@ -105,14 +105,12 @@ func (c *compiler) fail(format string, args ...any) {
 
 // compileExpr compiles an expression that leaves its value on the stack,
 // followed by OpHalt. A nil expression yields an empty CodeRef, which the
-// VM treats as "true" for guards. Expressions are optimised first
-// (constant folding, algebraic simplification), like production code
-// generators do.
+// VM treats as "true" for guards. Expressions compile as written, so the
+// cost model charges the node count of the source expression.
 func (c *compiler) compileExpr(e statechart.Expr) CodeRef {
 	if e == nil {
 		return CodeRef{}
 	}
-	e = Optimize(e)
 	pc := len(c.code)
 	c.expr(e)
 	c.emit(OpHalt, 0)
@@ -124,7 +122,6 @@ func (c *compiler) compileAction(a statechart.Action) CodeRef {
 	if len(a) == 0 {
 		return CodeRef{}
 	}
-	a = OptimizeAction(a)
 	pc := len(c.code)
 	for _, as := range a {
 		c.expr(as.X)

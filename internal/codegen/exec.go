@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -11,11 +12,11 @@ import (
 // ExecEnv provides platform services to the generated code. On the
 // simulated platform it is implemented by an adapter over rtos.Task, so
 // the cost of running CODE(M) is charged to the task that invokes it; a
-// nil ExecEnv executes in zero time (used for differential testing
-// against the model interpreter). The executor's state never depends on
-// when a charge runs, and it reads the clock only where a listener
-// observes a transition start or finish, so an ExecEnv may owe the
-// charges made between two reads and run them as one burst.
+// nil ExecEnv executes in zero time, as the model checker runs it and the
+// tests compare it with the chart interpreter. The executor's state never
+// depends on when a charge runs, and it reads the clock only where a
+// listener observes a transition start or finish, so an ExecEnv may owe
+// the charges made between two reads and run them as one burst.
 type ExecEnv interface {
 	// Compute charges d of CPU time to the executing task, now or owed
 	// until the next Now.
@@ -108,6 +109,16 @@ type Exec struct {
 	// error, so SkipIdle may repeat it.
 	charge time.Duration
 	idle   bool
+
+	// taken and changed back the slices a StepResult returns, and writes
+	// the record Writes returns: a Step refills them in place, so once
+	// they have grown a Step that fires transitions allocates nothing. A
+	// Step that fires nothing touches neither taken nor changed. record
+	// turns on the record of output writes (RecordWrites).
+	taken   []statechart.TakenTransition
+	changed []statechart.VarChange
+	writes  []Write
+	record  bool
 }
 
 // NewExec creates an executor in the program's initial configuration.
@@ -203,6 +214,78 @@ func (e *Exec) Vars() map[string]int64 {
 	return out
 }
 
+// SetInputID writes the input variable in slot id, as SetInput does by
+// name.
+func (e *Exec) SetInputID(id int, v int64) {
+	if e.prog.Vars[id].Kind != statechart.Input {
+		panic(fmt.Sprintf("codegen: SetInputID of non-input slot %d", id))
+	}
+	e.vars[id] = v
+}
+
+// InActivePath reports whether state sid is the active leaf or one of its
+// ancestors.
+func (e *Exec) InActivePath(sid int) bool {
+	for s := e.active; s >= 0; s = e.prog.States[s].Parent {
+		if s == sid {
+			return true
+		}
+	}
+	return false
+}
+
+// ExecState is a saved executor configuration: the active leaf, the tick,
+// and copies of the variables and entry ticks. The model checker keeps
+// one per frontier state.
+type ExecState struct {
+	active int
+	tick   int64
+	saved  []int64 // the variables, then the entry ticks
+}
+
+// Snapshot captures the current configuration. The variables and entry
+// ticks share one allocation.
+func (e *Exec) Snapshot() ExecState {
+	saved := make([]int64, len(e.vars)+len(e.entryTick))
+	copy(saved[copy(saved, e.vars):], e.entryTick)
+	return ExecState{active: e.active, tick: e.tick, saved: saved}
+}
+
+// Restore returns the executor to a configuration Snapshot captured, by
+// copying it into the executor's own storage; it allocates nothing. The
+// step before the restore no longer counts as idle, so SkipIdle does not
+// advance until the next Step.
+func (e *Exec) Restore(s ExecState) {
+	e.active = s.active
+	e.tick = s.tick
+	copy(e.entryTick, s.saved[copy(e.vars, s.saved):])
+	e.idle = false
+}
+
+// AppendConfig appends a fixed-width binary encoding of the abstract
+// configuration to b and returns the extended slice. The model checker
+// keys its visited set with it. In order:
+//   - the active leaf's state id (4 bytes);
+//   - the active path's tick counts, leaf first, each saturated at
+//     limit (8 bytes each);
+//   - the values of the variables in the given slots, in the given
+//     order (8 bytes each).
+//
+// The leaf fixes the path length, so two configurations with the same
+// leaf encode to the same width, field by field; two with different
+// leaves differ in the first field. Equal encodings therefore mean equal
+// abstract configurations.
+func (e *Exec) AppendConfig(b []byte, limit int64, vars []int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.active))
+	for sid := e.active; sid >= 0; sid = e.prog.States[sid].Parent {
+		b = binary.LittleEndian.AppendUint64(b, uint64(min(e.ticksIn(sid), limit)))
+	}
+	for _, id := range vars {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.vars[id]))
+	}
+	return b
+}
+
 func (e *Exec) compute(d time.Duration) {
 	e.charge += d
 	if e.env != nil && d > 0 {
@@ -217,12 +300,36 @@ func (e *Exec) now() time.Duration {
 	return 0
 }
 
-// StepResult mirrors statechart.StepResult for the generated code.
+// StepResult reports what one Step did. Its slices are the executor's
+// scratch: they are valid only until the next Step, Reset or Restore.
 type StepResult struct {
-	Taken   []statechart.TakenTransition
+	// Taken lists the transitions taken, in order.
+	Taken []statechart.TakenTransition
+	// Changed lists the outputs whose value differs from the step's
+	// start, sorted by name: the net effect the platform commits.
 	Changed []statechart.VarChange
-	Err     error
+	// Err is non-nil if a guard or action failed to evaluate or the
+	// transition chain exceeded statechart.MaxChain.
+	Err error
 }
+
+// Write is one store that changed an output variable's value.
+type Write struct {
+	Var   int   // the variable's slot
+	Value int64 // the value stored
+}
+
+// RecordWrites makes every later Step record its output writes for
+// Writes. The model checker discharges response obligations on them: a
+// response that a later action of the same step overwrites still
+// happened.
+func (e *Exec) RecordWrites() { e.record = true }
+
+// Writes lists, in execution order, every store of the last Step that
+// changed an output's value, one that a later store undoes included. It
+// is empty unless RecordWrites was called, and like StepResult's slices
+// it is valid only until the next Step, Reset or Restore.
+func (e *Exec) Writes() []Write { return e.writes }
 
 // EventMask builds the event bitmask for Step from event names.
 func (e *Exec) EventMask(events ...string) uint64 {
@@ -238,15 +345,19 @@ func (e *Exec) EventMask(events ...string) uint64 {
 }
 
 // Step runs one invocation of the generated step function with the given
-// input events. Semantics mirror statechart.Machine exactly (super-step
-// with per-event consumption); in addition every charge of the cost model
-// flows through the ExecEnv and the listener observes each transition's
-// start and finish instants.
+// input events: super-step semantics, in which transitions chain until
+// the configuration is stable and an event triggers at most one
+// transition. Every charge of the cost model flows through the ExecEnv,
+// and the listener observes each transition's start and finish instants.
+// The result's slices are reused by the next Step, Reset or Restore.
 func (e *Exec) Step(events uint64) StepResult {
 	e.steps++
 	e.charge = 0
 	e.compute(e.cost.StepBase)
 	e.snapshotOutputs(e.outStep)
+	if e.record {
+		e.writes = e.writes[:0]
+	}
 	var res StepResult
 	for n := 0; ; n++ {
 		if n >= statechart.MaxChain {
@@ -263,7 +374,9 @@ func (e *Exec) Step(events uint64) StepResult {
 		e.fire(t, &res)
 	}
 	e.idle = len(res.Taken) == 0 && res.Err == nil && events == 0
-	res.Changed = e.diffOutputs(e.outStep)
+	if res.Changed = e.diffOutputs(e.changed, e.outStep); res.Changed != nil {
+		e.changed = res.Changed
+	}
 	e.tick++
 	return res
 }
@@ -376,40 +489,53 @@ func (e *Exec) fire(t *TransRow, res *StepResult) {
 	e.runAction(t.Action, res)
 	e.enterChain(t.To, exitTo, res)
 	e.transitions++
+	if res.Taken == nil {
+		res.Taken = e.taken[:0]
+	}
 	res.Taken = append(res.Taken, statechart.TakenTransition{
 		Index: t.ID,
 		From:  e.prog.States[t.From].Name,
 		To:    e.prog.States[t.To].Name,
 		Label: t.Label,
 	})
+	e.taken = res.Taken
 	if e.listener != nil {
-		e.listener.TransitionFinish(t.ID, t.Label, e.now(), e.diffOutputs(e.outFire))
+		e.listener.TransitionFinish(t.ID, t.Label, e.now(), e.diffOutputs(nil, e.outFire))
 	}
 }
 
+// enter marks state sid entered at the current tick and runs its entry
+// action.
+func (e *Exec) enter(sid int, res *StepResult) {
+	e.entryTick[sid] = e.tick
+	e.runAction(e.prog.States[sid].Entry, res)
+}
+
+// enterChain enters target, and any of its ancestors below scope, then
+// descends to target's initial leaf.
 func (e *Exec) enterChain(target, scope int, res *StepResult) {
-	var chain []int
-	for sid := target; sid >= 0 && sid != scope; sid = e.prog.States[sid].Parent {
-		chain = append(chain, sid)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		sid := chain[i]
-		e.entryTick[sid] = e.tick
-		e.runAction(e.prog.States[sid].Entry, res)
-	}
+	e.enterAncestors(target, scope, res)
 	sid := target
 	for e.prog.States[sid].Initial >= 0 {
 		sid = e.prog.States[sid].Initial
-		e.entryTick[sid] = e.tick
-		e.runAction(e.prog.States[sid].Entry, res)
+		e.enter(sid, res)
 	}
 	e.active = sid
 }
 
+// enterAncestors enters sid's ancestors below scope, outermost first, and
+// then sid itself.
+func (e *Exec) enterAncestors(sid, scope int, res *StepResult) {
+	if sid < 0 || sid == scope {
+		return
+	}
+	e.enterAncestors(e.prog.States[sid].Parent, scope, res)
+	e.enter(sid, res)
+}
+
 func (e *Exec) enterFrom(sid int) {
 	for {
-		e.entryTick[sid] = e.tick
-		e.runAction(e.prog.States[sid].Entry, nil)
+		e.enter(sid, nil)
 		if e.prog.States[sid].Initial < 0 {
 			e.active = sid
 			return
@@ -450,7 +576,11 @@ func (e *Exec) run(ref CodeRef) (int64, error) {
 		case OpLoad:
 			st = append(st, e.vars[in.A])
 		case OpStore:
-			e.vars[in.A] = pop()
+			v := pop()
+			if e.record && e.vars[in.A] != v && e.prog.Vars[in.A].Kind == statechart.Output {
+				e.writes = append(e.writes, Write{Var: int(in.A), Value: v})
+			}
+			e.vars[in.A] = v
 		case OpAdd:
 			r := pop()
 			st[len(st)-1] += r
@@ -555,13 +685,16 @@ func (e *Exec) snapshotOutputs(dst []int64) {
 }
 
 // diffOutputs reports the outputs that changed since before was
-// snapshotted. outIDs is pre-sorted by name, so the changes come out in
-// name order without a sort — and with zero allocations when nothing
-// changed (the common steady-state case).
-func (e *Exec) diffOutputs(before []int64) []statechart.VarChange {
+// snapshotted, in scratch's storage, or nil when none did. outIDs is
+// pre-sorted by name, so the changes come out in name order without a
+// sort.
+func (e *Exec) diffOutputs(scratch []statechart.VarChange, before []int64) []statechart.VarChange {
 	var changes []statechart.VarChange
 	for k, id := range e.outIDs {
 		if e.vars[id] != before[k] {
+			if changes == nil {
+				changes = scratch[:0]
+			}
 			changes = append(changes, statechart.VarChange{
 				Name: e.prog.Vars[id].Name, From: before[k], To: e.vars[id],
 			})

@@ -2,11 +2,10 @@ package codegen
 
 import (
 	"testing"
-	"time"
 
+	"rmtest/internal/interp"
 	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
-	"rmtest/internal/statechart"
 )
 
 // TestDifferentialRandomCharts generates hundreds of random charts and
@@ -25,7 +24,7 @@ func TestDifferentialRandomCharts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		m := statechart.NewMachine(cc)
+		m := interp.NewMachine(cc)
 		e := NewExec(prog, ZeroCostModel(), nil, nil)
 		steps := 30 + r.Intn(100)
 		for i := 0; i < steps; i++ {
@@ -62,55 +61,6 @@ func TestDifferentialRandomCharts(t *testing.T) {
 					t.Fatalf("seed %d step %d: %s: %d vs %d", seed, i, v, m.Get(v), e.Get(v))
 				}
 			}
-		}
-	}
-}
-
-// TestRandomChartsOptimizedEqualsUnoptimized compiles random charts and
-// checks the optimizer changes nothing observable: Exec over the
-// optimised program matches the interpreter (which never optimises).
-// (Generate always optimises, so this is implicitly covered by the
-// differential test; this test documents the intent explicitly on deeper
-// expression actions.)
-func TestRandomChartsOptimizedEqualsUnoptimized(t *testing.T) {
-	c := &statechart.Chart{
-		Name:       "optrand",
-		TickPeriod: time.Millisecond,
-		Events:     []string{"e"},
-		Vars: []statechart.VarDecl{
-			{Name: "x", Type: statechart.Int, Kind: statechart.Input},
-			{Name: "y", Type: statechart.Int, Kind: statechart.Output},
-		},
-		Initial: "A",
-		States: []*statechart.State{
-			{Name: "A", Transitions: []statechart.Transition{
-				{To: "B", Trigger: "e", Guard: "x * 1 + 0 > 2 && true",
-					Action: "y := (x + 0) * (1 * x) + 2 * 3 - 6"},
-			}},
-			{Name: "B", Transitions: []statechart.Transition{
-				{To: "A", Trigger: "e", Action: "y := y / 1 + 0"},
-			}},
-		},
-	}
-	cc, err := c.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Generate(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := statechart.NewMachine(cc)
-	e := NewExec(prog, ZeroCostModel(), nil, nil)
-	r := sim.NewRand(5)
-	for i := 0; i < 200; i++ {
-		x := int64(r.Intn(8))
-		m.SetInput("x", x)
-		e.SetInput("x", x)
-		m.Step("e")
-		e.Step(e.EventMask("e"))
-		if m.Get("y") != e.Get("y") || m.ActiveState() != e.ActiveState() {
-			t.Fatalf("step %d: y %d vs %d, state %s vs %s", i, m.Get("y"), e.Get("y"), m.ActiveState(), e.ActiveState())
 		}
 	}
 }

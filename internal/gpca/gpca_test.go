@@ -6,9 +6,9 @@ import (
 
 	"rmtest/internal/core"
 	"rmtest/internal/fourvar"
+	"rmtest/internal/interp"
 	"rmtest/internal/platform"
 	"rmtest/internal/sim"
-	"rmtest/internal/statechart"
 	"rmtest/internal/verify"
 )
 
@@ -32,7 +32,7 @@ func TestExtendedChartCompilesAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := statechart.NewMachine(cc)
+	m := interp.NewMachine(cc)
 	if m.ActiveState() != "Off" {
 		t.Fatalf("initial %q", m.ActiveState())
 	}
@@ -76,7 +76,7 @@ func TestExtendedStartRequiresRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := statechart.NewMachine(cc)
+	m := interp.NewMachine(cc)
 	m.Step("i_PowerOn")
 	for i := 0; i < 500; i++ {
 		m.Step()
@@ -265,7 +265,7 @@ func TestVerifiedPropertyHoldsUnderRandomSimulation(t *testing.T) {
 	events := []string{"i_BolusReq", "i_EmptyAlarm", "i_ClearAlarm"}
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := sim.NewRand(seed)
-		m := statechart.NewMachine(cc)
+		m := interp.NewMachine(cc)
 		pending := int64(-1) // ticks since an unanswered trigger
 		for tick := 0; tick < 2000; tick++ {
 			var evs []string

@@ -1,95 +1,150 @@
-package statechart
+// Package interp is the chart interpreter: it executes a compiled chart's
+// semantics directly, walking the states and the expression trees. It is
+// the executable reference that the generated code (internal/codegen)
+// and the model checker (internal/verify), which runs on the generated
+// code, are differentially tested against. Only _test.go files import it,
+// so shipped binaries link one chart runtime.
+//
+// A Machine builds its tables from the exported statechart.Compiled API,
+// as codegen.Generate does, and keeps its configuration in slices
+// indexed by state and variable ids, so Restore, and a Step in which no
+// transition fires, allocate nothing.
+package interp
 
 import (
-	"encoding/binary"
 	"fmt"
-)
+	"slices"
+	"strings"
 
-// TakenTransition describes one transition taken during a Step.
-type TakenTransition struct {
-	Index int // global transition index (stable row id in codegen tables)
-	From  string
-	To    string
-	Label string
-}
+	"rmtest/internal/statechart"
+)
 
 // StepResult reports what one clock tick did.
 type StepResult struct {
 	// Taken lists the transitions taken, in order. Empty when the
 	// configuration was stable for this tick.
-	Taken []TakenTransition
+	Taken []statechart.TakenTransition
 	// Changed lists output variables whose value changed during the step,
 	// sorted by name: the net effect the platform commits to actuators.
-	Changed []VarChange
+	Changed []statechart.VarChange
 	// Writes lists every individual value-changing assignment to an
 	// output variable, in execution order. A write that is later undone
 	// within the same step still appears here — these are the model-level
 	// o-events, which the verifier checks obligations against.
-	Writes []VarChange
+	Writes []statechart.VarChange
 	// Err is non-nil if an action or guard failed to evaluate (e.g.
 	// division by zero). The machine stops taking transitions for the
 	// step when this happens.
 	Err error
 }
 
-// VarChange is an output variable change observed during a step.
-type VarChange struct {
-	Name string
-	From int64
-	To   int64
+// state is one state of the interpreted chart.
+type state struct {
+	id      int // document-order index
+	name    string
+	parent  *state
+	initial *state
+	entry   statechart.Action
+	exit    statechart.Action
+	trans   []*transition
 }
 
-// MaxChain bounds the number of chained transitions within a single
-// super-step; exceeding it indicates a livelocked model.
-const MaxChain = 64
+// transition is one transition of the interpreted chart.
+type transition struct {
+	index    int // global index, stable across runs
+	from, to *state
+	trig     statechart.Trigger
+	event    int // the trigger's event id, for TrigEvent
+	guard    statechart.Expr
+	action   statechart.Action
+	label    string
+}
 
-// Machine is the interpreted chart runtime. It executes the model
-// semantics directly and serves as the executable reference that the
-// generated code (internal/codegen) is differentially tested against.
-//
-// Its configuration lives in slices indexed by the compiled ids of
-// variables and states, so Restore, and a Step in which no transition
-// fires, allocate nothing.
+// Machine is the interpreted chart runtime.
 type Machine struct {
-	cc     *Compiled
-	active *compiledState // active leaf
-	vars   []int64        // by variable id
+	chart   string
+	initial *state
+	events  map[string]int // event name -> event id
+	vars    map[string]int // variable name -> variable id
+	decls   []statechart.VarDecl
+	outputs []int // output variable ids, sorted by name
+
+	active *state // active leaf
+	values []int64
 	// entryTick records, by state id, the tick at which the state was
 	// last entered; temporal triggers compare against it. Only the
 	// entries of the active path are meaningful.
 	entryTick []int64
 	tick      int64
-	// events marks, by event id, this tick's events that no transition
-	// has consumed yet; before holds the outputs (in cc.outputs order) at
+	// pending marks, by event id, this tick's events that no transition
+	// has consumed yet; before holds the outputs (in outputs order) at
 	// the start of the tick. Both are per-Step scratch.
-	events []bool
-	before []int64
+	pending []bool
+	before  []int64
 }
 
 // NewMachine creates a machine in the chart's initial configuration with
 // all variables at their declared initial values. Each Step applies
 // super-step semantics (chaining transitions within one tick until
 // stable), matching the generated code the paper's flow produces.
-func NewMachine(cc *Compiled) *Machine {
+func NewMachine(cc *statechart.Compiled) *Machine {
 	m := &Machine{
-		cc:        cc,
-		vars:      make([]int64, len(cc.varList)),
-		entryTick: make([]int64, len(cc.order)),
-		events:    make([]bool, len(cc.events)),
-		before:    make([]int64, len(cc.outputs)),
+		chart:  cc.Chart().Name,
+		events: map[string]int{},
+		vars:   map[string]int{},
+		decls:  cc.Declarations(),
 	}
+	for id, e := range cc.EventNames() {
+		m.events[e] = id
+	}
+	for id, d := range m.decls {
+		m.vars[d.Name] = id
+		if d.Kind == statechart.Output {
+			m.outputs = append(m.outputs, id)
+		}
+	}
+	slices.SortFunc(m.outputs, func(a, b int) int {
+		return strings.Compare(m.decls[a].Name, m.decls[b].Name)
+	})
+	var states []*state
+	byName := map[string]*state{}
+	cc.WalkStates(func(info statechart.StateInfo) {
+		s := &state{id: len(states), name: info.Name, entry: info.Entry, exit: info.Exit}
+		states = append(states, s)
+		byName[info.Name] = s
+	})
+	cc.WalkStates(func(info statechart.StateInfo) {
+		s := byName[info.Name]
+		s.parent = byName[info.Parent]
+		s.initial = byName[info.Initial]
+	})
+	cc.WalkTransitions(func(info statechart.TransitionInfo) {
+		t := &transition{
+			index: info.Index, from: byName[info.From], to: byName[info.To],
+			trig: info.Trig, guard: info.Guard, action: info.Action, label: info.Label,
+		}
+		if t.trig.Kind == statechart.TrigEvent {
+			t.event = m.events[t.trig.Event]
+		}
+		t.from.trans = append(t.from.trans, t)
+	})
+	m.initial = byName[cc.TopInitial()]
+	m.values = make([]int64, len(m.decls))
+	m.entryTick = make([]int64, len(states))
+	m.pending = make([]bool, len(m.events))
+	m.before = make([]int64, len(m.outputs))
 	m.Reset()
 	return m
 }
 
 // enter marks s entered at the current tick and runs its entry action.
-func (m *Machine) enter(s *compiledState, res *StepResult) {
+func (m *Machine) enter(s *state, res *StepResult) {
 	m.entryTick[s.id] = m.tick
 	m.runAction(s.entry, res)
 }
 
 // enterFrom descends from s to its initial leaf, running entry actions.
-func (m *Machine) enterFrom(s *compiledState) {
+func (m *Machine) enterFrom(s *state) {
 	for s != nil {
 		m.enter(s, nil)
 		if s.initial == nil {
@@ -110,22 +165,8 @@ func (m *Machine) ActivePath() []string {
 	for s := m.active; s != nil; s = s.parent {
 		rev = append(rev, s.name)
 	}
-	out := make([]string, len(rev))
-	for i, n := range rev {
-		out[len(rev)-1-i] = n
-	}
-	return out
-}
-
-// InActivePath reports whether the named state is the active leaf or one
-// of its ancestors. It allocates nothing.
-func (m *Machine) InActivePath(state string) bool {
-	for s := m.active; s != nil; s = s.parent {
-		if s.name == state {
-			return true
-		}
-	}
-	return false
+	slices.Reverse(rev)
+	return rev
 }
 
 // Tick returns the number of Steps executed so far.
@@ -133,41 +174,41 @@ func (m *Machine) Tick() int64 { return m.tick }
 
 // Get returns the value of a declared variable.
 func (m *Machine) Get(name string) int64 {
-	id, ok := m.cc.vars[name]
+	id, ok := m.vars[name]
 	if !ok {
-		panic(fmt.Sprintf("statechart: Get of undeclared variable %q", name))
+		panic(fmt.Sprintf("interp: Get of undeclared variable %q", name))
 	}
-	return m.vars[id]
+	return m.values[id]
 }
 
 // SetInput writes an input variable; the platform's input-interfacing
 // code calls this before Step.
 func (m *Machine) SetInput(name string, v int64) {
-	id, ok := m.cc.vars[name]
-	if !ok || m.cc.varList[id].Kind != Input {
-		panic(fmt.Sprintf("statechart: SetInput of non-input %q", name))
+	id, ok := m.vars[name]
+	if !ok || m.decls[id].Kind != statechart.Input {
+		panic(fmt.Sprintf("interp: SetInput of non-input %q", name))
 	}
-	m.vars[id] = v
+	m.values[id] = v
 }
 
 // Vars returns a copy of the full variable valuation.
 func (m *Machine) Vars() map[string]int64 {
-	out := make(map[string]int64, len(m.vars))
-	for id, v := range m.vars {
-		out[m.cc.varList[id].Name] = v
+	out := make(map[string]int64, len(m.values))
+	for id, v := range m.values {
+		out[m.decls[id].Name] = v
 	}
 	return out
 }
 
 func (m *Machine) env(name string) (int64, bool) {
-	id, ok := m.cc.vars[name]
+	id, ok := m.vars[name]
 	if !ok {
 		return 0, false
 	}
-	return m.vars[id], true
+	return m.values[id], true
 }
 
-func (m *Machine) runAction(a Action, res *StepResult) {
+func (m *Machine) runAction(a statechart.Action, res *StepResult) {
 	for _, as := range a {
 		v, err := Eval(as.X, m.env)
 		if err != nil {
@@ -176,38 +217,38 @@ func (m *Machine) runAction(a Action, res *StepResult) {
 			}
 			return
 		}
-		id := m.cc.vars[as.Name]
-		old := m.vars[id]
-		m.vars[id] = v
-		if res != nil && old != v && m.cc.varList[id].Kind == Output {
-			res.Writes = append(res.Writes, VarChange{Name: as.Name, From: old, To: v})
+		id := m.vars[as.Name]
+		old := m.values[id]
+		m.values[id] = v
+		if res != nil && old != v && m.decls[id].Kind == statechart.Output {
+			res.Writes = append(res.Writes, statechart.VarChange{Name: as.Name, From: old, To: v})
 		}
 	}
 }
 
 // ticksIn reports how many ticks state s (an ancestor or the leaf) has
 // been active, counting the current tick.
-func (m *Machine) ticksIn(s *compiledState) int64 {
+func (m *Machine) ticksIn(s *state) int64 {
 	return m.tick - m.entryTick[s.id]
 }
 
 // enabled reports whether transition t may fire given the unconsumed
 // events of this tick.
-func (m *Machine) enabled(t *compiledTransition, res *StepResult) bool {
+func (m *Machine) enabled(t *transition, res *StepResult) bool {
 	switch t.trig.Kind {
-	case TrigEvent:
-		if !m.events[t.event] {
+	case statechart.TrigEvent:
+		if !m.pending[t.event] {
 			return false
 		}
-	case TrigAfter:
+	case statechart.TrigAfter:
 		if m.ticksIn(t.from) < t.trig.N {
 			return false
 		}
-	case TrigBefore:
+	case statechart.TrigBefore:
 		if m.ticksIn(t.from) >= t.trig.N {
 			return false
 		}
-	case TrigAt:
+	case statechart.TrigAt:
 		if m.ticksIn(t.from) != t.trig.N {
 			return false
 		}
@@ -227,7 +268,7 @@ func (m *Machine) enabled(t *compiledTransition, res *StepResult) bool {
 
 // pickTransition searches the active leaf and then its ancestors for the
 // first enabled transition, in document order per state.
-func (m *Machine) pickTransition(res *StepResult) *compiledTransition {
+func (m *Machine) pickTransition(res *StepResult) *transition {
 	for s := m.active; s != nil; s = s.parent {
 		for _, t := range s.trans {
 			if m.enabled(t, res) {
@@ -242,7 +283,7 @@ func (m *Machine) pickTransition(res *StepResult) *compiledTransition {
 // including) the common ancestor scope, the transition action, then entry
 // actions down to the target leaf. Exited states keep their stale entry
 // ticks: only the active path's are ever read.
-func (m *Machine) fire(t *compiledTransition, res *StepResult) {
+func (m *Machine) fire(t *transition, res *StepResult) {
 	// Exit from the active leaf up through the transition's source scope.
 	exitTo := t.from.parent
 	for s := m.active; s != nil && s != exitTo; s = s.parent {
@@ -252,14 +293,14 @@ func (m *Machine) fire(t *compiledTransition, res *StepResult) {
 	// Enter target: ensure ancestors of the target that are not already
 	// active get entry timestamps too.
 	m.enterChain(t.to, exitTo, res)
-	res.Taken = append(res.Taken, TakenTransition{
+	res.Taken = append(res.Taken, statechart.TakenTransition{
 		Index: t.index, From: t.from.name, To: t.to.name, Label: t.label,
 	})
 }
 
 // enterChain enters target (and any ancestors between scope and target
 // that are not yet active), then descends to the initial leaf.
-func (m *Machine) enterChain(target, scope *compiledState, res *StepResult) {
+func (m *Machine) enterChain(target, scope *state, res *StepResult) {
 	m.enterAncestors(target, scope, res)
 	s := target
 	for s.initial != nil {
@@ -271,7 +312,7 @@ func (m *Machine) enterChain(target, scope *compiledState, res *StepResult) {
 
 // enterAncestors enters s's ancestors below scope, outermost first, and
 // then s itself.
-func (m *Machine) enterAncestors(s, scope *compiledState, res *StepResult) {
+func (m *Machine) enterAncestors(s, scope *state, res *StepResult) {
 	if s == nil || s == scope {
 		return
 	}
@@ -281,53 +322,52 @@ func (m *Machine) enterAncestors(s, scope *compiledState, res *StepResult) {
 
 // Step executes one E_CLK tick with the given input events fired. It
 // applies super-step semantics: transitions chain until the
-// configuration is stable or MaxChain is exceeded. An event is
+// configuration is stable or statechart.MaxChain is exceeded. An event is
 // consumed by the first transition it triggers, so only temporal and
 // guard-only transitions extend a chain — e.g. the pump model's
 // Idle->BolusRequested (on i_BolusReq) chains into
 // BolusRequested->Infusion (before(100, E_CLK)) within one tick.
 func (m *Machine) Step(events ...string) StepResult {
 	for _, e := range events {
-		id, ok := m.cc.events[e]
+		id, ok := m.events[e]
 		if !ok {
-			clear(m.events)
-			panic(fmt.Sprintf("statechart: Step with undeclared event %q", e))
+			clear(m.pending)
+			panic(fmt.Sprintf("interp: Step with undeclared event %q", e))
 		}
-		m.events[id] = true
+		m.pending[id] = true
 	}
-	for i, id := range m.cc.outputs {
-		m.before[i] = m.vars[id]
+	for i, id := range m.outputs {
+		m.before[i] = m.values[id]
 	}
 	var res StepResult
 	for n := 0; ; n++ {
-		if n >= MaxChain {
-			res.Err = fmt.Errorf("statechart %s: transition chain exceeded %d (livelock?)", m.cc.chart.Name, MaxChain)
+		if n >= statechart.MaxChain {
+			res.Err = fmt.Errorf("interp %s: transition chain exceeded %d (livelock?)", m.chart, statechart.MaxChain)
 			break
 		}
 		t := m.pickTransition(&res)
 		if t == nil || res.Err != nil {
 			break
 		}
-		if t.trig.Kind == TrigEvent {
-			m.events[t.event] = false // an event triggers at most one transition
+		if t.trig.Kind == statechart.TrigEvent {
+			m.pending[t.event] = false // an event triggers at most one transition
 		}
 		m.fire(t, &res)
 	}
-	clear(m.events)
-	for i, id := range m.cc.outputs {
-		if old, now := m.before[i], m.vars[id]; now != old {
-			res.Changed = append(res.Changed, VarChange{Name: m.cc.varList[id].Name, From: old, To: now})
+	clear(m.pending)
+	for i, id := range m.outputs {
+		if old, now := m.before[i], m.values[id]; now != old {
+			res.Changed = append(res.Changed, statechart.VarChange{Name: m.decls[id].Name, From: old, To: now})
 		}
 	}
 	m.tick++
 	return res
 }
 
-// MachineState is a saved machine configuration, used by the model
-// checker to explore the chart's state space. It holds copies of the
+// MachineState is a saved machine configuration. It holds copies of the
 // machine's id-indexed slices.
 type MachineState struct {
-	active    *compiledState
+	active    *state
 	vars      []int64
 	entryTick []int64
 	tick      int64
@@ -336,9 +376,9 @@ type MachineState struct {
 // Snapshot captures the current configuration. The variables and entry
 // ticks share one allocation.
 func (m *Machine) Snapshot() MachineState {
-	nv := len(m.vars)
+	nv := len(m.values)
 	buf := make([]int64, nv+len(m.entryTick))
-	copy(buf, m.vars)
+	copy(buf, m.values)
 	copy(buf[nv:], m.entryTick)
 	return MachineState{active: m.active, vars: buf[:nv:nv], entryTick: buf[nv:], tick: m.tick}
 }
@@ -348,7 +388,7 @@ func (m *Machine) Snapshot() MachineState {
 func (m *Machine) Restore(s MachineState) {
 	m.active = s.active
 	m.tick = s.tick
-	copy(m.vars, s.vars)
+	copy(m.values, s.vars)
 	copy(m.entryTick, s.entryTick)
 }
 
@@ -359,58 +399,16 @@ func (m *Machine) ActiveTicks() []int64 {
 	for s := m.active; s != nil; s = s.parent {
 		rev = append(rev, m.ticksIn(s))
 	}
-	out := make([]int64, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
-	}
-	return out
-}
-
-// AppendConfig appends a fixed-width binary encoding of the abstract
-// configuration to b and returns the extended slice. The model checker
-// keys its visited set with it. In order:
-//   - the active leaf's state id (4 bytes);
-//   - the active path's tick counts, leaf first, each saturated at
-//     limit (8 bytes each);
-//   - the values of the variables with the given ids, in the given order
-//     (8 bytes each).
-//
-// The leaf fixes the path length, so two configurations with the same
-// leaf encode to the same width, field by field; two with different
-// leaves differ in the first field. Equal encodings therefore mean equal
-// abstract configurations.
-func (m *Machine) AppendConfig(b []byte, limit int64, vars []int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.active.id))
-	for s := m.active; s != nil; s = s.parent {
-		b = binary.LittleEndian.AppendUint64(b, uint64(min(m.ticksIn(s), limit)))
-	}
-	for _, id := range vars {
-		b = binary.LittleEndian.AppendUint64(b, uint64(m.vars[id]))
-	}
-	return b
-}
-
-// MaxTemporalConst returns the largest tick constant appearing in any
-// temporal trigger of the chart; the model checker uses it to saturate
-// counters soundly.
-func (cc *Compiled) MaxTemporalConst() int64 {
-	var max int64
-	for _, t := range cc.trans {
-		if t.trig.Kind == TrigAfter || t.trig.Kind == TrigBefore || t.trig.Kind == TrigAt {
-			if t.trig.N > max {
-				max = t.trig.N
-			}
-		}
-	}
-	return max
+	slices.Reverse(rev)
+	return rev
 }
 
 // Reset returns the machine to the initial configuration and valuation.
 func (m *Machine) Reset() {
 	m.tick = 0
 	clear(m.entryTick)
-	for id, v := range m.cc.varList {
-		m.vars[id] = v.Init
+	for id, d := range m.decls {
+		m.values[id] = d.Init
 	}
-	m.enterFrom(m.cc.initial)
+	m.enterFrom(m.initial)
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,10 +21,14 @@ func TestChartsCompile(t *testing.T) {
 	}
 }
 
-// TestOnlyTestsImport keeps the generator out of every shipped binary:
-// no non-test file in the module may import this package.
+// testOnly lists the packages that exist for tests alone: this random
+// chart generator, and the chart interpreter the tests use as their
+// executable reference.
+var testOnly = []string{"rmtest/internal/randchart", "rmtest/internal/interp"}
+
+// TestOnlyTestsImport keeps the test-only packages out of every shipped
+// binary: no non-test file in the module may import one.
 func TestOnlyTestsImport(t *testing.T) {
-	const self = "rmtest/internal/randchart"
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -43,8 +48,8 @@ func TestOnlyTestsImport(t *testing.T) {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == self {
-				t.Errorf("%s imports %s; only _test.go files may", path, self)
+			if p, _ := strconv.Unquote(imp.Path.Value); slices.Contains(testOnly, p) {
+				t.Errorf("%s imports %s; only _test.go files may", path, p)
 			}
 		}
 		return nil

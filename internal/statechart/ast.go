@@ -9,17 +9,14 @@
 // state entry), a guard expression and an action — small programs in a
 // Stateflow-style action language: `o_MotorState := 1; doses := doses + 1`.
 //
-// The package provides an interpreted runtime (Machine) with Stateflow-like
-// super-step semantics: one Step per clock tick, chaining through enabled
-// transitions until the configuration is stable. internal/codegen compiles
-// the same charts to transition tables and bytecode, which is the
-// "auto-generated code" (CODE (M)) whose timing the framework tests.
-//
-// Compile gives every state, variable and event a dense id (document or
-// declaration order), and the Machine keeps its configuration in slices
-// indexed by them. The model checker (internal/verify) explores the
-// chart with Snapshot and Restore, which copy those slices, and keys its
-// visited set with AppendConfig's fixed-width encoding.
+// Charts have Stateflow-like super-step semantics: one step per clock
+// tick, chaining through enabled transitions until the configuration is
+// stable. internal/codegen compiles a chart to transition tables and
+// bytecode, the "auto-generated code" (CODE (M)) whose timing the
+// framework tests; its executor is the one chart runtime the shipped
+// binaries run, and the model checker (internal/verify) explores it.
+// internal/interp interprets the chart directly, as the tests'
+// executable reference.
 package statechart
 
 import (

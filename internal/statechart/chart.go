@@ -2,9 +2,7 @@ package statechart
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -102,7 +100,6 @@ type Chart struct {
 type compiledTransition struct {
 	from, to *compiledState
 	trig     Trigger
-	event    int // the trigger's event id, for TrigEvent
 	guard    Expr
 	action   Action
 	label    string
@@ -111,7 +108,6 @@ type compiledTransition struct {
 
 // compiledState is a validated state.
 type compiledState struct {
-	id       int // document-order index in Compiled.order
 	name     string
 	parent   *compiledState
 	initial  *compiledState
@@ -122,12 +118,10 @@ type compiledState struct {
 	depth    int
 }
 
-// Compiled is the validated, parsed form of a Chart shared by the
-// interpreter (Machine), the verifier and the code generator. States,
-// variables and events have dense ids: a state's id is its document-order
-// index, a variable's its declaration-order index in varList, an event's
-// its declaration-order index in Chart.Events. The interpreter keeps its
-// configuration in slices indexed by these ids.
+// Compiled is the validated, parsed form of a Chart shared by the code
+// generator, the verifier and lint. Its Walk and accessor methods list
+// states in document order and variables in declaration order; the code
+// generator numbers states and variables in that order.
 type Compiled struct {
 	chart   *Chart
 	states  map[string]*compiledState
@@ -136,7 +130,6 @@ type Compiled struct {
 	events  map[string]int // event name -> event id
 	vars    map[string]int // variable name -> variable id
 	varList []VarDecl      // declaration order; index = variable id
-	outputs []int          // output variable ids, sorted by name
 	initial *compiledState
 }
 
@@ -157,7 +150,6 @@ func (c *Chart) Compile() (*Compiled, error) {
 		events:  make(map[string]int, len(c.Events)),
 		vars:    make(map[string]int, len(c.Vars)),
 		varList: make([]VarDecl, 0, len(c.Vars)),
-		outputs: make([]int, 0, len(c.Vars)),
 	}
 	for i, e := range c.Events {
 		if _, dup := cc.events[e]; dup {
@@ -174,13 +166,7 @@ func (c *Chart) Compile() (*Compiled, error) {
 		}
 		cc.vars[v.Name] = len(cc.varList)
 		cc.varList = append(cc.varList, v)
-		if v.Kind == Output {
-			cc.outputs = append(cc.outputs, cc.vars[v.Name])
-		}
 	}
-	slices.SortFunc(cc.outputs, func(a, b int) int {
-		return strings.Compare(cc.varList[a].Name, cc.varList[b].Name)
-	})
 	// First pass: register states.
 	var register func(s *State, parent *compiledState, depth int) error
 	register = func(s *State, parent *compiledState, depth int) error {
@@ -190,7 +176,7 @@ func (c *Chart) Compile() (*Compiled, error) {
 		if _, dup := cc.states[s.Name]; dup {
 			return fmt.Errorf("statechart %s: duplicate state %q", c.Name, s.Name)
 		}
-		cs := &compiledState{id: len(cc.order), name: s.Name, parent: parent, depth: depth}
+		cs := &compiledState{name: s.Name, parent: parent, depth: depth}
 		cc.states[s.Name] = cs
 		cc.order = append(cc.order, cs)
 		if parent != nil {
@@ -244,13 +230,10 @@ func (c *Chart) Compile() (*Compiled, error) {
 			if err != nil {
 				return fmt.Errorf("trigger of %s->%s: %w", s.Name, tr.To, err)
 			}
-			var event int
 			if trig.Kind == TrigEvent {
-				id, declared := cc.events[trig.Event]
-				if !declared {
+				if _, declared := cc.events[trig.Event]; !declared {
 					return fmt.Errorf("statechart %s: transition %s->%s triggers on undeclared event %q", c.Name, s.Name, tr.To, trig.Event)
 				}
-				event = id
 			}
 			guard, err := ParseExpr(tr.Guard)
 			if err != nil {
@@ -268,7 +251,7 @@ func (c *Chart) Compile() (*Compiled, error) {
 				label = s.Name + "->" + tr.To
 			}
 			ct := &compiledTransition{
-				from: cs, to: target, trig: trig, event: event, guard: guard,
+				from: cs, to: target, trig: trig, guard: guard,
 				action: action, label: label, index: len(cc.trans),
 			}
 			cs.trans = append(cs.trans, ct)
@@ -412,7 +395,7 @@ type StateInfo struct {
 
 // TransitionInfo is the parsed, validated form of one transition, exposed
 // for the code generator. Index is the global document-order index, which
-// matches Machine's TakenTransition.Index.
+// a runtime reports as TakenTransition.Index.
 type TransitionInfo struct {
 	Index  int
 	From   string

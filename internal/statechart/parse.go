@@ -240,135 +240,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, p.errf("unexpected %s", t)
 }
 
-// Eval evaluates e against env. Booleans are represented as 0/1. Division
-// or modulo by zero returns an error rather than panicking so that a
-// malformed model surfaces as a test failure, not a crash.
-func Eval(e Expr, env func(name string) (int64, bool)) (int64, error) {
-	switch n := e.(type) {
-	case *NumLit:
-		return n.Value, nil
-	case *BoolLit:
-		if n.Value {
-			return 1, nil
-		}
-		return 0, nil
-	case *Ref:
-		v, ok := env(n.Name)
-		if !ok {
-			return 0, fmt.Errorf("statechart: undefined variable %q", n.Name)
-		}
-		return v, nil
-	case *Unary:
-		x, err := Eval(n.X, env)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case "-":
-			return -x, nil
-		case "!":
-			if x == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	case *Binary:
-		l, err := Eval(n.L, env)
-		if err != nil {
-			return 0, err
-		}
-		// Short-circuit logical operators.
-		switch n.Op {
-		case "&&":
-			if l == 0 {
-				return 0, nil
-			}
-			r, err := Eval(n.R, env)
-			if err != nil {
-				return 0, err
-			}
-			return boolToInt(r != 0), nil
-		case "||":
-			if l != 0 {
-				return 1, nil
-			}
-			r, err := Eval(n.R, env)
-			if err != nil {
-				return 0, err
-			}
-			return boolToInt(r != 0), nil
-		}
-		r, err := Eval(n.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, fmt.Errorf("statechart: division by zero")
-			}
-			return l / r, nil
-		case "%":
-			if r == 0 {
-				return 0, fmt.Errorf("statechart: modulo by zero")
-			}
-			return l % r, nil
-		case "==":
-			return boolToInt(l == r), nil
-		case "!=":
-			return boolToInt(l != r), nil
-		case "<":
-			return boolToInt(l < r), nil
-		case "<=":
-			return boolToInt(l <= r), nil
-		case ">":
-			return boolToInt(l > r), nil
-		case ">=":
-			return boolToInt(l >= r), nil
-		}
-	case *Call:
-		args := make([]int64, len(n.Args))
-		for i, a := range n.Args {
-			v, err := Eval(a, env)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		switch n.Name {
-		case "abs":
-			if args[0] < 0 {
-				return -args[0], nil
-			}
-			return args[0], nil
-		case "min":
-			if args[0] < args[1] {
-				return args[0], nil
-			}
-			return args[1], nil
-		case "max":
-			if args[0] > args[1] {
-				return args[0], nil
-			}
-			return args[1], nil
-		}
-	}
-	return 0, fmt.Errorf("statechart: cannot evaluate %v", e)
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Refs appends the names of all variables referenced by e to out and
 // returns it; used by validation.
 func Refs(e Expr, out []string) []string {

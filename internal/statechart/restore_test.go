@@ -4,9 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"rmtest/internal/interp"
 	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
-	"rmtest/internal/statechart"
 )
 
 // TestRestoreUndoesDetours runs two machines on the same random chart and
@@ -21,7 +21,7 @@ func TestRestoreUndoesDetours(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		step := func(m *statechart.Machine, evs []string, in int64) error {
+		step := func(m *interp.Machine, evs []string, in int64) error {
 			m.SetInput("in0", in)
 			return m.Step(evs...).Err
 		}
@@ -34,7 +34,7 @@ func TestRestoreUndoesDetours(t *testing.T) {
 			}
 			return evs, int64(r.Intn(6))
 		}
-		detoured, straight := statechart.NewMachine(cc), statechart.NewMachine(cc)
+		detoured, straight := interp.NewMachine(cc), interp.NewMachine(cc)
 		for i := 0; i < 60; i++ {
 			if r.Bool(0.3) {
 				snap := detoured.Snapshot()

@@ -1,52 +1,24 @@
 package verify
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
+	"rmtest/internal/codegen"
+	"rmtest/internal/interp"
 	"rmtest/internal/randchart"
 	"rmtest/internal/sim"
-	"rmtest/internal/statechart"
 )
 
-// stringKey is the checker's former state key, kept as the oracle for
-// the compact one: the active leaf's name, the saturated active-path
-// counters, the relevant variables by name and the obligation, formatted
-// as text.
-func stringKey(m *statechart.Machine, obligation int64, cap int64, relevant map[string]bool) string {
-	var b strings.Builder
-	b.WriteString(m.ActiveState())
-	b.WriteByte('|')
-	for _, t := range m.ActiveTicks() {
-		if t > cap {
-			t = cap
-		}
-		fmt.Fprintf(&b, "%d,", t)
-	}
-	b.WriteByte('|')
-	vars := m.Vars()
-	names := make([]string, 0, len(vars))
-	for n := range vars {
-		if relevant[n] {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d,", n, vars[n])
-	}
-	fmt.Fprintf(&b, "|%d", obligation)
-	return b.String()
-}
-
-// TestCompactKeyMatchesStringKey checks on random charts that two
-// reachable configurations get equal compact keys exactly when they get
-// equal string keys, for obligations -1, 0 and 1 and for two relevant
-// sets: one output's cone of influence, and every variable. It also
-// checks InActivePath against ActivePath in every configuration.
+// TestCompactKeyMatchesStringKey drives the chart interpreter and the
+// generated code in lockstep on random charts and random stimuli. It
+// checks that two reachable configurations get equal compact keys from
+// the executor exactly when they get equal string keys from the
+// interpreter, for obligations -1, 0 and 1 and for two relevant sets: one
+// output's cone of influence, and every variable. It also checks the
+// executor's InActivePath against the interpreter's ActivePath in every
+// configuration.
 func TestCompactKeyMatchesStringKey(t *testing.T) {
 	var configs, keyed, distinct int
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -56,39 +28,58 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
+		prog, err := codegen.Generate(cc)
+		if err != nil {
+			t.Fatalf("seed %d: generate: %v", seed, err)
+		}
 		limit := cc.MaxTemporalConst() + 1
 		outIDs, err := cone(cc, "out0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		all := map[string]bool{}
+		var all []string
 		var allIDs []int
 		for id, d := range cc.Declarations() {
-			all[d.Name] = true
+			all = append(all, d.Name)
 			allIDs = append(allIDs, id)
 		}
+		sort.Strings(all)
 		sets := []struct {
-			names map[string]bool
+			names []string
 			ids   []int
-		}{{relevantVars(cc, "out0"), outIDs}, {all, allIDs}}
+		}{{relevantNames(cc, "out0"), outIDs}, {all, allIDs}}
 
 		// Random reachable configurations: each step restores one seen
-		// so far and applies random events and a random input.
-		m := statechart.NewMachine(cc)
-		snaps := []statechart.MachineState{m.Snapshot()}
+		// so far on both runtimes and applies the same random events and
+		// input to both.
+		m := interp.NewMachine(cc)
+		e := codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil)
+		type config struct {
+			m interp.MachineState
+			e codegen.ExecState
+		}
+		snaps := []config{{m.Snapshot(), e.Snapshot()}}
 		for i := 0; i < 150; i++ {
-			m.Restore(snaps[r.Intn(len(snaps))])
+			from := snaps[r.Intn(len(snaps))]
+			m.Restore(from.m)
+			e.Restore(from.e)
 			var evs []string
-			for _, e := range chart.Events {
+			for _, ev := range chart.Events {
 				if r.Bool(0.3) {
-					evs = append(evs, e)
+					evs = append(evs, ev)
 				}
 			}
-			m.SetInput("in0", int64(r.Intn(6)))
-			if m.Step(evs...).Err != nil {
+			in := int64(r.Intn(6))
+			m.SetInput("in0", in)
+			e.SetInput("in0", in)
+			errM, errE := m.Step(evs...).Err, e.Step(e.EventMask(evs...)).Err
+			if (errM == nil) != (errE == nil) {
+				t.Fatalf("seed %d: step errors %v vs %v", seed, errM, errE)
+			}
+			if errM != nil {
 				continue
 			}
-			snaps = append(snaps, m.Snapshot())
+			snaps = append(snaps, config{m.Snapshot(), e.Snapshot()})
 		}
 
 		states := cc.StateNames()
@@ -97,16 +88,20 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 			compactOf[i], stringOf[i] = map[string]string{}, map[string]string{}
 		}
 		for _, snap := range snaps {
-			m.Restore(snap)
-			for _, s := range states {
-				if m.InActivePath(s) != slices.Contains(m.ActivePath(), s) {
+			m.Restore(snap.m)
+			e.Restore(snap.e)
+			if m.ActiveState() != e.ActiveState() {
+				t.Fatalf("seed %d: leaf %s vs %s", seed, m.ActiveState(), e.ActiveState())
+			}
+			for sid, s := range states {
+				if e.InActivePath(sid) != slices.Contains(m.ActivePath(), s) {
 					t.Fatalf("seed %d: InActivePath(%s) disagrees with %v", seed, s, m.ActivePath())
 				}
 			}
 			for i, set := range sets {
 				for ob := int64(-1); ob <= 1; ob++ {
 					sk := stringKey(m, ob, limit, set.names)
-					ck := string(key(nil, m, ob, limit, set.ids))
+					ck := string(key(nil, e, ob, limit, set.ids))
 					if prev, ok := compactOf[i][sk]; ok && prev != ck {
 						t.Fatalf("seed %d: string key %q has two compact keys %x and %x", seed, sk, prev, ck)
 					}

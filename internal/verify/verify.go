@@ -12,6 +12,12 @@
 // explored at each tick. Temporal counters are soundly saturated above
 // the chart's largest temporal constant, making the reachable abstract
 // state space finite.
+//
+// The checker steps the program the chart compiles to (codegen.Generate)
+// on codegen.Exec with a nil ExecEnv and listener: the chart runtime the
+// platform runs, with no cost charged. Its tests run the same exploration
+// on the chart interpreter (internal/interp), with the former text state
+// key, on random charts and properties, and require identical results.
 package verify
 
 import (
@@ -20,6 +26,7 @@ import (
 	"slices"
 	"strings"
 
+	"rmtest/internal/codegen"
 	"rmtest/internal/statechart"
 )
 
@@ -110,40 +117,110 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// node is one frontier entry of the BFS.
+// node is one frontier entry of the BFS. It names the stimulus that
+// reached it by index; a counterexample's events, inputs and states are
+// rebuilt from the indices and snapshots only when a violation is found.
 type node struct {
-	snap       statechart.MachineState
+	snap       codegen.ExecState
 	obligation int64 // remaining ticks; -1 = none pending
 	parent     *node
-	viaEvents  []string
-	viaInputs  map[string]int64
-	leaf       string
+	subset     int // index of the event subset, see stimuli
+	combo      int // index of the input combination, see stimuli
+}
+
+// explorer steps the chart's generated program through the state space:
+// it applies each stimulus to a restored state and keys the result in
+// the visited set.
+type explorer struct {
+	exec    *codegen.Exec
+	stim    stimuli
+	masks   []uint64 // subset index -> the program's event mask
+	inputs  []int    // the program's slots of stim.inputs
+	limit   int64
+	rel     []int
+	buf     []byte
+	visited map[string]struct{}
+}
+
+// newExplorer generates the chart's program, runs it from its initial
+// configuration, and marks that configuration visited. The checks call it
+// only once their arguments have passed verify's own tests, so a chart
+// the checker cannot explore is rejected with verify's error, not the
+// code generator's.
+func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) (*explorer, error) {
+	prog, err := codegen.Generate(cc)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	x := &explorer{
+		exec:    codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil),
+		stim:    stim,
+		masks:   make([]uint64, 1<<len(stim.events)),
+		limit:   limit,
+		rel:     rel,
+		visited: map[string]struct{}{},
+	}
+	x.exec.RecordWrites()
+	for k := range x.masks {
+		for i, name := range stim.events {
+			if k&(1<<i) != 0 {
+				id, _ := prog.EventID(name)
+				x.masks[k] |= 1 << id
+			}
+		}
+	}
+	for _, name := range stim.inputs {
+		id, _ := prog.VarID(name)
+		x.inputs = append(x.inputs, id)
+	}
+	x.visit(-1)
+	return x, nil
+}
+
+// step runs one tick on event subset k and input combination c.
+func (x *explorer) step(k, c int) codegen.StepResult {
+	for j, v := range x.stim.combo(c) {
+		x.exec.SetInputID(x.inputs[j], v)
+	}
+	return x.exec.Step(x.masks[k])
+}
+
+// visit keys the executor's configuration with the obligation remaining
+// and reports whether the key is new, adding it if so.
+func (x *explorer) visit(obligation int64) bool {
+	x.buf = key(x.buf, x.exec, obligation, x.limit, x.rel)
+	if _, seen := x.visited[string(x.buf)]; seen {
+		return false
+	}
+	x.visited[string(x.buf)] = struct{}{}
+	return true
+}
+
+// counterexample rebuilds the stimulus path to the executor's current
+// configuration, reached from n on subset k and combination c. It
+// restores each ancestor's snapshot to name its leaf, so exploration
+// ends with it.
+func (x *explorer) counterexample(n *node, k, c int) []CexStep {
+	out := []CexStep{x.stim.cexStep(k, c, x.exec.ActiveState())}
+	for ; n.parent != nil; n = n.parent {
+		x.exec.Restore(n.snap)
+		out = append(out, x.stim.cexStep(n.subset, n.combo, x.exec.ActiveState()))
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // CheckResponse verifies prop on the compiled chart.
 func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) (Result, error) {
-	if prop.Event == "" || prop.Output == "" || prop.Target == nil {
-		return Result{}, fmt.Errorf("verify: property needs Event, Output and Target")
-	}
-	events := cc.EventNames()
-	if !contains(events, prop.Event) {
-		return Result{}, fmt.Errorf("verify: unknown event %q", prop.Event)
-	}
-	if !contains(cc.VarNames(statechart.Output), prop.Output) {
-		return Result{}, fmt.Errorf("verify: unknown output %q", prop.Output)
-	}
-	if prop.InState != "" && !contains(cc.StateNames(), prop.InState) {
-		return Result{}, fmt.Errorf("verify: unknown state %q", prop.InState)
-	}
-	if prop.WithinTicks < 0 {
-		return Result{}, fmt.Errorf("verify: negative deadline")
+	if err := checkResponseProperty(cc, prop); err != nil {
+		return Result{}, err
 	}
 	maxVisited := opt.MaxVisited
 	if maxVisited <= 0 {
 		maxVisited = 200000
 	}
 	limit := max(cc.MaxTemporalConst()+1, prop.WithinTicks+1)
-	eventSubsets, inputCombos, err := stimuli(cc, opt.InputDomains)
+	stim, err := newStimuli(cc, opt.InputDomains)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,26 +228,30 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 	if err != nil {
 		return Result{}, err
 	}
-	m := statechart.NewMachine(cc)
-	root := &node{snap: m.Snapshot(), obligation: -1, leaf: m.ActiveState()}
-	buf := key(nil, m, -1, limit, rel)
-	visited := map[string]struct{}{string(buf): {}}
-	frontier := []*node{root}
+	x, err := newExplorer(cc, stim, rel, limit)
+	if err != nil {
+		return Result{}, err
+	}
+	prog, e := x.exec.Program(), x.exec
+	ev, _ := prog.EventID(prop.Event)
+	trigger := uint64(1) << ev
+	out, _ := prog.VarID(prop.Output)
+	inState := -1
+	if prop.InState != "" {
+		inState, _ = prog.StateID(prop.InState)
+	}
 	res := Result{Property: prop, Visited: 1}
-
+	frontier := []*node{{snap: e.Snapshot(), obligation: -1}}
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, evs := range eventSubsets {
-			for _, ins := range inputCombos {
-				m.Restore(cur.snap)
-				// Trigger condition is evaluated in the pre-step
+		for k, mask := range x.masks {
+			for c := range stim.combos {
+				// The trigger condition is evaluated in the pre-step
 				// configuration.
-				triggered := contains(evs, prop.Event) && (prop.InState == "" || m.InActivePath(prop.InState))
-				for name, v := range ins {
-					m.SetInput(name, v)
-				}
-				sr := m.Step(evs...)
+				e.Restore(cur.snap)
+				triggered := mask&trigger != 0 && (inState < 0 || e.InActivePath(inState))
+				sr := x.step(k, c)
 				if sr.Err != nil {
 					return res, fmt.Errorf("verify: model error during exploration: %w", sr.Err)
 				}
@@ -185,32 +266,27 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 					ob = prop.WithinTicks
 				}
 				if ob >= 0 {
-					if discharged(sr.Writes, prop) {
+					if discharged(e.Writes(), out, prop.Target) {
 						ob = -1
 					} else if ob == 0 {
 						// Deadline expired without the response.
-						child := &node{parent: cur, viaEvents: evs, viaInputs: ins, leaf: m.ActiveState()}
 						res.Outcome = Violated
-						res.Counterexample = rebuild(child)
+						res.Counterexample = x.counterexample(cur, k, c)
 						return res, nil
 					} else {
 						ob--
 					}
 				}
-				buf = key(buf, m, ob, limit, rel)
-				if _, seen := visited[string(buf)]; seen {
+				if !x.visit(ob) {
 					continue
 				}
-				visited[string(buf)] = struct{}{}
 				res.Visited++
 				if res.Visited >= maxVisited {
 					res.Outcome = Bounded
 					return res, nil
 				}
 				frontier = append(frontier, &node{
-					snap: m.Snapshot(), obligation: ob,
-					parent: cur, viaEvents: evs, viaInputs: ins,
-					leaf: m.ActiveState(),
+					snap: e.Snapshot(), obligation: ob, parent: cur, subset: k, combo: c,
 				})
 			}
 		}
@@ -219,12 +295,35 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 	return res, nil
 }
 
-// discharged reports whether any output write satisfies the property.
-// Writes (not net changes) are checked: a response that is overwritten
-// later in the same super-step still occurred as a model-level o-event.
-func discharged(writes []statechart.VarChange, prop ResponseProperty) bool {
-	for _, ch := range writes {
-		if ch.Name == prop.Output && prop.Target(ch.To) {
+// checkResponseProperty rejects a property that names no event, output or
+// target, names one the chart does not declare, or has a negative
+// deadline.
+func checkResponseProperty(cc *statechart.Compiled, prop ResponseProperty) error {
+	if prop.Event == "" || prop.Output == "" || prop.Target == nil {
+		return fmt.Errorf("verify: property needs Event, Output and Target")
+	}
+	if !slices.Contains(cc.EventNames(), prop.Event) {
+		return fmt.Errorf("verify: unknown event %q", prop.Event)
+	}
+	if !slices.Contains(cc.VarNames(statechart.Output), prop.Output) {
+		return fmt.Errorf("verify: unknown output %q", prop.Output)
+	}
+	if prop.InState != "" && !slices.Contains(cc.StateNames(), prop.InState) {
+		return fmt.Errorf("verify: unknown state %q", prop.InState)
+	}
+	if prop.WithinTicks < 0 {
+		return fmt.Errorf("verify: negative deadline")
+	}
+	return nil
+}
+
+// discharged reports whether any output write to slot out satisfies
+// target. Writes (not net changes) are checked: a response that is
+// overwritten later in the same super-step still occurred as a
+// model-level o-event.
+func discharged(writes []codegen.Write, out int, target func(int64) bool) bool {
+	for _, w := range writes {
+		if w.Var == out && target(w.Value) {
 			return true
 		}
 	}
@@ -232,8 +331,8 @@ func discharged(writes []statechart.VarChange, prop ResponseProperty) bool {
 }
 
 // cone resolves the cone of influence of the seed variables to variable
-// ids, in declaration order. A seed the chart does not declare is an
-// error.
+// ids: declaration-order indices, which are also the generated program's
+// variable slots. A seed the chart does not declare is an error.
 func cone(cc *statechart.Compiled, seeds ...string) ([]int, error) {
 	decls := cc.Declarations()
 	for _, s := range seeds {
@@ -301,48 +400,87 @@ func relevantVars(cc *statechart.Compiled, seeds ...string) map[string]bool {
 	return relevant
 }
 
-// key canonicalises the abstract state into buf's storage: the machine's
-// configuration encoding (statechart.Machine.AppendConfig), with active-path
-// counters saturated at limit and the cone-of-influence variables rel,
-// followed by the obligation remaining (8 bytes). The configuration's
-// width is fixed by its leaf, which comes first, so the obligation sits
-// at a fixed offset for each leaf and equal keys mean equal abstract
-// states.
-func key(buf []byte, m *statechart.Machine, obligation, limit int64, rel []int) []byte {
-	buf = m.AppendConfig(buf[:0], limit, rel)
+// key canonicalises the abstract state into buf's storage: the
+// executor's configuration encoding (codegen.Exec.AppendConfig), with
+// active-path counters saturated at limit and the cone-of-influence
+// variables rel, followed by the obligation remaining (8 bytes). The
+// configuration's width is fixed by its leaf, which comes first, so the
+// obligation sits at a fixed offset for each leaf and equal keys mean
+// equal abstract states.
+func key(buf []byte, e *codegen.Exec, obligation, limit int64, rel []int) []byte {
+	buf = e.AppendConfig(buf[:0], limit, rel)
 	return binary.LittleEndian.AppendUint64(buf, uint64(obligation))
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// stimuli are the stimuli every state's successors are generated from,
+// in exploration order: each event subset, and within it each input
+// combination. Subset k holds events[i] for each set bit i of k.
+// Combination c gives inputs[j] the value values[c*len(inputs)+j]; the
+// first input varies slowest.
+type stimuli struct {
+	events []string // sorted
+	inputs []string // sorted
+	values []int64
+	combos int
 }
 
-// stimuli returns the event subsets and input combinations every state's
-// successors are generated from, in exploration order. It first checks
-// that each domain key is an input variable and that the successor count
-// stays within maxSuccessors.
-func stimuli(cc *statechart.Compiled, domains map[string][]int64) ([][]string, []map[string]int64, error) {
+// newStimuli returns the chart's stimuli. It first checks that each
+// domain key is an input variable and that the successor count stays
+// within maxSuccessors.
+func newStimuli(cc *statechart.Compiled, domains map[string][]int64) (stimuli, error) {
 	events := cc.EventNames()
 	inputs := cc.VarNames(statechart.Input)
 	var stray []string
 	for name := range domains {
-		if !contains(inputs, name) {
+		if !slices.Contains(inputs, name) {
 			stray = append(stray, name)
 		}
 	}
 	if len(stray) > 0 {
-		return nil, nil, fmt.Errorf("verify: input domain for %q, which is not an input variable", slices.Min(stray))
+		return stimuli{}, fmt.Errorf("verify: input domain for %q, which is not an input variable", slices.Min(stray))
 	}
 	if !withinSuccessorBound(len(events), inputs, domains) {
-		return nil, nil, fmt.Errorf("verify: more than %d successors per state (%d events, %d input variables)",
+		return stimuli{}, fmt.Errorf("verify: more than %d successors per state (%d events, %d input variables)",
 			maxSuccessors, len(events), len(inputs))
 	}
-	return enumerateSubsets(events), enumerateInputs(inputs, domains), nil
+	s := stimuli{events: events, inputs: inputs, combos: 1}
+	for j, v := range inputs {
+		dom := domains[v]
+		if len(dom) == 0 {
+			dom = []int64{0, 1}
+		}
+		next := make([]int64, 0, s.combos*len(dom)*(j+1))
+		for c := range s.combos {
+			for _, val := range dom {
+				next = append(next, s.values[c*j:(c+1)*j]...)
+				next = append(next, val)
+			}
+		}
+		s.values, s.combos = next, s.combos*len(dom)
+	}
+	return s, nil
+}
+
+// combo returns the input values of combination c, in inputs order.
+func (s stimuli) combo(c int) []int64 {
+	n := len(s.inputs)
+	return s.values[c*n : (c+1)*n]
+}
+
+// cexStep names the stimulus of subset k and combination c, and the leaf
+// it led to, as a counterexample step.
+func (s stimuli) cexStep(k, c int, state string) CexStep {
+	var events []string
+	for i, e := range s.events {
+		if k&(1<<i) != 0 {
+			events = append(events, e)
+		}
+	}
+	inputs := make(map[string]int64, len(s.inputs))
+	for j, v := range s.combo(c) {
+		inputs[s.inputs[j]] = v
+	}
+	return CexStep{Events: events, Inputs: inputs, State: state}
 }
 
 // withinSuccessorBound reports whether 2^events times the number of input
@@ -367,48 +505,6 @@ func withinSuccessorBound(events int, inputs []string, domains map[string][]int6
 		n *= d
 	}
 	return true
-}
-
-// enumerateSubsets returns all subsets of events (the empty subset
-// first). The statechart compiler does not bound the number of events;
-// callers check the count with withinSuccessorBound first.
-func enumerateSubsets(events []string) [][]string {
-	n := len(events)
-	out := make([][]string, 0, 1<<uint(n))
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		var sub []string
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				sub = append(sub, events[i])
-			}
-		}
-		out = append(out, sub)
-	}
-	return out
-}
-
-// enumerateInputs returns every combination of input-variable values.
-func enumerateInputs(vars []string, domains map[string][]int64) []map[string]int64 {
-	combos := []map[string]int64{{}}
-	for _, v := range vars {
-		dom := domains[v]
-		if len(dom) == 0 {
-			dom = []int64{0, 1}
-		}
-		var next []map[string]int64
-		for _, c := range combos {
-			for _, val := range dom {
-				m := make(map[string]int64, len(c)+1)
-				for k, x := range c {
-					m[k] = x
-				}
-				m[v] = val
-				next = append(next, m)
-			}
-		}
-		combos = next
-	}
-	return combos
 }
 
 // InvariantProperty is a safety property: the predicate must hold in
@@ -446,71 +542,50 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 	if err != nil {
 		return Result{}, fmt.Errorf("%w in the invariant's Reads", err)
 	}
-	eventSubsets, inputCombos, err := stimuli(cc, opt.InputDomains)
+	stim, err := newStimuli(cc, opt.InputDomains)
 	if err != nil {
 		return Result{}, err
 	}
-
+	x, err := newExplorer(cc, stim, rel, limit)
+	if err != nil {
+		return Result{}, err
+	}
+	e := x.exec
 	res := Result{Property: ResponseProperty{Name: prop.Name}, Visited: 1}
-	m := statechart.NewMachine(cc)
-	if !prop.Holds(m.ActiveState(), m.Vars()) {
+	if !prop.Holds(e.ActiveState(), e.Vars()) {
 		res.Outcome = Violated
 		return res, nil
 	}
-	root := &node{snap: m.Snapshot(), obligation: -1, leaf: m.ActiveState()}
-	buf := key(nil, m, -1, limit, rel)
-	visited := map[string]struct{}{string(buf): {}}
-	frontier := []*node{root}
+	frontier := []*node{{snap: e.Snapshot(), obligation: -1}}
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, evs := range eventSubsets {
-			for _, ins := range inputCombos {
-				m.Restore(cur.snap)
-				for name, v := range ins {
-					m.SetInput(name, v)
-				}
-				sr := m.Step(evs...)
+		for k := range x.masks {
+			for c := range stim.combos {
+				e.Restore(cur.snap)
+				sr := x.step(k, c)
 				if sr.Err != nil {
 					return res, fmt.Errorf("verify: model error during exploration: %w", sr.Err)
 				}
-				if !prop.Holds(m.ActiveState(), m.Vars()) {
-					child := &node{parent: cur, viaEvents: evs, viaInputs: ins, leaf: m.ActiveState()}
+				if !prop.Holds(e.ActiveState(), e.Vars()) {
 					res.Outcome = Violated
-					res.Counterexample = rebuild(child)
+					res.Counterexample = x.counterexample(cur, k, c)
 					return res, nil
 				}
-				buf = key(buf, m, -1, limit, rel)
-				if _, seen := visited[string(buf)]; seen {
+				if !x.visit(-1) {
 					continue
 				}
-				visited[string(buf)] = struct{}{}
 				res.Visited++
 				if res.Visited >= maxVisited {
 					res.Outcome = Bounded
 					return res, nil
 				}
 				frontier = append(frontier, &node{
-					snap: m.Snapshot(), obligation: -1,
-					parent: cur, viaEvents: evs, viaInputs: ins, leaf: m.ActiveState(),
+					snap: e.Snapshot(), obligation: -1, parent: cur, subset: k, combo: c,
 				})
 			}
 		}
 	}
 	res.Outcome = Holds
 	return res, nil
-}
-
-// rebuild reconstructs the stimulus path from parent pointers; the root
-// node (parent == nil) carries no stimulus and is skipped.
-func rebuild(n *node) []CexStep {
-	var rev []*node
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		rev = append(rev, cur)
-	}
-	out := make([]CexStep, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, CexStep{Events: rev[i].viaEvents, Inputs: rev[i].viaInputs, State: rev[i].leaf})
-	}
-	return out
 }

@@ -60,8 +60,6 @@ type (
 	Transition = statechart.Transition
 	// VarDecl declares a chart variable.
 	VarDecl = statechart.VarDecl
-	// Machine interprets a chart (the executable model reference).
-	Machine = statechart.Machine
 )
 
 // Chart variable kinds and types.
@@ -73,7 +71,9 @@ const (
 	Int   = statechart.Int
 )
 
-// Verification layer (Design Verifier stand-in).
+// Verification layer (Design Verifier stand-in). The checker explores
+// the program a chart compiles to on CODE(M)'s bytecode VM, with no
+// execution cost, the one chart runtime the platform also runs.
 type (
 	// ResponseProperty is a model-level timing requirement.
 	ResponseProperty = verify.ResponseProperty
@@ -203,7 +203,8 @@ type Time = sim.Time
 // in parallel with deterministic results.
 type CampaignProgress = campaign.Progress
 
-// VerifyResponse checks a model-level timing property on a chart.
+// VerifyResponse checks a model-level timing property on a chart, by
+// exploring the chart's generated program.
 func VerifyResponse(c *Chart, prop ResponseProperty, opt VerifyOptions) (VerifyResult, error) {
 	cc, err := c.Compile()
 	if err != nil {
@@ -367,7 +368,7 @@ func SuggestScenarios(m MReport, cov CoverageReport) []string {
 type InvariantProperty = verify.InvariantProperty
 
 // VerifyInvariant checks a safety invariant on every reachable model
-// configuration.
+// configuration, by exploring the chart's generated program.
 func VerifyInvariant(c *Chart, prop InvariantProperty, opt VerifyOptions) (VerifyResult, error) {
 	cc, err := c.Compile()
 	if err != nil {
