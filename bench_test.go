@@ -451,11 +451,28 @@ func BenchmarkPlatformLint(b *testing.B) {
 
 // --- Campaign engine -------------------------------------------------
 
-// tableIRunCounts returns the kernel events one full-horizon M-level
-// Table I run fires and the times it runs CODE(M)'s step function
-// (E_CLK ticks less those skipped as idle), each averaged over the three
-// schemes.
-func tableIRunCounts(b *testing.B) (events, stepCalls float64) {
+// runCounts sums deterministic counts over full-horizon runs: kernel
+// events fired, task-body resumptions, context switches, and the times
+// CODE(M)'s step function ran (E_CLK ticks less those skipped as idle).
+type runCounts struct {
+	runs                                 int
+	events, resumes, switches, stepCalls uint64
+}
+
+func (c *runCounts) add(sys *platform.System) {
+	c.runs++
+	c.events += sys.Kernel.EventsFired()
+	c.resumes += sys.Sched.Resumes()
+	c.switches += sys.Sched.ContextSwitches()
+	c.stepCalls += sys.Exec.Steps() - sys.Exec.Elided()
+}
+
+// perRun returns n averaged over the runs.
+func (c *runCounts) perRun(n uint64) float64 { return float64(n) / float64(c.runs) }
+
+// tableIRunCounts returns the counts of one full-horizon M-level Table I
+// run on each of the three schemes.
+func tableIRunCounts(b *testing.B) runCounts {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(10, 42).Generate(req)
 	if err != nil {
@@ -466,7 +483,7 @@ func tableIRunCounts(b *testing.B) (events, stepCalls float64) {
 		func() platform.Scheme { return platform.DefaultScheme2() },
 		func() platform.Scheme { return platform.DefaultScheme3() },
 	}
-	var fired, calls uint64
+	var counts runCounts
 	for _, scheme := range schemes {
 		runner, err := core.NewRunner(gpca.Factory(scheme), req)
 		if err != nil {
@@ -477,12 +494,10 @@ func tableIRunCounts(b *testing.B) (events, stepCalls float64) {
 			b.Fatal(err)
 		}
 		sys.Run(tc.Horizon(req))
-		fired += sys.Kernel.EventsFired()
-		calls += sys.Exec.Steps() - sys.Exec.Elided()
+		counts.add(sys)
 		sys.Shutdown()
 	}
-	n := float64(len(schemes))
-	return float64(fired) / n, float64(calls) / n
+	return counts
 }
 
 // BenchmarkCampaignTableI measures the full Table I regeneration through
@@ -491,11 +506,12 @@ func tableIRunCounts(b *testing.B) (events, stepCalls float64) {
 // scheme columns across the pool. On a multi-core host the parallel case
 // approaches a 3x speedup (one worker per scheme); results are
 // byte-identical at every pool size (see
-// TestCampaignTableIMatchesSequentialGolden). The events/run and
-// stepcalls/run metrics come from full-horizon runs outside the timed
-// loop, so the live verdicts' early stop does not move them.
+// TestCampaignTableIMatchesSequentialGolden). The events/run,
+// stepcalls/run, resumes/run and switches/run metrics come from
+// full-horizon runs outside the timed loop, so the live verdicts' early
+// stop does not move them.
 func BenchmarkCampaignTableI(b *testing.B) {
-	eventsPerRun, stepCallsPerRun := tableIRunCounts(b)
+	counts := tableIRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -519,8 +535,10 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			const runsPerIter = 3
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
-			b.ReportMetric(eventsPerRun, "events/run")
-			b.ReportMetric(stepCallsPerRun, "stepcalls/run")
+			b.ReportMetric(counts.perRun(counts.events), "events/run")
+			b.ReportMetric(counts.perRun(counts.stepCalls), "stepcalls/run")
+			b.ReportMetric(counts.perRun(counts.resumes), "resumes/run")
+			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
 		})
 	}
 }
@@ -602,10 +620,10 @@ func BenchmarkVerdictReplay(b *testing.B) {
 	b.ReportMetric(float64(sys.Trace.Len()), "events/trace")
 }
 
-// faultSweepRunEvents returns the kernel events one full-horizon run of
-// the fault sweep fires, averaged over the catalogue's plans: the Table I
-// case at M level on scheme 2, each plan armed with its sweep seed.
-func faultSweepRunEvents(b *testing.B) float64 {
+// faultSweepRunCounts returns the counts of one full-horizon run of the
+// fault sweep per catalogue plan: the Table I case at M level on scheme
+// 2, each plan armed with its sweep seed.
+func faultSweepRunCounts(b *testing.B) runCounts {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(10, 42).Generate(req)
 	if err != nil {
@@ -613,7 +631,7 @@ func faultSweepRunEvents(b *testing.B) float64 {
 	}
 	plans := rmtest.FaultCatalog(tc.Horizon(req))
 	seeds := campaign.Seeds(42, len(plans))
-	var fired uint64
+	var counts runCounts
 	for i, plan := range plans {
 		runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return platform.DefaultScheme2() }), req)
 		if err != nil {
@@ -625,10 +643,10 @@ func faultSweepRunEvents(b *testing.B) float64 {
 			b.Fatal(err)
 		}
 		sys.Run(tc.Horizon(req))
-		fired += sys.Kernel.EventsFired()
+		counts.add(sys)
 		sys.Shutdown()
 	}
-	return float64(fired) / float64(len(plans))
+	return counts
 }
 
 // BenchmarkCampaignFaulted measures the fault-attribution sweep: the
@@ -637,10 +655,10 @@ func faultSweepRunEvents(b *testing.B) float64 {
 // GC-churn gate for the fault layer: arming a plan is a handful of window
 // events on the pooled kernel, and the unfaulted baseline plan must ride
 // the same zero-alloc scratch-reuse path as the plain campaign. The
-// events/run metric comes from full-horizon runs outside the timed loop,
-// as CampaignTableI's does.
+// events/run, resumes/run and switches/run metrics come from
+// full-horizon runs outside the timed loop, as CampaignTableI's do.
 func BenchmarkCampaignFaulted(b *testing.B) {
-	eventsPerRun := faultSweepRunEvents(b)
+	counts := faultSweepRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -662,7 +680,9 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
-			b.ReportMetric(eventsPerRun, "events/run")
+			b.ReportMetric(counts.perRun(counts.events), "events/run")
+			b.ReportMetric(counts.perRun(counts.resumes), "resumes/run")
+			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
 		})
 	}
 }

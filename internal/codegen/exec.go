@@ -13,16 +13,12 @@ import (
 // simulated platform it is implemented by an adapter over rtos.Task, so
 // the cost of running CODE(M) is charged to the task that invokes it; a
 // nil ExecEnv executes in zero time, as the model checker runs it and the
-// tests compare it with the chart interpreter. The executor's state never
-// depends on when a charge runs, and it reads the clock only where a
-// listener observes a transition start or finish, so an ExecEnv may owe
-// the charges made between two reads and run them as one burst.
+// tests compare it with the chart interpreter.
 type ExecEnv interface {
-	// Compute charges d of CPU time to the executing task, now or owed
-	// until the next Now.
+	// Compute charges d of CPU time to the executing task, and returns
+	// once it has run.
 	Compute(d time.Duration)
-	// Now returns the current virtual time, once every charge made
-	// before the call has run.
+	// Now returns the current virtual time.
 	Now() time.Duration
 }
 
@@ -38,13 +34,10 @@ type Listener interface {
 }
 
 // CostModel maps generated-code structure to execution time on the target
-// platform. Every charge goes to ExecEnv.Compute and is preemptible by the
-// RTOS like a real instruction stream. The simulated platform merges the
-// charges made between two observation points (a transition start or
-// finish at the M level, the end of an invocation) into one burst, and
-// issues them one by one only while the task cannot merge bursts
-// (rtos.Task.Coalescible). Entering the initial configuration charges
-// nothing.
+// platform. Every charge goes to ExecEnv.Compute as it is made and is
+// preemptible by the RTOS like a real instruction stream; only SkipIdle
+// sums the charges of the ticks it skips into one. Entering the initial
+// configuration charges nothing.
 type CostModel struct {
 	// StepBase is charged once per step invocation (input latching, state
 	// lookup, scan overhead).
@@ -208,10 +201,17 @@ func (e *Exec) SetInput(name string, v int64) {
 // Vars returns a copy of the variable valuation keyed by name.
 func (e *Exec) Vars() map[string]int64 {
 	out := make(map[string]int64, len(e.vars))
-	for i, v := range e.prog.Vars {
-		out[v.Name] = e.vars[i]
-	}
+	e.FillVars(out)
 	return out
+}
+
+// FillVars writes the variable valuation into m, keyed by name,
+// overwriting each variable's entry, so a caller that reads the valuation
+// after every step can reuse one map.
+func (e *Exec) FillVars(m map[string]int64) {
+	for i, v := range e.prog.Vars {
+		m[v.Name] = e.vars[i]
+	}
 }
 
 // SetInputID writes the input variable in slot id, as SetInput does by

@@ -6,10 +6,9 @@ import (
 	"rmtest/internal/codegen"
 )
 
-// ChargeByCharge makes sys issue every CODE(M) cost charge as its own
-// RTOS burst and step every E_CLK tick, the execution its merged bursts
-// and skipped idle ticks must reproduce. Call it before the system runs.
-func ChargeByCharge(sys *System) { sys.taskEnv.unmerged = true }
+// StepEveryTick makes sys step every E_CLK tick, the execution its
+// skipped idle ticks must reproduce. Call it before the system runs.
+func StepEveryTick(sys *System) { sys.stepEveryTick = true }
 
 // CostedEntryConfig is a chart whose initial state has a costed entry
 // action.

@@ -31,8 +31,8 @@ type observation struct {
 }
 
 // taskObservation compares the CPU a task has run, not CPUTime: a run
-// that ends inside a CODE(M) invocation counts a merged burst whole,
-// where charge by charge counts only the charges issued so far.
+// that ends inside the one burst charged for skipped idle ticks counts it
+// whole, where stepping every tick counts only the ticks stepped so far.
 type taskObservation struct {
 	Name             string
 	CPUUsed          sim.Time
@@ -59,15 +59,15 @@ func (o observation) String() string {
 		len(o.Events), len(o.Transitions), len(o.Sched), o.Tasks, o.Switches, o.Preemptions, o.Now)
 }
 
-// checkMerged runs one system charge by charge, which also steps every
-// E_CLK tick, and merged, which also skips idle catch-up ticks, and
-// requires the two runs to observe the same execution. When merges is
-// set, the merged run must also issue at most 60% of the other's Compute
-// requests and skip ticks, so a merge or a skip that silently stops
-// working fails. The gate counts requests, not kernel events: the
-// scheduler completes an uninterruptible burst inline, with no event, so
-// both runs fire the same events.
-func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platform.System) {
+// checkSkipped runs one system twice, stepping every E_CLK tick and as
+// shipped, skipping idle catch-up ticks and charging each skip as one
+// burst, and requires the two runs to observe the same execution. When
+// skips is set, the skipping run must
+// also make at most 60% of the other's Compute calls and skip ticks, so
+// a skip that silently stops working fails. The gate counts Compute
+// calls, not kernel events: an uninterruptible burst completes inline,
+// with no event, so both runs fire the same events.
+func checkSkipped(t *testing.T, skips bool, run func(everyTick bool) *platform.System) {
 	t.Helper()
 	ref := run(true)
 	defer ref.Shutdown()
@@ -78,19 +78,19 @@ func checkMerged(t *testing.T, merges bool, run func(chargeByCharge bool) *platf
 		t.Fatalf("empty scheduler trace (%d and %d records): the system was built without Sched.Record", len(want.Sched), len(got.Sched))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged bursts changed the execution\nmerged:           %v\ncharge by charge: %v", got, want)
+		t.Fatalf("skipped ticks changed the execution\nskipping:   %v\nevery tick: %v", got, want)
 	}
 	if n := ref.Exec.Elided(); n != 0 {
-		t.Fatalf("the charge-by-charge run skipped %d ticks, want none", n)
+		t.Fatalf("the every-tick run skipped %d ticks, want none", n)
 	}
-	merged, byCharge := sys.Sched.ComputeRequests(), ref.Sched.ComputeRequests()
+	skipping, everyTick := sys.Sched.ComputeRequests(), ref.Sched.ComputeRequests()
 	elided := sys.Exec.Elided()
-	t.Logf("Compute requests: %d merged, %d charge by charge; %d of %d ticks skipped", merged, byCharge, elided, sys.Exec.Steps())
-	if merges && 10*merged > 6*byCharge {
-		t.Fatalf("merged run issued %d Compute requests, charge by charge %d: want at most 60%%", merged, byCharge)
+	t.Logf("Compute calls: %d skipping, %d every tick; %d of %d ticks skipped", skipping, everyTick, elided, sys.Exec.Steps())
+	if skips && 10*skipping > 6*everyTick {
+		t.Fatalf("skipping run made %d Compute calls, every tick %d: want at most 60%%", skipping, everyTick)
 	}
-	if merges && elided == 0 {
-		t.Fatal("the merged run skipped no tick")
+	if skips && elided == 0 {
+		t.Fatal("the skipping run skipped no tick")
 	}
 }
 
@@ -102,12 +102,12 @@ var schemes = []func() platform.Scheme{
 
 var levels = []platform.Instrument{platform.RLevel, platform.MLevel}
 
-// TestMergedBurstsMatchChargeByCharge: issuing CODE(M)'s cost as one
-// burst per observation point, and skipping idle catch-up ticks, observes
-// the same execution as stepping every tick and issuing every charge on
-// its own, on the Table I case at both instrumentation levels on every
-// scheme, unfaulted and under each catalogue fault plan that applies.
-// The unfaulted runs must merge and skip.
+// TestMergedBurstsMatchChargeByCharge: skipping idle catch-up ticks,
+// whose charges merge into one burst per skip, observes the same
+// execution as stepping every tick with every charge its own burst, on
+// the Table I case at both instrumentation levels on every scheme,
+// unfaulted and under each catalogue fault plan that applies. The
+// unfaulted runs must skip.
 func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(3, 42).Generate(req)
@@ -130,15 +130,15 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 					if applies != nil {
 						t.Skipf("plan does not apply: %v", applies)
 					}
-					checkMerged(t, len(plan.Faults) == 0, func(chargeByCharge bool) *platform.System {
+					checkSkipped(t, len(plan.Faults) == 0, func(everyTick bool) *platform.System {
 						r, err := core.NewRunner(func(level platform.Instrument) (*platform.System, error) {
 							sys, err := platform.NewSystem(gpca.PlatformConfig(), scheme(), level)
 							if err != nil {
 								return nil, err
 							}
 							sys.Sched.Record()
-							if chargeByCharge {
-								platform.ChargeByCharge(sys)
+							if everyTick {
+								platform.StepEveryTick(sys)
 							}
 							return sys, nil
 						}, req)
@@ -160,20 +160,20 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 }
 
 // TestMergedBurstsWithCostedInitialEntry: a chart whose initial state has
-// a costed entry action merges and skips idle ticks like any other, and
-// observes the same execution as the charge-by-charge, tick-by-tick run.
+// a costed entry action skips idle ticks like any other, and observes the
+// same execution as the run that steps every tick.
 func TestMergedBurstsWithCostedInitialEntry(t *testing.T) {
 	for _, scheme := range schemes {
 		for _, level := range levels {
 			t.Run(fmt.Sprintf("%s/%v", scheme().Name(), level), func(t *testing.T) {
-				checkMerged(t, true, func(chargeByCharge bool) *platform.System {
+				checkSkipped(t, true, func(everyTick bool) *platform.System {
 					sys, err := platform.NewSystem(platform.CostedEntryConfig(), scheme(), level)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sys.Sched.Record()
-					if chargeByCharge {
-						platform.ChargeByCharge(sys)
+					if everyTick {
+						platform.StepEveryTick(sys)
 					}
 					sys.Env.SetAt(40*time.Millisecond, "sig_lvl", 7)
 					sys.Run(300 * time.Millisecond)

@@ -88,6 +88,8 @@ type System struct {
 	taskEnv *taskEnv
 	mapping fourvar.Mapping
 
+	stepEveryTick bool // skip no idle E_CLK tick; only tests set it
+
 	inputsDropped  uint64
 	outputsDropped uint64
 	chartTicks     int64 // E_CLK ticks executed so far (elapsed-time catch-up)
@@ -103,46 +105,19 @@ type Scheme interface {
 
 // taskEnv adapts the CODE(M)-executing rtos.Task to codegen.ExecEnv, so
 // generated-code cost charges CPU time on whichever task runs the step
-// function. CODE(M)'s state never depends on when a charge runs, only
-// the instants it reads do; so charges are owed and issued as one
-// preemptible burst when the step function reads the clock (the M-level
-// listener at transition start and finish) and at the end of stepChart.
-// While the task cannot coalesce bursts (rtos.Task.Coalescible), each
-// charge is issued as it comes.
+// function, one Compute per charge.
 type taskEnv struct {
-	tk   *rtos.Task
-	k    *sim.Kernel
-	owed time.Duration
-	// unmerged issues every charge as it comes and steps every E_CLK
-	// tick; only tests set it.
-	unmerged bool
+	tk *rtos.Task
 }
 
 func (te *taskEnv) Compute(d time.Duration) {
 	if te.tk == nil {
 		panic("platform: CODE(M) executed outside its task")
 	}
-	te.owed += d
-	if !te.merges() {
-		te.flush()
-	}
+	te.tk.Compute(d)
 }
 
-// merges reports whether charges are owed and merged into one burst.
-func (te *taskEnv) merges() bool { return !te.unmerged && te.tk.Coalescible() }
-
-func (te *taskEnv) Now() time.Duration {
-	te.flush()
-	return te.k.Now()
-}
-
-// flush issues the owed charges as one burst.
-func (te *taskEnv) flush() {
-	if d := te.owed; d > 0 {
-		te.owed = 0
-		te.tk.Compute(d)
-	}
-}
+func (te *taskEnv) Now() time.Duration { return te.tk.Now() }
 
 // listener records transition delays and o-events at the M level.
 type listener struct {
@@ -334,7 +309,7 @@ func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch)
 		scheme:     scheme,
 		level:      level,
 		prog:       pb.prog,
-		taskEnv:    &taskEnv{k: k},
+		taskEnv:    &taskEnv{},
 		mapping:    pb.mapping,
 	}
 	var err error
@@ -482,10 +457,10 @@ func (sys *System) applyInputs(tk *rtos.Task, updates []varUpdate) {
 // A catch-up tick after an event-free step that changed nothing would
 // repeat that step exactly, so Exec.SkipIdle advances over such ticks up
 // to the next one at which a temporal trigger on the active chain changes
-// truth value, and owes their cost, exactly the idle step's charge per
-// tick, as one charge. It runs only while the task merges charges: one
-// owed charge neither advances time nor changes where a burst ends, so
-// the execution is the one that steps every tick.
+// truth value, and charges their cost, exactly the idle step's charge per
+// tick, as one burst. The skipped steps read no clock, so while the
+// task's bursts may be summed (rtos.Task.Coalescible) the execution is
+// the one that steps every tick.
 func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange {
 	ticks := int64(1)
 	if tp := sys.prog.TickPeriod; tp > 0 {
@@ -509,14 +484,13 @@ func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange 
 	}
 	absorb(sys.Exec.Step(mask).Changed)
 	for k := int64(1); k < ticks; k++ {
-		if sys.taskEnv.merges() {
+		if !sys.stepEveryTick && tk.Coalescible() {
 			if k += sys.Exec.SkipIdle(ticks - k); k == ticks {
 				break
 			}
 		}
 		absorb(sys.Exec.Step(0).Changed)
 	}
-	sys.taskEnv.flush()
 	var out []statechart.VarChange
 	for _, name := range order {
 		if first[name] != last[name] {

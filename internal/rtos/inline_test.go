@@ -143,6 +143,17 @@ func TestInlineBurstsMatchEventPerBurst(t *testing.T) {
 	}
 }
 
+// FuzzInlineBursts is TestInlineBurstsMatchEventPerBurst's check on
+// fuzzed seeds: Run, which completes an uninterruptible burst inside the
+// task body, schedules exactly as RunUntilIdle, which never does.
+func FuzzInlineBursts(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) func() bool {
+			return randomTaskSet(seed, k, s)
+		})
+	})
+}
+
 // TestInlineBurstTies: an event at exactly a burst's end fires before the
 // burst completes, as it does when the burst's end is an event, so the
 // burst is not completed inline; Run and RunUntilIdle schedule alike.
@@ -202,8 +213,9 @@ func TestInlineBurstTies(t *testing.T) {
 }
 
 // TestRunCompletesUninterruptibleBurstsInline: a burst nothing can
-// interrupt completes with no kernel event, and the task resumes at its
-// end.
+// interrupt completes with no kernel event and no coroutine switch, and
+// the task goes on at its end: the scheduler resumes the body once, and
+// the body runs its three bursts and exits.
 func TestRunCompletesUninterruptibleBurstsInline(t *testing.T) {
 	k, s := rig(t)
 	var stamps []sim.Time
@@ -218,7 +230,10 @@ func TestRunCompletesUninterruptibleBurstsInline(t *testing.T) {
 		t.Fatalf("bursts completed at %v, want 5, 10 and 15ms", stamps)
 	}
 	if k.EventsFired() != 2 || s.ComputeRequests() != 3 {
-		t.Fatalf("fired %d events for %d Compute requests, want 2 (the release and its scheduling pass) for 3", k.EventsFired(), s.ComputeRequests())
+		t.Fatalf("fired %d events for %d Compute calls, want 2 (the release and its scheduling pass) for 3", k.EventsFired(), s.ComputeRequests())
+	}
+	if s.Resumes() != 1 {
+		t.Fatalf("resumed the body %d times for 3 inline bursts, want 1", s.Resumes())
 	}
 }
 

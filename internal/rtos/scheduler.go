@@ -17,9 +17,11 @@
 // layers above measure delay segments without perturbation.
 //
 // A compute burst that ends before the next pending kernel event cannot be
-// preempted, stretched or observed, so under sim.Kernel.Run the scheduler
+// preempted, stretched or observed, so under sim.Kernel.Run Task.Compute
 // completes it inline: it moves the clock to the burst's end
-// (sim.Kernel.Advance) and resumes the task, with no burst-end event.
+// (sim.Kernel.Advance) and returns into the body, with no burst-end event.
+// A task switches coroutines only when it must wait: for a burst
+// something could interrupt, a sleep, or its exit.
 //
 // A scheduler records its event trace only after a caller asks for it
 // with Record; from then on the trace keeps every record, and a run that
@@ -55,6 +57,7 @@ type Scheduler struct {
 	switches    uint64
 	preempts    uint64
 	computes    uint64
+	resumes     uint64
 	queues      map[string]*Queue
 	stormISRs   uint64
 
@@ -92,8 +95,14 @@ func (s *Scheduler) ContextSwitches() uint64 { return s.switches }
 // Preemptions returns the number of times a running task was preempted.
 func (s *Scheduler) Preemptions() uint64 { return s.preempts }
 
-// ComputeRequests returns the number of Compute requests handled so far.
+// ComputeRequests returns the number of non-zero Compute calls issued so
+// far, whether they completed in the task body or went to the scheduler
+// as a request.
 func (s *Scheduler) ComputeRequests() uint64 { return s.computes }
+
+// Resumes returns the number of times the scheduler has resumed a task
+// body's coroutine so far: each one is a switch into the body and back.
+func (s *Scheduler) Resumes() uint64 { return s.resumes }
 
 // IdleTime returns the accumulated virtual time during which no task
 // occupied the CPU.
@@ -273,9 +282,9 @@ func (s *Scheduler) kicked() {
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
 // change task state ends by calling it. It runs task bodies
-// synchronously (in zero virtual time) until the CPU is committed to a
-// compute burst or idle. A burst that nothing can interrupt completes
-// inline, which moves the clock; so schedLoop must stay the last call in
+// synchronously until the CPU is committed to a compute burst or idle.
+// A burst that nothing can interrupt completes inline, in the body or
+// here, which moves the clock; so schedLoop must stay the last call in
 // both its callers, kicked and finishCompute, and no caller code runs
 // after the clock has moved.
 func (s *Scheduler) schedLoop() {
@@ -316,10 +325,11 @@ func (s *Scheduler) schedLoop() {
 			return
 		}
 		if t.pendingCompute > 0 {
+			// The rest of a preempted burst (handle begins a new one).
 			// Advance succeeds only if no pending event fires at or
-			// before the burst's end and Run would reach it, so nothing
-			// can preempt, stretch or observe the burst: the task
-			// resumes at its end, as after finishCompute.
+			// before its end and Run would reach it, so nothing can
+			// preempt, stretch or observe it: the task resumes at its
+			// end, as after finishCompute.
 			if s.k.Advance(s.k.Now() + t.pendingCompute) {
 				t.pendingCompute = 0
 				continue
@@ -329,6 +339,7 @@ func (s *Scheduler) schedLoop() {
 		}
 		// Resume the task's body until its next request; a body that
 		// returns exits.
+		s.resumes++
 		req, ok := t.next()
 		if !ok {
 			req.kind = reqExit
@@ -387,13 +398,8 @@ func (s *Scheduler) preempt() {
 func (s *Scheduler) handle(t *Task, r request) {
 	switch r.kind {
 	case reqCompute:
-		s.computes++
-		// Apply any WCET-overrun fault at burst issue time. The task
-		// already charged r.dur to its CPU accounting, so only the
-		// fault-induced delta is added here.
-		d := t.overrun(s.k.Now(), r.dur)
-		t.cpuTime += d - r.dur
-		t.pendingCompute = d
+		// Task.Compute set pendingCompute and could not complete it.
+		s.beginCompute(t)
 	case reqSleep:
 		if r.until <= s.k.Now() {
 			// Zero or past deadline: behave like a yield.

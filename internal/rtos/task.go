@@ -48,7 +48,6 @@ const (
 
 type request struct {
 	kind  reqKind
-	dur   sim.Time // reqCompute
 	until sim.Time // reqSleep
 }
 
@@ -87,7 +86,7 @@ type Task struct {
 	missedReleases uint64
 
 	// WCET-overrun fault: compute bursts issued inside the window are
-	// scaled by ovNum/ovDen (applied by the scheduler's reqCompute path).
+	// scaled by ovNum/ovDen (applied by Compute at the issue instant).
 	ovFrom sim.Time
 	ovTo   sim.Time
 	ovNum  int64
@@ -195,6 +194,13 @@ func (t *Task) Now() sim.Time { return t.sched.k.Now() }
 // Compute consumes d of CPU time. The burst is preemptible: a
 // higher-priority task that becomes ready in the middle takes the CPU and
 // the remainder of the burst continues later. Compute(0) is a no-op.
+//
+// A burst that ends before the next pending kernel event completes in
+// the body, with no coroutine switch (sim.Kernel.Advance); any other
+// burst, and every burst under Step or RunUntilIdle, is a request to the
+// scheduler. A task that outranks this one becomes ready only in a kernel
+// event, which also queues a scheduling pass now (kick), so while a
+// preemption is due Advance refuses: no priority check is needed.
 func (t *Task) Compute(d sim.Time) {
 	if d < 0 {
 		panic("rtos: negative compute duration")
@@ -202,8 +208,17 @@ func (t *Task) Compute(d sim.Time) {
 	if d == 0 {
 		return
 	}
+	s := t.sched
+	now := s.k.Now()
+	d = t.overrun(now, d)
 	t.cpuTime += d
-	t.syscall(request{kind: reqCompute, dur: d})
+	t.pendingCompute = d
+	s.computes++
+	if s.k.Advance(now + d) {
+		t.pendingCompute = 0
+		return
+	}
+	t.syscall(request{kind: reqCompute})
 }
 
 // Sleep suspends the task for d of virtual time. Sleep(0) yields the

@@ -115,7 +115,6 @@ type compiledState struct {
 	entry    Action
 	exit     Action
 	trans    []*compiledTransition
-	depth    int
 }
 
 // Compiled is the validated, parsed form of a Chart shared by the code
@@ -127,9 +126,9 @@ type Compiled struct {
 	states  map[string]*compiledState
 	order   []*compiledState // document order; index = state id
 	trans   []*compiledTransition
-	events  map[string]int // event name -> event id
-	vars    map[string]int // variable name -> variable id
-	varList []VarDecl      // declaration order; index = variable id
+	events  map[string]struct{} // declared event names
+	vars    map[string]int      // variable name -> variable id
+	varList []VarDecl           // declaration order; index = variable id
 	initial *compiledState
 }
 
@@ -147,15 +146,15 @@ func (c *Chart) Compile() (*Compiled, error) {
 	cc := &Compiled{
 		chart:   c,
 		states:  make(map[string]*compiledState),
-		events:  make(map[string]int, len(c.Events)),
+		events:  make(map[string]struct{}, len(c.Events)),
 		vars:    make(map[string]int, len(c.Vars)),
 		varList: make([]VarDecl, 0, len(c.Vars)),
 	}
-	for i, e := range c.Events {
+	for _, e := range c.Events {
 		if _, dup := cc.events[e]; dup {
 			return nil, fmt.Errorf("statechart %s: duplicate event %q", c.Name, e)
 		}
-		cc.events[e] = i
+		cc.events[e] = struct{}{}
 	}
 	for _, v := range c.Vars {
 		if _, dup := cc.vars[v.Name]; dup {
@@ -168,29 +167,29 @@ func (c *Chart) Compile() (*Compiled, error) {
 		cc.varList = append(cc.varList, v)
 	}
 	// First pass: register states.
-	var register func(s *State, parent *compiledState, depth int) error
-	register = func(s *State, parent *compiledState, depth int) error {
+	var register func(s *State, parent *compiledState) error
+	register = func(s *State, parent *compiledState) error {
 		if s.Name == "" {
 			return fmt.Errorf("statechart %s: state with empty name", c.Name)
 		}
 		if _, dup := cc.states[s.Name]; dup {
 			return fmt.Errorf("statechart %s: duplicate state %q", c.Name, s.Name)
 		}
-		cs := &compiledState{name: s.Name, parent: parent, depth: depth}
+		cs := &compiledState{name: s.Name, parent: parent}
 		cc.states[s.Name] = cs
 		cc.order = append(cc.order, cs)
 		if parent != nil {
 			parent.children = append(parent.children, cs)
 		}
 		for _, child := range s.Children {
-			if err := register(child, cs, depth+1); err != nil {
+			if err := register(child, cs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for _, s := range c.States {
-		if err := register(s, nil, 0); err != nil {
+		if err := register(s, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -512,7 +512,10 @@ func withinSuccessorBound(events int, inputs []string, domains map[string][]int6
 // leaf state name and the full valuation.
 type InvariantProperty struct {
 	Name string
-	// Holds returns true when the configuration is acceptable.
+	// Holds returns true when the configuration is acceptable. vars is
+	// the checker's one map, refilled for every configuration, so it is
+	// valid only during the call: a predicate that keeps the valuation
+	// copies it.
 	Holds func(state string, vars map[string]int64) bool
 	// Reads lists the variables the predicate depends on. The checker
 	// projects all other non-control-flow variables out of the abstract
@@ -551,8 +554,9 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 		return Result{}, err
 	}
 	e := x.exec
+	vars := e.Vars()
 	res := Result{Property: ResponseProperty{Name: prop.Name}, Visited: 1}
-	if !prop.Holds(e.ActiveState(), e.Vars()) {
+	if !prop.Holds(e.ActiveState(), vars) {
 		res.Outcome = Violated
 		return res, nil
 	}
@@ -567,7 +571,8 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 				if sr.Err != nil {
 					return res, fmt.Errorf("verify: model error during exploration: %w", sr.Err)
 				}
-				if !prop.Holds(e.ActiveState(), e.Vars()) {
+				e.FillVars(vars)
+				if !prop.Holds(e.ActiveState(), vars) {
 					res.Outcome = Violated
 					res.Counterexample = x.counterexample(cur, k, c)
 					return res, nil

@@ -271,6 +271,32 @@ func TestInvariantHolds(t *testing.T) {
 	}
 }
 
+// TestInvariantAllocatesPerStateNotPerSuccessor: the invariant check
+// hands its predicate one map, refilled for every successor, so it
+// allocates only for the states it keeps (a snapshot, a frontier node
+// and a visited-set key each). On gpca's no-motor-in-alarm, whose 12,003
+// states have about eight successors each, that is at most four
+// allocations per state; a fresh valuation per successor makes about
+// twenty.
+func TestInvariantAllocatesPerStateNotPerSuccessor(t *testing.T) {
+	cc := compileGPCA(t)
+	prop := InvariantProperty{
+		Name: "no-motor-in-alarm", Reads: []string{"o_MotorState"},
+		Holds: func(state string, vars map[string]int64) bool {
+			return state != "EmptyAlarm" || vars["o_MotorState"] == 0
+		},
+	}
+	var res Result
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { res, err = CheckInvariant(cc, prop, Options{}) })
+	if err != nil || res.Outcome != Holds || res.Visited != 12003 {
+		t.Fatalf("got %v with %d states (%v), want Holds with 12003", res.Outcome, res.Visited, err)
+	}
+	if perState := allocs / float64(res.Visited); perState > 4 {
+		t.Fatalf("%.0f allocations for %d states: %.2f per state, want at most 4", allocs, res.Visited, perState)
+	}
+}
+
 func TestInvariantViolationFound(t *testing.T) {
 	// A deliberately false invariant: the motor never runs at all.
 	res, err := CheckInvariant(compileGPCA(t), InvariantProperty{
