@@ -801,3 +801,24 @@ func BenchmarkShrink(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerateSuite measures the generation suite behind
+// `tablei -gen` at its default budgets: coverage, falsification and
+// shrinking on the GPCA and rail-crossing charts, seed 42. The
+// workers=1 case is the sequential reference, every search inline one
+// after another; the workers=GOMAXPROCS case runs the suite's four
+// search chains at once on one campaign, each evaluating its candidate
+// batches on a campaign of its own. The suites are byte-identical at
+// every pool size (see TestGenerateSuiteMatchesGolden).
+func BenchmarkGenerateSuite(b *testing.B) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{Seed: 42, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -32,7 +32,9 @@
 // counterexample. Suites are reproducible from -seed and byte-identical
 // for any -workers value. Each search memoises its own candidate
 // evaluations; the evaluations answered from a memo are reported on
-// stderr, and -progress reports every executed simulation run.
+// stderr, and -progress reports every executed simulation run. With
+// more than one worker the searches run at once, so their -progress
+// lines interleave.
 //
 // -pprof PREFIX writes PREFIX.cpu.pprof and PREFIX.heap.pprof profiles
 // of the run.

@@ -25,7 +25,8 @@
 // and -gen-target sets the phase-bin adequacy threshold; suites are
 // byte-identical for any -workers value. Each search memoises its own
 // candidate evaluations, and the evaluations it answered from the memo
-// are reported on stderr.
+// are reported on stderr. With more than one worker the searches run at
+// once, so their -progress lines interleave.
 package main
 
 import (

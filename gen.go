@@ -1,6 +1,7 @@
 package rmtest
 
 import (
+	"sync"
 	"time"
 
 	"rmtest/internal/campaign"
@@ -20,8 +21,12 @@ type GenSuiteOptions struct {
 	// Seed drives every random choice through a splitmix64 chain; the
 	// same seed reproduces the same suites byte for byte.
 	Seed uint64
-	// Workers bounds the campaign worker pool; 0 means GOMAXPROCS. Any
-	// value produces byte-identical suites.
+	// Workers bounds the campaign worker pools; 0 means GOMAXPROCS. Any
+	// value produces byte-identical suites. The suite's four search
+	// chains run on one campaign of Workers workers, so at most
+	// min(Workers, 4) run at once, and each search evaluates at most
+	// Workers candidates at a time on its own campaigns. Workers=1 runs
+	// everything inline, one search after another.
 	Workers int
 	// TargetPhase is the phase-bin coverage ratio the coverage-directed
 	// generator stops at (default 0.9); it always requires every
@@ -29,7 +34,9 @@ type GenSuiteOptions struct {
 	TargetPhase float64
 	// Progress, when set, receives a campaign snapshot per executed
 	// evaluation; evaluations a search answers from its memo are not
-	// counted.
+	// counted. A snapshot's counts cover one candidate batch of one
+	// search. Calls are serialised, but with Workers > 1 the snapshots
+	// of searches that run at once interleave.
 	Progress func(campaign.Progress)
 }
 
@@ -88,10 +95,30 @@ func genCases() []genCase {
 // violates — delta-debug shrinking of the violating schedule to a
 // minimal counterexample. One report.GenRun per chart, in chart order;
 // the output is byte-identical at any worker count.
+//
+// Only shrinking depends on another search, so the suite runs as four
+// independent chains on one campaign: each chart's coverage search, and
+// each chart's falsification search followed by its shrinking. Every
+// search keeps its own memo and runs its own candidate campaigns. All
+// seeds are drawn before any chain runs, and with Workers=1 the chains
+// run inline in chart order, coverage first, which is the sequential
+// reference. A chain that fails or panics fails the suite; the error
+// returned is the first failed chain's, in that order.
 func GenerateSuite(opt GenSuiteOptions) ([]report.GenRun, error) {
+	if progress := opt.Progress; progress != nil {
+		// Each search's campaigns serialise their own snapshots; chains
+		// running at once share this lock.
+		var mu sync.Mutex
+		opt.Progress = func(p campaign.Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			progress(p)
+		}
+	}
+	cases := genCases()
 	seeds := sim.NewRand(opt.Seed)
-	var runs []report.GenRun
-	for _, c := range genCases() {
+	var chains []func() ([]tcgen.Result, error)
+	for _, c := range cases {
 		pb, err := c.pre()
 		if err != nil {
 			return nil, err
@@ -104,35 +131,38 @@ func GenerateSuite(opt GenSuiteOptions) ([]report.GenRun, error) {
 			Settle:      c.settle,
 			SampleAux:   c.aux,
 		}
-		run := report.GenRun{Chart: c.chart}
-
-		// Coverage-directed adequacy on the nominal pipeline.
-		target.Scheme = func() platform.Scheme { return platform.DefaultScheme2() }
-		cov, err := tcgen.CoverageDirected().Generate(target, opt.tcgen(seeds.Uint64()))
-		if err != nil {
-			return nil, err
-		}
-		run.Results = append(run.Results, cov)
-
-		// Falsification against the interference-loaded scheme.
-		target.Scheme = func() platform.Scheme { return platform.DefaultScheme3() }
-		fal, err := tcgen.Falsification().Generate(target, opt.tcgen(seeds.Uint64()))
-		if err != nil {
-			return nil, err
-		}
-		run.Results = append(run.Results, fal)
-
-		// Shrink the violating schedule to a minimal counterexample.
-		shrinkSeed := seeds.Uint64() // drawn unconditionally: the chain's
-		// position must not depend on whether falsification violated
-		if fal.Violated {
-			shr, err := tcgen.Shrinker(fal.Schedule).Generate(target, opt.tcgen(shrinkSeed))
-			if err != nil {
-				return nil, err
-			}
-			run.Results = append(run.Results, shr)
-		}
-		runs = append(runs, run)
+		nominal, loaded := target, target
+		nominal.Scheme = func() platform.Scheme { return platform.DefaultScheme2() }
+		loaded.Scheme = func() platform.Scheme { return platform.DefaultScheme3() }
+		// The shrink seed is drawn whether or not falsification violates:
+		// the chain's position must not depend on a search's outcome.
+		covSeed, falSeed, shrinkSeed := seeds.Uint64(), seeds.Uint64(), seeds.Uint64()
+		chains = append(chains,
+			// Coverage-directed adequacy on the nominal pipeline.
+			func() ([]tcgen.Result, error) {
+				cov, err := tcgen.CoverageDirected().Generate(nominal, opt.tcgen(covSeed))
+				return []tcgen.Result{cov}, err
+			},
+			// Falsification against the interference-loaded scheme, then
+			// shrinking of the violating schedule to a minimal
+			// counterexample.
+			func() ([]tcgen.Result, error) {
+				fal, err := tcgen.Falsification().Generate(loaded, opt.tcgen(falSeed))
+				if err != nil || !fal.Violated {
+					return []tcgen.Result{fal}, err
+				}
+				shr, err := tcgen.Shrinker(fal.Schedule).Generate(loaded, opt.tcgen(shrinkSeed))
+				return []tcgen.Result{fal, shr}, err
+			})
+	}
+	results, err := campaign.Values(campaign.Map(campaign.Config{Workers: opt.Workers}, len(chains),
+		func(r campaign.Run) ([]tcgen.Result, error) { return chains[r.Index]() }))
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]report.GenRun, len(cases))
+	for i, c := range cases {
+		runs[i] = report.GenRun{Chart: c.chart, Results: append(results[2*i], results[2*i+1]...)}
 	}
 	return runs, nil
 }

@@ -155,3 +155,24 @@ func TestGenShrinkAcceptance(t *testing.T) {
 		t.Error("re-running the shrunk schedule no longer violates")
 	}
 }
+
+// TestGenerateSuiteProgressCountsSimulatedRuns: Progress reports every
+// simulated evaluation of the seed-42 suite once, its 60 lookups less 15
+// memo hits and 1 dedup, at any worker count. The counter is unguarded:
+// with four workers the suite's searches run at once, and the race
+// detector fails the test unless the suite serialises their calls.
+func TestGenerateSuiteProgressCountsSimulatedRuns(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		calls := 0
+		_, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{
+			Seed: 42, Workers: workers,
+			Progress: func(rmtest.CampaignProgress) { calls++ },
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if calls != 44 {
+			t.Errorf("workers=%d: %d progress calls, want one per simulated evaluation (44)", workers, calls)
+		}
+	}
+}

@@ -367,6 +367,57 @@ func TestCampaignMatrixMatchesSequentialGolden(t *testing.T) {
 	}
 }
 
+// FuzzCampaignDeterminism checks the campaign engine's determinism
+// contract on fuzzed seeds across the three campaign experiments: the
+// selector picks Table I (1–3 samples), the fault sweep (1–2 samples) or
+// the generation suite (budget 8–16), and the rendered CSV at one
+// worker, the sequential reference, must equal the one at three
+// workers byte for byte. For the generation suite, whose searches run
+// at once with more than one worker, so must the reuse report.
+func FuzzCampaignDeterminism(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, sel byte) {
+		param := int(sel / 3)
+		var render func(workers int) (string, error)
+		switch sel % 3 {
+		case 0:
+			samples := 1 + param%3
+			render = func(workers int) (string, error) {
+				reports, err := rmtest.TableIExperiment(rmtest.TableIOptions{
+					Samples: samples, Seed: seed, ForceM: true, Workers: workers,
+				})
+				return rmtest.RenderCSV(reports), err
+			}
+		case 1:
+			samples := 1 + param%2
+			render = func(workers int) (string, error) {
+				res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
+					Samples: samples, Seed: seed, Workers: workers,
+				})
+				return rmtest.RenderFaultCSV(res.Attributions), err
+			}
+		default:
+			budget := 8 + param%9
+			render = func(workers int) (string, error) {
+				runs, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{
+					Budget: budget, Seed: seed, Workers: workers,
+				})
+				return rmtest.RenderGenCSV(runs) + rmtest.RenderGenReuse(runs), err
+			}
+		}
+		want, err := render(1)
+		if err != nil {
+			t.Fatalf("seed %d, selector %d, workers=1: %v", seed, sel, err)
+		}
+		got, err := render(3)
+		if err != nil {
+			t.Fatalf("seed %d, selector %d, workers=3: %v", seed, sel, err)
+		}
+		if got != want {
+			t.Errorf("seed %d, selector %d: workers=3 deviates from workers=1:\n%s\nwant:\n%s", seed, sel, got, want)
+		}
+	})
+}
+
 // TestCampaignProgressThroughTableI exercises the progress callback on a
 // real experiment. The experiment runs two campaign phases (R sweep, then
 // M sweep), each with fresh counters, so the test checks per-callback
