@@ -136,7 +136,9 @@ func BenchmarkFig2GeneratedStep(b *testing.B) {
 // BenchmarkFig2Verification measures the model-level verification of
 // REQ1 (the Design Verifier step of Fig. 1). It reports the abstract
 // states visited per check as states/op, and fails unless that is the
-// 12,003 the checker has always visited.
+// 12,003 the checker has always visited, and the program steps the
+// check ran as steps/op: the checker's work, which the regression gate
+// holds as a count.
 func BenchmarkFig2Verification(b *testing.B) {
 	cc, err := gpca.Chart().Compile()
 	if err != nil {
@@ -160,6 +162,7 @@ func BenchmarkFig2Verification(b *testing.B) {
 		b.Fatalf("visited %d states, want 12003", res.Visited)
 	}
 	b.ReportMetric(float64(res.Visited), "states/op")
+	b.ReportMetric(float64(res.Steps), "steps/op")
 }
 
 // --- Fig. 3 (delay segments) -----------------------------------------
@@ -369,7 +372,8 @@ func BenchmarkRequirementsMatrix(b *testing.B) {
 }
 
 // BenchmarkModelVerificationInvariant measures the safety-invariant
-// checker on the pump model.
+// checker on the pump model, and reports the program steps each check
+// ran as steps/op.
 func BenchmarkModelVerificationInvariant(b *testing.B) {
 	cc, err := gpca.Chart().Compile()
 	if err != nil {
@@ -382,14 +386,16 @@ func BenchmarkModelVerificationInvariant(b *testing.B) {
 			return state != "EmptyAlarm" || vars["o_MotorState"] == 0
 		},
 	}
+	var res verify.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.CheckInvariant(cc, prop, verify.Options{})
+		res, err = verify.CheckInvariant(cc, prop, verify.Options{})
 		if err != nil || res.Outcome != verify.Holds {
 			b.Fatalf("%v %v", res.Outcome, err)
 		}
 	}
+	b.ReportMetric(float64(res.Steps), "steps/op")
 }
 
 // BenchmarkLintGPCA measures the full static-analysis pass — compile,

@@ -71,6 +71,9 @@ func main() {
 	faultsFlag := flag.Bool("faults", false, "run the fault-attribution experiment (REQ1 on scheme2, one run per catalogue fault plan)")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
+	if err := checkSamples(*n); err != nil {
+		usageError(flag.CommandLine, err)
+	}
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
@@ -236,6 +239,9 @@ func runGen(args []string) {
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
 	pprofPrefix := fs.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	fs.Parse(args)
+	if err := checkGen(*budget, *workers, *target); err != nil {
+		usageError(fs, err)
+	}
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
@@ -362,6 +368,39 @@ func runLint(args []string) {
 	if len(rep.Fatal()) > 0 || (plat != nil && len(plat.Fatal()) > 0) {
 		os.Exit(1)
 	}
+}
+
+// checkSamples rejects a sample count below one, so the command exits
+// before the model check.
+func checkSamples(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
+	return nil
+}
+
+// checkGen rejects the gen subcommand's numeric flag values no search
+// can use: a negative budget or worker count, and an adequacy target
+// outside [0, 1], which no suite can meet.
+func checkGen(budget, workers int, target float64) error {
+	switch {
+	case budget < 0:
+		return fmt.Errorf("-budget must not be negative, got %d", budget)
+	case workers < 0:
+		return fmt.Errorf("-workers must not be negative, got %d", workers)
+	case !(target >= 0 && target <= 1):
+		return fmt.Errorf("-target must be in [0, 1], got %v", target)
+	}
+	return nil
+}
+
+// usageError reports a flag value no run can use, with the flag set's
+// usage, and exits with status 2, as the flag package does for a flag it
+// cannot parse.
+func usageError(fs *flag.FlagSet, err error) {
+	fmt.Fprintln(os.Stderr, "rmtest:", err)
+	fs.Usage()
+	os.Exit(2)
 }
 
 func fail(format string, args ...any) {

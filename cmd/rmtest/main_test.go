@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runMainEnv makes the test binary run the command instead of the tests,
+// so a test can run the command in a child process.
+const runMainEnv = "RMTEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func TestFlagChecks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string // "" when the values are accepted
+	}{
+		{"n=1", checkSamples(1), ""},
+		{"n=0", checkSamples(0), "-n must be at least 1"},
+		{"n=-1", checkSamples(-1), "-n must be at least 1"},
+		{"gen defaults", checkGen(0, 0, 0), ""},
+		{"gen target 1", checkGen(5, 2, 1), ""},
+		{"budget=-1", checkGen(-1, 0, 0), "-budget must not be negative"},
+		{"workers=-1", checkGen(0, -1, 0), "-workers must not be negative"},
+		{"target=1.5", checkGen(0, 0, 1.5), "-target must be in [0, 1]"},
+		{"target=-0.1", checkGen(0, 0, -0.1), "-target must be in [0, 1]"},
+		{"target=NaN", checkGen(0, 0, math.NaN()), "-target must be in [0, 1]"},
+	} {
+		if tc.want == "" && tc.err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, tc.err)
+		}
+		if tc.want != "" && (tc.err == nil || !strings.Contains(tc.err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, tc.err, tc.want)
+		}
+	}
+}
+
+// TestMalformedNumbersExitBeforeAnyWork runs the command on each
+// malformed value: it must print nothing on stdout, where the model
+// check's result would come first, and exit with status 2 and the usage.
+func TestMalformedNumbersExitBeforeAnyWork(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "0"}, {"-n", "-1"}, {"-faults", "-n", "0"},
+		{"gen", "-budget", "-1"}, {"gen", "-workers", "-1"},
+		{"gen", "-target", "1.5"}, {"gen", "-target", "NaN"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit status 2", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "Usage") {
+			t.Errorf("%v: no usage on stderr: %q", args, stderr.String())
+		}
+	}
+}

@@ -54,6 +54,11 @@ func main() {
 	genTarget := flag.Float64("gen-target", 0, "phase-bin adequacy target for the coverage-directed generator (0 = default 0.9)")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
+	if err := checkFlags(*n, *workers, *genBudget, *genTarget); err != nil {
+		fmt.Fprintln(os.Stderr, "tablei:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProfiles, err := profiles.Start(*pprofPrefix)
 	if err != nil {
@@ -175,4 +180,21 @@ func main() {
 			fmt.Printf("\nDiagnosis (%s):\n%s", rep.R.Scheme, rmtest.RenderFindings(rep.Diagnosis))
 		}
 	}
+}
+
+// checkFlags rejects the numeric flag values no run can use, so the
+// command exits before any work: fewer than one sample, a negative
+// worker count or budget, and an adequacy target outside [0, 1].
+func checkFlags(n, workers, genBudget int, genTarget float64) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	case workers < 0:
+		return fmt.Errorf("-workers must not be negative, got %d", workers)
+	case genBudget < 0:
+		return fmt.Errorf("-gen-budget must not be negative, got %d", genBudget)
+	case !(genTarget >= 0 && genTarget <= 1):
+		return fmt.Errorf("-gen-target must be in [0, 1], got %v", genTarget)
+	}
+	return nil
 }

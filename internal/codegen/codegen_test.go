@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,13 +115,8 @@ func differential(t *testing.T, c *statechart.Chart, seq [][]string) {
 		if (mres.Err == nil) != (eres.Err == nil) {
 			t.Fatalf("step %d: err mismatch %v vs %v", i, mres.Err, eres.Err)
 		}
-		if len(mres.Taken) != len(eres.Taken) {
-			t.Fatalf("step %d: taken %v vs %v", i, mres.Taken, eres.Taken)
-		}
-		for j := range mres.Taken {
-			if mres.Taken[j] != eres.Taken[j] {
-				t.Fatalf("step %d: transition %d: %+v vs %+v", i, j, mres.Taken[j], eres.Taken[j])
-			}
+		if diff := takenDiff(p, mres.Taken, eres.Taken); diff != "" {
+			t.Fatalf("step %d: %s", i, diff)
 		}
 		if m.ActiveState() != e.ActiveState() {
 			t.Fatalf("step %d: state %s vs %s", i, m.ActiveState(), e.ActiveState())
@@ -132,6 +128,27 @@ func differential(t *testing.T, c *statechart.Chart, seq [][]string) {
 			}
 		}
 	}
+}
+
+// takenDiff describes how the executor's taken transition ids differ
+// from the interpreter's taken transitions, or returns "" if they agree:
+// the same ids in the same order, and for each the source, target and
+// label that the interpreter names and the program's tables hold.
+func takenDiff(p *Program, want []interp.TakenTransition, got []int) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("taken %v vs ids %v", want, got)
+	}
+	for j, id := range got {
+		if id < 0 || id >= len(p.Trans) {
+			return fmt.Sprintf("transition %d: id %d out of range", j, id)
+		}
+		t := p.Trans[id]
+		g := interp.TakenTransition{Index: id, From: p.States[t.From].Name, To: p.States[t.To].Name, Label: t.Label}
+		if g != want[j] {
+			return fmt.Sprintf("transition %d: %+v vs %+v", j, want[j], g)
+		}
+	}
+	return ""
 }
 
 func TestDifferentialPumpScripted(t *testing.T) {
@@ -170,7 +187,7 @@ func TestDifferentialPumpRandom(t *testing.T) {
 		for _, evs := range seq {
 			mres := m.Step(evs...)
 			eres := e.Step(e.EventMask(evs...))
-			if len(mres.Taken) != len(eres.Taken) || m.ActiveState() != e.ActiveState() {
+			if takenDiff(p, mres.Taken, eres.Taken) != "" || m.ActiveState() != e.ActiveState() {
 				return false
 			}
 			if m.Get("o_MotorState") != e.Get("o_MotorState") ||
@@ -249,7 +266,7 @@ func TestDifferentialHierarchicalRandom(t *testing.T) {
 			e.SetInput("level", lvl)
 			mres := m.Step(evs...)
 			eres := e.Step(e.EventMask(evs...))
-			if len(mres.Taken) != len(eres.Taken) || m.ActiveState() != e.ActiveState() {
+			if takenDiff(p, mres.Taken, eres.Taken) != "" || m.ActiveState() != e.ActiveState() {
 				return false
 			}
 			if m.Get("out") != e.Get("out") || m.Get("count") != e.Get("count") {

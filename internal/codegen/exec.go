@@ -99,16 +99,18 @@ type Exec struct {
 
 	// charge sums the cost-model charges of the step in progress; idle
 	// marks a finished Step(0) that took no transition and raised no
-	// error, so SkipIdle may repeat it.
+	// error, so SkipIdle may repeat it; tested collects the event bits
+	// the step in progress has tested (Tested).
 	charge time.Duration
 	idle   bool
+	tested uint64
 
 	// taken and changed back the slices a StepResult returns, and writes
 	// the record Writes returns: a Step refills them in place, so once
 	// they have grown a Step that fires transitions allocates nothing. A
 	// Step that fires nothing touches neither taken nor changed. record
 	// turns on the record of output writes (RecordWrites).
-	taken   []statechart.TakenTransition
+	taken   []int
 	changed []statechart.VarChange
 	writes  []Write
 	record  bool
@@ -234,31 +236,29 @@ func (e *Exec) InActivePath(sid int) bool {
 	return false
 }
 
-// ExecState is a saved executor configuration: the active leaf, the tick,
-// and copies of the variables and entry ticks. The model checker keeps
-// one per frontier state.
-type ExecState struct {
-	active int
-	tick   int64
-	saved  []int64 // the variables, then the entry ticks
+// RowLen returns the number of values in the rows AppendRow writes,
+// which is the same for every configuration of the program.
+func (e *Exec) RowLen() int { return 2 + len(e.vars) + len(e.entryTick) }
+
+// AppendRow appends the executor's configuration to dst as one row of
+// RowLen values: the active leaf, the tick, the variables and the entry
+// ticks. It allocates only when dst lacks the capacity, so a caller can
+// keep many configurations in memory it manages, with no heap object
+// per configuration.
+func (e *Exec) AppendRow(dst []int64) []int64 {
+	dst = append(dst, int64(e.active), e.tick)
+	dst = append(dst, e.vars...)
+	return append(dst, e.entryTick...)
 }
 
-// Snapshot captures the current configuration. The variables and entry
-// ticks share one allocation.
-func (e *Exec) Snapshot() ExecState {
-	saved := make([]int64, len(e.vars)+len(e.entryTick))
-	copy(saved[copy(saved, e.vars):], e.entryTick)
-	return ExecState{active: e.active, tick: e.tick, saved: saved}
-}
-
-// Restore returns the executor to a configuration Snapshot captured, by
-// copying it into the executor's own storage; it allocates nothing. The
-// step before the restore no longer counts as idle, so SkipIdle does not
-// advance until the next Step.
-func (e *Exec) Restore(s ExecState) {
-	e.active = s.active
-	e.tick = s.tick
-	copy(e.entryTick, s.saved[copy(e.vars, s.saved):])
+// LoadRow returns the executor to the configuration in row, which
+// AppendRow wrote, by copying it into the executor's own storage; it
+// allocates nothing. The step before the load no longer counts as idle,
+// so SkipIdle does not advance until the next Step.
+func (e *Exec) LoadRow(row []int64) {
+	e.active = int(row[0])
+	e.tick = row[1]
+	copy(e.entryTick, row[2+copy(e.vars, row[2:]):])
 	e.idle = false
 }
 
@@ -301,10 +301,12 @@ func (e *Exec) now() time.Duration {
 }
 
 // StepResult reports what one Step did. Its slices are the executor's
-// scratch: they are valid only until the next Step, Reset or Restore.
+// scratch: they are valid only until the next Step, Reset or LoadRow.
 type StepResult struct {
-	// Taken lists the transitions taken, in order.
-	Taken []statechart.TakenTransition
+	// Taken lists the ids of the transitions taken, in order: indices
+	// into the program's Trans table, which names their source, target
+	// and label.
+	Taken []int
 	// Changed lists the outputs whose value differs from the step's
 	// start, sorted by name: the net effect the platform commits.
 	Changed []statechart.VarChange
@@ -328,8 +330,20 @@ func (e *Exec) RecordWrites() { e.record = true }
 // Writes lists, in execution order, every store of the last Step that
 // changed an output's value, one that a later store undoes included. It
 // is empty unless RecordWrites was called, and like StepResult's slices
-// it is valid only until the next Step, Reset or Restore.
+// it is valid only until the next Step, Reset or LoadRow.
 func (e *Exec) Writes() []Write { return e.writes }
+
+// Tested returns the event bits the last Step tested: the event of every
+// event-triggered transition whose trigger it checked, whether or not
+// the event was present. Apart from its idle mark, a Step's outcome
+// depends on its mask only through those checks, and an event a chain
+// consumes is one it tested. So a Step from the same configuration and
+// inputs, with a mask that agrees with the last one on the tested bits,
+// repeats it exactly: the same configuration, Taken, Changed, Writes,
+// Err and Tested. Only the idle mark can differ, because an untested
+// event left in the mask keeps a step from counting as idle. The model
+// checker steps one mask per class of masks that agree on these bits.
+func (e *Exec) Tested() uint64 { return e.tested }
 
 // EventMask builds the event bitmask for Step from event names.
 func (e *Exec) EventMask(events ...string) uint64 {
@@ -349,10 +363,11 @@ func (e *Exec) EventMask(events ...string) uint64 {
 // the configuration is stable and an event triggers at most one
 // transition. Every charge of the cost model flows through the ExecEnv,
 // and the listener observes each transition's start and finish instants.
-// The result's slices are reused by the next Step, Reset or Restore.
+// The result's slices are reused by the next Step, Reset or LoadRow.
 func (e *Exec) Step(events uint64) StepResult {
 	e.steps++
 	e.charge = 0
+	e.tested = 0
 	e.compute(e.cost.StepBase)
 	e.snapshotOutputs(e.outStep)
 	if e.record {
@@ -374,8 +389,8 @@ func (e *Exec) Step(events uint64) StepResult {
 		e.fire(t, &res)
 	}
 	e.idle = len(res.Taken) == 0 && res.Err == nil && events == 0
-	if res.Changed = e.diffOutputs(e.changed, e.outStep); res.Changed != nil {
-		e.changed = res.Changed
+	if res.Changed = e.diffOutputs(e.changed, e.outStep); cap(res.Changed) > cap(e.changed) {
+		e.changed = res.Changed // keep the grown scratch
 	}
 	e.tick++
 	return res
@@ -440,7 +455,9 @@ func (e *Exec) pickTransition(events uint64, res *StepResult) *TransRow {
 func (e *Exec) enabled(t *TransRow, events uint64, res *StepResult) bool {
 	switch t.Trig.Kind {
 	case statechart.TrigEvent:
-		if events&(1<<uint(t.Trig.Event)) == 0 {
+		bit := uint64(1) << uint(t.Trig.Event)
+		e.tested |= bit
+		if events&bit == 0 {
 			return false
 		}
 	case statechart.TrigAfter:
@@ -489,16 +506,13 @@ func (e *Exec) fire(t *TransRow, res *StepResult) {
 	e.runAction(t.Action, res)
 	e.enterChain(t.To, exitTo, res)
 	e.transitions++
+	// Appending in place stores only e.taken's length unless it grows,
+	// sparing a write barrier per transition while the collector runs.
 	if res.Taken == nil {
-		res.Taken = e.taken[:0]
+		e.taken = e.taken[:0]
 	}
-	res.Taken = append(res.Taken, statechart.TakenTransition{
-		Index: t.ID,
-		From:  e.prog.States[t.From].Name,
-		To:    e.prog.States[t.To].Name,
-		Label: t.Label,
-	})
-	e.taken = res.Taken
+	e.taken = append(e.taken, t.ID)
+	res.Taken = e.taken
 	if e.listener != nil {
 		e.listener.TransitionFinish(t.ID, t.Label, e.now(), e.diffOutputs(nil, e.outFire))
 	}
@@ -662,7 +676,9 @@ func (e *Exec) run(ref CodeRef) (int64, error) {
 			return 0, fmt.Errorf("codegen %s: bad opcode %v at pc %d", e.prog.ChartName, in.Op, pc-1)
 		}
 	}
-	e.stack = st[:0]
+	if cap(st) > cap(e.stack) {
+		e.stack = st[:0] // keep the grown stack
+	}
 	if len(st) == 0 {
 		return 0, nil
 	}

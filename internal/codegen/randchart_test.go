@@ -48,13 +48,8 @@ func TestDifferentialRandomCharts(t *testing.T) {
 			if m.ActiveState() != e.ActiveState() {
 				t.Fatalf("seed %d step %d: state %s vs %s", seed, i, m.ActiveState(), e.ActiveState())
 			}
-			if len(mres.Taken) != len(eres.Taken) {
-				t.Fatalf("seed %d step %d: taken %v vs %v", seed, i, mres.Taken, eres.Taken)
-			}
-			for j := range mres.Taken {
-				if mres.Taken[j] != eres.Taken[j] {
-					t.Fatalf("seed %d step %d: transition %d: %+v vs %+v", seed, i, j, mres.Taken[j], eres.Taken[j])
-				}
+			if diff := takenDiff(prog, mres.Taken, eres.Taken); diff != "" {
+				t.Fatalf("seed %d step %d: %s", seed, i, diff)
 			}
 			for _, v := range []string{"out0", "out1", "loc0"} {
 				if m.Get(v) != e.Get(v) {

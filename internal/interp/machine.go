@@ -19,11 +19,19 @@ import (
 	"rmtest/internal/statechart"
 )
 
+// TakenTransition describes one transition taken during a step.
+type TakenTransition struct {
+	Index int // global document-order index: the generated code's transition id
+	From  string
+	To    string
+	Label string
+}
+
 // StepResult reports what one clock tick did.
 type StepResult struct {
 	// Taken lists the transitions taken, in order. Empty when the
 	// configuration was stable for this tick.
-	Taken []statechart.TakenTransition
+	Taken []TakenTransition
 	// Changed lists output variables whose value changed during the step,
 	// sorted by name: the net effect the platform commits to actuators.
 	Changed []statechart.VarChange
@@ -293,7 +301,7 @@ func (m *Machine) fire(t *transition, res *StepResult) {
 	// Enter target: ensure ancestors of the target that are not already
 	// active get entry timestamps too.
 	m.enterChain(t.to, exitTo, res)
-	res.Taken = append(res.Taken, statechart.TakenTransition{
+	res.Taken = append(res.Taken, TakenTransition{
 		Index: t.index, From: t.from.name, To: t.to.name, Label: t.label,
 	})
 }

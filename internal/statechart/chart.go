@@ -393,8 +393,8 @@ type StateInfo struct {
 }
 
 // TransitionInfo is the parsed, validated form of one transition, exposed
-// for the code generator. Index is the global document-order index, which
-// a runtime reports as TakenTransition.Index.
+// for the code generator. Index is the global document-order index: the
+// id the generated code reports a taken transition by.
 type TransitionInfo struct {
 	Index  int
 	From   string

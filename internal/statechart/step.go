@@ -1,14 +1,5 @@
 package statechart
 
-// TakenTransition describes one transition taken during a step of a chart
-// runtime.
-type TakenTransition struct {
-	Index int // global transition index (stable row id in codegen tables)
-	From  string
-	To    string
-	Label string
-}
-
 // VarChange is an output variable change observed during a step.
 type VarChange struct {
 	Name string

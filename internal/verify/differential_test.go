@@ -74,6 +74,12 @@ func (c checkerCase) run(t *testing.T) (results []Result, errs int) {
 		if (errGot == nil) != (errWant == nil) {
 			t.Fatalf("%+v %s: error %v, oracle's %v", c, check.what, errGot, errWant)
 		}
+		// The oracle steps every stimulus; the checker skips those a
+		// step already run covers, so it may step less, never more.
+		if got.Steps > want.Steps {
+			t.Fatalf("%+v %s: %d steps, the oracle's %d", c, check.what, got.Steps, want.Steps)
+		}
+		got.Steps, want.Steps = 0, 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v %s:\n got %s\nwant %s", c, check.what, detail(got), detail(want))
 		}

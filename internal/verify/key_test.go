@@ -56,13 +56,13 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 		e := codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil)
 		type config struct {
 			m interp.MachineState
-			e codegen.ExecState
+			e []int64 // the executor's row
 		}
-		snaps := []config{{m.Snapshot(), e.Snapshot()}}
+		snaps := []config{{m.Snapshot(), e.AppendRow(nil)}}
 		for i := 0; i < 150; i++ {
 			from := snaps[r.Intn(len(snaps))]
 			m.Restore(from.m)
-			e.Restore(from.e)
+			e.LoadRow(from.e)
 			var evs []string
 			for _, ev := range chart.Events {
 				if r.Bool(0.3) {
@@ -79,7 +79,7 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 			if errM != nil {
 				continue
 			}
-			snaps = append(snaps, config{m.Snapshot(), e.Snapshot()})
+			snaps = append(snaps, config{m.Snapshot(), e.AppendRow(nil)})
 		}
 
 		states := cc.StateNames()
@@ -89,7 +89,7 @@ func TestCompactKeyMatchesStringKey(t *testing.T) {
 		}
 		for _, snap := range snaps {
 			m.Restore(snap.m)
-			e.Restore(snap.e)
+			e.LoadRow(snap.e)
 			if m.ActiveState() != e.ActiveState() {
 				t.Fatalf("seed %d: leaf %s vs %s", seed, m.ActiveState(), e.ActiveState())
 			}

@@ -144,6 +144,7 @@ func oracleResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options)
 					m.SetInput(name, v)
 				}
 				sr := m.Step(evs...)
+				res.Steps++
 				if sr.Err != nil {
 					return res, fmt.Errorf("oracle: model error during exploration: %w", sr.Err)
 				}
@@ -223,6 +224,7 @@ func oracleInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Option
 					m.SetInput(name, v)
 				}
 				sr := m.Step(evs...)
+				res.Steps++
 				if sr.Err != nil {
 					return res, fmt.Errorf("oracle: model error during exploration: %w", sr.Err)
 				}

@@ -13,6 +13,15 @@
 // the chart's largest temporal constant, making the reachable abstract
 // state space finite.
 //
+// A state is stepped once per class of event subsets its step can tell
+// apart: a subset that agrees with one already stepped from the state,
+// on the same input combination, on every event that step tested
+// (codegen.Exec.Tested) would repeat it exactly, so it is skipped. The
+// states visited, their order and every result are those of stepping
+// every subset. Explored states are fixed-size records and executor rows
+// in chunked storage, keyed in a pointer-free visited set, with no heap
+// object per state.
+//
 // The checker steps the program the chart compiles to (codegen.Generate)
 // on codegen.Exec with a nil ExecEnv and listener: the chart runtime the
 // platform runs, with no cost charged. Its tests run the same exploration
@@ -21,8 +30,11 @@
 package verify
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -103,6 +115,9 @@ type Result struct {
 	Property ResponseProperty
 	Outcome  Outcome
 	Visited  int
+	// Steps counts the steps of the generated program the check ran: the
+	// work behind Visited.
+	Steps uint64
 	// Counterexample is the stimulus sequence leading to the violation
 	// (only for Violated).
 	Counterexample []CexStep
@@ -117,36 +132,46 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// node is one frontier entry of the BFS. It names the stimulus that
-// reached it by index; a counterexample's events, inputs and states are
-// rebuilt from the indices and snapshots only when a violation is found.
-type node struct {
-	snap       codegen.ExecState
+// record is one explored state: how the search reached it and the
+// obligation it carries. A counterexample's events, inputs and states
+// are rebuilt from the records and rows only when a violation is found.
+type record struct {
+	parent     int   // the index of the record reached from; -1 for the root
+	subset     int32 // the event subset that reached it, see stimuli
+	combo      int32 // the input combination that reached it
 	obligation int64 // remaining ticks; -1 = none pending
-	parent     *node
-	subset     int // index of the event subset, see stimuli
-	combo      int // index of the input combination, see stimuli
 }
 
-// explorer steps the chart's generated program through the state space:
-// it applies each stimulus to a restored state and keys the result in
-// the visited set.
+// explorer steps the chart's generated program through the state space.
+// It keeps the explored states, as records and executor rows, in a store
+// whose order is the breadth-first queue's, and their keys in the visited
+// set; neither holds a heap object per state.
 type explorer struct {
 	exec    *codegen.Exec
 	stim    stimuli
 	masks   []uint64 // subset index -> the program's event mask
+	bits    []int    // program event id -> its bit in a subset index
 	inputs  []int    // the program's slots of stim.inputs
 	limit   int64
 	rel     []int
 	buf     []byte
-	visited map[string]struct{}
+	visited keySet
+	states  stateStore
+	// covered marks, for the state being expanded, the stimuli (combo c,
+	// subset k at c*len(masks)+k) that would repeat a step already run.
+	covered []bool
+	// trigger is a response property's event as a subset bit, and
+	// inState its InState's id (-1 for any state); an invariant has no
+	// trigger.
+	trigger int
+	inState int
 }
 
 // newExplorer generates the chart's program, runs it from its initial
-// configuration, and marks that configuration visited. The checks call it
-// only once their arguments have passed verify's own tests, so a chart
-// the checker cannot explore is rejected with verify's error, not the
-// code generator's.
+// configuration, and records and marks that configuration visited. The
+// checks call it only once their arguments have passed verify's own
+// tests, so a chart the checker cannot explore is rejected with verify's
+// error, not the code generator's.
 func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) (*explorer, error) {
 	prog, err := codegen.Generate(cc)
 	if err != nil {
@@ -156,15 +181,22 @@ func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) 
 		exec:    codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil),
 		stim:    stim,
 		masks:   make([]uint64, 1<<len(stim.events)),
+		bits:    make([]int, len(prog.Events)),
 		limit:   limit,
 		rel:     rel,
-		visited: map[string]struct{}{},
+		visited: newKeySet(),
+		covered: make([]bool, stim.combos<<len(stim.events)),
+		inState: -1,
 	}
+	x.states = newStateStore(x.exec.RowLen())
 	x.exec.RecordWrites()
+	for i, name := range stim.events {
+		id, _ := prog.EventID(name)
+		x.bits[id] = 1 << i
+	}
 	for k := range x.masks {
-		for i, name := range stim.events {
-			if k&(1<<i) != 0 {
-				id, _ := prog.EventID(name)
+		for id, bit := range x.bits {
+			if k&bit != 0 {
 				x.masks[k] |= 1 << id
 			}
 		}
@@ -174,37 +206,121 @@ func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) 
 		x.inputs = append(x.inputs, id)
 	}
 	x.visit(-1)
+	x.states.add(record{parent: -1, obligation: -1}, x.exec)
 	return x, nil
 }
 
-// step runs one tick on event subset k and input combination c.
-func (x *explorer) step(k, c int) codegen.StepResult {
+// step runs one tick on event subset k and input combination c, and
+// returns the step's error.
+func (x *explorer) step(k, c int) error {
 	for j, v := range x.stim.combo(c) {
 		x.exec.SetInputID(x.inputs[j], v)
 	}
-	return x.exec.Step(x.masks[k])
+	return x.exec.Step(x.masks[k]).Err
 }
 
 // visit keys the executor's configuration with the obligation remaining
 // and reports whether the key is new, adding it if so.
 func (x *explorer) visit(obligation int64) bool {
-	x.buf = key(x.buf, x.exec, obligation, x.limit, x.rel)
-	if _, seen := x.visited[string(x.buf)]; seen {
-		return false
+	b := key(x.buf, x.exec, obligation, x.limit, x.rel)
+	if cap(b) > cap(x.buf) {
+		x.buf = b // keep the grown buffer
 	}
-	x.visited[string(x.buf)] = struct{}{}
-	return true
+	return x.visited.add(b)
+}
+
+// explore searches breadth-first from the recorded root, which the
+// caller has judged, until the property is violated, res.Visited
+// reaches maxVisited, or no state is left to expand; it sets
+// res.Outcome, and res.Counterexample on a violation. decide judges
+// each successor right after its step: given the obligation its parent
+// carries and whether the step fired the trigger, it returns the
+// successor's obligation and whether the successor violates the
+// property.
+//
+// From each state it steps each event subset and, within it, each input
+// combination, skipping the stimuli a step already run covers: after
+// subset k on combination c, every subset that agrees with k on the bits
+// the step tested (codegen.Exec.Tested, plus the trigger's bit when the
+// state arms it) would repeat the step exactly. Such a subset has a
+// larger index than its representative k, so its successor would have
+// the key and the obligation of one already keyed, and it would violate
+// only if k, which comes first, had. Skipping it changes neither the
+// states visited, nor their order, nor the outcome. Combinations are
+// never merged: an input's value stays in the configuration.
+func (x *explorer) explore(res *Result, maxVisited int, decide func(obligation int64, triggered bool) (int64, bool)) error {
+	e := x.exec
+	n := len(x.masks)
+	for i := 0; i < x.states.n; i++ {
+		ob := x.states.record(i).obligation
+		row := x.states.row(i)
+		e.LoadRow(row)
+		// The trigger is judged in the pre-step configuration; no
+		// stimulus changes its active path.
+		armed := x.trigger != 0 && (x.inState < 0 || e.InActivePath(x.inState))
+		clear(x.covered)
+		for k := range n {
+			for c := range x.stim.combos {
+				if x.covered[c*n+k] {
+					continue
+				}
+				e.LoadRow(row)
+				if err := x.step(k, c); err != nil {
+					return fmt.Errorf("verify: model error during exploration: %w", err)
+				}
+				tested := 0
+				for t := e.Tested(); t != 0; t &= t - 1 {
+					tested |= x.bits[bits.TrailingZeros64(t)]
+				}
+				if armed {
+					tested |= x.trigger
+				}
+				x.cover(c, k, tested)
+				next, violated := decide(ob, armed && k&x.trigger != 0)
+				if violated {
+					res.Outcome = Violated
+					res.Counterexample = x.counterexample(i, k, c)
+					return nil
+				}
+				if !x.visit(next) {
+					continue
+				}
+				res.Visited++
+				if res.Visited >= maxVisited {
+					res.Outcome = Bounded
+					return nil
+				}
+				x.states.add(record{parent: i, subset: int32(k), combo: int32(c), obligation: next}, e)
+			}
+		}
+	}
+	res.Outcome = Holds
+	return nil
+}
+
+// cover marks as covered, on combination c, every subset that agrees
+// with subset k on the tested bits.
+func (x *explorer) cover(c, k, tested int) {
+	n := len(x.masks)
+	covered := x.covered[c*n : (c+1)*n]
+	free, fixed := (n-1)&^tested, k&tested
+	for sub := free; ; sub = (sub - 1) & free {
+		covered[fixed|sub] = true
+		if sub == 0 {
+			return
+		}
+	}
 }
 
 // counterexample rebuilds the stimulus path to the executor's current
-// configuration, reached from n on subset k and combination c. It
-// restores each ancestor's snapshot to name its leaf, so exploration
-// ends with it.
-func (x *explorer) counterexample(n *node, k, c int) []CexStep {
+// configuration, reached from record i on subset k and combination c. It
+// loads each ancestor's row to name its leaf, so exploration ends with
+// it.
+func (x *explorer) counterexample(i, k, c int) []CexStep {
 	out := []CexStep{x.stim.cexStep(k, c, x.exec.ActiveState())}
-	for ; n.parent != nil; n = n.parent {
-		x.exec.Restore(n.snap)
-		out = append(out, x.stim.cexStep(n.subset, n.combo, x.exec.ActiveState()))
+	for r := x.states.record(i); r.parent >= 0; i, r = r.parent, x.states.record(r.parent) {
+		x.exec.LoadRow(x.states.row(i))
+		out = append(out, x.stim.cexStep(int(r.subset), int(r.combo), x.exec.ActiveState()))
 	}
 	slices.Reverse(out)
 	return out
@@ -234,65 +350,33 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 	}
 	prog, e := x.exec.Program(), x.exec
 	ev, _ := prog.EventID(prop.Event)
-	trigger := uint64(1) << ev
+	x.trigger = x.bits[ev]
 	out, _ := prog.VarID(prop.Output)
-	inState := -1
 	if prop.InState != "" {
-		inState, _ = prog.StateID(prop.InState)
+		x.inState, _ = prog.StateID(prop.InState)
 	}
 	res := Result{Property: prop, Visited: 1}
-	frontier := []*node{{snap: e.Snapshot(), obligation: -1}}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for k, mask := range x.masks {
-			for c := range stim.combos {
-				// The trigger condition is evaluated in the pre-step
-				// configuration.
-				e.Restore(cur.snap)
-				triggered := mask&trigger != 0 && (inState < 0 || e.InActivePath(inState))
-				sr := x.step(k, c)
-				if sr.Err != nil {
-					return res, fmt.Errorf("verify: model error during exploration: %w", sr.Err)
-				}
-				// Only the oldest pending obligation is tracked, which is
-				// sound and complete for this property class: a matching
-				// output write discharges every pending obligation at
-				// once (younger triggers see the same response with a
-				// smaller delay), so the oldest obligation is always the
-				// binding one.
-				ob := cur.obligation
-				if triggered && ob < 0 {
-					ob = prop.WithinTicks
-				}
-				if ob >= 0 {
-					if discharged(e.Writes(), out, prop.Target) {
-						ob = -1
-					} else if ob == 0 {
-						// Deadline expired without the response.
-						res.Outcome = Violated
-						res.Counterexample = x.counterexample(cur, k, c)
-						return res, nil
-					} else {
-						ob--
-					}
-				}
-				if !x.visit(ob) {
-					continue
-				}
-				res.Visited++
-				if res.Visited >= maxVisited {
-					res.Outcome = Bounded
-					return res, nil
-				}
-				frontier = append(frontier, &node{
-					snap: e.Snapshot(), obligation: ob, parent: cur, subset: k, combo: c,
-				})
-			}
+	err = x.explore(&res, maxVisited, func(ob int64, triggered bool) (int64, bool) {
+		// Only the oldest pending obligation is tracked, which is sound
+		// and complete for this property class: a matching output write
+		// discharges every pending obligation at once (younger triggers
+		// see the same response with a smaller delay), so the oldest
+		// obligation is always the binding one.
+		if triggered && ob < 0 {
+			ob = prop.WithinTicks
 		}
-	}
-	res.Outcome = Holds
-	return res, nil
+		switch {
+		case ob < 0:
+			return ob, false
+		case discharged(e.Writes(), out, prop.Target):
+			return -1, false
+		case ob == 0:
+			return 0, true // the deadline expired without the response
+		}
+		return ob - 1, false
+	})
+	res.Steps = e.Steps()
+	return res, err
 }
 
 // checkResponseProperty rejects a property that names no event, output or
@@ -560,37 +644,124 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 		res.Outcome = Violated
 		return res, nil
 	}
-	frontier := []*node{{snap: e.Snapshot(), obligation: -1}}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for k := range x.masks {
-			for c := range stim.combos {
-				e.Restore(cur.snap)
-				sr := x.step(k, c)
-				if sr.Err != nil {
-					return res, fmt.Errorf("verify: model error during exploration: %w", sr.Err)
-				}
-				e.FillVars(vars)
-				if !prop.Holds(e.ActiveState(), vars) {
-					res.Outcome = Violated
-					res.Counterexample = x.counterexample(cur, k, c)
-					return res, nil
-				}
-				if !x.visit(-1) {
-					continue
-				}
-				res.Visited++
-				if res.Visited >= maxVisited {
-					res.Outcome = Bounded
-					return res, nil
-				}
-				frontier = append(frontier, &node{
-					snap: e.Snapshot(), obligation: -1, parent: cur, subset: k, combo: c,
-				})
-			}
+	err = x.explore(&res, maxVisited, func(int64, bool) (int64, bool) {
+		e.FillVars(vars)
+		return -1, !prop.Holds(e.ActiveState(), vars)
+	})
+	res.Steps = e.Steps()
+	return res, err
+}
+
+// stateStore keeps the explored states in breadth-first order, each as
+// a record and an executor row, in chunks of perChunk states. A chunk is
+// never reallocated: growing adds one and copies nothing.
+type stateStore struct {
+	width, perChunk int
+	n               int // states stored
+	records         [][]record
+	rows            [][]int64
+}
+
+// rowChunk is the number of row values a chunk holds, unless one row is
+// wider.
+const rowChunk = 8 << 10
+
+func newStateStore(width int) stateStore {
+	return stateStore{width: width, perChunk: max(1, rowChunk/width)}
+}
+
+// add stores r and the executor's configuration as the next state. The
+// row is appended into its chunk's spare room, so no slice header is
+// stored.
+func (s *stateStore) add(r record, e *codegen.Exec) {
+	c, j := s.n/s.perChunk, s.n%s.perChunk
+	if j == 0 {
+		s.records = append(s.records, make([]record, s.perChunk))
+		s.rows = append(s.rows, make([]int64, s.width*s.perChunk))
+	}
+	s.records[c][j] = r
+	e.AppendRow(s.rows[c][j*s.width : j*s.width])
+	s.n++
+}
+
+// record returns state i's record.
+func (s *stateStore) record(i int) record { return s.records[i/s.perChunk][i%s.perChunk] }
+
+// row returns state i's row.
+func (s *stateStore) row(i int) []int64 {
+	off := i % s.perChunk * s.width
+	return s.rows[i/s.perChunk][off : off+s.width]
+}
+
+// keySet is the visited set. The keys' bytes sit in chunks that are
+// never reallocated, and an open-addressing table of fixed-size slots
+// with no pointers locates them, so the garbage collector scans neither
+// and growing copies no key. Only membership is observed, so neither the
+// hash nor the slot order reaches an output.
+type keySet struct {
+	seed   maphash.Seed
+	slots  []keySlot // a power of two long, at most three quarters full
+	shift  uint      // 32 - log2(len(slots)): a hash's top bits pick its slot
+	used   int
+	chunks [][]byte
+	fill   int // bytes used in the last chunk
+}
+
+// keySlot locates one key: its bytes are chunks[chunk][off:off+len]. A
+// zero len marks an empty slot, since no key is empty. hash is the top
+// half of the key's hash.
+type keySlot struct {
+	hash, len, chunk, off uint32
+}
+
+// keyChunk is the number of bytes a key chunk holds, unless one key is
+// longer.
+const keyChunk = 64 << 10
+
+func newKeySet() keySet {
+	const slots = 1 << 10
+	return keySet{seed: maphash.MakeSeed(), slots: make([]keySlot, slots), shift: 32 - 10}
+}
+
+// add inserts key and reports whether it was new. It copies the key, so
+// the caller may reuse key's storage.
+func (s *keySet) add(key []byte) bool {
+	h := uint32(maphash.Bytes(s.seed, key) >> 32)
+	mask := len(s.slots) - 1
+	i := int(h >> s.shift)
+	for ; s.slots[i].len != 0; i = (i + 1) & mask {
+		sl := s.slots[i]
+		if sl.hash == h && int(sl.len) == len(key) && bytes.Equal(s.chunks[sl.chunk][sl.off:sl.off+sl.len], key) {
+			return false
 		}
 	}
-	res.Outcome = Holds
-	return res, nil
+	if len(s.chunks) == 0 || len(s.chunks[len(s.chunks)-1])-s.fill < len(key) {
+		s.chunks = append(s.chunks, make([]byte, max(keyChunk, len(key))))
+		s.fill = 0
+	}
+	last := len(s.chunks) - 1
+	s.slots[i] = keySlot{hash: h, len: uint32(len(key)), chunk: uint32(last), off: uint32(s.fill)}
+	s.fill += copy(s.chunks[last][s.fill:], key)
+	if s.used++; s.used*4 > len(s.slots)*3 {
+		s.grow()
+	}
+	return true
+}
+
+// grow doubles the table and re-slots every key by its stored hash.
+func (s *keySet) grow() {
+	old := s.slots
+	s.slots = make([]keySlot, 2*len(old))
+	s.shift--
+	mask := len(s.slots) - 1
+	for _, sl := range old {
+		if sl.len == 0 {
+			continue
+		}
+		i := int(sl.hash >> s.shift)
+		for s.slots[i].len != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
 }
