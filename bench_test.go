@@ -288,29 +288,25 @@ func BenchmarkSimKernelEvent(b *testing.B) {
 }
 
 // BenchmarkRTOSPingPong is the RTOS rung of the benchmark ladder: two
-// equal-priority tasks that each compute 5 µs and then yield with
-// Sleep(0), so nearly all the work is the scheduler resuming task
-// bodies and switching between them. It reports the context switches
+// equal-priority periodic tasks that each compute 5 µs per 10 µs
+// period, offset by 5 µs so that each release ends where the other
+// task's begins, so nearly all the work is the scheduler releasing task
+// bodies and switching between them. One op is one virtual millisecond
+// of a single Run over b.N of them, and it reports the context switches
 // per op.
 func BenchmarkRTOSPingPong(b *testing.B) {
 	k := sim.New()
 	s := rtos.New(k)
-	defer s.Shutdown()
-	for _, name := range []string{"a", "b"} {
-		s.Spawn(name, 1, 0, func(t *rtos.Task) {
-			for {
-				t.Compute(5 * time.Microsecond)
-				t.Sleep(0)
-			}
+	const us = time.Microsecond
+	for i, name := range []string{"a", "b"} {
+		s.SpawnPeriodic(name, 1, sim.Time(i)*5*us, 10*us, func(t *rtos.Task) {
+			t.Compute(5 * us)
 		})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	switches := s.ContextSwitches()
-	for i := 0; i < b.N; i++ {
-		k.Run(k.Now() + time.Millisecond)
-	}
-	b.ReportMetric(float64(s.ContextSwitches()-switches)/float64(b.N), "switches/op")
+	k.Run(sim.Time(b.N) * time.Millisecond)
+	b.ReportMetric(float64(s.ContextSwitches())/float64(b.N), "switches/op")
 }
 
 // BenchmarkPumpSimulationSecond measures simulating one virtual second of
@@ -324,7 +320,6 @@ func BenchmarkPumpSimulationSecond(b *testing.B) {
 		}
 		sys.Env.PulseAt(40*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 		sys.Run(time.Second)
-		sys.Shutdown()
 	}
 }
 
@@ -346,7 +341,6 @@ func benchInstrumentation(b *testing.B, level platform.Instrument) {
 			sys.Env.PulseAt(time.Duration(50+4500*k)*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 		}
 		sys.Run(10 * time.Second)
-		sys.Shutdown()
 	}
 }
 
@@ -458,17 +452,16 @@ func BenchmarkPlatformLint(b *testing.B) {
 // --- Campaign engine -------------------------------------------------
 
 // runCounts sums deterministic counts over full-horizon runs: kernel
-// events fired, task-body resumptions, context switches, and the times
-// CODE(M)'s step function ran (E_CLK ticks less those skipped as idle).
+// events fired, context switches, and the times CODE(M)'s step function
+// ran (E_CLK ticks less those skipped as idle).
 type runCounts struct {
-	runs                                 int
-	events, resumes, switches, stepCalls uint64
+	runs                        int
+	events, switches, stepCalls uint64
 }
 
 func (c *runCounts) add(sys *platform.System) {
 	c.runs++
 	c.events += sys.Kernel.EventsFired()
-	c.resumes += sys.Sched.Resumes()
 	c.switches += sys.Sched.ContextSwitches()
 	c.stepCalls += sys.Exec.Steps() - sys.Exec.Elided()
 }
@@ -501,7 +494,6 @@ func tableIRunCounts(b *testing.B) runCounts {
 		}
 		sys.Run(tc.Horizon(req))
 		counts.add(sys)
-		sys.Shutdown()
 	}
 	return counts
 }
@@ -513,9 +505,9 @@ func tableIRunCounts(b *testing.B) runCounts {
 // approaches a 3x speedup (one worker per scheme); results are
 // byte-identical at every pool size (see
 // TestCampaignTableIMatchesSequentialGolden). The events/run,
-// stepcalls/run, resumes/run and switches/run metrics come from
-// full-horizon runs outside the timed loop, so the live verdicts' early
-// stop does not move them.
+// stepcalls/run and switches/run metrics come from full-horizon runs
+// outside the timed loop, so the live verdicts' early stop does not move
+// them.
 func BenchmarkCampaignTableI(b *testing.B) {
 	counts := tableIRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -543,7 +535,6 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 			b.ReportMetric(counts.perRun(counts.events), "events/run")
 			b.ReportMetric(counts.perRun(counts.stepCalls), "stepcalls/run")
-			b.ReportMetric(counts.perRun(counts.resumes), "resumes/run")
 			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
 		})
 	}
@@ -614,7 +605,6 @@ func BenchmarkVerdictReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Run(tc.Horizon(req))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -650,7 +640,6 @@ func faultSweepRunCounts(b *testing.B) runCounts {
 		}
 		sys.Run(tc.Horizon(req))
 		counts.add(sys)
-		sys.Shutdown()
 	}
 	return counts
 }
@@ -661,8 +650,8 @@ func faultSweepRunCounts(b *testing.B) runCounts {
 // GC-churn gate for the fault layer: arming a plan is a handful of window
 // events on the pooled kernel, and the unfaulted baseline plan must ride
 // the same zero-alloc scratch-reuse path as the plain campaign. The
-// events/run, resumes/run and switches/run metrics come from
-// full-horizon runs outside the timed loop, as CampaignTableI's do.
+// events/run and switches/run metrics come from full-horizon runs
+// outside the timed loop, as CampaignTableI's do.
 func BenchmarkCampaignFaulted(b *testing.B) {
 	counts := faultSweepRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -687,7 +676,6 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*runsPerIter), "allocs/run")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 			b.ReportMetric(counts.perRun(counts.events), "events/run")
-			b.ReportMetric(counts.perRun(counts.resumes), "resumes/run")
 			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
 		})
 	}

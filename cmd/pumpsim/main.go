@@ -46,7 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pumpsim:", err)
 		os.Exit(1)
 	}
-	defer sys.Shutdown()
 	sched := sys.Sched.Record()
 
 	at := time.Duration(*press) * time.Millisecond

@@ -21,7 +21,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Shutdown()
 
 	// Physical reservoir: 5000 volume units, drained by the motor at
 	// 1 unit/ms per speed level, checked every 10 ms. The empty detector

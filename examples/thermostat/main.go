@@ -55,7 +55,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Shutdown()
 
 	// Plant physics: the room starts warm (22.0 deg = 220) and loses one
 	// tenth of a degree per 100 ms; the running heater adds three, for a

@@ -76,7 +76,6 @@ func Fig3Experiment(scheme Scheme) (Segments, error) {
 	if err != nil {
 		return Segments{}, err
 	}
-	defer sys.Shutdown()
 	sys.Env.PulseAt(40*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 	sys.Run(time.Second)
 	spec := fourvar.MatchSpec{
@@ -124,7 +123,6 @@ func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 		Bound: req.Bound, Timeout: req.EffectiveTimeout(),
 	}})
 	if err != nil {
-		sys.Shutdown()
 		return AblationInfo{}, err
 	}
 	mon.Attach(sys.Env)
@@ -133,7 +131,6 @@ func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	}
 	sys.Run(tc.Horizon(req))
 	mon.Flush(sys.Kernel.Now())
-	sys.Shutdown()
 
 	// R-M pass.
 	runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return platform.DefaultScheme3() }), req)

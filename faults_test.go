@@ -86,7 +86,7 @@ func TestFaultAttributionAcceptance(t *testing.T) {
 // TestFaultedCampaignPanicAccounting pins the containment contract for
 // mis-targeted plans (satellite S4): a fault plan that panics in the
 // Prepare hook fails exactly its own run, the campaign completes, the
-// worker's scratch is discarded, and no task goroutines leak.
+// worker's scratch is discarded, and no worker goroutine leaks.
 func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	before := runtime.NumGoroutine()
 	req := gpca.REQ1()
@@ -161,8 +161,8 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	if scratches < 3 {
 		t.Errorf("scratch factory ran %d times, want >= 3 (discard on panic)", scratches)
 	}
-	// All task goroutines must wind down, including the half-built
-	// system the panic unwound through.
+	// Every campaign worker must wind down, including the one the panic
+	// unwound through.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -179,10 +179,9 @@ type faultyScheme struct {
 	armed bool
 }
 
-func (s faultyScheme) Start(sys *platform.System) {
-	s.Scheme2.Start(sys)
-	if !s.armed {
-		return
+func (s faultyScheme) Start(sys *platform.System) error {
+	if err := s.Scheme2.Start(sys); err != nil || !s.armed {
+		return err
 	}
 	sys.Sched.SpawnPeriodic("faulty", 1, 0, 50*time.Millisecond, func(tk *rtos.Task) {
 		if tk.Releases() == 2 {
@@ -190,12 +189,13 @@ func (s faultyScheme) Start(sys *platform.System) {
 		}
 		tk.Compute(time.Millisecond)
 	})
+	return nil
 }
 
 // TestCampaignTaskPanicFailsOnlyItsRun extends the containment contract
 // from Prepare hooks to task bodies: a task that panics mid-simulation
 // fails exactly its own run with the panic value in the error, the other
-// runs complete, and no task goroutine leaks.
+// runs complete, and no worker goroutine leaks.
 func TestCampaignTaskPanicFailsOnlyItsRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	req := gpca.REQ1()
@@ -286,7 +286,6 @@ func TestScratchCleanAfterAbortedFaultedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(sim.Time(time.Second)) // abort mid-window: stuck latch still pending
-	sys.Shutdown()
 
 	// Unfaulted run on the recycled scratch vs a freshly allocated system.
 	recycled, err := core.NewRunner(gpca.FactoryPrebuilt(pb, scheme, sc), req)

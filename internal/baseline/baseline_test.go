@@ -32,7 +32,6 @@ func runPump(t *testing.T, scheme platform.Scheme, presses []sim.Time) *Monitor 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	mo, err := NewMonitor([]Rule{req1Rule()})
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func (r *Runner) applyStimuli(sys *platform.System, tc TestCase) {
 // everything RunRM does before advancing the clock. It rejects a test
 // case whose stimuli decrease: responses are credited to samples in FIFO
 // order, which is only sound for ordered stimuli. Callers own the
-// returned system and must Shutdown it.
+// returned system; it holds no goroutine, so it needs no teardown.
 func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System, error) {
 	if err := tc.checkOrder(); err != nil {
 		return nil, err
@@ -151,21 +151,10 @@ func (r *Runner) Setup(level platform.Instrument, tc TestCase) (*platform.System
 	if err != nil {
 		return nil, err
 	}
-	// A Prepare hook (fault plans arrive through it) may panic; the
-	// campaign engine isolates the panic, but the half-built system's
-	// suspended task coroutines would leak without a shutdown on the way
-	// out.
-	done := false
-	defer func() {
-		if !done {
-			sys.Shutdown()
-		}
-	}()
 	r.applyStimuli(sys, tc)
 	if r.Prepare != nil {
 		r.Prepare(sys, tc)
 	}
-	done = true
 	return sys, nil
 }
 
@@ -261,7 +250,6 @@ func (r *Runner) RunRM(tc TestCase, force bool) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	defer sys.Shutdown()
 	v := newVerdicts(r.Req, tc)
 	v.attach(sys)
 	sys.Run(tc.Horizon(r.Req))

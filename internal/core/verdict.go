@@ -78,16 +78,12 @@ func newVerdicts(req Requirement, tc TestCase) *verdicts {
 	return v
 }
 
-// attach subscribes the machines to a live system's trace and stops the
-// kernel run once every sample is decided.
+// attach subscribes the machines to a live system's trace; decide stops
+// the kernel run once every sample is decided.
 func (v *verdicts) attach(sys *platform.System) {
 	v.k = sys.Kernel
 	sys.Trace.Tap(v.onEvent)
-	sys.Kernel.StopWhen(v.allDecided)
 }
-
-// allDecided reports whether every sample's verdict is decided.
-func (v *verdicts) allDecided() bool { return v.decided == len(v.results) }
 
 // onEvent consumes one four-variable event; events of other signals are
 // ignored.
@@ -211,7 +207,8 @@ func (v *verdicts) maxResult(mc *machine) SampleResult {
 	return s
 }
 
-// decide records a verdict and retires the machine.
+// decide records a verdict and retires the machine. In live mode the
+// last decision stops the kernel run after the event in progress.
 func (v *verdicts) decide(mc *machine, s SampleResult) {
 	mc.ph = done
 	v.results[mc.idx] = s
@@ -220,6 +217,9 @@ func (v *verdicts) decide(mc *machine, s SampleResult) {
 	mc.wd = sim.Event{}
 	for v.head < len(v.ms) && v.ms[v.head].ph == done {
 		v.head++
+	}
+	if v.k != nil && v.decided == len(v.results) {
+		v.k.Stop()
 	}
 }
 

@@ -139,7 +139,6 @@ func TestMeasureEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	for _, at := range tcase.Stimuli {
 		sys.Env.PulseAt(at, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 	}

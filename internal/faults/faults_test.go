@@ -21,7 +21,6 @@ func pump(t *testing.T) *platform.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	return sys
 }
 

@@ -18,7 +18,6 @@ package fourvar
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 	"strings"
 
@@ -104,10 +103,11 @@ func (tr *Trace) Len() int { return len(tr.events) }
 // callers must not mutate it.
 func (tr *Trace) Events() []Event { return tr.events }
 
-// All returns a zero-copy iterator over every recorded event in record
-// (hence time) order. Appending to the trace while iterating is safe —
-// the iteration covers the events present when it started.
-func (tr *Trace) All() iter.Seq[Event] {
+// All returns a zero-copy range-over-func iterator over every recorded
+// event in record (hence time) order. Appending to the trace while
+// iterating is safe — the iteration covers the events present when it
+// started.
+func (tr *Trace) All() func(yield func(Event) bool) {
 	events := tr.events
 	return func(yield func(Event) bool) {
 		for _, e := range events {
@@ -118,10 +118,10 @@ func (tr *Trace) All() iter.Seq[Event] {
 	}
 }
 
-// OfSeq returns a zero-copy iterator over the events of the given kind
-// and name, in time order. Like All, the iteration covers the events
-// present when it started.
-func (tr *Trace) OfSeq(kind Kind, name string) iter.Seq[Event] {
+// OfSeq returns a zero-copy range-over-func iterator over the events of
+// the given kind and name, in time order. Like All, the iteration covers
+// the events present when it started.
+func (tr *Trace) OfSeq(kind Kind, name string) func(yield func(Event) bool) {
 	return func(yield func(Event) bool) {
 		for _, e := range tr.events {
 			if e.Kind == kind && e.Name == name && !yield(e) {

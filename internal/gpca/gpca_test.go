@@ -123,12 +123,10 @@ func TestFactoryBuildsFreshSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s1.Shutdown()
 	s2, err := f(platform.MLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Shutdown()
 	if s1 == s2 || s1.Kernel == s2.Kernel {
 		t.Fatal("factory must build independent systems")
 	}
@@ -144,7 +142,6 @@ func TestReservoirPhysicsTriggersEmptyAlarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	vol := sys.Env.Define("sig_reservoir_volume", 300)
 	sys.Env.NewIntegrator(SigPumpMotor, "sig_reservoir_volume", 1, 0, 10*ms)
 	sys.Env.Watch("sig_reservoir_volume", func(_ string, _, now int64, _ time.Duration) {
@@ -191,7 +188,6 @@ func TestREQ2AndREQ3EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Env.SetAt(50*ms, SigReservoirEmpty, 1)
 	sys.Env.PulseAt(500*ms, SigClearButton, 1, 0, ButtonPress)
 	sys.Run(2 * time.Second)
@@ -213,7 +209,6 @@ func TestExtendedPumpOnPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	e := sys.Env
 	e.PulseAt(50*ms, SigPowerButton, 1, 0, 60*ms)
 	e.SetAt(100*ms, SigBasalDial, 2)

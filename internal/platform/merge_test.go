@@ -70,9 +70,7 @@ func (o observation) String() string {
 func checkSkipped(t *testing.T, skips bool, run func(everyTick bool) *platform.System) {
 	t.Helper()
 	ref := run(true)
-	defer ref.Shutdown()
 	sys := run(false)
-	defer sys.Shutdown()
 	want, got := observe(ref), observe(sys)
 	if len(want.Sched) == 0 || len(got.Sched) == 0 {
 		t.Fatalf("empty scheduler trace (%d and %d records): the system was built without Sched.Record", len(want.Sched), len(got.Sched))
@@ -126,7 +124,6 @@ func TestMergedBurstsMatchChargeByCharge(t *testing.T) {
 						t.Fatal(err)
 					}
 					applies := plan.Apply(probe, seeds[i])
-					probe.Shutdown()
 					if applies != nil {
 						t.Skipf("plan does not apply: %v", applies)
 					}

@@ -99,8 +99,9 @@ type System struct {
 type Scheme interface {
 	// Name identifies the scheme in reports ("scheme1", ...).
 	Name() string
-	// Start spawns the scheme's tasks on the assembled system.
-	Start(sys *System)
+	// Start spawns the scheme's tasks on the assembled system. A
+	// malformed scheme returns an error before any task is spawned.
+	Start(sys *System) error
 }
 
 // taskEnv adapts the CODE(M)-executing rtos.Task to codegen.ExecEnv, so
@@ -239,9 +240,10 @@ func (pb *Prebuilt) Mapping() fourvar.Mapping { return pb.mapping }
 // capacity survives Reset). The zero value is ready to use;
 // pass the same Scratch to successive NewSystem calls on one worker.
 //
-// The caller must Shutdown the previous System before building the next
-// one from the same Scratch, and must not touch the previous System
-// afterwards — its kernel and trace are recycled in place.
+// The caller must be done with the previous System before building the
+// next one from the same Scratch, and must not touch the previous System
+// afterwards — its kernel and trace are recycled in place. A finished
+// System holds no goroutine and needs no teardown.
 //
 // The TransitionTrace is deliberately NOT pooled: M-level results retain
 // it (coverage analysis reads it after the campaign), so recycling it
@@ -285,8 +287,7 @@ func NewSystem(cfg Config, scheme Scheme, level Instrument) (*System, error) {
 // program. scratch may be nil (everything is freshly allocated) or a
 // per-worker Scratch whose kernel and trace are recycled into the new
 // system. The scheduler, environment, board and executor are always
-// rebuilt — they are cheap, and the RTOS owns task coroutines that must
-// not leak between runs.
+// rebuilt — they are cheap, and keep no state across runs.
 func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch) (*System, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("platform: scheme is required")
@@ -336,7 +337,9 @@ func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch)
 			sys.Trace.Record(fourvar.Controlled, name, now, at)
 		})
 	}
-	scheme.Start(sys)
+	if err := scheme.Start(sys); err != nil {
+		return nil, err
+	}
 	return sys, nil
 }
 
@@ -360,10 +363,6 @@ func (sys *System) OutputsDropped() uint64 { return sys.outputsDropped }
 
 // Run advances the simulation to the given horizon.
 func (sys *System) Run(until sim.Time) { sys.Kernel.Run(until) }
-
-// Shutdown stops every RTOS task coroutine; the system must not be used
-// afterwards.
-func (sys *System) Shutdown() { sys.Sched.Shutdown() }
 
 // recordInput records an i-event: the instant CODE(M) read the input.
 func (sys *System) recordInput(name string, v int64, at sim.Time) {

@@ -76,7 +76,6 @@ func newSys(t *testing.T, scheme Scheme, level Instrument) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	return sys
 }
 
@@ -285,7 +284,6 @@ func TestSystemDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Shutdown()
 		pressBolus(sys, 10*ms, 60*ms)
 		pressBolus(sys, 300*ms, 60*ms)
 		sys.Run(time.Second)
@@ -324,6 +322,29 @@ func TestNewSystemValidation(t *testing.T) {
 		if _, err := NewSystem(cfg, s, RLevel); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestMalformedScheme3Rejected: NewSystem returns an error, and neither
+// panics nor builds a system, for a scheme-3 interference task with a
+// non-positive period or a negative burst.
+func TestMalformedScheme3Rejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		task InterferenceTask
+	}{
+		{"zero period", InterferenceTask{Name: "bad", Prio: 1, Burst: ms}},
+		{"negative period", InterferenceTask{Name: "bad", Prio: 1, Period: -10 * ms, Burst: ms}},
+		{"negative burst", InterferenceTask{Name: "bad", Prio: 1, Period: 10 * ms, Burst: -ms}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := DefaultScheme3()
+			s.Interference = append(s.Interference, tc.task)
+			sys, err := NewSystem(pumpConfig(), s, MLevel)
+			if err == nil || sys != nil || !strings.Contains(err.Error(), `"bad"`) {
+				t.Fatalf("NewSystem = %v, %v; want no system and an error naming the task", sys, err)
+			}
+		})
 	}
 }
 
@@ -384,7 +405,6 @@ func TestLevelInputBindingVariableRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Env.SetAt(40*ms, "sig_lvl", 7)
 	sys.Run(300 * ms)
 	if sys.Env.Get("sig_led") != 1 {
@@ -438,7 +458,6 @@ func TestOneBindingPerSensor(t *testing.T) {
 		}
 		sys.Env.SetAt(30*ms, "sig", 7)
 		sys.Run(300 * ms)
-		sys.Shutdown()
 		if got := sys.Env.Get("sig_out"); got != 7 {
 			t.Errorf("%s: output %d after the sensor read 7, want 7", scheme.Name(), got)
 		}
@@ -471,7 +490,6 @@ func TestPrebuiltMatchesNewSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	pressBolus(sys, 40*ms, 60*ms)
 	sys.Run(500 * ms)
 
@@ -514,7 +532,6 @@ func TestScratchReuseDeterministic(t *testing.T) {
 		if i > 0 && len(sys.TransTrace.Records()) == 0 {
 			t.Fatal("reused-scratch run lost its transition trace")
 		}
-		sys.Shutdown()
 	}
 }
 
@@ -535,14 +552,12 @@ func TestScratchClearsTaps(t *testing.T) {
 	sys1.Trace.Tap(func(fourvar.Event) { leaked++ })
 	pressBolus(sys1, 40*ms, 60*ms)
 	sys1.Run(300 * ms)
-	sys1.Shutdown()
 	seen := leaked
 
 	sys2, err := pb.NewSystem(DefaultScheme1(), RLevel, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys2.Shutdown)
 	pressBolus(sys2, 40*ms, 60*ms)
 	sys2.Run(300 * ms)
 	if leaked != seen {
@@ -568,7 +583,6 @@ func TestCostedInitialEntryTakesNoTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Shutdown()
 			sys.Env.SetAt(40*ms, "sig_lvl", 7)
 			sys.Run(300 * ms)
 			if sys.Env.Get("sig_led") != 1 {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"time"
 
 	"rmtest/internal/rtos"
@@ -26,7 +27,7 @@ func DefaultScheme1() *Scheme1 {
 func (s *Scheme1) Name() string { return "scheme1" }
 
 // Start implements Scheme.
-func (s *Scheme1) Start(sys *System) {
+func (s *Scheme1) Start(sys *System) error {
 	period := s.Period
 	if period <= 0 {
 		period = 25 * time.Millisecond
@@ -39,6 +40,7 @@ func (s *Scheme1) Start(sys *System) {
 		changed := sys.stepChart(tk, mask)
 		sys.writeOutputs(tk, changed)
 	})
+	return nil
 }
 
 // outMsg carries one output change from the CODE(M) task to the actuation
@@ -85,8 +87,9 @@ func DefaultScheme2() *Scheme2 {
 func (s *Scheme2) Name() string { return "scheme2" }
 
 // Start implements Scheme.
-func (s *Scheme2) Start(sys *System) {
+func (s *Scheme2) Start(sys *System) error {
 	s.start(sys)
+	return nil
 }
 
 // withDefaults returns a copy of s with every non-positive period and
@@ -204,8 +207,14 @@ func DefaultScheme3() *Scheme3 {
 // Name implements Scheme.
 func (s *Scheme3) Name() string { return "scheme3" }
 
-// Start implements Scheme.
-func (s *Scheme3) Start(sys *System) {
+// Start implements Scheme. It rejects an interference task with a
+// non-positive period or a negative burst.
+func (s *Scheme3) Start(sys *System) error {
+	for _, it := range s.Interference {
+		if it.Period <= 0 || it.Burst < 0 {
+			return fmt.Errorf("platform: scheme3 interference task %q needs a positive period and a non-negative burst, has period %v and burst %v", it.Name, it.Period, it.Burst)
+		}
+	}
 	s.start(sys)
 	for _, it := range s.Interference {
 		burst := it.Burst
@@ -213,4 +222,5 @@ func (s *Scheme3) Start(sys *System) {
 			tk.Compute(burst)
 		})
 	}
+	return nil
 }

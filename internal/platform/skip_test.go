@@ -69,7 +69,6 @@ func TestSkippedTicksWithinStaticQuiescentBound(t *testing.T) {
 			})
 			c.stimulate(sys)
 			sys.Run(10 * s)
-			sys.Shutdown()
 			t.Logf("%s/%s: %d transitions, %d of %d ticks skipped, at most %v each; static quiescent step %v",
 				c.name, sys.SchemeName(), sys.Exec.TransitionsTaken(), skipped, sys.Exec.Steps(), worst, bound)
 			if skipped == 0 {

@@ -47,7 +47,6 @@ func TestStepChartMergesOpposingWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Run(500 * time.Millisecond)
 	// The chart toggled hundreds of times (visible as transitions)...
 	if n := sys.Exec.TransitionsTaken(); n < 400 {
@@ -71,7 +70,6 @@ func TestOutputsDroppedWhenActuationStarves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	// Bolus start fills the single outQ slot; the motor-stop message 4 s
 	// later finds it still occupied and is dropped.
 	sys.Env.PulseAt(40*ms, "sig_bolus_button", 1, 0, 60*ms)
@@ -86,7 +84,6 @@ func TestScheme1CustomPeriodAndPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Env.PulseAt(33*ms, "sig_bolus_button", 1, 0, 60*ms)
 	sys.Run(300 * ms)
 	// A 10 ms polling period bounds the response tighter than the default.

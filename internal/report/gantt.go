@@ -101,7 +101,7 @@ func Gantt(tr *rtos.Trace, from, to sim.Time, width int) string {
 				fill(r.Task, s.from, r.At, s.state)
 			}
 			cur[r.Task] = span{state: '.', from: r.At}
-		case rtos.TracePreempt, rtos.TraceYield:
+		case rtos.TracePreempt:
 			if s, ok := cur[r.Task]; ok {
 				fill(r.Task, s.from, r.At, s.state)
 			}

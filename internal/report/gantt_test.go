@@ -15,7 +15,6 @@ import (
 func TestGanttShowsRunningAndReady(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k)
-	defer s.Shutdown()
 	tr := s.Record()
 	s.Spawn("lo", 1, 0, func(tk *rtos.Task) { tk.Compute(40 * ms) })
 	s.Spawn("hi", 5, 10*ms, func(tk *rtos.Task) { tk.Compute(10 * ms) })
@@ -56,7 +55,6 @@ func TestGanttLongRunShowsPressWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	tr := sys.Sched.Record()
 	sys.Env.PulseAt(40*ms, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 	sys.Run(20 * time.Second)
@@ -79,7 +77,6 @@ func TestGanttLongRunShowsPressWindow(t *testing.T) {
 func TestGanttEmptyWindow(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k)
-	defer s.Shutdown()
 	if !strings.Contains(Gantt(s.Record(), time.Second, time.Second, 40), "empty window") {
 		t.Fatal("degenerate window not reported")
 	}
@@ -88,7 +85,6 @@ func TestGanttEmptyWindow(t *testing.T) {
 func TestTaskLoads(t *testing.T) {
 	k := sim.New()
 	s := rtos.New(k)
-	defer s.Shutdown()
 	s.SpawnPeriodic("worker", 2, 0, 10*ms, func(tk *rtos.Task) { tk.Compute(2 * ms) })
 	s.Spawn("oneshot", 1, 0, func(tk *rtos.Task) { tk.Compute(5 * ms) })
 	k.Run(100 * ms)
@@ -162,7 +158,6 @@ func TestVCDFromRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Env.PulseAt(40*ms, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
 	sys.Run(time.Second)
 	var b strings.Builder

@@ -195,7 +195,6 @@ func TestReleaseAtCompletionInterferes(t *testing.T) {
 		done = tk.Now()
 	})
 	k.Run(20 * ms)
-	s.Shutdown()
 	if done != 15*ms {
 		t.Errorf("simulated lo completed at %v, want 15ms", done)
 	}
@@ -243,7 +242,6 @@ func TestBoundDominatesSimulation(t *testing.T) {
 		spawn(tasks[1], offset/2, false)
 		spawn(tasks[2], 0, true)
 		k.Run(2 * time.Second)
-		s.Shutdown()
 	}
 	// Note: the simulated "response" here measures from dispatch, which
 	// understates release-to-finish slightly; the analytic bound must

@@ -21,14 +21,11 @@ func TestCoalescible(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k, s := rig(t)
 			var got []bool
-			tk := s.Spawn("a", 1, 0, func(tk *Task) {
-				for range tc.want {
-					got = append(got, tk.Coalescible())
-					tk.Sleep(10 * ms)
-				}
+			tk := s.SpawnPeriodic("a", 1, 0, 10*ms, func(tk *Task) {
+				got = append(got, tk.Coalescible())
 			})
 			tc.arm(tk)
-			k.Run(time.Second)
+			k.Run(35 * ms)
 			if len(got) != len(tc.want) {
 				t.Fatalf("sampled %d instants, want %d", len(got), len(tc.want))
 			}
@@ -43,26 +40,22 @@ func TestCoalescible(t *testing.T) {
 
 // TestCPUUsedCountsOnlyWhatRan: CPUTime counts a burst whole from the
 // instant it is issued, CPUUsed only the part that has run, across a
-// preemption too.
+// preemption too, and at the end of a run that stops mid-burst.
 func TestCPUUsedCountsOnlyWhatRan(t *testing.T) {
 	k, s := rig(t)
 	lo := s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
 	hi := s.Spawn("hi", 2, 4*ms, func(tk *Task) { tk.Compute(3 * ms) })
-	for _, step := range []struct {
-		at               time.Duration
-		loUsed, hiUsed   time.Duration
-		loAsked, hiAsked time.Duration
-	}{
-		{2 * ms, 2 * ms, 0, 10 * ms, 0},
-		{5 * ms, 4 * ms, 1 * ms, 10 * ms, 3 * ms},
-		{20 * ms, 10 * ms, 3 * ms, 10 * ms, 3 * ms},
-	} {
-		k.Run(step.at)
-		if lo.CPUUsed() != step.loUsed || hi.CPUUsed() != step.hiUsed ||
-			lo.CPUTime() != step.loAsked || hi.CPUTime() != step.hiAsked {
-			t.Fatalf("at %v: used lo=%v hi=%v, asked lo=%v hi=%v; want used %v/%v, asked %v/%v",
-				step.at, lo.CPUUsed(), hi.CPUUsed(), lo.CPUTime(), hi.CPUTime(),
-				step.loUsed, step.hiUsed, step.loAsked, step.hiAsked)
+	check := func(at, loUsed, hiUsed, loAsked, hiAsked time.Duration) {
+		t.Helper()
+		if lo.CPUUsed() != loUsed || hi.CPUUsed() != hiUsed ||
+			lo.CPUTime() != loAsked || hi.CPUTime() != hiAsked {
+			t.Errorf("at %v: used lo=%v hi=%v, asked lo=%v hi=%v; want used %v/%v, asked %v/%v",
+				at, lo.CPUUsed(), hi.CPUUsed(), lo.CPUTime(), hi.CPUTime(),
+				loUsed, hiUsed, loAsked, hiAsked)
 		}
 	}
+	k.At(2*ms, func() { check(2*ms, 2*ms, 0, 10*ms, 0) })
+	k.At(5*ms, func() { check(5*ms, 4*ms, 1*ms, 10*ms, 3*ms) })
+	k.Run(9 * ms)
+	check(9*ms, 6*ms, 3*ms, 10*ms, 3*ms)
 }

@@ -13,19 +13,17 @@ import (
 func TestInjectOverrunScalesInWindowBursts(t *testing.T) {
 	k, s := rig(t)
 	var stamps []struct{ at, cpu int64 }
-	tk := s.Spawn("a", 1, 0, func(tk *Task) {
-		for i := 0; i < 4; i++ {
-			tk.Compute(10 * ms)
-			stamps = append(stamps, struct{ at, cpu int64 }{int64(tk.Now()), int64(tk.CPUTime())})
-			tk.Sleep(10 * ms)
-		}
+	tk := s.SpawnPeriodic("a", 1, 0, 20*ms, func(tk *Task) {
+		tk.Compute(10 * ms)
+		stamps = append(stamps, struct{ at, cpu int64 }{int64(tk.Now()), int64(tk.CPUTime())})
 	})
-	// Bursts are issued at 0, 20, 60 and 80ms. Window [15ms, 45ms): only
-	// the 20ms burst is tripled (10ms -> 30ms), and it runs to 50ms —
-	// past the window close at 45ms, because the scale applies at issue
-	// time. The 60ms and 80ms bursts are nominal again.
+	// Bursts are issued at 0, 20, 60 and 80ms (the 40ms release is
+	// skipped). Window [15ms, 45ms): only the 20ms burst is tripled (10ms
+	// -> 30ms), and it runs to 50ms — past the window close at 45ms,
+	// because the scale applies at issue time. The 60ms and 80ms bursts
+	// are nominal again.
 	tk.InjectOverrun(15*ms, 30*ms, 3, 1)
-	k.Run(time.Second)
+	k.Run(95 * ms)
 	wantEnd := []int64{int64(10 * ms), int64(50 * ms), int64(70 * ms), int64(90 * ms)}
 	wantCPU := []int64{int64(10 * ms), int64(40 * ms), int64(50 * ms), int64(60 * ms)}
 	if len(stamps) != 4 {
@@ -42,7 +40,7 @@ func TestInjectOverrunScalesInWindowBursts(t *testing.T) {
 
 func TestInjectOverrunRejectsNonPositiveScale(t *testing.T) {
 	_, s := rig(t)
-	tk := s.Spawn("a", 1, 0, func(tk *Task) { tk.Sleep(ms) })
+	tk := s.Spawn("a", 1, 0, func(*Task) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("InjectOverrun with non-positive scale must panic")
@@ -93,14 +91,16 @@ func TestInjectDropLosesEveryNthSend(t *testing.T) {
 	q.InjectDrop(0, 100*ms, 2) // every 2nd send lost in [0, 100ms)
 	var got []int
 	drainEvery(s, q, 5*ms, &got)
-	s.Spawn("tx", 2, 0, func(tk *Task) {
-		for i := 1; i <= 4; i++ {
-			if !q.TrySend(i) {
-				t.Errorf("send %d rejected: fault drops must look like success to the sender", i)
+	sent := 0
+	s.SpawnPeriodic("tx", 2, 0, 10*ms, func(*Task) {
+		if sent < 4 {
+			sent++
+			if !q.TrySend(sent) {
+				t.Errorf("send %d rejected: fault drops must look like success to the sender", sent)
 			}
-			tk.Sleep(10 * ms)
 		}
-		tk.SleepUntil(150 * ms) // window over
+	})
+	s.Spawn("late", 2, 150*ms, func(*Task) { // window over
 		for i := 5; i <= 6; i++ {
 			q.TrySend(i)
 		}
@@ -125,7 +125,7 @@ func TestInjectDropLosesEveryNthSend(t *testing.T) {
 
 func TestFaultTargetLookups(t *testing.T) {
 	_, s := rig(t)
-	tk := s.Spawn("codeM", 2, 0, func(tk *Task) { tk.Sleep(ms) })
+	tk := s.Spawn("codeM", 2, 0, func(*Task) {})
 	q := s.NewQueue("inQ", 4)
 	if s.TaskByName("codeM") != tk {
 		t.Fatal("TaskByName failed to find a spawned task")

@@ -34,31 +34,31 @@ func observeSchedule(s *Scheduler) inlineObservation {
 // compareInline builds the same system twice with setup, drives one with
 // RunUntilIdle, which fires one event per burst, and the other with Run
 // to a horizon after the first's last event, which completes bursts
-// inline, and requires the same schedule. stopped reports whether setup's
-// stop condition ended the runs, and saved the kernel events inline
-// completion saved.
-func compareInline(t *testing.T, label string, setup func(k *sim.Kernel, s *Scheduler) (stop func() bool)) (stopped bool, saved uint64) {
+// inline, and requires the same schedule. It reports whether a body's
+// Stop ended the runs, and the kernel events inline completion saved.
+func compareInline(t *testing.T, label string, setup func(k *sim.Kernel, s *Scheduler)) (stopped bool, saved uint64) {
 	t.Helper()
-	build := func() (*sim.Kernel, *Scheduler, func() bool) {
+	build := func() (*sim.Kernel, *Scheduler) {
 		k := sim.New()
 		s := New(k)
-		t.Cleanup(s.Shutdown)
 		s.Record()
-		return k, s, setup(k, s)
+		setup(k, s)
+		return k, s
 	}
-	kr, ref, refStop := build()
-	ki, inl, inlStop := build()
+	kr, ref := build()
+	ki, inl := build()
 	kr.RunUntilIdle()
-	ki.Run(kr.Now() + time.Millisecond)
+	horizon := kr.Now() + time.Millisecond
+	ki.Run(horizon)
 	want, got := observeSchedule(ref), observeSchedule(inl)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: inline bursts changed the schedule\nRun:          %+v\nRunUntilIdle: %+v", label, got, want)
 	}
-	if refStop != nil {
-		if a, b := refStop(), inlStop(); a != b || a && kr.Now() != ki.Now() {
-			t.Fatalf("%s: stop condition %v at %v with RunUntilIdle, %v at %v with Run", label, a, kr.Now(), b, ki.Now())
-		}
-		stopped = refStop()
+	// Run ends before its horizon only when a body's Stop ended it, and
+	// RunUntilIdle must then have stopped at the same instant.
+	stopped = ki.Now() < horizon
+	if stopped && kr.Now() != ki.Now() {
+		t.Fatalf("%s: stopped at %v with RunUntilIdle, at %v with Run", label, kr.Now(), ki.Now())
 	}
 	if ki.EventsFired() > kr.EventsFired() {
 		t.Fatalf("%s: Run fired %d kernel events, RunUntilIdle %d", label, ki.EventsFired(), kr.EventsFired())
@@ -66,34 +66,32 @@ func compareInline(t *testing.T, label string, setup func(k *sim.Kernel, s *Sche
 	return stopped, kr.EventsFired() - ki.EventsFired()
 }
 
-// randomTaskSet spawns 1–5 tasks at four priorities, each with a finite
-// body of up to eight Compute and Sleep steps, and adds interrupts, an
-// overrun window or an ISR storm on some seeds. Instants and durations
-// lie on a 250µs grid, so releases, wake-ups and interrupts often fall
-// exactly on a burst's end. On a quarter of the seeds it returns a stop
-// condition that holds once the tasks have completed a drawn number of
-// bursts.
-func randomTaskSet(seed uint64, k *sim.Kernel, s *Scheduler) func() bool {
+// randomTaskSet spawns 1–5 one-shot tasks at four priorities, each with
+// a body of up to eight Compute calls, and adds interrupts, an overrun
+// window or an ISR storm on some seeds. Instants and durations lie on a
+// 250µs grid, so releases and interrupts often fall exactly on a burst's
+// end. On a quarter of the seeds a body calls Stop once the tasks have
+// completed a drawn number of bursts. No task is periodic, so
+// RunUntilIdle ends.
+func randomTaskSet(seed uint64, k *sim.Kernel, s *Scheduler) {
 	const us = time.Microsecond
 	r := sim.NewRand(seed)
 	grid := func(n int) sim.Time { return sim.Time(r.Intn(n)) * 250 * us }
+	stopAfter := -1
+	if r.Bool(0.25) {
+		stopAfter = 1 + r.Intn(10)
+	}
 	bursts := 0
 	for i := range 1 + r.Intn(5) {
-		type step struct {
-			compute bool
-			d       sim.Time
-		}
-		steps := make([]step, 1+r.Intn(8))
-		for j := range steps {
-			steps[j] = step{r.Bool(0.65), grid(16)}
+		ds := make([]sim.Time, 1+r.Intn(8))
+		for j := range ds {
+			ds[j] = grid(16)
 		}
 		tk := s.Spawn(fmt.Sprintf("t%d", i), r.Intn(4), grid(40), func(tk *Task) {
-			for _, st := range steps {
-				if st.compute {
-					tk.Compute(st.d)
-					bursts++
-				} else {
-					tk.Sleep(st.d)
+			for _, d := range ds {
+				tk.Compute(d)
+				if bursts++; bursts == stopAfter {
+					k.Stop()
 				}
 			}
 		})
@@ -108,13 +106,6 @@ func randomTaskSet(seed uint64, k *sim.Kernel, s *Scheduler) func() bool {
 	if r.Bool(0.15) {
 		s.InjectISRStorm(grid(40), grid(40), 250*us+grid(8), grid(4))
 	}
-	if r.Bool(0.25) {
-		n := 1 + r.Intn(10)
-		stop := func() bool { return bursts >= n }
-		k.StopWhen(stop)
-		return stop
-	}
-	return nil
 }
 
 // TestInlineBurstsMatchEventPerBurst: completing uninterruptible bursts
@@ -128,8 +119,8 @@ func TestInlineBurstsMatchEventPerBurst(t *testing.T) {
 	var saved, savedStopped uint64
 	stops := 0
 	for seed := range uint64(seeds) {
-		stopped, n := compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) func() bool {
-			return randomTaskSet(seed, k, s)
+		stopped, n := compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) {
+			randomTaskSet(seed, k, s)
 		})
 		saved += n
 		if stopped {
@@ -139,7 +130,7 @@ func TestInlineBurstsMatchEventPerBurst(t *testing.T) {
 	}
 	t.Logf("inline completion saved %d kernel events over %d task sets (%d on the %d stopped early)", saved, seeds, savedStopped, stops)
 	if saved == 0 || stops == 0 || savedStopped == 0 {
-		t.Fatalf("inline completion saved %d events overall and %d on %d runs a stop condition ended: the check is vacuous", saved, savedStopped, stops)
+		t.Fatalf("inline completion saved %d events overall and %d on %d runs a body's Stop ended: the check is vacuous", saved, savedStopped, stops)
 	}
 }
 
@@ -148,8 +139,8 @@ func TestInlineBurstsMatchEventPerBurst(t *testing.T) {
 // task body, schedules exactly as RunUntilIdle, which never does.
 func FuzzInlineBursts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) func() bool {
-			return randomTaskSet(seed, k, s)
+		compareInline(t, fmt.Sprintf("seed %d", seed), func(k *sim.Kernel, s *Scheduler) {
+			randomTaskSet(seed, k, s)
 		})
 	})
 }
@@ -174,7 +165,14 @@ func TestInlineBurstTies(t *testing.T) {
 		{
 			name: "wake-up at the burst's end",
 			setup: func(k *sim.Kernel, s *Scheduler, done *sim.Time) {
-				s.Spawn("hi", 2, 0, func(tk *Task) { tk.Sleep(10 * ms); tk.Compute(3 * ms) })
+				// hi's first release does nothing, and it sleeps until its
+				// second, which stops the run so that RunUntilIdle ends.
+				s.SpawnPeriodic("hi", 2, 0, 10*ms, func(tk *Task) {
+					if tk.Releases() == 2 {
+						tk.Compute(3 * ms)
+						k.Stop()
+					}
+				})
 				s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(10 * ms); *done = tk.Now() })
 			},
 			want: 13 * ms,
@@ -200,10 +198,9 @@ func TestInlineBurstTies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var dones [2]sim.Time
 			side := 0
-			compareInline(t, tc.name, func(k *sim.Kernel, s *Scheduler) func() bool {
+			compareInline(t, tc.name, func(k *sim.Kernel, s *Scheduler) {
 				tc.setup(k, s, &dones[side])
 				side++
-				return nil
 			})
 			if dones[0] != tc.want || dones[1] != tc.want {
 				t.Fatalf("lo's burst completed at %v with RunUntilIdle and %v with Run, want %v", dones[0], dones[1], tc.want)
@@ -213,9 +210,8 @@ func TestInlineBurstTies(t *testing.T) {
 }
 
 // TestRunCompletesUninterruptibleBurstsInline: a burst nothing can
-// interrupt completes with no kernel event and no coroutine switch, and
-// the task goes on at its end: the scheduler resumes the body once, and
-// the body runs its three bursts and exits.
+// interrupt completes with no kernel event, and the body goes on at its
+// end: it runs its three bursts and exits in one scheduling pass.
 func TestRunCompletesUninterruptibleBurstsInline(t *testing.T) {
 	k, s := rig(t)
 	var stamps []sim.Time
@@ -232,9 +228,6 @@ func TestRunCompletesUninterruptibleBurstsInline(t *testing.T) {
 	if k.EventsFired() != 2 || s.ComputeRequests() != 3 {
 		t.Fatalf("fired %d events for %d Compute calls, want 2 (the release and its scheduling pass) for 3", k.EventsFired(), s.ComputeRequests())
 	}
-	if s.Resumes() != 1 {
-		t.Fatalf("resumed the body %d times for 3 inline bursts, want 1", s.Resumes())
-	}
 }
 
 // TestInlineBurstStopsAtHorizon: a burst that ends past Run's horizon is
@@ -243,11 +236,8 @@ func TestInlineBurstStopsAtHorizon(t *testing.T) {
 	k, s := rig(t)
 	tk := s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
 	k.Run(4 * ms)
-	if k.Now() != 4*ms || tk.CPUUsed() != 4*ms || k.Pending() != 1 {
-		t.Fatalf("at %v: %v of CPU used, %d events pending; want 4ms, 4ms and the burst's end", k.Now(), tk.CPUUsed(), k.Pending())
-	}
-	k.Run(10 * ms)
-	if tk.State() != TaskDone || tk.CPUUsed() != 10*ms {
-		t.Fatalf("task %v with %v of CPU used at 10ms, want done with 10ms", tk.State(), tk.CPUUsed())
+	if k.Now() != 4*ms || tk.CPUUsed() != 4*ms || k.Pending() != 1 || tk.State() != TaskRunning {
+		t.Fatalf("at %v: task %v with %v of CPU used, %d events pending; want 4ms, running, 4ms and the burst's end",
+			k.Now(), tk.State(), tk.CPUUsed(), k.Pending())
 	}
 }

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,10 +27,11 @@ func TestQueueFIFOOrder(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("q", 10)
 	var got []int
-	s.Spawn("producer", 2, 0, func(tk *Task) {
-		for i := 0; i < 5; i++ {
-			q.TrySend(i)
-			tk.Sleep(ms)
+	sent := 0
+	s.SpawnPeriodic("producer", 2, 0, ms, func(*Task) {
+		if sent < 5 {
+			q.TrySend(sent)
+			sent++
 		}
 	})
 	drainEvery(s, q, 2*ms, &got)
@@ -75,13 +77,12 @@ func TestQueueStats(t *testing.T) {
 	k, s := rig(t)
 	q := s.NewQueue("q", 4)
 	var got []int
-	s.Spawn("producer", 2, 0, func(tk *Task) {
+	s.Spawn("producer", 2, 0, func(*Task) {
 		for i := 0; i < 6; i++ {
 			q.TrySend(i)
 		}
-		tk.SleepUntil(30 * ms)
-		q.TrySend(6)
 	})
+	s.Spawn("late", 2, 30*ms, func(*Task) { q.TrySend(6) })
 	drainEvery(s, q, 20*ms, &got)
 	k.Run(time.Second)
 	if q.Enqueued() != 5 {
@@ -108,18 +109,18 @@ func TestQueuePropertyFIFOConservation(t *testing.T) {
 		period := sim.Time(periodRaw%4+1) * ms
 		k := sim.New()
 		s := New(k)
-		defer s.Shutdown()
 		q := s.NewQueue("q", capacity)
 		r := sim.NewRand(seed)
 		var accepted, got []int
-		s.Spawn("producer", 2, 0, func(tk *Task) {
-			for i := 0; i < n; i++ {
-				tk.Sleep(r.Duration(0, 2*ms))
+		var at sim.Time
+		for i := 0; i < n; i++ {
+			at += r.Duration(0, 2*ms)
+			s.Spawn(fmt.Sprintf("producer%d", i), 2, at, func(*Task) {
 				if q.TrySend(i) {
 					accepted = append(accepted, i)
 				}
-			}
-		})
+			})
+		}
 		drainEvery(s, q, period, &got)
 		k.Run(10 * time.Second)
 		if len(got) != len(accepted) || q.Dropped() != uint64(n-len(accepted)) {

@@ -4,24 +4,28 @@
 // message queues, and interrupt service routines that steal CPU time.
 // Tasks exchange data only through queues, and only with zero-timeout
 // calls, so no task ever waits on a queue: a task is ready, running,
-// sleeping until an instant, or done. The CPU is either idle or running
-// one task's compute burst; switching tasks costs no time.
+// sleeping until its next release, or done. The CPU is either idle or
+// running one task's compute burst; switching tasks costs no time.
 //
-// Tasks are written as ordinary Go functions. Each task body runs as an
-// iter.Pull coroutine driven by the scheduler: the scheduler resumes a
-// task, and the task runs until its next kernel request hands control
-// back. Code between requests executes in zero virtual time; all passage
-// of time is explicit via (*Task).Compute and Sleep.
-// This makes every schedule — including preemptions, queueing delays and
-// starvation — exactly reproducible, which is what lets the testing
-// layers above measure delay segments without perturbation.
+// Tasks are written as ordinary Go functions, and each release of a task
+// runs its body once, as a plain call on the scheduler's own stack. Code
+// between Compute calls executes in zero virtual time; all passage of
+// time is explicit via (*Task).Compute, and a task sleeps only between
+// releases. This makes every schedule — including preemptions, queueing
+// delays and starvation — exactly reproducible, which is what lets the
+// testing layers above measure delay segments without perturbation.
 //
 // A compute burst that ends before the next pending kernel event cannot be
 // preempted, stretched or observed, so under sim.Kernel.Run Task.Compute
 // completes it inline: it moves the clock to the burst's end
 // (sim.Kernel.Advance) and returns into the body, with no burst-end event.
-// A task switches coroutines only when it must wait: for a burst
-// something could interrupt, a sleep, or its exit.
+// Compute waits for any other burst in place: it fires the run's next
+// kernel events itself (sim.Kernel.RunUntil) until its task is back on
+// the CPU with the burst done. A release that preempts the task runs
+// nested inside that Compute and always finishes first, so releases nest
+// like a stack, and all of them share the one the run is on, as OSEK
+// basic tasks do. A run that ends with releases on the stack abandons
+// them: a later Run panics when one of them would go on.
 //
 // A scheduler records its event trace only after a caller asks for it
 // with Record; from then on the trace keeps every record, and a run that
@@ -49,7 +53,7 @@ type Scheduler struct {
 	computeStart sim.Time
 	lastOnCPU    *Task
 
-	inLoop      bool
+	depth       int // releases on the stack
 	kickPending bool
 	trace       *Trace // nil until Record
 	idleFrom    sim.Time
@@ -57,7 +61,6 @@ type Scheduler struct {
 	switches    uint64
 	preempts    uint64
 	computes    uint64
-	resumes     uint64
 	queues      map[string]*Queue
 	stormISRs   uint64
 
@@ -96,13 +99,8 @@ func (s *Scheduler) ContextSwitches() uint64 { return s.switches }
 func (s *Scheduler) Preemptions() uint64 { return s.preempts }
 
 // ComputeRequests returns the number of non-zero Compute calls issued so
-// far, whether they completed in the task body or went to the scheduler
-// as a request.
+// far, whether they completed inline or waited for their burst.
 func (s *Scheduler) ComputeRequests() uint64 { return s.computes }
-
-// Resumes returns the number of times the scheduler has resumed a task
-// body's coroutine so far: each one is a switch into the body and back.
-func (s *Scheduler) Resumes() uint64 { return s.resumes }
 
 // IdleTime returns the accumulated virtual time during which no task
 // occupied the CPU.
@@ -159,25 +157,11 @@ func (s *Scheduler) InjectISRStorm(from, duration, period, cost sim.Time) {
 // StormISRs counts interrupts fired by injected ISR storms.
 func (s *Scheduler) StormISRs() uint64 { return s.stormISRs }
 
-// Spawn creates a task and schedules its first activation at time start
-// (which must not be in the past). Higher prio values run first, matching
-// FreeRTOS convention.
+// Spawn creates a task whose body runs once, released at time start
+// (which must not be in the past); the task exits when the body returns.
+// Higher prio values run first, matching FreeRTOS convention.
 func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task)) *Task {
-	if body == nil {
-		panic("rtos: Spawn with nil body")
-	}
-	t := &Task{sched: s, name: name, prio: prio, state: TaskNew}
-	t.wakeFn = t.wakeUp
-	t.start(body)
-	s.tasks = append(s.tasks, t)
-	s.k.At(start, func() {
-		if t.state != TaskNew {
-			return
-		}
-		s.makeReady(t, false)
-		s.kick()
-	})
-	return t
+	return s.spawn(name, prio, start, 0, body)
 }
 
 // SpawnPeriodic creates a task whose body runs once per period, first at
@@ -189,35 +173,19 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 	if period <= 0 {
 		panic("rtos: non-positive period")
 	}
-	tk := s.Spawn(name, prio, offset, func(t *Task) {
-		next := offset
-		for {
-			t.releases++
-			body(t)
-			next += period
-			for next <= t.Now() {
-				next += period
-				t.missedReleases++
-			}
-			t.SleepUntil(next)
-		}
-	})
-	tk.period = period
-	return tk
+	return s.spawn(name, prio, offset, period, body)
 }
 
-// Shutdown stops the coroutine of every live task. A suspended
-// coroutine holds a parked goroutine, so call it when a simulation run
-// is finished to keep repeated runs (tests, benchmarks) from leaking
-// them. The scheduler must not be used afterwards.
-func (s *Scheduler) Shutdown() {
-	for _, t := range s.tasks {
-		if t.state != TaskDone {
-			t.stop()
-			t.state = TaskDone
-		}
+func (s *Scheduler) spawn(name string, prio int, start, period sim.Time, body func(*Task)) *Task {
+	if body == nil {
+		panic("rtos: Spawn with nil body")
 	}
-	s.current = nil
+	t := &Task{sched: s, name: name, prio: prio, state: TaskNew, body: body, period: period, next: start}
+	t.wakeFn = t.wakeUp
+	t.doneFn = func() bool { return s.current == t && t.pendingCompute == 0 }
+	s.tasks = append(s.tasks, t)
+	s.k.At(start, t.wakeFn)
+	return t
 }
 
 func (s *Scheduler) cpuComputing() bool {
@@ -281,22 +249,15 @@ func (s *Scheduler) kicked() {
 }
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
-// change task state ends by calling it. It runs task bodies
-// synchronously until the CPU is committed to a compute burst or idle.
-// A burst that nothing can interrupt completes inline, in the body or
-// here, which moves the clock; so schedLoop must stay the last call in
-// both its callers, kicked and finishCompute, and no caller code runs
-// after the clock has moved.
+// change task state ends by calling it. It dispatches tasks and runs
+// their releases until the CPU is committed to a compute burst or idle,
+// or until the current task is a release further down the stack, whose
+// waiting Compute goes on with its body when the pass returns. A burst
+// that nothing can interrupt completes inline, in the body or here,
+// which moves the clock; so schedLoop must stay the last call in both its
+// callers, kicked and finishCompute, and no caller code runs after the
+// clock has moved.
 func (s *Scheduler) schedLoop() {
-	if s.inLoop {
-		// Re-entered from a kernel event fired while a task body runs
-		// inside the outer loop (a body that drives the kernel itself);
-		// the outer loop re-checks preemption when the body yields.
-		return
-	}
-	s.inLoop = true
-	defer func() { s.inLoop = false }()
-
 	for {
 		t := s.current
 		if t == nil {
@@ -316,7 +277,7 @@ func (s *Scheduler) schedLoop() {
 			continue
 		}
 		// A higher-priority ready task preempts, mid-burst or at a
-		// request boundary.
+		// burst's end.
 		if top := s.topReady(); top != nil && top.prio > t.prio {
 			s.preempt()
 			continue
@@ -325,11 +286,10 @@ func (s *Scheduler) schedLoop() {
 			return
 		}
 		if t.pendingCompute > 0 {
-			// The rest of a preempted burst (handle begins a new one).
-			// Advance succeeds only if no pending event fires at or
-			// before its end and Run would reach it, so nothing can
-			// preempt, stretch or observe it: the task resumes at its
-			// end, as after finishCompute.
+			// The rest of a preempted burst. Advance succeeds only if no
+			// pending event fires at or before its end and Run would
+			// reach it, so nothing can preempt, stretch or observe it:
+			// the task goes on at its end, as after finishCompute.
 			if s.k.Advance(s.k.Now() + t.pendingCompute) {
 				t.pendingCompute = 0
 				continue
@@ -337,14 +297,15 @@ func (s *Scheduler) schedLoop() {
 			s.beginCompute(t)
 			return
 		}
-		// Resume the task's body until its next request; a body that
-		// returns exits.
-		s.resumes++
-		req, ok := t.next()
-		if !ok {
-			req.kind = reqExit
+		switch t.frame {
+		case onStack:
+			return
+		case lost:
+			panic(fmt.Sprintf("rtos: task %s cannot go on: the run its release was in ended inside it", t.name))
 		}
-		s.handle(t, req)
+		if !s.release(t) {
+			return
+		}
 	}
 }
 
@@ -393,36 +354,66 @@ func (s *Scheduler) preempt() {
 	s.trace.add(s.k.Now(), TracePreempt, t)
 }
 
-// handle processes one kernel request from task t. On return the loop in
-// schedLoop re-evaluates preemption and CPU occupancy.
-func (s *Scheduler) handle(t *Task, r request) {
-	switch r.kind {
-	case reqCompute:
-		// Task.Compute set pendingCompute and could not complete it.
-		s.beginCompute(t)
-	case reqSleep:
-		if r.until <= s.k.Now() {
-			// Zero or past deadline: behave like a yield.
-			t.state = TaskPreempted
-			s.makeReady(t, false)
-			s.current = nil
-			s.trace.add(s.k.Now(), TraceYield, t)
-			return
-		}
-		t.state = TaskSleeping
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceSleep, t)
-		s.k.At(r.until, t.wakeFn)
-	case reqExit:
+// runEnded is the panic with which a waiting Compute unwinds the releases
+// on the stack when the run they are in ends (its horizon or Stop). The
+// outermost release recovers it.
+type runEnded struct{}
+
+// release runs one release of the current task t: it calls the body,
+// then, for a periodic task, sleeps until the next release in the future,
+// counting the ones skipped, or, for a one-shot task, exits. It reports
+// false when the run ended inside the body; the scheduler's state then
+// stays as the run left it, and every release that was on the stack is
+// lost.
+func (s *Scheduler) release(t *Task) (finished bool) {
+	if s.depth == 0 {
+		defer s.recoverRunEnded()
+	}
+	s.depth++
+	t.frame = onStack
+	if t.period > 0 {
+		t.releases++
+	}
+	t.body(t)
+	t.frame = noRelease
+	s.depth--
+	now := s.k.Now()
+	s.current = nil
+	if t.period == 0 {
 		t.state = TaskDone
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceExit, t)
+		s.trace.add(now, TraceExit, t)
+		return true
+	}
+	t.next += t.period
+	for t.next <= now {
+		t.next += t.period
+		t.missedReleases++
+	}
+	t.state = TaskSleeping
+	s.trace.add(now, TraceSleep, t)
+	s.k.At(t.next, t.wakeFn)
+	return true
+}
+
+// recoverRunEnded, deferred by the outermost release, stops the runEnded
+// unwind there and marks every release that was on the stack lost. Any
+// other panic, such as a body's own, goes on to the caller of Run.
+func (s *Scheduler) recoverRunEnded() {
+	switch r := recover(); r.(type) {
+	case nil:
+	case runEnded:
+		s.depth = 0
+		for _, t := range s.tasks {
+			if t.frame == onStack {
+				t.frame = lost
+			}
+		}
 	default:
-		panic("rtos: unknown request")
+		panic(r)
 	}
 }
 
-// wakeUp ends t's sleep.
+// wakeUp releases t: at its start instant, and after each sleep.
 func (t *Task) wakeUp() {
 	t.sched.makeReady(t, false)
 	t.sched.kick()

@@ -1,7 +1,7 @@
 package rtos
 
 import (
-	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,14 +10,11 @@ import (
 
 const ms = time.Millisecond
 
-// rig creates a kernel+scheduler pair and returns a cleanup-registered
-// scheduler so tests never leak task goroutines.
+// rig creates a kernel+scheduler pair.
 func rig(t *testing.T) (*sim.Kernel, *Scheduler) {
 	t.Helper()
 	k := sim.New()
-	s := New(k)
-	t.Cleanup(s.Shutdown)
-	return k, s
+	return k, New(k)
 }
 
 func TestSingleTaskComputes(t *testing.T) {
@@ -91,50 +88,18 @@ func TestEqualPriorityNoPreemptionWithoutSlicing(t *testing.T) {
 	}
 }
 
+// TestSleepWakesAtExactInstant: a periodic task sleeps after each
+// release and wakes at exactly its next release instant.
 func TestSleepWakesAtExactInstant(t *testing.T) {
 	k, s := rig(t)
-	var woke sim.Time
-	s.Spawn("a", 1, 0, func(tk *Task) {
-		tk.Sleep(42 * ms)
-		woke = tk.Now()
+	var woke []sim.Time
+	tk := s.SpawnPeriodic("a", 1, 0, 42*ms, func(tk *Task) {
+		woke = append(woke, tk.Now())
+		tk.Compute(ms)
 	})
-	k.Run(time.Second)
-	if woke != 42*ms {
-		t.Fatalf("woke at %v", woke)
-	}
-}
-
-func TestSleepUntilPastYields(t *testing.T) {
-	k, s := rig(t)
-	var order []string
-	s.Spawn("a", 1, 0, func(tk *Task) {
-		tk.SleepUntil(0) // already past: must yield, not block forever
-		order = append(order, "a")
-	})
-	s.Spawn("b", 1, 0, func(tk *Task) { order = append(order, "b") })
-	k.Run(time.Second)
-	if len(order) != 2 {
-		t.Fatalf("order=%v", order)
-	}
-}
-
-func TestYieldRotatesEqualPriority(t *testing.T) {
-	k, s := rig(t)
-	var order []string
-	s.Spawn("a", 1, 0, func(tk *Task) {
-		order = append(order, "a1")
-		tk.Sleep(0)
-		order = append(order, "a2")
-	})
-	s.Spawn("b", 1, 0, func(tk *Task) {
-		order = append(order, "b1")
-	})
-	k.Run(time.Second)
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order=%v want %v", order, want)
-		}
+	k.Run(50 * ms)
+	if len(woke) != 2 || woke[1] != 42*ms || tk.State() != TaskSleeping {
+		t.Fatalf("released at %v, now %v; want 0 and 42ms, then sleeping", woke, tk.State())
 	}
 }
 
@@ -261,42 +226,19 @@ func TestTraceRecordedOnDemand(t *testing.T) {
 	}
 }
 
-// TestShutdownTerminatesBlockedTasks: Shutdown unwinds every suspended
-// body, whether it is mid-burst, ready behind it, or sleeping, and
-// leaves no goroutine behind.
-func TestShutdownTerminatesBlockedTasks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := sim.New()
-	s := New(k)
-	s.Spawn("computing", 2, 0, func(tk *Task) {
-		tk.Compute(time.Hour)
-	})
-	s.Spawn("ready", 1, 0, func(tk *Task) {
-		tk.Compute(ms)
-	})
-	s.Spawn("sleeping", 3, 0, func(tk *Task) {
-		tk.Sleep(time.Hour)
-	})
-	k.Run(10 * ms)
-	s.Shutdown() // must not hang; stopping unwinds each suspended body
-	if now := runtime.NumGoroutine(); now > before {
-		t.Fatalf("goroutines after Shutdown = %d, want at most %d", now, before)
-	}
-}
-
 // TestBodyPanicReachesRunCaller pins where a task-body panic goes: it
 // comes back out of Kernel.Run on the caller's goroutine with its value
-// intact, and Shutdown afterwards leaves no goroutine behind — neither
-// the panicked task's nor that of a peer suspended mid-release.
+// intact, from a release nested inside another's Compute too.
 func TestBodyPanicReachesRunCaller(t *testing.T) {
-	before := runtime.NumGoroutine()
 	k := sim.New()
 	s := New(k)
-	s.Spawn("faulty", 2, 0, func(tk *Task) {
+	s.SpawnPeriodic("peer", 3, 0, 5*ms, func(tk *Task) { tk.Compute(ms) })
+	s.Spawn("lo", 1, 0, func(tk *Task) { tk.Compute(time.Hour) })
+	// faulty preempts lo at 2ms, so its release runs inside lo's Compute.
+	s.Spawn("faulty", 2, 2*ms, func(tk *Task) {
 		tk.Compute(ms)
 		panic("faulty body")
 	})
-	s.SpawnPeriodic("peer", 3, 0, 5*ms, func(tk *Task) { tk.Compute(ms) })
 	got := func() (p any) {
 		defer func() { p = recover() }()
 		k.Run(time.Second)
@@ -305,9 +247,60 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 	if got != "faulty body" {
 		t.Fatalf("Run panicked with %v, want the body's panic value", got)
 	}
-	s.Shutdown()
-	if now := runtime.NumGoroutine(); now > before {
-		t.Fatalf("goroutines after Shutdown = %d, want at most %d", now, before)
+	if s.Preemptions() != 1 || k.Now() != 3*ms {
+		t.Fatalf("%d preemptions, panic at %v; want faulty to preempt lo and panic at 3ms", s.Preemptions(), k.Now())
+	}
+}
+
+// TestNestedReleasesFinishFirst: a release that preempts a task runs
+// inside the preempted task's Compute and finishes before it goes on,
+// three levels deep.
+func TestNestedReleasesFinishFirst(t *testing.T) {
+	k, s := rig(t)
+	var order []string
+	mark := func(tk *Task, what string) { order = append(order, tk.Name()+what+"@"+tk.Now().String()) }
+	body := func(d sim.Time) func(*Task) {
+		return func(tk *Task) { mark(tk, "+"); tk.Compute(d); mark(tk, "-") }
+	}
+	s.Spawn("lo", 1, 0, body(10*ms))
+	s.Spawn("mid", 2, 2*ms, body(4*ms))
+	s.Spawn("hi", 3, 3*ms, body(ms))
+	k.Run(time.Second)
+	want := "lo+@0s mid+@2ms hi+@3ms hi-@4ms mid-@7ms lo-@15ms"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+}
+
+// TestRunAfterRunEndedInReleasePanics: a run that ends inside a release
+// abandons it, and a later Run panics, naming the task, when that task
+// would go on.
+func TestRunAfterRunEndedInReleasePanics(t *testing.T) {
+	k, s := rig(t)
+	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(10 * ms) })
+	k.Run(4 * ms)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "task a ") {
+			t.Fatalf("resumed Run panicked with %v, want a panic naming task a", r)
+		}
+		if k.Now() != 10*ms {
+			t.Fatalf("panicked at %v, want 10ms, when a's burst ends", k.Now())
+		}
+	}()
+	k.Run(20 * ms)
+}
+
+// TestComputeOutsideRunPanics: a burst that must wait under Step, which
+// fires one event and is no run, panics.
+func TestComputeOutsideRunPanics(t *testing.T) {
+	k, s := rig(t)
+	s.Spawn("a", 1, 0, func(tk *Task) { tk.Compute(ms) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Compute that must wait under Step did not panic")
+		}
+	}()
+	for k.Step() {
 	}
 }
 
@@ -315,7 +308,6 @@ func TestManyTasksDeterministic(t *testing.T) {
 	run := func() []string {
 		k := sim.New()
 		s := New(k)
-		defer s.Shutdown()
 		var order []string
 		for i := 0; i < 8; i++ {
 			name := string(rune('a' + i))
@@ -323,7 +315,6 @@ func TestManyTasksDeterministic(t *testing.T) {
 			s.Spawn(name, prio, sim.Time(i)*ms, func(tk *Task) {
 				tk.Compute(7 * ms)
 				order = append(order, name)
-				tk.Sleep(3 * ms)
 				tk.Compute(2 * ms)
 				order = append(order, name+"!")
 			})
@@ -394,7 +385,7 @@ func TestPeriodicMissedReleasesUnderStarvation(t *testing.T) {
 
 func TestTraceKindStrings(t *testing.T) {
 	kinds := []TraceKind{TraceReady, TraceDispatch, TracePreempt,
-		TraceSleep, TraceYield, TraceExit, TraceISR}
+		TraceSleep, TraceExit, TraceISR}
 	seen := map[string]bool{}
 	for _, kind := range kinds {
 		str := kind.String()
@@ -429,7 +420,6 @@ func TestPriorityInvariantProperty(t *testing.T) {
 	run := func(seed uint64) bool {
 		k := sim.New()
 		s := New(k)
-		defer s.Shutdown()
 		tr := s.Record()
 		r := sim.NewRand(seed)
 		prios := map[string]int{}
@@ -462,7 +452,7 @@ func TestPriorityInvariantProperty(t *testing.T) {
 					}
 				}
 				delete(ready, rec.Task)
-			case TracePreempt, TraceYield:
+			case TracePreempt:
 				ready[rec.Task] = true
 			case TraceSleep, TraceExit:
 				delete(ready, rec.Task)

@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"fmt"
-	"iter"
 
 	"rmtest/internal/sim"
 )
@@ -16,8 +15,8 @@ const (
 	TaskReady                      // runnable, waiting for the CPU
 	TaskRunning                    // on the CPU
 	TaskPreempted                  // taken off the CPU at a boundary; ready
-	TaskSleeping                   // waiting for a time instant
-	TaskDone                       // body returned
+	TaskSleeping                   // waiting for its next release
+	TaskDone                       // one-shot body returned
 )
 
 func (st TaskState) String() string {
@@ -38,24 +37,14 @@ func (st TaskState) String() string {
 	return fmt.Sprintf("TaskState(%d)", int(st))
 }
 
-type reqKind int
+// frame is where a task's current release stands.
+type frame uint8
 
 const (
-	reqCompute reqKind = iota
-	reqSleep
-	reqExit
+	noRelease frame = iota // between releases
+	onStack                // the body runs on the scheduler's stack
+	lost                   // a run ended inside the body, and its frames are gone
 )
-
-type request struct {
-	kind  reqKind
-	until sim.Time // reqSleep
-}
-
-// stopped is the panic that unwinds a task body whose coroutine is being
-// stopped by Shutdown. The coroutine entry recovers it. No task body
-// defers work that touches the kernel or the trace, so the unwind leaves
-// the simulation untouched.
-type stopped struct{}
 
 // Task is a simulated RTOS task. Its methods may only be called from
 // inside the task's own body function; calling them from outside the
@@ -66,22 +55,21 @@ type Task struct {
 	prio  int
 	state TaskState
 
-	// The body runs as a coroutine: next resumes it until its next kernel
-	// request (ok == false once the body has returned), yield is the
-	// body's side of that handoff, and stop unwinds a suspended body.
-	next  func() (request, bool)
-	stop  func()
-	yield func(request) bool
+	body   func(*Task)
+	period sim.Time // for periodic tasks; 0 otherwise
+	next   sim.Time // the instant of the current or next release
+	frame  frame
 
 	pendingCompute sim.Time
 
-	// wakeFn ends a sleep; it is bound once at Spawn, so sleeping
-	// allocates nothing.
+	// Bound once at spawn, so releasing and waiting allocate nothing:
+	// wakeFn releases the task, and doneFn tells a waiting Compute that
+	// the task is back on the CPU with its burst done.
 	wakeFn func()
+	doneFn func() bool
 
 	// Accounting.
 	cpuTime        sim.Time
-	period         sim.Time // for periodic tasks; 0 otherwise
 	releases       uint64
 	missedReleases uint64
 
@@ -163,31 +151,6 @@ func (t *Task) overrun(now, d sim.Time) sim.Time {
 	return sim.Time(int64(d) * t.ovNum / t.ovDen)
 }
 
-// start gives t a coroutine running body, suspended before its first
-// statement. A panic in the body other than stopped comes back out of
-// next, on the goroutine driving the kernel.
-func (t *Task) start(body func(*Task)) {
-	t.next, t.stop = iter.Pull(func(yield func(request) bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopped); !ok {
-					panic(r)
-				}
-			}
-		}()
-		t.yield = yield
-		body(t)
-	})
-}
-
-// syscall issues one kernel request and suspends the body until it
-// completes.
-func (t *Task) syscall(r request) {
-	if !t.yield(r) {
-		panic(stopped{})
-	}
-}
-
 // Now returns the current virtual time.
 func (t *Task) Now() sim.Time { return t.sched.k.Now() }
 
@@ -195,12 +158,17 @@ func (t *Task) Now() sim.Time { return t.sched.k.Now() }
 // higher-priority task that becomes ready in the middle takes the CPU and
 // the remainder of the burst continues later. Compute(0) is a no-op.
 //
-// A burst that ends before the next pending kernel event completes in
-// the body, with no coroutine switch (sim.Kernel.Advance); any other
-// burst, and every burst under Step or RunUntilIdle, is a request to the
-// scheduler. A task that outranks this one becomes ready only in a kernel
-// event, which also queues a scheduling pass now (kick), so while a
-// preemption is due Advance refuses: no priority check is needed.
+// A burst that ends before the next pending kernel event completes at
+// once (sim.Kernel.Advance). A task that outranks this one becomes ready
+// only in a kernel event, which also queues a scheduling pass now (kick),
+// so while a preemption is due Advance refuses: no priority check is
+// needed. Any other burst, and every burst under RunUntilIdle, starts on
+// the CPU, and Compute fires the run's kernel events itself
+// (sim.Kernel.RunUntil) until the task is back on the CPU with the burst
+// done; a release that preempts the task runs inside that call. When the
+// run ends first, Compute unwinds the releases on the stack, and the
+// outermost one returns into the run. Compute panics when it must wait
+// outside Run and RunUntilIdle.
 func (t *Task) Compute(d sim.Time) {
 	if d < 0 {
 		panic("rtos: negative compute duration")
@@ -218,20 +186,8 @@ func (t *Task) Compute(d sim.Time) {
 		t.pendingCompute = 0
 		return
 	}
-	t.syscall(request{kind: reqCompute})
-}
-
-// Sleep suspends the task for d of virtual time. Sleep(0) yields the
-// CPU to equal-priority ready tasks.
-func (t *Task) Sleep(d sim.Time) {
-	if d < 0 {
-		panic("rtos: negative sleep duration")
+	s.beginCompute(t)
+	if !s.k.RunUntil(t.doneFn) {
+		panic(runEnded{})
 	}
-	t.SleepUntil(t.Now() + d)
-}
-
-// SleepUntil suspends the task until the absolute instant at. If at is not
-// in the future it degrades to a yield, mirroring vTaskDelayUntil.
-func (t *Task) SleepUntil(at sim.Time) {
-	t.syscall(request{kind: reqSleep, until: at})
 }

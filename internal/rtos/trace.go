@@ -15,9 +15,8 @@ const (
 	TraceReady    TraceKind = iota // task entered the ready list
 	TraceDispatch                  // task took the CPU
 	TracePreempt                   // task lost the CPU to a higher-priority task
-	TraceSleep                     // task started sleeping
-	TraceYield                     // task yielded
-	TraceExit                      // task body returned
+	TraceSleep                     // task started sleeping until its next release
+	TraceExit                      // one-shot task's body returned
 	TraceISR                       // interrupt service routine ran
 )
 
@@ -31,8 +30,6 @@ func (k TraceKind) String() string {
 		return "preempt"
 	case TraceSleep:
 		return "sleep"
-	case TraceYield:
-		return "yield"
 	case TraceExit:
 		return "exit"
 	case TraceISR:

@@ -51,7 +51,6 @@ func simulate(cfg Config, horizon sim.Time) ([]rtos.TraceRecord, map[string]int)
 	for name, q := range queues {
 		depth[name] = q.MaxDepth()
 	}
-	s.Shutdown()
 	return recs, depth
 }
 

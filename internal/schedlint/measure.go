@@ -11,9 +11,9 @@ import (
 //
 // A release is reconstructed per task from the trace: it opens at the
 // first TraceReady while the task is not mid-release and closes at the
-// next TraceSleep or TraceExit (SpawnPeriodic bodies end every release
-// with SleepUntil). A release that the end of the trace cuts short is
-// dropped rather than reported short.
+// next TraceSleep or TraceExit (a periodic task sleeps after every
+// release). A release that the end of the trace cuts short is dropped
+// rather than reported short.
 
 // MeasuredResponses returns each task's worst observed response time:
 // the longest ready-to-sleep span over the completed releases in the

@@ -106,7 +106,6 @@ func TestMeasuredFromTrace(t *testing.T) {
 	s.Spawn("H", 2, ms, func(tk *rtos.Task) { tk.Compute(ms) })
 	k.Run(20 * ms)
 	resp := MeasuredResponses(tr.Records())
-	s.Shutdown()
 
 	rep := mustAnalyze(t, Config{Tasks: []TaskSpec{
 		{Name: "H", Prio: 2, Period: 20 * ms, WCET: ms},

@@ -6,18 +6,17 @@ import (
 )
 
 // TestAdvance: Advance moves the clock only during Run, up to Run's
-// horizon, before the next pending event, before Stop and while no stop
-// condition holds. In each case an event at 1ms calls Advance(at) after
-// the setup has scheduled its events and stop conditions.
+// horizon, before the next pending event and before Stop. In each case
+// an event at 1ms calls Advance(at) after the setup has scheduled its
+// events.
 func TestAdvance(t *testing.T) {
 	const ms = time.Millisecond
 	run := func(k *Kernel) { k.Run(10 * ms) }
 	cases := []struct {
 		name  string
 		drive func(k *Kernel)
-		// setup runs before the probe is scheduled; *stop turns true just
-		// before the probe calls Advance.
-		setup    func(k *Kernel, stop *bool)
+		// setup runs before the probe is scheduled.
+		setup    func(k *Kernel)
 		callStop bool // the probe calls Stop before Advance
 		at       Time
 		want     bool
@@ -35,35 +34,26 @@ func TestAdvance(t *testing.T) {
 		{name: "in RunUntilIdle after a stopped Run", drive: func(k *Kernel) { k.At(0, k.Stop); k.Run(10 * ms); k.RunUntilIdle() }, at: 5 * ms, want: false},
 		{
 			name: "event exactly at t", drive: run, at: 5 * ms, want: false,
-			setup: func(k *Kernel, _ *bool) { k.At(5*ms, func() {}) },
+			setup: func(k *Kernel) { k.At(5*ms, func() {}) },
 		},
 		{
 			name: "event before t", drive: run, at: 5 * ms, want: false,
-			setup: func(k *Kernel, _ *bool) { k.At(3*ms, func() {}) },
+			setup: func(k *Kernel) { k.At(3*ms, func() {}) },
 		},
 		{
 			name: "event after t", drive: run, at: 5 * ms, want: true,
-			setup: func(k *Kernel, _ *bool) { k.At(5*ms+1, func() {}) },
+			setup: func(k *Kernel) { k.At(5*ms+1, func() {}) },
 		},
 		{name: "after Stop", drive: run, callStop: true, at: 5 * ms, want: false},
-		{
-			name: "stop condition holds", drive: run, at: 5 * ms, want: false,
-			setup: func(k *Kernel, stop *bool) { k.StopWhen(func() bool { return *stop }) },
-		},
-		{
-			name: "stop condition does not hold", drive: run, at: 5 * ms, want: true,
-			setup: func(k *Kernel, _ *bool) { k.StopWhen(func() bool { return false }) },
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New()
-			var stop, got, called bool
+			var got, called bool
 			if tc.setup != nil {
-				tc.setup(k, &stop)
+				tc.setup(k)
 			}
 			k.At(ms, func() {
-				stop = true
 				if tc.callStop {
 					k.Stop()
 				}
@@ -141,9 +131,9 @@ func TestAdvanceStateClearedByRunAndReset(t *testing.T) {
 	if k.Advance(2 * ms) {
 		t.Fatal("Advance succeeded after Run panicked out")
 	}
-	k.running, k.horizon = true, 10*ms
+	k.running, k.advance, k.horizon = true, true, 10*ms
 	k.Reset()
-	if k.running || k.horizon != 0 || k.Advance(ms) {
+	if k.running || k.advance || k.horizon != 0 || k.Advance(ms) {
 		t.Fatal("Reset left Run state behind")
 	}
 }

@@ -24,11 +24,15 @@
 // Run may also move the clock without firing anything: Advance jumps to
 // an instant before the next pending event when nothing can happen in
 // between, which is how internal/rtos completes a compute burst that
-// nothing can interrupt without scheduling its end as an event.
+// nothing can interrupt without scheduling its end as an event. An event
+// callback may also go on with the run from where it stands: RunUntil
+// fires the run's next events, nested inside the callback, until a
+// condition holds, which is how a task body in internal/rtos waits for a
+// burst that something could interrupt.
 //
-// The kernel is intentionally single-threaded. Higher layers (notably
-// internal/rtos) build coroutine-style concurrency on top of it, but at any
-// moment exactly one piece of simulation logic is executing.
+// The kernel is intentionally single-threaded: at any moment exactly one
+// piece of simulation logic is executing, on the goroutine that called
+// Run.
 package sim
 
 import (
@@ -105,12 +109,12 @@ type Kernel struct {
 	stopped   bool
 	fired     uint64
 	atInstant int
-	stopConds []func() bool
 
-	// running and horizon describe the Run call in progress; Advance
-	// moves the clock only while running, and never past horizon.
-	running bool
-	horizon Time
+	// running and horizon describe the Run or RunUntilIdle call in
+	// progress, which RunUntil continues. advance is set only under Run:
+	// Advance moves the clock only then, and never past horizon.
+	running, advance bool
+	horizon          Time
 
 	// Heap-operation counters; regression tests pin the fused run loop to
 	// exactly one pop per fired event (see TestRunHeapOpsPerFiredEvent).
@@ -141,11 +145,11 @@ func (k *Kernel) QueueOps() (pushes, pops, removes uint64) {
 }
 
 // Reset returns the kernel to its initial state — clock at zero, no
-// pending events, no stop conditions — while retaining the node pool and
-// heap capacity, so a reset kernel schedules without allocating. It is
-// the campaign engine's per-worker scratch hook: back-to-back runs on
-// one reset kernel execute identically to runs on fresh kernels, because
-// every ordering input (clock, sequence counter) restarts from zero.
+// pending events — while retaining the node pool and heap capacity, so
+// a reset kernel schedules without allocating. It is the campaign
+// engine's per-worker scratch hook: back-to-back runs on one reset
+// kernel execute identically to runs on fresh kernels, because every
+// ordering input (clock, sequence counter) restarts from zero.
 func (k *Kernel) Reset() {
 	for _, n := range k.queue {
 		n.index = -1
@@ -157,13 +161,9 @@ func (k *Kernel) Reset() {
 	k.stopped = false
 	k.fired = 0
 	k.atInstant = 0
-	k.stopConds = k.stopConds[:0]
-	k.running, k.horizon = false, 0
+	k.running, k.advance, k.horizon = false, false, 0
 	k.pushes, k.pops, k.removes = 0, 0, 0
 }
-
-// StopConds returns the number of registered stop conditions.
-func (k *Kernel) StopConds() int { return len(k.stopConds) }
 
 // alloc takes a node from the free list, or grows the pool.
 func (k *Kernel) alloc() *node {
@@ -246,32 +246,6 @@ func (k *Kernel) Step() bool {
 // completes. It may be called from inside an event callback.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// StopWhen registers a stop condition: during Run (and RunUntilIdle) the
-// condition is evaluated after every fired event, and as soon as it
-// reports true the run is cut short, leaving the clock at the instant of
-// the deciding event. Conditions persist across Run calls (Reset clears
-// them) and there is no way to deregister one — they belong to
-// run-scoped observers (the verdict machines in internal/core) that own
-// the kernel for one simulation. Multiple conditions stop the run when any
-// one of them holds, so a group of observers that must all agree
-// registers a single aggregate condition.
-func (k *Kernel) StopWhen(cond func() bool) {
-	if cond == nil {
-		panic("sim: StopWhen with nil condition")
-	}
-	k.stopConds = append(k.stopConds, cond)
-}
-
-// shouldStop evaluates the registered stop conditions.
-func (k *Kernel) shouldStop() bool {
-	for _, cond := range k.stopConds {
-		if cond() {
-			return true
-		}
-	}
-	return false
-}
-
 // Run fires events until the queue is empty, Stop is called, or the next
 // event lies strictly beyond horizon. The clock never exceeds horizon: if
 // the queue drains (or Run stops at a later event) the clock is advanced to
@@ -285,42 +259,59 @@ func (k *Kernel) Run(horizon Time) {
 		panic(fmt.Sprintf("sim: Run horizon %v before now %v", horizon, k.now))
 	}
 	k.stopped = false
-	k.running, k.horizon = true, horizon
-	defer func() { k.running = false }()
-	for !k.stopped {
-		if len(k.queue) == 0 || k.queue[0].at > horizon {
-			break
-		}
+	k.running, k.advance, k.horizon = true, true, horizon
+	defer func() { k.running, k.advance = false, false }()
+	for k.goesOn() {
 		k.fire(k.heapPop())
-		if len(k.stopConds) > 0 && k.shouldStop() {
-			k.stopped = true
-		}
 	}
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
 	}
 }
 
+// goesOn reports whether the run in progress fires another event: Stop
+// has not been called, and the next event lies at or before the horizon.
+func (k *Kernel) goesOn() bool {
+	return !k.stopped && len(k.queue) > 0 && k.queue[0].at <= k.horizon
+}
+
+// RunUntil goes on with the Run or RunUntilIdle in progress from inside
+// one of its event callbacks: it fires events exactly as that run would,
+// with its horizon, its Stop and its same-instant count, and reports
+// true as soon as done holds after an event. It reports false when the
+// run would end first; the caller must then return into the run, which
+// ends at once. A callback fired by RunUntil may call RunUntil again, so
+// the calls nest. It panics outside Run and RunUntilIdle.
+func (k *Kernel) RunUntil(done func() bool) bool {
+	if !k.running {
+		panic("sim: RunUntil outside Run or RunUntilIdle")
+	}
+	for k.goesOn() {
+		k.fire(k.heapPop())
+		if done() {
+			return true
+		}
+	}
+	return false
+}
+
 // Advance moves the clock forward to t without firing anything, as Run
 // would on reaching t with no event in between. It does so only when all
 // of these hold: Run is in progress, t is at or before Run's horizon, no
-// pending event fires at or before t, Stop has not been called, and no
-// stop condition holds. Otherwise it changes nothing and reports false.
+// pending event fires at or before t, and Stop has not been called.
+// Otherwise it changes nothing and reports false.
 //
 // It is exact: Run would fire nothing before t, and the conditions that
 // would end Run before reaching t are exactly the ones checked, so the
 // caller may go on at t as if an event scheduled now for t had just
 // fired. Advance takes no sequence number and fires no event, so the
 // events scheduled later keep their order. Step fires exactly one event
-// and RunUntilIdle has no horizon, so neither lets the clock advance.
+// and RunUntilIdle fires every event, so neither lets the clock advance.
 func (k *Kernel) Advance(t Time) bool {
-	if !k.running || k.stopped || t < k.now || t > k.horizon {
+	if !k.advance || k.stopped || t < k.now || t > k.horizon {
 		return false
 	}
 	if len(k.queue) > 0 && k.queue[0].at <= t {
-		return false
-	}
-	if len(k.stopConds) > 0 && k.shouldStop() {
 		return false
 	}
 	if t > k.now {
@@ -330,15 +321,20 @@ func (k *Kernel) Advance(t Time) bool {
 	return true
 }
 
+// endless is the horizon of RunUntilIdle, which has none.
+const endless = Time(1<<63 - 1)
+
 // RunUntilIdle fires events until none remain or Stop is called. Callers
 // must guarantee the event graph terminates (e.g. no self-rearming periodic
-// timer), otherwise this loops forever; prefer Run with a horizon.
+// timer), otherwise this loops forever; prefer Run with a horizon. Like
+// Run, it is a run that RunUntil may continue, with no horizon; unlike
+// Run, it fires every event, so Advance never moves the clock under it.
 func (k *Kernel) RunUntilIdle() {
 	k.stopped = false
-	for !k.stopped && k.Step() {
-		if len(k.stopConds) > 0 && k.shouldStop() {
-			k.stopped = true
-		}
+	k.running, k.horizon = true, endless
+	defer func() { k.running = false }()
+	for k.goesOn() {
+		k.fire(k.heapPop())
 	}
 }
 

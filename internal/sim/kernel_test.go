@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -343,20 +346,20 @@ func TestEventAtAccessor(t *testing.T) {
 	}
 }
 
-func TestStopWhenHaltsAtDecidingEvent(t *testing.T) {
+// TestStopHaltsAtDecidingEvent: Stop from an event ends the run after
+// that event, with the clock at its instant, and leaves the later events
+// queued for the next run.
+func TestStopHaltsAtDecidingEvent(t *testing.T) {
 	k := New()
 	var hits []Time
-	decided := false
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
 		k.At(at, func() {
 			hits = append(hits, at)
 			if at == 20 {
-				decided = true
+				k.Stop()
 			}
 		})
 	}
-	k.StopWhen(func() bool { return decided })
 	k.Run(100)
 	if len(hits) != 2 || hits[1] != 20 {
 		t.Fatalf("run should halt after the deciding event: %v", hits)
@@ -364,62 +367,130 @@ func TestStopWhenHaltsAtDecidingEvent(t *testing.T) {
 	if k.Now() != 20 {
 		t.Fatalf("clock should stay at the decision instant, got %v", k.Now())
 	}
-	// The remaining events are still queued; a later run resumes unless
-	// the condition still holds.
-	decided = false
 	k.Run(100)
 	if len(hits) != 4 || k.Now() != 100 {
 		t.Fatalf("resumed run should finish: hits=%v now=%v", hits, k.Now())
 	}
 }
 
-func TestStopWhenPersistsAcrossRuns(t *testing.T) {
-	k := New()
-	stop := false
-	k.StopWhen(func() bool { return stop })
-	k.At(5, func() { stop = true })
-	k.At(6, func() { t.Fatal("event past the stop must not fire") })
-	k.Run(10)
-	if k.Now() != 5 {
-		t.Fatalf("now=%v", k.Now())
-	}
-}
-
-func TestStopWhenAnyConditionStops(t *testing.T) {
-	k := New()
-	a, b := false, false
-	k.StopWhen(func() bool { return a })
-	k.StopWhen(func() bool { return b })
-	fired := 0
-	k.At(1, func() { fired++; b = true })
-	k.At(2, func() { fired++ })
-	k.Run(10)
-	if fired != 1 {
-		t.Fatalf("second condition should have stopped the run: fired=%d", fired)
-	}
-}
-
+// TestStopWhenRunUntilIdle: Stop ends RunUntilIdle too.
 func TestStopWhenRunUntilIdle(t *testing.T) {
 	k := New()
 	n := 0
-	k.StopWhen(func() bool { return n >= 3 })
 	var rearm func()
 	rearm = func() {
-		n++
+		if n++; n == 3 {
+			k.Stop()
+		}
 		k.After(1, rearm)
 	}
 	k.After(1, rearm)
-	k.RunUntilIdle() // would loop forever without the stop condition
+	k.RunUntilIdle() // would loop forever without the Stop
 	if n != 3 {
 		t.Fatalf("n=%d", n)
 	}
 }
 
-func TestStopWhenNilPanics(t *testing.T) {
+// TestRunUntilContinuesRun: RunUntil, called from an event, fires the
+// events Run would fire next, in the same order, and returns as soon as
+// its condition holds after one; calls nest, and Run goes on after the
+// outermost returns.
+func TestRunUntilContinuesRun(t *testing.T) {
+	k := New()
+	var order []Time
+	for _, at := range []Time{1, 2, 3, 4, 5} {
+		k.At(at, func() { order = append(order, at) })
+	}
+	reached3 := func() bool { return k.Now() >= 3 }
+	k.At(1, func() {
+		if !k.RunUntil(reached3) || k.Now() != 3 {
+			t.Fatalf("RunUntil returned at %v, want true at 3", k.Now())
+		}
+		order = append(order, -1)
+	})
+	k.At(2, func() {
+		if !k.RunUntil(reached3) || k.Now() != 3 {
+			t.Fatalf("nested RunUntil returned at %v, want true at 3", k.Now())
+		}
+		order = append(order, -2)
+	})
+	k.Run(10)
+	if want := []Time{1, 2, 3, -2, -1, 4, 5}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if k.Now() != 10 {
+		t.Fatalf("Run ended at %v, want its horizon", k.Now())
+	}
+}
+
+// TestRunUntilEndsWithRun: RunUntil reports false when the run it
+// continues would end, at Run's horizon or after Stop, and under
+// RunUntilIdle when the queue drains; RunUntil outside a run panics.
+func TestRunUntilEndsWithRun(t *testing.T) {
+	never := func() bool { return false }
+	for _, tc := range []struct {
+		name  string
+		setup func(k *Kernel)
+		drive func(k *Kernel)
+		end   Time // where RunUntil returns
+	}{
+		{"at the horizon", func(k *Kernel) { k.At(8, func() {}); k.At(11, func() {}) }, func(k *Kernel) { k.Run(10) }, 8},
+		{"after Stop", func(k *Kernel) { k.At(4, k.Stop); k.At(5, func() {}) }, func(k *Kernel) { k.Run(10) }, 4},
+		{"under RunUntilIdle", func(k *Kernel) { k.At(1<<40, func() {}) }, func(k *Kernel) { k.RunUntilIdle() }, 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			var got *bool
+			k.At(1, func() {
+				ok := k.RunUntil(never)
+				got = &ok
+				if k.Now() != tc.end {
+					t.Fatalf("RunUntil returned at %v, want %v", k.Now(), tc.end)
+				}
+			})
+			tc.setup(k)
+			tc.drive(k)
+			if got == nil || *got {
+				t.Fatalf("RunUntil returned %v, want false", got)
+			}
+		})
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil condition must panic")
+			t.Fatal("RunUntil under Step must panic")
 		}
 	}()
-	New().StopWhen(nil)
+	k := New()
+	k.At(1, func() { k.RunUntil(never) })
+	k.Step()
+}
+
+// TestRunUntilSharesSameInstantCount: the events RunUntil fires count
+// towards the run's zero-time livelock limit together with those the run
+// fired before it at the same instant; neither half alone reaches it.
+func TestRunUntilSharesSameInstantCount(t *testing.T) {
+	k := New()
+	spin := func(n int, then func()) func() {
+		var f func()
+		f = func() {
+			if n--; n > 0 {
+				k.After(0, f)
+			} else if then != nil {
+				then()
+			}
+		}
+		return f
+	}
+	k.At(1, spin(MaxSameInstant/2, func() {
+		k.After(0, func() {
+			k.After(0, spin(MaxSameInstant/2+2, nil))
+			k.RunUntil(func() bool { return k.Pending() == 0 })
+		})
+	}))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "livelock") {
+			t.Fatalf("panic %v, want the zero-time livelock", r)
+		}
+	}()
+	k.Run(10)
 }

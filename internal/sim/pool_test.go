@@ -217,7 +217,6 @@ func TestKernelResetReuse(t *testing.T) {
 			k.At(r.Duration(0, time.Second), func() { at = append(at, k.Now()) })
 		}
 		k.At(2*time.Second, func() {}) // left pending at Reset
-		k.StopWhen(func() bool { return false })
 		k.Run(time.Second)
 		return at
 	}

@@ -57,52 +57,48 @@ func TestResetDropsStaleEventsMidWindow(t *testing.T) {
 	_ = ev
 }
 
-// TestResumeAfterStopWhenThenReset is the scratch-reuse hygiene
-// check: a run halted by StopWhen is resumed to the horizon (the stop
-// condition persists and re-fires), then the kernel is Reset. Nothing
-// from the stopped run — pending one-shots, the ticker's re-arm chain,
-// the stop condition itself — may leak into the next run, and the clock
-// and sequence counter must restart from zero so the next run is
-// byte-identical to one on a fresh kernel.
-func TestResumeAfterStopWhenThenReset(t *testing.T) {
+// TestResumeAfterStopThenReset is the scratch-reuse hygiene check: a
+// run halted by Stop is resumed, then the kernel is Reset. Nothing from
+// the stopped run — pending one-shots, the ticker's re-arm chain, the
+// stop itself — may leak into the next run, and the clock and sequence
+// counter must restart from zero so the next run is byte-identical to
+// one on a fresh kernel.
+func TestResumeAfterStopThenReset(t *testing.T) {
 	k := New()
 	var ticks []Time
 	k.Periodic(5*time.Millisecond, 5*time.Millisecond, func(uint64) {
 		ticks = append(ticks, k.Now())
+		if k.Now() >= 12*time.Millisecond {
+			k.Stop()
+		}
 	})
 	stale := 0
 	k.At(90*time.Millisecond, func() { stale++ })
-	k.StopWhen(func() bool { return k.Now() >= 12*time.Millisecond })
 
-	// First run halts at the first deciding event past 12ms (the 15ms
-	// tick), not at the horizon.
+	// First run halts at the first tick past 12ms (15ms), not at the
+	// horizon.
 	k.Run(100 * time.Millisecond)
-	if k.Now() >= 100*time.Millisecond {
-		t.Fatalf("StopWhen did not halt the run: now=%v", k.Now())
+	if k.Now() != 15*time.Millisecond {
+		t.Fatalf("Stop did not halt the run at 15ms: now=%v", k.Now())
 	}
-	halted := k.Now()
 
-	// Resume: the condition still holds, so the very next deciding event
-	// halts again — resume after StopWhen makes progress one event at a
-	// time without disturbing the schedule.
+	// Resume: the ticker stops the run again at its very next tick, so
+	// resuming makes progress one tick at a time without disturbing the
+	// schedule.
 	k.Run(100 * time.Millisecond)
-	if k.Now() <= halted || k.Now() >= 100*time.Millisecond {
-		t.Fatalf("resume after StopWhen: now=%v (halted at %v)", k.Now(), halted)
-	}
-	if k.StopConds() != 1 {
-		t.Fatalf("stop conditions = %d, want 1 (persists across runs)", k.StopConds())
+	if k.Now() != 20*time.Millisecond {
+		t.Fatalf("resume after Stop: now=%v, want 20ms", k.Now())
 	}
 
 	k.Reset()
-	if k.Pending() != 0 || k.Now() != 0 || k.StopConds() != 0 {
-		t.Fatalf("reset kernel not pristine: pending=%d now=%v stopConds=%d",
-			k.Pending(), k.Now(), k.StopConds())
+	if k.Pending() != 0 || k.Now() != 0 {
+		t.Fatalf("reset kernel not pristine: pending=%d now=%v", k.Pending(), k.Now())
 	}
 
 	// The next run must look exactly like a run on a fresh kernel: the
 	// old ticker must not re-arm, the 90ms one-shot must not land, the
-	// old stop condition must not halt anything, and a new schedule must
-	// fire in full.
+	// old stop must not halt anything, and a new schedule must fire in
+	// full.
 	ticks = nil
 	var fresh []Time
 	k.Periodic(10*time.Millisecond, 10*time.Millisecond, func(uint64) {
@@ -110,7 +106,7 @@ func TestResumeAfterStopWhenThenReset(t *testing.T) {
 	})
 	k.Run(45 * time.Millisecond)
 	if k.Now() != 45*time.Millisecond {
-		t.Fatalf("stale StopWhen halted the post-reset run at %v", k.Now())
+		t.Fatalf("a stale stop halted the post-reset run at %v", k.Now())
 	}
 	if stale != 0 {
 		t.Fatal("one-shot from the stopped run fired after Reset")

@@ -53,7 +53,6 @@ func measurePipelines(t *testing.T, workers int) []map[string]sim.Time {
 			}
 			sys.Run(tc.Horizon(req))
 			resp := rmtest.MeasuredResponses(tr.Records())
-			sys.Shutdown()
 			return resp, nil
 		})
 	vals, err := campaign.Values(outs)

@@ -176,7 +176,6 @@ func TestFacadeSystemLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	sys.Env.PulseAt(40*time.Millisecond, "sig_bolus_button", 1, 0, 60*time.Millisecond)
 	sys.Run(time.Second)
 	if sys.Env.Get("sig_pump_motor") < 1 {

@@ -40,7 +40,6 @@ func schedTraceLine(t *testing.T, label string, req core.Requirement, tc core.Te
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	tr := sys.Sched.Record()
 	sys.Run(tc.Horizon(req))
 	return fmt.Sprintf("%s records=%d preempt=%d isr=%d switches=%d sha256=%x",
@@ -106,7 +105,6 @@ func runTraceLine(t *testing.T, label string, req core.Requirement, tc core.Test
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	if applyErr != nil {
 		return "", false
 	}
