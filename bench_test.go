@@ -392,6 +392,37 @@ func BenchmarkModelVerificationInvariant(b *testing.B) {
 	b.ReportMetric(float64(res.Steps), "steps/op")
 }
 
+// BenchmarkVerifyExtended measures the bounded response check on the
+// larger pump model: gpca-extended's bolus-in-basal property, stopped at
+// 3,000 states. Its states differ in more than the tick, so its step
+// classes repeat less than gpca's. It reports states/op and steps/op, and
+// fails unless the check visits the 3,000 states.
+func BenchmarkVerifyExtended(b *testing.B) {
+	cc, err := gpca.ExtendedChart().Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prop := verify.ResponseProperty{
+		Name: "bolus-in-basal", Event: "i_BolusReq", InState: "Basal",
+		Output: "o_MotorState", Target: func(v int64) bool { return v >= 10 },
+		WithinTicks: 10,
+	}
+	var res verify.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err = verify.CheckResponse(cc, prop, verify.Options{MaxVisited: 3000})
+		if err != nil || res.Outcome != verify.Bounded {
+			b.Fatalf("%v %v", res.Outcome, err)
+		}
+	}
+	if res.Visited != 3000 {
+		b.Fatalf("visited %d states, want 3000", res.Visited)
+	}
+	b.ReportMetric(float64(res.Visited), "states/op")
+	b.ReportMetric(float64(res.Steps), "steps/op")
+}
+
 // BenchmarkLintGPCA measures the full static-analysis pass — compile,
 // chart-level checks, abstract interpretation of every fragment and the
 // WCET chain exploration — on the pump model.

@@ -286,6 +286,62 @@ func (e *Exec) AppendConfig(b []byte, limit int64, vars []int) []byte {
 	return b
 }
 
+// AppendStepClass appends a binary encoding of the configuration's step
+// class to b and returns the extended slice. In order:
+//   - the active leaf's state id (4 bytes);
+//   - every variable's value, in slot order (8 bytes each);
+//   - for each active-path state, leaf first, one bit for whether its
+//     tick count is zero, then one bit per after, before or at trigger
+//     of its transitions, in priority order, for whether the trigger
+//     holds at that count; packed eight to a byte, low bit first.
+//
+// The leaf fixes the path and its triggers, so equal encodings mean equal
+// classes. A Step reads the tick and the entry ticks only through those
+// trigger checks on active-path states, and a state it enters has been in
+// for no ticks; guards and actions read variables only. So two
+// configurations of one class, given the same inputs and event mask, step
+// alike: the same leaf and variables after the step, the same Taken,
+// Changed, Writes, Err and Tested, and the same states entered. A step
+// sets an entered state's entry tick to the tick before the step, leaves
+// every other entry tick, and adds one to the tick, so either successor's
+// row is rebuilt from its own row and the other's step. The model checker
+// steps each class once.
+func (e *Exec) AppendStepClass(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(e.active))
+	for _, v := range e.vars {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	var acc byte
+	var n uint
+	put := func(bit bool) {
+		if bit {
+			acc |= 1 << (n % 8)
+		}
+		if n++; n%8 == 0 {
+			b = append(b, acc)
+			acc = 0
+		}
+	}
+	for sid := e.active; sid >= 0; sid = e.prog.States[sid].Parent {
+		c := e.ticksIn(sid)
+		put(c == 0)
+		for _, tid := range e.prog.States[sid].Trans {
+			switch trig := e.prog.Trans[tid].Trig; trig.Kind {
+			case statechart.TrigAfter:
+				put(c >= trig.N)
+			case statechart.TrigBefore:
+				put(c < trig.N)
+			case statechart.TrigAt:
+				put(c == trig.N)
+			}
+		}
+	}
+	if n%8 != 0 {
+		b = append(b, acc)
+	}
+	return b
+}
+
 func (e *Exec) compute(d time.Duration) {
 	e.charge += d
 	if e.env != nil && d > 0 {

@@ -192,13 +192,19 @@ func (s *Scheduler) cpuComputing() bool {
 	return s.computeDone.Pending()
 }
 
-// makeReady inserts t into the ready list. front selects LIFO insertion
-// within t's priority band (used for preempted tasks, which must resume
-// before equal-priority peers).
-func (s *Scheduler) makeReady(t *Task, front bool) {
+// makeReady inserts a released task into the ready list, behind the
+// ready tasks of its priority.
+func (s *Scheduler) makeReady(t *Task) {
 	if t.state == TaskReady || t.state == TaskRunning || t.state == TaskDone {
 		panic(fmt.Sprintf("rtos: makeReady(%s) in state %v", t.name, t.state))
 	}
+	s.enqueue(t, false)
+}
+
+// enqueue marks t ready and inserts it into the ready list. front selects
+// LIFO insertion within t's priority band (used for preempted tasks,
+// which must resume before equal-priority peers).
+func (s *Scheduler) enqueue(t *Task, front bool) {
 	t.state = TaskReady
 	pos := len(s.ready)
 	for i, r := range s.ready {
@@ -347,8 +353,7 @@ func (s *Scheduler) preempt() {
 		s.computeDone.Cancel()
 		s.computeDone = sim.Event{}
 	}
-	t.state = TaskPreempted
-	s.makeReady(t, true)
+	s.enqueue(t, true)
 	s.current = nil
 	s.preempts++
 	s.trace.add(s.k.Now(), TracePreempt, t)
@@ -415,7 +420,7 @@ func (s *Scheduler) recoverRunEnded() {
 
 // wakeUp releases t: at its start instant, and after each sleep.
 func (t *Task) wakeUp() {
-	t.sched.makeReady(t, false)
+	t.sched.makeReady(t)
 	t.sched.kick()
 }
 

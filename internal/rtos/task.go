@@ -11,12 +11,11 @@ type TaskState int
 
 // Task lifecycle states.
 const (
-	TaskNew       TaskState = iota // spawned, not yet released
-	TaskReady                      // runnable, waiting for the CPU
-	TaskRunning                    // on the CPU
-	TaskPreempted                  // taken off the CPU at a boundary; ready
-	TaskSleeping                   // waiting for its next release
-	TaskDone                       // one-shot body returned
+	TaskNew      TaskState = iota // spawned, not yet released
+	TaskReady                     // runnable, waiting for the CPU
+	TaskRunning                   // on the CPU
+	TaskSleeping                  // waiting for its next release
+	TaskDone                      // one-shot body returned
 )
 
 func (st TaskState) String() string {
@@ -27,8 +26,6 @@ func (st TaskState) String() string {
 		return "ready"
 	case TaskRunning:
 		return "running"
-	case TaskPreempted:
-		return "preempted"
 	case TaskSleeping:
 		return "sleeping"
 	case TaskDone:

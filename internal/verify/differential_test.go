@@ -28,8 +28,10 @@ var checkerDomains = [][]int64{nil, {0, 1, 2, 3}, {1, 2, 3}}
 // run checks the case's response property, and an invariant on the same
 // output (in every state but the chosen one, the output stays below the
 // threshold), with both checkers, and fails t on any difference in
-// outcome, state count, counterexample or error-ness.
-func (c checkerCase) run(t *testing.T) (results []Result, errs int) {
+// outcome, state count, counterexample or error-ness. It returns the
+// results of the checks that did not fail, how many failed, and the
+// steps the checker and the oracle ran over all of them.
+func (c checkerCase) run(t *testing.T) (results []Result, errs int, steps, oracleSteps uint64) {
 	t.Helper()
 	cc, err := randchart.Chart(sim.NewRand(c.seed)).Compile()
 	if err != nil {
@@ -79,6 +81,7 @@ func (c checkerCase) run(t *testing.T) (results []Result, errs int) {
 		if got.Steps > want.Steps {
 			t.Fatalf("%+v %s: %d steps, the oracle's %d", c, check.what, got.Steps, want.Steps)
 		}
+		steps, oracleSteps = steps+got.Steps, oracleSteps+want.Steps
 		got.Steps, want.Steps = 0, 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v %s:\n got %s\nwant %s", c, check.what, detail(got), detail(want))
@@ -89,7 +92,7 @@ func (c checkerCase) run(t *testing.T) (results []Result, errs int) {
 			results = append(results, got)
 		}
 	}
-	return results, errs
+	return results, errs, steps, oracleSteps
 }
 
 // detail renders a result with each counterexample step's inputs.
@@ -105,10 +108,13 @@ func detail(r Result) string {
 // the generated code, and the oracle, which steps the chart interpreter,
 // on random charts with random response properties and invariants. A
 // random state budget makes bounded results pin the exploration order
-// too. Results must be deeply equal, and both must fail or neither.
+// too. Results must be deeply equal, and both must fail or neither. The
+// checker steps each step class once, so over all the checks it must
+// run well under the oracle's steps.
 func TestCheckerMatchesInterpreter(t *testing.T) {
 	outcomes := map[Outcome]int{}
 	var errs int
+	var steps, oracleSteps uint64
 	for seed := uint64(1); seed <= 400; seed++ {
 		r := sim.NewRand(seed ^ 0x5eed)
 		for range 2 {
@@ -117,14 +123,15 @@ func TestCheckerMatchesInterpreter(t *testing.T) {
 				state: uint8(r.Intn(16)), threshold: int8(r.Intn(5)), deadline: uint8(r.Intn(6)),
 				maxVisited: uint16(r.Intn(2500)), domain: uint8(r.Intn(3)),
 			}
-			results, n := c.run(t)
+			results, n, s, o := c.run(t)
 			errs += n
+			steps, oracleSteps = steps+s, oracleSteps+o
 			for _, res := range results {
 				outcomes[res.Outcome]++
 			}
 		}
 	}
-	t.Logf("outcomes %v, %d errors", outcomes, errs)
+	t.Logf("outcomes %v, %d errors; %d steps, the oracle's %d", outcomes, errs, steps, oracleSteps)
 	for _, o := range []Outcome{Holds, Violated, Bounded} {
 		if outcomes[o] == 0 {
 			t.Errorf("no check came out %v: the differential does not cover it", o)
@@ -132,6 +139,12 @@ func TestCheckerMatchesInterpreter(t *testing.T) {
 	}
 	if errs == 0 {
 		t.Error("no check failed with a model error: the differential does not cover errors")
+	}
+	// Stepping every stimulus class of every state runs about a quarter
+	// of the oracle's steps here; stepping each step class once, about a
+	// tenth.
+	if steps*6 > oracleSteps {
+		t.Errorf("%d steps against the oracle's %d: above a sixth, so step classes are rarely shared", steps, oracleSteps)
 	}
 }
 

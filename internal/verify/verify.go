@@ -13,14 +13,19 @@
 // the chart's largest temporal constant, making the reachable abstract
 // state space finite.
 //
-// A state is stepped once per class of event subsets its step can tell
-// apart: a subset that agrees with one already stepped from the state,
-// on the same input combination, on every event that step tested
+// States are stepped once per step class (codegen.Exec.AppendStepClass):
+// the leaf, every variable, and the truth of every temporal trigger on
+// the active path. Two states of one class step alike, so the first
+// state of a class is stepped, and every later one takes its successors
+// from those steps, each row rebuilt by the state's own tick. The first
+// is stepped once per class of event subsets its step can tell apart: a
+// subset that agrees with one already stepped from the state, on the
+// same input combination, on every event that step tested
 // (codegen.Exec.Tested) would repeat it exactly, so it is skipped. The
 // states visited, their order and every result are those of stepping
-// every subset. Explored states are fixed-size records and executor rows
-// in chunked storage, keyed in a pointer-free visited set, with no heap
-// object per state.
+// every subset from every state. Explored states are fixed-size records
+// and executor rows in chunked storage, keyed in a pointer-free visited
+// set, with no heap object per state.
 //
 // The checker steps the program the chart compiles to (codegen.Generate)
 // on codegen.Exec with a nil ExecEnv and listener: the chart runtime the
@@ -115,8 +120,8 @@ type Result struct {
 	Property ResponseProperty
 	Outcome  Outcome
 	Visited  int
-	// Steps counts the steps of the generated program the check ran: the
-	// work behind Visited.
+	// Steps counts the steps of the generated program the check ran,
+	// once per step class and stimulus class: the work behind Visited.
 	Steps uint64
 	// Counterexample is the stimulus sequence leading to the violation
 	// (only for Violated).
@@ -142,6 +147,15 @@ type record struct {
 	obligation int64 // remaining ticks; -1 = none pending
 }
 
+// classEntry is one stimulus a step class steps, subset k on combination
+// c, with the check's judgement of its step (explorer.judge). The
+// successor's leaf, variables and entered states are the entry's block
+// of explorer.succ.
+type classEntry struct {
+	subset, combo int32
+	judged        bool
+}
+
 // explorer steps the chart's generated program through the state space.
 // It keeps the explored states, as records and executor rows, in a store
 // whose order is the breadth-first queue's, and their keys in the visited
@@ -160,11 +174,34 @@ type explorer struct {
 	// covered marks, for the state being expanded, the stimuli (combo c,
 	// subset k at c*len(masks)+k) that would repeat a step already run.
 	covered []bool
+	// classes keys the step classes (codegen.Exec.AppendStepClass) met so
+	// far. Class n's entries are entries[starts[n]:starts[n+1]]: a class
+	// is complete before another of its states is expanded, because its
+	// first state's expansion steps every stimulus or ends the search.
+	// Entry j's successor block is succ[j*width:(j+1)*width]: a row whose
+	// entry ticks are replaced by 1 for each state the step entered and 0
+	// for the others, and whose tick is not read. next is the row a
+	// replayed entry is rebuilt in.
+	classes keySet
+	starts  []int32
+	entries []classEntry
+	succ    []int64
+	next    []int64
+	// entryOff is the offset of the entry ticks in a row: after the leaf,
+	// the tick and the variables (codegen.Exec.AppendRow).
+	entryOff int
 	// trigger is a response property's event as a subset bit, and
 	// inState its InState's id (-1 for any state); an invariant has no
 	// trigger.
 	trigger int
 	inState int
+	// judge judges a stimulus once, from the executor right after its
+	// step; decide judges each successor, given the obligation its source
+	// carries, whether the step fired the trigger, and the stimulus's
+	// judgement, and returns the successor's obligation and whether it
+	// violates the property.
+	judge  func() bool
+	decide func(obligation int64, triggered, judged bool) (int64, bool)
 }
 
 // newExplorer generates the chart's program, runs it from its initial
@@ -178,17 +215,26 @@ func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) 
 		return nil, fmt.Errorf("verify: %w", err)
 	}
 	x := &explorer{
-		exec:    codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil),
-		stim:    stim,
-		masks:   make([]uint64, 1<<len(stim.events)),
-		bits:    make([]int, len(prog.Events)),
-		limit:   limit,
-		rel:     rel,
-		visited: newKeySet(),
-		covered: make([]bool, stim.combos<<len(stim.events)),
-		inState: -1,
+		exec:     codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil),
+		stim:     stim,
+		masks:    make([]uint64, 1<<len(stim.events)),
+		bits:     make([]int, len(prog.Events)),
+		limit:    limit,
+		rel:      rel,
+		visited:  newKeySet(),
+		covered:  make([]bool, stim.combos<<len(stim.events)),
+		classes:  newKeySet(),
+		entryOff: 2 + len(prog.Vars),
+		inState:  -1,
 	}
-	x.states = newStateStore(x.exec.RowLen())
+	w := x.exec.RowLen()
+	x.states = newStateStore(w)
+	// A chart's classes are few beside its states: gpca's 12,003 states
+	// fall in 5 classes with 27 entries.
+	x.starts = append(make([]int32, 0, classCap), 0)
+	x.entries = make([]classEntry, 0, classCap)
+	x.succ = make([]int64, 0, classCap*w)
+	x.next = make([]int64, w)
 	x.exec.RecordWrites()
 	for i, name := range stim.events {
 		id, _ := prog.EventID(name)
@@ -226,31 +272,36 @@ func (x *explorer) visit(obligation int64) bool {
 	if cap(b) > cap(x.buf) {
 		x.buf = b // keep the grown buffer
 	}
-	return x.visited.add(b)
+	_, fresh := x.visited.add(b)
+	return fresh
+}
+
+// class returns the index of the executor's step class, and whether the
+// class is new, adding it if so.
+func (x *explorer) class() (int, bool) {
+	b := x.exec.AppendStepClass(x.buf[:0])
+	if cap(b) > cap(x.buf) {
+		x.buf = b // keep the grown buffer
+	}
+	return x.classes.add(b)
 }
 
 // explore searches breadth-first from the recorded root, which the
 // caller has judged, until the property is violated, res.Visited
 // reaches maxVisited, or no state is left to expand; it sets
-// res.Outcome, and res.Counterexample on a violation. decide judges
-// each successor right after its step: given the obligation its parent
-// carries and whether the step fired the trigger, it returns the
-// successor's obligation and whether the successor violates the
-// property.
+// res.Outcome, and res.Counterexample on a violation.
 //
-// From each state it steps each event subset and, within it, each input
-// combination, skipping the stimuli a step already run covers: after
-// subset k on combination c, every subset that agrees with k on the bits
-// the step tested (codegen.Exec.Tested, plus the trigger's bit when the
-// state arms it) would repeat the step exactly. Such a subset has a
-// larger index than its representative k, so its successor would have
-// the key and the obligation of one already keyed, and it would violate
-// only if k, which comes first, had. Skipping it changes neither the
-// states visited, nor their order, nor the outcome. Combinations are
-// never merged: an input's value stays in the configuration.
-func (x *explorer) explore(res *Result, maxVisited int, decide func(obligation int64, triggered bool) (int64, bool)) error {
+// A state's successors come from its step class
+// (codegen.Exec.AppendStepClass). The first state of a class steps it
+// (fill); every later state of the class takes its successors from the
+// class's entries, rebuilt by its tick (rebuild), in the same order. Two
+// states of one class step alike, so each rebuilt row is exactly the row
+// a step would give, and the judgements and tested bits are the same.
+// The class holds the leaf, so it fixes whether the state arms the
+// trigger too. The states visited, their order and the outcome are those
+// of stepping every state; only res.Steps, the steps run, falls.
+func (x *explorer) explore(res *Result, maxVisited int) error {
 	e := x.exec
-	n := len(x.masks)
 	for i := 0; i < x.states.n; i++ {
 		ob := x.states.record(i).obligation
 		row := x.states.row(i)
@@ -258,44 +309,131 @@ func (x *explorer) explore(res *Result, maxVisited int, decide func(obligation i
 		// The trigger is judged in the pre-step configuration; no
 		// stimulus changes its active path.
 		armed := x.trigger != 0 && (x.inState < 0 || e.InActivePath(x.inState))
-		clear(x.covered)
-		for k := range n {
-			for c := range x.stim.combos {
-				if x.covered[c*n+k] {
-					continue
-				}
-				e.LoadRow(row)
-				if err := x.step(k, c); err != nil {
-					return fmt.Errorf("verify: model error during exploration: %w", err)
-				}
-				tested := 0
-				for t := e.Tested(); t != 0; t &= t - 1 {
-					tested |= x.bits[bits.TrailingZeros64(t)]
-				}
-				if armed {
-					tested |= x.trigger
-				}
-				x.cover(c, k, tested)
-				next, violated := decide(ob, armed && k&x.trigger != 0)
-				if violated {
-					res.Outcome = Violated
-					res.Counterexample = x.counterexample(i, k, c)
-					return nil
-				}
-				if !x.visit(next) {
-					continue
-				}
-				res.Visited++
-				if res.Visited >= maxVisited {
-					res.Outcome = Bounded
-					return nil
-				}
-				x.states.add(record{parent: i, subset: int32(k), combo: int32(c), obligation: next}, e)
+		cls, fresh := x.class()
+		if fresh {
+			if done, err := x.fill(res, maxVisited, i, row, ob, armed); done || err != nil {
+				return err
+			}
+			x.starts = append(x.starts, int32(len(x.entries)))
+			continue
+		}
+		for j := int(x.starts[cls]); j < int(x.starts[cls+1]); j++ {
+			x.rebuild(x.next, row, j)
+			e.LoadRow(x.next)
+			if x.arrive(res, maxVisited, i, x.entries[j], ob, armed) {
+				return nil
 			}
 		}
 	}
 	res.Outcome = Holds
 	return nil
+}
+
+// fill steps state i, the first of its class, and keeps each stimulus it
+// steps as an entry of the class, judging each successor as it goes, so
+// a check that ends inside it steps no more than it must. It reports
+// whether the search is over.
+//
+// It steps each event subset and, within it, each input combination,
+// skipping the stimuli a step already run covers: after subset k on
+// combination c, every subset that agrees with k on the bits the step
+// tested (codegen.Exec.Tested, plus the trigger's bit when the state arms
+// it) would repeat the step exactly. Such a subset has a larger index
+// than its representative k, so its successor would have the key and the
+// obligation of one already keyed, and it would violate only if k, which
+// comes first, had. Skipping it changes neither the states visited, nor
+// their order, nor the outcome. Combinations are never merged: an input's
+// value stays in the configuration.
+func (x *explorer) fill(res *Result, maxVisited, i int, row []int64, ob int64, armed bool) (bool, error) {
+	e := x.exec
+	n := len(x.masks)
+	clear(x.covered)
+	for k := range n {
+		for c := range x.stim.combos {
+			if x.covered[c*n+k] {
+				continue
+			}
+			e.LoadRow(row)
+			if err := x.step(k, c); err != nil {
+				return true, fmt.Errorf("verify: model error during exploration: %w", err)
+			}
+			tested := 0
+			for t := e.Tested(); t != 0; t &= t - 1 {
+				tested |= x.bits[bits.TrailingZeros64(t)]
+			}
+			if armed {
+				tested |= x.trigger
+			}
+			x.cover(c, k, tested)
+			en := classEntry{subset: int32(k), combo: int32(c), judged: x.judge()}
+			x.entries = append(x.entries, en)
+			x.keep(row[1])
+			if x.arrive(res, maxVisited, i, en, ob, armed) {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// keep appends the executor's configuration, just stepped from tick, to
+// succ as a successor block: a state whose entry tick is tick was entered
+// by the step. The step leaves every other entry tick below tick, except
+// from the root, whose entry ticks are all 0 at tick 0; only the root has
+// a state in for no ticks, so its class holds it alone and its block is
+// never replayed.
+func (x *explorer) keep(tick int64) {
+	n := len(x.succ)
+	x.succ = x.exec.AppendRow(x.succ)
+	for s := n + x.entryOff; s < len(x.succ); s++ {
+		if x.succ[s] == tick {
+			x.succ[s] = 1
+		} else {
+			x.succ[s] = 0
+		}
+	}
+}
+
+// rebuild writes to dst the row of row's successor on class entry j: the
+// entry's leaf and variables, row's tick plus one, and row's tick as the
+// entry tick of each state the entry's step entered, every other entry
+// tick as in row.
+func (x *explorer) rebuild(dst, row []int64, j int) {
+	w := len(row)
+	blk := x.succ[j*w : (j+1)*w]
+	copy(dst[:x.entryOff], blk)
+	dst[1] = row[1] + 1
+	for s := x.entryOff; s < w; s++ {
+		if blk[s] != 0 {
+			dst[s] = row[1]
+		} else {
+			dst[s] = row[s]
+		}
+	}
+}
+
+// arrive judges the successor the executor holds, reached from state i,
+// which carries obligation ob, on entry en's stimulus, and records it if
+// its key is new. It reports whether the search is over: the property is
+// violated, or res.Visited reached maxVisited.
+func (x *explorer) arrive(res *Result, maxVisited, i int, en classEntry, ob int64, armed bool) bool {
+	k, c := int(en.subset), int(en.combo)
+	next, violated := x.decide(ob, armed && k&x.trigger != 0, en.judged)
+	if violated {
+		res.Outcome = Violated
+		res.Counterexample = x.counterexample(i, k, c)
+		return true
+	}
+	if !x.visit(next) {
+		return false
+	}
+	res.Visited++
+	if res.Visited >= maxVisited {
+		res.Outcome = Bounded
+		return true
+	}
+	x.states.add(record{parent: i, subset: en.subset, combo: en.combo, obligation: next}, x.exec)
+	return false
 }
 
 // cover marks as covered, on combination c, every subset that agrees
@@ -355,8 +493,8 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 	if prop.InState != "" {
 		x.inState, _ = prog.StateID(prop.InState)
 	}
-	res := Result{Property: prop, Visited: 1}
-	err = x.explore(&res, maxVisited, func(ob int64, triggered bool) (int64, bool) {
+	x.judge = func() bool { return discharged(e.Writes(), out, prop.Target) }
+	x.decide = func(ob int64, triggered, discharges bool) (int64, bool) {
 		// Only the oldest pending obligation is tracked, which is sound
 		// and complete for this property class: a matching output write
 		// discharges every pending obligation at once (younger triggers
@@ -368,13 +506,15 @@ func CheckResponse(cc *statechart.Compiled, prop ResponseProperty, opt Options) 
 		switch {
 		case ob < 0:
 			return ob, false
-		case discharged(e.Writes(), out, prop.Target):
+		case discharges:
 			return -1, false
 		case ob == 0:
 			return 0, true // the deadline expired without the response
 		}
 		return ob - 1, false
-	})
+	}
+	res := Result{Property: prop, Visited: 1}
+	err = x.explore(&res, maxVisited)
 	res.Steps = e.Steps()
 	return res, err
 }
@@ -596,10 +736,12 @@ func withinSuccessorBound(events int, inputs []string, domains map[string][]int6
 // leaf state name and the full valuation.
 type InvariantProperty struct {
 	Name string
-	// Holds returns true when the configuration is acceptable. vars is
-	// the checker's one map, refilled for every configuration, so it is
-	// valid only during the call: a predicate that keeps the valuation
-	// copies it.
+	// Holds returns true when the configuration is acceptable. It must be
+	// a pure function of its arguments: the checker calls it once per
+	// step class and stimulus, and applies the answer to every state of
+	// the class. vars is the checker's one map, refilled for every call,
+	// so it is valid only during the call: a predicate that keeps the
+	// valuation copies it.
 	Holds func(state string, vars map[string]int64) bool
 	// Reads lists the variables the predicate depends on. The checker
 	// projects all other non-control-flow variables out of the abstract
@@ -644,10 +786,14 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 		res.Outcome = Violated
 		return res, nil
 	}
-	err = x.explore(&res, maxVisited, func(int64, bool) (int64, bool) {
+	// A successor's leaf and valuation are fixed by its class entry, so
+	// the predicate runs once per entry.
+	x.judge = func() bool {
 		e.FillVars(vars)
-		return -1, !prop.Holds(e.ActiveState(), vars)
-	})
+		return !prop.Holds(e.ActiveState(), vars)
+	}
+	x.decide = func(_ int64, _, violates bool) (int64, bool) { return -1, violates }
+	err = x.explore(&res, maxVisited)
 	res.Steps = e.Steps()
 	return res, err
 }
@@ -662,9 +808,13 @@ type stateStore struct {
 	rows            [][]int64
 }
 
+// classCap is the number of classes and entries the checker makes room
+// for up front; more grow the slices.
+const classCap = 64
+
 // rowChunk is the number of row values a chunk holds, unless one row is
 // wider.
-const rowChunk = 8 << 10
+const rowChunk = 16 << 10
 
 func newStateStore(width int) stateStore {
 	return stateStore{width: width, perChunk: max(1, rowChunk/width)}
@@ -693,11 +843,13 @@ func (s *stateStore) row(i int) []int64 {
 	return s.rows[i/s.perChunk][off : off+s.width]
 }
 
-// keySet is the visited set. The keys' bytes sit in chunks that are
-// never reallocated, and an open-addressing table of fixed-size slots
-// with no pointers locates them, so the garbage collector scans neither
-// and growing copies no key. Only membership is observed, so neither the
-// hash nor the slot order reaches an output.
+// keySet numbers distinct byte keys in the order they are added: the
+// visited set and the step classes are each one. The keys' bytes sit in
+// chunks that are never reallocated, and an open-addressing table of
+// fixed-size slots with no pointers locates them, so the garbage
+// collector scans neither and growing copies no key. Only membership and
+// the numbers are observed, so neither the hash nor the slot order
+// reaches an output.
 type keySet struct {
 	seed   maphash.Seed
 	slots  []keySlot // a power of two long, at most three quarters full
@@ -707,11 +859,11 @@ type keySet struct {
 	fill   int // bytes used in the last chunk
 }
 
-// keySlot locates one key: its bytes are chunks[chunk][off:off+len]. A
-// zero len marks an empty slot, since no key is empty. hash is the top
-// half of the key's hash.
+// keySlot locates one key: its bytes are chunks[chunk][off:off+len], and
+// id is its number. A zero len marks an empty slot, since no key is
+// empty. hash is the top half of the key's hash.
 type keySlot struct {
-	hash, len, chunk, off uint32
+	hash, len, chunk, off, id uint32
 }
 
 // keyChunk is the number of bytes a key chunk holds, unless one key is
@@ -723,16 +875,16 @@ func newKeySet() keySet {
 	return keySet{seed: maphash.MakeSeed(), slots: make([]keySlot, slots), shift: 32 - 10}
 }
 
-// add inserts key and reports whether it was new. It copies the key, so
-// the caller may reuse key's storage.
-func (s *keySet) add(key []byte) bool {
+// add inserts key unless it is there, and returns its number and whether
+// it was new. It copies the key, so the caller may reuse key's storage.
+func (s *keySet) add(key []byte) (int, bool) {
 	h := uint32(maphash.Bytes(s.seed, key) >> 32)
 	mask := len(s.slots) - 1
 	i := int(h >> s.shift)
 	for ; s.slots[i].len != 0; i = (i + 1) & mask {
 		sl := s.slots[i]
 		if sl.hash == h && int(sl.len) == len(key) && bytes.Equal(s.chunks[sl.chunk][sl.off:sl.off+sl.len], key) {
-			return false
+			return int(sl.id), false
 		}
 	}
 	if len(s.chunks) == 0 || len(s.chunks[len(s.chunks)-1])-s.fill < len(key) {
@@ -740,12 +892,13 @@ func (s *keySet) add(key []byte) bool {
 		s.fill = 0
 	}
 	last := len(s.chunks) - 1
-	s.slots[i] = keySlot{hash: h, len: uint32(len(key)), chunk: uint32(last), off: uint32(s.fill)}
+	id := s.used
+	s.slots[i] = keySlot{hash: h, len: uint32(len(key)), chunk: uint32(last), off: uint32(s.fill), id: uint32(id)}
 	s.fill += copy(s.chunks[last][s.fill:], key)
 	if s.used++; s.used*4 > len(s.slots)*3 {
 		s.grow()
 	}
-	return true
+	return id, true
 }
 
 // grow doubles the table and re-slots every key by its stored hash.
