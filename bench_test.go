@@ -215,15 +215,17 @@ func BenchmarkAblationPeriodSweep(b *testing.B) {
 // --- Substrate micro-benchmarks --------------------------------------
 
 // BenchmarkKernelScheduleFire measures pure event-queue throughput: one
-// schedule plus one fire per op against a standing population of 256
-// pending events, so every push and pop traverses a realistic heap
-// depth. This is the benchmark the kernel's queue/pool trajectory is
-// tracked with (BENCH_kernel.json; see EXPERIMENTS.md).
+// schedule plus one fire per op in front of a standing population of
+// 256 pending events. The standing events fill the kernel's run and
+// leave the rest in its heap, and the new event comes before all of
+// them, so each op is one insertion into the run and one pop from it.
+// This is the benchmark the kernel's queue/pool trajectory is tracked
+// with (BENCH_kernel.json; see EXPERIMENTS.md).
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	k := sim.New()
 	fn := func() {}
 	// Standing events parked far beyond the benchmark's virtual horizon:
-	// they keep the heap deep without ever firing.
+	// they stay pending without ever firing.
 	for i := 0; i < 256; i++ {
 		k.At(1000*time.Hour+time.Duration(i)*time.Millisecond, fn)
 	}
@@ -249,6 +251,40 @@ func BenchmarkKernelCancel(b *testing.B) {
 		e := k.After(time.Millisecond, fn)
 		e.Cancel()
 	}
+}
+
+// BenchmarkKernelLongSchedule measures the event queue under a long
+// schedule made up front, as rmtest -n 10000 schedules its 10,000
+// stimuli's presses and releases before the run starts: 20,000 one-shot
+// events in time order, 10 ms apart in pairs, and a 5 ms periodic tick
+// beside them, run to the last event. One op schedules and fires them
+// all on a reset kernel, and it reports the events fired per op.
+func BenchmarkKernelLongSchedule(b *testing.B) {
+	const stimuli = 10000
+	k := sim.New()
+	fn := func() {}
+	tick := func(uint64) {}
+	run := func() {
+		k.Reset()
+		var last sim.Time
+		for s := 0; s < stimuli; s++ {
+			at := sim.Time(s) * 10 * time.Millisecond
+			k.At(at, fn)
+			last = at + 2*time.Millisecond
+			k.At(last, fn)
+		}
+		k.Periodic(0, 5*time.Millisecond, tick)
+		k.Run(last)
+	}
+	// One untimed op fills the kernel's pool, so a timed op allocates
+	// only its ticker.
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(k.EventsFired()), "events/op")
 }
 
 // BenchmarkTraceRecordQuery measures the fourvar.Trace hot mix of a

@@ -7,11 +7,18 @@
 // scheduled, which makes every simulation in this repository fully
 // deterministic: the same program produces the same trace, bit for bit.
 //
-// The event queue is a hand-specialized 4-ary min-heap over a flat
-// []*node slice, ordered by (instant, schedule sequence): no interface
-// boxing, no sort.Interface indirection, and a shallower tree than the
-// binary heap container/heap would give (log4 instead of log2 levels,
-// with all four children in one cache line's worth of pointers).
+// The event queue has two tiers, both ordered by (instant, schedule
+// sequence). The next events wait in a short run, a slice of at most
+// runCap nodes sorted latest first, so the next event is its last
+// element: a new event is inserted by shifting the events it passes,
+// counting from the next one, and the next event is taken off the end.
+// Events after every event in the run wait in a hand-specialized 4-ary
+// min-heap over a flat []*node slice, which is touched only when the
+// run is empty, when a new event comes after the heap's first event, or
+// when a full run spills its latest event. Simulations keep a dozen or
+// so events pending and schedule most of them close to the next one,
+// so the run serves nearly every event; the heap keeps a long schedule
+// made up front from costing a walk of the whole run per insertion.
 // Fired and cancelled events return to a free list and are recycled by
 // later At/After calls, so the steady-state schedule/fire cycle
 // allocates nothing. Pool safety rests on a per-node generation
@@ -46,17 +53,23 @@ import (
 type Time = time.Duration
 
 // node is the kernel-internal, pooled representation of one scheduled
-// callback. Nodes are owned by the kernel: they move between the heap
-// and the free list and are never reachable by callers except through
-// generation-checked Event handles.
+// callback. Nodes are owned by the kernel: they move between the run,
+// the heap and the free list and are never reachable by callers except
+// through generation-checked Event handles.
 type node struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	gen    uint64 // bumped every time the node is released to the pool
-	index  int    // heap index; -1 while on the free list
+	index  int    // heap index, inRun or released
 	kernel *Kernel
 }
+
+// A node's index is its slot in the heap, or one of these.
+const (
+	released = -1 // on the free list
+	inRun    = -2 // in the run, whose slots shift on every insertion
+)
 
 // Event is a by-value handle to a scheduled callback, created by
 // Kernel.At / Kernel.After. The zero value is an inert handle: Pending
@@ -75,7 +88,7 @@ func (e Event) At() Time { return e.at }
 
 // Pending reports whether the event is still waiting to fire.
 func (e Event) Pending() bool {
-	return e.n != nil && e.n.gen == e.gen && e.n.index >= 0
+	return e.n != nil && e.n.gen == e.gen && e.n.index != released
 }
 
 // Cancel prevents the event from firing. Cancelling an event that already
@@ -84,11 +97,16 @@ func (e Event) Pending() bool {
 // pending.
 func (e Event) Cancel() bool {
 	n := e.n
-	if n == nil || n.gen != e.gen || n.index < 0 {
+	if n == nil || n.gen != e.gen || n.index == released {
 		return false
 	}
 	k := n.kernel
-	k.heapRemove(n.index)
+	k.removes++
+	if n.index == inRun {
+		k.runRemove(n)
+	} else {
+		k.heapRemove(n.index)
+	}
 	k.release(n)
 	return true
 }
@@ -100,10 +118,20 @@ func (e Event) Cancel() bool {
 // otherwise hang the simulation silently.
 const MaxSameInstant = 1 << 20
 
+// runCap bounds the run. The simulations in this repository keep at most
+// a few dozen events pending, so the heap serves only long schedules
+// made up front.
+const runCap = 64
+
 // Kernel is the discrete-event simulator. The zero value is ready to use.
 type Kernel struct {
-	now       Time
-	queue     []*node // 4-ary min-heap by (at, seq)
+	now Time
+	// The pending events: run holds at most runCap of them sorted by
+	// (at, seq), latest first, so the next event is its last element;
+	// heap is a 4-ary min-heap by (at, seq) of events that come after
+	// every event in run.
+	run       []*node
+	heap      []*node
 	free      []*node // recycled nodes
 	seq       uint64
 	stopped   bool
@@ -116,7 +144,7 @@ type Kernel struct {
 	running, advance bool
 	horizon          Time
 
-	// Heap-operation counters; regression tests pin the fused run loop to
+	// Queue-operation counters; regression tests pin the fused run loop to
 	// exactly one pop per fired event (see TestRunHeapOpsPerFiredEvent).
 	pushes  uint64
 	pops    uint64
@@ -134,12 +162,14 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) EventsFired() uint64 { return k.fired }
 
 // Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.run) + len(k.heap) }
 
-// QueueOps returns cumulative heap-operation counts: pushes (At/After),
-// pops (events leaving the queue root to fire) and removes (targeted
-// extraction by Cancel). The fused run loop guarantees pops never
-// exceeds EventsFired plus the events popped by Step outside Run.
+// QueueOps returns cumulative queue-operation counts: pushes (At/After),
+// pops (events leaving the queue to fire, from the run or the heap) and
+// removes (targeted extraction by Cancel). A full run spilling its
+// latest event into the heap counts as none of them. The fused run loop
+// guarantees pops never exceeds EventsFired plus the events popped by
+// Step outside Run.
 func (k *Kernel) QueueOps() (pushes, pops, removes uint64) {
 	return k.pushes, k.pops, k.removes
 }
@@ -151,11 +181,13 @@ func (k *Kernel) QueueOps() (pushes, pops, removes uint64) {
 // kernel execute identically to runs on fresh kernels, because every
 // ordering input (clock, sequence counter) restarts from zero.
 func (k *Kernel) Reset() {
-	for _, n := range k.queue {
-		n.index = -1
+	for _, n := range k.run {
 		k.release(n)
 	}
-	k.queue = k.queue[:0]
+	for _, n := range k.heap {
+		k.release(n)
+	}
+	k.run, k.heap = k.run[:0], k.heap[:0]
 	k.now = 0
 	k.seq = 0
 	k.stopped = false
@@ -181,7 +213,7 @@ func (k *Kernel) alloc() *node {
 func (k *Kernel) release(n *node) {
 	n.gen++
 	n.fn = nil
-	n.index = -1
+	n.index = released
 	k.free = append(k.free, n)
 }
 
@@ -200,7 +232,29 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	n.seq = k.seq
 	n.fn = fn
 	k.seq++
-	k.heapPush(n)
+	k.pushes++
+	// n has the latest sequence number, so it comes after a pending event
+	// exactly when that event's instant is at or before t.
+	r := k.run
+	if len(k.heap) > 0 && k.heap[0].at <= t || len(r) == runCap && r[0].at <= t {
+		k.heapPush(n)
+	} else {
+		if len(r) == runCap {
+			// The run's latest event comes before every event in the
+			// heap, so it becomes the heap's root.
+			k.heapPush(r[0])
+			copy(r, r[1:])
+			r = r[:runCap-1]
+		}
+		r = append(r, n)
+		i := len(r) - 1
+		for ; i > 0 && r[i-1].at <= t; i-- {
+			r[i] = r[i-1]
+		}
+		r[i] = n
+		n.index = inRun
+		k.run = r
+	}
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -212,11 +266,33 @@ func (k *Kernel) After(d Time, fn func()) Event {
 	return k.At(k.now+d, fn)
 }
 
-// fire advances the clock to n's instant and runs its callback. The node
-// is released to the pool before the callback runs, so a callback that
+// next returns the event that fires next, or nil when none is pending:
+// the run's last event, or the heap's root when the run is empty.
+func (k *Kernel) next() *node {
+	if i := len(k.run) - 1; i >= 0 {
+		return k.run[i]
+	}
+	if len(k.heap) > 0 {
+		return k.heap[0]
+	}
+	return nil
+}
+
+// fire takes the next event off the queue, advances the clock to its
+// instant and runs its callback; an event must be pending. The node is
+// released to the pool before the callback runs, so a callback that
 // schedules a new event (the Ticker re-arm path) reuses the very node
 // that just fired.
-func (k *Kernel) fire(n *node) {
+func (k *Kernel) fire() {
+	k.pops++
+	var n *node
+	if i := len(k.run) - 1; i >= 0 {
+		n = k.run[i]
+		k.run[i] = nil
+		k.run = k.run[:i]
+	} else {
+		n = k.heapPop()
+	}
 	if n.at == k.now {
 		k.atInstant++
 		if k.atInstant > MaxSameInstant {
@@ -235,10 +311,10 @@ func (k *Kernel) fire(n *node) {
 // Step fires the single next event, advancing the clock to its instant.
 // It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
-	if len(k.queue) == 0 {
+	if k.next() == nil {
 		return false
 	}
-	k.fire(k.heapPop())
+	k.fire()
 	return true
 }
 
@@ -251,9 +327,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 // the queue drains (or Run stops at a later event) the clock is advanced to
 // exactly horizon, so back-to-back Run calls see monotone time.
 //
-// The loop is a single fused pop path: the horizon check reads the heap
-// root in place (cancelled events are removed eagerly by Cancel, so the
-// root is always live) and each fired event costs exactly one heap pop.
+// The loop is a single fused pop path: the horizon check reads the next
+// event in place (cancelled events are removed eagerly by Cancel, so it
+// is always live) and each fired event costs exactly one pop.
 func (k *Kernel) Run(horizon Time) {
 	if horizon < k.now {
 		panic(fmt.Sprintf("sim: Run horizon %v before now %v", horizon, k.now))
@@ -262,7 +338,7 @@ func (k *Kernel) Run(horizon Time) {
 	k.running, k.advance, k.horizon = true, true, horizon
 	defer func() { k.running, k.advance = false, false }()
 	for k.goesOn() {
-		k.fire(k.heapPop())
+		k.fire()
 	}
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
@@ -272,7 +348,8 @@ func (k *Kernel) Run(horizon Time) {
 // goesOn reports whether the run in progress fires another event: Stop
 // has not been called, and the next event lies at or before the horizon.
 func (k *Kernel) goesOn() bool {
-	return !k.stopped && len(k.queue) > 0 && k.queue[0].at <= k.horizon
+	n := k.next()
+	return !k.stopped && n != nil && n.at <= k.horizon
 }
 
 // RunUntil goes on with the Run or RunUntilIdle in progress from inside
@@ -287,7 +364,7 @@ func (k *Kernel) RunUntil(done func() bool) bool {
 		panic("sim: RunUntil outside Run or RunUntilIdle")
 	}
 	for k.goesOn() {
-		k.fire(k.heapPop())
+		k.fire()
 		if done() {
 			return true
 		}
@@ -311,7 +388,7 @@ func (k *Kernel) Advance(t Time) bool {
 	if !k.advance || k.stopped || t < k.now || t > k.horizon {
 		return false
 	}
-	if len(k.queue) > 0 && k.queue[0].at <= t {
+	if n := k.next(); n != nil && n.at <= t {
 		return false
 	}
 	if t > k.now {
@@ -334,8 +411,22 @@ func (k *Kernel) RunUntilIdle() {
 	k.running, k.horizon = true, endless
 	defer func() { k.running = false }()
 	for k.goesOn() {
-		k.fire(k.heapPop())
+		k.fire()
 	}
+}
+
+// runRemove extracts n from the run (the Cancel path), scanning from the
+// next event, near which the cancelled events (burst ends, watchdogs)
+// usually wait.
+func (k *Kernel) runRemove(n *node) {
+	r := k.run
+	i := len(r) - 1
+	for r[i] != n {
+		i--
+	}
+	copy(r[i:], r[i+1:])
+	r[len(r)-1] = nil
+	k.run = r[:len(r)-1]
 }
 
 // --- 4-ary min-heap ---------------------------------------------------
@@ -353,50 +444,44 @@ func less(a, b *node) bool {
 
 // heapPush appends n and restores the heap property.
 func (k *Kernel) heapPush(n *node) {
-	k.pushes++
-	k.queue = append(k.queue, n)
-	k.siftUp(len(k.queue)-1, n)
+	k.heap = append(k.heap, n)
+	k.siftUp(len(k.heap)-1, n)
 }
 
 // heapPop removes and returns the minimum node.
 func (k *Kernel) heapPop() *node {
-	k.pops++
-	q := k.queue
+	q := k.heap
 	root := q[0]
 	last := len(q) - 1
 	moved := q[last]
 	q[last] = nil
-	k.queue = q[:last]
+	k.heap = q[:last]
 	if last > 0 {
 		k.siftDown(0, moved)
 	}
-	root.index = -1
 	return root
 }
 
 // heapRemove extracts the node at index i (the Cancel path).
 func (k *Kernel) heapRemove(i int) {
-	k.removes++
-	q := k.queue
+	q := k.heap
 	last := len(q) - 1
-	removed := q[i]
 	moved := q[last]
 	q[last] = nil
-	k.queue = q[:last]
+	k.heap = q[:last]
 	if i < last {
 		k.siftDown(i, moved)
 		if moved.index == i {
 			k.siftUp(i, moved)
 		}
 	}
-	removed.index = -1
 }
 
 // siftUp places n, currently destined for slot i, at its final position
 // towards the root. The slot contents are shifted lazily: n is written
 // exactly once.
 func (k *Kernel) siftUp(i int, n *node) {
-	q := k.queue
+	q := k.heap
 	for i > 0 {
 		p := (i - 1) / heapArity
 		pn := q[p]
@@ -414,7 +499,7 @@ func (k *Kernel) siftUp(i int, n *node) {
 // siftDown places n, currently destined for slot i, at its final position
 // towards the leaves.
 func (k *Kernel) siftDown(i int, n *node) {
-	q := k.queue
+	q := k.heap
 	size := len(q)
 	for {
 		first := heapArity*i + 1

@@ -1,9 +1,9 @@
 package sim
 
-// Tests for the event pool and the specialized 4-ary heap: recycling
-// edge cases (stale handles, generation mismatches), the fused run
-// loop's heap-operation budget, and the zero-allocation steady state of
-// schedule/fire cycles and tickers.
+// Tests for the event pool and the two-tier queue (the run and the
+// heap): recycling edge cases (stale handles, generation mismatches), the
+// fused run loop's queue-operation budget, and the zero-allocation
+// steady state of schedule/fire cycles and tickers.
 
 import (
 	"testing"
@@ -11,9 +11,11 @@ import (
 )
 
 // TestRunHeapOpsPerFiredEvent pins the fused pop path: a Run over n live
-// events performs exactly one heap pop per fired event — the horizon
-// check reads the root in place and never re-traverses the heap the way
-// the old peek-then-Step loop did.
+// events, most of them in the heap behind a full run, performs exactly
+// one pop per fired event, from the run or from the heap — the horizon
+// check reads the next event in place and never re-traverses the queue
+// the way the old peek-then-Step loop did. Spills from the run into the
+// heap count as neither pushes nor pops.
 func TestRunHeapOpsPerFiredEvent(t *testing.T) {
 	k := New()
 	const n = 1000
@@ -37,8 +39,9 @@ func TestRunHeapOpsPerFiredEvent(t *testing.T) {
 	}
 }
 
-// TestCancelHeapOps: cancellation is one targeted remove, and cancelled
-// events are never popped by the run loop afterwards.
+// TestCancelHeapOps: cancellation is one targeted remove, from the run
+// (the first 64 events here) or the heap (the rest), and cancelled events
+// are never popped by the run loop afterwards.
 func TestCancelHeapOps(t *testing.T) {
 	k := New()
 	var events []Event
@@ -250,7 +253,8 @@ func TestKernelResetReuse(t *testing.T) {
 }
 
 // TestHeapRemoveStress: random interleaved schedules and cancels keep
-// the heap consistent — fire order stays monotone and counts match.
+// the run and the heap consistent — fire order stays monotone and counts
+// match.
 func TestHeapRemoveStress(t *testing.T) {
 	k := New()
 	r := NewRand(11)
