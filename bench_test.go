@@ -291,15 +291,14 @@ func BenchmarkKernelLongSchedule(b *testing.B) {
 // campaign run: streaming appends across four signals with a FirstAt
 // query every fourth event (a binary search by time, then a scan for the
 // signal), and a periodic Reset as the campaign scratch reuse performs
-// between runs.
+// between runs. One untimed run of records between two resets grows the
+// trace first, which allocs/op would otherwise count.
 func BenchmarkTraceRecordQuery(b *testing.B) {
 	tr := fourvar.NewTrace()
 	names := [4]string{"btn", "i_Btn", "o_Motor", "motor"}
 	pred := func(v int64) bool { return v >= 0 }
-	b.ReportAllocs()
-	b.ResetTimer()
 	var at sim.Time
-	for i := 0; i < b.N; i++ {
+	op := func(i int) {
 		if i%(1<<14) == 0 {
 			tr.Reset()
 			at = 0
@@ -310,16 +309,29 @@ func BenchmarkTraceRecordQuery(b *testing.B) {
 			tr.FirstAt(fourvar.Controlled, "motor", at/2, pred)
 		}
 	}
-}
-
-// BenchmarkSimKernelEvent measures raw discrete-event dispatch.
-func BenchmarkSimKernelEvent(b *testing.B) {
-	k := sim.New()
+	for i := 0; i < 1<<14; i++ {
+		op(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// BenchmarkSimKernelEvent measures raw discrete-event dispatch. One
+// untimed event fills the kernel's pool.
+func BenchmarkSimKernelEvent(b *testing.B) {
+	k := sim.New()
+	op := func() {
 		k.After(time.Microsecond, func() {})
 		k.Step()
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 
@@ -329,16 +341,24 @@ func BenchmarkSimKernelEvent(b *testing.B) {
 // task's begins, so nearly all the work is the scheduler releasing task
 // bodies and switching between them. One op is one virtual millisecond
 // of a single Run over b.N of them, and it reports the context switches
-// per op.
+// per op. An untimed millisecond of the same task set, on the same kernel
+// reset, fills the kernel's pool first.
 func BenchmarkRTOSPingPong(b *testing.B) {
 	k := sim.New()
-	s := rtos.New(k)
-	const us = time.Microsecond
-	for i, name := range []string{"a", "b"} {
-		s.SpawnPeriodic(name, 1, sim.Time(i)*5*us, 10*us, func(t *rtos.Task) {
-			t.Compute(5 * us)
-		})
+	spawn := func() *rtos.Scheduler {
+		k.Reset()
+		s := rtos.New(k)
+		const us = time.Microsecond
+		for i, name := range []string{"a", "b"} {
+			s.SpawnPeriodic(name, 1, sim.Time(i)*5*us, 10*us, func(t *rtos.Task) {
+				t.Compute(5 * us)
+			})
+		}
+		return s
 	}
+	spawn()
+	k.Run(time.Millisecond)
+	s := spawn()
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run(sim.Time(b.N) * time.Millisecond)
@@ -799,6 +819,10 @@ func BenchmarkExecStep(b *testing.B) {
 	}
 	e := codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil)
 	mask := e.EventMask("i_BolusReq")
+	// One untimed step that fires transitions grows the executor's
+	// scratch; Reset keeps it.
+	e.Step(mask)
+	e.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -874,11 +898,18 @@ func BenchmarkShrink(b *testing.B) {
 func BenchmarkGenerateSuite(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			run := func() {
 				if _, err := rmtest.GenerateSuite(rmtest.GenSuiteOptions{Seed: 42, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// One untimed suite does the lazy set-up, which allocs/op
+			// would otherwise count.
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

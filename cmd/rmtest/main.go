@@ -128,18 +128,8 @@ func main() {
 
 	if *rtaFlag && *schemeNo != 1 {
 		fmt.Println("== analytic prediction (response-time analysis) ==")
-		s2 := platform.DefaultScheme2()
-		var interference []platform.InterferenceTask
-		if *schemeNo == 3 {
-			s3 := platform.DefaultScheme3()
-			s2 = &s3.Scheme2
-			interference = s3.Interference
-		}
-		an, err := rmtest.AnalyzePipeline(s2, interference)
-		if err != nil {
-			fail("rta: %v", err)
-		}
-		fmt.Print(rmtest.RenderRTA(an.Tasks))
+		an := analyzePipeline(*schemeNo == 3)
+		fmt.Print(rmtest.RenderRTA(an.Platform.Tasks))
 		if an.Bound < 0 {
 			fmt.Println("pipeline not schedulable: REQ1 violation predicted")
 		} else {
@@ -315,22 +305,10 @@ func runLint(args []string) {
 		if *chartName != "gpca" {
 			fail("-platform requires -chart gpca (the pipeline model is the pump's)")
 		}
-		s2 := rmtest.Scheme2().(*rmtest.Scheme2Config)
-		var interference []platform.InterferenceTask
-		switch *platName {
-		case "scheme2":
-		case "scheme3":
-			s3 := rmtest.Scheme3().(*rmtest.Scheme3Config)
-			s2 = &s3.Scheme2
-			interference = s3.Interference
-		default:
+		if *platName != "scheme2" && *platName != "scheme3" {
 			fail("unknown platform %q (want scheme2 or scheme3)", *platName)
 		}
-		an, err := rmtest.AnalyzePipelineStatic(s2, interference)
-		if err != nil {
-			fail("platform lint: %v", err)
-		}
-		plat = an.Platform
+		plat = analyzePipeline(*platName == "scheme3").Platform
 	}
 
 	if *asJSON {
@@ -352,13 +330,9 @@ func runLint(args []string) {
 		}
 	}
 	if *withRTA {
-		s2 := rmtest.Scheme2()
-		an, err := rmtest.AnalyzePipelineStatic(s2.(*rmtest.Scheme2Config), nil)
-		if err != nil {
-			fail("rta: %v", err)
-		}
+		an := analyzePipeline(false)
 		fmt.Println("\n== response-time analysis from static WCETs (scheme 2) ==")
-		fmt.Print(rmtest.RenderRTA(an.Tasks))
+		fmt.Print(rmtest.RenderRTA(an.Platform.Tasks))
 		if an.Bound >= 0 {
 			fmt.Printf("end-to-end m->c bound: %v\n", an.Bound)
 		} else {
@@ -368,6 +342,21 @@ func runLint(args []string) {
 	if len(rep.Fatal()) > 0 || (plat != nil && len(plat.Fatal()) > 0) {
 		os.Exit(1)
 	}
+}
+
+// analyzePipeline runs the static analysis of the pump pipeline on the
+// default scheme 3 or, without its interference threads, scheme 2; a
+// failure ends the command.
+func analyzePipeline(scheme3 bool) rmtest.SchemeAnalysis {
+	s := platform.DefaultScheme3()
+	if !scheme3 {
+		s.Interference = nil
+	}
+	an, err := rmtest.AnalyzePipelineStatic(&s.Scheme2, s.Interference)
+	if err != nil {
+		fail("pipeline analysis: %v", err)
+	}
+	return an
 }
 
 // checkSamples rejects a sample count below one, so the command exits

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,43 @@ func TestMalformedNumbersExitBeforeAnyWork(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), "Usage") {
 			t.Errorf("%v: no usage on stderr: %q", args, stderr.String())
+		}
+	}
+}
+
+// TestCommandGolden runs the command in a child process and compares its
+// stdout with a golden in testdata/: the layered flow that rmbench's flow
+// workload runs, and the analytic prediction of schemes 2 and 3.
+// UPDATE_GOLDEN=1 re-records the goldens; do that only for a change meant
+// to alter the output.
+func TestCommandGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"req1_scheme3_n10_seed42.txt", []string{"-req", "REQ1", "-scheme", "3", "-n", "10", "-seed", "42"}},
+		{"req1_scheme2_n1_rta.txt", []string{"-req", "REQ1", "-scheme", "2", "-n", "1", "-rta"}},
+		{"req1_scheme3_n1_rta.txt", []string{"-req", "REQ1", "-scheme", "3", "-n", "1", "-rta"}},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: stdout differs from %s:\n%s", tc.args, path, got)
 		}
 	}
 }

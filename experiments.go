@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rmtest/internal/campaign"
-	"rmtest/internal/codegen"
 	"rmtest/internal/core"
 	"rmtest/internal/faults"
 	"rmtest/internal/fourvar"
@@ -162,138 +161,68 @@ func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	return info, nil
 }
 
-// SchemeAnalysis is the analytic (RTA) counterpart of R-testing for one
-// scheme configuration: per-task worst-case response times and the
-// end-to-end REQ1 latency bound of the sensing -> CODE(M) -> actuation
-// pipeline.
+// SchemeAnalysis is the analytic counterpart of R-testing for one
+// scheme configuration: the platform static analysis of the sensing ->
+// CODE(M) -> actuation pipeline and the end-to-end REQ1 latency bound it
+// implies.
 type SchemeAnalysis struct {
-	Tasks []rta.Result
 	// Bound is the worst-case m -> c latency implied by the task set; a
 	// negative value means some pipeline task is not schedulable at all
 	// (unbounded latency).
 	Bound sim.Time
 	// PredictConforms reports Bound <= REQ1's 100 ms (and schedulability).
 	PredictConforms bool
-	// Platform is the platform static-analysis report (response-time
-	// bounds of the whole task set and queue backlog bounds); only the
-	// static pipeline (AnalyzePipelineStatic) populates it.
+	// Platform is the platform static-analysis report: the response-time
+	// bounds of the whole task set, in the static model's task order
+	// (sense, codeM, actuate, then any interference), and the queue
+	// backlog bounds.
 	Platform *schedlint.Report
 }
 
-// AnalyzePipeline runs response-time analysis for the scheme-2/3 pump
-// pipeline. WCETs reflect the default cost model: three sensor reads per
-// sense release, forty 1 ms chart ticks per CODE(M) release plus
-// transition costs, two actuator writes per actuation release. The
-// interference list is empty for scheme 2 and Scheme3.Interference for
-// scheme 3.
-func AnalyzePipeline(s *platform.Scheme2, interference []platform.InterferenceTask) (SchemeAnalysis, error) {
-	const (
-		senseWCET = 150 * time.Microsecond
-		codeWCET  = 1500 * time.Microsecond
-		actWCET   = 150 * time.Microsecond
-	)
-	tasks := []rta.Task{
-		{Name: "sense", Prio: s.SensePrio, Period: s.SensePeriod, WCET: senseWCET},
-		{Name: "codeM", Prio: s.CodePrio, Period: s.CodePeriod, WCET: codeWCET},
-		{Name: "actuate", Prio: s.ActPrio, Period: s.ActPeriod, WCET: actWCET},
-	}
-	return analyzePipelineTasks(s, tasks, interference)
-}
-
-// AnalyzePipelineStatic is AnalyzePipeline with every WCET derived from
-// static inputs alone: the CODE(M) task budget comes from the lint
-// layer's bytecode WCET bounds (lint.WCETReport.Invocation over the
-// CODE(M) period) and the device-handling budgets are summed from the
-// board configuration's per-device read/write costs. No measurement or
-// hand calibration feeds the analysis.
+// AnalyzePipelineStatic runs the static analysis of the scheme-2/3 pump
+// pipeline, from static inputs alone: the CODE(M) task's WCET comes from
+// the lint layer's bytecode WCET bounds (lint.WCETReport.Invocation over
+// the CODE(M) period) and every other input from the pump's platform
+// configuration (Scheme2.StaticModel). The interference list is empty
+// for scheme 2 and Scheme3.Interference for scheme 3.
 //
-// On top of the WCET inputs it runs the platform static analyzer
-// (internal/schedlint) over the scheme's declared task/queue
-// configuration: response-time bounds and queue-capacity sufficiency
-// bounds. The pipeline's tasks exchange data only through
+// The platform static analyzer (internal/schedlint) runs response-time
+// analysis over the declared task/queue configuration and bounds every
+// queue's backlog. The pipeline's tasks exchange data only through
 // Queue.TrySend and TryRecv, and no task in the simulated RTOS can wait,
-// so every B_i term is zero. The full static pipeline is thus chart ->
-// bytecode WCET -> response-time bound, and the platform report lands
-// in SchemeAnalysis.Platform.
+// so every B_i term is zero. The end-to-end bound adds to the three
+// pipeline stages' response times the latch latency of the sensor that
+// observes REQ1's stimulus and the actuation latency of the actuator that
+// drives its response (platform.Config.DeviceLatencies). No measurement
+// or hand calibration feeds the analysis.
 func AnalyzePipelineStatic(s *platform.Scheme2, interference []platform.InterferenceTask) (SchemeAnalysis, error) {
-	rep, err := lint.Analyze(gpca.Chart(), codegen.DefaultCostModel())
+	cfg, req := gpca.PlatformConfig(), gpca.REQ1()
+	rep, err := lint.Analyze(cfg.Chart, cfg.Cost)
 	if err != nil {
 		return SchemeAnalysis{}, err
 	}
-	pcfg := gpca.PlatformConfig()
-	var senseWCET, actWCET sim.Time
-	for _, sn := range pcfg.Board.Sensors {
-		senseWCET += sn.ReadCost
+	model, err := (&platform.Scheme3{Scheme2: *s, Interference: interference}).StaticModel(cfg, rep.WCET)
+	if err != nil {
+		return SchemeAnalysis{}, err
 	}
-	for _, ac := range pcfg.Board.Actuators {
-		actWCET += ac.WriteCost
+	latch, act, err := cfg.DeviceLatencies(req.Stimulus.Signal, req.Response.Signal)
+	if err != nil {
+		return SchemeAnalysis{}, err
 	}
-	codeWCET := rep.WCET.Invocation(s.CodePeriod)
-	// Worst-case queue traffic from the binding structure: each input
-	// binding can enqueue an event update and a variable update per sense
-	// release; each output binding can change once per CODE(M) release.
-	senseItems := 0
-	for _, ib := range pcfg.Inputs {
-		if ib.Event != "" {
-			senseItems++
-		}
-		if ib.Var != "" {
-			senseItems++
-		}
-	}
-	model := (&platform.Scheme3{Scheme2: *s, Interference: interference}).StaticModel(platform.PipelineWCET{
-		Sense:      senseWCET,
-		Code:       codeWCET,
-		Act:        actWCET,
-		SenseItems: senseItems,
-		CodeItems:  len(pcfg.Outputs),
-	})
 	plat, err := schedlint.Analyze(model)
 	if err != nil {
 		return SchemeAnalysis{}, err
 	}
-	tasks := []rta.Task{
-		{Name: "sense", Prio: s.SensePrio, Period: s.SensePeriod, WCET: senseWCET},
-		rep.WCET.Task("codeM", s.CodePrio, s.CodePeriod),
-		{Name: "actuate", Prio: s.ActPrio, Period: s.ActPeriod, WCET: actWCET},
-	}
-	an, err := analyzePipelineTasks(s, tasks, interference)
-	if err != nil {
-		return SchemeAnalysis{}, err
-	}
-	an.Platform = plat
-	return an, nil
-}
-
-func analyzePipelineTasks(s *platform.Scheme2, tasks []rta.Task, interference []platform.InterferenceTask) (SchemeAnalysis, error) {
-	for _, it := range interference {
-		tasks = append(tasks, rta.Task{Name: it.Name, Prio: it.Prio, Period: it.Period, WCET: it.Burst})
-	}
-	results, err := rta.Analyze(tasks)
-	if err != nil {
-		return SchemeAnalysis{}, err
-	}
-	an := SchemeAnalysis{Tasks: results}
-	rt := map[string]rta.Result{}
-	for _, r := range results {
-		rt[r.Task.Name] = r
-	}
-	for _, stage := range []string{"sense", "codeM", "actuate"} {
-		if !rt[stage].Schedulable {
-			an.Bound = -1
-			an.PredictConforms = false
+	an := SchemeAnalysis{Bound: -1, Platform: plat}
+	stages := []rta.Stage{{Name: "latch", ExtraLatency: latch}}
+	for _, r := range plat.Tasks[:3] { // sense, codeM, actuate
+		if !r.Schedulable {
 			return an, nil
 		}
+		stages = append(stages, rta.Stage{Name: r.Task.Name, Period: r.Task.Period, Response: r.Response})
 	}
-	// Device latencies: the button latch samples every 5 ms; the pump
-	// motor spins up in 3 ms (gpca.Board()).
-	an.Bound = rta.PipelineBound([]rta.Stage{
-		{Name: "latch", Period: 0, Response: 0, ExtraLatency: 5 * time.Millisecond},
-		{Name: "sense", Period: s.SensePeriod, Response: rt["sense"].Response},
-		{Name: "codeM", Period: s.CodePeriod, Response: rt["codeM"].Response},
-		{Name: "actuate", Period: s.ActPeriod, Response: rt["actuate"].Response, ExtraLatency: 3 * time.Millisecond},
-	})
-	an.PredictConforms = an.Bound <= gpca.REQ1().Bound
+	an.Bound = rta.PipelineBound(append(stages, rta.Stage{Name: "actuation", ExtraLatency: act}))
+	an.PredictConforms = an.Bound <= req.Bound
 	return an, nil
 }
 

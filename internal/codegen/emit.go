@@ -3,7 +3,6 @@ package codegen
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"rmtest/internal/statechart"
@@ -440,17 +439,4 @@ var runtimeHelpers = [...]struct{ name, src string }{
 	return b
 }
 `},
-}
-
-// SortedVarNames returns the program's variable names of the given kind,
-// sorted, for stable reporting.
-func (p *Program) SortedVarNames(kind statechart.VarKind) []string {
-	var names []string
-	for _, v := range p.Vars {
-		if v.Kind == kind {
-			names = append(names, v.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

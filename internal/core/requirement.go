@@ -35,11 +35,6 @@ func AtLeast(v int64) ValuePred {
 	return ValuePred{Desc: fmt.Sprintf(">= %d", v), Fn: func(x int64) bool { return x >= v }}
 }
 
-// AnyChange matches every event.
-func AnyChange() ValuePred {
-	return ValuePred{Desc: "any", Fn: func(int64) bool { return true }}
-}
-
 // StimulusSpec describes how the tester produces the m-event: the
 // physical signal to drive and the pulse shape (a button press of Width;
 // Width zero means a persistent level change).

@@ -23,7 +23,6 @@ type Watcher func(name string, old, new int64, at sim.Time)
 type Signal struct {
 	name     string
 	value    int64
-	lastSet  sim.Time
 	changes  uint64
 	watchers []Watcher
 }
@@ -33,9 +32,6 @@ func (s *Signal) Name() string { return s.name }
 
 // Value returns the current value.
 func (s *Signal) Value() int64 { return s.value }
-
-// LastChange returns the instant of the last value change.
-func (s *Signal) LastChange() sim.Time { return s.lastSet }
 
 // Changes returns how many times the value actually changed.
 func (s *Signal) Changes() uint64 { return s.changes }
@@ -100,7 +96,6 @@ func (e *Environment) Set(name string, v int64) {
 	}
 	old := s.value
 	s.value = v
-	s.lastSet = e.k.Now()
 	s.changes++
 	for _, w := range s.watchers {
 		w(name, old, v, e.k.Now())
@@ -137,47 +132,6 @@ func (e *Environment) WatchAll(w Watcher) {
 	for _, name := range e.names {
 		e.Watch(name, w)
 	}
-}
-
-// Step is one scripted stimulus of a Scenario.
-type Step struct {
-	At     sim.Time
-	Signal string
-	Value  int64
-	// Width, when positive, makes the stimulus a pulse that reverts to
-	// Rest after Width.
-	Width sim.Time
-	Rest  int64
-}
-
-// Scenario is a deterministic script of environmental stimuli.
-type Scenario struct {
-	Name  string
-	Steps []Step
-}
-
-// Apply schedules every step of the scenario on the environment.
-func (sc *Scenario) Apply(e *Environment) {
-	for _, st := range sc.Steps {
-		if st.Width > 0 {
-			e.PulseAt(st.At, st.Signal, st.Value, st.Rest, st.Width)
-		} else {
-			e.SetAt(st.At, st.Signal, st.Value)
-		}
-	}
-}
-
-// Horizon returns the instant by which all scripted stimuli (including
-// pulse reverts) have been applied.
-func (sc *Scenario) Horizon() sim.Time {
-	var h sim.Time
-	for _, st := range sc.Steps {
-		end := st.At + st.Width
-		if end > h {
-			h = end
-		}
-	}
-	return h
 }
 
 // Integrator accumulates a quantity over time from a rate signal: each

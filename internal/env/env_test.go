@@ -84,36 +84,6 @@ func TestSetAtAndPulse(t *testing.T) {
 	}
 }
 
-func TestScenarioApplyAndHorizon(t *testing.T) {
-	k := sim.New()
-	e := New(k)
-	e.Define("a", 0)
-	e.Define("b", 0)
-	sc := &Scenario{
-		Name: "demo",
-		Steps: []Step{
-			{At: 5 * ms, Signal: "a", Value: 3},
-			{At: 10 * ms, Signal: "b", Value: 1, Width: 20 * ms, Rest: 0},
-		},
-	}
-	if sc.Horizon() != 30*ms {
-		t.Fatalf("horizon=%v", sc.Horizon())
-	}
-	sc.Apply(e)
-	k.Run(8 * ms)
-	if e.Get("a") != 3 || e.Get("b") != 0 {
-		t.Fatal("step 1 misapplied")
-	}
-	k.Run(12 * ms)
-	if e.Get("b") != 1 {
-		t.Fatal("pulse not applied")
-	}
-	k.Run(time.Second)
-	if e.Get("b") != 0 {
-		t.Fatal("pulse not reverted")
-	}
-}
-
 func TestNamesSorted(t *testing.T) {
 	k := sim.New()
 	e := New(k)

@@ -436,23 +436,30 @@ func (a *analysis) instantGraph() (node []bool, adj [][]int) {
 	return node, adj
 }
 
-// checkLivelock finds cycles of instantly enabled transitions: within one
-// step the chain re-fires around the cycle until the MaxChain guard
-// aborts the step. All-unconditional cycles are definite livelocks
-// (Fatal); guarded ones are potential (Warn).
-func (a *analysis) checkLivelock() {
+// instantCycles returns the cycles of the instant-transition graph, one
+// per back edge a depth-first search over it meets, each from the
+// transition the back edge returns to. The graph is built and searched
+// once per analysis: checkLivelock reports the cycles, and computeWCET
+// caps the step bounds when there is one.
+func (a *analysis) instantCycles() [][]int {
+	if a.cyclesFound {
+		return a.cycles
+	}
+	a.cyclesFound = true
 	node, adj := a.instantGraph()
-	n := len(node)
-	color := make([]int, n) // 0 unvisited, 1 on stack, 2 done
+	color := make([]int, len(node)) // 0 unvisited, 1 on stack, 2 done
 	var stack []int
-	reported := make(map[string]bool)
 	var dfs func(int)
 	dfs = func(u int) {
 		color[u] = 1
 		stack = append(stack, u)
 		for _, v := range adj[u] {
 			if color[v] == 1 {
-				a.reportCycle(stack, v, reported)
+				i := len(stack) - 1
+				for stack[i] != v {
+					i--
+				}
+				a.cycles = append(a.cycles, append([]int(nil), stack[i:]...))
 			} else if color[v] == 0 {
 				dfs(v)
 			}
@@ -460,21 +467,26 @@ func (a *analysis) checkLivelock() {
 		stack = stack[:len(stack)-1]
 		color[u] = 2
 	}
-	for i := 0; i < n; i++ {
+	for i := range node {
 		if node[i] && color[i] == 0 {
 			dfs(i)
 		}
 	}
+	return a.cycles
 }
 
-func (a *analysis) reportCycle(stack []int, start int, reported map[string]bool) {
-	var cycle []int
-	for i := len(stack) - 1; i >= 0; i-- {
-		cycle = append([]int{stack[i]}, cycle...)
-		if stack[i] == start {
-			break
-		}
+// checkLivelock reports the cycles of instantly enabled transitions:
+// within one step the chain re-fires around the cycle until the MaxChain
+// guard aborts the step. All-unconditional cycles are definite livelocks
+// (Fatal); guarded ones are potential (Warn).
+func (a *analysis) checkLivelock() {
+	reported := make(map[string]bool)
+	for _, cycle := range a.instantCycles() {
+		a.reportCycle(cycle, reported)
 	}
+}
+
+func (a *analysis) reportCycle(cycle []int, reported map[string]bool) {
 	labels := make([]string, len(cycle))
 	definite := true
 	for i, tid := range cycle {

@@ -10,10 +10,10 @@
 // stack-discipline verification of every compiled fragment, division- and
 // modulo-by-zero reachability via an interval abstract interpretation of
 // the guard/action bytecode, and a static per-transition and per-step
-// WCET bound derived from the execution-cost model. The WCET bounds feed
-// internal/rta as task inputs (WCETReport.Task), so response-time
-// analysis can run from static inputs alone, and they are sound
-// over-approximations of the dynamically measured CODE(M)- and
+// WCET bound derived from the execution-cost model. The platform static
+// analysis takes the CODE(M) task's WCET from WCETReport.Invocation, so
+// response-time analysis runs from static inputs alone, and the bounds
+// are sound over-approximations of the dynamically measured CODE(M)- and
 // transition-delays (asserted by the repository's cross-check tests).
 package lint
 
@@ -173,6 +173,11 @@ type analysis struct {
 	// program (used to narrow never-written variables to their initial
 	// value in the interval domain).
 	storedSlots []bool
+
+	// cycles are the instant-transition cycles, found once
+	// (instantCycles) when cyclesFound is set.
+	cycles      [][]int
+	cyclesFound bool
 
 	childIDs   [][]int                 // lazily built child lists per state
 	guardCache map[int]interval        // guard interval per transition id

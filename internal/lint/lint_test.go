@@ -89,10 +89,6 @@ func TestGPCAWCETValues(t *testing.T) {
 	if got, want := rep.WCET.Invocation(25*time.Millisecond), 320*us+24*124*us; got != want {
 		t.Errorf("Invocation(25ms) = %v, want %v", got, want)
 	}
-	tk := rep.WCET.Task("codeM", 2, 25*time.Millisecond)
-	if tk.WCET != rep.WCET.Invocation(25*time.Millisecond) || tk.Period != 25*time.Millisecond {
-		t.Errorf("Task packaging wrong: %+v", tk)
-	}
 }
 
 // badChart is a purpose-built fixture tripping every chart-level finding
@@ -182,6 +178,11 @@ func TestBadChartTriggersEveryChartCode(t *testing.T) {
 	}
 	if !rep.WCET.ChainCapped {
 		t.Error("instant cycle should cap the chain exploration")
+	}
+	// The cap charges every step MaxChain scan+fire rounds, with events
+	// pending or not.
+	if rep.WCET.StepTriggered != rep.WCET.StepQuiescent {
+		t.Errorf("capped step bounds differ: %v triggered, %v quiescent", rep.WCET.StepTriggered, rep.WCET.StepQuiescent)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rmtest/internal/codegen"
-	"rmtest/internal/rta"
 	"rmtest/internal/statechart"
 )
 
@@ -28,8 +27,8 @@ type TransWCET struct {
 // over-approximation of the corresponding dynamic measurement: Fire
 // bounds the measured per-transition delays, StepTriggered bounds the
 // CODE(M) portion of any step invocation, and Invocation composes the
-// bounds into an rta.Task WCET so response-time analysis runs from
-// static inputs alone.
+// bounds into the WCET of a periodic CODE(M) task, so response-time
+// analysis runs from static inputs alone.
 type WCETReport struct {
 	// TickPeriod is the chart's E_CLK tick, carried for Invocation.
 	TickPeriod time.Duration
@@ -63,13 +62,6 @@ func (w WCETReport) Invocation(period time.Duration) time.Duration {
 		ticks = int64(period / w.TickPeriod)
 	}
 	return w.StepTriggered + time.Duration(ticks-1)*w.StepQuiescent
-}
-
-// Task packages the invocation bound as an rta.Task with the given name,
-// priority and period, so response-time analysis can run from static
-// inputs alone.
-func (w WCETReport) Task(name string, prio int, period time.Duration) rta.Task {
-	return rta.Task{Name: name, Prio: prio, Period: period, WCET: w.Invocation(period)}
 }
 
 // String renders the WCET summary as human text.
@@ -151,9 +143,8 @@ func computeWCET(a *analysis) WCETReport {
 		}
 	}
 
-	node, adj := a.instantGraph()
 	blunt := len(a.prog.Events)+len(c.tmpBit) > maxChainVars
-	if cyclicGraph(node, adj) {
+	if len(a.instantCycles()) > 0 {
 		w.ChainCapped = true
 		blunt = true
 	}
@@ -379,29 +370,4 @@ func (c *wcetCalc) eligible(t *codegen.TransRow, ev, tmp uint64) (uint64, uint64
 		return ev, tmp &^ bit, true
 	}
 	return 0, 0, false
-}
-
-// cyclicGraph detects a cycle among the instant transitions.
-func cyclicGraph(node []bool, adj [][]int) bool {
-	color := make([]int, len(node))
-	var dfs func(int) bool
-	dfs = func(u int) bool {
-		color[u] = 1
-		for _, v := range adj[u] {
-			if color[v] == 1 {
-				return true
-			}
-			if color[v] == 0 && dfs(v) {
-				return true
-			}
-		}
-		color[u] = 2
-		return false
-	}
-	for i := range node {
-		if node[i] && color[i] == 0 && dfs(i) {
-			return true
-		}
-	}
-	return false
 }

@@ -10,6 +10,7 @@ import (
 	"rmtest/internal/codegen"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/hw"
+	"rmtest/internal/lint"
 	"rmtest/internal/statechart"
 )
 
@@ -208,7 +209,10 @@ func TestScheme2ZeroValueMatchesStaticModel(t *testing.T) {
 	sys := newSys(t, s, RLevel)
 	pressBolus(sys, 33*ms, 60*ms)
 	sys.Run(time.Second)
-	model := s.StaticModel(PipelineWCET{})
+	model, err := s.StaticModel(pumpConfig(), lint.WCETReport{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, spec := range model.Tasks {
 		tk := sys.Sched.TaskByName(spec.Name)
 		if tk == nil {
@@ -229,6 +233,66 @@ func TestScheme2ZeroValueMatchesStaticModel(t *testing.T) {
 		if q.Cap() != spec.Capacity {
 			t.Errorf("queue %s: simulated capacity %d, static model %d", spec.Name, q.Cap(), spec.Capacity)
 		}
+	}
+}
+
+// TestStaticModelFromConfig: the static model takes its WCETs and queue
+// traffic from the configuration's bound devices and the CODE(M) WCET
+// report, the end-to-end bound's device latencies come from the devices
+// bound to the stimulus and response signals, and a device or signal the
+// bindings do not reach is an error.
+func TestStaticModelFromConfig(t *testing.T) {
+	cfg := pumpConfig()
+	// A sensor no binding reads costs the sensing task nothing and
+	// observes no stimulus.
+	cfg.Board.Sensors = append(cfg.Board.Sensors, hw.SensorConfig{
+		Name: "spare", Signal: "sig_spare", SamplePeriod: ms, ReadCost: ms,
+	})
+	code := lint.WCETReport{TickPeriod: ms, StepTriggered: 300 * time.Microsecond, StepQuiescent: 100 * time.Microsecond}
+	model, err := DefaultScheme2().StaticModel(cfg, code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		wcet  time.Duration
+		items int
+	}{
+		{60 * time.Microsecond, 3},                          // three 20 µs reads, three events
+		{300*time.Microsecond + 39*100*time.Microsecond, 2}, // one triggered and 39 catch-up steps, two outputs
+		{60 * time.Microsecond, 0},                          // two 30 µs writes
+	} {
+		spec := model.Tasks[i]
+		items := 0
+		for _, u := range spec.Sends {
+			items += u.Items
+		}
+		if spec.WCET != want.wcet || items != want.items {
+			t.Errorf("%s: WCET %v, %d items sent; want %v, %d", spec.Name, spec.WCET, items, want.wcet, want.items)
+		}
+	}
+
+	latch, act, err := cfg.DeviceLatencies("sig_bolus_button", "sig_pump_motor")
+	if err != nil || latch != 5*ms || act != 3*ms {
+		t.Errorf("DeviceLatencies = %v, %v, %v; want 5ms, 3ms", latch, act, err)
+	}
+	cfg.Board.Sensors[0].Debounce = 3
+	if latch, _, _ := cfg.DeviceLatencies("sig_bolus_button", "sig_pump_motor"); latch != 15*ms {
+		t.Errorf("debounced latch latency %v, want 15ms", latch)
+	}
+	for _, sig := range [][2]string{{"sig_spare", "sig_pump_motor"}, {"sig_bolus_button", "sig_nothing"}} {
+		if _, _, err := cfg.DeviceLatencies(sig[0], sig[1]); err == nil {
+			t.Errorf("DeviceLatencies%v: no error", sig)
+		}
+	}
+	bad := pumpConfig()
+	bad.Outputs[0].Actuator = "missing"
+	if _, err := DefaultScheme3().StaticModel(bad, code); err == nil {
+		t.Error("StaticModel accepted an output bound to a missing actuator")
+	}
+	bad = pumpConfig()
+	bad.Inputs[0].Sensor = "missing"
+	if _, err := DefaultScheme2().StaticModel(bad, code); err == nil {
+		t.Error("StaticModel accepted an input bound to a missing sensor")
 	}
 }
 

@@ -326,29 +326,8 @@ func (cc *Compiled) StateNames() []string {
 	return names
 }
 
-// LeafStates returns the names of all leaf states in document order.
-func (cc *Compiled) LeafStates() []string {
-	var names []string
-	for _, s := range cc.order {
-		if len(s.children) == 0 {
-			names = append(names, s.name)
-		}
-	}
-	return names
-}
-
 // TransitionCount returns the number of transitions in the chart.
 func (cc *Compiled) TransitionCount() int { return len(cc.trans) }
-
-// TransitionLabels returns the labels of all transitions in global index
-// order (the order codegen assigns table rows).
-func (cc *Compiled) TransitionLabels() []string {
-	labels := make([]string, len(cc.trans))
-	for i, t := range cc.trans {
-		labels[i] = t.label
-	}
-	return labels
-}
 
 // VarNames returns the declared variables of kind k, sorted by name.
 func (cc *Compiled) VarNames(k VarKind) []string {

@@ -124,8 +124,6 @@ type (
 	OutputBinding = platform.OutputBinding
 	// Environment is the scripted physical world.
 	Environment = env.Environment
-	// Scenario scripts environmental stimuli.
-	Scenario = env.Scenario
 )
 
 // Instrument selects the probe layer (R or M).
@@ -473,9 +471,6 @@ type (
 	PlatformQueueUse = schedlint.QueueUse
 	// PlatformReport is the platform static-analysis outcome.
 	PlatformReport = schedlint.Report
-	// PipelineWCET carries the WCET and traffic inputs of the scheme
-	// pipeline's static model.
-	PipelineWCET = platform.PipelineWCET
 )
 
 // PlatformLint statically analyses a declared platform configuration.

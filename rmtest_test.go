@@ -244,14 +244,14 @@ func TestFacadeInvariantAndDOT(t *testing.T) {
 	}
 }
 
-// TestAnalyticBoundPredictsTableI cross-checks response-time analysis
-// against the measured Table I: scheme 2 is analytically schedulable with
-// an end-to-end bound below 100 ms that dominates every observed delay;
-// scheme 3's interference makes the pipeline unschedulable, predicting
-// the violations R-testing finds.
+// TestAnalyticBoundPredictsTableI cross-checks the static pipeline
+// analysis against the measured Table I: scheme 2 is analytically
+// schedulable with an end-to-end bound below 100 ms that dominates every
+// observed delay; scheme 3's interference makes the pipeline
+// unschedulable, predicting the violations R-testing finds.
 func TestAnalyticBoundPredictsTableI(t *testing.T) {
 	s2 := rmtest.Scheme2().(*rmtest.Scheme2Config)
-	an2, err := rmtest.AnalyzePipeline(s2, nil)
+	an2, err := rmtest.AnalyzePipelineStatic(s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAnalyticBoundPredictsTableI(t *testing.T) {
 	// Scheme 3: the netdrv burst starves the pipeline; analysis predicts
 	// the violation.
 	s3 := rmtest.Scheme3().(*rmtest.Scheme3Config)
-	an3, err := rmtest.AnalyzePipeline(&s3.Scheme2, s3.Interference)
+	an3, err := rmtest.AnalyzePipelineStatic(&s3.Scheme2, s3.Interference)
 	if err != nil {
 		t.Fatal(err)
 	}
