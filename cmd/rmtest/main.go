@@ -20,8 +20,10 @@
 // zero) and static WCET bounds. With -platform it additionally runs the
 // platform static analyzer on the named scheme's task/queue
 // configuration: response-time bounds of every task and queue-capacity
-// sufficiency. It exits nonzero when any fatal finding — chart or
-// platform — is present, so it can gate CI; -json emits one
+// sufficiency; with -rta it prints the response-time analysis of the
+// scheme-2 pipeline from static WCETs. Both analyse the pump's pipeline,
+// so both require -chart gpca. It exits nonzero when any fatal finding —
+// chart or platform — is present, so it can gate CI; -json emits one
 // machine-readable document covering both layers.
 //
 // The gen subcommand runs the test-case generation pipeline on the GPCA
@@ -277,8 +279,8 @@ func runLint(args []string) {
 	fs := flag.NewFlagSet("lint", flag.ExitOnError)
 	chartName := fs.String("chart", "gpca", "chart to analyze: gpca, gpca-extended or railcrossing")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	withRTA := fs.Bool("rta", false, "also run response-time analysis from the static WCET bounds (scheme 2)")
-	platName := fs.String("platform", "", "also run the platform static analyzer on a scheme configuration: scheme2 or scheme3")
+	withRTA := fs.Bool("rta", false, "also run response-time analysis of the pump's scheme-2 pipeline from static WCETs (requires -chart gpca)")
+	platName := fs.String("platform", "", "also run the platform static analyzer on a pump scheme configuration: scheme2 or scheme3 (requires -chart gpca)")
 	fs.Parse(args)
 
 	var chart *rmtest.Chart
@@ -292,19 +294,19 @@ func runLint(args []string) {
 	default:
 		fail("unknown chart %q (want gpca, gpca-extended or railcrossing)", *chartName)
 	}
+	// -platform and -rta analyse the pump pipeline, whose model is tied
+	// to the GPCA board, so they only pair with the gpca chart.
+	if *chartName != "gpca" && (*platName != "" || *withRTA) {
+		fail("-platform and -rta require -chart gpca (the pipeline model is the pump's)")
+	}
 	rep, err := rmtest.Lint(chart, rmtest.DefaultCostModel())
 	if err != nil {
 		fail("lint: %v", err)
 	}
 
-	// Platform analysis: the pump pipeline on the named scheme. The
-	// platform model is tied to the GPCA board, so it only pairs with the
-	// gpca chart.
+	// Platform analysis: the pump pipeline on the named scheme.
 	var plat *rmtest.PlatformReport
 	if *platName != "" {
-		if *chartName != "gpca" {
-			fail("-platform requires -chart gpca (the pipeline model is the pump's)")
-		}
 		if *platName != "scheme2" && *platName != "scheme3" {
 			fail("unknown platform %q (want scheme2 or scheme3)", *platName)
 		}

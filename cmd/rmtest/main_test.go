@@ -76,9 +76,38 @@ func TestMalformedNumbersExitBeforeAnyWork(t *testing.T) {
 	}
 }
 
+// TestPumpOnlyLintFlagsNeedGPCA runs lint with -rta or -platform on a
+// chart other than the pump's: the pipeline model is the pump's, so the
+// command must exit 1 with the error and print nothing on stdout.
+func TestPumpOnlyLintFlagsNeedGPCA(t *testing.T) {
+	for _, args := range [][]string{
+		{"lint", "-chart", "railcrossing", "-rta"},
+		{"lint", "-chart", "gpca-extended", "-rta"},
+		{"lint", "-chart", "railcrossing", "-platform", "scheme2"},
+		{"lint", "-chart", "gpca-extended", "-platform", "scheme3", "-rta", "-json"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: %v, want exit status 1", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q", args, stdout.String())
+		}
+		if want := "-platform and -rta require -chart gpca"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q, want it to contain %q", args, stderr.String(), want)
+		}
+	}
+}
+
 // TestCommandGolden runs the command in a child process and compares its
 // stdout with a golden in testdata/: the layered flow that rmbench's flow
-// workload runs, and the analytic prediction of schemes 2 and 3.
+// workload runs, the analytic prediction of schemes 2 and 3, and lint's
+// scheme-2 response-time analysis of the pump.
 // UPDATE_GOLDEN=1 re-records the goldens; do that only for a change meant
 // to alter the output.
 func TestCommandGolden(t *testing.T) {
@@ -89,6 +118,7 @@ func TestCommandGolden(t *testing.T) {
 		{"req1_scheme3_n10_seed42.txt", []string{"-req", "REQ1", "-scheme", "3", "-n", "10", "-seed", "42"}},
 		{"req1_scheme2_n1_rta.txt", []string{"-req", "REQ1", "-scheme", "2", "-n", "1", "-rta"}},
 		{"req1_scheme3_n1_rta.txt", []string{"-req", "REQ1", "-scheme", "3", "-n", "1", "-rta"}},
+		{"lint_gpca_rta.txt", []string{"lint", "-chart", "gpca", "-rta"}},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

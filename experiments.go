@@ -7,7 +7,6 @@ import (
 	"rmtest/internal/campaign"
 	"rmtest/internal/core"
 	"rmtest/internal/faults"
-	"rmtest/internal/fourvar"
 	"rmtest/internal/gpca"
 	"rmtest/internal/lint"
 	"rmtest/internal/platform"
@@ -69,30 +68,27 @@ func TableIExperiment(opt TableIOptions) ([]Report, error) {
 
 // Fig3Experiment reproduces the layered view of Fig. 3 for one bolus
 // request on the given scheme: the R-level (m, c) delay and the M-level
-// segment decomposition including the two transition delays.
+// segment decomposition including the two transition delays. It is one
+// Runner.RunRM of a single REQ1 stimulus at 40 ms with M-testing forced,
+// so Fig. 3 and Table I are measured by the same Runner.AnnotateM.
 func Fig3Experiment(scheme Scheme) (Segments, error) {
-	sys, err := platform.NewSystem(gpca.PlatformConfig(), scheme, platform.MLevel)
+	runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return scheme }), gpca.REQ1())
 	if err != nil {
 		return Segments{}, err
 	}
-	sys.Env.PulseAt(40*time.Millisecond, gpca.SigBolusButton, 1, 0, gpca.ButtonPress)
-	sys.Run(time.Second)
-	spec := fourvar.MatchSpec{
-		MName: gpca.SigBolusButton, MPred: func(v int64) bool { return v == 1 },
-		IName: "i_BolusReq",
-		OName: "o_MotorState", OPred: func(v int64) bool { return v >= 1 },
-		CName: gpca.SigPumpMotor, CPred: func(v int64) bool { return v >= 1 },
+	rep, err := runner.RunRM(core.TestCase{Name: "fig3", Stimuli: []sim.Time{40 * time.Millisecond}}, true)
+	if err != nil {
+		return Segments{}, err
 	}
-	seg, ok := fourvar.Match(sys.Trace, sys.TransTrace, spec, 0)
-	if !ok {
-		return Segments{}, fmt.Errorf("rmtest: bolus chain not observed")
+	if s := rep.M.Samples[0]; s.SegmentsOK {
+		return s.Segments, nil
 	}
-	return seg, nil
+	return Segments{}, fmt.Errorf("rmtest: bolus chain not observed")
 }
 
 // AblationInfo compares the diagnostic information produced by the
-// black-box baseline monitor [2] and the layered R-M flow on the same
-// violating execution (scheme 3).
+// black-box baseline [2] and the layered R-M flow on the same violating
+// execution (scheme 3).
 type AblationInfo struct {
 	BaselineViolations int
 	BaselineFacts      int // facts per violation: delay + verdict = 2
@@ -102,36 +98,18 @@ type AblationInfo struct {
 }
 
 // AblationBaselineVsRM runs the A1 ablation: the same stimuli are judged
-// by the baseline monitor (pass/fail only) and by R-M testing (segments
-// plus diagnosis), and the information yield is compared.
+// by the black-box baseline (pass/fail only) and by R-M testing (segments
+// plus diagnosis), and the information yield is compared. Both judge one
+// scheme-3 Runner.RunRM. The baseline is R-testing itself: its verdict
+// machines read only the m- and c-events at the system boundary, which is
+// all an online black-box tester such as [2] observes. R-M's facts come
+// from the same run's M annotation.
 func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	req := gpca.REQ1()
 	tc, err := gpca.TableIGenerator(samples, seed).Generate(req)
 	if err != nil {
 		return AblationInfo{}, err
 	}
-	// Baseline pass.
-	sys, err := platform.NewSystem(gpca.PlatformConfig(), platform.DefaultScheme3(), platform.RLevel)
-	if err != nil {
-		return AblationInfo{}, err
-	}
-	mon, err := NewBaselineMonitor([]BaselineRule{{
-		Name:     req.ID,
-		Stimulus: req.Stimulus.Signal, StimOK: req.Stimulus.Match.Fn,
-		Response: req.Response.Signal, RespOK: req.Response.Match.Fn,
-		Bound: req.Bound, Timeout: req.EffectiveTimeout(),
-	}})
-	if err != nil {
-		return AblationInfo{}, err
-	}
-	mon.Attach(sys.Env)
-	for _, at := range tc.Stimuli {
-		sys.Env.PulseAt(at, req.Stimulus.Signal, 1, 0, req.Stimulus.Width)
-	}
-	sys.Run(tc.Horizon(req))
-	mon.Flush(sys.Kernel.Now())
-
-	// R-M pass.
 	runner, err := core.NewRunner(gpca.Factory(func() platform.Scheme { return platform.DefaultScheme3() }), req)
 	if err != nil {
 		return AblationInfo{}, err
@@ -140,10 +118,11 @@ func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	if err != nil {
 		return AblationInfo{}, err
 	}
+	violations := len(rep.R.Violations())
 	info := AblationInfo{
-		BaselineViolations: len(mon.Violations()),
-		BaselineFacts:      2 * len(mon.Violations()),
-		RMViolations:       len(rep.R.Violations()),
+		BaselineViolations: violations,
+		BaselineFacts:      2 * violations,
+		RMViolations:       violations,
 		Findings:           rep.Diagnosis,
 	}
 	if rep.M != nil {

@@ -204,9 +204,6 @@ type Plan struct {
 	Faults []Fault
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Faults) == 0 }
-
 // Apply compiles the plan onto an assembled system before its run
 // starts: window-edge events are scheduled on the system's kernel and
 // per-component fault state is armed. seed feeds the seeded classes

@@ -30,10 +30,6 @@ const (
 	SigBuzzer         = "sig_buzzer"
 )
 
-// BolusDurationTicks is the modelled bolus length in E_CLK ticks (4 s at
-// the 1 ms tick), from Fig. 2's at(4000, E_CLK).
-const BolusDurationTicks = 4000
-
 // Chart returns the pump software model of Fig. 2: Idle, BolusRequested,
 // Infusion and EmptyAlarm with the 100-tick bolus-start window and the
 // 4000-tick bolus duration. The E_CLK tick is 1 ms.

@@ -499,19 +499,17 @@ func (sys *System) stepChart(tk *rtos.Task, mask uint64) []statechart.VarChange 
 	return out
 }
 
-// writeOutputs pushes changed outputs to their actuators, charging write
-// costs.
-func (sys *System) writeOutputs(tk *rtos.Task, changed []statechart.VarChange) {
-	for _, ch := range changed {
-		for _, ob := range sys.cfg.Outputs {
-			if ob.Var != ch.Name {
-				continue
-			}
-			a := sys.Board.Actuator(ob.Actuator)
-			if c := a.Config().WriteCost; c > 0 {
-				tk.Compute(c)
-			}
-			a.Write(ch.To)
+// writeOutput pushes one output variable's new value to every actuator
+// bound to it, charging each write cost to tk.
+func (sys *System) writeOutput(tk *rtos.Task, name string, value int64) {
+	for _, ob := range sys.cfg.Outputs {
+		if ob.Var != name {
+			continue
 		}
+		a := sys.Board.Actuator(ob.Actuator)
+		if c := a.Config().WriteCost; c > 0 {
+			tk.Compute(c)
+		}
+		a.Write(value)
 	}
 }

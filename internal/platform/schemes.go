@@ -37,8 +37,9 @@ func (s *Scheme1) Start(sys *System) error {
 		sys.taskEnv.tk = tk
 		mask, updates := sys.inputScan(tk, ins)
 		sys.applyInputs(tk, updates)
-		changed := sys.stepChart(tk, mask)
-		sys.writeOutputs(tk, changed)
+		for _, ch := range sys.stepChart(tk, mask) {
+			sys.writeOutput(tk, ch.Name, ch.To)
+		}
 	})
 	return nil
 }
@@ -157,16 +158,7 @@ func (s *Scheme2) start(sys *System) {
 				return
 			}
 			msg := v.(outMsg)
-			for _, ob := range sys.cfg.Outputs {
-				if ob.Var != msg.name {
-					continue
-				}
-				a := sys.Board.Actuator(ob.Actuator)
-				if c := a.Config().WriteCost; c > 0 {
-					tk.Compute(c)
-				}
-				a.Write(msg.value)
-			}
+			sys.writeOutput(tk, msg.name, msg.value)
 		}
 	})
 }

@@ -27,13 +27,10 @@ const (
 	SigLights   = "sig_lights"
 )
 
-// GateTravelTicks is the gate's modelled travel time in E_CLK ticks
-// (3 s at the 1 ms tick), in each direction.
-const GateTravelTicks = 3000
-
 // Chart returns the crossing controller model: Open, Lowering, Closed
 // and Raising, driven by the approach/clear track circuits. The E_CLK
-// tick is 1 ms. o_Gate encodes the gate position: 0 up, 1 moving, 2 down.
+// tick is 1 ms, and the gate travels 3000 ticks (3 s) each way. o_Gate
+// encodes the gate position: 0 up, 1 moving, 2 down.
 func Chart() *statechart.Chart {
 	return &statechart.Chart{
 		Name:       "crossing",

@@ -79,8 +79,3 @@ func LintJSON(rep *lint.Report) ([]byte, error) {
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
-
-// LintText renders a static-analysis report as human text.
-func LintText(rep *lint.Report) string {
-	return rep.String()
-}

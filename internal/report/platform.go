@@ -98,6 +98,3 @@ func CombinedLintJSON(chart *lint.Report, plat *schedlint.Report) ([]byte, error
 	}
 	return json.MarshalIndent(combined{Chart: cj, Platform: platformDoc(plat)}, "", "  ")
 }
-
-// PlatformText renders a platform lint report as human text.
-func PlatformText(rep *schedlint.Report) string { return rep.String() }

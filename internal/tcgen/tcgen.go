@@ -31,8 +31,10 @@
 package tcgen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"rmtest/internal/campaign"
@@ -330,8 +332,7 @@ func (m *memo) evaluate(seed uint64, scheds []Schedule) ([]core.Report, error) {
 	queued := map[string]bool{}
 	var run []int // batch indices that execute
 	for i, s := range scheds {
-		// %#v quotes the signal names, so the encoding is exact.
-		key := fmt.Sprintf("%#v", s.Stimuli)
+		key := stimuliKey(s.Stimuli)
 		keys[i] = key
 		switch _, ok := m.seen[key]; {
 		case ok:
@@ -376,6 +377,33 @@ func (m *memo) evaluate(seed uint64, scheds []Schedule) ([]core.Report, error) {
 		outs[i] = m.seen[key]
 	}
 	return outs, nil
+}
+
+// stimuliKey encodes a candidate's stimuli exactly, as its memo key: per
+// stimulus, the signal name prefixed by its length, then Value, Rest,
+// Width and At as fixed-width fields and Aux as one byte. Every record
+// delimits itself, so two keys are equal only when the stimuli are.
+func stimuliKey(ss []Stimulus) string {
+	n := 0
+	for _, s := range ss {
+		n += len(s.Signal) + 5*8 + 1
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	var w [8]byte
+	for _, s := range ss {
+		sb.Write(binary.LittleEndian.AppendUint64(w[:0], uint64(len(s.Signal))))
+		sb.WriteString(s.Signal)
+		for _, v := range [...]int64{s.Value, s.Rest, int64(s.Width), int64(s.At)} {
+			sb.Write(binary.LittleEndian.AppendUint64(w[:0], uint64(v)))
+		}
+		aux := byte(0)
+		if s.Aux {
+			aux = 1
+		}
+		sb.WriteByte(aux)
+	}
+	return sb.String()
 }
 
 // seedSchedule builds the deterministic starting schedule: n primary

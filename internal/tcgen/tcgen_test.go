@@ -368,6 +368,53 @@ func TestMemoSkipsErrors(t *testing.T) {
 	}
 }
 
+// TestStimuliKeyExact: the memo key of a candidate's stimuli equals the
+// key of an equal copy and differs whenever any one field of any one
+// stimulus differs, the number of stimuli differs, or signal names whose
+// bytes run together are split differently.
+func TestStimuliKeyExact(t *testing.T) {
+	base := []Stimulus{
+		{Signal: "bolus", Value: 1, Rest: 0, Width: 60 * time.Millisecond, At: time.Second},
+		{Signal: "empty", Value: 1, Rest: 0, Width: time.Second, At: 2 * time.Second, Aux: true},
+	}
+	edits := map[string]func(s *Stimulus){
+		"Signal": func(s *Stimulus) { s.Signal += "x" },
+		"Value":  func(s *Stimulus) { s.Value++ },
+		"Rest":   func(s *Stimulus) { s.Rest-- },
+		"Width":  func(s *Stimulus) { s.Width++ },
+		"At":     func(s *Stimulus) { s.At++ },
+		"Aux":    func(s *Stimulus) { s.Aux = !s.Aux },
+	}
+	key := stimuliKey(base)
+	if got := stimuliKey(append([]Stimulus(nil), base...)); got != key {
+		t.Fatal("equal stimuli give different keys")
+	}
+	for i := range base {
+		for field, edit := range edits {
+			ss := append([]Stimulus(nil), base...)
+			edit(&ss[i])
+			if stimuliKey(ss) == key {
+				t.Errorf("stimulus %d: a different %s gives the same key", i, field)
+			}
+		}
+	}
+	if stimuliKey(base[:1]) == key || stimuliKey(nil) == stimuliKey(base[:1]) {
+		t.Error("a different number of stimuli gives the same key")
+	}
+	split := func(a, b string) string {
+		return stimuliKey([]Stimulus{{Signal: a}, {Signal: b}})
+	}
+	if split("ab", "c") == split("a", "bc") {
+		t.Error(`{"ab", "c"} and {"a", "bc"} give the same key`)
+	}
+	// A name that ends in the bytes of a zero stimulus's fields runs into
+	// the next stimulus unless each name carries its length.
+	zeros := string(make([]byte, 4*8+1))
+	if split("a"+zeros, "b") == split("a", zeros+"b") {
+		t.Error("names that end or start in field bytes give the same key")
+	}
+}
+
 // TestTargetValidate: a target without a system or requirement is
 // rejected before any evaluation is spent.
 func TestTargetValidate(t *testing.T) {

@@ -27,7 +27,6 @@ package rmtest
 import (
 	"io"
 
-	"rmtest/internal/baseline"
 	"rmtest/internal/campaign"
 	"rmtest/internal/codegen"
 	"rmtest/internal/core"
@@ -164,11 +163,6 @@ type (
 	// Segment names one leg of the delay decomposition (input, CODE(M),
 	// output); fault attribution reports expectations and verdicts in it.
 	Segment = core.Segment
-	// BaselineRule is a black-box conformance rule for the baseline
-	// monitor.
-	BaselineRule = baseline.Rule
-	// BaselineMonitor is the UPPAAL-Tron-style online checker.
-	BaselineMonitor = baseline.Monitor
 )
 
 // Verdicts.
@@ -241,11 +235,6 @@ func NewSystem(cfg PlatformConfig, scheme Scheme, level platform.Instrument) (*S
 // NewRunner builds an R-M testing runner.
 func NewRunner(factory SystemFactory, req Requirement) (*Runner, error) {
 	return core.NewRunner(factory, req)
-}
-
-// NewBaselineMonitor builds the black-box comparison monitor.
-func NewBaselineMonitor(rules []BaselineRule) (*BaselineMonitor, error) {
-	return baseline.NewMonitor(rules)
 }
 
 // Scheme constructors with the paper's case-study parameters.
@@ -451,7 +440,7 @@ func GenerateChecked(c *Chart, cost CostModel) (*Program, error) {
 }
 
 // RenderLint renders a lint report as human text.
-func RenderLint(rep *LintReport) string { return report.LintText(rep) }
+func RenderLint(rep *LintReport) string { return rep.String() }
 
 // RenderLintJSON exports a lint report as indented JSON.
 func RenderLintJSON(rep *LintReport) ([]byte, error) { return report.LintJSON(rep) }
@@ -479,7 +468,7 @@ func PlatformLint(cfg PlatformLintConfig) (*PlatformReport, error) {
 }
 
 // RenderPlatformLint renders a platform lint report as human text.
-func RenderPlatformLint(rep *PlatformReport) string { return report.PlatformText(rep) }
+func RenderPlatformLint(rep *PlatformReport) string { return rep.String() }
 
 // RenderCombinedLintJSON exports a chart lint report and a platform lint
 // report as one JSON document.
