@@ -194,7 +194,7 @@ func BenchmarkAblationBaselineVsRM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if info.RMFacts <= info.BaselineFacts {
+		if info.RMFacts <= 2*info.Violations {
 			b.Fatal("ablation inverted")
 		}
 	}
@@ -539,11 +539,11 @@ func BenchmarkPlatformLint(b *testing.B) {
 // --- Campaign engine -------------------------------------------------
 
 // runCounts sums deterministic counts over full-horizon runs: kernel
-// events fired, context switches, and the times CODE(M)'s step function
-// ran (E_CLK ticks less those skipped as idle).
+// events fired, context switches, the times CODE(M)'s step function ran
+// (E_CLK ticks less those skipped as idle), and the transitions it took.
 type runCounts struct {
-	runs                        int
-	events, switches, stepCalls uint64
+	runs                                     int
+	events, switches, stepCalls, transitions uint64
 }
 
 func (c *runCounts) add(sys *platform.System) {
@@ -551,6 +551,7 @@ func (c *runCounts) add(sys *platform.System) {
 	c.events += sys.Kernel.EventsFired()
 	c.switches += sys.Sched.ContextSwitches()
 	c.stepCalls += sys.Exec.Steps() - sys.Exec.Elided()
+	c.transitions += sys.Exec.TransitionsTaken()
 }
 
 // perRun returns n averaged over the runs.
@@ -592,9 +593,9 @@ func tableIRunCounts(b *testing.B) runCounts {
 // approaches a 3x speedup (one worker per scheme); results are
 // byte-identical at every pool size (see
 // TestCampaignTableIMatchesSequentialGolden). The events/run,
-// stepcalls/run and switches/run metrics come from full-horizon runs
-// outside the timed loop, so the live verdicts' early stop does not move
-// them.
+// stepcalls/run, switches/run and transitions/run metrics come from
+// full-horizon runs outside the timed loop, so the live verdicts' early
+// stop does not move them.
 func BenchmarkCampaignTableI(b *testing.B) {
 	counts := tableIRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -623,6 +624,7 @@ func BenchmarkCampaignTableI(b *testing.B) {
 			b.ReportMetric(counts.perRun(counts.events), "events/run")
 			b.ReportMetric(counts.perRun(counts.stepCalls), "stepcalls/run")
 			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
+			b.ReportMetric(counts.perRun(counts.transitions), "transitions/run")
 		})
 	}
 }
@@ -737,8 +739,8 @@ func faultSweepRunCounts(b *testing.B) runCounts {
 // GC-churn gate for the fault layer: arming a plan is a handful of window
 // events on the pooled kernel, and the unfaulted baseline plan must ride
 // the same zero-alloc scratch-reuse path as the plain campaign. The
-// events/run and switches/run metrics come from full-horizon runs
-// outside the timed loop, as CampaignTableI's do.
+// events/run, switches/run and transitions/run metrics come from
+// full-horizon runs outside the timed loop, as CampaignTableI's do.
 func BenchmarkCampaignFaulted(b *testing.B) {
 	counts := faultSweepRunCounts(b)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -764,6 +766,7 @@ func BenchmarkCampaignFaulted(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*runsPerIter), "B/run")
 			b.ReportMetric(counts.perRun(counts.events), "events/run")
 			b.ReportMetric(counts.perRun(counts.switches), "switches/run")
+			b.ReportMetric(counts.perRun(counts.transitions), "transitions/run")
 		})
 	}
 }

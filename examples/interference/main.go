@@ -94,8 +94,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("baseline: %d violations, %d facts (delay + verdict per violation)\n",
-		info.BaselineViolations, info.BaselineFacts)
+		info.Violations, 2*info.Violations)
 	fmt.Printf("R-M flow: %d violations, %d facts (segments + transitions + dominant cause)\n",
-		info.RMViolations, info.RMFacts)
+		info.Violations, info.RMFacts)
 	fmt.Print(rmtest.RenderFindings(info.Findings))
 }

@@ -88,13 +88,12 @@ func Fig3Experiment(scheme Scheme) (Segments, error) {
 
 // AblationInfo compares the diagnostic information produced by the
 // black-box baseline [2] and the layered R-M flow on the same violating
-// execution (scheme 3).
+// execution (scheme 3). Both see the same violations. The baseline gives
+// two facts per violation, its delay and verdict; R-M gives RMFacts.
 type AblationInfo struct {
-	BaselineViolations int
-	BaselineFacts      int // facts per violation: delay + verdict = 2
-	RMViolations       int
-	RMFacts            int // facts per violation: 3 segments + transitions + dominant
-	Findings           []Finding
+	Violations int
+	RMFacts    int // facts per violation: 3 segments + transitions + dominant
+	Findings   []Finding
 }
 
 // AblationBaselineVsRM runs the A1 ablation: the same stimuli are judged
@@ -118,13 +117,7 @@ func AblationBaselineVsRM(samples int, seed uint64) (AblationInfo, error) {
 	if err != nil {
 		return AblationInfo{}, err
 	}
-	violations := len(rep.R.Violations())
-	info := AblationInfo{
-		BaselineViolations: violations,
-		BaselineFacts:      2 * violations,
-		RMViolations:       violations,
-		Findings:           rep.Diagnosis,
-	}
+	info := AblationInfo{Violations: len(rep.R.Violations()), Findings: rep.Diagnosis}
 	if rep.M != nil {
 		for _, s := range rep.M.Samples {
 			if s.Verdict == core.Pass {

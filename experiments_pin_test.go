@@ -20,10 +20,10 @@ func TestAblationAndFig3Recorded(t *testing.T) {
 	for _, c := range []struct {
 		samples  int
 		seed     uint64
-		counts   [4]int // baseline violations, baseline facts, R-M violations, R-M facts
+		counts   [2]int // violations, R-M facts
 		findings []string
 	}{
-		{10, 42, [4]int{6, 12, 6, 16}, []string{
+		{10, 42, [2]int{6, 16}, []string{
 			"sample #1 [MAX]" + lost,
 			"sample #2 [MAX]" + lost,
 			"sample #3 [FAIL]: output-delay 102.792ms dominates the 155.838776ms total (66%)" + outDom,
@@ -31,7 +31,7 @@ func TestAblationAndFig3Recorded(t *testing.T) {
 			"sample #7 [FAIL]: input-delay 104.593299ms dominates the 117.623299ms total (89%)" + inDom,
 			"sample #9 [MAX]" + lost,
 		}},
-		{8, 7, [4]int{6, 12, 6, 31}, []string{
+		{8, 7, [2]int{6, 31}, []string{
 			"sample #0 [FAIL]: output-delay 102.792ms dominates the 156.163337ms total (66%)" + outDom,
 			"sample #1 [FAIL]: output-delay 102.792ms dominates the 166.581051ms total (62%)" + outDom,
 			"sample #3 [FAIL]: output-delay 102.792ms dominates the 177.447169ms total (58%)" + outDom,
@@ -44,7 +44,7 @@ func TestAblationAndFig3Recorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := [4]int{info.BaselineViolations, info.BaselineFacts, info.RMViolations, info.RMFacts}
+		got := [2]int{info.Violations, info.RMFacts}
 		if got != c.counts {
 			t.Errorf("A1(%d, %d) = %v, want %v", c.samples, c.seed, got, c.counts)
 		}

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -262,38 +261,14 @@ func (e *Exec) LoadRow(row []int64) {
 	e.idle = false
 }
 
-// AppendConfig appends a fixed-width binary encoding of the abstract
-// configuration to b and returns the extended slice. The model checker
-// keys its visited set with it. In order:
-//   - the active leaf's state id (4 bytes);
-//   - the active path's tick counts, leaf first, each saturated at
-//     limit (8 bytes each);
-//   - the values of the variables in the given slots, in the given
-//     order (8 bytes each).
-//
-// The leaf fixes the path length, so two configurations with the same
-// leaf encode to the same width, field by field; two with different
-// leaves differ in the first field. Equal encodings therefore mean equal
-// abstract configurations.
-func (e *Exec) AppendConfig(b []byte, limit int64, vars []int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(e.active))
-	for sid := e.active; sid >= 0; sid = e.prog.States[sid].Parent {
-		b = binary.LittleEndian.AppendUint64(b, uint64(min(e.ticksIn(sid), limit)))
-	}
-	for _, id := range vars {
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.vars[id]))
-	}
-	return b
-}
-
-// AppendStepClass appends a binary encoding of the configuration's step
-// class to b and returns the extended slice. In order:
-//   - the active leaf's state id (4 bytes);
-//   - every variable's value, in slot order (8 bytes each);
+// AppendStepClass appends the configuration's step class to b as words
+// and returns the extended slice. In order:
+//   - the active leaf's state id;
+//   - every variable's value, in slot order;
 //   - for each active-path state, leaf first, one bit for whether its
 //     tick count is zero, then one bit per after, before or at trigger
 //     of its transitions, in priority order, for whether the trigger
-//     holds at that count; packed eight to a byte, low bit first.
+//     holds at that count; packed 64 to a word, low bit first.
 //
 // The leaf fixes the path and its triggers, so equal encodings mean equal
 // classes. A Step reads the tick and the entry ticks only through those
@@ -306,18 +281,18 @@ func (e *Exec) AppendConfig(b []byte, limit int64, vars []int) []byte {
 // every other entry tick, and adds one to the tick, so either successor's
 // row is rebuilt from its own row and the other's step. The model checker
 // steps each class once.
-func (e *Exec) AppendStepClass(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(e.active))
+func (e *Exec) AppendStepClass(b []uint64) []uint64 {
+	b = append(b, uint64(e.active))
 	for _, v := range e.vars {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		b = append(b, uint64(v))
 	}
-	var acc byte
+	var acc uint64
 	var n uint
 	put := func(bit bool) {
 		if bit {
-			acc |= 1 << (n % 8)
+			acc |= 1 << (n % 64)
 		}
-		if n++; n%8 == 0 {
+		if n++; n%64 == 0 {
 			b = append(b, acc)
 			acc = 0
 		}
@@ -336,7 +311,7 @@ func (e *Exec) AppendStepClass(b []byte) []byte {
 			}
 		}
 	}
-	if n%8 != 0 {
+	if n%64 != 0 {
 		b = append(b, acc)
 	}
 	return b

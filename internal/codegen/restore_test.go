@@ -1,9 +1,6 @@
 package codegen
 
 import (
-	"bytes"
-	"encoding/binary"
-	"slices"
 	"testing"
 	"time"
 
@@ -83,32 +80,5 @@ func TestRestoreAndStableStepAllocateNothing(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("%s: LoadRow and a Step that fires %s allocate %.2f allocs/op, want 0", tc.chart.Name, tc.fire, avg)
 		}
-	}
-}
-
-// TestAppendConfigLayout pins AppendConfig's documented layout: leaf id,
-// one saturated tick count per active-path state, and the requested
-// variables.
-func TestAppendConfigLayout(t *testing.T) {
-	_, p := compileProgram(t, modeChart())
-	e := NewExec(p, ZeroCostModel(), nil, nil)
-	e.Step(0)
-	e.Step(e.EventMask("fast"))
-	e.Step(0) // Fast has been active for 2 ticks, its parent Run for 3
-	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
-	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	// State ids in document order: Run 0, Slow 1, Fast 2, Paused 3.
-	want := slices.Concat(u32(2), u64(2), u64(3), u64(2))
-	if got := e.AppendConfig(nil, 5, []int{0}); !bytes.Equal(got, want) {
-		t.Fatalf("in Fast: got %x, want %x", got, want)
-	}
-	want = slices.Concat(u32(2), u64(2), u64(2), u64(2))
-	if got := e.AppendConfig(nil, 2, []int{0}); !bytes.Equal(got, want) {
-		t.Fatalf("in Fast, saturated at 2: got %x, want %x", got, want)
-	}
-	e.Step(e.EventMask("pause"))
-	want = slices.Concat(u32(3), u64(1))
-	if got := e.AppendConfig(nil, 5, nil); !bytes.Equal(got, want) {
-		t.Fatalf("in Paused: got %x, want %x", got, want)
 	}
 }

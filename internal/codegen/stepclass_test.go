@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -89,7 +88,7 @@ func checkStepClassRepeat(seed uint64) (compared, pushed int, err error) {
 		for range 6 {
 			other := reclass(r, p, row)
 			e.LoadRow(other)
-			if !bytes.Equal(e.AppendStepClass(nil), class) {
+			if !slices.Equal(e.AppendStepClass(nil), class) {
 				continue
 			}
 			got := stepFrom(e, other, m)

@@ -17,15 +17,16 @@
 // the leaf, every variable, and the truth of every temporal trigger on
 // the active path. Two states of one class step alike, so the first
 // state of a class is stepped, and every later one takes its successors
-// from those steps, each row rebuilt by the state's own tick. The first
-// is stepped once per class of event subsets its step can tell apart: a
-// subset that agrees with one already stepped from the state, on the
-// same input combination, on every event that step tested
-// (codegen.Exec.Tested) would repeat it exactly, so it is skipped. The
-// states visited, their order and every result are those of stepping
-// every subset from every state. Explored states are fixed-size records
-// and executor rows in chunked storage, keyed in a pointer-free visited
-// set, with no heap object per state.
+// from those steps, each keyed straight from the state's own row and the
+// step's successor block. The first is stepped once per class of event
+// subsets its step can tell apart: a subset that agrees with one already
+// stepped from the state, on the same input combination, on every event
+// that step tested (codegen.Exec.Tested) would repeat it exactly, so it
+// is skipped. The states visited, their order and every result are those
+// of stepping every subset from every state. A successor already visited
+// costs its key and one lookup in a set of fixed-width word keys; a new
+// one gets a fixed-size record, and an executor row only until it is
+// expanded. No state is a heap object.
 //
 // The checker steps the program the chart compiles to (codegen.Generate)
 // on codegen.Exec with a nil ExecEnv and listener: the chart runtime the
@@ -35,10 +36,7 @@
 package verify
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"slices"
 	"strings"
@@ -137,14 +135,15 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// record is one explored state: how the search reached it and the
-// obligation it carries. A counterexample's events, inputs and states
-// are rebuilt from the records and rows only when a violation is found.
+// record is how the search reached a state: the state it was expanded
+// from and the stimulus that led from there. States are numbered in the
+// order they are found, which is the number of their key in the visited
+// set, and record n is state n's. A counterexample's events, inputs and
+// leaves are rebuilt from the records and keys only when a violation is
+// found.
 type record struct {
-	parent     int   // the index of the record reached from; -1 for the root
-	subset     int32 // the event subset that reached it, see stimuli
-	combo      int32 // the input combination that reached it
-	obligation int64 // remaining ticks; -1 = none pending
+	parent        int   // the number of the state reached from; -1 for the root
+	subset, combo int32 // the event subset and input combination, see stimuli
 }
 
 // classEntry is one stimulus a step class steps, subset k on combination
@@ -157,36 +156,43 @@ type classEntry struct {
 }
 
 // explorer steps the chart's generated program through the state space.
-// It keeps the explored states, as records and executor rows, in a store
-// whose order is the breadth-first queue's, and their keys in the visited
-// set; neither holds a heap object per state.
+// It numbers the states it finds by their keys in the visited set and
+// keeps a record of each; only the states not yet expanded keep an
+// executor row, in the queue. Neither holds a heap object per state.
 type explorer struct {
-	exec    *codegen.Exec
-	stim    stimuli
-	masks   []uint64 // subset index -> the program's event mask
-	bits    []int    // program event id -> its bit in a subset index
-	inputs  []int    // the program's slots of stim.inputs
-	limit   int64
-	rel     []int
-	buf     []byte
-	visited keySet
-	states  stateStore
+	exec   *codegen.Exec
+	states []codegen.StateRow // the program's state table
+	stim   stimuli
+	masks  []uint64 // subset index -> the program's event mask
+	bits   []int    // program event id -> its bit in a subset index
+	inputs []int    // the program's slots of stim.inputs
+	limit  int64
+	rel    []int
+	// visited keys the states found (rowKey, successorKey), and records
+	// holds their records by the same numbers. queue holds the states
+	// not yet expanded, each with its row, first found first; row is the
+	// row of the state being expanded, and key the one key being built.
+	visited wordSet
+	records chunks[record]
+	queue   rowQueue
+	row     []int64
+	key     []uint64
 	// covered marks, for the state being expanded, the stimuli (combo c,
 	// subset k at c*len(masks)+k) that would repeat a step already run.
 	covered []bool
 	// classes keys the step classes (codegen.Exec.AppendStepClass) met so
-	// far. Class n's entries are entries[starts[n]:starts[n+1]]: a class
-	// is complete before another of its states is expanded, because its
-	// first state's expansion steps every stimulus or ends the search.
-	// Entry j's successor block is succ[j*width:(j+1)*width]: a row whose
-	// entry ticks are replaced by 1 for each state the step entered and 0
-	// for the others, and whose tick is not read. next is the row a
-	// replayed entry is rebuilt in.
-	classes keySet
-	starts  []int32
-	entries []classEntry
-	succ    []int64
-	next    []int64
+	// far, padded to its width in classKey. Class n's entries are
+	// entries[starts[n]:starts[n+1]]: a class is complete before another
+	// of its states is expanded, because its first state's expansion
+	// steps every stimulus or ends the search. Entry j's successor block
+	// is succ[j*RowLen:(j+1)*RowLen]: a row whose entry ticks are replaced
+	// by 1 for each state the step entered and 0 for the others, and whose
+	// tick is not read.
+	classes  wordSet
+	classKey []uint64
+	starts   []int32
+	entries  []classEntry
+	succ     []int64
 	// entryOff is the offset of the entry ticks in a row: after the leaf,
 	// the tick and the variables (codegen.Exec.AppendRow).
 	entryOff int
@@ -205,10 +211,10 @@ type explorer struct {
 }
 
 // newExplorer generates the chart's program, runs it from its initial
-// configuration, and records and marks that configuration visited. The
-// checks call it only once their arguments have passed verify's own
-// tests, so a chart the checker cannot explore is rejected with verify's
-// error, not the code generator's.
+// configuration, and records that configuration as state 0, keyed and
+// queued. The checks call it only once their arguments have passed
+// verify's own tests, so a chart the checker cannot explore is rejected
+// with verify's error, not the code generator's.
 func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) (*explorer, error) {
 	prog, err := codegen.Generate(cc)
 	if err != nil {
@@ -216,25 +222,40 @@ func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) 
 	}
 	x := &explorer{
 		exec:     codegen.NewExec(prog, codegen.ZeroCostModel(), nil, nil),
+		states:   prog.States,
 		stim:     stim,
 		masks:    make([]uint64, 1<<len(stim.events)),
 		bits:     make([]int, len(prog.Events)),
 		limit:    limit,
 		rel:      rel,
-		visited:  newKeySet(),
+		records:  newChunks[record](1, recordChunk),
 		covered:  make([]bool, stim.combos<<len(stim.events)),
-		classes:  newKeySet(),
 		entryOff: 2 + len(prog.Vars),
 		inState:  -1,
 	}
+	depth := 0
+	for sid := range prog.States {
+		d := 0
+		for s := sid; s >= 0; s = prog.States[s].Parent {
+			d++
+		}
+		depth = max(depth, d)
+	}
+	// A key is the leaf, a tick count per active-path state, the cone and
+	// the obligation; a step class is the leaf, every variable, and at
+	// most one bit per active-path state and per transition.
+	x.visited = newWordSet(1+depth+len(x.rel)+1, keyChunk)
+	x.key = make([]uint64, x.visited.keys.width)
+	x.classes = newWordSet(1+len(prog.Vars)+(len(prog.States)+len(prog.Trans)+63)/64, classCap)
+	x.classKey = make([]uint64, x.classes.keys.width)
 	w := x.exec.RowLen()
-	x.states = newStateStore(w)
+	x.queue = newRowQueue(w)
+	x.row = make([]int64, w)
 	// A chart's classes are few beside its states: gpca's 12,003 states
 	// fall in 5 classes with 27 entries.
 	x.starts = append(make([]int32, 0, classCap), 0)
 	x.entries = make([]classEntry, 0, classCap)
 	x.succ = make([]int64, 0, classCap*w)
-	x.next = make([]int64, w)
 	x.exec.RecordWrites()
 	for i, name := range stim.events {
 		id, _ := prog.EventID(name)
@@ -251,8 +272,10 @@ func newExplorer(cc *statechart.Compiled, stim stimuli, rel []int, limit int64) 
 		id, _ := prog.VarID(name)
 		x.inputs = append(x.inputs, id)
 	}
-	x.visit(-1)
-	x.states.add(record{parent: -1, obligation: -1}, x.exec)
+	x.exec.AppendRow(x.row[:0])
+	x.visited.add(x.rowKey(x.row, -1))
+	x.records.add()[0] = record{parent: -1}
+	copy(x.queue.push(-1), x.row)
 	return x, nil
 }
 
@@ -265,62 +288,98 @@ func (x *explorer) step(k, c int) error {
 	return x.exec.Step(x.masks[k]).Err
 }
 
-// visit keys the executor's configuration with the obligation remaining
-// and reports whether the key is new, adding it if so.
-func (x *explorer) visit(obligation int64) bool {
-	b := key(x.buf, x.exec, obligation, x.limit, x.rel)
-	if cap(b) > cap(x.buf) {
-		x.buf = b // keep the grown buffer
+// rowKey writes to x.key the key of the state whose executor row is row,
+// carrying obligation ob, and returns it. Its words are, in order:
+//   - the active leaf's id;
+//   - each active-path state's tick count, leaf first, saturated at
+//     limit;
+//   - the cone-of-influence variables, by id;
+//   - the obligation;
+//
+// then zeros up to the visited set's width. The leaf fixes the path
+// length, so two keys with the same leaf have the same fields at the same
+// words, and two with different leaves differ in the first word: equal
+// keys mean equal abstract states, padding included.
+func (x *explorer) rowKey(row []int64, ob int64) []uint64 {
+	k := x.key[:1]
+	k[0] = uint64(row[0])
+	for sid := int(row[0]); sid >= 0; sid = x.states[sid].Parent {
+		k = append(k, uint64(min(row[1]-row[x.entryOff+sid], x.limit)))
 	}
-	_, fresh := x.visited.add(b)
-	return fresh
+	for _, id := range x.rel {
+		k = append(k, uint64(row[2+id]))
+	}
+	k = append(k, uint64(ob))
+	clear(x.key[len(k):])
+	return x.key
 }
 
-// class returns the index of the executor's step class, and whether the
-// class is new, adding it if so.
-func (x *explorer) class() (int, bool) {
-	b := x.exec.AppendStepClass(x.buf[:0])
-	if cap(b) > cap(x.buf) {
-		x.buf = b // keep the grown buffer
+// successorKey writes to x.key the key rowKey gives the successor of row
+// on successor block blk, carrying obligation ob, without building the
+// successor's row, and returns it. The block gives the leaf and the
+// variables. An active-path state the step entered has been in for 1
+// tick; any other has been in for row's tick plus one less its entry tick
+// in row. Both are saturated at limit.
+func (x *explorer) successorKey(row, blk []int64, ob int64) []uint64 {
+	k := x.key[:1]
+	k[0] = uint64(blk[0])
+	tick := row[1] + 1
+	for sid := int(blk[0]); sid >= 0; sid = x.states[sid].Parent {
+		c := int64(1) // entered by the step; limit is at least 1
+		if blk[x.entryOff+sid] == 0 {
+			c = min(tick-row[x.entryOff+sid], x.limit)
+		}
+		k = append(k, uint64(c))
 	}
-	return x.classes.add(b)
+	for _, id := range x.rel {
+		k = append(k, uint64(blk[2+id]))
+	}
+	k = append(k, uint64(ob))
+	clear(x.key[len(k):])
+	return x.key
 }
 
-// explore searches breadth-first from the recorded root, which the
-// caller has judged, until the property is violated, res.Visited
-// reaches maxVisited, or no state is left to expand; it sets
-// res.Outcome, and res.Counterexample on a violation.
+// stepClass writes the executor's step class to x.classKey, padded with
+// zeros to the class set's width, and returns it.
+func (x *explorer) stepClass() []uint64 {
+	clear(x.classKey[len(x.exec.AppendStepClass(x.classKey[:0])):])
+	return x.classKey
+}
+
+// explore searches breadth-first from the queued root, which the caller
+// has judged, until the property is violated, res.Visited reaches
+// maxVisited, or no state is left to expand; it sets res.Outcome, and
+// res.Counterexample on a violation. The queue is first found, first
+// expanded, so the state expanded i-th is state i.
 //
 // A state's successors come from its step class
 // (codegen.Exec.AppendStepClass). The first state of a class steps it
 // (fill); every later state of the class takes its successors from the
-// class's entries, rebuilt by its tick (rebuild), in the same order. Two
-// states of one class step alike, so each rebuilt row is exactly the row
-// a step would give, and the judgements and tested bits are the same.
-// The class holds the leaf, so it fixes whether the state arms the
-// trigger too. The states visited, their order and the outcome are those
-// of stepping every state; only res.Steps, the steps run, falls.
+// class's entries, in the same order, keyed straight from its row and
+// each entry's block (successorKey). Two states of one class step alike,
+// so each key is exactly the key a step would give, and the judgements
+// and tested bits are the same. The class holds the leaf, so it fixes
+// whether the state arms the trigger too. The states visited, their order
+// and the outcome are those of stepping every state; only res.Steps, the
+// steps run, falls.
 func (x *explorer) explore(res *Result, maxVisited int) error {
 	e := x.exec
-	for i := 0; i < x.states.n; i++ {
-		ob := x.states.record(i).obligation
-		row := x.states.row(i)
-		e.LoadRow(row)
+	for i := 0; !x.queue.empty(); i++ {
+		ob := x.queue.pop(x.row)
+		e.LoadRow(x.row)
 		// The trigger is judged in the pre-step configuration; no
 		// stimulus changes its active path.
 		armed := x.trigger != 0 && (x.inState < 0 || e.InActivePath(x.inState))
-		cls, fresh := x.class()
+		cls, fresh := x.classes.add(x.stepClass())
 		if fresh {
-			if done, err := x.fill(res, maxVisited, i, row, ob, armed); done || err != nil {
+			if done, err := x.fill(res, maxVisited, i, ob, armed); done || err != nil {
 				return err
 			}
 			x.starts = append(x.starts, int32(len(x.entries)))
 			continue
 		}
 		for j := int(x.starts[cls]); j < int(x.starts[cls+1]); j++ {
-			x.rebuild(x.next, row, j)
-			e.LoadRow(x.next)
-			if x.arrive(res, maxVisited, i, x.entries[j], ob, armed) {
+			if x.arrive(res, maxVisited, i, j, ob, armed) {
 				return nil
 			}
 		}
@@ -329,10 +388,10 @@ func (x *explorer) explore(res *Result, maxVisited int) error {
 	return nil
 }
 
-// fill steps state i, the first of its class, and keeps each stimulus it
-// steps as an entry of the class, judging each successor as it goes, so
-// a check that ends inside it steps no more than it must. It reports
-// whether the search is over.
+// fill steps state i, whose row is x.row, the first of its class, and
+// keeps each stimulus it steps as an entry of the class, judging each
+// successor as it goes, so a check that ends inside it steps no more than
+// it must. It reports whether the search is over.
 //
 // It steps each event subset and, within it, each input combination,
 // skipping the stimuli a step already run covers: after subset k on
@@ -344,7 +403,7 @@ func (x *explorer) explore(res *Result, maxVisited int) error {
 // comes first, had. Skipping it changes neither the states visited, nor
 // their order, nor the outcome. Combinations are never merged: an input's
 // value stays in the configuration.
-func (x *explorer) fill(res *Result, maxVisited, i int, row []int64, ob int64, armed bool) (bool, error) {
+func (x *explorer) fill(res *Result, maxVisited, i int, ob int64, armed bool) (bool, error) {
 	e := x.exec
 	n := len(x.masks)
 	clear(x.covered)
@@ -353,7 +412,7 @@ func (x *explorer) fill(res *Result, maxVisited, i int, row []int64, ob int64, a
 			if x.covered[c*n+k] {
 				continue
 			}
-			e.LoadRow(row)
+			e.LoadRow(x.row)
 			if err := x.step(k, c); err != nil {
 				return true, fmt.Errorf("verify: model error during exploration: %w", err)
 			}
@@ -365,10 +424,9 @@ func (x *explorer) fill(res *Result, maxVisited, i int, row []int64, ob int64, a
 				tested |= x.trigger
 			}
 			x.cover(c, k, tested)
-			en := classEntry{subset: int32(k), combo: int32(c), judged: x.judge()}
-			x.entries = append(x.entries, en)
-			x.keep(row[1])
-			if x.arrive(res, maxVisited, i, en, ob, armed) {
+			x.entries = append(x.entries, classEntry{subset: int32(k), combo: int32(c), judged: x.judge()})
+			x.keep(x.row[1])
+			if x.arrive(res, maxVisited, i, len(x.entries)-1, ob, armed) {
 				return true, nil
 			}
 		}
@@ -379,9 +437,11 @@ func (x *explorer) fill(res *Result, maxVisited, i int, row []int64, ob int64, a
 // keep appends the executor's configuration, just stepped from tick, to
 // succ as a successor block: a state whose entry tick is tick was entered
 // by the step. The step leaves every other entry tick below tick, except
-// from the root, whose entry ticks are all 0 at tick 0; only the root has
-// a state in for no ticks, so its class holds it alone and its block is
-// never replayed.
+// from the root, whose entry ticks are all 0 at tick 0. There a state the
+// step did not enter is marked entered too, which the root's own
+// successor does not notice (the entry tick stays 0, the root's tick, and
+// the state has been in for 1 tick); and only the root has a state in for
+// no ticks, so its class holds it alone and its block is never replayed.
 func (x *explorer) keep(tick int64) {
 	n := len(x.succ)
 	x.succ = x.exec.AppendRow(x.succ)
@@ -394,16 +454,20 @@ func (x *explorer) keep(tick int64) {
 	}
 }
 
-// rebuild writes to dst the row of row's successor on class entry j: the
-// entry's leaf and variables, row's tick plus one, and row's tick as the
-// entry tick of each state the entry's step entered, every other entry
-// tick as in row.
-func (x *explorer) rebuild(dst, row []int64, j int) {
-	w := len(row)
-	blk := x.succ[j*w : (j+1)*w]
+// block returns class entry j's successor block.
+func (x *explorer) block(j int) []int64 {
+	w := len(x.row)
+	return x.succ[j*w : (j+1)*w]
+}
+
+// rebuild writes to dst the row of row's successor on successor block
+// blk: the block's leaf and variables, row's tick plus one, and row's
+// tick as the entry tick of each state the block's step entered, every
+// other entry tick as in row.
+func (x *explorer) rebuild(dst, row, blk []int64) {
 	copy(dst[:x.entryOff], blk)
 	dst[1] = row[1] + 1
-	for s := x.entryOff; s < w; s++ {
+	for s := x.entryOff; s < len(row); s++ {
 		if blk[s] != 0 {
 			dst[s] = row[1]
 		} else {
@@ -412,19 +476,22 @@ func (x *explorer) rebuild(dst, row []int64, j int) {
 	}
 }
 
-// arrive judges the successor the executor holds, reached from state i,
-// which carries obligation ob, on entry en's stimulus, and records it if
-// its key is new. It reports whether the search is over: the property is
-// violated, or res.Visited reached maxVisited.
-func (x *explorer) arrive(res *Result, maxVisited, i int, en classEntry, ob int64, armed bool) bool {
-	k, c := int(en.subset), int(en.combo)
-	next, violated := x.decide(ob, armed && k&x.trigger != 0, en.judged)
+// arrive judges the successor of state i, whose row is x.row and which
+// carries obligation ob, on class entry j, keys it from the row and the
+// entry's block, and if the key is new records the successor and queues
+// its row, rebuilt straight into the queue. It reports whether the
+// search is over: the property is violated, or res.Visited reached
+// maxVisited. A successor already visited costs its key and one lookup.
+func (x *explorer) arrive(res *Result, maxVisited, i, j int, ob int64, armed bool) bool {
+	en := x.entries[j]
+	next, violated := x.decide(ob, armed && int(en.subset)&x.trigger != 0, en.judged)
 	if violated {
 		res.Outcome = Violated
-		res.Counterexample = x.counterexample(i, k, c)
+		res.Counterexample = x.counterexample(i, j)
 		return true
 	}
-	if !x.visit(next) {
+	blk := x.block(j)
+	if _, fresh := x.visited.add(x.successorKey(x.row, blk, next)); !fresh {
 		return false
 	}
 	res.Visited++
@@ -432,7 +499,8 @@ func (x *explorer) arrive(res *Result, maxVisited, i int, en classEntry, ob int6
 		res.Outcome = Bounded
 		return true
 	}
-	x.states.add(record{parent: i, subset: en.subset, combo: en.combo, obligation: next}, x.exec)
+	x.records.add()[0] = record{parent: i, subset: en.subset, combo: en.combo}
+	x.rebuild(x.queue.push(next), x.row, blk)
 	return false
 }
 
@@ -450,15 +518,14 @@ func (x *explorer) cover(c, k, tested int) {
 	}
 }
 
-// counterexample rebuilds the stimulus path to the executor's current
-// configuration, reached from record i on subset k and combination c. It
-// loads each ancestor's row to name its leaf, so exploration ends with
-// it.
-func (x *explorer) counterexample(i, k, c int) []CexStep {
-	out := []CexStep{x.stim.cexStep(k, c, x.exec.ActiveState())}
-	for r := x.states.record(i); r.parent >= 0; i, r = r.parent, x.states.record(r.parent) {
-		x.exec.LoadRow(x.states.row(i))
-		out = append(out, x.stim.cexStep(int(r.subset), int(r.combo), x.exec.ActiveState()))
+// counterexample rebuilds the stimulus path to the successor of state i
+// on class entry j. Each state's leaf is the first word of its key, and
+// the successor's the first value of the entry's block.
+func (x *explorer) counterexample(i, j int) []CexStep {
+	en := x.entries[j]
+	out := []CexStep{x.stim.cexStep(int(en.subset), int(en.combo), x.states[x.block(j)[0]].Name)}
+	for r := x.records.at(i)[0]; r.parent >= 0; i, r = r.parent, x.records.at(r.parent)[0] {
+		out = append(out, x.stim.cexStep(int(r.subset), int(r.combo), x.states[x.visited.keys.at(i)[0]].Name))
 	}
 	slices.Reverse(out)
 	return out
@@ -624,18 +691,6 @@ func relevantVars(cc *statechart.Compiled, seeds ...string) map[string]bool {
 	return relevant
 }
 
-// key canonicalises the abstract state into buf's storage: the
-// executor's configuration encoding (codegen.Exec.AppendConfig), with
-// active-path counters saturated at limit and the cone-of-influence
-// variables rel, followed by the obligation remaining (8 bytes). The
-// configuration's width is fixed by its leaf, which comes first, so the
-// obligation sits at a fixed offset for each leaf and equal keys mean
-// equal abstract states.
-func key(buf []byte, e *codegen.Exec, obligation, limit int64, rel []int) []byte {
-	buf = e.AppendConfig(buf[:0], limit, rel)
-	return binary.LittleEndian.AppendUint64(buf, uint64(obligation))
-}
-
 // stimuli are the stimuli every state's successors are generated from,
 // in exploration order: each event subset, and within it each input
 // combination. Subset k holds events[i] for each set bit i of k.
@@ -798,123 +853,161 @@ func CheckInvariant(cc *statechart.Compiled, prop InvariantProperty, opt Options
 	return res, err
 }
 
-// stateStore keeps the explored states in breadth-first order, each as
-// a record and an executor row, in chunks of perChunk states. A chunk is
-// never reallocated: growing adds one and copies nothing.
-type stateStore struct {
-	width, perChunk int
-	n               int // states stored
-	records         [][]record
-	rows            [][]int64
-}
-
 // classCap is the number of classes and entries the checker makes room
 // for up front; more grow the slices.
 const classCap = 64
 
-// rowChunk is the number of row values a chunk holds, unless one row is
-// wider.
-const rowChunk = 16 << 10
+// keyChunk and recordChunk are the numbers of keys and records a chunk
+// holds: 2,048 of gpca's 4-word keys are 64 KB, and so are 4,096 records.
+const (
+	keyChunk    = 1 << 11
+	recordChunk = 1 << 12
+)
 
-func newStateStore(width int) stateStore {
-	return stateStore{width: width, perChunk: max(1, rowChunk/width)}
+// chunks holds numbered items of width values each in chunks of a power
+// of two items that are never reallocated: adding an item allocates at
+// most a new chunk, and copies nothing.
+type chunks[T any] struct {
+	width int
+	shift uint // log2 of the items per chunk
+	list  [][]T
+	n     int // items added
 }
 
-// add stores r and the executor's configuration as the next state. The
-// row is appended into its chunk's spare room, so no slice header is
-// stored.
-func (s *stateStore) add(r record, e *codegen.Exec) {
-	c, j := s.n/s.perChunk, s.n%s.perChunk
-	if j == 0 {
-		s.records = append(s.records, make([]record, s.perChunk))
-		s.rows = append(s.rows, make([]int64, s.width*s.perChunk))
+// newChunks returns an empty store of items of width values, perChunk,
+// a power of two, to a chunk.
+func newChunks[T any](width, perChunk int) chunks[T] {
+	return chunks[T]{width: width, shift: uint(bits.TrailingZeros(uint(perChunk)))}
+}
+
+// add appends an item and returns its storage, zeroed.
+func (c *chunks[T]) add() []T {
+	if c.n>>c.shift == len(c.list) {
+		c.list = append(c.list, make([]T, c.width<<c.shift))
 	}
-	s.records[c][j] = r
-	e.AppendRow(s.rows[c][j*s.width : j*s.width])
-	s.n++
+	c.n++
+	return c.at(c.n - 1)
 }
 
-// record returns state i's record.
-func (s *stateStore) record(i int) record { return s.records[i/s.perChunk][i%s.perChunk] }
-
-// row returns state i's row.
-func (s *stateStore) row(i int) []int64 {
-	off := i % s.perChunk * s.width
-	return s.rows[i/s.perChunk][off : off+s.width]
+// at returns item i's storage.
+func (c *chunks[T]) at(i int) []T {
+	off := (i & (1<<c.shift - 1)) * c.width
+	return c.list[i>>c.shift][off : off+c.width]
 }
 
-// keySet numbers distinct byte keys in the order they are added: the
-// visited set and the step classes are each one. The keys' bytes sit in
-// chunks that are never reallocated, and an open-addressing table of
-// fixed-size slots with no pointers locates them, so the garbage
-// collector scans neither and growing copies no key. Only membership and
-// the numbers are observed, so neither the hash nor the slot order
+// wordSet numbers distinct keys of a fixed number of words in the order
+// they are added: the visited set and the step classes are each one. The
+// checker pads a key shorter than the width with zeros; its first word,
+// the leaf, fixes where its fields end, so padding never makes two keys
+// equal. The keys sit in chunks by number, never moved, and an
+// open-addressing table of 8-byte slots with no pointers locates them,
+// so the garbage collector scans neither and growing copies no key. The
+// hash is a fixed function of the words, with no seed: only membership
+// and the numbers are observed, so neither the hash nor the slot order
 // reaches an output.
-type keySet struct {
-	seed   maphash.Seed
-	slots  []keySlot // a power of two long, at most three quarters full
-	shift  uint      // 32 - log2(len(slots)): a hash's top bits pick its slot
-	used   int
-	chunks [][]byte
-	fill   int // bytes used in the last chunk
+type wordSet struct {
+	keys  chunks[uint64]
+	slots []wordSlot // a power of two long, at most three quarters full
+	shift uint       // 32 - log2(len(slots)): a hash's top bits pick its slot
 }
 
-// keySlot locates one key: its bytes are chunks[chunk][off:off+len], and
-// id is its number. A zero len marks an empty slot, since no key is
-// empty. hash is the top half of the key's hash.
-type keySlot struct {
-	hash, len, chunk, off, id uint32
+// wordSlot locates one key: num is its number plus one, so a zero slot
+// is empty, and hash is the top half of its hash.
+type wordSlot struct{ hash, num uint32 }
+
+// newWordSet returns an empty set of keys of width words, stored
+// perChunk, a power of two, to a chunk, with room for as many before the
+// table first grows.
+func newWordSet(width, perChunk int) wordSet {
+	n := 2 * perChunk
+	return wordSet{
+		keys:  newChunks[uint64](width, perChunk),
+		slots: make([]wordSlot, n),
+		shift: uint(32 - bits.TrailingZeros(uint(n))),
+	}
 }
 
-// keyChunk is the number of bytes a key chunk holds, unless one key is
-// longer.
-const keyChunk = 64 << 10
-
-func newKeySet() keySet {
-	const slots = 1 << 10
-	return keySet{seed: maphash.MakeSeed(), slots: make([]keySlot, slots), shift: 32 - 10}
-}
-
-// add inserts key unless it is there, and returns its number and whether
-// it was new. It copies the key, so the caller may reuse key's storage.
-func (s *keySet) add(key []byte) (int, bool) {
-	h := uint32(maphash.Bytes(s.seed, key) >> 32)
+// add inserts key, of the set's width, unless it is there, and returns
+// its number and whether it was new. It copies the key, so the caller may
+// reuse key's storage. The hash folds the words in one at a time, each
+// rotated-and-xored state times an odd constant, so every bit of a word
+// reaches the top bits that pick the slot.
+func (s *wordSet) add(key []uint64) (int, bool) {
+	var h uint64
+	for _, w := range key {
+		h = (bits.RotateLeft64(h, 5) ^ w) * 0x517cc1b727220a95
+	}
+	top := uint32(h >> 32)
 	mask := len(s.slots) - 1
-	i := int(h >> s.shift)
-	for ; s.slots[i].len != 0; i = (i + 1) & mask {
-		sl := s.slots[i]
-		if sl.hash == h && int(sl.len) == len(key) && bytes.Equal(s.chunks[sl.chunk][sl.off:sl.off+sl.len], key) {
-			return int(sl.id), false
+	i := int(top >> s.shift)
+	for ; s.slots[i].num != 0; i = (i + 1) & mask {
+		if sl := s.slots[i]; sl.hash == top && slices.Equal(s.keys.at(int(sl.num-1)), key) {
+			return int(sl.num - 1), false
 		}
 	}
-	if len(s.chunks) == 0 || len(s.chunks[len(s.chunks)-1])-s.fill < len(key) {
-		s.chunks = append(s.chunks, make([]byte, max(keyChunk, len(key))))
-		s.fill = 0
-	}
-	last := len(s.chunks) - 1
-	id := s.used
-	s.slots[i] = keySlot{hash: h, len: uint32(len(key)), chunk: uint32(last), off: uint32(s.fill), id: uint32(id)}
-	s.fill += copy(s.chunks[last][s.fill:], key)
-	if s.used++; s.used*4 > len(s.slots)*3 {
+	n := s.keys.n
+	copy(s.keys.add(), key)
+	s.slots[i] = wordSlot{hash: top, num: uint32(n + 1)}
+	if (n+1)*4 > len(s.slots)*3 {
 		s.grow()
 	}
-	return id, true
+	return n, true
 }
 
 // grow doubles the table and re-slots every key by its stored hash.
-func (s *keySet) grow() {
+func (s *wordSet) grow() {
 	old := s.slots
-	s.slots = make([]keySlot, 2*len(old))
+	s.slots = make([]wordSlot, 2*len(old))
 	s.shift--
 	mask := len(s.slots) - 1
 	for _, sl := range old {
-		if sl.len == 0 {
+		if sl.num == 0 {
 			continue
 		}
 		i := int(sl.hash >> s.shift)
-		for s.slots[i].len != 0 {
+		for s.slots[i].num != 0 {
 			i = (i + 1) & mask
 		}
 		s.slots[i] = sl
 	}
+}
+
+// rowQueue holds the states found but not yet expanded, first found
+// first, as entries of a state's obligation followed by its executor
+// row. Expanded entries are dropped by moving the queued ones down when
+// the buffer is full, so its size follows the breadth-first frontier,
+// not the states found.
+type rowQueue struct {
+	width int     // 1 + the row length
+	buf   []int64 // the queued entries from head on
+	head  int
+}
+
+func newRowQueue(rowLen int) rowQueue {
+	return rowQueue{width: 1 + rowLen, buf: make([]int64, 0, 16*(1+rowLen))}
+}
+
+// empty reports whether no state is queued.
+func (q *rowQueue) empty() bool { return q.head == len(q.buf) }
+
+// push queues a state carrying obligation ob and returns the storage its
+// row is to be written to, which holds stale values until it is.
+func (q *rowQueue) push(ob int64) []int64 {
+	if len(q.buf)+q.width > cap(q.buf) && 2*q.head >= len(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	n := len(q.buf)
+	q.buf = slices.Grow(q.buf, q.width)[:n+q.width]
+	q.buf[n] = ob
+	return q.buf[n+1:]
+}
+
+// pop removes the first state queued, copies its row to row, and returns
+// its obligation.
+func (q *rowQueue) pop(row []int64) int64 {
+	e := q.buf[q.head : q.head+q.width]
+	q.head += q.width
+	copy(row, e[1:])
+	return e[0]
 }

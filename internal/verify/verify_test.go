@@ -274,10 +274,11 @@ func TestInvariantHolds(t *testing.T) {
 // TestInvariantAllocatesPerStateNotPerSuccessor: the invariant check
 // hands its predicate one map, refilled for every step it judges, and
 // keeps the states it finds in storage that grows a chunk or a doubling
-// at a time (frontier records, executor rows, visited keys, step classes
-// and their tables), with no heap object per state. On gpca's
-// no-motor-in-alarm, whose 12,003 states have about eight successors
-// each, that is at most 0.05 allocations per state (about 120 in all); a
+// at a time (records, visited keys, step classes and their tables, and
+// the queue of rows not yet expanded), with no heap object per state. On
+// gpca's no-motor-in-alarm, whose 12,003 states have about five
+// successors each, that is at most 0.05 allocations per state (about 100
+// in all); a
 // fresh valuation per successor makes about twenty per state, and a
 // snapshot, frontier node and key per state three.
 func TestInvariantAllocatesPerStateNotPerSuccessor(t *testing.T) {
